@@ -346,32 +346,6 @@ func BenchmarkHash(b *testing.B) {
 	}
 }
 
-// BenchmarkStateKey contrasts the cached canonical rendering with the
-// old from-scratch render on a warm mid-search state.
-func BenchmarkStateKey(b *testing.B) {
-	sim := core.NewSimulator(scenarios.PyswitchBench(3))
-	for i := 0; i < 10; i++ {
-		enabled := sim.Enabled()
-		if len(enabled) == 0 {
-			break
-		}
-		sim.Step(i % len(enabled))
-	}
-	sys := sim.System()
-	b.Run("incremental", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = sys.StateKey()
-		}
-	})
-	b.Run("reflective-oracle", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = sys.OracleKey()
-		}
-	})
-}
-
 // BenchmarkClone measures the per-transition state fork.
 func BenchmarkClone(b *testing.B) {
 	sim := core.NewSimulator(scenarios.PingPong(3))

@@ -2,7 +2,6 @@ package controller
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -312,18 +311,16 @@ type Runtime struct {
 	xid int
 
 	// Incremental-fingerprinting caches: the rendered application key
-	// (with its hashes and, for Versioned apps, the version it was
-	// rendered at) and the two channel renderings. Each is valid until
-	// the corresponding state mutates; Clone copies all three.
+	// (with its digest and, for Versioned apps, the version it was
+	// rendered at) and the structural hashes of the two channel maps.
+	// Each is valid until the corresponding state mutates; Clone copies
+	// all three.
 	appKey       string
-	appKeyHash   uint64
 	appKeyDigest canon.Digest
 	appKeyValid  bool
 	appVersion   uint64
-	inKey        string
 	inKeyHash    uint64
 	inKeyValid   bool
-	outKey       string
 	outKeyHash   uint64
 	outKeyValid  bool
 
@@ -411,14 +408,11 @@ func (r *Runtime) Clone() *Runtime {
 		xid:  r.xid,
 
 		appKey:       r.appKey,
-		appKeyHash:   r.appKeyHash,
 		appKeyDigest: r.appKeyDigest,
 		appKeyValid:  r.appKeyValid,
 		appVersion:   r.appVersion,
-		inKey:        r.inKey,
 		inKeyHash:    r.inKeyHash,
 		inKeyValid:   r.inKeyValid,
-		outKey:       r.outKey,
 		outKeyHash:   r.outKeyHash,
 		outKeyValid:  r.outKeyValid,
 	}
@@ -443,7 +437,7 @@ func cloneMsgs(q []openflow.Msg) []openflow.Msg {
 func (r *Runtime) DeliverToController(m openflow.Msg) {
 	r.ownInQ()
 	r.inKeyValid = false
-	r.inQ[m.Switch] = append(r.inQ[m.Switch], m.MemoKey())
+	r.inQ[m.Switch] = append(r.inQ[m.Switch], m.MemoKeyHash())
 }
 
 // InLen reports the inbound (switch→controller) queue length for a
@@ -455,21 +449,10 @@ func (r *Runtime) InLen(sw openflow.SwitchID) int { return len(r.inQ[sw]) }
 func (r *Runtime) OutLen(sw openflow.SwitchID) int { return len(r.outQ[sw]) }
 
 // PendingIn returns the switches with queued inbound messages, sorted.
-func (r *Runtime) PendingIn() []openflow.SwitchID { return sortedKeys(r.inQ) }
+func (r *Runtime) PendingIn() []openflow.SwitchID { return pendingSorted(nil, r.inQ) }
 
 // PendingOut returns the switches with queued outbound messages, sorted.
-func (r *Runtime) PendingOut() []openflow.SwitchID { return sortedKeys(r.outQ) }
-
-func sortedKeys(m map[openflow.SwitchID][]openflow.Msg) []openflow.SwitchID {
-	var out []openflow.SwitchID
-	for sw, q := range m {
-		if len(q) > 0 {
-			out = append(out, sw)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (r *Runtime) PendingOut() []openflow.SwitchID { return pendingSorted(nil, r.outQ) }
 
 // HeadIn returns the next inbound message from a switch without
 // consuming it.
@@ -489,11 +472,21 @@ func (r *Runtime) PopIn(sw openflow.SwitchID) (openflow.Msg, bool) {
 	}
 	r.ownInQ()
 	r.inKeyValid = false
-	m := q[0]
-	// Sharing the tail is safe: queue backings are never written in
-	// place (appends on forks reallocate past the clamped capacity).
-	r.inQ[sw] = q[1:]
-	return m, true
+	popHead(r.inQ, sw, q)
+	return q[0], true
+}
+
+// popHead drops the head of switch sw's queue q. Sharing the tail is
+// safe: queue backings are never written in place (appends on forks
+// reallocate past the clamped capacity). A drained queue leaves the
+// map, so the channel hashes and the next fork's map copy walk only
+// the switches that have something pending.
+func popHead(m map[openflow.SwitchID][]openflow.Msg, sw openflow.SwitchID, q []openflow.Msg) {
+	if len(q) == 1 {
+		delete(m, sw)
+	} else {
+		m[sw] = q[1:]
+	}
 }
 
 // HeadOut returns the next outbound message for a switch without
@@ -514,9 +507,8 @@ func (r *Runtime) PopOut(sw openflow.SwitchID) (openflow.Msg, bool) {
 	}
 	r.ownOutQ()
 	r.outKeyValid = false
-	m := q[0]
-	r.outQ[sw] = q[1:]
-	return m, true
+	popHead(r.outQ, sw, q)
+	return q[0], true
 }
 
 // Emit stamps and enqueues handler-emitted messages onto the outbound
@@ -529,7 +521,7 @@ func (r *Runtime) Emit(msgs []openflow.Msg) {
 	for _, m := range msgs {
 		r.seq++
 		m.Seq = r.seq
-		r.outQ[m.Switch] = append(r.outQ[m.Switch], m.MemoKey())
+		r.outQ[m.Switch] = append(r.outQ[m.Switch], m.MemoKeyHash())
 	}
 }
 
@@ -600,25 +592,12 @@ func (r *Runtime) DispatchEnv(event string) []openflow.Msg {
 	return ctx.Messages()
 }
 
-// StateKey renders the controller component canonically: the app's own
-// canonical state plus both channel contents. seq/xid counters are
-// excluded (scheduler metadata; see DESIGN.md). All three parts come
-// from the incremental caches; RenderStateKey bypasses them.
+// StateKey renders the controller component canonically, from scratch:
+// the app's own canonical state plus both channel contents — the string
+// twin of AppKeyDigest/InKeyHash64/OutKeyHash64 that the oracle and
+// debug output read. seq/xid counters are excluded (scheduler metadata;
+// see DESIGN.md).
 func (r *Runtime) StateKey() string {
-	var b strings.Builder
-	b.WriteString("app{")
-	b.WriteString(r.AppKey())
-	b.WriteString("} in{")
-	b.WriteString(r.InKey())
-	b.WriteString("} out{")
-	b.WriteString(r.OutKey())
-	b.WriteString("}")
-	return b.String()
-}
-
-// RenderStateKey rebuilds the controller key from scratch, ignoring all
-// caches (the differential-oracle path).
-func (r *Runtime) RenderStateKey() string {
 	var b strings.Builder
 	b.WriteString("app{")
 	b.WriteString(r.App.StateKey())
@@ -650,90 +629,85 @@ func (r *Runtime) AppKey() string {
 func (r *Runtime) fillAppKey() {
 	r.appKey = r.App.StateKey()
 	r.appKeyDigest = canon.Hash128(r.appKey)
-	r.appKeyHash = canon.Hash64String(r.appKey)
 	r.appKeyValid = true
-}
-
-// AppKeyHash64 returns the cached 64-bit hash of AppKey.
-func (r *Runtime) AppKeyHash64() uint64 {
-	r.AppKey()
-	return r.appKeyHash
 }
 
 // AppKeyDigest returns the cached 128-bit digest of AppKey — the
 // discover-cache key component (core keys its relevant-packet memo by
-// it instead of the full string, keeping lookups allocation-free).
+// it instead of the full string, keeping lookups allocation-free) and
+// the application component System.Fingerprint combines.
 func (r *Runtime) AppKeyDigest() canon.Digest {
 	r.AppKey()
 	return r.appKeyDigest
 }
 
-// InKey renders the switch→controller channel contents (cached).
-func (r *Runtime) InKey() string {
+// InKeyHash64 returns the structural hash of the switch→controller
+// channel contents — the channel component System.Fingerprint combines
+// — cached until the next queue mutation.
+func (r *Runtime) InKeyHash64() uint64 {
 	if !r.inKeyValid {
-		var b strings.Builder
-		writeQueues(&b, r.inQ)
-		r.inKey = b.String()
-		r.inKeyHash = canon.Hash64String(r.inKey)
+		r.inKeyHash = hashQueues(r.inQ, false)
 		r.inKeyValid = true
 	}
-	return r.inKey
-}
-
-// InKeyHash64 returns the cached 64-bit hash of InKey — the channel
-// component System.Fingerprint combines without re-hashing the string.
-func (r *Runtime) InKeyHash64() uint64 {
-	r.InKey()
 	return r.inKeyHash
-}
-
-// OutKey renders the controller→switch channel contents (cached).
-func (r *Runtime) OutKey() string {
-	if !r.outKeyValid {
-		var b strings.Builder
-		writeQueues(&b, r.outQ)
-		r.outKey = b.String()
-		r.outKeyHash = canon.Hash64String(r.outKey)
-		r.outKeyValid = true
-	}
-	return r.outKey
 }
 
 // OutKeyHash64 is InKeyHash64 for the controller→switch channels.
 func (r *Runtime) OutKeyHash64() uint64 {
-	r.OutKey()
+	if !r.outKeyValid {
+		r.outKeyHash = hashQueues(r.outQ, false)
+		r.outKeyValid = true
+	}
 	return r.outKeyHash
 }
 
-func writeQueues(b *strings.Builder, m map[openflow.SwitchID][]openflow.Msg) {
-	// Sort into a stack-allocated key buffer: channel renderings run on
-	// every queue mutation, so the sortedKeys allocation would be a
-	// top-ten site of a whole search.
-	var kbuf [16]openflow.SwitchID
-	keys := kbuf[:0]
+// FreshKeyHashes recomputes both channel hashes from scratch, ignoring
+// the caches and every message's memoized hash — the side VerifyCaches
+// compares InKeyHash64 and OutKeyHash64 against.
+func (r *Runtime) FreshKeyHashes() (in, out uint64) {
+	return hashQueues(r.inQ, true), hashQueues(r.outQ, true)
+}
+
+// pendingSorted appends the switches with queued messages to buf in
+// ascending order. Channel hashes re-run on every queue mutation, so
+// the caller passes a stack buffer, and the insertion sort avoids
+// sort.Slice's closure (which would force that buffer to the heap).
+func pendingSorted(buf []openflow.SwitchID, m map[openflow.SwitchID][]openflow.Msg) []openflow.SwitchID {
 	for sw, q := range m {
 		if len(q) > 0 {
-			keys = append(keys, sw)
+			buf = append(buf, sw)
 		}
 	}
-	// Insertion sort: sort.Slice's closure would force the key buffer
-	// to escape to the heap on every channel render.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
+	for i := 1; i < len(buf); i++ {
+		for j := i; j > 0 && buf[j] < buf[j-1]; j-- {
+			buf[j], buf[j-1] = buf[j-1], buf[j]
 		}
 	}
-	// Messages carry memoized keys (Msg.MemoKey), so sizing the builder
-	// is a cheap len sum and the rendering itself is pure copying.
-	size := 0
-	for _, sw := range keys {
-		size += 12
-		for i := range m[sw] {
-			size += len(m[sw][i].Key()) + 1
+	return buf
+}
+
+// hashQueues chains, per pending switch in ID order, the queue length
+// and each message's hash — memoized at enqueue unless fresh is set.
+func hashQueues(m map[openflow.SwitchID][]openflow.Msg, fresh bool) uint64 {
+	var kbuf [16]openflow.SwitchID
+	h := canon.NewMix(0)
+	for _, sw := range pendingSorted(kbuf[:0], m) {
+		q := m[sw]
+		h = h.Word(uint64(sw)).Word(uint64(len(q)))
+		for i := range q {
+			if fresh {
+				h = h.Word(q[i].FreshKeyHash64())
+			} else {
+				h = h.Word(q[i].KeyHash64())
+			}
 		}
 	}
-	b.Grow(size)
-	for _, sw := range keys {
+	return h.Sum()
+}
+
+func writeQueues(b *strings.Builder, m map[openflow.SwitchID][]openflow.Msg) {
+	var kbuf [16]openflow.SwitchID
+	for _, sw := range pendingSorted(kbuf[:0], m) {
 		b.WriteByte('s')
 		b.WriteString(strconv.Itoa(int(sw)))
 		b.WriteString(":[")

@@ -133,23 +133,81 @@ func TestRuntimeCloneIndependence(t *testing.T) {
 
 func TestStateKeyIncludesChannelsExcludesCounters(t *testing.T) {
 	rt := NewRuntime(&recorderApp{})
-	base := rt.StateKey()
+	base, baseIn, baseOut := rt.StateKey(), rt.InKeyHash64(), rt.OutKeyHash64()
 	rt.DeliverToController(packetInMsg())
-	if rt.StateKey() == base {
-		t.Error("inbound channel not part of the state key")
+	if rt.StateKey() == base || rt.InKeyHash64() == baseIn {
+		t.Error("inbound channel not part of the state key and hash")
 	}
 	rt.PopIn(1)
-	if rt.StateKey() != base {
-		t.Error("drained runtime state key differs from baseline")
+	if rt.StateKey() != base || rt.InKeyHash64() != baseIn {
+		t.Error("drained runtime state key or hash differs from baseline")
 	}
 	// Advancing seq/xid alone must not change the key (scheduler
 	// metadata, excluded by design).
 	rt.Emit(nil)
 	rt2 := NewRuntime(&recorderApp{})
 	rt2.Emit([]openflow.Msg{{Type: openflow.MsgFlowMod, Switch: 1}})
+	if rt2.OutKeyHash64() == baseOut {
+		t.Error("outbound channel not part of the hash")
+	}
 	rt2.PopOut(1)
-	if rt2.StateKey() != base {
-		t.Error("emitting and draining left residue in the key")
+	if rt2.StateKey() != base || rt2.OutKeyHash64() != baseOut {
+		t.Error("emitting and draining left residue in the key or hash")
+	}
+}
+
+// TestChannelHashesTrackQueues checks the cached channel hashes against
+// the from-scratch ones (which also ignore the per-message memos)
+// through deliveries, emissions and pops on two switches, and that the
+// hash depends on which switch a message is queued for and in what
+// order — as the rendered key does.
+func TestChannelHashesTrackQueues(t *testing.T) {
+	rt := NewRuntime(&recorderApp{})
+	seen := map[string][2]uint64{}
+	check := func(what string) {
+		t.Helper()
+		in, out := rt.FreshKeyHashes()
+		if rt.InKeyHash64() != in || rt.OutKeyHash64() != out {
+			t.Fatalf("after %s: cached channel hashes differ from the from-scratch ones", what)
+		}
+		if prev, ok := seen[rt.StateKey()]; ok && prev != [2]uint64{in, out} {
+			t.Fatalf("after %s: equal state keys, different hashes", what)
+		}
+		seen[rt.StateKey()] = [2]uint64{in, out}
+	}
+	check("construction")
+	pin2 := packetInMsg()
+	pin2.Switch = 2
+	rt.DeliverToController(packetInMsg())
+	check("deliver s1")
+	rt.DeliverToController(pin2)
+	check("deliver s2")
+	rt.DeliverToController(openflow.Msg{Type: openflow.MsgBarrierReply, Switch: 1, Xid: 4})
+	check("second message on s1")
+	rt.Emit([]openflow.Msg{
+		{Type: openflow.MsgFlowMod, Switch: 1, Rule: openflow.Rule{Priority: 3}},
+		{Type: openflow.MsgPacketOut, Switch: 2, Buffer: 0, Actions: []openflow.Action{openflow.Flood()}},
+		{Type: openflow.MsgFlowMod, Switch: 1, Rule: openflow.Rule{Priority: 4}},
+	})
+	check("emit")
+	rt.PopIn(1)
+	check("pop in")
+	rt.PopOut(1)
+	check("pop out")
+	fork := rt.Fork(9)
+	fork.PopOut(1)
+	fork.PopOut(2)
+	check("fork drained")
+	in, out := fork.FreshKeyHashes()
+	if fork.InKeyHash64() != in || fork.OutKeyHash64() != out {
+		t.Error("fork's cached channel hashes differ from the from-scratch ones")
+	}
+	hashes := map[[2]uint64]bool{}
+	for _, h := range seen {
+		hashes[h] = true
+	}
+	if len(hashes) != len(seen) {
+		t.Errorf("%d distinct state keys but %d distinct hash pairs", len(seen), len(hashes))
 	}
 }
 

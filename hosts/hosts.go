@@ -68,12 +68,11 @@ type Host struct {
 	SentCount int
 	Received  []openflow.Header
 
-	// key caches the canonical StateKey and its 64-bit hash for
-	// incremental state fingerprinting: valid until the next mutating
-	// method runs, copied by Clone so unchanged hosts are not
-	// re-rendered as the search forks. Code that mutates exported
-	// fields directly after a StateKey call must call Invalidate.
-	key      string
+	// keyHash caches KeyHash64 for incremental state fingerprinting:
+	// valid until the next mutating method runs, copied by Clone so
+	// unchanged hosts are not re-hashed as the search forks. Code that
+	// mutates exported fields directly after a KeyHash64 call must call
+	// Invalidate.
 	keyHash  uint64
 	keyValid bool
 
@@ -83,7 +82,7 @@ type Host struct {
 	cow.Tag
 }
 
-// Invalidate drops the cached StateKey rendering.
+// Invalidate drops the cached KeyHash64.
 func (h *Host) Invalidate() { h.keyValid = false }
 
 // Clone deep-copies the host state — the retained deep-copy forking
@@ -195,30 +194,41 @@ func (h *Host) Move() (topo.PortKey, bool) {
 	return h.Loc, true
 }
 
-// StateKey renders the host state canonically for hashing, reusing the
-// cached rendering when no mutation happened since the last call.
-func (h *Host) StateKey() string {
-	if h.keyValid {
-		return h.key
-	}
-	h.key = h.RenderStateKey()
-	h.keyHash = canon.Hash64String(h.key)
-	h.keyValid = true
-	return h.key
-}
-
-// KeyHash64 returns the cached 64-bit hash of StateKey — the component
-// hash System.Fingerprint combines.
+// KeyHash64 returns the 64-bit structural hash of the host state — the
+// component hash System.Fingerprint combines — reusing the cached value
+// when no mutation happened since the last call.
 func (h *Host) KeyHash64() uint64 {
-	h.StateKey()
+	if !h.keyValid {
+		h.keyHash = h.FreshKeyHash64()
+		h.keyValid = true
+	}
 	return h.keyHash
 }
 
-// RenderStateKey rebuilds the canonical state key from scratch, ignoring
-// the cache (the differential-oracle path). The rendering is hand
-// appended — hosts re-render on every send/receive, which made the fmt
-// path one of the hottest allocation sites of the whole search.
-func (h *Host) RenderStateKey() string {
+// FreshKeyHash64 recomputes KeyHash64 from scratch, ignoring the cache:
+// exactly the fields StateKey renders, as words (hosts re-hash on every
+// send and receive).
+func (h *Host) FreshKeyHash64() uint64 {
+	m := canon.NewMix(uint64(h.ID)).Word(uint64(h.Loc.Sw)).Word(uint64(h.Loc.Port)).
+		Word(uint64(h.SendBudget)).Word(uint64(h.Credits)).Word(uint64(h.ReplyBudget)).
+		Word(uint64(h.SentCount)).Word(uint64(h.RepIdx)).Word(uint64(len(h.MoveTargets)))
+	for _, t := range h.MoveTargets {
+		m = m.Word(uint64(t.Sw)).Word(uint64(t.Port))
+	}
+	m = m.Word(uint64(len(h.PendingReplies)))
+	for _, r := range h.PendingReplies {
+		m = r.Hash(m)
+	}
+	m = m.Word(uint64(len(h.Received)))
+	for _, r := range h.Received {
+		m = r.Hash(m)
+	}
+	return m.Sum()
+}
+
+// StateKey renders the host state canonically, from scratch: the string
+// twin of KeyHash64 that the oracle and debug output read.
+func (h *Host) StateKey() string {
 	b := make([]byte, 0, 96)
 	b = append(b, "host"...)
 	b = strconv.AppendInt(b, int64(h.ID), 10)

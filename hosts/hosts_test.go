@@ -154,14 +154,53 @@ func TestHostCloneIndependence(t *testing.T) {
 
 func TestStateKeyReflectsDynamics(t *testing.T) {
 	a, _ := clientServerPair()
-	k1 := a.StateKey()
+	k1, h1 := a.StateKey(), a.KeyHash64()
 	a.ConsumeSend()
-	k2 := a.StateKey()
-	if k1 == k2 {
-		t.Error("send not visible in state key")
+	k2, h2 := a.StateKey(), a.KeyHash64()
+	if k1 == k2 || h1 == h2 {
+		t.Error("send not visible in state key and hash")
 	}
 	a.Receive(openflow.Header{Payload: "x"})
-	if a.StateKey() == k2 {
-		t.Error("receive not visible in state key")
+	if a.StateKey() == k2 || a.KeyHash64() == h2 {
+		t.Error("receive not visible in state key and hash")
+	}
+}
+
+// TestKeyHashTracksStateKey drives both hosts through every mutator and
+// checks, after each, that the cached hash equals the from-scratch one
+// and that hash equality coincides with StateKey equality.
+func TestKeyHashTracksStateKey(t *testing.T) {
+	a, b := clientServerPair()
+	b.MoveTargets = []topo.PortKey{{Sw: 2, Port: 3}}
+	seen := map[string]uint64{}
+	check := func(what string) {
+		t.Helper()
+		for _, h := range []*Host{a, b, a.Clone(), b.Fork(7)} {
+			if c, f := h.KeyHash64(), h.FreshKeyHash64(); c != f {
+				t.Fatalf("after %s: host %d cached hash %#x != from-scratch %#x", what, h.ID, c, f)
+			}
+			if prev, ok := seen[h.StateKey()]; ok && prev != h.KeyHash64() {
+				t.Fatalf("after %s: equal state keys, different hashes", what)
+			}
+			seen[h.StateKey()] = h.KeyHash64()
+		}
+	}
+	check("construction")
+	a.ConsumeSend()
+	check("send")
+	b.Receive(openflow.Header{EthSrc: a.MAC, EthDst: b.MAC, Payload: "ping"})
+	check("receive")
+	rep := b.TakeReply()
+	check("take reply")
+	a.Receive(rep)
+	check("receive reply")
+	b.Move()
+	check("move")
+	hashes := map[uint64]bool{}
+	for _, h := range seen {
+		hashes[h] = true
+	}
+	if len(hashes) != len(seen) {
+		t.Errorf("%d distinct state keys but %d distinct hashes", len(seen), len(hashes))
 	}
 }

@@ -2,7 +2,10 @@
 // hashes of Go values. The model checker identifies repeated system
 // states by hashing a canonical serialization (the paper serializes with
 // cPickle and hashes the string, §6); canon is the Go equivalent, with
-// map iteration order neutralized by sorting keys.
+// map iteration order neutralized by sorting keys. The string side
+// serves application and property keys and the differential oracle; the
+// production fingerprint hashes component fields word-wise through Mix
+// (mix.go) and never builds a string.
 package canon
 
 import (

@@ -1,9 +1,6 @@
 package canon
 
-import (
-	"math/bits"
-	"strconv"
-)
+import "math/bits"
 
 // Digest is a fixed-width 128-bit state fingerprint: [0] holds the high
 // 64 bits, [1] the low 64 bits, matching the byte order of the standard
@@ -43,11 +40,10 @@ const (
 	prime64  = 1099511628211
 )
 
-// Hasher is a streaming FNV-1a 128-bit hasher that consumes strings and
-// integers without any []byte conversion or allocation. It is the
-// combining stage of incremental state fingerprinting: components feed
-// their cached canonical keys (or cached 64-bit component hashes) into
-// one Hasher per state.
+// Hasher is a streaming FNV-1a 128-bit hasher that consumes strings
+// without any []byte conversion or allocation. It digests canonical
+// strings — the oracle serialization and application keys; the
+// production fingerprint combines component hashes word-wise (Mix128).
 type Hasher struct {
 	hi, lo uint64
 }
@@ -73,29 +69,6 @@ func (h *Hasher) WriteString(s string) {
 	}
 }
 
-// WriteSep hashes a single byte (a section separator, typically).
-func (h *Hasher) WriteSep(c byte) {
-	h.mix(c)
-}
-
-// WriteUint64 hashes v as 8 big-endian bytes — the fast path for cached
-// 64-bit component hashes.
-func (h *Hasher) WriteUint64(v uint64) {
-	for shift := 56; shift >= 0; shift -= 8 {
-		h.mix(byte(v >> shift))
-	}
-}
-
-// WriteInt hashes the decimal rendering of v (plus no separator); small
-// counters feed fingerprints this way without allocating.
-func (h *Hasher) WriteInt(v int) {
-	var buf [20]byte
-	b := strconv.AppendInt(buf[:0], int64(v), 10)
-	for _, c := range b {
-		h.mix(c)
-	}
-}
-
 // Sum returns the current digest.
 func (h *Hasher) Sum() Digest { return Digest{h.hi, h.lo} }
 
@@ -108,7 +81,7 @@ func Hash128(s string) Digest {
 }
 
 // Hash64String is FNV-1a 64-bit over a string, allocation-free — the
-// per-component hash cached alongside canonical keys.
+// hash properties memoize alongside their state keys.
 func Hash64String(s string) uint64 {
 	h := uint64(offset64)
 	for i := 0; i < len(s); i++ {

@@ -163,7 +163,12 @@ func (c *Config) maxDepth() int {
 // depth as the sequential checker.
 func (c *Config) DepthBound() int { return c.maxDepth() }
 
-func (c *Config) canonicalTables() bool { return !c.NoSwitchReduction }
+// tableHashMode says how switches hash and render their flow tables:
+// canonically (order-free) unless NO-SWITCH-REDUCTION is on, and with
+// rule counters folded in when asked or under that baseline.
+func (c *Config) tableHashMode() (canonical, counters bool) {
+	return !c.NoSwitchReduction, c.HashCounters || c.NoSwitchReduction
+}
 
 // fieldDomains builds the per-variable candidate sets for symbolic
 // packet fields from the topology plus hints — the explicit form of the

@@ -473,3 +473,40 @@ func TestDiscoverChangesStateIdentity(t *testing.T) {
 		t.Error("discover_packets left the state hash unchanged")
 	}
 }
+
+// TestProcessedEventCarriesRule pins the lazily rendered EvProcessed
+// event: a hit carries the matched rule itself (rendered only when the
+// event is printed), a table miss is marked as one.
+func TestProcessedEventCarriesRule(t *testing.T) {
+	processed := func(install bool) Event {
+		sys := NewSystem(hubConfig(1))
+		swID := sys.SwitchIDs()[0]
+		if install {
+			sys.ownSwitch(swID).Table.Install(openflow.Rule{Priority: 7,
+				Match:   openflow.MatchAll().With(openflow.FieldEthSrc, uint64(topo.MACHostA)),
+				Actions: []openflow.Action{openflow.Flood()}})
+		}
+		for _, kind := range []TransitionKind{THostSend, TSwitchProcess} {
+			for _, tr := range sys.Enabled() {
+				if tr.Kind != kind {
+					continue
+				}
+				for _, e := range sys.Apply(tr) {
+					if e.Kind == EvProcessed {
+						return e
+					}
+				}
+				break
+			}
+		}
+		t.Fatal("no EvProcessed event")
+		return Event{}
+	}
+	hit, miss := processed(true), processed(false)
+	if hit.Rule.Priority != 7 || !strings.Contains(hit.String(), `rule="prio=7 match=[dl_src=`) {
+		t.Errorf("hit event = %s (rule %+v), want the installed rule", hit, hit.Rule)
+	}
+	if !strings.Contains(miss.String(), `rule=""`) {
+		t.Errorf("miss event = %s, want an empty rule", miss)
+	}
+}

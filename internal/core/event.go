@@ -21,8 +21,8 @@ const (
 	EvHostMove
 	// EvArrive: a packet was enqueued on a switch ingress channel.
 	EvArrive
-	// EvProcessed: a switch processed a packet (Note holds the matched
-	// rule key, "" for a table miss).
+	// EvProcessed: a switch processed a packet (Rule holds the matched
+	// rule; Note is tableMiss instead when nothing matched).
 	EvProcessed
 	// EvPacketIn: a switch sent a packet_in to the controller.
 	EvPacketIn
@@ -83,6 +83,10 @@ func (k EventKind) String() string {
 	return fmt.Sprintf("event(%d)", int(k))
 }
 
+// tableMiss is the Note of an EvProcessed event whose packet matched no
+// rule.
+const tableMiss = "miss"
+
 // Event is one observable occurrence. Unused fields stay zero.
 type Event struct {
 	Kind  EventKind
@@ -108,7 +112,11 @@ func (e Event) String() string {
 	case EvArrive:
 		return fmt.Sprintf("%v: (%s) at %v:%v", e.Kind, e.Pkt.Header, e.Sw, e.Port)
 	case EvProcessed:
-		return fmt.Sprintf("%v: %v (%s) rule=%q", e.Kind, e.Sw, e.Pkt.Header, e.Note)
+		rule := ""
+		if e.Note != tableMiss {
+			rule = e.Rule.Key()
+		}
+		return fmt.Sprintf("%v: %v (%s) rule=%q", e.Kind, e.Sw, e.Pkt.Header, rule)
 	case EvPacketIn:
 		return fmt.Sprintf("%v: %v port=%v (%s) reason=%s", e.Kind, e.Sw, e.Port, e.Pkt.Header, e.Msg.Reason)
 	case EvRuleInstalled:
@@ -162,10 +170,10 @@ type FreshKeyer interface {
 	RenderStateKey() string
 }
 
-// propKeyFor returns a property's state key, bypassing any memo when
-// fresh is set.
-func propKeyFor(p Property, fresh bool) string {
-	if fk, ok := p.(FreshKeyer); ok && fresh {
+// freshPropKey returns a property's state key, bypassing its memo when
+// it has one.
+func freshPropKey(p Property) string {
+	if fk, ok := p.(FreshKeyer); ok {
 		return fk.RenderStateKey()
 	}
 	return p.StateKey()

@@ -2,155 +2,116 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/nice-go/nice/internal/canon"
 )
 
 // Fingerprint returns the fixed-width 128-bit identity of the state —
-// the key of every explored-state set. Instead of re-serializing the
-// whole system per state (the paper hashes a full cPickle serialization,
-// §6; the seed code walked everything through reflection), it combines
-// the cached per-component hashes maintained by dirty-tracking at the
-// mutation sites: a switch, host or controller component that did not
-// change since the last state renders exactly nothing.
+// the key of every explored-state set. Instead of serializing the
+// system per state (the paper hashes a full cPickle serialization, §6),
+// it combines the 64-bit structural hashes each component keeps of its
+// own fields: a switch, host or channel map that did not change since
+// the last state costs one cached word, and one that did re-folds its
+// fields as machine words — no string is built on this path. The flow
+// table's term is a commutative sum maintained at every flow_mod, so
+// the canonical (order-free) table needs no sort either.
 //
 // With Config.OracleHash set, the fingerprint is instead the hash of the
-// full from-scratch serialization (OracleKey). States with equal
-// component keys produce equal fingerprints in both modes; the modes
-// differ only in their (improbable) hash-collision surfaces — the
-// incremental path compresses each component to 64 bits before
-// combining, so a cross-component 64-bit collision could merge states
-// the oracle distinguishes. The differential tests assert the search
-// reports agree in practice; a one-mode-only count divergence therefore
-// means either a missing dirty hook (VerifyCaches pinpoints it) or a
-// component-hash collision.
+// full from-scratch string serialization (OracleKey). Every structural
+// hash folds exactly the fields its component's StateKey renders, so
+// states with equal component keys produce equal fingerprints in both
+// modes; the modes differ only in their (improbable) collision
+// surfaces. The structural path compresses each component — and each
+// rule of a canonical table, before summing — to 64 bits, so a 64-bit
+// component collision, or two rule multisets whose per-rule hashes
+// share a sum, could merge states the oracle distinguishes. The
+// differential tests assert the search reports agree in practice; a
+// one-mode-only count divergence therefore means either a missing dirty
+// hook (VerifyCaches pinpoints it) or such a collision.
 func (s *System) Fingerprint() canon.Digest {
 	if s.cfg.OracleHash {
 		return canon.Hash128(s.OracleKey())
 	}
-	// Combining the incremental hashes fills every memoized component
-	// key as a side effect — the same walk warmKeyCaches does.
-	defer func() { s.cachesWarm = true }()
-	h := canon.NewHasher()
-	canonical := s.cfg.canonicalTables()
-	hashCounters := s.cfg.HashCounters || s.cfg.NoSwitchReduction
+	canonical, hashCounters := s.cfg.tableHashMode()
+	h := canon.NewMix128()
 	for _, sw := range s.switches {
-		h.WriteUint64(sw.KeyHash64(canonical, hashCounters))
+		h = h.Word(sw.KeyHash64(canonical, hashCounters))
 	}
-	h.WriteUint64(s.ctrl.AppKeyHash64())
-	h.WriteSep('|')
-	h.WriteUint64(s.ctrl.InKeyHash64())
-	h.WriteSep('|')
-	h.WriteUint64(s.ctrl.OutKeyHash64())
-	h.WriteSep('|')
+	app := s.ctrl.AppKeyDigest()
+	h = h.Word(app[0]).Word(app[1]).Word(s.ctrl.InKeyHash64()).Word(s.ctrl.OutKeyHash64())
 	for _, host := range s.hosts {
-		h.WriteUint64(host.KeyHash64())
+		h = h.Word(host.KeyHash64())
 	}
-	// Property keys are memoized with their hashes (props.cachedKey);
-	// non-KeyHasher properties fall back to hashing the rendered key.
+	// Property keys stay strings (the public Property contract);
+	// KeyHasher properties memoize the hash next to the key.
 	for _, p := range s.props {
-		h.WriteString(p.Name())
-		h.WriteSep(':')
 		if kh, ok := p.(KeyHasher); ok {
-			h.WriteUint64(kh.StateKeyHash64())
+			h = h.Word(kh.StateKeyHash64())
 		} else {
-			h.WriteString(p.StateKey())
+			h = h.Word(canon.Hash64String(p.StateKey()))
 		}
-		h.WriteSep('\n')
 	}
+	// Discover-cache presence is part of state identity (see
+	// OracleKey): one word per host and switch, 0 when not cached.
 	if !s.cfg.DisableSE {
-		app := s.ctrl.AppKeyDigest()
 		for _, host := range s.hosts {
 			if pkts, ok := s.caches.getPackets(packetsKeyWith(host, app)); ok {
-				h.WriteString("se:")
-				h.WriteInt(int(host.ID))
-				h.WriteSep('=')
-				h.WriteInt(len(pkts))
-				h.WriteSep('\n')
+				h = h.Word(uint64(len(pkts)) + 1)
+			} else {
+				h = h.Word(0)
 			}
 		}
 		for _, sw := range s.swIDs {
 			if vs, ok := s.caches.getStats(statsCacheKey{sw: sw, app: app}); ok {
-				h.WriteString("ses:")
-				h.WriteInt(int(sw))
-				h.WriteSep('=')
-				h.WriteInt(len(vs))
-				h.WriteSep('\n')
+				h = h.Word(uint64(len(vs)) + 1)
+			} else {
+				h = h.Word(0)
 			}
 		}
 	}
-	h.WriteString("fg:")
-	h.WriteString(s.lastGroup)
-	h.WriteSep(' ')
-	writeGroupCounts(&h, s.groupCounts)
-	h.WriteSep(' ')
-	// Fault budgets feed the hasher as raw ints (faultState.key's
-	// Sprintf was one alloc per explored state on the oracle-free path).
-	h.WriteSep('f')
-	h.WriteInt(s.faults.drops)
-	h.WriteSep(',')
-	h.WriteInt(s.faults.dups)
-	h.WriteSep(',')
-	h.WriteInt(s.faults.reorders)
-	h.WriteSep(',')
-	h.WriteInt(s.faults.linkFails)
-	h.WriteSep(',')
-	h.WriteInt(s.faults.switchFails)
+	f := &s.faults
+	h = h.Word(canon.NewMix(0).Str(s.lastGroup).Word(uint64(len(s.groupCounts))).Word(s.groupDigest).
+		Word(uint64(f.drops)).Word(uint64(f.dups)).Word(uint64(f.reorders)).
+		Word(uint64(f.linkFails)).Word(uint64(f.switchFails)).Sum())
+	// Every memoized component hash is now filled — the same walk
+	// warmKeyCaches does.
+	s.cachesWarm = true
 	return h.Sum()
 }
 
-// writeGroupCounts feeds the FLOW-IR instance counters into the hasher
-// in sorted key order (deterministic, reflection-free).
-func writeGroupCounts(h *canon.Hasher, counts map[string]int) {
-	if len(counts) == 0 {
-		h.WriteString("{}")
-		return
-	}
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	h.WriteSep('{')
-	for i, k := range keys {
-		if i > 0 {
-			h.WriteSep(' ')
-		}
-		h.WriteString(k)
-		h.WriteSep(':')
-		h.WriteInt(counts[k])
-	}
-	h.WriteSep('}')
-}
-
-// VerifyCaches cross-checks every component's cached canonical key
-// against a from-scratch render, returning an error describing the first
-// divergence. Stress tests walk transition sequences and call it after
+// VerifyCaches cross-checks everything Fingerprint reads from a cache —
+// each switch, host and channel hash, the flow tables' maintained sums
+// and the messages' memoized hashes inside them, the group-count
+// digest, and the memoized application and property keys — against a
+// from-scratch recompute, returning an error naming the first stale
+// component. Stress tests walk transition sequences and call it after
 // every step; a failure means a mutation path is missing its
 // dirty-tracking hook.
 func (s *System) VerifyCaches() error {
-	cached := s.StateKey()
-	fresh := s.OracleKey()
-	if cached == fresh {
-		return nil
+	canonical, hashCounters := s.cfg.tableHashMode()
+	var err error
+	check := func(cached, fresh any, what string, id int) {
+		if err == nil && cached != fresh {
+			err = fmt.Errorf("core: stale %s %d cache:\n  cached: %v\n  fresh:  %v", what, id, cached, fresh)
+		}
 	}
-	// Narrow the report to the first diverging line for debuggability.
-	i := 0
-	for i < len(cached) && i < len(fresh) && cached[i] == fresh[i] {
-		i++
+	for _, sw := range s.switches {
+		check(sw.KeyHash64(canonical, hashCounters), sw.FreshKeyHash64(canonical, hashCounters), "switch hash", int(sw.ID))
 	}
-	lo := i - 60
-	if lo < 0 {
-		lo = 0
+	in, out := s.ctrl.FreshKeyHashes()
+	check(s.ctrl.InKeyHash64(), in, "controller in-channel hash", 0)
+	check(s.ctrl.OutKeyHash64(), out, "controller out-channel hash", 0)
+	check(s.ctrl.AppKey(), s.ctrl.App.StateKey(), "application key", 0)
+	for _, host := range s.hosts {
+		check(host.KeyHash64(), host.FreshKeyHash64(), "host hash", int(host.ID))
 	}
-	hiC, hiF := i+60, i+60
-	if hiC > len(cached) {
-		hiC = len(cached)
+	for i, p := range s.props {
+		check(p.StateKey(), freshPropKey(p), "property key "+p.Name(), i)
 	}
-	if hiF > len(fresh) {
-		hiF = len(fresh)
+	var groups uint64
+	for k, n := range s.groupCounts {
+		groups += groupEntryHash(k, n)
 	}
-	return fmt.Errorf("core: stale component cache at byte %d:\n  cached: …%s…\n  fresh:  …%s…",
-		i, cached[lo:hiC], fresh[lo:hiF])
+	check(s.groupDigest, groups, "group-count digest", 0)
+	return err
 }

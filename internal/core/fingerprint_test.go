@@ -45,9 +45,9 @@ func TestVerifyCachesCatchesStalePropertyMemo(t *testing.T) {
 	if err := sys.VerifyCaches(); err != nil {
 		t.Fatalf("initial state should verify: %v", err)
 	}
-	// Prime the memo, then mutate the property the way the checker does
+	// Prime the memo (Fingerprint reads the memoized key), then mutate the property the way the checker does
 	// (OnEvents after a transition) without invalidating.
-	_ = sys.StateKey()
+	sys.Fingerprint()
 	enabled := sys.Enabled()
 	if len(enabled) == 0 {
 		t.Fatal("no enabled transitions")
@@ -63,5 +63,34 @@ func TestVerifyCachesCatchesStalePropertyMemo(t *testing.T) {
 	}
 	if err := sys.VerifyCaches(); err == nil {
 		t.Fatal("VerifyCaches missed a stale property memo — oracle is reading the memoized key")
+	}
+}
+
+// TestVerifyCachesCatchesMissingDirtyHook mutates each kind of
+// component behind its hash cache's back — the bug class a mutation
+// path without its MarkDirty/Invalidate hook produces — and asserts
+// VerifyCaches reports every one, where the cached-versus-fresh string
+// comparison it used to make saw none of them.
+func TestVerifyCachesCatchesMissingDirtyHook(t *testing.T) {
+	cases := map[string]func(*System){
+		"switch field": func(s *System) { s.switches[0].Alive = false },
+		"host field":   func(s *System) { s.hosts[0].SendBudget-- },
+		"group counts": func(s *System) { s.groupCounts["g"]++ },
+	}
+	for name, corrupt := range cases {
+		sys := NewSystem(hubConfig(1))
+		sys.groupCounts["g"], sys.groupDigest = 1, groupEntryHash("g", 1)
+		sys.Fingerprint() // fill every cache
+		if err := sys.VerifyCaches(); err != nil {
+			t.Fatalf("%s: clean state should verify: %v", name, err)
+		}
+		before := sys.Fingerprint()
+		corrupt(sys)
+		if sys.Fingerprint() != before {
+			t.Fatalf("%s: fingerprint moved without a dirty hook; the case corrupts nothing", name)
+		}
+		if err := sys.VerifyCaches(); err == nil {
+			t.Errorf("%s: VerifyCaches missed a stale component hash", name)
+		}
 	}
 }

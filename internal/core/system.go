@@ -580,7 +580,11 @@ type System struct {
 	lastGroup string
 	// groupCounts numbers flow instances per group key (a packet whose
 	// GroupKeyFunc reports newInstance bumps its key's counter).
+	// groupDigest is its order-free hash — the wrapping sum of
+	// groupEntryHash over the entries, adjusted at the one site that
+	// writes the map — so Fingerprint neither sorts nor walks it.
 	groupCounts map[string]int
+	groupDigest uint64
 	// faults tracks the per-execution fault-budget usage.
 	faults faultState
 
@@ -726,6 +730,7 @@ func (s *System) Clone() *System {
 	c.groupEpoch = 0
 	c.lastGroup = s.lastGroup
 	c.groupCounts = s.groupCounts
+	c.groupDigest = s.groupDigest
 	c.faults = s.faults
 	c.cachesWarm = true
 	c.met = s.met
@@ -786,6 +791,7 @@ func (s *System) deepClone() *System {
 		groupEpoch:  epoch,
 		lastGroup:   s.lastGroup,
 		groupCounts: make(map[string]int, len(s.groupCounts)),
+		groupDigest: s.groupDigest,
 		faults:      s.faults,
 		met:         s.met,
 	}
@@ -813,19 +819,18 @@ func (s *System) deepClone() *System {
 	return c
 }
 
-// warmKeyCaches renders every memoized component key (a no-op when
+// warmKeyCaches fills every memoized component hash (a no-op when
 // already warm), maintaining cow invariant 3: at fork time all caches
 // are valid, so frozen shared components are never written — not even
 // by their own memoization — while forks read them concurrently.
 func (s *System) warmKeyCaches() {
-	canonical := s.cfg.canonicalTables()
-	hashCounters := s.cfg.HashCounters || s.cfg.NoSwitchReduction
+	canonical, hashCounters := s.cfg.tableHashMode()
 	for _, sw := range s.switches {
 		sw.KeyHash64(canonical, hashCounters)
 	}
-	s.ctrl.AppKeyHash64()
-	s.ctrl.InKey()
-	s.ctrl.OutKey()
+	s.ctrl.AppKeyDigest()
+	s.ctrl.InKeyHash64()
+	s.ctrl.OutKeyHash64()
 	for _, h := range s.hosts {
 		h.KeyHash64()
 	}
@@ -976,53 +981,34 @@ func (s *System) Config() *Config { return s.cfg }
 // Properties exposes this state's property instances.
 func (s *System) Properties() []Property { return s.props }
 
-// StateKey renders the full system state canonically, reusing the
-// per-component key caches (which hold exactly the same strings a fresh
-// render produces; OracleKey re-renders everything to prove it).
-func (s *System) StateKey() string { return s.renderStateKey(false) }
-
-// OracleKey renders the full system state from scratch, bypassing every
-// component cache — the reference the incremental fingerprint is
-// differentially tested against.
-func (s *System) OracleKey() string { return s.renderStateKey(true) }
-
-func (s *System) renderStateKey(fresh bool) string {
+// OracleKey renders the full system state from scratch as one canonical
+// string, bypassing every component hash cache and every property and
+// application key memo — the reference the structural fingerprint is
+// differentially tested against (Config.OracleHash hashes it).
+func (s *System) OracleKey() string {
 	var b strings.Builder
-	canonical := s.cfg.canonicalTables()
-	hashCounters := s.cfg.HashCounters || s.cfg.NoSwitchReduction
+	canonical, hashCounters := s.cfg.tableHashMode()
 	for _, sw := range s.switches {
-		if fresh {
-			b.WriteString(sw.RenderStateKey(canonical, hashCounters))
-		} else {
-			b.WriteString(sw.StateKey(canonical, hashCounters))
-		}
+		b.WriteString(sw.StateKey(canonical, hashCounters))
 		b.WriteByte('\n')
 	}
-	if fresh {
-		b.WriteString(s.ctrl.RenderStateKey())
-	} else {
-		b.WriteString(s.ctrl.StateKey())
-	}
+	b.WriteString(s.ctrl.StateKey())
 	b.WriteByte('\n')
 	for _, h := range s.hosts {
-		if fresh {
-			b.WriteString(h.RenderStateKey())
-		} else {
-			b.WriteString(h.StateKey())
-		}
+		b.WriteString(h.StateKey())
 		b.WriteByte('\n')
 	}
 	for _, p := range s.props {
 		b.WriteString(p.Name())
 		b.WriteByte(':')
-		b.WriteString(propKeyFor(p, fresh))
+		b.WriteString(freshPropKey(p))
 		b.WriteByte('\n')
 	}
 	// The relevant-packet caches gate which transitions are enabled
 	// (discover vs send), so cache presence for the *current* state is
 	// part of its identity — mirroring Figure 5's client.packets map.
 	if !s.cfg.DisableSE {
-		app := s.appDigestFor(fresh)
+		app := canon.Hash128(s.ctrl.App.StateKey())
 		for _, h := range s.hosts {
 			if pkts, ok := s.caches.getPackets(packetsKeyWith(h, app)); ok {
 				fmt.Fprintf(&b, "se:%d=%d\n", int(h.ID), len(pkts))
@@ -1036,15 +1022,6 @@ func (s *System) renderStateKey(fresh bool) string {
 	}
 	fmt.Fprintf(&b, "fg:%s %s %s", s.lastGroup, canon.String(s.groupCounts), s.faults.key())
 	return b.String()
-}
-
-// appDigestFor returns the application-state digest, cached or freshly
-// rendered.
-func (s *System) appDigestFor(fresh bool) canon.Digest {
-	if fresh {
-		return canon.Hash128(s.ctrl.App.StateKey())
-	}
-	return s.ctrl.AppKeyDigest()
 }
 
 // Hash returns the hex digest form of Fingerprint (hash-based state
@@ -1231,6 +1208,11 @@ func (s *System) applyFlowIR(ts []Transition) []Transition {
 	return out
 }
 
+// groupEntryHash is one groupCounts entry's term of groupDigest.
+func groupEntryHash(key string, n int) uint64 {
+	return canon.NewMix(0).Str(key).Word(uint64(n)).Sum()
+}
+
 // effectiveGroup computes a header's instanced group key; when advance
 // is true a new-instance packet bumps its key's counter first.
 func (s *System) effectiveGroup(hdr openflow.Header, advance bool) string {
@@ -1240,6 +1222,10 @@ func (s *System) effectiveGroup(hdr openflow.Header, advance bool) string {
 		if advance {
 			s.ownGroupCounts()
 			s.groupCounts[key] = n + 1
+			if n > 0 {
+				s.groupDigest -= groupEntryHash(key, n)
+			}
+			s.groupDigest += groupEntryHash(key, n+1)
 		}
 		n++
 	}
@@ -1471,15 +1457,21 @@ func (s *System) route(swID openflow.SwitchID, res openflow.ProcResult, events *
 	for _, pkt := range res.Released {
 		*events = append(*events, Event{Kind: EvReleased, Sw: swID, Pkt: pkt})
 	}
-	for _, key := range res.Matched {
-		*events = append(*events, Event{Kind: EvProcessed, Sw: swID, Note: key})
+	for _, idx := range res.Matched {
+		ev := Event{Kind: EvProcessed, Sw: swID, Note: tableMiss}
+		if idx >= 0 {
+			// The rule travels by value and Event.String renders it on
+			// demand; nothing on the search path reads it.
+			ev.Rule, ev.Note = s.Switch(swID).Table.Rules()[idx], ""
+		}
+		*events = append(*events, ev)
 	}
 	for _, r := range res.InstalledRules {
 		*events = append(*events, Event{Kind: EvRuleInstalled, Sw: swID, Rule: r})
 	}
 	if res.DeletedRules > 0 {
 		*events = append(*events, Event{Kind: EvRuleDeleted, Sw: swID,
-			Note: fmt.Sprintf("%d", res.DeletedRules)})
+			Note: strconv.Itoa(res.DeletedRules)})
 	}
 	for _, m := range res.ToController {
 		if m.Type == openflow.MsgPacketIn {

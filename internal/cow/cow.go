@@ -43,8 +43,8 @@
 //  2. Frozen sources: once a System forks, every component it held is
 //     permanently immutable through the old references.
 //  3. Warm caches: System forks warm every component's memoized state
-//     key first, so shared (frozen) components are only ever read —
-//     including their key caches — never filled concurrently.
+//     hash first, so shared (frozen) components are only ever read —
+//     including their hash caches — never filled concurrently.
 package cow
 
 import "sync/atomic"

@@ -1,8 +1,8 @@
 package sym
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"github.com/nice-go/nice/internal/canon"
@@ -233,7 +233,8 @@ func ProblemKey(p Problem) canon.Digest {
 		b.WriteString(d.Var)
 		b.WriteByte('=')
 		for _, c := range d.Candidates {
-			fmt.Fprintf(&b, "%d,", c)
+			b.WriteString(strconv.FormatUint(c, 10))
+			b.WriteByte(',')
 		}
 		b.WriteByte('\n')
 	}
@@ -253,7 +254,10 @@ func assignmentKey(a Assignment) string {
 	sort.Strings(keys)
 	var b strings.Builder
 	for _, k := range keys {
-		fmt.Fprintf(&b, "%s=%d;", k, a[k])
+		b.WriteString(k)
+		b.WriteByte('=')
+		b.WriteString(strconv.FormatUint(a[k], 10))
+		b.WriteByte(';')
 	}
 	return b.String()
 }

@@ -15,6 +15,7 @@ package sym
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -54,7 +55,7 @@ func (c Const) Eval(Assignment) (uint64, bool) { return uint64(c), true }
 // Vars implements Expr.
 func (c Const) Vars(map[string]bool) {}
 
-func (c Const) String() string { return fmt.Sprintf("%d", uint64(c)) }
+func (c Const) String() string { return strconv.FormatUint(uint64(c), 10) }
 
 // Var is a named symbolic variable of the given bit width.
 type Var struct {
@@ -178,7 +179,9 @@ func (b Bin) Vars(set map[string]bool) {
 }
 
 func (b Bin) String() string {
-	return fmt.Sprintf("(%s %s %s)", b.A, opNames[b.Op], b.B)
+	// Plain concatenation: these renderings key the path and solver
+	// memos, so the explorer builds thousands per discover run.
+	return "(" + b.A.String() + " " + opNames[b.Op] + " " + b.B.String() + ")"
 }
 
 // Not negates a boolean (0/1) expression.

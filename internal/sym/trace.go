@@ -111,14 +111,25 @@ func LookupIP[V any](t *Trace, m map[openflow.IPAddr]V, key Value) (V, bool) {
 // field of the candidate keys. Used by applications that track
 // per-connection state (the load balancer's transition table).
 func LookupFlow[V any](t *Trace, m map[openflow.Flow]V, p *Packet) (V, bool) {
-	keys := make([]openflow.Flow, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+	// Keys are visited in order of their rendering; each is rendered
+	// once up front, not twice per comparison inside the sort — and
+	// not at all when there is nothing to order.
+	type rendered struct {
+		str string
+		key openflow.Flow
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		return fmt.Sprint(keys[i]) < fmt.Sprint(keys[j])
-	})
-	for _, k := range keys {
+	keys := make([]rendered, 0, len(m))
+	for k := range m {
+		keys = append(keys, rendered{key: k})
+	}
+	if len(keys) > 1 {
+		for i := range keys {
+			keys[i].str = fmt.Sprint(keys[i].key)
+		}
+		sort.Slice(keys, func(i, j int) bool { return keys[i].str < keys[j].str })
+	}
+	for _, r := range keys {
+		k := r.key
 		cond := p.Field(openflow.FieldEthSrc).EqConst(uint64(k.EthSrc)).
 			And(p.Field(openflow.FieldEthDst).EqConst(uint64(k.EthDst))).
 			And(p.Field(openflow.FieldIPSrc).EqConst(uint64(k.IPSrc))).

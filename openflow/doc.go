@@ -6,6 +6,8 @@
 // flow-table representation, and an optional channel fault model).
 //
 // Everything in this package is plain data: values are comparable or
-// deep-copyable, and every stateful object has a canonical string form so
-// the model checker can hash system states (see internal/canon).
+// deep-copyable, and every stateful object has a structural hash the
+// model checker fingerprints system states with (hash.go) and a
+// canonical string form its differential oracle reads (keys.go; see
+// internal/canon for both).
 package openflow

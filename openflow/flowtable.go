@@ -3,6 +3,8 @@ package openflow
 import (
 	"sort"
 	"strings"
+
+	"github.com/nice-go/nice/internal/canon"
 )
 
 // Permanent marks a timeout that never fires (the PERMANENT constant of
@@ -38,7 +40,7 @@ func (r Rule) CloneRule() Rule {
 }
 
 // Key renders the rule canonically, excluding counters (counters are
-// bookkeeping, not semantics; see FlowTable.CanonicalKey).
+// bookkeeping, not semantics; see FlowTable.RenderCanonicalKey).
 func (r Rule) Key() string {
 	var buf [256]byte
 	return string(r.appendKey(buf[:0]))
@@ -63,20 +65,13 @@ type FlowTable struct {
 	// borrowed marks rule storage shared with the table this one was
 	// forked from; the first mutation copies the elements and clears it.
 	borrowed bool
-	// key caches one rendered table key (canonical or insertion-order,
-	// with its counter variant), valid until the next rule mutation.
-	// Queue-only switch mutations re-render the switch key but reuse
-	// this — re-rendering every rule per enqueue dominated the
-	// load-balancer workloads' allocation profile.
-	key tableKeyCache
-}
-
-// tableKeyCache caches one rendered table key with its parameters.
-type tableKeyCache struct {
-	str       string
-	valid     bool
-	canonical bool
-	counters  bool
+	// sum is the canonical-mode digest of the rule set: the wrapping
+	// sum of every rule's finalised counter-free hash, adjusted by
+	// Install, Delete and Tick as rules come and go. Addition commutes,
+	// so tables holding the same rules in any arrival order agree
+	// without a sort, and a flow_mod costs O(1). Forks copy it with the
+	// struct; only an owned table ever writes it.
+	sum uint64
 }
 
 // NewFlowTable returns an empty table.
@@ -85,7 +80,7 @@ func NewFlowTable() *FlowTable { return &FlowTable{} }
 // Clone deep-copies the table (rules and action lists) — the retained
 // deep-copy forking path; Fork is the copy-on-write fast path.
 func (t *FlowTable) Clone() *FlowTable {
-	c := &FlowTable{rules: make([]Rule, len(t.rules))}
+	c := &FlowTable{rules: make([]Rule, len(t.rules)), sum: t.sum}
 	for i, r := range t.rules {
 		c.rules[i] = r.CloneRule()
 	}
@@ -107,6 +102,7 @@ func (t *FlowTable) Fork() *FlowTable {
 func (t *FlowTable) forkInto(src *FlowTable) {
 	t.rules = src.rules[:len(src.rules):len(src.rules)]
 	t.borrowed = true
+	t.sum = src.sum
 }
 
 // ensureOwned copies borrowed rule storage before the first mutation.
@@ -145,6 +141,7 @@ func (t *FlowTable) Install(r Rule) {
 		return old.Priority == r.Priority && old.Match.Equal(r.Match)
 	})
 	t.rules = append(t.rules, r)
+	t.sum += r.digest(false)
 }
 
 // Delete applies loose-delete semantics: every rule whose match is
@@ -163,12 +160,12 @@ func (t *FlowTable) DeleteStrict(pattern Match, priority int) int {
 
 func (t *FlowTable) deleteWhere(pred func(Rule) bool) int {
 	t.ensureOwned()
-	t.key.valid = false
 	kept := t.rules[:0]
 	removed := 0
 	for _, r := range t.rules {
 		if pred(r) {
 			removed++
+			t.sum -= r.digest(false)
 			continue
 		}
 		kept = append(kept, r)
@@ -215,11 +212,6 @@ func ruleLess(a, b Rule) bool {
 // Hit updates rule idx's counters for one matched packet.
 func (t *FlowTable) Hit(idx int) {
 	t.ensureOwned()
-	// Counters are outside the default (counter-free) rendering, so a
-	// cached counter-free key survives hits.
-	if t.key.counters {
-		t.key.valid = false
-	}
 	t.rules[idx].PacketCount++
 	t.rules[idx].ByteCount += 100
 	t.rules[idx].IdleAge = 0
@@ -230,7 +222,6 @@ func (t *FlowTable) Hit(idx int) {
 // the optional timer-expiry environment transition.
 func (t *FlowTable) Tick() []Rule {
 	t.ensureOwned()
-	t.key.valid = false
 	var expired []Rule
 	kept := t.rules[:0]
 	for _, r := range t.rules {
@@ -239,6 +230,7 @@ func (t *FlowTable) Tick() []Rule {
 		if (r.HardTimeout != Permanent && r.Age >= r.HardTimeout) ||
 			(r.IdleTimeout != Permanent && r.IdleAge >= r.IdleTimeout) {
 			expired = append(expired, r)
+			t.sum -= r.digest(false)
 			continue
 		}
 		kept = append(kept, r)
@@ -247,58 +239,61 @@ func (t *FlowTable) Tick() []Rule {
 	return expired
 }
 
-// CanonicalKey is the canonical representation of the table used for
-// state hashing: the sorted multiset of rule keys. Two tables holding the
-// same rules in different insertion orders produce identical keys —
-// the state-space reduction measured by Table 1 of the paper.
-//
-// If includeCounters is true, per-rule counters are appended; the
-// NO-SWITCH-REDUCTION ablation uses InsertionOrderKey instead.
-func (t *FlowTable) CanonicalKey(includeCounters bool) string {
-	if t.key.valid && t.key.canonical && t.key.counters == includeCounters {
-		return t.key.str
+// Digest is the table's structural hash — what Switch.KeyHash64 folds
+// in. The default form (canonical, counter-free) is the maintained sum
+// and costs O(1); the ablation forms fold over the rules on demand.
+func (t *FlowTable) Digest(canonical, includeCounters bool) uint64 {
+	if canonical && !includeCounters {
+		return canon.NewMix(uint64(len(t.rules))).Word(t.sum).Sum()
 	}
-	str := t.RenderCanonicalKey(includeCounters)
-	t.key = tableKeyCache{str: str, valid: true, canonical: true, counters: includeCounters}
-	return str
+	return t.FreshDigest(canonical, includeCounters)
 }
 
-// RenderCanonicalKey rebuilds the canonical key from scratch, ignoring
-// the cache (the differential-oracle path).
-func (t *FlowTable) RenderCanonicalKey(includeCounters bool) string {
-	keys := make([]string, len(t.rules))
-	for i, r := range t.rules {
-		keys[i] = t.ruleStateKey(r, includeCounters)
+// FreshDigest recomputes Digest from the rules alone, ignoring the
+// maintained sum (the from-scratch side of VerifyCaches). Canonical
+// mode sums the per-rule digests — the set view of the table; insertion
+// order chains them, so equivalent tables hash apart exactly as the
+// NO-SWITCH-REDUCTION baseline wants.
+func (t *FlowTable) FreshDigest(canonical, includeCounters bool) uint64 {
+	h := canon.NewMix(uint64(len(t.rules)))
+	var sum uint64
+	for _, r := range t.rules {
+		if d := r.digest(includeCounters); canonical {
+			sum += d
+		} else {
+			h = h.Word(d)
+		}
 	}
+	return h.Word(sum).Sum()
+}
+
+// RenderCanonicalKey is the canonical string representation of the
+// table — the oracle-side twin of Digest(true, ·): the sorted multiset
+// of rule keys. Two tables holding the same rules in different
+// insertion orders produce identical keys — the state-space reduction
+// measured by Table 1 of the paper. If includeCounters is true,
+// per-rule counters are appended.
+func (t *FlowTable) RenderCanonicalKey(includeCounters bool) string {
+	keys := t.ruleStateKeys(includeCounters)
 	sort.Strings(keys)
 	return strings.Join(keys, "|")
 }
 
-// InsertionOrderKey serializes rules in raw insertion order. Using it in
-// place of CanonicalKey reproduces the paper's NO-SWITCH-REDUCTION
-// baseline, where semantically equivalent tables hash differently.
-func (t *FlowTable) InsertionOrderKey(includeCounters bool) string {
-	if t.key.valid && !t.key.canonical && t.key.counters == includeCounters {
-		return t.key.str
-	}
-	str := t.RenderInsertionOrderKey(includeCounters)
-	t.key = tableKeyCache{str: str, valid: true, canonical: false, counters: includeCounters}
-	return str
+// RenderInsertionOrderKey serializes rules in raw insertion order.
+// Using it in place of RenderCanonicalKey reproduces the paper's
+// NO-SWITCH-REDUCTION baseline, where semantically equivalent tables
+// hash differently.
+func (t *FlowTable) RenderInsertionOrderKey(includeCounters bool) string {
+	return strings.Join(t.ruleStateKeys(includeCounters), "|")
 }
 
-// RenderInsertionOrderKey rebuilds the insertion-order key from
-// scratch, ignoring the cache (the differential-oracle path).
-func (t *FlowTable) RenderInsertionOrderKey(includeCounters bool) string {
+func (t *FlowTable) ruleStateKeys(includeCounters bool) []string {
 	keys := make([]string, len(t.rules))
 	for i, r := range t.rules {
-		keys[i] = t.ruleStateKey(r, includeCounters)
+		var buf [288]byte
+		keys[i] = string(r.appendStateKey(buf[:0], includeCounters))
 	}
-	return strings.Join(keys, "|")
-}
-
-func (t *FlowTable) ruleStateKey(r Rule, includeCounters bool) string {
-	var buf [288]byte
-	return string(r.appendStateKey(buf[:0], includeCounters))
+	return keys
 }
 
 func (t *FlowTable) String() string {

@@ -149,13 +149,13 @@ func TestCanonicalKeyOrderIndependence(t *testing.T) {
 		for _, i := range perm {
 			ft.Install(rules[i])
 		}
-		ck := ft.CanonicalKey(false)
+		ck := ft.RenderCanonicalKey(false)
 		if trial == 0 {
 			canon = ck
 		} else if ck != canon {
 			t.Fatalf("canonical key differs across permutations:\n%s\nvs\n%s", canon, ck)
 		}
-		insertion[ft.InsertionOrderKey(false)] = true
+		insertion[ft.RenderInsertionOrderKey(false)] = true
 	}
 	if len(insertion) < 2 {
 		t.Error("insertion-order key did not distinguish any permutations")
@@ -215,14 +215,14 @@ func TestCloneIndependence(t *testing.T) {
 func TestCanonicalKeyCounters(t *testing.T) {
 	ft := NewFlowTable()
 	ft.Install(ruleOut(5, MatchAll(), 1))
-	before := ft.CanonicalKey(true)
-	noCounters := ft.CanonicalKey(false)
+	before := ft.RenderCanonicalKey(true)
+	noCounters := ft.RenderCanonicalKey(false)
 	idx, _ := ft.Lookup(hdrAB(), 1)
 	ft.Hit(idx)
-	if ft.CanonicalKey(true) == before {
+	if ft.RenderCanonicalKey(true) == before {
 		t.Error("counter-inclusive key ignores counters")
 	}
-	if ft.CanonicalKey(false) != noCounters {
+	if ft.RenderCanonicalKey(false) != noCounters {
 		t.Error("counter-free key changed with counters")
 	}
 }

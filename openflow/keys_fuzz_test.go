@@ -224,7 +224,7 @@ func FuzzFlowTableCanonical(f *testing.F) {
 		if t1.Len() != t2.Len() || t1.Len() != len(rules) {
 			t.Skip("duplicate (priority, match) pairs collapsed")
 		}
-		if k1, k2 := t1.CanonicalKey(false), t2.CanonicalKey(false); k1 != k2 {
+		if k1, k2 := t1.RenderCanonicalKey(false), t2.RenderCanonicalKey(false); k1 != k2 {
 			t.Fatalf("canonical keys differ across insertion orders:\n%s\nvs\n%s", k1, k2)
 		}
 		// The reflective cross-check: canonicalize via canon.String of

@@ -153,9 +153,9 @@ type Msg struct {
 	// deliveries (§4).
 	Seq int
 
-	// cachedKey memoizes Key() for enqueued (immutable) messages; see
-	// MemoKey. It is excluded from the rendering itself.
-	cachedKey string
+	// keyHash memoizes the structural hash for enqueued (immutable)
+	// messages; see MemoKeyHash. Zero means not memoized.
+	keyHash uint64
 }
 
 // Clone deep-copies the message.
@@ -203,22 +203,29 @@ func (m Msg) String() string {
 	}
 }
 
-// Key renders the message canonically for state hashing. Unlike String,
-// packet headers render losslessly. Enqueued messages carry a memoized
-// key (MemoKey): the channel renderings re-run on every queue mutation,
-// so rendering each immutable message once matters.
+// Key renders the message canonically: the oracle-side string the
+// structural hash (FreshKeyHash64) mirrors field for field. Unlike
+// String, packet headers render losslessly.
 func (m Msg) Key() string {
-	if m.cachedKey != "" {
-		return m.cachedKey
-	}
 	var buf [256]byte
 	return string(m.appendKey(buf[:0]))
 }
 
-// MemoKey returns a copy of m with Key() precomputed. The controller
-// runtime calls it as messages are enqueued; the message must not be
-// mutated afterwards (enqueued messages never are).
-func (m Msg) MemoKey() Msg {
-	m.cachedKey = m.Key()
+// KeyHash64 is the message's structural hash: the memo when MemoKeyHash
+// stored one, a fresh computation otherwise.
+func (m Msg) KeyHash64() uint64 {
+	if m.keyHash != 0 {
+		return m.keyHash
+	}
+	return m.FreshKeyHash64()
+}
+
+// MemoKeyHash returns a copy of m with KeyHash64 precomputed. The
+// controller runtime calls it as messages are enqueued — channel hashes
+// re-combine on every queue mutation, so each immutable message is
+// hashed once; the message must not be mutated afterwards (enqueued
+// messages never are).
+func (m Msg) MemoKeyHash() Msg {
+	m.keyHash = m.FreshKeyHash64()
 	return m
 }

@@ -23,9 +23,6 @@ func (a *IDAlloc) Next() PacketID { a.next++; return a.next - 1 }
 // Clone copies the allocator.
 func (a *IDAlloc) Clone() *IDAlloc { c := *a; return &c }
 
-// Key renders the allocator state for hashing.
-func (a *IDAlloc) Key() string { return fmt.Sprintf("%d", a.next) }
-
 // BufEntry is a packet parked in the switch buffer awaiting a controller
 // decision. The NoForgottenPackets property (§5.2) checks these are all
 // released by the end of an execution.
@@ -63,9 +60,10 @@ type ProcResult struct {
 	// Injected are controller-crafted packets entering the network via
 	// buffer-less packet_out.
 	Injected []Packet
-	// Matched notes the rule key a processed packet hit ("" on miss);
-	// properties and trace output use it.
-	Matched []string
+	// Matched notes, per processed packet, the index in Table.Rules()
+	// of the rule it hit (-1 on a miss). Indices hold until the next
+	// rule mutation; trace output renders the rule from them on demand.
+	Matched []int
 	// InstalledRules / DeletedRules record flow_mod effects.
 	InstalledRules []Rule
 	DeletedRules   int
@@ -98,10 +96,10 @@ type Switch struct {
 	// flips it directly must call MarkDirty afterwards.
 	Alive bool
 
-	// key is the incremental-fingerprinting cache: the canonical state
-	// key and its 64-bit hash, valid until the next mutation. Clone and
-	// Fork copy it (a fork starts in an identical state), so unchanged
-	// switches are never re-rendered as the search forks.
+	// key is the incremental-fingerprinting cache: the 64-bit
+	// structural hash of the state, valid until the next mutation.
+	// Clone and Fork copy it (a fork starts in an identical state), so
+	// unchanged switches are never re-hashed as the search forks.
 	key switchKeyCache
 
 	// Tag is the copy-on-write ownership marker (internal/cow): the
@@ -118,9 +116,8 @@ type Switch struct {
 	borrowIn, borrowUp bool
 }
 
-// switchKeyCache caches one rendered StateKey with its parameters.
+// switchKeyCache caches one KeyHash64 with its parameters.
 type switchKeyCache struct {
-	str       string
 	hash      uint64
 	valid     bool
 	canonical bool
@@ -142,7 +139,7 @@ func NewSwitch(id SwitchID, ports []PortID) *Switch {
 	}
 }
 
-// MarkDirty invalidates the cached state key. Every mutating method
+// MarkDirty invalidates the cached state hash. Every mutating method
 // calls it; callers that mutate exported fields (Alive, Table) directly
 // must call it themselves.
 func (s *Switch) MarkDirty() { s.key.valid = false }
@@ -372,13 +369,12 @@ func (s *Switch) processOne(res *ProcResult, pkt Packet, inPort PortID, alloc *I
 		// Table miss: buffer the packet, send the header to the
 		// controller and await a response (§1.1).
 		s.bufferAndNotify(res, pkt, inPort, ReasonNoMatch)
-		res.Matched = append(res.Matched, "")
+		res.Matched = append(res.Matched, -1)
 		return
 	}
 	s.Table.Hit(idx)
-	rule := s.Table.Rules()[idx]
-	res.Matched = append(res.Matched, rule.Key())
-	s.applyActions(res, pkt, inPort, rule.Actions, alloc)
+	res.Matched = append(res.Matched, idx)
+	s.applyActions(res, pkt, inPort, s.Table.Rules()[idx].Actions, alloc)
 }
 
 func (s *Switch) bufferAndNotify(res *ProcResult, pkt Packet, inPort PortID, reason PacketInReason) {
@@ -550,57 +546,63 @@ func (s *Switch) ExpireTimers() []Rule {
 	return s.Table.Tick()
 }
 
-// StateKey renders the switch state canonically for hashing. canonical
-// selects the reduced flow-table representation; includeCounters folds
-// rule counters into the key (off by default — see core.Config). The
-// rendering is cached and reused until the next mutation; RenderStateKey
-// bypasses the cache.
-func (s *Switch) StateKey(canonical, includeCounters bool) string {
-	if s.key.valid && s.key.canonical == canonical && s.key.counters == includeCounters {
-		return s.key.str
-	}
-	str := s.renderStateKey(canonical, includeCounters, false)
-	s.key = switchKeyCache{
-		str: str, hash: canon.Hash64String(str),
-		valid: true, canonical: canonical, counters: includeCounters,
-	}
-	return str
-}
-
-// KeyHash64 returns the cached 64-bit hash of StateKey — the component
-// hash System.Fingerprint combines.
+// KeyHash64 returns the 64-bit structural hash of the switch state —
+// the component hash System.Fingerprint combines. canonical selects
+// the reduced flow-table representation; includeCounters folds rule
+// counters in (off by default — see core.Config). The hash is cached
+// and reused until the next mutation; FreshKeyHash64 bypasses the cache.
 func (s *Switch) KeyHash64(canonical, includeCounters bool) uint64 {
-	s.StateKey(canonical, includeCounters)
+	if !s.key.valid || s.key.canonical != canonical || s.key.counters != includeCounters {
+		s.key = switchKeyCache{
+			hash:  s.hashState(s.Table.Digest(canonical, includeCounters)),
+			valid: true, canonical: canonical, counters: includeCounters,
+		}
+	}
 	return s.key.hash
 }
 
-// RenderStateKey rebuilds the canonical state key from scratch,
-// ignoring the switch-level and table-level caches — the
-// reflective-oracle path differential tests compare the incremental
-// fingerprint against.
-func (s *Switch) RenderStateKey(canonical, includeCounters bool) string {
-	return s.renderStateKey(canonical, includeCounters, true)
+// FreshKeyHash64 recomputes KeyHash64 from scratch, ignoring the
+// switch-level cache and the flow table's maintained sum — the side
+// VerifyCaches compares the cached hash against.
+func (s *Switch) FreshKeyHash64(canonical, includeCounters bool) uint64 {
+	return s.hashState(s.Table.FreshDigest(canonical, includeCounters))
 }
 
-// renderStateKey builds the canonical state key; fresh selects the
-// oracle path, which also bypasses the flow table's key cache (the
-// cached-fill path reuses it, so queue-only mutations skip re-rendering
-// every rule).
-func (s *Switch) renderStateKey(canonical, includeCounters, fresh bool) string {
-	// Size the buffer from the queue/buffer populations: switch keys
-	// re-render on every mutation, so repeated growslice copies here
-	// were a top allocation site.
-	size := 96
-	for _, q := range s.in {
-		size += 8 + 48*len(q)
+// hashState folds the fields StateKey renders around the given table
+// digest. Every section is self-delimiting (fixed port list, counted
+// buffer, counted queues), so distinct states feed distinct word
+// sequences.
+func (s *Switch) hashState(table uint64) uint64 {
+	h := canon.NewMix(uint64(s.ID)).Word(boolWord(s.Alive))
+	for _, p := range s.Ports {
+		h = h.Word(uint64(p)<<1 | boolWord(s.up[p]))
 	}
-	size += 52 * len(s.buffer)
-	if !fresh && canonical {
-		size += len(s.Table.CanonicalKey(includeCounters))
-	} else {
-		size += 72 * s.Table.Len()
+	h = h.Word(table).Word(uint64(len(s.buffer)))
+	for _, e := range s.buffer {
+		// Buffer IDs are opaque correlation tokens; hashing the held
+		// packets (not the IDs) lets semantically equivalent states
+		// merge. In-flight packet_in messages referencing a buffer
+		// already distinguish states where the distinction matters.
+		h = e.Pkt.Header.Hash(h).Word(uint64(e.InPort))
 	}
-	b := make([]byte, 0, size)
+	for _, p := range s.Ports {
+		q := s.in[p]
+		if len(q) == 0 {
+			continue
+		}
+		h = h.Word(uint64(p)).Word(uint64(len(q)))
+		for _, pkt := range q {
+			h = pkt.Header.Hash(h)
+		}
+	}
+	return h.Sum()
+}
+
+// StateKey renders the switch state canonically, from scratch: the
+// string twin of KeyHash64 that OracleKey, Config.OracleHash and debug
+// output read. canonical and includeCounters are KeyHash64's.
+func (s *Switch) StateKey(canonical, includeCounters bool) string {
+	b := make([]byte, 0, 256)
 	b = append(b, "sw"...)
 	b = appendInt(b, int(s.ID))
 	b = append(b, " alive="...)
@@ -613,15 +615,10 @@ func (s *Switch) renderStateKey(canonical, includeCounters, fresh bool) string {
 		}
 	}
 	b = append(b, "] table["...)
-	switch {
-	case canonical && fresh:
+	if canonical {
 		b = append(b, s.Table.RenderCanonicalKey(includeCounters)...)
-	case canonical:
-		b = append(b, s.Table.CanonicalKey(includeCounters)...)
-	case fresh:
+	} else {
 		b = append(b, s.Table.RenderInsertionOrderKey(includeCounters)...)
-	default:
-		b = append(b, s.Table.InsertionOrderKey(includeCounters)...)
 	}
 	b = append(b, "] in["...)
 	for _, p := range s.Ports {
@@ -640,10 +637,6 @@ func (s *Switch) renderStateKey(canonical, includeCounters, fresh bool) string {
 	}
 	b = append(b, "] buf["...)
 	for _, e := range s.buffer {
-		// Buffer IDs are opaque correlation tokens; hashing the held
-		// packets (not the IDs) lets semantically equivalent states
-		// merge. In-flight packet_in messages referencing a buffer
-		// already distinguish states where the distinction matters.
 		b = append(b, '(')
 		b = e.Pkt.Header.appendKey(b)
 		b = append(b, ")@p"...)

@@ -35,7 +35,7 @@ func TestTableMissBuffersAndNotifies(t *testing.T) {
 	if len(sw.Buffered()) != 1 {
 		t.Error("switch buffer empty after miss")
 	}
-	if len(res.Matched) != 1 || res.Matched[0] != "" {
+	if len(res.Matched) != 1 || res.Matched[0] != -1 {
 		t.Errorf("Matched = %v, want one miss marker", res.Matched)
 	}
 }
@@ -289,6 +289,12 @@ func TestStateKeyModes(t *testing.T) {
 	}
 	if a.StateKey(false, false) == b.StateKey(false, false) {
 		t.Error("insertion-order keys merged different arrival orders")
+	}
+	if a.KeyHash64(true, false) != b.KeyHash64(true, false) {
+		t.Error("canonical hashes differ for equivalent tables")
+	}
+	if a.KeyHash64(false, false) == b.KeyHash64(false, false) {
+		t.Error("insertion-order hashes merged different arrival orders")
 	}
 	if !strings.Contains(a.StateKey(true, false), "up[1 2 3 ]") {
 		t.Errorf("port state missing from key: %s", a.StateKey(true, false))
