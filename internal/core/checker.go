@@ -120,11 +120,17 @@ type Checker struct {
 	// EngineOptions.Reduction selects DPOR; the vanilla dfs() hot path
 	// never touches it.
 	space        *componentSpace
-	dporExplored map[canon.Digest]*dporNode
+	dporExplored map[canon.Digest]dporNode
+	sums         slab[sumEntry]
+	sleeps       slab[uint64]
+	fpt          fpTable
+	globalFp     uint32
 	dporTel      *DporTelemetry
 	dporFrames   []dporFrame
 	frameTop     int
 	hostSwBuf    []int
+	keyBuf       []uint64
+	mergeBuf     [dporSummaryCap]sumEntry
 	hbScratch    idxSet
 }
 

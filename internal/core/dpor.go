@@ -2,6 +2,7 @@ package core
 
 import (
 	"github.com/nice-go/nice/controller"
+	"github.com/nice-go/nice/internal/canon"
 	"github.com/nice-go/nice/internal/telemetry"
 	"github.com/nice-go/nice/openflow"
 	"github.com/nice-go/nice/topo"
@@ -392,7 +393,7 @@ var switchEventMask = MaskOf(EvArrive, EvProcessed, EvPacketIn, EvBuffered,
 // footprintInto computes one enabled transition's conservative footprint
 // at the given state. hostSw maps host index → current attachment switch
 // index (computed once per state by footprintsInto).
-func (sp *componentSpace) footprintInto(sys *System, t Transition, hostSw []int, f *footprint) {
+func (sp *componentSpace) footprintInto(sys *System, t *Transition, hostSw []int, f *footprint) {
 	*f = footprint{}
 	if sp.overflow {
 		*f = sp.global
@@ -668,28 +669,33 @@ func (sp *componentSpace) footprintsInto(sys *System, enabled []Transition,
 		buf = make([]footprint, len(enabled))
 	}
 	buf = buf[:len(enabled)]
-	for i, t := range enabled {
-		sp.footprintInto(sys, t, hostSw, &buf[i])
+	for i := range enabled {
+		sp.footprintInto(sys, &enabled[i], hostSw, &buf[i])
 	}
 	return buf, hostSw
 }
 
-// transKeyHash is the 64-bit transition identity used by sleep and
-// backtrack sets: an FNV-1a hash of the canonical Key rendering (the
-// same collision odds every other 64-bit component hash accepts).
-func transKeyHash(t Transition) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	s := t.Key()
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
+// transIdentity folds a transition's identity — every field that tells
+// it from another enabled transition — word-wise into a hash state. It
+// is lossless: the whole header goes in through Header.Hash (VLAN, TOS,
+// ports and TCP fields whatever the protocol — the pretty rendering
+// Transition.Key prints for traces drops those, and two sends that
+// differ only there must not share a sleep-set or backtrack identity),
+// every stats word, the move target and the environment event. seq is
+// scheduling metadata, not identity.
+func transIdentity(t *Transition) canon.Mix {
+	m := canon.NewMix(uint64(t.Kind)).Word(uint64(t.Host)).Word(uint64(t.Sw)).Word(uint64(t.Port))
+	m = t.Hdr.Hash(m).Word(uint64(len(t.Stats)))
+	for _, s := range t.Stats {
+		m = m.Word(uint64(s.Port)).Word(s.TxBytes).Word(s.RxBytes)
 	}
-	return h
+	return m.Word(uint64(t.MoveTo.Sw)).Word(uint64(t.MoveTo.Port)).Str(t.Env)
 }
 
-// dporKeyHash refines transKeyHash with the identity of the object a
-// queue-pop transition would consume. Transition.Key deliberately omits
+// dporKeyHash is the 64-bit transition identity used by sleep and
+// backtrack sets (the same collision odds every other 64-bit component
+// hash accepts): transIdentity refined with the identity of the object
+// a queue-pop transition would consume. A Transition deliberately omits
 // it (traces stay replayable by position), but the race analysis must
 // not confuse two pops of the same queue: dporRaceInsert asks "is this
 // exact transition enabled at frame d" and stops scanning once it
@@ -698,24 +704,19 @@ func transKeyHash(t Transition) uint64 {
 // race. The popped identity is stable everywhere the sleep machinery
 // compares keys across states: only a dependent transition can change
 // a queue head, and dependent transitions evict sleep entries.
-func dporKeyHash(sys *System, t Transition) uint64 {
-	const prime64 = 1099511628211
-	h := transKeyHash(t)
-	mix := func(v uint64) {
-		h ^= v + 1
-		h *= prime64
-	}
+func dporKeyHash(sys *System, t *Transition) uint64 {
+	m := transIdentity(t)
 	switch t.Kind {
 	case TSwitchOF:
-		mix(uint64(t.seq))
+		m = m.Word(uint64(t.seq))
 	case TCtrlDispatch, TCtrlProcessStats, TCtrlDiscoverStats:
-		if m, ok := sys.ctrl.HeadIn(t.Sw); ok {
-			mix(uint64(m.Seq))
+		if msg, ok := sys.ctrl.HeadIn(t.Sw); ok {
+			m = m.Word(uint64(msg.Seq))
 		}
 	case TSwitchProcessPort:
 		if i := sys.swIndex(t.Sw); i >= 0 {
 			if q := sys.switches[i].QueuedPackets(t.Port); len(q) > 0 {
-				mix(uint64(q[0].ID))
+				m = m.Word(uint64(q[0].ID))
 			}
 		}
 	case TSwitchProcess:
@@ -723,13 +724,12 @@ func dporKeyHash(sys *System, t Transition) uint64 {
 			sw := sys.switches[i]
 			for _, p := range sw.Ports {
 				if q := sw.QueuedPackets(p); len(q) > 0 {
-					mix(uint64(p))
-					mix(uint64(q[0].ID))
+					m = m.Word(uint64(p)).Word(uint64(q[0].ID))
 				}
 			}
 		}
 	}
-	return h
+	return m.Sum()
 }
 
 // DporTelemetry is the reduction-layer metric bundle ("dpor" scope):

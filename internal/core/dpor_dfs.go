@@ -33,15 +33,83 @@ import (
 //     explored (cycles) and depth-truncated states use the
 //     all-conflicting global footprint as their summary.
 type dporNode struct {
-	// sum summarizes every transition executed in the subtree below
-	// this state (valid once inProgress is false).
-	sum dporSummary
-	// sleep is the sleep signature: transition keys asleep when the
-	// state was (last) expanded. Shrinks monotonically on re-expansion.
-	sleep []uint64
+	// sum/nsum locate the stored summary of every transition executed in
+	// the subtree below this state (valid once inProgress is false);
+	// residual is its overflow union, a footprint id (0 = none).
+	sum      uint32
+	residual uint32
+	// sleep/nsleep locate the sleep signature: transition keys asleep
+	// when the state was (last) expanded. Shrinks monotonically on
+	// re-expansion.
+	sleep  uint32
+	nsleep uint32
+	nsum   uint8
 	// inProgress marks states on the current DFS path (or mid
 	// re-expansion); their summaries are not yet trustworthy.
 	inProgress bool
+}
+
+// slab is an append-only arena of pointer-free records. Stored states
+// keep their summaries and sleep signatures here, behind a map whose
+// values are offsets, so the collector has nothing to trace however
+// many states the search stores. It is chunked: a stored run never
+// moves (views stay valid across later puts) and growth never copies.
+type slab[T any] struct{ chunks [][]T }
+
+const slabChunkBits = 12
+
+// put copies run into the slab and returns its offset.
+func (s *slab[T]) put(run []T) uint32 {
+	n := len(s.chunks)
+	if n == 0 || len(s.chunks[n-1])+len(run) > cap(s.chunks[n-1]) {
+		s.chunks = append(s.chunks, make([]T, 0, max(1<<slabChunkBits, len(run))))
+		n++
+	}
+	c := &s.chunks[n-1]
+	off := uint32(n-1)<<slabChunkBits | uint32(len(*c))
+	*c = append(*c, run...)
+	return off
+}
+
+// view returns the n records stored at off, clipped to capacity n so an
+// append through the view can never reach a neighbour.
+func (s *slab[T]) view(off uint32, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	i := int(off & (1<<slabChunkBits - 1))
+	return s.chunks[off>>slabChunkBits][i : i+n : i+n]
+}
+
+// fpTable interns footprints for one search. Summaries name footprints
+// by id — id 0 is the empty footprint — so a sumEntry is 16 bytes
+// instead of 80 and equal ids mean equal footprints.
+type fpTable struct {
+	ids map[footprint]uint32
+	fps []footprint
+}
+
+func (t *fpTable) intern(fp footprint) uint32 {
+	id, ok := t.ids[fp]
+	if !ok {
+		id = uint32(len(t.fps))
+		t.ids[fp] = id
+		t.fps = append(t.fps, fp)
+	}
+	return id
+}
+
+// union interns the union of two interned footprints.
+func (t *fpTable) union(a, b uint32) uint32 {
+	if a == b || b == 0 {
+		return a
+	}
+	if a == 0 {
+		return b
+	}
+	fp := t.fps[a]
+	fp.union(t.fps[b])
+	return t.intern(fp)
 }
 
 // sleepEntry is one sleeping transition: its identity hash and the
@@ -51,46 +119,49 @@ type sleepEntry struct {
 	fp  footprint
 }
 
-// sumEntry is one summarized hidden transition. Beyond its identity and
-// footprint it records anc, the union footprint of its subtree-local
-// happens-before ancestors (transitions below the summarized state that
-// precede it in the dependence order). An empty exact anc certifies the
-// transition's whole causal past is visible on the current path, which
-// is what the causal-skip proof in dporRaceInsert needs; a non-empty
-// exact anc still yields certified chain-representative candidates
-// (path frames coupling into the hidden ancestry). ancExact goes false
-// when deduplication unions unlike ancestries — such an entry keeps
-// only the certificate-free insertions (its own key, or everything).
+// sumEntry is one summarized hidden transition: its identity, its
+// footprint (an fpTable id) and anc, the union footprint of its
+// subtree-local happens-before ancestors (transitions below the
+// summarized state that precede it in the dependence order), also an
+// id. An empty exact anc certifies the transition's whole causal past
+// is visible on the current path, which is what the causal-skip proof
+// in dporRaceInsert needs; a non-empty exact anc still yields certified
+// chain-representative candidates (path frames coupling into the hidden
+// ancestry). The ancInexact bit is set when deduplication unions unlike
+// ancestries — such an entry keeps only the certificate-free insertions
+// (its own key, or everything).
 type sumEntry struct {
-	key      uint64
-	fp       footprint
-	anc      footprint
-	ancExact bool
+	key uint64
+	fp  uint32
+	anc uint32
 }
 
+const ancInexact = 1 << 31
+
 // dporSummary is a bounded subtree summary: up to dporSummaryCap exact
-// entries — precise race insertion — and a union residual for the
-// overflow — conservative insertion at every dependent frame. Entries
-// are deduplicated by (key, footprint); occurrences of one key with
-// different footprints stay separate (merging footprints would move the
-// deepest-race determination, which is unsound).
+// entries — precise race insertion — and a union residual (a footprint
+// id, 0 = none) for the overflow — conservative insertion at every
+// dependent frame. Entries are deduplicated by (key, footprint);
+// occurrences of one key with different footprints stay separate
+// (merging footprints would move the deepest-race determination, which
+// is unsound). A dporSummary is a transient view: exact is backed by a
+// frame's sumBuf while an expansion builds it and by the summary slab
+// once stored, never by memory of its own.
 type dporSummary struct {
-	exact       []sumEntry
-	residual    footprint
-	hasResidual bool
+	exact    []sumEntry
+	residual uint32
 }
 
 const dporSummaryCap = 24
 
-func (s *dporSummary) add(e sumEntry) {
+func (s *dporSummary) add(t *fpTable, e sumEntry) {
 	for i := range s.exact {
 		have := &s.exact[i]
 		if have.key == e.key && have.fp == e.fp {
-			if have.anc != e.anc {
-				have.anc.union(e.anc)
-				have.ancExact = false
-			} else if !e.ancExact {
-				have.ancExact = false
+			if (have.anc^e.anc)&^ancInexact != 0 {
+				have.anc = t.union(have.anc&^ancInexact, e.anc&^ancInexact) | ancInexact
+			} else {
+				have.anc |= e.anc & ancInexact
 			}
 			return
 		}
@@ -99,39 +170,26 @@ func (s *dporSummary) add(e sumEntry) {
 		s.exact = append(s.exact, e)
 		return
 	}
-	s.residual.union(e.fp)
-	s.hasResidual = true
-}
-
-// merge folds o into s with no change of reference state (both summaries
-// describe subtrees of the same node).
-func (s *dporSummary) merge(o dporSummary) {
-	for _, e := range o.exact {
-		s.add(e)
-	}
-	if o.hasResidual {
-		s.residual.union(o.residual)
-		s.hasResidual = true
-	}
+	s.residual = t.union(s.residual, e.fp)
 }
 
 // mergeFolded hoists a child-subtree summary one level: the transition
-// that produced the child (footprint fpT) becomes subtree-local to the
-// parent, so it joins the recorded ancestry of every entry it
+// that produced the child (footprint id fpT) becomes subtree-local to
+// the parent, so it joins the recorded ancestry of every entry it
 // happens-before (it is dependent with the entry or with one of the
 // entry's own ancestors). Entries are copied; o is left untouched (it
-// may be a stored node summary).
-func (s *dporSummary) mergeFolded(o dporSummary, fpT footprint) {
+// may be a stored summary). With fpT = 0, the empty footprint, nothing
+// is folded: a plain merge of two summaries of the same state.
+func (s *dporSummary) mergeFolded(t *fpTable, o dporSummary, fpT uint32) {
+	fp := t.fps[fpT]
 	for _, e := range o.exact {
-		if Dependent(fpT, e.fp) || Dependent(fpT, e.anc) {
-			e.anc.union(fpT)
+		anc := e.anc &^ ancInexact
+		if Dependent(fp, t.fps[e.fp]) || Dependent(fp, t.fps[anc]) {
+			e.anc = t.union(anc, fpT) | e.anc&ancInexact
 		}
-		s.add(e)
+		s.add(t, e)
 	}
-	if o.hasResidual {
-		s.residual.union(o.residual)
-		s.hasResidual = true
-	}
+	s.residual = t.union(s.residual, o.residual)
 }
 
 func (f footprint) empty() bool {
@@ -165,7 +223,7 @@ func (s *idxSet) set(i int) bool {
 	return true
 }
 
-// unionWith ors o into s; both must be sized alike.
+// unionWith ors o into s; o must be no longer than s.
 func (s *idxSet) unionWith(o *idxSet) {
 	for i := range o.w {
 		s.w[i] |= o.w[i]
@@ -214,15 +272,22 @@ type dporFrame struct {
 	execKey uint64
 	// hb is the happens-before ancestry of the executing transition:
 	// frame depths whose executed transition precedes it in the
-	// dependence order (transitively closed, includes this frame).
+	// dependence order (transitively closed, includes this frame). It
+	// names only depths up to the frame's own and is sized to match.
 	hb idxSet
+	// sumBuf backs the summary an expansion at this frame is building.
+	// It must never escape the frame: dporVisit hands out stored copies.
+	sumBuf [dporSummaryCap]sumEntry
 }
 
 // dporRun is the ReductionDPOR entry point, dispatched by RunContext in
 // place of dfs().
 func (c *Checker) dporRun(root *System) {
 	c.space = newComponentSpace(root)
-	c.dporExplored = make(map[canon.Digest]*dporNode)
+	c.dporExplored = make(map[canon.Digest]dporNode)
+	c.sums, c.sleeps = slab[sumEntry]{}, slab[uint64]{}
+	c.fpt = fpTable{ids: map[footprint]uint32{{}: 0}, fps: []footprint{{}}}
+	c.globalFp = c.fpt.intern(c.space.global)
 	c.dporTel = NewDporTelemetry(c.opts.Telemetry)
 	if need := c.cfg.maxDepth() + 2; len(c.dporFrames) < need {
 		c.dporFrames = make([]dporFrame, need)
@@ -232,7 +297,26 @@ func (c *Checker) dporRun(root *System) {
 }
 
 func (c *Checker) globalSummary() dporSummary {
-	return dporSummary{residual: c.space.global, hasResidual: true}
+	return dporSummary{residual: c.globalFp}
+}
+
+// storeSummary records sum as the state's finished summary — over the
+// stored run when it has not grown, in a fresh run otherwise — and
+// returns the stored copy.
+func (c *Checker) storeSummary(h canon.Digest, node dporNode, sum dporSummary) dporSummary {
+	if len(sum.exact) > int(node.nsum) {
+		node.sum, node.nsum = c.sums.put(sum.exact), uint8(len(sum.exact))
+	} else {
+		copy(c.sums.view(node.sum, int(node.nsum)), sum.exact)
+	}
+	node.residual = sum.residual
+	node.inProgress = false
+	c.dporExplored[h] = node
+	return c.storedSummary(node)
+}
+
+func (c *Checker) storedSummary(node dporNode) dporSummary {
+	return dporSummary{exact: c.sums.view(node.sum, int(node.nsum)), residual: node.residual}
 }
 
 // dporVisit explores sys (reached at depth len(trace) under the given
@@ -256,15 +340,16 @@ func (c *Checker) dporVisit(sys *System, sleep []sleepEntry) dporSummary {
 		}
 		// The hash match prunes the stored subtree; its summary stands
 		// in for the hidden transitions in race detection.
-		c.dporInsertSummary(node.sum)
-		diff := slippedKeys(node.sleep, sleep)
+		sum := c.storedSummary(node)
+		c.dporInsertSummary(sum)
+		stored := c.sleeps.view(node.sleep, int(node.nsleep))
+		diff := slippedKeys(stored, sleep)
 		if len(diff) == 0 {
-			return node.sum
+			return sum
 		}
 		if depth >= c.cfg.maxDepth() {
 			// Too deep to re-expand the difference; report it as hidden.
-			sum := node.sum
-			sum.merge(c.globalSummary())
+			sum.residual = c.globalFp
 			return sum
 		}
 		// Transitions asleep at the previous expansion are awake now:
@@ -272,85 +357,84 @@ func (c *Checker) dporVisit(sys *System, sleep []sleepEntry) dporSummary {
 		// shrink the signature to what is still jointly asleep.
 		c.dporTel.Reexpansion()
 		node.inProgress = true
-		sum := c.dporExpand(sys, depth, sleep, diff)
-		node.sum.merge(sum)
-		node.sleep = retainKeys(node.sleep, sleep)
-		node.inProgress = false
-		return node.sum
+		c.dporExplored[h] = node
+		sub := c.dporExpand(sys, depth, c.enabledAt(sys, depth), sleep, diff)
+		merged := dporSummary{exact: c.mergeBuf[:copy(c.mergeBuf[:], sum.exact)], residual: sum.residual}
+		merged.mergeFolded(&c.fpt, sub, 0)
+		node.nsleep = uint32(len(retainKeys(stored, sleep)))
+		return c.storeSummary(h, node, merged)
 	}
 
-	node := &dporNode{inProgress: true, sleep: sleepKeys(sleep)}
+	node := dporNode{inProgress: true, nsleep: uint32(len(sleep))}
+	c.keyBuf = c.keyBuf[:0]
+	for _, e := range sleep {
+		c.keyBuf = append(c.keyBuf, e.key)
+	}
+	node.sleep = c.sleeps.put(c.keyBuf)
 	c.dporExplored[h] = node
 	c.report.UniqueStates++
 	c.tel.ObserveDepth(depth)
 
-	finish := func(sum dporSummary) dporSummary {
-		node.sum = sum
-		node.inProgress = false
-		return sum
-	}
-
 	// Quiescence and depth handling mirror dfs(): the checks run against
 	// the full enabled set, before any reduction.
-	probe := sys.EnabledInto(c.transBuf(depth))
-	c.transBufs[depth] = probe[:0]
-	if len(probe) == 0 {
+	enabled := c.enabledAt(sys, depth)
+	if len(enabled) == 0 {
 		for _, f := range sys.CheckQuiescence() {
 			c.recordViolation(Violation{Property: f.Property, Err: f.Err,
 				Trace: cloneTrace(c.trace), Quiescence: true})
 			if c.stopped {
-				return finish(c.globalSummary())
+				return c.storeSummary(h, node, c.globalSummary())
 			}
 		}
-		return finish(dporSummary{})
+		return c.storeSummary(h, node, dporSummary{})
 	}
 	if depth >= c.cfg.maxDepth() {
 		c.report.Truncated++
 		// The whole subtree is hidden behind the bound.
-		return finish(c.globalSummary())
+		return c.storeSummary(h, node, c.globalSummary())
 	}
-	return finish(c.dporExpand(sys, depth, sleep, nil))
+	return c.storeSummary(h, node, c.dporExpand(sys, depth, enabled, sleep, nil))
 }
 
-// transBuf returns the per-depth enabled-transition buffer (the same
-// reuse discipline as dfs()).
-func (c *Checker) transBuf(depth int) []Transition {
+// enabledAt enumerates sys's enabled transitions into the per-depth
+// buffer (the same reuse discipline as dfs()).
+func (c *Checker) enabledAt(sys *System, depth int) []Transition {
 	for len(c.transBufs) <= depth {
 		c.transBufs = append(c.transBufs, nil)
 	}
-	return c.transBufs[depth]
+	enabled := sys.EnabledInto(c.transBufs[depth])
+	c.transBufs[depth] = enabled[:0]
+	return enabled
 }
 
-// dporExpand runs the backtrack-set exploration loop at one state.
-// With only == nil this is a first expansion: transitions in sleep start
-// asleep and the first awake transition seeds the backtrack set. With
-// only != nil it is a re-expansion: exactly the keys in only are awake
-// and all of them are seeded; the rest were covered by the previous
-// expansion of this state.
-func (c *Checker) dporExpand(sys *System, depth int, sleep []sleepEntry, only []uint64) dporSummary {
-	enabled := sys.EnabledInto(c.transBuf(depth))
-	c.transBufs[depth] = enabled[:0]
+// dporExpand runs the backtrack-set exploration loop at one state over
+// its enabled set. With only == nil this is a first expansion:
+// transitions in sleep start asleep and the first awake transition seeds
+// the backtrack set. With only != nil it is a re-expansion: exactly the
+// keys in only are awake and all of them are seeded; the rest were
+// covered by the previous expansion of this state. The returned summary
+// lives in the frame's sumBuf: valid until the next expansion at this
+// depth, and not to be stored.
+func (c *Checker) dporExpand(sys *System, depth int, enabled []Transition, sleep []sleepEntry, only []uint64) dporSummary {
 	n := len(enabled)
 
 	f := &c.dporFrames[depth]
 	c.frameTop = depth + 1
-	defer func() { c.frameTop = depth }()
 
 	f.enabled = enabled
 	f.fps, c.hostSwBuf = c.space.footprintsInto(sys, enabled, f.fps[:0], c.hostSwBuf)
 	f.keys = f.keys[:0]
-	for _, t := range enabled {
-		f.keys = append(f.keys, dporKeyHash(sys, t))
+	for i := range enabled {
+		f.keys = append(f.keys, dporKeyHash(sys, &enabled[i]))
 	}
 	f.asleep.reset(n)
 	f.backtrack.reset(n)
 	f.done.reset(n)
 	f.execIdx = -1
-	f.working = f.working[:0]
 
-	var sum dporSummary
+	f.working = append(f.working[:0], sleep...)
+	sum := dporSummary{exact: f.sumBuf[:0]}
 	if only == nil {
-		f.working = append(f.working, sleep...)
 		seed := -1
 		for i := 0; i < n; i++ {
 			if containsKey(sleep, f.keys[i]) {
@@ -365,6 +449,7 @@ func (c *Checker) dporExpand(sys *System, depth int, sleep []sleepEntry, only []
 			for i := 0; i < n; i++ {
 				c.dporTel.SleepHit()
 			}
+			c.frameTop = depth
 			return sum
 		}
 		f.backtrack.set(seed)
@@ -377,9 +462,8 @@ func (c *Checker) dporExpand(sys *System, depth int, sleep []sleepEntry, only []
 		// it. None of them are valid sleep entries for the new children
 		// (the previous expansion may have pruned rather than executed
 		// them), so they do not join working.
-		f.working = append(f.working, sleep...)
 		for i := 0; i < n; i++ {
-			if keyIn(only, f.keys[i]) {
+			if keyIndex(only, f.keys[i]) >= 0 {
 				f.backtrack.set(i)
 			} else if containsKey(sleep, f.keys[i]) {
 				f.asleep.set(i)
@@ -389,6 +473,7 @@ func (c *Checker) dporExpand(sys *System, depth int, sleep []sleepEntry, only []
 
 	for {
 		if c.aborted() {
+			c.frameTop = depth
 			return c.globalSummary()
 		}
 		i := nextIndex(&f.backtrack, &f.done)
@@ -421,7 +506,7 @@ func (c *Checker) dporExpand(sys *System, depth int, sleep []sleepEntry, only []
 		// Classic FG race detection, pre-execution: a backtrack point at
 		// the deepest stack frame whose executing transition races with
 		// t (dependent and not merely its causal ancestor).
-		c.dporRaceInsert(key, fp, footprint{}, true)
+		c.dporRaceInsert(key, &fp, &c.fpt.fps[0], true)
 
 		child := sys.Clone()
 		events := child.ApplyInto(t, c.eventBuf)
@@ -436,7 +521,8 @@ func (c *Checker) dporExpand(sys *System, depth int, sleep []sleepEntry, only []
 				Trace: cloneTrace(c.trace)})
 			violated = true
 		}
-		sum.add(sumEntry{key: key, fp: fp, ancExact: true})
+		fpID := c.fpt.intern(fp)
+		sum.add(&c.fpt, sumEntry{key: key, fp: fpID})
 		if !violated {
 			f.childSleep = f.childSleep[:0]
 			for _, e := range f.working {
@@ -448,7 +534,7 @@ func (c *Checker) dporExpand(sys *System, depth int, sleep []sleepEntry, only []
 			c.computeHB(f, depth, fp)
 			sub := c.dporVisit(child, f.childSleep)
 			f.execIdx = -1
-			sum.mergeFolded(sub, fp)
+			sum.mergeFolded(&c.fpt, sub, fpID)
 		}
 		child.Release()
 		c.trace = c.trace[:len(c.trace)-1]
@@ -466,6 +552,7 @@ func (c *Checker) dporExpand(sys *System, depth int, sleep []sleepEntry, only []
 		}
 		c.dporTel.Pruned(pruned)
 	}
+	c.frameTop = depth
 	return sum
 }
 
@@ -483,7 +570,7 @@ func nextIndex(backtrack, done *idxSet) int {
 // plus the (transitively-closed) ancestries of every shallower executing
 // frame whose transition is dependent with fp.
 func (c *Checker) computeHB(f *dporFrame, depth int, fp footprint) {
-	f.hb.reset(len(c.dporFrames))
+	f.hb.reset(depth + 1)
 	f.hb.set(depth)
 	for e := 0; e < depth; e++ {
 		g := &c.dporFrames[e]
@@ -493,9 +580,9 @@ func (c *Checker) computeHB(f *dporFrame, depth int, fp footprint) {
 	}
 }
 
-// keyIndexAt finds a transition key in a frame's enabled set, or -1.
-func keyIndexAt(f *dporFrame, key uint64) int {
-	for j, k := range f.keys {
+// keyIndex finds a transition key in a key list, or -1.
+func keyIndex(keys []uint64, key uint64) int {
+	for j, k := range keys {
 		if k == key {
 			return j
 		}
@@ -528,56 +615,53 @@ func keyIndexAt(f *dporFrame, key uint64) int {
 //     transition with hidden ancestry admits no such proof (an
 //     unnameable hidden ancestor could be enabled at d): insert the
 //     full enabled set instead.
-func (c *Checker) dporRaceInsert(key uint64, fp, anc footprint, ancExact bool) {
+//
+// One downward pass serves both the scan and the hb-ancestor set hbP
+// (the union of the ancestries of every coupled frame): a frame's hb
+// names only depths up to its own and the chain search at d reads only
+// bits in (d, top), so the frames above d — already passed — have
+// contributed every bit it can see.
+func (c *Checker) dporRaceInsert(key uint64, fp, anc *footprint, ancExact bool) {
 	top := c.frameTop
 	hbP := &c.hbScratch
 	useAnc := !anc.empty()
 	if ancExact {
-		hbP.reset(len(c.dporFrames))
-		for e := 0; e < top; e++ {
-			g := &c.dporFrames[e]
-			if g.execIdx >= 0 && (Dependent(g.execFp, fp) ||
-				(useAnc && Dependent(g.execFp, anc))) {
-				hbP.unionWith(&g.hb)
-			}
-		}
+		hbP.reset(top)
 	}
 	for d := top - 1; d >= 0; d-- {
 		f := &c.dporFrames[d]
-		if f.execIdx < 0 || !Dependent(f.execFp, fp) {
+		if f.execIdx < 0 {
 			continue
 		}
-		inserted := false
-		if ancExact {
-			for e := d + 1; e < top; e++ {
-				g := &c.dporFrames[e]
-				if g.execIdx < 0 || !hbP.get(e) {
-					continue
-				}
-				if j := keyIndexAt(f, g.execKey); j >= 0 {
-					if f.backtrack.set(j) {
-						c.dporTel.Backtrack()
+		if Dependent(f.execFp, *fp) {
+			j := -1
+			if ancExact {
+				for e := d + 1; e < top && j < 0; e++ {
+					if g := &c.dporFrames[e]; g.execIdx >= 0 && hbP.get(e) {
+						j = keyIndex(f.keys, g.execKey)
 					}
-					inserted = true
-					break
 				}
 			}
-		}
-		if !inserted {
-			if j := keyIndexAt(f, key); j >= 0 {
+			if j < 0 {
+				j = keyIndex(f.keys, key)
+			}
+			if j >= 0 {
 				if f.backtrack.set(j) {
 					c.dporTel.Backtrack()
 				}
-			} else if useAnc || !ancExact {
+				return
+			}
+			if useAnc || !ancExact {
 				if f.backtrack.setAll(len(f.enabled)) {
 					c.dporTel.Backtrack()
 				}
-			} else {
-				// Proven causal: keep looking shallower.
-				continue
+				return
 			}
+			// Proven causal (ancExact holds here): keep looking shallower.
+		} else if !ancExact || !useAnc || !Dependent(f.execFp, *anc) {
+			continue
 		}
-		return
+		hbP.unionWith(&f.hb)
 	}
 }
 
@@ -600,24 +684,13 @@ func (c *Checker) dporResidualInsert(fp footprint) {
 // stack: exact entries get precise race insertion, the residual the
 // conservative all-frames treatment.
 func (c *Checker) dporInsertSummary(sum dporSummary) {
+	fps := c.fpt.fps
 	for _, e := range sum.exact {
-		c.dporRaceInsert(e.key, e.fp, e.anc, e.ancExact)
+		c.dporRaceInsert(e.key, &fps[e.fp], &fps[e.anc&^ancInexact], e.anc&ancInexact == 0)
 	}
-	if sum.hasResidual {
-		c.dporResidualInsert(sum.residual)
+	if sum.residual != 0 {
+		c.dporResidualInsert(fps[sum.residual])
 	}
-}
-
-// sleepKeys copies the keys of a sleep set (the stored signature).
-func sleepKeys(sleep []sleepEntry) []uint64 {
-	if len(sleep) == 0 {
-		return nil
-	}
-	keys := make([]uint64, len(sleep))
-	for i, e := range sleep {
-		keys[i] = e.key
-	}
-	return keys
 }
 
 // slippedKeys returns the stored-signature keys absent from the current
@@ -646,15 +719,6 @@ func retainKeys(stored []uint64, sleep []sleepEntry) []uint64 {
 func containsKey(sleep []sleepEntry, key uint64) bool {
 	for _, e := range sleep {
 		if e.key == key {
-			return true
-		}
-	}
-	return false
-}
-
-func keyIn(keys []uint64, key uint64) bool {
-	for _, k := range keys {
-		if k == key {
 			return true
 		}
 	}

@@ -65,8 +65,8 @@ type SleepScratch struct {
 func (r *SleepReducer) Prepare(sys *System, enabled []Transition, sc *SleepScratch) {
 	sc.fps, sc.hostSw = r.sp.footprintsInto(sys, enabled, sc.fps[:0], sc.hostSw)
 	sc.keys = sc.keys[:0]
-	for _, t := range enabled {
-		sc.keys = append(sc.keys, dporKeyHash(sys, t))
+	for i := range enabled {
+		sc.keys = append(sc.keys, dporKeyHash(sys, &enabled[i]))
 	}
 }
 
