@@ -28,9 +28,10 @@
 //
 // With -metrics-addr the process serves live introspection while the
 // search runs (/metrics and /trace as JSON, /debug/vars, /debug/pprof);
-// -metrics-out writes the final telemetry snapshot as JSON, in the
-// format nice-bench -metrics consumes. Both flags also work under
-// run-all, where the snapshot carries the campaign-scope aggregation.
+// -metrics-out writes the final telemetry snapshot as JSON (the
+// document nice.LoadTelemetrySnapshot reads back). Both flags also work
+// under run-all, where the snapshot carries the campaign-scope
+// aggregation.
 //
 // Ctrl-C cancels the search's context: the engines drain and the
 // partial (replayable) result prints instead of the process dying
@@ -84,8 +85,8 @@ func serveMetrics(addr string, reg *nice.Telemetry) {
 }
 
 // writeMetrics dumps the registry snapshot to path for offline
-// consumption (nice-bench -metrics). A failed dump is a warning: the
-// search result already printed and stays authoritative.
+// consumption (nice.LoadTelemetrySnapshot, jq). A failed dump is a
+// warning: the search result already printed and stays authoritative.
 func writeMetrics(path string, reg *nice.Telemetry) {
 	if err := reg.WriteFile(path); err != nil {
 		fmt.Fprintln(os.Stderr, "nice: metrics dump:", err)

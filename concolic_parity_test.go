@@ -2,8 +2,8 @@
 // registered scenario the loop must report exactly the violated-property
 // set of the eager reference search (it explores the same state graph —
 // discover transitions are merely deferred to the solver pool), while
-// discovering a superset of the eager engines' packet and stats classes
-// (proactive feedback targets cover hosts eager discovery never
+// discovering a strict superset of the eager engines' packet and stats
+// classes (proactive feedback targets cover hosts eager discovery never
 // reaches). Both searches start cold on private cache sets so the class
 // inventories are attributable to one engine each.
 package nice_test
@@ -66,8 +66,11 @@ func TestConcolicScenarioParity(t *testing.T) {
 					t.Errorf("eager class missing from concolic inventory: %s", class)
 				}
 			}
-			if e, l := ccEager.Classes(), ccLoop.Classes(); l < e {
-				t.Errorf("concolic discovered fewer classes than eager: %d < %d", l, e)
+			// Wherever symbolic execution runs at all the superset is
+			// strict: proactive targets reach handlers eager discovery
+			// never triggers.
+			if e, l := ccEager.Classes(), ccLoop.Classes(); e > 0 && l <= e {
+				t.Errorf("concolic discovered no more classes than eager: %d <= %d", l, e)
 			}
 			t.Logf("classes %d -> %d, states %d -> %d, feedback rounds %d",
 				ccEager.Classes(), ccLoop.Classes(),

@@ -43,7 +43,7 @@
 //   - the system model: switches, packets, matches, flow tables
 //     (openflow types), topologies (Topology), and end hosts (Host);
 //   - the checker: Config, Checker, Report, Violation, Simulator,
-//     RandomWalk, and the search strategies of the paper's §4
+//     RandomWalks, and the search strategies of the paper's §4
 //     (PKT-SEQ bounds on hosts, Config.NoDelay, Config.Unusual,
 //     Config.FlowGroupKey);
 //   - the property library of §5: NoForwardingLoops, NoBlackHoles,

@@ -1,7 +1,8 @@
 // Documentation lints: every Go package in the module must carry a
-// package comment, and every relative markdown link (including its
-// heading anchor) must resolve. Both run as ordinary tests so CI's
-// docs job fails the moment a package or a link goes undocumented.
+// package comment, every relative markdown link (including its heading
+// anchor) must resolve, and nothing may name the measurement stack that
+// benchmark/ replaced. All run as ordinary tests so CI's docs job fails
+// the moment a package, a link or a description goes stale.
 package nice_test
 
 import (
@@ -69,6 +70,49 @@ func TestPackageDocs(t *testing.T) {
 	}
 	for _, p := range undocumented {
 		t.Errorf("package %s has no package comment (add a doc.go)", p)
+	}
+}
+
+// retiredBenchRE matches the names of the retired measurement stack: its
+// command, its package and its BENCH_N baseline files. It is assembled
+// from pieces so that this file passes its own lint.
+var retiredBenchRE = regexp.MustCompile(`nice-` + `bench\b|internal/` + `bench\b|BENCH` + `_[0-9]`)
+
+// TestNoRetiredBenchReferences: that stack outlived its replacement long
+// enough for three documents to name three different baselines for one
+// gate. Source, workflows, README, docs/ and the skill notes must not
+// mention it again; CHANGES.md and ROADMAP.md are history, benchmark/ is
+// frozen by BENCHMARK.json and .bench_build/ is its build output.
+func TestNoRetiredBenchReferences(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		path = filepath.ToSlash(path)
+		if d.IsDir() {
+			if path == ".git" || path == "benchmark" || path == ".bench_build" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		md := strings.HasSuffix(path, ".md") && (path == "README.md" ||
+			strings.HasPrefix(path, "docs/") || strings.HasPrefix(path, ".claude/"))
+		if !md && !strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, ".yml") {
+			return nil
+		}
+		body, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(body), "\n") {
+			if m := retiredBenchRE.FindString(line); m != "" {
+				t.Errorf("%s:%d: mentions %q; the measurement contract is benchmark/ (bash benchmark/run.sh)", path, i+1, m)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -43,10 +43,13 @@ type dporDecisions struct {
 	RevisitReexpansions int64 `json:"revisit_reexpansions"`
 }
 
-// linearOneWay is the benchmark's dpor-linear shape at n switches: one
-// host per switch, even hosts pinging their odd neighbour once, the
-// repaired pyswitch, symbolic execution off.
-func linearOneWay(n int) *nice.Config {
+// linearPings is the disjoint-flow family the reduction is measured on:
+// n switches in a line with one host each, every host aimed at its
+// neighbour (0↔1, 2↔3, …) with a one-ping budget, the repaired pyswitch,
+// symbolic execution off. With oneWay only the even hosts send — the
+// benchmark's dpor-linear shape; micro switches the checker to per-port
+// switch transitions, whose finer footprints expose more independence.
+func linearPings(n int, oneWay, micro bool) *nice.Config {
 	t, _ := topo.LinearHosts(n, 1)
 	all := t.Hosts()
 	var hh []*hosts.Host
@@ -55,13 +58,18 @@ func linearOneWay(n int) *nice.Config {
 		if j >= len(all) {
 			j = i - 1
 		}
+		budget := 1
+		if oneWay {
+			budget = 1 - i%2
+		}
 		seed := scenarios.PingBetween(self, all[j])
-		h := hosts.NewClient(self, 1-i%2, 0, seed)
+		h := hosts.NewClient(self, budget, 0, seed)
 		h.Repertoire = append(h.Repertoire[:0], seed)
 		hh = append(hh, h)
 	}
 	return &nice.Config{Topo: t, App: pyswitch.New(pyswitch.Fixed, t), Hosts: hh,
-		Properties: []nice.Property{props.NewNoForgottenPackets()}, DisableSE: true}
+		Properties: []nice.Property{props.NewNoForgottenPackets()},
+		DisableSE:  true, MicroSteps: micro}
 }
 
 func dporDecide(cfg *nice.Config) dporDecisions {
@@ -96,7 +104,7 @@ func TestDPORDecisionsGolden(t *testing.T) {
 	for _, n := range []int{4, 5} {
 		n := n
 		workloads = append(workloads, workload{fmt.Sprintf("linear%d-oneway", n),
-			func() *nice.Config { return linearOneWay(n) }})
+			func() *nice.Config { return linearPings(n, true, false) }})
 	}
 
 	if *updateDPORGolden {

@@ -6,6 +6,11 @@
 // random-walk engines ignore WithReduction (a walk is one
 // interleaving; there is nothing to reduce), so the matrix covers
 // SequentialDFS and ParallelHybrid.
+//
+// TestDPORReductionFloor then holds the reduction to its purpose on the
+// disjoint-flow shapes it is built for: the same verdict from at most
+// 70 % of the unreduced search's unique states — a within-run ratio of
+// two counts, so it needs neither a clock nor a recorded baseline.
 package nice_test
 
 import (
@@ -76,5 +81,46 @@ func TestDPORScenarioParity(t *testing.T) {
 					full.Transitions, red.Transitions, len(red.Violations))
 			})
 		}
+	}
+}
+
+func TestDPORReductionFloor(t *testing.T) {
+	for _, shape := range []struct {
+		name          string
+		n             int
+		oneWay, micro bool
+		sixFigures    bool
+	}{
+		{name: "linear4-oneway", n: 4, oneWay: true},
+		{name: "linear3-pairs", n: 3},
+		{name: "linear3-pairs-micro", n: 3, micro: true},
+		{name: "linear6-oneway", n: 6, oneWay: true, sixFigures: true},
+		{name: "linear4-pairs", n: 4, sixFigures: true},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			if shape.sixFigures && testing.Short() {
+				t.Skip("six-figure state space")
+			}
+			t.Parallel()
+			// Symbolic execution is off, so state identity needs no
+			// warm discover caches.
+			run := func(opts ...nice.RunOption) *nice.Report {
+				return nice.Run(context.Background(),
+					linearPings(shape.n, shape.oneWay, shape.micro), opts...)
+			}
+			full, red := run(), run(nice.WithReduction(nice.DPOR))
+			if !full.Complete || !red.Complete {
+				t.Fatalf("search cut short: full %q, reduced %q", full.StopReason, red.StopReason)
+			}
+			if !sameSet(violatedSet(full), violatedSet(red)) {
+				t.Errorf("DPOR violations %v != unreduced %v", violatedSet(red), violatedSet(full))
+			}
+			if float64(red.UniqueStates) > 0.70*float64(full.UniqueStates) {
+				t.Errorf("DPOR explored %d of %d unique states, floor is 70%%",
+					red.UniqueStates, full.UniqueStates)
+			}
+			t.Logf("states %d -> %d (%.2f)", full.UniqueStates, red.UniqueStates,
+				float64(red.UniqueStates)/float64(full.UniqueStates))
+		})
 	}
 }

@@ -72,73 +72,18 @@ type loopEngine struct{}
 // Name implements core.Engine.
 func (loopEngine) Name() string { return "concolic" }
 
-// stopReasons indexes the loop's first-wins stop reason (0 = none).
-var stopReasons = [...]core.StopReason{
-	core.StopNone, core.StopViolation, core.StopMaxTransitions,
-	core.StopMaxStates, core.StopDeadline, core.StopCanceled,
-	core.StopSymBudget,
-}
-
-func reasonIndex(r core.StopReason) int32 {
-	for i, s := range stopReasons {
-		if s == r {
-			return int32(i)
-		}
-	}
-	return 0
-}
-
-// pathNode is one link of a replayable trace prefix, shared structurally
-// between sibling nodes (the parallel engine's representation).
-type pathNode struct {
-	t      core.Transition
-	parent *pathNode
-	depth  int
-}
-
-func (p *pathNode) trace() []core.Transition {
-	if p == nil {
-		return nil
-	}
-	out := make([]core.Transition, p.depth)
-	for n := p; n != nil; n = n.parent {
-		out[n.depth-1] = n.t
-	}
-	return out
-}
-
-func (p *pathNode) traceWith(t core.Transition) []core.Transition {
-	depth := 0
-	if p != nil {
-		depth = p.depth
-	}
-	out := make([]core.Transition, depth+1)
-	out[depth] = t
-	for n := p; n != nil; n = n.parent {
-		out[n.depth-1] = n.t
-	}
-	return out
-}
-
 // item is one unit of work on either worklist. A search item carries
 // only sys+path. A demand item additionally carries the discover
 // transition to apply; a proactive item carries the host whose packet
 // classes should be explored against sys's controller state.
 type item struct {
 	sys  *core.System
-	path *pathNode
+	path *core.PathNode
 
 	t         core.Transition // demand discover transition
 	demand    bool
 	host      openflow.HostID // proactive target
 	proactive bool
-}
-
-func (it item) depth() int {
-	if it.path == nil {
-		return 0
-	}
-	return it.path.depth
 }
 
 // loopState is the shared state of one Search call.
@@ -152,14 +97,12 @@ type loopState struct {
 	symQ    []item // demand targets at the front, proactive behind
 	pending int    // queued + in-flight items
 	stopped bool
-	stop    atomic.Bool // lock-free mirror of stopped for hot-path checks
+	ctl     core.StopControl // its flag mirrors stopped lock-free for hot-path checks
 
 	seen     map[canon.Digest]bool
 	seenApps map[canon.Digest]bool
 	seenViol map[string]bool
 	viols    []core.Violation
-
-	reason atomic.Int32 // index into stopReasons, first writer wins
 
 	transitions atomic.Int64
 	unique      atomic.Int64
@@ -184,16 +127,11 @@ type loopState struct {
 // worker. Unlike the budget reasons, a first-violation stop leaves the
 // report complete — the search did its job.
 func (st *loopState) abort(r core.StopReason) {
-	st.reason.CompareAndSwap(0, reasonIndex(r))
-	st.stop.Store(true)
+	st.ctl.Abort(r)
 	st.mu.Lock()
 	st.stopped = true
 	st.cond.Broadcast()
 	st.mu.Unlock()
-}
-
-func (st *loopState) stopReason() core.StopReason {
-	return stopReasons[st.reason.Load()]
 }
 
 // enqueueSearch pushes a state-space node.
@@ -291,27 +229,11 @@ func (st *loopState) symAllowed() bool {
 	return st.symBudget <= 0 || st.cc.SERuns()-st.seStart < st.symBudget
 }
 
-// reserveTransition claims one transition-budget slot, aborting with
-// StopMaxTransitions when the bound is exhausted (exact even under
-// racing workers: the slot is reserved before the apply and rolled
-// back on overshoot).
-func (st *loopState) reserveTransition() bool {
-	if n := st.transitions.Add(1); st.maxTrans > 0 && n > st.maxTrans {
-		st.transitions.Add(-1)
-		st.abort(core.StopMaxTransitions)
-		return false
-	}
-	return true
-}
-
 // admit pushes a freshly applied child into the search frontier if its
 // state is new, releasing it otherwise. Violating children are pruned
 // (recorded by the caller), matching every engine's semantics.
-func (st *loopState) admit(child *core.System, parent *pathNode, t core.Transition) {
-	depth := 1
-	if parent != nil {
-		depth = parent.depth + 1
-	}
+func (st *loopState) admit(child *core.System, parent *core.PathNode, t core.Transition) {
+	depth := parent.Depth() + 1
 	h := child.Fingerprint()
 	st.mu.Lock()
 	fresh := !st.seen[h]
@@ -328,18 +250,8 @@ func (st *loopState) admit(child *core.System, parent *pathNode, t core.Transiti
 		st.abort(core.StopMaxStates)
 	}
 	st.tel.ObserveDepth(depth)
-	maxInt64(&st.maxDepth, int64(depth))
-	st.enqueueSearch(item{sys: child, path: &pathNode{t: t, parent: parent, depth: depth}})
-}
-
-// maxInt64 lifts v into the atomic maximum.
-func maxInt64(m *atomic.Int64, v int64) {
-	for {
-		cur := m.Load()
-		if v <= cur || m.CompareAndSwap(cur, v) {
-			return
-		}
-	}
+	core.AtomicMax(&st.maxDepth, int64(depth))
+	st.enqueueSearch(item{sys: child, path: parent.Child(t)})
 }
 
 // Search implements core.Engine.
@@ -379,25 +291,7 @@ func (loopEngine) Search(ctx context.Context, cfg *core.Config, eo core.EngineOp
 	st.unique.Add(1)
 	st.enqueueSearch(item{sys: root})
 
-	// Context watcher: aborts on cancellation/deadline, stopped once the
-	// pools drain. A pre-canceled context never starts exploring.
-	unwatch := func() {}
-	if ctx.Done() != nil {
-		select {
-		case <-ctx.Done():
-			st.abort(core.ContextStopReason(ctx))
-		default:
-			watchDone := make(chan struct{})
-			go func() {
-				select {
-				case <-ctx.Done():
-					st.abort(core.ContextStopReason(ctx))
-				case <-watchDone:
-				}
-			}()
-			unwatch = func() { close(watchDone) }
-		}
-	}
+	unwatch := core.WatchContext(ctx, st.abort)
 
 	snap := func() core.Progress {
 		return core.Progress{
@@ -415,7 +309,7 @@ func (loopEngine) Search(ctx context.Context, cfg *core.Config, eo core.EngineOp
 		}.Rated()
 	}
 	st.tel.SearchStart()
-	stopProgress := startProgress(eo, st.tel, snap)
+	stopProgress := core.StartProgress(eo, st.tel, snap)
 
 	var wg sync.WaitGroup
 	for w := 0; w < searchWorkers; w++ {
@@ -455,7 +349,7 @@ func (loopEngine) Search(ctx context.Context, cfg *core.Config, eo core.EngineOp
 		st.abort(core.ContextStopReason(ctx))
 	}
 
-	reason := st.stopReason()
+	reason := st.ctl.Reason()
 	report := &core.Report{
 		Transitions:    st.transitions.Load(),
 		UniqueStates:   st.unique.Load(),
@@ -478,44 +372,6 @@ func (loopEngine) Search(ctx context.Context, cfg *core.Config, eo core.EngineOp
 	return report
 }
 
-// startProgress mirrors the parallel engine's single-ticker streaming:
-// the returned func joins the goroutine and emits the Final snapshot
-// last.
-func startProgress(eo core.EngineOptions, tel *core.SearchTelemetry,
-	snap func() core.Progress) func() {
-	if eo.Observer == nil && tel == nil {
-		return func() {}
-	}
-	emit := func(final bool) {
-		p := snap()
-		p.Final = final
-		tel.SyncProgress(p)
-		if eo.Observer != nil {
-			eo.Observer.OnProgress(p)
-		}
-	}
-	done := make(chan struct{})
-	idle := make(chan struct{})
-	go func() {
-		defer close(idle)
-		ticker := time.NewTicker(eo.ProgressInterval())
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				emit(false)
-			case <-done:
-				return
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		<-idle
-		emit(true)
-	}
-}
-
 // expand processes one state-space node: quiescence properties on dead
 // ends, depth truncation, then one clone+apply per enabled transition —
 // except discover transitions, which are handed to the solver pool as
@@ -530,11 +386,11 @@ func (st *loopState) expand(it item) {
 	if len(enabled) == 0 {
 		for _, f := range it.sys.CheckQuiescence() {
 			st.record(core.Violation{Property: f.Property, Err: f.Err,
-				Trace: it.path.trace(), Quiescence: true})
+				Trace: it.path.Trace(), Quiescence: true})
 		}
 		return
 	}
-	depth := it.depth()
+	depth := it.path.Depth()
 	if depth >= st.cfg.DepthBound() {
 		st.truncated.Add(1)
 		return
@@ -542,7 +398,7 @@ func (st *loopState) expand(it item) {
 
 	var events []core.Event
 	for _, t := range enabled {
-		if st.stop.Load() {
+		if st.ctl.Stopped() {
 			return
 		}
 		if t.Kind == core.THostDiscover || t.Kind == core.TCtrlDiscoverStats {
@@ -553,7 +409,8 @@ func (st *loopState) expand(it item) {
 			st.enqueueSym(item{sys: it.sys.Clone(), path: it.path, t: t, demand: true})
 			continue
 		}
-		if !st.reserveTransition() {
+		if !core.ReserveTransition(&st.transitions, st.maxTrans) {
+			st.abort(core.StopMaxTransitions)
 			return
 		}
 		child := it.sys.Clone()
@@ -561,7 +418,7 @@ func (st *loopState) expand(it item) {
 		violated := false
 		for _, f := range child.CheckEvents(events) {
 			st.record(core.Violation{Property: f.Property, Err: f.Err,
-				Trace: it.path.traceWith(t)})
+				Trace: it.path.TraceWith(t)})
 			violated = true
 		}
 		if violated {
@@ -609,7 +466,7 @@ func (st *loopState) feedbackTargets(it item) {
 // solve processes one symbolic target on a solver worker.
 func (st *loopState) solve(it item) {
 	defer it.sys.Release()
-	if st.stop.Load() {
+	if st.ctl.Stopped() {
 		return
 	}
 	if it.proactive {
@@ -625,14 +482,15 @@ func (st *loopState) solve(it item) {
 		st.abort(core.StopSymBudget)
 		return
 	}
-	if !st.reserveTransition() {
+	if !core.ReserveTransition(&st.transitions, st.maxTrans) {
+		st.abort(core.StopMaxTransitions)
 		return
 	}
 	events := it.sys.ApplyInto(it.t, nil)
 	violated := false
 	for _, f := range it.sys.CheckEvents(events) {
 		st.record(core.Violation{Property: f.Property, Err: f.Err,
-			Trace: it.path.traceWith(it.t)})
+			Trace: it.path.TraceWith(it.t)})
 		violated = true
 	}
 	if violated {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -406,12 +407,15 @@ func TestSimulatorStepAndReset(t *testing.T) {
 }
 
 func TestRandomWalkDeterministicPerSeed(t *testing.T) {
-	r1 := RandomWalk(hubConfig(2), 7, 5, 40)
-	r2 := RandomWalk(hubConfig(2), 7, 5, 40)
+	walk := func(seed int64) *Report {
+		return Walks().Search(context.Background(), hubConfig(2),
+			EngineOptions{Seed: seed, Walks: 5, Steps: 40})
+	}
+	r1, r2 := walk(7), walk(7)
 	if r1.Transitions != r2.Transitions || r1.UniqueStates != r2.UniqueStates {
 		t.Errorf("same seed diverged: %+v vs %+v", r1, r2)
 	}
-	r3 := RandomWalk(hubConfig(2), 8, 5, 40)
+	r3 := walk(8)
 	if r3.Transitions == r1.Transitions && r3.UniqueStates == r1.UniqueStates {
 		t.Log("note: different seeds coincided (possible in a tiny model)")
 	}

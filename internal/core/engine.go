@@ -250,8 +250,7 @@ func (dfsEngine) Search(ctx context.Context, cfg *Config, opts EngineOptions) *R
 }
 
 // Walks returns the legacy random-walk engine (§1.3's "random walks on
-// system states"): sequential seeded walks drawn from one rand stream,
-// exactly the semantics of the original RandomWalk entry point.
+// system states"): sequential seeded walks drawn from one rand stream.
 func Walks() Engine { return walkEngine{} }
 
 type walkEngine struct{}

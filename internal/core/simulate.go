@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"fmt"
-)
+import "fmt"
 
 // Simulator drives manually-chosen, step-by-step system executions — the
 // paper's "manually-driven, step-by-step system executions or random
@@ -50,19 +47,4 @@ func (s *Simulator) Step(i int) ([]Event, *Violation, error) {
 func (s *Simulator) Reset() {
 	s.sys = newSystem(s.cfg, s.caches)
 	s.trace = nil
-}
-
-// RandomWalk performs seeded random executions: walks of at most
-// maxSteps transitions, restarting from the initial state, until the
-// step budget is spent or a violation is found. It returns a report in
-// the same shape as a full search (UniqueStates counts distinct hashes
-// seen across walks). It is the uncancellable form of the Walks engine,
-// keeping this entry point's historical semantics: walks or maxSteps
-// <= 0 means no work, not the engine's defaults.
-func RandomWalk(cfg *Config, seed int64, walks, maxSteps int) *Report {
-	if walks <= 0 || maxSteps <= 0 {
-		return &Report{Complete: true, Strategy: "walks"}
-	}
-	return Walks().Search(context.Background(), cfg,
-		EngineOptions{Seed: seed, Walks: walks, Steps: maxSteps})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -102,6 +103,9 @@ type Caches struct {
 	// sym is the optional symbolic-execution instrumentation ("sym"
 	// scope), attached alongside tel by AttachTelemetry.
 	sym atomic.Pointer[symTelemetry]
+	// credited lists the registries whose sym totals already include
+	// this set's pre-attachment discovery (guarded by mu).
+	credited []*telemetry.Registry
 }
 
 // symTelemetry is the symbolic-execution metric bundle ("sym" scope):
@@ -153,11 +157,16 @@ func (c *Caches) AttachTelemetry(reg *telemetry.Registry) {
 		memoMisses:   ss.Counter("memo_misses"),
 		classes:      ss.Counter("classes"),
 	}
-	// Registry counters survive re-attachment; seed the monotone
-	// discovery counters from the cache's own atomics so a registry
-	// attached mid-lifetime still reports totals.
-	st.explorations.Store(c.seRuns.Load())
-	st.classes.Store(c.classes.Load())
+	// A registry attached mid-lifetime reports this set's totals, but may
+	// serve other sets too (a Campaign, consecutive Runs): credit by Add,
+	// once per (set, registry) pair, so the series stay monotone.
+	c.mu.Lock()
+	if !slices.Contains(c.credited, reg) {
+		c.credited = append(c.credited, reg)
+		st.explorations.Add(c.seRuns.Load())
+		st.classes.Add(c.classes.Load())
+	}
+	c.mu.Unlock()
 	c.sym.Store(st)
 }
 

@@ -16,7 +16,7 @@ import (
 // so the hot path never copies O(depth) transition prefixes.
 type item struct {
 	sys  *core.System
-	path *pathNode
+	path *core.PathNode
 	// sleep is the DPOR sleep set the state was reached under (nil
 	// unless the search runs with EngineOptions.Reduction). wake, when
 	// non-nil, marks a re-expansion: only transitions with these
@@ -24,43 +24,6 @@ type item struct {
 	// state's previous expansion under a larger sleep set.
 	sleep []core.SleepEntry
 	wake  []uint64
-}
-
-// pathNode is one link of the reversed reach-path chain.
-type pathNode struct {
-	t      core.Transition
-	parent *pathNode
-	depth  int
-}
-
-// Depth is the trace length the node represents (nil = root, 0).
-func (n *pathNode) Depth() int {
-	if n == nil {
-		return 0
-	}
-	return n.depth
-}
-
-// Trace materializes the replayable transition sequence root→node.
-func (n *pathNode) Trace() []core.Transition {
-	if n == nil {
-		return nil
-	}
-	out := make([]core.Transition, n.depth)
-	for cur := n; cur != nil; cur = cur.parent {
-		out[cur.depth-1] = cur.t
-	}
-	return out
-}
-
-// traceWith materializes the node's trace extended by one transition.
-func (n *pathNode) traceWith(t core.Transition) []core.Transition {
-	out := make([]core.Transition, n.Depth()+1)
-	out[len(out)-1] = t
-	for cur := n; cur != nil; cur = cur.parent {
-		out[cur.depth-1] = cur.t
-	}
-	return out
 }
 
 // frontier is the work-stealing scheduler: one deque per worker. The
@@ -78,7 +41,7 @@ type frontier struct {
 	// steals counts successful head-steals — the load-imbalance signal
 	// telemetry surfaces as <engine>.steals.
 	steals atomic.Int64
-	stop   *atomic.Bool
+	stop   *core.StopControl
 }
 
 type deque struct {
@@ -91,7 +54,7 @@ type deque struct {
 	_ [24]byte
 }
 
-func newFrontier(workers int, stop *atomic.Bool) *frontier {
+func newFrontier(workers int, stop *core.StopControl) *frontier {
 	return &frontier{deques: make([]deque, workers), stop: stop}
 }
 
@@ -151,7 +114,7 @@ func (f *frontier) steal(w int) (item, bool) {
 func (f *frontier) get(w int) (item, bool) {
 	backoff := 0
 	for {
-		if f.stop.Load() {
+		if f.stop.Stopped() {
 			return item{}, false
 		}
 		if it, ok := f.popLocal(w); ok {

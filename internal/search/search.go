@@ -80,22 +80,16 @@ type Options struct {
 	Walks int
 	// Steps bounds transitions per Swarm walk (0 = 100).
 	Steps int
-	// Shards is the seen-set stripe count (0 = 256).
-	Shards int
 }
+
+// seenShards is the seen-set stripe count.
+const seenShards = 256
 
 func (o Options) workers() int {
 	if o.Workers <= 0 {
 		return runtime.NumCPU()
 	}
 	return o.Workers
-}
-
-func (o Options) shards() int {
-	if o.Shards <= 0 {
-		return 256
-	}
-	return o.Shards
 }
 
 func (o Options) walks() int {
@@ -129,11 +123,6 @@ func New(cfg *core.Config, opts Options) *Engine {
 // checker for differential testing.
 func NewWith(cfg *core.Config, opts Options, cc *core.Caches) *Engine {
 	return &Engine{cfg: cfg, opts: opts, caches: cc}
-}
-
-// Run executes the search and returns the merged report.
-func Run(cfg *core.Config, workers int) *core.Report {
-	return New(cfg, Options{Workers: workers}).Run()
 }
 
 // Run executes the search and returns the merged report.
@@ -208,94 +197,6 @@ func (swarmEngine) Search(ctx context.Context, cfg *core.Config, eo core.EngineO
 	return e.RunContext(ctx, eo)
 }
 
-// stopControl is the shared stop flag plus the first-wins stop reason.
-type stopControl struct {
-	stop   atomic.Bool
-	reason atomic.Int32 // index into stopReasons
-}
-
-var stopReasons = [...]core.StopReason{
-	core.StopNone, core.StopViolation, core.StopMaxTransitions,
-	core.StopMaxStates, core.StopDeadline, core.StopCanceled,
-}
-
-func reasonIndex(r core.StopReason) int32 {
-	for i, s := range stopReasons {
-		if s == r {
-			return int32(i)
-		}
-	}
-	return 0
-}
-
-// abort raises the stop flag; the first reason recorded wins.
-func (s *stopControl) abort(r core.StopReason) {
-	s.reason.CompareAndSwap(0, reasonIndex(r))
-	s.stop.Store(true)
-}
-
-func (s *stopControl) stopReason() core.StopReason {
-	return stopReasons[s.reason.Load()]
-}
-
-// watchContext aborts the search when ctx is done. The returned func
-// stops the watcher; call it once the workers have drained.
-func watchContext(ctx context.Context, sc *stopControl) func() {
-	if ctx.Done() == nil {
-		return func() {}
-	}
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			sc.abort(core.ContextStopReason(ctx))
-		case <-done:
-		}
-	}()
-	return func() { close(done) }
-}
-
-// startProgress streams periodic snapshots to the observer and the
-// telemetry registry from one ticker goroutine. The returned func joins
-// that goroutine and then emits the final snapshot, so the Final=true
-// snapshot is always the last OnProgress call — nothing fires after Run
-// returns (and the registry sync inherits the same single-goroutine
-// discipline the snapshot closure relies on).
-func startProgress(eo core.EngineOptions, tel *core.SearchTelemetry,
-	snap func() core.Progress) func() {
-	if eo.Observer == nil && tel == nil {
-		return func() {}
-	}
-	emit := func(final bool) {
-		p := snap()
-		p.Final = final
-		tel.SyncProgress(p)
-		if eo.Observer != nil {
-			eo.Observer.OnProgress(p)
-		}
-	}
-	done := make(chan struct{})
-	idle := make(chan struct{})
-	go func() {
-		defer close(idle)
-		ticker := time.NewTicker(eo.ProgressInterval())
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				emit(false)
-			case <-done:
-				return
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		<-idle
-		emit(true)
-	}
-}
-
 // hybridState is the counters and control shared by the Hybrid workers.
 type hybridState struct {
 	seen     *seenSet
@@ -308,7 +209,7 @@ type hybridState struct {
 	truncated   atomic.Int64
 	maxDepth    atomic.Int64 // deepest pushed trace (observer runs only)
 
-	ctl       stopControl
+	ctl       core.StopControl
 	maxTrans  int64 // merged transition budget (0 = unlimited)
 	maxStates int64
 	obs       core.Observer
@@ -326,14 +227,14 @@ func (e *Engine) runHybrid(ctx context.Context, eo core.EngineOptions) *core.Rep
 	start := time.Now()
 
 	st := &hybridState{
-		seen:      newSeenSet(e.opts.shards()),
+		seen:      newSeenSet(seenShards),
 		viols:     newCollector(),
 		maxTrans:  eo.EffectiveMaxTransitions(e.cfg),
 		maxStates: eo.MaxStates,
 		obs:       eo.Observer,
 		tel:       core.NewSearchTelemetry(eo.Telemetry, "parallel"),
 	}
-	st.frontier = newFrontier(workers, &st.ctl.stop)
+	st.frontier = newFrontier(workers, &st.ctl)
 	e.caches.AttachTelemetry(eo.Telemetry)
 
 	root := core.NewSystemWith(e.cfg, e.caches)
@@ -346,12 +247,12 @@ func (e *Engine) runHybrid(ctx context.Context, eo core.EngineOptions) *core.Rep
 	st.unique.Add(1)
 	st.frontier.push(0, item{sys: root})
 
-	unwatch := watchContext(ctx, &st.ctl)
+	unwatch := core.WatchContext(ctx, st.ctl.Abort)
 	snap := func() core.Progress {
 		return e.snapshot(st, start)
 	}
 	st.tel.SearchStart()
-	stopProgress := startProgress(eo, st.tel, snap)
+	stopProgress := core.StartProgress(eo, st.tel, snap)
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -379,10 +280,10 @@ func (e *Engine) runHybrid(ctx context.Context, eo core.EngineOptions) *core.Rep
 	// "complete" (abort keeps any earlier reason: first one recorded
 	// wins), so mid-run cancels always yield a canceled report.
 	if ctx.Err() != nil {
-		st.ctl.abort(core.ContextStopReason(ctx))
+		st.ctl.Abort(core.ContextStopReason(ctx))
 	}
 
-	reason := st.ctl.stopReason()
+	reason := st.ctl.Reason()
 	report := &core.Report{
 		Transitions:   st.transitions.Load(),
 		UniqueStates:  st.unique.Load(),
@@ -443,7 +344,7 @@ func (e *Engine) snapshot(st *hybridState, start time.Time) core.Progress {
 // executions only, never states, so UniqueStates matches the unreduced
 // search.
 func (e *Engine) expand(w int, it item, st *hybridState, sc *core.SleepScratch) {
-	if st.ctl.stop.Load() {
+	if st.ctl.Stopped() {
 		return
 	}
 	enabled := it.sys.EnabledInto(getTransBuf())
@@ -476,7 +377,7 @@ func (e *Engine) expand(w int, it item, st *hybridState, sc *core.SleepScratch) 
 	defer func() { putEventBuf(events) }()
 
 	for i, t := range enabled {
-		if st.ctl.stop.Load() {
+		if st.ctl.Stopped() {
 			return
 		}
 		if st.red != nil {
@@ -492,9 +393,8 @@ func (e *Engine) expand(w int, it item, st *hybridState, sc *core.SleepScratch) 
 		}
 		// Reserve the budget slot before applying, so the bound is
 		// exact even when workers race on the last transitions.
-		if n := st.transitions.Add(1); st.maxTrans > 0 && n > st.maxTrans {
-			st.transitions.Add(-1)
-			st.ctl.abort(core.StopMaxTransitions)
+		if !core.ReserveTransition(&st.transitions, st.maxTrans) {
+			st.ctl.Abort(core.StopMaxTransitions)
 			return
 		}
 		child := it.sys.Clone()
@@ -503,7 +403,7 @@ func (e *Engine) expand(w int, it item, st *hybridState, sc *core.SleepScratch) 
 		violated := false
 		for _, f := range child.CheckEvents(events) {
 			e.record(core.Violation{Property: f.Property, Err: f.Err,
-				Trace: it.path.traceWith(t)}, st)
+				Trace: it.path.TraceWith(t)}, st)
 			violated = true
 		}
 		var childSleep []core.SleepEntry
@@ -524,19 +424,18 @@ func (e *Engine) expand(w int, it item, st *hybridState, sc *core.SleepScratch) 
 			switch {
 			case isNew:
 				if n := st.unique.Add(1); st.maxStates > 0 && n >= st.maxStates {
-					st.ctl.abort(core.StopMaxStates)
+					st.ctl.Abort(core.StopMaxStates)
 				}
 				st.tel.ObserveDepth(depth + 1)
 				if st.obs != nil || st.tel != nil {
-					maxInt64(&st.maxDepth, int64(depth+1))
+					core.AtomicMax(&st.maxDepth, int64(depth+1))
 				}
-				st.frontier.push(w, item{sys: child, sleep: childSleep,
-					path: &pathNode{t: t, parent: it.path, depth: depth + 1}})
+				st.frontier.push(w, item{sys: child, sleep: childSleep, path: it.path.Child(t)})
 			case wake != nil:
 				st.revisits.Add(1)
 				st.dporTel.Reexpansion()
 				st.frontier.push(w, item{sys: child, sleep: childSleep, wake: wake,
-					path: &pathNode{t: t, parent: it.path, depth: depth + 1}})
+					path: it.path.Child(t)})
 			default:
 				st.revisits.Add(1)
 				child.Release()
@@ -545,27 +444,16 @@ func (e *Engine) expand(w int, it item, st *hybridState, sc *core.SleepScratch) 
 		}
 		if st.seen.Add(child.Fingerprint()) {
 			if n := st.unique.Add(1); st.maxStates > 0 && n >= st.maxStates {
-				st.ctl.abort(core.StopMaxStates)
+				st.ctl.Abort(core.StopMaxStates)
 			}
 			st.tel.ObserveDepth(depth + 1)
 			if st.obs != nil || st.tel != nil {
-				maxInt64(&st.maxDepth, int64(depth+1))
+				core.AtomicMax(&st.maxDepth, int64(depth+1))
 			}
-			st.frontier.push(w, item{sys: child,
-				path: &pathNode{t: t, parent: it.path, depth: depth + 1}})
+			st.frontier.push(w, item{sys: child, path: it.path.Child(t)})
 		} else {
 			st.revisits.Add(1)
 			child.Release()
-		}
-	}
-}
-
-// maxInt64 lifts v into the atomic maximum.
-func maxInt64(m *atomic.Int64, v int64) {
-	for {
-		cur := m.Load()
-		if v <= cur || m.CompareAndSwap(cur, v) {
-			return
 		}
 	}
 }
@@ -578,6 +466,6 @@ func (e *Engine) record(v core.Violation, st *hybridState) {
 		}
 	}
 	if e.cfg.StopAtFirstViolation {
-		st.ctl.abort(core.StopViolation)
+		st.ctl.Abort(core.StopViolation)
 	}
 }

@@ -2,7 +2,6 @@ package search
 
 import (
 	"errors"
-	"sync/atomic"
 	"testing"
 
 	"github.com/nice-go/nice/internal/canon"
@@ -248,10 +247,10 @@ func TestSeenSet(t *testing.T) {
 // TestFrontierStealing exercises push/pop/steal ordering: owners pop
 // newest-first, thieves steal oldest-first.
 func TestFrontierStealing(t *testing.T) {
-	var stop atomic.Bool
+	var stop core.StopControl
 	f := newFrontier(2, &stop)
-	d1 := &pathNode{depth: 1}
-	d2 := &pathNode{parent: d1, depth: 2}
+	d1 := (*core.PathNode)(nil).Child(core.Transition{})
+	d2 := d1.Child(core.Transition{})
 	a := item{}
 	b := item{path: d1}
 	c := item{path: d2}

@@ -18,7 +18,7 @@ type swarmState struct {
 	transitions atomic.Int64
 	unique      atomic.Int64
 
-	ctl       stopControl
+	ctl       core.StopControl
 	maxTrans  int64
 	maxStates int64
 	obs       core.Observer
@@ -48,7 +48,7 @@ func (e *Engine) runSwarm(ctx context.Context, eo core.EngineOptions) *core.Repo
 	start := time.Now()
 
 	st := &swarmState{
-		seen:      newSeenSet(e.opts.shards()),
+		seen:      newSeenSet(seenShards),
 		viols:     newCollector(),
 		maxTrans:  eo.EffectiveMaxTransitions(e.cfg),
 		maxStates: eo.MaxStates,
@@ -58,11 +58,11 @@ func (e *Engine) runSwarm(ctx context.Context, eo core.EngineOptions) *core.Repo
 	}
 	e.caches.AttachTelemetry(eo.Telemetry)
 
-	unwatch := watchContext(ctx, &st.ctl)
+	unwatch := core.WatchContext(ctx, st.ctl.Abort)
 	// Swarm snapshots carry only the counters walks track: no frontier,
 	// revisit or truncation accounting exists in this mode.
 	st.tel.SearchStart()
-	stopProgress := startProgress(eo, st.tel, func() core.Progress {
+	stopProgress := core.StartProgress(eo, st.tel, func() core.Progress {
 		return core.Progress{
 			Strategy:      "swarm",
 			Elapsed:       time.Since(start),
@@ -80,7 +80,7 @@ func (e *Engine) runSwarm(ctx context.Context, eo core.EngineOptions) *core.Repo
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < walks; i += workers {
-				if st.ctl.stop.Load() {
+				if st.ctl.Stopped() {
 					return
 				}
 				e.walk(e.opts.Seed+int64(i), steps, st)
@@ -92,10 +92,10 @@ func (e *Engine) runSwarm(ctx context.Context, eo core.EngineOptions) *core.Repo
 	// As in the hybrid engine: a cancellation racing the last walks
 	// still wins over "complete".
 	if ctx.Err() != nil {
-		st.ctl.abort(core.ContextStopReason(ctx))
+		st.ctl.Abort(core.ContextStopReason(ctx))
 	}
 
-	reason := st.ctl.stopReason()
+	reason := st.ctl.Reason()
 	report := &core.Report{
 		Transitions:   st.transitions.Load(),
 		UniqueStates:  st.unique.Load(),
@@ -120,7 +120,7 @@ func (e *Engine) runSwarm(ctx context.Context, eo core.EngineOptions) *core.Repo
 }
 
 // walk is one seeded random execution from the initial state, the same
-// shape as core.RandomWalk's inner loop.
+// shape as the core.Walks engine's inner loop.
 func (e *Engine) walk(seed int64, steps int, st *swarmState) {
 	rng := rand.New(rand.NewSource(seed))
 	sys := core.NewSystemWith(e.cfg, e.caches)
@@ -129,12 +129,12 @@ func (e *Engine) walk(seed int64, steps int, st *swarmState) {
 	events := getEventBuf()
 	defer func() { putEventBuf(events) }()
 	for step := 0; step < steps; step++ {
-		if st.ctl.stop.Load() {
+		if st.ctl.Stopped() {
 			return
 		}
 		if st.seen.Add(sys.Fingerprint()) {
 			if n := st.unique.Add(1); st.maxStates > 0 && n >= st.maxStates {
-				st.ctl.abort(core.StopMaxStates)
+				st.ctl.Abort(core.StopMaxStates)
 			}
 			st.tel.ObserveDepth(len(trace))
 		}
@@ -149,9 +149,8 @@ func (e *Engine) walk(seed int64, steps int, st *swarmState) {
 		t := enabled[rng.Intn(len(enabled))]
 		// Reserve the budget slot before applying, as in the hybrid
 		// engine, so the bound is exact under worker races.
-		if n := st.transitions.Add(1); st.maxTrans > 0 && n > st.maxTrans {
-			st.transitions.Add(-1)
-			st.ctl.abort(core.StopMaxTransitions)
+		if !core.ReserveTransition(&st.transitions, st.maxTrans) {
+			st.ctl.Abort(core.StopMaxTransitions)
 			return
 		}
 		events = sys.ApplyInto(t, events)
@@ -176,7 +175,7 @@ func (e *Engine) recordSwarm(v core.Violation, st *swarmState) {
 		}
 	}
 	if e.cfg.StopAtFirstViolation {
-		st.ctl.abort(core.StopViolation)
+		st.ctl.Abort(core.StopViolation)
 	}
 }
 

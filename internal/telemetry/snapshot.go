@@ -22,8 +22,8 @@ type HistogramSnapshot struct {
 }
 
 // Snapshot is a registry's serializable state: the JSON written by
-// `nice -metrics-out`, served at /metrics, and consumed by
-// `nice-bench -metrics`.
+// `nice -metrics-out`, served at /metrics, and read back by
+// LoadSnapshot.
 type Snapshot struct {
 	Schema     int                          `json:"schema"`
 	Counters   map[string]int64             `json:"counters"`

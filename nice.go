@@ -5,7 +5,6 @@ import (
 	"github.com/nice-go/nice/hosts"
 	"github.com/nice-go/nice/internal/canon"
 	"github.com/nice-go/nice/internal/core"
-	"github.com/nice-go/nice/internal/search"
 	"github.com/nice-go/nice/internal/sym"
 	"github.com/nice-go/nice/openflow"
 	"github.com/nice-go/nice/props"
@@ -190,37 +189,9 @@ func CanonicalKey(v any) string { return canon.String(v) }
 // NewChecker prepares a search over a configuration.
 func NewChecker(cfg *Config) *Checker { return core.NewChecker(cfg) }
 
-// Check runs a full depth-first search and returns the report — the
-// paper's default mode.
-//
-// Deprecated: use Run(ctx, cfg), which adds cancellation, budgets and
-// streaming. Check(cfg) is exactly Run(context.Background(), cfg).
-func Check(cfg *Config) *Report { return core.NewChecker(cfg).Run() }
-
-// CheckParallel runs the same full search on the parallel
-// work-stealing engine (internal/search), spreading state expansion
-// over the given number of workers (0 = all CPUs). Workers=1 delegates
-// to the sequential reference checker, so CheckParallel(cfg, 1) ==
-// Check(cfg). Violated properties always match the sequential search
-// and every reported trace replays deterministically; unique-state and
-// transition counts match exactly when state identity is
-// schedule-independent (cfg.DisableSE, or warmed discover caches) and
-// can differ slightly on cold SE-enabled runs.
-//
-// Deprecated: use Run(ctx, cfg, WithWorkers(workers)).
-func CheckParallel(cfg *Config, workers int) *Report { return search.Run(cfg, workers) }
-
 // NewSimulator boots a system for interactive stepping (§1.3's
 // "manually-driven, step-by-step system executions").
 func NewSimulator(cfg *Config) *Simulator { return core.NewSimulator(cfg) }
-
-// RandomWalk performs seeded random executions (§1.3's "random walks on
-// system states").
-//
-// Deprecated: use Run(ctx, cfg, WithWalks(seed, walks, maxSteps)).
-func RandomWalk(cfg *Config, seed int64, walks, maxSteps int) *Report {
-	return core.RandomWalk(cfg, seed, walks, maxSteps)
-}
 
 // NewClient builds a client host: a bounded send transition plus
 // receive, with PKT-SEQ's burst credit counter (§2.2.3, §4).

@@ -138,6 +138,10 @@ func TestTelemetryAcrossEngines(t *testing.T) {
 				t.Errorf("COW layer not counted: forks=%d releases=%d",
 					snap.Counter("cow.forks"), snap.Counter("cow.releases"))
 			}
+			if snap.Counter("cache.packets_hits")+snap.Counter("cache.packets_misses")+
+				snap.Counter("cache.stats_hits")+snap.Counter("cache.stats_misses") == 0 {
+				t.Error("no discover-cache lookup counted on an SE-enabled search")
+			}
 			if len(snap.Trace) < 2 {
 				t.Fatalf("trace stream has %d events, want at least start+stop", len(snap.Trace))
 			}
@@ -151,6 +155,33 @@ func TestTelemetryAcrossEngines(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSymTelemetryMonotoneAcrossCacheSets: one registry serving several
+// cache sets sums their discovery — attaching a fresh set must not
+// restart sym.explorations / sym.classes — and re-attaching a set adds
+// nothing.
+func TestSymTelemetryMonotoneAcrossCacheSets(t *testing.T) {
+	reg := nice.NewTelemetry()
+	run := func(cc *nice.Caches) *nice.Report {
+		return nice.Run(context.Background(), fullBugII(),
+			nice.WithCaches(cc), nice.WithTelemetry(reg))
+	}
+	check := func(when string, runs, classes int64) {
+		t.Helper()
+		snap := reg.Snapshot()
+		if got := snap.Counter("sym.explorations"); got != runs || runs == 0 {
+			t.Errorf("%s: sym.explorations = %d, reports sum to %d", when, got, runs)
+		}
+		if got := snap.Counter("sym.classes"); got != classes || classes == 0 {
+			t.Errorf("%s: sym.classes = %d, reports sum to %d", when, got, classes)
+		}
+	}
+	cc := nice.NewCaches()
+	r1, r2 := run(nice.NewCaches()), run(cc)
+	check("two fresh sets", r1.SERuns+r2.SERuns, r1.PacketClasses+r2.PacketClasses)
+	r3 := run(cc) // Report.SERuns/PacketClasses are cumulative per set
+	check("set attached again", r1.SERuns+r3.SERuns, r1.PacketClasses+r3.PacketClasses)
 }
 
 // TestTelemetrySnapshotFileRoundTrip: WriteFile → LoadTelemetrySnapshot

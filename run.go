@@ -236,7 +236,7 @@ func WithTelemetry(reg *Telemetry) RunOption {
 // Engine selection, unless WithEngine overrides it:
 //
 //   - default: SequentialDFS, the reference full search (Run(ctx, cfg)
-//     ≡ the deprecated Check(cfg));
+//     ≡ NewChecker(cfg).Run());
 //   - WithWorkers(n): ParallelHybrid — the same full search spread
 //     over n workers (n=1 delegates to the sequential checker);
 //   - WithWalks(...): RandomWalks, or SeededSwarm when WithWorkers is

@@ -5,13 +5,12 @@ package nice_test
 
 import (
 	"context"
-	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/nice-go/nice"
+	"github.com/nice-go/nice/internal/core"
 	"github.com/nice-go/nice/scenarios"
 )
 
@@ -45,8 +44,8 @@ func replayAll(t *testing.T, build func() *nice.Config, r *nice.Report) {
 }
 
 // TestRunDefaultMatchesCheck: Run with no options is the sequential
-// reference search — identical counts and violations to the deprecated
-// Check entry point.
+// reference search — identical counts and violations to
+// NewChecker(cfg).Run().
 func TestRunDefaultMatchesCheck(t *testing.T) {
 	legacy := nice.NewChecker(fullBugII()).Run()
 	got := nice.Run(context.Background(), fullBugII())
@@ -185,20 +184,20 @@ func TestRunDeadline(t *testing.T) {
 }
 
 // TestRunWalkEngines: WithWalks selects the legacy random-walk engine
-// and reproduces RandomWalk exactly; adding WithWorkers selects the
-// swarm and reproduces the swarm's worker-invariant walk set.
+// and reproduces a direct Walks().Search exactly; adding WithWorkers
+// selects the swarm and reproduces the swarm's worker-invariant walk set.
 func TestRunWalkEngines(t *testing.T) {
 	build := func() *nice.Config { return scenarios.MustLookup("bug-iv").Config(0) }
 
-	//lint:ignore SA1019 parity with the deprecated entry point is the point
-	legacy := nice.RandomWalk(build(), 7, 40, 60)
+	legacy := core.Walks().Search(context.Background(), build(),
+		core.EngineOptions{Seed: 7, Walks: 40, Steps: 60})
 	got := nice.Run(context.Background(), build(), nice.WithWalks(7, 40, 60))
 	if got.Strategy != "walks" {
 		t.Errorf("walk engine = %q, want walks", got.Strategy)
 	}
 	if got.Transitions != legacy.Transitions || got.UniqueStates != legacy.UniqueStates ||
 		len(got.Violations) != len(legacy.Violations) {
-		t.Errorf("Run walks trans/states/viols %d/%d/%d != RandomWalk %d/%d/%d",
+		t.Errorf("Run walks trans/states/viols %d/%d/%d != Walks().Search %d/%d/%d",
 			got.Transitions, got.UniqueStates, len(got.Violations),
 			legacy.Transitions, legacy.UniqueStates, len(legacy.Violations))
 	}
@@ -283,45 +282,4 @@ func TestObserverStreaming(t *testing.T) {
 				last.Transitions, last.UniqueStates, report.Transitions, report.UniqueStates)
 		}
 	}
-}
-
-// TestDeprecatedWrappersParity: the deprecated Check / CheckParallel
-// wrappers stay exact synonyms of their Run spellings — this is their
-// only remaining in-repo exerciser; every other caller migrated to Run.
-func TestDeprecatedWrappersParity(t *testing.T) {
-	//lint:ignore SA1019 parity with the deprecated entry point is the point
-	legacy := nice.Check(fullBugII())
-	got := nice.Run(context.Background(), fullBugII())
-	if got.UniqueStates != legacy.UniqueStates || got.Transitions != legacy.Transitions ||
-		len(got.Violations) != len(legacy.Violations) {
-		t.Errorf("Run %d/%d/%d != Check %d/%d/%d",
-			got.UniqueStates, got.Transitions, len(got.Violations),
-			legacy.UniqueStates, legacy.Transitions, len(legacy.Violations))
-	}
-
-	// Workers=1 delegates to the sequential checker, so the parallel
-	// wrapper must match exactly too.
-	//lint:ignore SA1019 parity with the deprecated entry point is the point
-	par := nice.CheckParallel(fullBugII(), 1)
-	if par.UniqueStates != legacy.UniqueStates || par.Transitions != legacy.Transitions {
-		t.Errorf("CheckParallel(1) %d/%d != Check %d/%d",
-			par.UniqueStates, par.Transitions, legacy.UniqueStates, legacy.Transitions)
-	}
-	//lint:ignore SA1019 parity with the deprecated entry point is the point
-	par4 := nice.CheckParallel(fullBugII(), 4)
-	runPar4 := nice.Run(context.Background(), fullBugII(), nice.WithWorkers(4))
-	if violationProps(par4) != violationProps(runPar4) {
-		t.Errorf("CheckParallel(4) violations %q != Run(WithWorkers(4)) %q",
-			violationProps(par4), violationProps(runPar4))
-	}
-}
-
-// violationProps renders the sorted violated-property set.
-func violationProps(r *nice.Report) string {
-	props := make([]string, 0, len(r.Violations))
-	for i := range r.Violations {
-		props = append(props, r.Violations[i].Property)
-	}
-	sort.Strings(props)
-	return strings.Join(props, ",")
 }

@@ -12,10 +12,10 @@ import (
 // Scenario is one named, registered checking workload: the topology,
 // application, hosts and properties behind a paper experiment or a
 // benchmark, plus the expectations the test suites assert. The CLI
-// (cmd/nice), the experiment harness (cmd/nice-experiments), the bench
-// harness (internal/bench and cmd/nice-bench), the tests and the
-// examples all resolve workloads here, so a new topology or workload
-// registers in exactly one place.
+// (cmd/nice), the experiment harness (cmd/nice-experiments), the
+// benchmark (benchmark/), the tests and the examples all resolve
+// workloads here, so a new topology or workload registers in exactly
+// one place.
 type Scenario struct {
 	// Name is the canonical lookup key ("bug-ii", "pingpong", ...);
 	// lookups are case-insensitive.

@@ -414,10 +414,10 @@ func lbGroup(h openflow.Header) (string, bool) {
 
 // PyswitchBench is the pyswitch BUG-II Table 2 scenario scaled to
 // `sends` client packets, with the early stop removed so the whole
-// state space is walked — the workload BenchmarkParallelSearch and the
-// parallel-engine differential tests measure against. At sends=3 the
-// full search runs ~10k unique states, enough for worker scaling to
-// show.
+// state space is walked — the workload the benchmark's pyswitch-full-*
+// runs and the parallel-engine differential tests measure against. At
+// sends=3 the full search runs ~10k unique states, enough for worker
+// scaling to show.
 func PyswitchBench(sends int) *core.Config {
 	cfg := BugConfig(BugII)
 	cfg.StopAtFirstViolation = false
@@ -426,10 +426,10 @@ func PyswitchBench(sends int) *core.Config {
 }
 
 // LoadBalancerBench is the load-balancer BUG-IV Table 2 scenario scaled
-// to `sends` client packets with the early stop removed — the second
-// gated workload of the internal/bench harness (symbolic execution on,
-// environment reconfiguration in play, wildcard rules). At sends=4 the
-// full search runs ~13k unique states.
+// to `sends` client packets with the early stop removed — the
+// benchmark's loadbalancer workloads (symbolic execution on, environment
+// reconfiguration in play, wildcard rules). At sends=4 the full search
+// runs ~13k unique states.
 func LoadBalancerBench(sends int) *core.Config {
 	cfg := BugConfig(BugIV)
 	cfg.StopAtFirstViolation = false

@@ -19,7 +19,7 @@ type (
 	Telemetry = telemetry.Registry
 	// TelemetrySnapshot is a point-in-time copy of a registry — the JSON
 	// document served at /metrics, written by `nice -metrics-out`, and
-	// consumed by `nice-bench -metrics`.
+	// read back by LoadTelemetrySnapshot.
 	TelemetrySnapshot = telemetry.Snapshot
 	// TraceEvent is one entry of the structured trace stream (search
 	// start/stop, expansion batches, violations, cache evictions, budget
