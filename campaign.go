@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/nice-go/nice/internal/core"
 	"github.com/nice-go/nice/internal/telemetry"
 	"github.com/nice-go/nice/scenarios"
 )
@@ -393,7 +394,7 @@ func (t *campaignTelemetry) jobStart(label string) {
 
 // jobDone aggregates one finished job and records the campaign-wide
 // budget drawdown.
-func (t *campaignTelemetry) jobDone(res *CampaignResult, statesLeft, transLeft int64) {
+func (t *campaignTelemetry) jobDone(res *CampaignResult, left core.Budget) {
 	if t == nil {
 		return
 	}
@@ -401,8 +402,8 @@ func (t *campaignTelemetry) jobDone(res *CampaignResult, statesLeft, transLeft i
 	t.violations.Add(int64(len(res.Violated)))
 	t.states.Add(res.UniqueStates)
 	t.transitions.Add(res.Transitions)
-	t.statesLeft.Set(statesLeft)
-	t.transLeft.Set(transLeft)
+	t.statesLeft.Set(left.States)
+	t.transLeft.Set(left.Transitions)
 	t.scope.Counter("outcome_" + res.Outcome).Inc()
 	t.scope.Emit(telemetry.TraceSearchStop, res.UniqueStates,
 		res.Label+" "+res.Outcome)
@@ -427,9 +428,7 @@ func (c *Campaign) Run(ctx context.Context, opts ...RunOption) *CampaignReport {
 		Jobs:    len(c.Jobs),
 	}
 
-	var statesLeft, transLeft atomic.Int64
-	statesLeft.Store(c.TotalMaxStates)
-	transLeft.Store(c.TotalMaxTransitions)
+	budget := core.NewDrawdown(core.Budget{States: c.TotalMaxStates, Transitions: c.TotalMaxTransitions})
 	ct := newCampaignTelemetry(c.Telemetry)
 
 	var cachesMu sync.Mutex
@@ -471,8 +470,8 @@ func (c *Campaign) Run(ctx context.Context, opts ...RunOption) *CampaignReport {
 				if c.OnJobStart != nil {
 					c.OnJobStart(i, c.Jobs[i])
 				}
-				res := c.runJob(ctx, c.Jobs[i], &statesLeft, &transLeft, jobCaches, opts)
-				ct.jobDone(&res, statesLeft.Load(), transLeft.Load())
+				res := c.runJob(ctx, c.Jobs[i], budget, jobCaches, opts)
+				ct.jobDone(&res, budget.Left())
 				report.Results[i] = res
 				if c.OnJobDone != nil {
 					c.OnJobDone(i, res)
@@ -502,9 +501,10 @@ func (c *Campaign) Run(ctx context.Context, opts ...RunOption) *CampaignReport {
 }
 
 // runJob builds, budgets and runs one job, classifying the outcome. A
-// Build hook panicking on an invalid scale becomes a job error, not a
-// dead campaign.
-func (c *Campaign) runJob(ctx context.Context, job CampaignJob, statesLeft, transLeft *atomic.Int64, jobCaches func(CampaignJob) *Caches, extra []RunOption) (res CampaignResult) {
+// panic in the job — application or property code, on whichever
+// goroutine the engine ran it (Session.Guard hands it back here) —
+// becomes a job error, not a dead campaign.
+func (c *Campaign) runJob(ctx context.Context, job CampaignJob, budget *core.Drawdown, jobCaches func(CampaignJob) *Caches, extra []RunOption) (res CampaignResult) {
 	res = CampaignResult{Job: job, Label: job.label()}
 	fail := func(format string, args ...any) CampaignResult {
 		res.Outcome = OutcomeError
@@ -521,21 +521,14 @@ func (c *Campaign) runJob(ctx context.Context, job CampaignJob, statesLeft, tran
 	if !ok {
 		return fail("unknown scenario %q", job.Scenario)
 	}
-	strat, ok := scenarios.ParseStrategy(job.Strategy)
-	if !ok {
-		return fail("unknown strategy %q", job.Strategy)
+	cfg, strat, err := sc.Resolve(job.Scale, job.Strategy, job.Fixed)
+	if err != nil {
+		return fail("%v", err)
 	}
-	var cfg *Config
-	if job.Fixed {
-		if cfg = sc.FixedConfig(job.Scale); cfg == nil {
-			return fail("scenario %q has no repaired variant", sc.Name)
-		}
-	} else {
-		cfg = sc.Config(job.Scale)
+	if !job.Fixed {
 		res.Expected = sc.ExpectedProperty
 		res.ExpectedMiss = sc.Misses[strat]
 	}
-	cfg = sc.Apply(cfg, strat)
 
 	// Normalize the scale before cache grouping, so Scale:0 and an
 	// explicit Scale:DefaultScale of one workload share caches — and
@@ -550,37 +543,21 @@ func (c *Campaign) runJob(ctx context.Context, job CampaignJob, statesLeft, tran
 	}
 	cc := jobCaches(cacheJob)
 
-	// Shared-drawdown accounting. A job that finds the pool already
-	// exhausted never runs: it is budget-starved, a distinct outcome
-	// from partial (its own budgets) and from a real violation. A job
-	// whose binding state/transition limit came from the drawdown — not
-	// its own JobMaxStates — and that stops on that limit is starved
-	// too: it ran out of other jobs' leftovers, not its own allowance.
-	if (c.TotalMaxStates > 0 && statesLeft.Load() <= 0) ||
-		(c.TotalMaxTransitions > 0 && transLeft.Load() <= 0) {
+	// Shared-drawdown accounting (core.Drawdown). A job that finds the
+	// pool already exhausted never runs: it is budget-starved, a
+	// distinct outcome from partial (its own budgets) and from a real
+	// violation — as is a job that stops on a limit the pool set.
+	if budget.Exhausted() {
 		res.Outcome = OutcomeStarved
 		res.StopReason = "drawdown"
 		return res
 	}
 
-	opts := []RunOption{WithWorkers(c.Workers)}
+	claim := budget.Clamp(core.Budget{States: c.JobMaxStates})
+	opts := []RunOption{WithWorkers(c.Workers),
+		WithMaxStates(claim.States), WithMaxTransitions(claim.Transitions)}
 	if c.JobTimeout > 0 {
 		opts = append(opts, WithDeadline(c.JobTimeout))
-	}
-	var drawdownStates, drawdownTrans bool
-	maxStates := c.JobMaxStates
-	if c.TotalMaxStates > 0 {
-		if left := statesLeft.Load(); maxStates == 0 || left < maxStates {
-			maxStates = left
-			drawdownStates = true
-		}
-	}
-	if maxStates > 0 {
-		opts = append(opts, WithMaxStates(maxStates))
-	}
-	if c.TotalMaxTransitions > 0 {
-		drawdownTrans = true
-		opts = append(opts, WithMaxTransitions(transLeft.Load()))
 	}
 	if cc != nil {
 		opts = append(opts, WithCaches(cc))
@@ -607,8 +584,7 @@ func (c *Campaign) runJob(ctx context.Context, job CampaignJob, statesLeft, tran
 	opts = append(opts, WithTelemetry(reg), WithObserver(obs))
 
 	r := Run(ctx, cfg, opts...)
-	statesLeft.Add(-r.UniqueStates)
-	transLeft.Add(-r.Transitions)
+	starved := budget.Draw(claim, r)
 	if cc != nil && c.CachePrune > 0 {
 		cc.Prune(c.CachePrune)
 	}
@@ -647,11 +623,8 @@ func (c *Campaign) runJob(ctx context.Context, job CampaignJob, statesLeft, tran
 	}
 
 	res.Outcome = classify(&res)
-	if res.Outcome == OutcomePartial {
-		if (drawdownStates && r.StopReason == StopMaxStates) ||
-			(drawdownTrans && r.StopReason == StopMaxTransitions) {
-			res.Outcome = OutcomeStarved
-		}
+	if res.Outcome == OutcomePartial && starved {
+		res.Outcome = OutcomeStarved
 	}
 	return res
 }

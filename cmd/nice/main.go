@@ -407,18 +407,13 @@ func runOne() {
 	os.Exit(1)
 }
 
-// buildConfig resolves the scenario in the registry, scales it, picks
-// the buggy or repaired application, and applies the strategy column.
-// The historical -pings/-sends spellings and the generic -scale flag
-// all feed the scenario's one scale knob. Build hooks fail loudly on
-// invalid scales (e.g. an odd fat-tree arity); that panic surfaces
-// here as a usage error, not a crash.
-func buildConfig(name string, pings, sends, generic int, fixed bool, strategy string) (cfg *nice.Config, label string, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			cfg, label, err = nil, "", fmt.Errorf("scenario %q: %v", name, r)
-		}
-	}()
+// buildConfig resolves the scenario in the registry and hands it the
+// scale, the buggy-or-repaired choice and the strategy column
+// (Scenario.Resolve). The historical -pings/-sends spellings and the
+// generic -scale flag all feed the scenario's one scale knob. A Build
+// hook failing loudly on an invalid scale (e.g. an odd fat-tree arity)
+// surfaces here as a usage error, not a crash.
+func buildConfig(name string, pings, sends, generic int, fixed bool, strategy string) (*nice.Config, string, error) {
 	if name == "" {
 		return nil, "", fmt.Errorf("missing -scenario (try -list)")
 	}
@@ -443,34 +438,15 @@ func buildConfig(name string, pings, sends, generic int, fixed bool, strategy st
 			scale = sends
 		}
 	}
-	label = sc.Name
+	label := sc.Name
 	if scale > 0 {
 		label = fmt.Sprintf("%s(%d)", sc.Name, scale)
 	}
-
 	if fixed {
-		cfg = sc.FixedConfig(scale)
-		if cfg == nil {
-			return nil, "", fmt.Errorf("scenario %q has no repaired variant", sc.Name)
-		}
 		label += " (fixed app)"
-	} else {
-		cfg = sc.Config(scale)
 	}
-
-	strat, serr := parseStrategy(strategy)
-	if serr != nil {
-		return nil, "", serr
-	}
-	return sc.Apply(cfg, strat), label, nil
-}
-
-func parseStrategy(strategy string) (scenarios.Strategy, error) {
-	s, ok := scenarios.ParseStrategy(strategy)
-	if !ok {
-		return 0, fmt.Errorf("unknown strategy %q", strategy)
-	}
-	return s, nil
+	cfg, _, err := sc.Resolve(scale, strategy, fixed)
+	return cfg, label, err
 }
 
 // engineNames / reductionNames render the registries for usage text —

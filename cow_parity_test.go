@@ -56,7 +56,9 @@ func TestCOWDeepCloneParity(t *testing.T) {
 				build := func(deep bool) *nice.Config {
 					cfg := sc.Config(parityScales[sc.Name])
 					cfg.StopAtFirstViolation = false
-					cfg.DeepClone = deep
+					if deep {
+						cfg = core.WithDeepClone(cfg)
+					}
 					return cfg
 				}
 				cc := nice.NewCaches()

@@ -45,10 +45,8 @@ package concolic
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/nice-go/nice/internal/canon"
 	"github.com/nice-go/nice/internal/core"
@@ -86,8 +84,9 @@ type item struct {
 	proactive bool
 }
 
-// loopState is the shared state of one Search call.
+// loopState is what the two pools share beyond the Session.
 type loopState struct {
+	s   *core.Session
 	cfg *core.Config
 	cc  *core.Caches
 
@@ -95,51 +94,24 @@ type loopState struct {
 	cond    *sync.Cond
 	searchQ []item // LIFO: owners keep expanding deep states
 	symQ    []item // demand targets at the front, proactive behind
-	pending int    // queued + in-flight items
-	stopped bool
-	ctl     core.StopControl // its flag mirrors stopped lock-free for hot-path checks
+	// pending counts queued + in-flight items. It is the session's
+	// Frontier gauge: written under mu, read lock-free by snapshots.
+	pending *atomic.Int64
 
 	seen     map[canon.Digest]bool
 	seenApps map[canon.Digest]bool
-	seenViol map[string]bool
-	viols    []core.Violation
 
-	transitions atomic.Int64
-	unique      atomic.Int64
-	revisits    atomic.Int64
-	truncated   atomic.Int64
-	maxDepth    atomic.Int64
-	frontier    atomic.Int64 // mirror of pending for lock-free snapshots
-	feedback    atomic.Int64
-
-	maxTrans  int64
-	maxStates int64
+	feedback  atomic.Int64
 	symBudget int64
 	seStart   int64
-
-	obs      core.Observer
-	tel      *core.SearchTelemetry
-	fbRounds *telemetry.Counter // sym scope's feedback_rounds
-	heap     core.HeapPeak      // sampled only from the snapshot goroutine
-}
-
-// abort records the stop reason (first one wins) and wakes every
-// worker. Unlike the budget reasons, a first-violation stop leaves the
-// report complete — the search did its job.
-func (st *loopState) abort(r core.StopReason) {
-	st.ctl.Abort(r)
-	st.mu.Lock()
-	st.stopped = true
-	st.cond.Broadcast()
-	st.mu.Unlock()
+	fbRounds  *telemetry.Counter // sym scope's feedback_rounds
 }
 
 // enqueueSearch pushes a state-space node.
 func (st *loopState) enqueueSearch(it item) {
 	st.mu.Lock()
 	st.searchQ = append(st.searchQ, it)
-	st.pending++
-	st.frontier.Store(int64(st.pending))
+	st.pending.Add(1)
 	st.cond.Broadcast()
 	st.mu.Unlock()
 }
@@ -153,8 +125,7 @@ func (st *loopState) enqueueSym(it item) {
 	} else {
 		st.symQ = append(st.symQ, it)
 	}
-	st.pending++
-	st.frontier.Store(int64(st.pending))
+	st.pending.Add(1)
 	st.cond.Broadcast()
 	st.mu.Unlock()
 }
@@ -167,7 +138,7 @@ func (st *loopState) take(solver bool) (item, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for {
-		if st.stopped {
+		if st.s.Stopped() {
 			return item{}, false
 		}
 		if solver && len(st.symQ) > 0 {
@@ -180,7 +151,7 @@ func (st *loopState) take(solver bool) (item, bool) {
 			st.searchQ = st.searchQ[:len(st.searchQ)-1]
 			return it, true
 		}
-		if st.pending == 0 {
+		if st.pending.Load() == 0 {
 			return item{}, false
 		}
 		st.cond.Wait()
@@ -191,34 +162,10 @@ func (st *loopState) take(solver bool) (item, bool) {
 // the pools can drain.
 func (st *loopState) done() {
 	st.mu.Lock()
-	st.pending--
-	st.frontier.Store(int64(st.pending))
-	if st.pending == 0 {
+	if st.pending.Add(-1) == 0 {
 		st.cond.Broadcast()
 	}
 	st.mu.Unlock()
-}
-
-// record registers a violation (deduplicated by property + error, like
-// every engine) and honors StopAtFirstViolation.
-func (st *loopState) record(v core.Violation) {
-	key := v.Property + "|" + v.Err.Error()
-	st.mu.Lock()
-	fresh := !st.seenViol[key]
-	if fresh {
-		st.seenViol[key] = true
-		st.viols = append(st.viols, v)
-	}
-	st.mu.Unlock()
-	if fresh {
-		st.tel.Violation(v.Property)
-		if st.obs != nil {
-			st.obs.OnViolation(v)
-		}
-	}
-	if st.cfg.StopAtFirstViolation {
-		st.abort(core.StopViolation)
-	}
 }
 
 // symAllowed reports whether the discover budget still has room. The
@@ -242,133 +189,69 @@ func (st *loopState) admit(child *core.System, parent *core.PathNode, t core.Tra
 	}
 	st.mu.Unlock()
 	if !fresh {
-		st.revisits.Add(1)
+		st.s.Revisits.Add(1)
 		child.Release()
 		return
 	}
-	if n := st.unique.Add(1); st.maxStates > 0 && n >= st.maxStates {
-		st.abort(core.StopMaxStates)
-	}
-	st.tel.ObserveDepth(depth)
-	core.AtomicMax(&st.maxDepth, int64(depth))
+	st.s.Admit(depth)
 	st.enqueueSearch(item{sys: child, path: parent.Child(t)})
 }
 
 // Search implements core.Engine.
 func (loopEngine) Search(ctx context.Context, cfg *core.Config, eo core.EngineOptions) *core.Report {
-	start := time.Now()
-	cc := eo.CacheSet()
 	st := &loopState{
 		cfg:       cfg,
-		cc:        cc,
 		seen:      make(map[canon.Digest]bool),
 		seenApps:  make(map[canon.Digest]bool),
-		seenViol:  make(map[string]bool),
-		maxTrans:  eo.EffectiveMaxTransitions(cfg),
-		maxStates: eo.MaxStates,
 		symBudget: eo.SymBudget,
-		seStart:   cc.SERuns(),
-		obs:       eo.Observer,
-		tel:       core.NewSearchTelemetry(eo.Telemetry, "concolic"),
 	}
 	st.cond = sync.NewCond(&st.mu)
-	cc.AttachTelemetry(eo.Telemetry)
+	// Every Abort wakes both pools. The broadcast takes mu, so no Session
+	// method that can abort is called with mu held; and the cond exists
+	// before Begin because a pre-canceled context aborts in there.
+	s := core.Begin(ctx, "concolic", cfg, eo, func() {
+		st.mu.Lock()
+		st.cond.Broadcast()
+		st.mu.Unlock()
+	})
+	st.s, st.cc, st.pending = s, s.Caches(), &s.Frontier
+	st.seStart = st.cc.SERuns()
 	if eo.Telemetry != nil {
 		st.fbRounds = eo.Telemetry.Scope("sym").Counter("feedback_rounds")
 	}
 
-	searchWorkers := eo.Workers
-	if searchWorkers <= 0 {
-		searchWorkers = runtime.NumCPU()
-	}
-	solverWorkers := eo.SolverPool()
-
-	root := core.NewSystemWith(cfg, cc)
-	root.SetTelemetry(core.NewSystemTelemetry(eo.Telemetry))
-	st.mu.Lock()
+	root := s.NewSystem()
 	st.seen[root.Fingerprint()] = true
-	st.mu.Unlock()
-	st.unique.Add(1)
+	s.Admit(0)
 	st.enqueueSearch(item{sys: root})
 
-	unwatch := core.WatchContext(ctx, st.abort)
-
-	snap := func() core.Progress {
-		return core.Progress{
-			Strategy:      "concolic",
-			Elapsed:       time.Since(start),
-			Transitions:   st.transitions.Load(),
-			UniqueStates:  st.unique.Load(),
-			Revisits:      st.revisits.Load(),
-			Truncated:     st.truncated.Load(),
-			SERuns:        cc.SERuns(),
-			Frontier:      st.frontier.Load(),
-			Depth:         int(st.maxDepth.Load()),
-			PeakHeapInUse: st.heap.Sample(),
-			CacheHitRate:  cc.HitRate(),
-		}.Rated()
-	}
-	st.tel.SearchStart()
-	stopProgress := core.StartProgress(eo, st.tel, snap)
-
 	var wg sync.WaitGroup
-	for w := 0; w < searchWorkers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				it, ok := st.take(false)
-				if !ok {
-					return
+	pool := func(n int, solver bool, work func(item)) {
+		for w := 0; w < n; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer s.Guard()
+				for {
+					it, ok := st.take(solver)
+					if !ok {
+						return
+					}
+					work(it)
+					st.done()
 				}
-				st.expand(it)
-				it.sys.Release()
-				st.done()
-			}
-		}()
+			}()
+		}
 	}
-	for w := 0; w < solverWorkers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				it, ok := st.take(true)
-				if !ok {
-					return
-				}
-				st.solve(it)
-				st.done()
-			}
-		}()
-	}
+	pool(eo.WorkerCount(), false, func(it item) {
+		st.expand(it)
+		it.sys.Release()
+	})
+	pool(eo.SolverPool(), true, st.solve)
 	wg.Wait()
-	unwatch()
-	// A cancellation racing the drain still wins over "complete" (the
-	// first recorded reason is kept otherwise).
-	if ctx.Err() != nil {
-		st.abort(core.ContextStopReason(ctx))
-	}
 
-	reason := st.ctl.Reason()
-	report := &core.Report{
-		Transitions:    st.transitions.Load(),
-		UniqueStates:   st.unique.Load(),
-		Revisits:       st.revisits.Load(),
-		Truncated:      st.truncated.Load(),
-		SERuns:         cc.SERuns(),
-		PacketClasses:  cc.Classes(),
-		FeedbackRounds: st.feedback.Load(),
-		Violations:     st.viols,
-		Elapsed:        time.Since(start),
-		Complete:       !reason.Partial(),
-		Strategy:       "concolic",
-		StopReason:     reason,
-	}
-	stopProgress()
-	if reason.Partial() {
-		st.tel.Budget(reason, report.Transitions)
-	}
-	st.tel.SearchStop(reason, report)
+	report := s.End(ctx)
+	report.FeedbackRounds = st.feedback.Load()
 	return report
 }
 
@@ -385,20 +268,20 @@ func (st *loopState) expand(it item) {
 	enabled := it.sys.EnabledInto(nil)
 	if len(enabled) == 0 {
 		for _, f := range it.sys.CheckQuiescence() {
-			st.record(core.Violation{Property: f.Property, Err: f.Err,
+			st.s.Record(core.Violation{Property: f.Property, Err: f.Err,
 				Trace: it.path.Trace(), Quiescence: true})
 		}
 		return
 	}
 	depth := it.path.Depth()
 	if depth >= st.cfg.DepthBound() {
-		st.truncated.Add(1)
+		st.s.Truncated.Add(1)
 		return
 	}
 
 	var events []core.Event
 	for _, t := range enabled {
-		if st.ctl.Stopped() {
+		if st.s.Stopped() {
 			return
 		}
 		if t.Kind == core.THostDiscover || t.Kind == core.TCtrlDiscoverStats {
@@ -409,15 +292,14 @@ func (st *loopState) expand(it item) {
 			st.enqueueSym(item{sys: it.sys.Clone(), path: it.path, t: t, demand: true})
 			continue
 		}
-		if !core.ReserveTransition(&st.transitions, st.maxTrans) {
-			st.abort(core.StopMaxTransitions)
+		if !st.s.Reserve() {
 			return
 		}
 		child := it.sys.Clone()
 		events = child.ApplyInto(t, events)
 		violated := false
 		for _, f := range child.CheckEvents(events) {
-			st.record(core.Violation{Property: f.Property, Err: f.Err,
+			st.s.Record(core.Violation{Property: f.Property, Err: f.Err,
 				Trace: it.path.TraceWith(t)})
 			violated = true
 		}
@@ -466,7 +348,7 @@ func (st *loopState) feedbackTargets(it item) {
 // solve processes one symbolic target on a solver worker.
 func (st *loopState) solve(it item) {
 	defer it.sys.Release()
-	if st.ctl.Stopped() {
+	if st.s.Stopped() {
 		return
 	}
 	if it.proactive {
@@ -479,17 +361,16 @@ func (st *loopState) solve(it item) {
 	// worker got there first) — then applying is free; otherwise the
 	// budget must cover a fresh discover run.
 	if !st.symAllowed() && !discoverCached(it.sys, it.t) {
-		st.abort(core.StopSymBudget)
+		st.s.Abort(core.StopSymBudget)
 		return
 	}
-	if !core.ReserveTransition(&st.transitions, st.maxTrans) {
-		st.abort(core.StopMaxTransitions)
+	if !st.s.Reserve() {
 		return
 	}
 	events := it.sys.ApplyInto(it.t, nil)
 	violated := false
 	for _, f := range it.sys.CheckEvents(events) {
-		st.record(core.Violation{Property: f.Property, Err: f.Err,
+		st.s.Record(core.Violation{Property: f.Property, Err: f.Err,
 			Trace: it.path.TraceWith(it.t)})
 		violated = true
 	}

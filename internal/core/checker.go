@@ -56,8 +56,9 @@ type Report struct {
 	// feedback rounds: controller states whose novelty enqueued fresh
 	// symbolic targets. Only the concolic loop sets it.
 	FeedbackRounds int64
-	// Violations lists the property failures found (deduplicated by
-	// property + error text; each carries the first trace seen).
+	// Violations lists the property failures found, under every engine
+	// deduplicated by property + error text (keeping the shortest trace
+	// seen) and sorted by property, then error text.
 	Violations []Violation
 	// Elapsed is wall-clock search time.
 	Elapsed time.Duration
@@ -66,7 +67,7 @@ type Report struct {
 	// stopped at the first violation still counts as complete.
 	Complete bool
 	// Strategy names the engine that produced the report ("dfs",
-	// "parallel", "walks", "swarm").
+	// "parallel", "walks", "swarm", "concolic").
 	Strategy string
 	// StopReason records why the search ended early; empty when the
 	// bounded state space was exhausted. Partial (aborted) reports are
@@ -89,18 +90,9 @@ type Checker struct {
 	caches *Caches
 
 	explored map[canon.Digest]bool
-	report   *Report
-	seenViol map[string]bool
-	stopped  bool
-
-	// Per-run context, budgets and streaming (set by RunContext).
-	ctx        context.Context
-	opts       EngineOptions
-	maxTrans   int64
-	stopReason StopReason
-	meter      *progressMeter
-	tel        *SearchTelemetry
-	start      time.Time
+	// s is the search in flight (set by RunContext): counters, budgets,
+	// stop control, violations and streaming.
+	s *Session
 
 	// eventBuf is the reused per-transition event batch: events are
 	// dead once the property checks ran (nothing retains the slice),
@@ -161,110 +153,42 @@ func (c *Checker) Run() *Report {
 // violations and progress to the options' Observer, and on abort
 // returns a partial report whose traces still replay deterministically.
 // Option-level budgets merge with the Config's MaxTransitions (the
-// smaller nonzero bound wins).
+// smaller nonzero bound wins). The search runs against the checker's
+// own cache set (a fresh one when it has none), whatever opts.Caches
+// says.
 func (c *Checker) RunContext(ctx context.Context, opts EngineOptions) *Report {
-	c.explored = make(map[canon.Digest]bool)
-	c.report = &Report{Complete: true, Strategy: "dfs"}
-	c.seenViol = make(map[string]bool)
-	c.stopped = false
-	c.stopReason = StopNone
-	c.ctx = ctx
-	c.opts = opts
-	c.maxTrans = opts.EffectiveMaxTransitions(c.cfg)
-	c.start = time.Now()
-	c.tel = NewSearchTelemetry(opts.Telemetry, "dfs")
-	c.caches.AttachTelemetry(opts.Telemetry)
-	c.meter = newProgressMeter(opts, c.start, c.tel, c.caches)
+	opts.Caches = c.caches
+	c.s = Begin(ctx, "dfs", c.cfg, opts, nil)
+	// The search runs on this goroutine, so a panicking App or Property
+	// unwinds through here with its own stack; only the session's
+	// goroutines need stopping on the way out.
+	defer c.s.Close()
 
+	c.explored = make(map[canon.Digest]bool)
 	c.trace = c.trace[:0]
-	root := newSystem(c.cfg, c.caches)
-	root.SetTelemetry(NewSystemTelemetry(opts.Telemetry))
-	c.tel.SearchStart()
+	root := c.s.NewSystem()
 	if opts.Reduction == ReductionDPOR {
-		c.dporRun(root)
+		c.dporRun(root, opts.Telemetry)
 	} else {
 		c.dfs(root)
 	}
-	// A cancellation that landed between the rationed ctx polls and the
-	// end of the search still wins over "complete": callers canceling
-	// mid-run always observe a canceled partial report, whichever side
-	// of the race drained first.
-	if !c.stopped && ctx.Err() != nil {
-		c.abort(ContextStopReason(ctx))
-	}
-
-	c.report.SERuns = c.caches.SERuns()
-	c.report.PacketClasses = c.caches.Classes()
-	c.report.Elapsed = time.Since(c.start)
-	c.report.StopReason = c.stopReason
-	// Final snapshot before SearchStop, so the trace stream ends on the
-	// search-stop event.
-	c.meter.final(c.progress(0))
-	c.tel.SearchStop(c.stopReason, c.report)
-	return c.report
-}
-
-// abort stops the search for the given reason, marking the report
-// incomplete when the reason is a budget or cancellation.
-func (c *Checker) abort(r StopReason) {
-	c.stopped = true
-	if c.stopReason == StopNone {
-		c.stopReason = r
-		if r.Partial() {
-			c.tel.Budget(r, c.report.Transitions)
-		}
-	}
-	if r.Partial() {
-		c.report.Complete = false
-	}
-}
-
-// aborted checks every stop condition: a prior stop, the transition and
-// unique-state budgets, and (polled every 64 transitions to keep the
-// hot loop cheap) context cancellation.
-func (c *Checker) aborted() bool {
-	if c.stopped {
-		return true
-	}
-	if c.maxTrans > 0 && c.report.Transitions >= c.maxTrans {
-		c.abort(StopMaxTransitions)
-		return true
-	}
-	if c.opts.MaxStates > 0 && c.report.UniqueStates >= c.opts.MaxStates {
-		c.abort(StopMaxStates)
-		return true
-	}
-	if c.report.Transitions&63 == 0 {
-		select {
-		case <-c.ctx.Done():
-			c.abort(ContextStopReason(c.ctx))
-			return true
-		default:
-		}
-	}
-	return false
-}
-
-func (c *Checker) progress(depth int) Progress {
-	return snapshotProgress("dfs", c.start, c.report.Transitions,
-		c.report.UniqueStates, c.report.Revisits, c.report.Truncated,
-		c.caches.SERuns(), int64(depth), depth)
+	return c.s.End(ctx)
 }
 
 func (c *Checker) dfs(sys *System) {
-	if c.stopped {
+	s := c.s
+	if s.Stopped() {
 		return
 	}
 	h := sys.Fingerprint()
 	if c.explored[h] {
-		c.report.Revisits++
+		s.Revisits.Add(1)
 		return
 	}
 	c.explored[h] = true
-	c.report.UniqueStates++
-	c.tel.ObserveDepth(len(c.trace))
-
 	depth := len(c.trace)
+	s.Admit(depth)
+
 	for len(c.transBufs) <= depth {
 		c.transBufs = append(c.transBufs, nil)
 	}
@@ -272,33 +196,31 @@ func (c *Checker) dfs(sys *System) {
 	c.transBufs[depth] = enabled[:0]
 	if len(enabled) == 0 {
 		for _, f := range sys.CheckQuiescence() {
-			c.recordViolation(Violation{Property: f.Property, Err: f.Err,
+			s.Record(Violation{Property: f.Property, Err: f.Err,
 				Trace: cloneTrace(c.trace), Quiescence: true})
-			if c.stopped {
+			if s.Stopped() {
 				return
 			}
 		}
 		return
 	}
 	if depth >= c.cfg.maxDepth() {
-		c.report.Truncated++
+		s.Truncated.Add(1)
 		return
 	}
 
 	for _, t := range enabled {
-		if c.aborted() {
+		if s.Stopped() || !s.Reserve() {
 			return
 		}
 		child := sys.Clone()
 		events := child.ApplyInto(t, c.eventBuf)
 		c.eventBuf = events
-		c.report.Transitions++
 		c.trace = append(c.trace, t)
-		c.meter.maybe(func() Progress { return c.progress(len(c.trace)) })
 
 		violated := false
 		for _, f := range child.CheckEvents(events) {
-			c.recordViolation(Violation{Property: f.Property, Err: f.Err,
+			s.Record(Violation{Property: f.Property, Err: f.Err,
 				Trace: cloneTrace(c.trace)})
 			violated = true
 		}
@@ -311,21 +233,6 @@ func (c *Checker) dfs(sys *System) {
 			child.Release()
 		}
 		c.trace = c.trace[:len(c.trace)-1]
-	}
-}
-
-func (c *Checker) recordViolation(v Violation) {
-	key := v.Property + "|" + v.Err.Error()
-	if !c.seenViol[key] {
-		c.seenViol[key] = true
-		c.report.Violations = append(c.report.Violations, v)
-		c.tel.Violation(v.Property)
-		if c.opts.Observer != nil {
-			c.opts.Observer.OnViolation(v)
-		}
-	}
-	if c.cfg.StopAtFirstViolation {
-		c.abort(StopViolation)
 	}
 }
 

@@ -107,16 +107,12 @@ type Config struct {
 	// MicroSteps switches process_pkt to one-packet-per-channel
 	// granularity (the fine-grained baseline of DESIGN.md §2(3)).
 	MicroSteps bool
-	// OracleHash makes Fingerprint hash the full from-scratch state
-	// serialization instead of combining cached component hashes — the
-	// reflective-oracle baseline the incremental fingerprint is
-	// differentially tested (and benchmarked) against.
-	OracleHash bool
-	// DeepClone makes System.Clone deep-copy every component eagerly
-	// instead of forking copy-on-write — the retained reference path
-	// the COW protocol is differentially tested (and benchmarked)
-	// against. Semantics are identical; only forking cost differs.
-	DeepClone bool
+	// oracleHash and deepClone select the retained reference paths the
+	// production ones are differentially tested against. They are
+	// oracles, not configuration: only WithOracleHash / WithDeepClone
+	// set them, and the facade re-exports neither.
+	oracleHash bool
+	deepClone  bool
 
 	// --- Budgets ---
 
@@ -149,6 +145,26 @@ type Config struct {
 	// reconfiguration-window races (BUG-V's own scenario) from bugs
 	// that need an established pre-change state (BUG-VII).
 	AtomicEnv bool
+}
+
+// WithOracleHash returns a copy of cfg whose Fingerprint hashes the full
+// from-scratch state serialization (OracleKey) instead of combining
+// cached component hashes — the reflective oracle the incremental
+// fingerprint is differentially tested against.
+func WithOracleHash(cfg *Config) *Config {
+	c := *cfg
+	c.oracleHash = true
+	return &c
+}
+
+// WithDeepClone returns a copy of cfg whose System.Clone deep-copies
+// every component eagerly instead of forking copy-on-write — the
+// reference path the COW protocol is differentially tested against.
+// Semantics are identical; only forking cost differs.
+func WithDeepClone(cfg *Config) *Config {
+	c := *cfg
+	c.deepClone = true
+	return &c
 }
 
 func (c *Config) maxDepth() int {

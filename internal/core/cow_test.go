@@ -136,8 +136,7 @@ func FuzzCloneIndependence(f *testing.F) {
 // failure would mean the reference itself is broken.
 func TestCloneIndependenceDeepMode(t *testing.T) {
 	sc := scenarios.MustLookup("pyswitch-bench")
-	cfg := sc.Config(0)
-	cfg.DeepClone = true
+	cfg := core.WithDeepClone(sc.Config(0))
 	parent := core.NewSystemWith(cfg, core.NewCaches())
 	for step := 0; step < 20; step++ {
 		for _, tr := range parent.Enabled() { // arm discover caches (see above)

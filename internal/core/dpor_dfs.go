@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"github.com/nice-go/nice/internal/canon"
+	"github.com/nice-go/nice/internal/telemetry"
 )
 
 // Stateful Flanagan–Godefroid DPOR for the sequential checker: sleep
@@ -281,14 +282,14 @@ type dporFrame struct {
 }
 
 // dporRun is the ReductionDPOR entry point, dispatched by RunContext in
-// place of dfs().
-func (c *Checker) dporRun(root *System) {
+// place of dfs(); reg feeds the shared dpor telemetry scope.
+func (c *Checker) dporRun(root *System, reg *telemetry.Registry) {
 	c.space = newComponentSpace(root)
 	c.dporExplored = make(map[canon.Digest]dporNode)
 	c.sums, c.sleeps = slab[sumEntry]{}, slab[uint64]{}
 	c.fpt = fpTable{ids: map[footprint]uint32{{}: 0}, fps: []footprint{{}}}
 	c.globalFp = c.fpt.intern(c.space.global)
-	c.dporTel = NewDporTelemetry(c.opts.Telemetry)
+	c.dporTel = NewDporTelemetry(reg)
 	if need := c.cfg.maxDepth() + 2; len(c.dporFrames) < need {
 		c.dporFrames = make([]dporFrame, need)
 	}
@@ -323,14 +324,14 @@ func (c *Checker) storedSummary(node dporNode) dporSummary {
 // sleep set) and returns the subtree summary for race detection in the
 // caller's ancestors.
 func (c *Checker) dporVisit(sys *System, sleep []sleepEntry) dporSummary {
-	if c.stopped {
+	if c.s.Stopped() {
 		return c.globalSummary()
 	}
 	h := sys.Fingerprint()
 	depth := len(c.trace)
 
 	if node, ok := c.dporExplored[h]; ok {
-		c.report.Revisits++
+		c.s.Revisits.Add(1)
 		if node.inProgress {
 			// A cycle back onto the current path: the subtree below is
 			// this very exploration, summary unknown — go conservative.
@@ -372,24 +373,23 @@ func (c *Checker) dporVisit(sys *System, sleep []sleepEntry) dporSummary {
 	}
 	node.sleep = c.sleeps.put(c.keyBuf)
 	c.dporExplored[h] = node
-	c.report.UniqueStates++
-	c.tel.ObserveDepth(depth)
+	c.s.Admit(depth)
 
 	// Quiescence and depth handling mirror dfs(): the checks run against
 	// the full enabled set, before any reduction.
 	enabled := c.enabledAt(sys, depth)
 	if len(enabled) == 0 {
 		for _, f := range sys.CheckQuiescence() {
-			c.recordViolation(Violation{Property: f.Property, Err: f.Err,
+			c.s.Record(Violation{Property: f.Property, Err: f.Err,
 				Trace: cloneTrace(c.trace), Quiescence: true})
-			if c.stopped {
+			if c.s.Stopped() {
 				return c.storeSummary(h, node, c.globalSummary())
 			}
 		}
 		return c.storeSummary(h, node, dporSummary{})
 	}
 	if depth >= c.cfg.maxDepth() {
-		c.report.Truncated++
+		c.s.Truncated.Add(1)
 		// The whole subtree is hidden behind the bound.
 		return c.storeSummary(h, node, c.globalSummary())
 	}
@@ -472,7 +472,7 @@ func (c *Checker) dporExpand(sys *System, depth int, enabled []Transition, sleep
 	}
 
 	for {
-		if c.aborted() {
+		if c.s.Stopped() {
 			c.frameTop = depth
 			return c.globalSummary()
 		}
@@ -508,16 +508,18 @@ func (c *Checker) dporExpand(sys *System, depth int, enabled []Transition, sleep
 		// t (dependent and not merely its causal ancestor).
 		c.dporRaceInsert(key, &fp, &c.fpt.fps[0], true)
 
+		if !c.s.Reserve() {
+			c.frameTop = depth
+			return c.globalSummary()
+		}
 		child := sys.Clone()
 		events := child.ApplyInto(t, c.eventBuf)
 		c.eventBuf = events
-		c.report.Transitions++
 		c.trace = append(c.trace, t)
-		c.meter.maybe(func() Progress { return c.progress(len(c.trace)) })
 
 		violated := false
 		for _, fail := range child.CheckEvents(events) {
-			c.recordViolation(Violation{Property: fail.Property, Err: fail.Err,
+			c.s.Record(Violation{Property: fail.Property, Err: fail.Err,
 				Trace: cloneTrace(c.trace)})
 			violated = true
 		}

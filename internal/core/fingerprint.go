@@ -16,7 +16,7 @@ import (
 // table's term is a commutative sum maintained at every flow_mod, so
 // the canonical (order-free) table needs no sort either.
 //
-// With Config.OracleHash set, the fingerprint is instead the hash of the
+// Under WithOracleHash, the fingerprint is instead the hash of the
 // full from-scratch string serialization (OracleKey). Every structural
 // hash folds exactly the fields its component's StateKey renders, so
 // states with equal component keys produce equal fingerprints in both
@@ -29,7 +29,7 @@ import (
 // one-mode-only count divergence therefore means either a missing dirty
 // hook (VerifyCaches pinpoints it) or such a collision.
 func (s *System) Fingerprint() canon.Digest {
-	if s.cfg.OracleHash {
+	if s.cfg.oracleHash {
 		return canon.Hash128(s.OracleKey())
 	}
 	canonical, hashCounters := s.cfg.tableHashMode()

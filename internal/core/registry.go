@@ -117,9 +117,4 @@ func init() {
 		Summary: "sequential depth-first reference search (Figure 5)",
 		New:     DFS,
 	})
-	RegisterEngine(EngineSpec{
-		Name:    "walks",
-		Summary: "sequential seeded random walks (§1.3)",
-		New:     Walks,
-	})
 }

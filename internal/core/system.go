@@ -545,7 +545,7 @@ func (c *Caches) putStats(key statsCacheKey, v [][]openflow.PortStats) [][]openf
 // observers. Systems fork copy-on-write as the search explores (the
 // internal/cow protocol: Clone is O(#components) pointer copies, and a
 // component deep-copies lazily when first mutated) and are hashed for
-// the explored-state set; Config.DeepClone retains the eager deep-copy
+// the explored-state set; WithDeepClone retains the eager deep-copy
 // forking path as the differential reference.
 type System struct {
 	cfg    *Config
@@ -597,10 +597,10 @@ type System struct {
 	// faults tracks the per-execution fault-budget usage.
 	faults faultState
 
-	// met is the optional cow instrumentation bundle (SetTelemetry),
+	// met is the optional cow instrumentation bundle (Session.NewSystem),
 	// shared by the whole search: Clone hands it to every fork, Release
 	// drops it. Nil — the default — keeps every count site to one branch.
-	met *SystemTelemetry
+	met *systemTelemetry
 }
 
 // NewSystem builds the initial state: switches constructed from the
@@ -693,10 +693,10 @@ func newSystem(cfg *Config, cc *Caches) *System {
 // discover caches). By default the fork is copy-on-write (the
 // internal/cow protocol): O(#components) pointer copies now, with each
 // component deep-copied lazily by the ensureOwned hooks at its mutation
-// sites. Config.DeepClone selects the retained eager deep-copy path —
+// sites. WithDeepClone selects the retained eager deep-copy path —
 // the differential reference COW is tested against.
 func (s *System) Clone() *System {
-	if s.cfg.DeepClone {
+	if s.cfg.deepClone {
 		return s.deepClone()
 	}
 	if m := s.met; m != nil {
@@ -993,7 +993,7 @@ func (s *System) Properties() []Property { return s.props }
 // OracleKey renders the full system state from scratch as one canonical
 // string, bypassing every component hash cache and every property and
 // application key memo — the reference the structural fingerprint is
-// differentially tested against (Config.OracleHash hashes it).
+// differentially tested against (WithOracleHash hashes it).
 func (s *System) OracleKey() string {
 	var b strings.Builder
 	canonical, hashCounters := s.cfg.tableHashMode()

@@ -11,17 +11,17 @@ import (
 // the overflow bucket).
 var depthBounds = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 
-// SearchTelemetry is one engine's pre-resolved metric handle bundle.
-// Engines resolve it once at search start (NewSearchTelemetry takes the
-// registry lock per handle) and then touch only lock-free atomics; a
+// SearchTelemetry is one engine's pre-resolved metric handle bundle. A
+// Session resolves it once at search start (newSearchTelemetry takes the
+// registry lock per handle) and then touches only lock-free atomics; a
 // nil bundle — no registry attached — makes every method a single
 // branch, the disabled fast path the overhead benchmark gates.
 //
-// The engines already keep their own report counters on the hot path,
-// so the bundle is synced from them at progress-snapshot and stop time
-// (SyncProgress, SearchStop) instead of double-counting per transition;
-// only the signals no report counter carries — depth observations,
-// violations, steals — update live.
+// The Session already keeps the report counters on the hot path, so the
+// bundle is synced from them at progress-snapshot and stop time
+// (syncProgress, searchStop) instead of double-counting per transition;
+// only the signals no report counter carries — depth observations and
+// violations — update live.
 type SearchTelemetry struct {
 	scope *telemetry.Scope
 
@@ -39,15 +39,14 @@ type SearchTelemetry struct {
 	depth        *telemetry.Histogram
 
 	// lastBatch is the transition count at the previous expand-batch
-	// trace event. Only the snapshot path touches it, and each engine
-	// snapshots from a single goroutine at a time (the sequential meter,
-	// or the parallel ticker joined before the final emit).
+	// trace event. Only Session.emit touches it, from one goroutine at a
+	// time.
 	lastBatch int64
 }
 
-// NewSearchTelemetry resolves the per-engine handle bundle under the
+// newSearchTelemetry resolves the per-engine handle bundle under the
 // engine's scope, or nil when no registry is attached.
-func NewSearchTelemetry(reg *telemetry.Registry, engine string) *SearchTelemetry {
+func newSearchTelemetry(reg *telemetry.Registry, engine string) *SearchTelemetry {
 	if reg == nil {
 		return nil
 	}
@@ -69,17 +68,17 @@ func NewSearchTelemetry(reg *telemetry.Registry, engine string) *SearchTelemetry
 	}
 }
 
-// SearchStart emits the search-start trace event.
-func (t *SearchTelemetry) SearchStart() {
+// searchStart emits the search-start trace event.
+func (t *SearchTelemetry) searchStart() {
 	if t == nil {
 		return
 	}
 	t.scope.Emit(telemetry.TraceSearchStart, 0, "")
 }
 
-// SearchStop syncs the final report counters and emits the search-stop
+// searchStop syncs the final report counters and emits the search-stop
 // trace event (note = stop reason, "complete" when none).
-func (t *SearchTelemetry) SearchStop(reason StopReason, r *Report) {
+func (t *SearchTelemetry) searchStop(reason StopReason, r *Report) {
 	if t == nil {
 		return
 	}
@@ -96,14 +95,15 @@ func (t *SearchTelemetry) SearchStop(reason StopReason, r *Report) {
 	t.scope.Emit(telemetry.TraceSearchStop, r.UniqueStates, note)
 }
 
-// SyncProgress stores a progress snapshot's counters into the registry
-// and emits a rationed expand-batch trace event carrying the transition
-// delta since the previous snapshot. Called from each engine's single
-// snapshot goroutine.
-func (t *SearchTelemetry) SyncProgress(p Progress) {
+// syncProgress stores a progress snapshot's counters (and the frontier's
+// steal count, which no snapshot field carries) into the registry and
+// emits a rationed expand-batch trace event carrying the transition
+// delta since the previous snapshot.
+func (t *SearchTelemetry) syncProgress(p Progress, steals int64) {
 	if t == nil {
 		return
 	}
+	t.steals.Store(steals)
 	t.transitions.Store(p.Transitions)
 	t.unique.Store(p.UniqueStates)
 	t.revisits.Store(p.Revisits)
@@ -117,16 +117,16 @@ func (t *SearchTelemetry) SyncProgress(p Progress) {
 	}
 }
 
-// ObserveDepth records one reached state's trace depth.
-func (t *SearchTelemetry) ObserveDepth(depth int) {
+// observeDepth records one reached state's trace depth.
+func (t *SearchTelemetry) observeDepth(depth int) {
 	if t == nil {
 		return
 	}
 	t.depth.Observe(int64(depth))
 }
 
-// Violation counts a recorded violation and traces it.
-func (t *SearchTelemetry) Violation(property string) {
+// violation counts a recorded violation and traces it.
+func (t *SearchTelemetry) violation(property string) {
 	if t == nil {
 		return
 	}
@@ -134,20 +134,12 @@ func (t *SearchTelemetry) Violation(property string) {
 	t.scope.Emit(telemetry.TraceViolation, 1, property)
 }
 
-// Budget traces a budget/cancellation drawdown aborting the search.
-func (t *SearchTelemetry) Budget(reason StopReason, transitions int64) {
+// budget traces a budget/cancellation drawdown aborting the search.
+func (t *SearchTelemetry) budget(reason StopReason, transitions int64) {
 	if t == nil {
 		return
 	}
 	t.scope.Emit(telemetry.TraceBudget, transitions, string(reason))
-}
-
-// SyncSteals syncs the frontier's steal counter (parallel engine).
-func (t *SearchTelemetry) SyncSteals(n int64) {
-	if t == nil {
-		return
-	}
-	t.steals.Store(n)
 }
 
 // SetShardOccupancy records the seen-set's max and mean shard sizes —
@@ -160,16 +152,15 @@ func (t *SearchTelemetry) SetShardOccupancy(max, mean int64) {
 	t.shardMean.Set(mean)
 }
 
-// HeapPeak tracks the peak in-use heap across progress samples. Sample
+// heapPeak tracks the peak in-use heap across progress samples. sample
 // reads runtime.MemStats (a stop-the-world-ish call), so it runs only
-// on the rationed snapshot path, never per transition. Each engine owns
-// one and samples it from its single snapshot goroutine.
-type HeapPeak struct {
+// on the rationed snapshot path, never per transition.
+type heapPeak struct {
 	peak uint64
 }
 
-// Sample reads the current in-use heap and returns the running peak.
-func (h *HeapPeak) Sample() uint64 {
+// sample reads the current in-use heap and returns the running peak.
+func (h *heapPeak) sample() uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	if ms.HeapInuse > h.peak {
@@ -178,13 +169,13 @@ func (h *HeapPeak) Sample() uint64 {
 	return h.peak
 }
 
-// SystemTelemetry is the copy-on-write instrumentation bundle shared by
+// systemTelemetry is the copy-on-write instrumentation bundle shared by
 // every System of one search (Clone propagates the pointer to forks).
 // The counters sit on the internal/cow protocol's call sites: forks,
 // lazy ensureOwned component copies, releases and pool recycles — plus
 // forks_warm, the fingerprint-cache hit signal (a fork that found every
 // memoized component key already warm skipped the warming walk).
-type SystemTelemetry struct {
+type systemTelemetry struct {
 	forks     *telemetry.Counter
 	forksWarm *telemetry.Counter
 	copies    *telemetry.Counter
@@ -192,33 +183,18 @@ type SystemTelemetry struct {
 	recycles  *telemetry.Counter
 }
 
-// NewSystemTelemetry resolves the cow-scope handles, or nil when no
+// newSystemTelemetry resolves the cow-scope handles, or nil when no
 // registry is attached.
-func NewSystemTelemetry(reg *telemetry.Registry) *SystemTelemetry {
+func newSystemTelemetry(reg *telemetry.Registry) *systemTelemetry {
 	if reg == nil {
 		return nil
 	}
 	sc := reg.Scope("cow")
-	return &SystemTelemetry{
+	return &systemTelemetry{
 		forks:     sc.Counter("forks"),
 		forksWarm: sc.Counter("forks_warm"),
 		copies:    sc.Counter("ensure_owned_copies"),
 		releases:  sc.Counter("releases"),
 		recycles:  sc.Counter("pool_recycles"),
 	}
-}
-
-// SetTelemetry attaches the cow instrumentation bundle to this System;
-// Clone propagates it to every fork. Engines call it on the root state
-// (walk engines on each walk's fresh root).
-func (s *System) SetTelemetry(m *SystemTelemetry) { s.met = m }
-
-// AttachTelemetry wires a System and its discover caches into a
-// registry — the one-call form front ends use.
-func (s *System) AttachTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	s.SetTelemetry(NewSystemTelemetry(reg))
-	s.caches.AttachTelemetry(reg)
 }

@@ -36,12 +36,13 @@ type frontier struct {
 	// pending counts items enqueued but not yet fully expanded. Zero
 	// means global termination: nothing queued and no worker mid-expand
 	// (workers decrement only after expanding, so any children are
-	// already counted).
-	pending atomic.Int64
+	// already counted). It is the session's Frontier gauge itself.
+	pending *atomic.Int64
 	// steals counts successful head-steals — the load-imbalance signal
-	// telemetry surfaces as <engine>.steals.
-	steals atomic.Int64
-	stop   *core.StopControl
+	// telemetry surfaces as <engine>.steals (the session's Steals).
+	steals *atomic.Int64
+	// s supplies the stop flag.
+	s *core.Session
 }
 
 type deque struct {
@@ -54,8 +55,9 @@ type deque struct {
 	_ [24]byte
 }
 
-func newFrontier(workers int, stop *core.StopControl) *frontier {
-	return &frontier{deques: make([]deque, workers), stop: stop}
+func newFrontier(workers int, s *core.Session) *frontier {
+	return &frontier{deques: make([]deque, workers),
+		pending: &s.Frontier, steals: &s.Steals, s: s}
 }
 
 // push enqueues a work item on worker w's deque.
@@ -114,7 +116,7 @@ func (f *frontier) steal(w int) (item, bool) {
 func (f *frontier) get(w int) (item, bool) {
 	backoff := 0
 	for {
-		if f.stop.Stopped() {
+		if f.s.Stopped() {
 			return item{}, false
 		}
 		if it, ok := f.popLocal(w); ok {

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -42,10 +43,11 @@ func TestPooledBuffersConcurrent(t *testing.T) {
 func BenchmarkParallelPooled(b *testing.B) {
 	cc := core.NewCaches()
 	cfg := scenarios.MustLookup("pyswitch-bench").Config(2)
-	NewWith(cfg, Options{Workers: 2}, cc).Run() // warm discover caches
+	eo := core.EngineOptions{Workers: 2, Caches: cc}
+	Parallel().Search(context.Background(), cfg, eo) // warm discover caches
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := NewWith(scenarios.MustLookup("pyswitch-bench").Config(2), Options{Workers: 2}, cc).Run()
+		r := Parallel().Search(context.Background(), scenarios.MustLookup("pyswitch-bench").Config(2), eo)
 		if len(r.Violations) == 0 {
 			b.Fatal("expected the scaled pyswitch violation")
 		}

@@ -1,7 +1,7 @@
 package search
 
 import (
-	"errors"
+	"context"
 	"testing"
 
 	"github.com/nice-go/nice/internal/canon"
@@ -30,6 +30,13 @@ func sameSet(a, b map[string]bool) bool {
 	return true
 }
 
+// parallel runs the work-stealing engine with fresh discover caches
+// unless cc is given.
+func parallel(cfg *core.Config, workers int, cc *core.Caches) *core.Report {
+	return Parallel().Search(context.Background(), cfg,
+		core.EngineOptions{Workers: workers, Caches: cc})
+}
+
 // fullSearch is the bug scenario with the early stop removed, so both
 // engines walk the whole state space and reports are comparable.
 func fullSearch(b scenarios.Bug) *core.Config {
@@ -47,7 +54,7 @@ func TestDifferentialParityNoSE(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
 		cfg := scenarios.PingPong(2)
 		seq := core.NewChecker(cfg).Run()
-		par := New(scenarios.PingPong(2), Options{Workers: workers}).Run()
+		par := parallel(scenarios.PingPong(2), workers, nil)
 		if par.UniqueStates != seq.UniqueStates || par.Transitions != seq.Transitions ||
 			par.Revisits != seq.Revisits {
 			t.Errorf("workers=%d: parallel states/trans/revisits %d/%d/%d != sequential %d/%d/%d",
@@ -73,7 +80,7 @@ func TestDifferentialParityWarm(t *testing.T) {
 			cc := core.NewCaches()
 			core.NewCheckerWith(cfg, cc).Run() // warm the discover caches
 			seq := core.NewCheckerWith(cfg, cc).Run()
-			par := NewWith(cfg, Options{Workers: 4}, cc).Run()
+			par := parallel(cfg, 4, cc)
 			if par.UniqueStates != seq.UniqueStates || par.Transitions != seq.Transitions {
 				t.Errorf("parallel states/trans %d/%d != sequential %d/%d",
 					par.UniqueStates, par.Transitions, seq.UniqueStates, seq.Transitions)
@@ -99,7 +106,7 @@ func TestDifferentialViolations(t *testing.T) {
 		t.Run(b.String(), func(t *testing.T) {
 			t.Parallel()
 			seq := core.NewChecker(fullSearch(b)).Run()
-			par := New(fullSearch(b), Options{Workers: 4}).Run()
+			par := parallel(fullSearch(b), 4, nil)
 			if !sameSet(violatedSet(par), violatedSet(seq)) {
 				t.Errorf("violated properties differ: parallel %v, sequential %v",
 					violatedSet(par), violatedSet(seq))
@@ -121,7 +128,7 @@ func TestReplayDeterminism(t *testing.T) {
 		b := b
 		t.Run(b.String(), func(t *testing.T) {
 			t.Parallel()
-			par := New(fullSearch(b), Options{Workers: 4}).Run()
+			par := parallel(fullSearch(b), 4, nil)
 			if len(par.Violations) == 0 {
 				t.Fatalf("no violations to replay")
 			}
@@ -146,9 +153,9 @@ func TestReplayDeterminism(t *testing.T) {
 // reaches a violating state is scheduling-dependent; replayability of
 // whatever trace is kept is asserted by TestReplayDeterminism.)
 func TestReportDeterministic(t *testing.T) {
-	ref := New(fullSearch(scenarios.BugIII), Options{Workers: 4}).Run()
+	ref := parallel(fullSearch(scenarios.BugIII), 4, nil)
 	for i := 0; i < 3; i++ {
-		got := New(fullSearch(scenarios.BugIII), Options{Workers: 4}).Run()
+		got := parallel(fullSearch(scenarios.BugIII), 4, nil)
 		if len(got.Violations) != len(ref.Violations) {
 			t.Fatalf("run %d: %d violations, want %d", i, len(got.Violations), len(ref.Violations))
 		}
@@ -166,7 +173,7 @@ func TestReportDeterministic(t *testing.T) {
 // and still returns a reproducible violation.
 func TestStopAtFirstViolation(t *testing.T) {
 	cfg := scenarios.BugConfig(scenarios.BugII) // StopAtFirstViolation set
-	par := New(cfg, Options{Workers: 4}).Run()
+	par := parallel(cfg, 4, nil)
 	v := par.FirstViolation()
 	if v == nil {
 		t.Fatal("no violation found")
@@ -185,7 +192,7 @@ func TestStopAtFirstViolation(t *testing.T) {
 func TestMaxTransitionsBudget(t *testing.T) {
 	cfg := scenarios.PingPong(3)
 	cfg.MaxTransitions = 50
-	par := New(cfg, Options{Workers: 4}).Run()
+	par := parallel(cfg, 4, nil)
 	if par.Complete {
 		t.Error("report marked complete despite the budget")
 	}
@@ -200,9 +207,8 @@ func TestMaxTransitionsBudget(t *testing.T) {
 // violations — does not depend on the worker count.
 func TestSwarmWorkerInvariance(t *testing.T) {
 	run := func(workers int) *core.Report {
-		return New(scenarios.PingPong(3), Options{
-			Strategy: Swarm, Workers: workers, Seed: 7, Walks: 32, Steps: 60,
-		}).Run()
+		return SwarmEngine().Search(context.Background(), scenarios.PingPong(3),
+			core.EngineOptions{Workers: workers, Seed: 7, Walks: 32, Steps: 60})
 	}
 	ref := run(1)
 	for _, workers := range []int{2, 4} {
@@ -218,7 +224,8 @@ func TestSwarmWorkerInvariance(t *testing.T) {
 // (cmd/nice's walk mode) and its finds replay deterministically.
 func TestSwarmFindsViolation(t *testing.T) {
 	cfg := scenarios.BugConfig(scenarios.BugIV)
-	par := New(cfg, Options{Strategy: Swarm, Workers: 4, Seed: 1, Walks: 100, Steps: 60}).Run()
+	par := SwarmEngine().Search(context.Background(), cfg,
+		core.EngineOptions{Workers: 4, Seed: 1, Walks: 100, Steps: 60})
 	v := par.FirstViolation()
 	if v == nil {
 		t.Fatal("swarm found no violation on BUG-IV")
@@ -247,8 +254,7 @@ func TestSeenSet(t *testing.T) {
 // TestFrontierStealing exercises push/pop/steal ordering: owners pop
 // newest-first, thieves steal oldest-first.
 func TestFrontierStealing(t *testing.T) {
-	var stop core.StopControl
-	f := newFrontier(2, &stop)
+	f := newFrontier(2, new(core.Session))
 	d1 := (*core.PathNode)(nil).Child(core.Transition{})
 	d2 := d1.Child(core.Transition{})
 	a := item{}
@@ -268,41 +274,5 @@ func TestFrontierStealing(t *testing.T) {
 	}
 	if _, ok := f.popLocal(0); ok {
 		t.Fatal("deque should be empty")
-	}
-}
-
-// TestCollectorTraceDedup: the merged report keeps one violation per
-// (property, trace fingerprint) — workers or swarm walks that race to
-// the same violating execution (possibly rendering slightly different
-// error text) report it once, not once per worker — while distinct
-// traces for the same property survive under their own error keys.
-func TestCollectorTraceDedup(t *testing.T) {
-	c := newCollector()
-	traceA := []core.Transition{{Kind: core.THostDiscover, Host: 1}}
-	traceB := []core.Transition{{Kind: core.THostDiscover, Host: 1},
-		{Kind: core.TSwitchProcess, Sw: 1}}
-
-	if !c.add(core.Violation{Property: "P", Err: errors.New("worker 0 wording"), Trace: traceA}) {
-		t.Fatal("first add must report a new key")
-	}
-	if c.add(core.Violation{Property: "P", Err: errors.New("worker 0 wording"), Trace: traceA}) {
-		t.Fatal("repeat add must not report a new key")
-	}
-	// Same property and trace, different error text: merged away.
-	c.add(core.Violation{Property: "P", Err: errors.New("worker 1 wording"), Trace: traceA})
-	// Same property, genuinely different trace: kept.
-	c.add(core.Violation{Property: "P", Err: errors.New("deeper failure"), Trace: traceB})
-	// Different property, same trace: kept.
-	c.add(core.Violation{Property: "Q", Err: errors.New("other property"), Trace: traceA})
-
-	got := c.violations()
-	if len(got) != 3 {
-		for _, v := range got {
-			t.Logf("kept: %s | %v (%d steps)", v.Property, v.Err, len(v.Trace))
-		}
-		t.Fatalf("merged %d violations, want 3", len(got))
-	}
-	if TraceFingerprint(traceA) == TraceFingerprint(traceB) {
-		t.Fatal("distinct traces share a fingerprint")
 	}
 }

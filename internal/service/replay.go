@@ -27,7 +27,7 @@ type ReplayResult struct {
 // trace must reproduce the recorded violation (same property, same
 // property+trace fingerprint) for Reproduced to hold.
 func ReplayArtifact(ta *TraceArtifact) (*ReplayResult, error) {
-	cfg, _, err := buildConfig(&ta.Request)
+	cfg, err := buildConfig(&ta.Request)
 	if err != nil {
 		return nil, fmt.Errorf("replay: %w", err)
 	}

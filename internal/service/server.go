@@ -9,8 +9,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	// Registers the concolic engine so jobs can request it by name;
-	// dfs/walks live in core and parallel/swarm register via the search
+	// Registers the concolic engine so jobs can request it by name; dfs
+	// lives in core and parallel/swarm/walks register via the search
 	// import below.
 	_ "github.com/nice-go/nice/internal/concolic"
 	"github.com/nice-go/nice/internal/core"
@@ -93,12 +93,6 @@ func newServiceTelemetry(reg *telemetry.Registry) *serviceTelemetry {
 	}
 }
 
-// tenant is one submitter's shared drawdown pool.
-type tenant struct {
-	statesLeft atomic.Int64
-	transLeft  atomic.Int64
-}
-
 // Server is the long-running checking service: a bounded worker pool
 // over a job queue, per-job event streams, per-tenant budgets, one
 // shared LRU-bounded discover memo, and an artifact store.
@@ -120,7 +114,7 @@ type Server struct {
 	order    []string
 	nextID   int
 	queue    chan *job
-	tenants  map[string]*tenant
+	tenants  map[string]*core.Drawdown // one shared pool per submitter
 	shutdown bool
 }
 
@@ -161,7 +155,7 @@ func New(opts Options) (*Server, error) {
 		cancel:  cancel,
 		jobs:    make(map[string]*job),
 		queue:   make(chan *job, opts.QueueLimit),
-		tenants: make(map[string]*tenant),
+		tenants: make(map[string]*core.Drawdown),
 	}
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
@@ -192,7 +186,7 @@ func (s *Server) Submit(tenantName string, req *JobRequest) (*job, error) {
 	}
 	// Resolve the scenario now so an unknown name is a 400 at submit,
 	// not a failed job; the config itself is rebuilt when the job runs.
-	if _, _, err := buildConfig(req); err != nil {
+	if _, err := buildConfig(req); err != nil {
 		return nil, &submitError{status: 400, msg: err.Error()}
 	}
 	if tenantName == "" {
@@ -206,13 +200,11 @@ func (s *Server) Submit(tenantName string, req *JobRequest) (*job, error) {
 	}
 	tn := s.tenants[tenantName]
 	if tn == nil {
-		tn = &tenant{}
-		tn.statesLeft.Store(s.opts.TenantMaxStates)
-		tn.transLeft.Store(s.opts.TenantMaxTransitions)
+		tn = core.NewDrawdown(core.Budget{
+			States: s.opts.TenantMaxStates, Transitions: s.opts.TenantMaxTransitions})
 		s.tenants[tenantName] = tn
 	}
-	if (s.opts.TenantMaxStates > 0 && tn.statesLeft.Load() <= 0) ||
-		(s.opts.TenantMaxTransitions > 0 && tn.transLeft.Load() <= 0) {
+	if tn.Exhausted() {
 		s.tel.rejected.Inc()
 		return nil, &submitError{status: 429, msg: "tenant budget exhausted"}
 	}
@@ -294,39 +286,24 @@ func (s *Server) worker() {
 	}
 }
 
-// buildConfig resolves a request into a runnable Config plus the
-// scenario's expected-violation property. A panicking scenario Build
-// hook surfaces as an error.
-func buildConfig(req *JobRequest) (cfg *core.Config, expected string, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			cfg, expected, err = nil, "", fmt.Errorf("building scenario: %v", r)
-		}
-	}()
+// buildConfig resolves a request — a registry name or an inline spec —
+// into a runnable Config.
+func buildConfig(req *JobRequest) (*core.Config, error) {
 	var sc scenarios.Scenario
 	if req.Scenario != "" {
 		var ok bool
-		sc, ok = scenarios.Lookup(req.Scenario)
-		if !ok {
-			return nil, "", fmt.Errorf("unknown scenario %q", req.Scenario)
+		if sc, ok = scenarios.Lookup(req.Scenario); !ok {
+			return nil, fmt.Errorf("unknown scenario %q", req.Scenario)
 		}
 	} else {
-		sp, cerr := req.Spec.Compile()
-		if cerr != nil {
-			return nil, "", cerr
+		sp, err := req.Spec.Compile()
+		if err != nil {
+			return nil, err
 		}
 		sc = sp.Scenario()
 	}
-	strat, _ := scenarios.ParseStrategy(req.Strategy)
-	if req.Fixed {
-		if cfg = sc.FixedConfig(req.Scale); cfg == nil {
-			return nil, "", fmt.Errorf("scenario %q has no repaired variant", sc.Name)
-		}
-	} else {
-		cfg = sc.Config(req.Scale)
-		expected = sc.ExpectedProperty
-	}
-	return sc.Apply(cfg, strat), expected, nil
+	cfg, _, err := sc.Resolve(req.Scale, req.Strategy, req.Fixed)
+	return cfg, err
 }
 
 // runJob executes one job end to end: build, clamp budgets against
@@ -355,9 +332,19 @@ func (s *Server) runJob(j *job) {
 
 	s.tel.running.Set(s.running.Add(1))
 	defer func() { s.tel.running.Set(s.running.Add(-1)) }()
+	// A panic in the job's application or property code — on whichever
+	// goroutine the engine ran it (core.Session.Guard hands it back to
+	// this one) — ends this job as an error; the worker, and with it
+	// every other tenant's jobs, carries on.
+	defer func() {
+		if r := recover(); r != nil {
+			s.tel.errored.Inc()
+			j.setState(StateError, nil, fmt.Sprintf("job panicked: %v", r))
+		}
+	}()
 	j.setState(StateRunning, nil, "")
 
-	cfg, _, err := buildConfig(&j.req)
+	cfg, err := buildConfig(&j.req)
 	if err != nil {
 		s.tel.errored.Inc()
 		j.setState(StateError, nil, err.Error())
@@ -370,36 +357,14 @@ func (s *Server) runJob(j *job) {
 
 	// Budget clamping, Campaign-style: the job's own asks, capped by
 	// the server's per-job limits, capped by the tenant's remaining
-	// drawdown. Track whether the drawdown is the binding limit.
-	minPos := func(vals ...int64) int64 {
-		var m int64
-		for _, v := range vals {
-			if v > 0 && (m == 0 || v < m) {
-				m = v
-			}
-		}
-		return m
-	}
-	maxStates := minPos(j.req.MaxStates, s.opts.JobMaxStates)
-	maxTrans := minPos(j.req.MaxTransitions, s.opts.JobMaxTransitions)
-	var drawStates, drawTrans bool
-	if s.opts.TenantMaxStates > 0 {
-		if left := tn.statesLeft.Load(); maxStates == 0 || left < maxStates {
-			maxStates = left
-			drawStates = true
-		}
-	}
-	if s.opts.TenantMaxTransitions > 0 {
-		if left := tn.transLeft.Load(); maxTrans == 0 || left < maxTrans {
-			maxTrans = left
-			drawTrans = true
-		}
-	}
+	// drawdown.
+	claim := tn.Clamp(core.Budget{States: j.req.MaxStates, Transitions: j.req.MaxTransitions}.
+		Min(core.Budget{States: s.opts.JobMaxStates, Transitions: s.opts.JobMaxTransitions}))
 
 	eo := core.EngineOptions{
 		Workers:        j.req.Workers,
-		MaxStates:      maxStates,
-		MaxTransitions: maxTrans,
+		MaxStates:      claim.States,
+		MaxTransitions: claim.Transitions,
 		Caches:         s.cc,
 		Telemetry:      s.reg,
 		ProgressEvery:  s.opts.ProgressEvery,
@@ -437,10 +402,6 @@ func (s *Server) runJob(j *job) {
 	}
 
 	report := engine.Search(ctx, cfg, eo)
-	if tn != nil {
-		tn.statesLeft.Add(-report.UniqueStates)
-		tn.transLeft.Add(-report.Transitions)
-	}
 
 	result := &JobResult{
 		Transitions:  report.Transitions,
@@ -449,8 +410,7 @@ func (s *Server) runJob(j *job) {
 		Complete:     report.Complete,
 		StopReason:   string(report.StopReason),
 		ElapsedMS:    report.Elapsed.Milliseconds(),
-		Starved: (drawStates && report.StopReason == core.StopMaxStates) ||
-			(drawTrans && report.StopReason == core.StopMaxTransitions),
+		Starved:      tn.Draw(claim, report),
 	}
 	if result.Starved {
 		s.tel.starved.Inc()

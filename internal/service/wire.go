@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/nice-go/nice/internal/core"
-	"github.com/nice-go/nice/internal/search"
 	"github.com/nice-go/nice/openflow"
 	"github.com/nice-go/nice/scenarios"
 	"github.com/nice-go/nice/topo"
@@ -172,7 +171,7 @@ type WireTransition struct {
 // the property name plus the 64-bit trace fingerprint the engines
 // already dedup on.
 func ViolationFingerprint(v *core.Violation) string {
-	return fmt.Sprintf("%s:%016x", v.Property, search.TraceFingerprint(v.Trace))
+	return fmt.Sprintf("%s:%016x", v.Property, core.TraceFingerprint(v.Trace))
 }
 
 // EncodeViolation converts an engine violation to its wire form.

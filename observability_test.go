@@ -8,6 +8,8 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -91,26 +93,55 @@ func TestObserverOrderingParallel(t *testing.T) {
 	}
 }
 
-// TestTelemetryAcrossEngines: with a registry attached, every engine
-// publishes counters that agree with its report, a populated depth
-// histogram, COW-layer counts, and a trace stream bracketed by
-// search-start/search-stop.
+// TestTelemetryAcrossEngines is the one engine contract, driven by the
+// registry: whichever engine runs, a search is Begin → explore → End on
+// a core.Session, so every registered engine must deliver the same
+// guarantees — on an all-violations search with several violations:
+//
+//   - exactly one Final progress snapshot, delivered last, carrying the
+//     Report's counters;
+//   - <Strategy>.transitions/unique_states/violations equal to the
+//     Report, a populated depth histogram, COW and discover-cache counts;
+//   - a trace ring that starts on search-start and ends on search-stop;
+//   - Report.Violations sorted by (property, error), every trace
+//     replaying to its property;
+//   - and, across the three exhaustive engines, the identical ordered
+//     property|error list — a violation is a fact of the model, not of
+//     the engine that found it.
 func TestTelemetryAcrossEngines(t *testing.T) {
-	engines := map[string]struct {
-		opts  []nice.RunOption
-		forks bool // exhaustive engines fork per transition; walks apply in place
-	}{
-		"dfs":      {forks: true},
-		"parallel": {opts: []nice.RunOption{nice.WithWorkers(4)}, forks: true},
-		"walks":    {opts: []nice.RunOption{nice.WithWalks(7, 50, 60)}},
-		"swarm":    {opts: []nice.RunOption{nice.WithWalks(7, 50, 60), nice.WithWorkers(4)}},
-	}
-	for engine, tc := range engines {
-		eopts, wantForks := tc.opts, tc.forks
-		t.Run(engine, func(t *testing.T) {
+	build := func() *nice.Config { return scenarios.MustLookup("loadbalancer-bench").Config(3) }
+	exhaustive := map[string][]string{"dfs": nil, "parallel": nil, "concolic": nil}
+	for _, spec := range nice.EngineSpecs() {
+		t.Run(spec.Name, func(t *testing.T) {
 			reg := nice.NewTelemetry()
-			opts := append([]nice.RunOption{nice.WithTelemetry(reg)}, eopts...)
-			report := nice.Run(context.Background(), fullBugII(), opts...)
+			obs := &orderingObserver{}
+			report := nice.Run(context.Background(), build(),
+				nice.WithEngine(spec.New()), nice.WithWorkers(4), nice.WithWalks(7, 50, 60),
+				nice.WithTelemetry(reg), nice.WithObserver(obs), nice.WithProgressEvery(time.Millisecond))
+			if report.Strategy != spec.Name {
+				t.Fatalf("Report.Strategy = %q, want the registry name %q", report.Strategy, spec.Name)
+			}
+			if len(report.Violations) < 2 {
+				t.Fatalf("%d violations: the contract needs a search with several", len(report.Violations))
+			}
+
+			obs.mu.Lock()
+			defer obs.mu.Unlock()
+			for i, ev := range obs.events {
+				if (ev == "final") != (i == len(obs.events)-1) {
+					t.Fatalf("observer event %d of %d is %q: want exactly one final, delivered last",
+						i+1, len(obs.events), ev)
+				}
+			}
+			last := obs.progress[len(obs.progress)-1]
+			if last.Strategy != spec.Name || last.Transitions != report.Transitions ||
+				last.UniqueStates != report.UniqueStates || last.Revisits != report.Revisits ||
+				last.Truncated != report.Truncated || last.SERuns != report.SERuns {
+				t.Errorf("final snapshot %+v does not carry the report's counters %+v", last, report)
+			}
+			if len(obs.violations) < len(report.Violations) {
+				t.Errorf("streamed %d violations, report has %d", len(obs.violations), len(report.Violations))
+			}
 
 			snap := reg.Snapshot()
 			if err := snap.Validate(); err != nil {
@@ -126,15 +157,11 @@ func TestTelemetryAcrossEngines(t *testing.T) {
 			if got := snap.Counter(scope + ".violations"); got != int64(len(report.Violations)) {
 				t.Errorf("%s.violations = %d, report has %d", scope, got, len(report.Violations))
 			}
-			depth, ok := snap.Histograms[scope+".depth"]
-			if !ok || depth.Count == 0 {
-				t.Errorf("%s.depth histogram missing or empty", scope)
+			if depth, ok := snap.Histograms[scope+".depth"]; !ok || depth.Count == 0 || depth.Count > report.UniqueStates {
+				t.Errorf("%s.depth observed %d states, report has %d", scope, depth.Count, report.UniqueStates)
 			}
-			if depth.Count > report.UniqueStates {
-				t.Errorf("%s.depth observed %d states, report has %d",
-					scope, depth.Count, report.UniqueStates)
-			}
-			if wantForks && (snap.Counter("cow.forks") == 0 || snap.Counter("cow.releases") == 0) {
+			// Exhaustive engines fork per transition; walks apply in place.
+			if _, forks := exhaustive[spec.Name]; forks && (snap.Counter("cow.forks") == 0 || snap.Counter("cow.releases") == 0) {
 				t.Errorf("COW layer not counted: forks=%d releases=%d",
 					snap.Counter("cow.forks"), snap.Counter("cow.releases"))
 			}
@@ -145,15 +172,36 @@ func TestTelemetryAcrossEngines(t *testing.T) {
 			if len(snap.Trace) < 2 {
 				t.Fatalf("trace stream has %d events, want at least start+stop", len(snap.Trace))
 			}
-			first, last := snap.Trace[0], snap.Trace[len(snap.Trace)-1]
+			first, stop := snap.Trace[0], snap.Trace[len(snap.Trace)-1]
 			if first.Kind != nice.TraceSearchStart {
 				t.Errorf("first trace event = %q, want %q", first.Kind, nice.TraceSearchStart)
 			}
-			if last.Kind != nice.TraceSearchStop || last.N != report.UniqueStates {
+			if stop.Kind != nice.TraceSearchStop || stop.N != report.UniqueStates {
 				t.Errorf("last trace event = %q/%d, want %q/%d",
-					last.Kind, last.N, nice.TraceSearchStop, report.UniqueStates)
+					stop.Kind, stop.N, nice.TraceSearchStop, report.UniqueStates)
+			}
+
+			keys := make([]string, len(report.Violations))
+			for i, v := range report.Violations {
+				keys[i] = v.Property + "|" + v.Err.Error()
+			}
+			if !sort.SliceIsSorted(report.Violations, func(i, j int) bool {
+				a, b := report.Violations[i], report.Violations[j]
+				return a.Property < b.Property || (a.Property == b.Property && a.Err.Error() < b.Err.Error())
+			}) {
+				t.Errorf("Report.Violations not sorted by (property, error): %q", keys)
+			}
+			replayAll(t, build, report)
+			if _, ok := exhaustive[spec.Name]; ok {
+				exhaustive[spec.Name] = keys
 			}
 		})
+	}
+	for _, name := range []string{"parallel", "concolic"} {
+		if !slices.Equal(exhaustive[name], exhaustive["dfs"]) {
+			t.Errorf("%s reports %q,\ndfs reports %q: the ordered violation list must not depend on the engine",
+				name, exhaustive[name], exhaustive["dfs"])
+		}
 	}
 }
 

@@ -599,7 +599,7 @@ func (s *Switch) hashState(table uint64) uint64 {
 }
 
 // StateKey renders the switch state canonically, from scratch: the
-// string twin of KeyHash64 that OracleKey, Config.OracleHash and debug
+// string twin of KeyHash64 that OracleKey, core.WithOracleHash and debug
 // output read. canonical and includeCounters are KeyHash64's.
 func (s *Switch) StateKey(canonical, includeCounters bool) string {
 	b := make([]byte, 0, 256)

@@ -1,9 +1,9 @@
 // Differential parity for the unified entry point: on every registered
-// Table 2 scenario, under every Table 2 strategy column, nice.Run must
-// reproduce the legacy entry points' exact unique-state and transition
-// counts and violated-property sets once the discover caches are warm
-// (warm caches pin down state identity, making counts
-// schedule-independent — the same setting internal/search's
+// Table 2 scenario, under every Table 2 strategy column, nice.Run on the
+// parallel engine must reproduce the sequential checker's exact
+// unique-state and transition counts and violated-property sets once the
+// discover caches are warm (warm caches pin down state identity, making
+// counts schedule-independent — the same setting internal/search's
 // differential tests use).
 package nice_test
 
@@ -13,7 +13,6 @@ import (
 
 	"github.com/nice-go/nice"
 	"github.com/nice-go/nice/internal/core"
-	"github.com/nice-go/nice/internal/search"
 	"github.com/nice-go/nice/scenarios"
 )
 
@@ -38,10 +37,9 @@ func sameSet(a, b map[string]bool) bool {
 }
 
 // TestRunRegistryMatrixParity sweeps the registry's Table 2 scenarios ×
-// strategy columns: Run on the sequential engine must match the legacy
-// sequential checker exactly, Run on the parallel engine must match the
-// legacy parallel engine exactly, and the found/missed outcome must
-// match the registry's expected-violation matrix.
+// strategy columns: Run on the parallel engine must match the
+// sequential checker exactly, and the found/missed outcome must match
+// the registry's expected-violation matrix.
 func TestRunRegistryMatrixParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry × strategy × engine sweep is slow")
@@ -60,36 +58,17 @@ func TestRunRegistryMatrixParity(t *testing.T) {
 				cc := nice.NewCaches()
 				core.NewCheckerWith(build(), cc).Run() // warm the discover caches
 
-				legacySeq := core.NewCheckerWith(build(), cc).Run()
 				runSeq := nice.Run(ctx, build(), nice.WithCaches(cc))
-				if runSeq.UniqueStates != legacySeq.UniqueStates ||
-					runSeq.Transitions != legacySeq.Transitions {
-					t.Errorf("Run(seq) states/trans %d/%d != legacy checker %d/%d",
-						runSeq.UniqueStates, runSeq.Transitions,
-						legacySeq.UniqueStates, legacySeq.Transitions)
-				}
-				if !sameSet(violatedSet(runSeq), violatedSet(legacySeq)) {
-					t.Errorf("Run(seq) violations %v != legacy %v",
-						violatedSet(runSeq), violatedSet(legacySeq))
-				}
-
-				legacyPar := search.NewWith(build(), search.Options{Workers: 4}, cc).Run()
 				runPar := nice.Run(ctx, build(), nice.WithWorkers(4), nice.WithCaches(cc))
-				if runPar.UniqueStates != legacyPar.UniqueStates ||
-					runPar.Transitions != legacyPar.Transitions {
-					t.Errorf("Run(parallel) states/trans %d/%d != legacy engine %d/%d",
-						runPar.UniqueStates, runPar.Transitions,
-						legacyPar.UniqueStates, legacyPar.Transitions)
-				}
-				if runPar.UniqueStates != legacySeq.UniqueStates ||
-					runPar.Transitions != legacySeq.Transitions {
+				if runPar.UniqueStates != runSeq.UniqueStates ||
+					runPar.Transitions != runSeq.Transitions {
 					t.Errorf("Run(parallel) states/trans %d/%d != sequential %d/%d (warm caches)",
 						runPar.UniqueStates, runPar.Transitions,
-						legacySeq.UniqueStates, legacySeq.Transitions)
+						runSeq.UniqueStates, runSeq.Transitions)
 				}
-				if !sameSet(violatedSet(runPar), violatedSet(legacySeq)) {
+				if !sameSet(violatedSet(runPar), violatedSet(runSeq)) {
 					t.Errorf("Run(parallel) violations %v != sequential %v",
-						violatedSet(runPar), violatedSet(legacySeq))
+						violatedSet(runPar), violatedSet(runSeq))
 				}
 
 				// The full search finds the bug's property exactly when
@@ -105,8 +84,9 @@ func TestRunRegistryMatrixParity(t *testing.T) {
 	}
 }
 
-// TestRunSwarmWarmParity: with warm shared caches, Run's swarm matches
-// the legacy swarm engine walk for walk on every Table 2 scenario.
+// TestRunSwarmWarmParity: with warm shared caches, the swarm is
+// deterministic run to run on every Table 2 scenario — walk i always
+// draws from seed+i, whatever the workers' interleaving.
 func TestRunSwarmWarmParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("swarm sweep is slow")
@@ -124,21 +104,21 @@ func TestRunSwarmWarmParity(t *testing.T) {
 			cc := nice.NewCaches()
 			core.NewCheckerWith(build(), cc).Run() // warm the discover caches
 
-			legacy := search.NewWith(build(), search.Options{
-				Strategy: search.Swarm, Workers: 2, Seed: 11, Walks: 30, Steps: 60,
-			}, cc).Run()
-			got := nice.Run(ctx, build(),
-				nice.WithWalks(11, 30, 60), nice.WithWorkers(2), nice.WithCaches(cc))
+			swarm := func() *nice.Report {
+				return nice.Run(ctx, build(),
+					nice.WithWalks(11, 30, 60), nice.WithWorkers(2), nice.WithCaches(cc))
+			}
+			first, got := swarm(), swarm()
 			if got.Strategy != "swarm" {
 				t.Fatalf("engine = %q, want swarm", got.Strategy)
 			}
-			if got.Transitions != legacy.Transitions || got.UniqueStates != legacy.UniqueStates {
-				t.Errorf("Run(swarm) trans/states %d/%d != legacy swarm %d/%d",
-					got.Transitions, got.UniqueStates, legacy.Transitions, legacy.UniqueStates)
+			if got.Transitions != first.Transitions || got.UniqueStates != first.UniqueStates {
+				t.Errorf("second swarm trans/states %d/%d != first %d/%d",
+					got.Transitions, got.UniqueStates, first.Transitions, first.UniqueStates)
 			}
-			if !sameSet(violatedSet(got), violatedSet(legacy)) {
-				t.Errorf("Run(swarm) violations %v != legacy %v",
-					violatedSet(got), violatedSet(legacy))
+			if !sameSet(violatedSet(got), violatedSet(first)) {
+				t.Errorf("second swarm violations %v != first %v",
+					violatedSet(got), violatedSet(first))
 			}
 		})
 	}

@@ -13,12 +13,14 @@ import (
 // options can be used without importing internal packages.
 type (
 	// Engine is a pluggable search strategy: the sequential DFS
-	// checker, the parallel work-stealing engine, random walks and the
-	// seeded swarm all implement it. Run drives whichever is selected.
+	// checker, the parallel work-stealing engine, random walks, the
+	// seeded swarm and the concolic loop all implement it. Run drives
+	// whichever is selected.
 	Engine = core.Engine
 	// Observer receives streaming search results: violations as they
-	// are found and periodic Progress snapshots. Parallel engines call
-	// it from multiple goroutines; implementations must be safe for
+	// are found and periodic Progress snapshots. Every engine delivers
+	// progress from a timer goroutine, and the parallel ones
+	// violations from their workers; implementations must be safe for
 	// concurrent use.
 	Observer = core.Observer
 	// ObserverFuncs adapts plain functions to Observer.
@@ -90,9 +92,9 @@ var (
 	// breadth-first. WithWorkers sizes the pool; 1 delegates to the
 	// sequential checker.
 	ParallelHybrid = search.Parallel
-	// RandomWalks is the legacy sequential random-walk mode (§1.3):
-	// walks drawn from one seeded rand stream.
-	RandomWalks = core.Walks
+	// RandomWalks is the sequential random-walk mode (§1.3): the
+	// swarm's loop on one worker, so walk i uses seed+i here too.
+	RandomWalks = search.Walks
 	// SeededSwarm is the parallel random-walk swarm: walk i always
 	// uses seed+i, so the walk set is worker-count-invariant when
 	// state identity is schedule-independent.
@@ -220,8 +222,8 @@ func WithReduction(r Reduction) RunOption {
 
 // WithTelemetry attaches a metrics registry to the search: the engine
 // publishes its counters, depth histogram and trace events under its
-// scope ("dfs", "parallel", "walks", "swarm"), the COW layer under
-// "cow", and the discover caches under "cache". A nil registry — or no
+// scope ("dfs", "parallel", "walks", "swarm", "concolic"), the COW
+// layer under "cow", and the discover caches under "cache". A nil registry — or no
 // WithTelemetry at all — keeps every instrumentation site on its
 // single-branch disabled fast path.
 func WithTelemetry(reg *Telemetry) RunOption {

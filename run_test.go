@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/nice-go/nice"
-	"github.com/nice-go/nice/internal/core"
 	"github.com/nice-go/nice/scenarios"
 )
 
@@ -183,24 +182,17 @@ func TestRunDeadline(t *testing.T) {
 	}
 }
 
-// TestRunWalkEngines: WithWalks selects the legacy random-walk engine
-// and reproduces a direct Walks().Search exactly; adding WithWorkers
-// selects the swarm and reproduces the swarm's worker-invariant walk set.
+// TestRunWalkEngines: WithWalks selects the sequential random-walk
+// engine; adding WithWorkers selects the swarm; what either finds
+// replays.
 func TestRunWalkEngines(t *testing.T) {
 	build := func() *nice.Config { return scenarios.MustLookup("bug-iv").Config(0) }
 
-	legacy := core.Walks().Search(context.Background(), build(),
-		core.EngineOptions{Seed: 7, Walks: 40, Steps: 60})
 	got := nice.Run(context.Background(), build(), nice.WithWalks(7, 40, 60))
 	if got.Strategy != "walks" {
 		t.Errorf("walk engine = %q, want walks", got.Strategy)
 	}
-	if got.Transitions != legacy.Transitions || got.UniqueStates != legacy.UniqueStates ||
-		len(got.Violations) != len(legacy.Violations) {
-		t.Errorf("Run walks trans/states/viols %d/%d/%d != Walks().Search %d/%d/%d",
-			got.Transitions, got.UniqueStates, len(got.Violations),
-			legacy.Transitions, legacy.UniqueStates, len(legacy.Violations))
-	}
+	replayAll(t, build, got)
 
 	swarm := nice.Run(context.Background(), build(),
 		nice.WithWalks(7, 40, 60), nice.WithWorkers(2))
@@ -260,9 +252,10 @@ func TestObserverStreaming(t *testing.T) {
 		nonFinal := len(obs.progress) - finals
 		obs.mu.Unlock()
 
-		// The parallel collector may stream a (property, error) key and
-		// later drop it at merge time in favor of a same-trace twin, so
-		// streamed >= reported; sequential streams exactly the report.
+		// The violation set may stream a (property, error) key and later
+		// drop it at merge time in favor of a same-trace twin, so
+		// streamed >= reported; this workload's one violation has no
+		// twin, so the sequential stream is exactly the report.
 		if streamed < len(report.Violations) {
 			t.Errorf("%s: streamed %d violations, report has %d",
 				name, streamed, len(report.Violations))

@@ -1,6 +1,7 @@
 package scenarios_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -10,14 +11,10 @@ import (
 	"github.com/nice-go/nice/scenarios"
 )
 
-// oracle copies a config with OracleHash set: states are identified by
+// oracle copies a config onto the oracle hash: states are identified by
 // hashing the full from-scratch serialization instead of the incremental
 // component-hash combination.
-func oracle(cfg *core.Config) *core.Config {
-	c := *cfg
-	c.OracleHash = true
-	return &c
-}
+var oracle = core.WithOracleHash
 
 func violated(r *core.Report) map[string]bool {
 	set := make(map[string]bool)
@@ -91,7 +88,8 @@ func TestFingerprintOracleParity(t *testing.T) {
 
 				// Warm, parallel: the work-stealing engine on incremental
 				// fingerprints against the sequential oracle.
-				par := search.NewWith(mk(), search.Options{Workers: 4}, cc).Run()
+				par := search.Parallel().Search(context.Background(), mk(),
+					core.EngineOptions{Workers: 4, Caches: cc})
 				if par.UniqueStates != orcW.UniqueStates || par.Transitions != orcW.Transitions {
 					t.Errorf("parallel incremental states/trans %d/%d != sequential oracle %d/%d",
 						par.UniqueStates, par.Transitions, orcW.UniqueStates, orcW.Transitions)

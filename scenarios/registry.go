@@ -79,6 +79,32 @@ func (s Scenario) Apply(cfg *core.Config, strat Strategy) *core.Config {
 	return s.Strategize(cfg, strat)
 }
 
+// Resolve builds the configuration every front end runs — the CLI, a
+// Campaign job, a service job: the buggy or repaired application at a
+// scale (<= 0 = DefaultScale) under one Table 2 strategy column, named
+// as ParseStrategy spells it. Build hooks fail loudly on an invalid
+// scale (an odd fat-tree arity, say); that panic is an error here, not
+// a dead caller.
+func (s Scenario) Resolve(scale int, strategy string, fixed bool) (cfg *core.Config, strat Strategy, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			cfg, err = nil, fmt.Errorf("scenario %q: %v", s.Name, r)
+		}
+	}()
+	strat, ok := ParseStrategy(strategy)
+	if !ok {
+		return nil, strat, fmt.Errorf("unknown strategy %q", strategy)
+	}
+	if fixed {
+		if cfg = s.FixedConfig(scale); cfg == nil {
+			return nil, strat, fmt.Errorf("scenario %q has no repaired variant", s.Name)
+		}
+	} else {
+		cfg = s.Config(scale)
+	}
+	return s.Apply(cfg, strat), strat, nil
+}
+
 // registry is the process-wide scenario table. Built-ins register from
 // init below; external packages may Register their own workloads
 // (topologies, apps, properties) and every front end picks them up.

@@ -27,7 +27,7 @@ func TestFingerprintGolden(t *testing.T) {
 // three application families and checks, state by state, that the
 // structural fingerprint and the from-scratch string serialization
 // agree on which states are equal: one fingerprint per oracle key, one
-// oracle key per fingerprint. (The OracleHash parity suites assert the
+// oracle key per fingerprint. (The WithOracleHash parity suites assert the
 // same through search counts; this names the two states on failure.)
 func TestFingerprintAgreesWithOracleKey(t *testing.T) {
 	for _, name := range []string{"pyswitch-bench", "loadbalancer-bench", "bug-x", "bug-i"} {
