@@ -92,10 +92,12 @@ type Campaign struct {
 
 	// CachePrune bounds each shared discover-cache set when ShareCaches
 	// is on: after a job finishes, a set grown past CachePrune entries
-	// is emptied, counted and traced as cache evictions. Pruning is safe
-	// at any time, including while concurrent jobs are mid-search —
-	// eviction costs a running search re-discovery work, never soundness
-	// (see Caches) — so the bound applies at every Parallelism.
+	// is trimmed back to it, least recently used first
+	// (Caches.WithCapacity), counted and traced as cache evictions. The
+	// bound is lifted again before the next job, so a search never loses
+	// entries it is using. Jobs that run concurrently on one set
+	// (Parallelism > 1) can be trimmed mid-search; see Caches for what
+	// that can cost a frontier engine. 0 = unbounded.
 	CachePrune int
 
 	// OnJobStart / OnJobDone, when non-nil, observe the job lifecycle:
@@ -586,7 +588,8 @@ func (c *Campaign) runJob(ctx context.Context, job CampaignJob, budget *core.Dra
 	r := Run(ctx, cfg, opts...)
 	starved := budget.Draw(claim, r)
 	if cc != nil && c.CachePrune > 0 {
-		cc.Prune(c.CachePrune)
+		// Trim now, then lift the bound: no eviction during the next search.
+		cc.WithCapacity(c.CachePrune).WithCapacity(0)
 	}
 
 	res.Transitions = r.Transitions

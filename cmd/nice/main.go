@@ -129,7 +129,7 @@ func runAll(args []string) {
 		totalStates = fs.Int64("total-states", 0, "shared unique-state budget across all jobs")
 		totalTrans  = fs.Int64("total-transitions", 0, "shared transition budget across all jobs")
 		shareCaches = fs.Bool("share-caches", true, "share discover caches between strategy columns of one workload")
-		cachePrune  = fs.Int("cache-prune", 0, "empty a shared cache set grown past this many entries between sequential jobs (0 = never)")
+		cachePrune  = fs.Int("cache-prune", 0, "LRU bound on each shared cache set's entries, applied after each job (0 = unbounded)")
 		jsonPath    = fs.String("json", "", `write the merged report as JSON to this file ("-" = stdout)`)
 		metrAddr    = fs.String("metrics-addr", "", "serve live campaign metrics/trace/pprof on this address")
 		metrOut     = fs.String("metrics-out", "", "write the final campaign telemetry snapshot as JSON to this file")

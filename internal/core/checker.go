@@ -189,11 +189,7 @@ func (c *Checker) dfs(sys *System) {
 	depth := len(c.trace)
 	s.Admit(depth)
 
-	for len(c.transBufs) <= depth {
-		c.transBufs = append(c.transBufs, nil)
-	}
-	enabled := sys.EnabledInto(c.transBufs[depth])
-	c.transBufs[depth] = enabled[:0]
+	enabled := c.enabledAt(sys, depth)
 	if len(enabled) == 0 {
 		for _, f := range sys.CheckQuiescence() {
 			s.Record(Violation{Property: f.Property, Err: f.Err,
@@ -236,6 +232,17 @@ func (c *Checker) dfs(sys *System) {
 	}
 }
 
+// enabledAt enumerates sys's enabled transitions into the per-depth
+// buffer: a frame's transitions stay valid while deeper frames run.
+func (c *Checker) enabledAt(sys *System, depth int) []Transition {
+	for len(c.transBufs) <= depth {
+		c.transBufs = append(c.transBufs, nil)
+	}
+	enabled := sys.EnabledInto(c.transBufs[depth])
+	c.transBufs[depth] = enabled[:0]
+	return enabled
+}
+
 func cloneTrace(trace []Transition) []Transition {
 	return append([]Transition(nil), trace...)
 }
@@ -245,7 +252,7 @@ func cloneTrace(trace []Transition) []Transition {
 // Determinism of the components guarantees the same states arise (§6);
 // tests assert this by comparing hashes.
 func (c *Checker) Replay(trace []Transition) (*System, []Event) {
-	sys := newSystem(c.cfg, c.caches)
+	sys := NewSystemWith(c.cfg, c.caches)
 	var last []Event
 	for _, t := range trace {
 		last = sys.Apply(t)
@@ -257,7 +264,7 @@ func (c *Checker) Replay(trace []Transition) (*System, []Event) {
 // observers, returning the violation reproduced by the final transition
 // (or at quiescence), if any.
 func (c *Checker) ReplayWithProperties(trace []Transition) (*System, *Violation) {
-	sys := newSystem(c.cfg, c.caches)
+	sys := NewSystemWith(c.cfg, c.caches)
 	for i, t := range trace {
 		events := sys.Apply(t)
 		if fails := sys.CheckEvents(events); len(fails) > 0 {

@@ -396,17 +396,6 @@ func (c *Checker) dporVisit(sys *System, sleep []sleepEntry) dporSummary {
 	return c.storeSummary(h, node, c.dporExpand(sys, depth, enabled, sleep, nil))
 }
 
-// enabledAt enumerates sys's enabled transitions into the per-depth
-// buffer (the same reuse discipline as dfs()).
-func (c *Checker) enabledAt(sys *System, depth int) []Transition {
-	for len(c.transBufs) <= depth {
-		c.transBufs = append(c.transBufs, nil)
-	}
-	enabled := sys.EnabledInto(c.transBufs[depth])
-	c.transBufs[depth] = enabled[:0]
-	return enabled
-}
-
 // dporExpand runs the backtrack-set exploration loop at one state over
 // its enabled set. With only == nil this is a first expansion:
 // transitions in sleep start asleep and the first awake transition seeds

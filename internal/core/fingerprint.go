@@ -55,14 +55,14 @@ func (s *System) Fingerprint() canon.Digest {
 	// OracleKey): one word per host and switch, 0 when not cached.
 	if !s.cfg.DisableSE {
 		for _, host := range s.hosts {
-			if pkts, ok := s.caches.getPackets(packetsKeyWith(host, app)); ok {
+			if pkts, ok := s.caches.packets.get(packetsKeyWith(host, app)); ok {
 				h = h.Word(uint64(len(pkts)) + 1)
 			} else {
 				h = h.Word(0)
 			}
 		}
 		for _, sw := range s.swIDs {
-			if vs, ok := s.caches.getStats(statsCacheKey{sw: sw, app: app}); ok {
+			if vs, ok := s.caches.stats.get(statsCacheKey{sw: sw, app: app}); ok {
 				h = h.Word(uint64(len(vs)) + 1)
 			} else {
 				h = h.Word(0)

@@ -123,7 +123,7 @@ func (s *Session) Tel() *SearchTelemetry { return s.tel }
 // NewSystem builds a fresh initial state wired to the session's caches
 // and copy-on-write instrumentation.
 func (s *Session) NewSystem() *System {
-	sys := newSystem(s.cfg, s.eo.Caches)
+	sys := NewSystemWith(s.cfg, s.eo.Caches)
 	sys.met = s.sysTel
 	return sys
 }

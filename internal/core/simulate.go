@@ -15,7 +15,7 @@ type Simulator struct {
 // NewSimulator boots a system for interactive stepping.
 func NewSimulator(cfg *Config) *Simulator {
 	cc := NewCaches()
-	return &Simulator{cfg: cfg, caches: cc, sys: newSystem(cfg, cc)}
+	return &Simulator{cfg: cfg, caches: cc, sys: NewSystemWith(cfg, cc)}
 }
 
 // System exposes the current state.
@@ -45,6 +45,6 @@ func (s *Simulator) Step(i int) ([]Event, *Violation, error) {
 
 // Reset returns the simulator to the initial state.
 func (s *Simulator) Reset() {
-	s.sys = newSystem(s.cfg, s.caches)
+	s.sys = NewSystemWith(s.cfg, s.caches)
 	s.trace = nil
 }

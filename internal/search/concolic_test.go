@@ -1,22 +1,13 @@
-package concolic_test
+package search
 
 import (
 	"context"
 	"testing"
 
-	"github.com/nice-go/nice/internal/concolic"
 	"github.com/nice-go/nice/internal/core"
 	"github.com/nice-go/nice/internal/telemetry"
 	"github.com/nice-go/nice/scenarios"
 )
-
-func violated(r *core.Report) map[string]bool {
-	out := make(map[string]bool)
-	for _, v := range r.Violations {
-		out[v.Property] = true
-	}
-	return out
-}
 
 // TestConcolicRegistered pins the engine's registry entry — the CLI and
 // the service resolve it by name.
@@ -41,13 +32,13 @@ func TestConcolicFindsBugII(t *testing.T) {
 	cfg.StopAtFirstViolation = false
 
 	ref := core.NewChecker(cfg).Run()
-	loop := concolic.Loop().Search(context.Background(),
+	loop := Loop().Search(context.Background(),
 		scenarioConfig("bug-ii"), core.EngineOptions{Workers: 4, SymWorkers: 2})
 
 	if !loop.Complete || loop.StopReason != core.StopNone {
 		t.Fatalf("loop partial: %q", loop.StopReason)
 	}
-	want, got := violated(ref), violated(loop)
+	want, got := violatedSet(ref), violatedSet(loop)
 	if len(want) == 0 {
 		t.Fatal("reference search found no violations")
 	}
@@ -84,7 +75,7 @@ func TestConcolicFeedbackClasses(t *testing.T) {
 	core.NewCheckerWith(scenarioConfig("pingpong-se"), ccEager).Run()
 
 	ccLoop := core.NewCaches()
-	loop := concolic.Loop().Search(context.Background(), scenarioConfig("pingpong-se"),
+	loop := Loop().Search(context.Background(), scenarioConfig("pingpong-se"),
 		core.EngineOptions{Caches: ccLoop, Workers: 4, SymWorkers: 2})
 
 	if loop.FeedbackRounds == 0 {
@@ -111,7 +102,7 @@ func TestConcolicFeedbackClasses(t *testing.T) {
 // and the exhausted loop drops proactive targets instead of aborting
 // when demand discovery fits.
 func TestConcolicSymBudget(t *testing.T) {
-	r := concolic.Loop().Search(context.Background(), scenarioConfig("pingpong-se"),
+	r := Loop().Search(context.Background(), scenarioConfig("pingpong-se"),
 		core.EngineOptions{Workers: 2, SymWorkers: 1, SymBudget: 1})
 	if r.StopReason != core.StopSymBudget {
 		t.Errorf("StopReason = %q, want %q", r.StopReason, core.StopSymBudget)
@@ -120,7 +111,7 @@ func TestConcolicSymBudget(t *testing.T) {
 		t.Error("budget-stopped report must be partial")
 	}
 
-	full := concolic.Loop().Search(context.Background(), scenarioConfig("pingpong-se"),
+	full := Loop().Search(context.Background(), scenarioConfig("pingpong-se"),
 		core.EngineOptions{Workers: 2, SymWorkers: 1, SymBudget: 1 << 30})
 	if full.StopReason != core.StopNone || !full.Complete {
 		t.Errorf("roomy budget: stop=%q complete=%v", full.StopReason, full.Complete)
@@ -133,7 +124,7 @@ func TestConcolicSymBudget(t *testing.T) {
 func TestConcolicCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := concolic.Loop().Search(ctx, scenarioConfig("pingpong-se"), core.EngineOptions{})
+	r := Loop().Search(ctx, scenarioConfig("pingpong-se"), core.EngineOptions{})
 	if r.StopReason != core.StopCanceled {
 		t.Errorf("StopReason = %q, want %q", r.StopReason, core.StopCanceled)
 	}
@@ -147,7 +138,7 @@ func TestConcolicCancel(t *testing.T) {
 // = solver calls) and feedback_rounds must match the report.
 func TestConcolicTelemetry(t *testing.T) {
 	reg := telemetry.New()
-	loop := concolic.Loop().Search(context.Background(), scenarioConfig("pingpong-se"),
+	loop := Loop().Search(context.Background(), scenarioConfig("pingpong-se"),
 		core.EngineOptions{Workers: 2, SymWorkers: 2, Telemetry: reg})
 
 	counters := reg.Snapshot().Counters

@@ -69,6 +69,17 @@ func (f *frontier) push(w int, it item) {
 	d.mu.Unlock()
 }
 
+// popLast takes a queue's newest element, zeroing its slot so the
+// backing array does not keep a released System and its path reachable.
+func popLast[T any](q *[]T) T {
+	n := len(*q) - 1
+	v := (*q)[n]
+	var zero T
+	(*q)[n] = zero
+	*q = (*q)[:n]
+	return v
+}
+
 // popLocal takes the newest item from w's own deque (depth-first order).
 func (f *frontier) popLocal(w int) (item, bool) {
 	d := &f.deques[w]
@@ -77,9 +88,7 @@ func (f *frontier) popLocal(w int) (item, bool) {
 	if d.head >= len(d.items) {
 		return item{}, false
 	}
-	it := d.items[len(d.items)-1]
-	d.items[len(d.items)-1] = item{} // release for GC
-	d.items = d.items[:len(d.items)-1]
+	it := popLast(&d.items)
 	if d.head == len(d.items) {
 		d.items = d.items[:0]
 		d.head = 0

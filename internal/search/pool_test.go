@@ -12,8 +12,19 @@ import (
 // TestPooledBuffersConcurrent hammers the expansion buffer pools from
 // many goroutines — run under -race this proves the pooled event and
 // enabled-transition buffers never leak across concurrent expansions.
+// A concolic search runs alongside: both of its pools (search workers in
+// expand, solver workers in solve) borrow from the same pools.
 func TestPooledBuffersConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		r := Loop().Search(context.Background(), scenarioConfig("pingpong-se"),
+			core.EngineOptions{Workers: 2, SymWorkers: 2})
+		if !r.Complete {
+			t.Errorf("concolic run beside the pool churn stopped early: %q", r.StopReason)
+		}
+	}()
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {

@@ -12,12 +12,14 @@
 //   - per-worker frontiers with work-stealing, where each work item is
 //     a forked System plus the replayable trace prefix that reached it
 //     (frontier.go),
-//   - two loops over them: the default BFS/DFS hybrid (owners pop
-//     depth-first, thieves steal breadth-first) and seeded random walks,
-//     as a swarm or pinned to one worker (swarm.go).
+//   - three loops over them: the default BFS/DFS hybrid (owners pop
+//     depth-first, thieves steal breadth-first), seeded random walks, as
+//     a swarm or pinned to one worker (swarm.go), and the concolic
+//     feedback loop, which runs the hybrid's expansion step on one pool
+//     and symbolic execution on another (concolic.go).
 //
-// Each loop is a core.Engine (Parallel, SwarmEngine, Walks) and runs
-// inside a core.Session, which supplies what every engine shares:
+// Each loop is a core.Engine (Parallel, SwarmEngine, Walks, Loop) and
+// runs inside a core.Session, which supplies what every engine shares:
 // budgets, cancellation, the merged deterministic violation set,
 // streaming and the Report.
 //
@@ -77,12 +79,8 @@ func (parallelEngine) Search(ctx context.Context, cfg *core.Config, eo core.Engi
 		return core.DFS().Search(ctx, cfg, eo)
 	}
 	s := core.Begin(ctx, "parallel", cfg, eo, nil)
-	st := &hybridState{
-		s:        s,
-		cfg:      cfg,
-		seen:     newSeenSet(seenShards),
-		frontier: newFrontier(workers, s),
-	}
+	front := newFrontier(workers, s)
+	st := &expander{s: s, cfg: cfg, seen: newSeenSet(seenShards), push: front.push}
 	root := s.NewSystem()
 	if eo.Reduction == core.ReductionDPOR {
 		st.red = core.NewSleepReducer(root)
@@ -90,7 +88,7 @@ func (parallelEngine) Search(ctx context.Context, cfg *core.Config, eo core.Engi
 	}
 	st.seen.Add(root.Fingerprint())
 	s.Admit(0)
-	st.frontier.push(0, item{sys: root})
+	front.push(0, item{sys: root})
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -100,7 +98,7 @@ func (parallelEngine) Search(ctx context.Context, cfg *core.Config, eo core.Engi
 			defer s.Guard()
 			var sc core.SleepScratch
 			for {
-				it, ok := st.frontier.get(w)
+				it, ok := front.get(w)
 				if !ok {
 					return
 				}
@@ -109,7 +107,7 @@ func (parallelEngine) Search(ctx context.Context, cfg *core.Config, eo core.Engi
 				// struct and slice backings (components live on in
 				// the pushed children that borrowed them).
 				it.sys.Release()
-				st.frontier.done()
+				front.done()
 			}
 		}(w)
 	}
@@ -118,17 +116,51 @@ func (parallelEngine) Search(ctx context.Context, cfg *core.Config, eo core.Engi
 	return s.End(ctx)
 }
 
-// hybridState is what the parallel workers share beyond the Session.
-type hybridState struct {
-	s        *core.Session
-	cfg      *core.Config
-	seen     *seenSet
-	frontier *frontier
+// expander is the per-state expansion step and what its workers share
+// beyond the Session. The parallel engine and the concolic loop run the
+// same step; they differ in the two seams below.
+type expander struct {
+	s    *core.Session
+	cfg  *core.Config
+	seen *seenSet
+
+	// push enqueues an admitted child found by worker w: onto w's deque
+	// (parallel) or the loop's search queue (concolic).
+	push func(w int, it item)
+	// divert, when non-nil, is offered each enabled transition of it
+	// before it executes; true means the caller took it over. The
+	// concolic loop hands discover transitions to its solver pool.
+	divert func(it item, t core.Transition) bool
 
 	// red is non-nil when the search runs with sleep-set reduction
 	// (EngineOptions.Reduction); dporTel feeds the shared dpor scope.
 	red     *core.SleepReducer
 	dporTel *core.DporTelemetry
+}
+
+// apply executes t on sys — a fork nobody else holds — recording every
+// property failure against the trace path+t, and reports whether there
+// was one. events is the caller's reusable buffer, returned grown.
+func (st *expander) apply(sys *core.System, path *core.PathNode, t core.Transition, events []core.Event) ([]core.Event, bool) {
+	events = sys.ApplyInto(t, events)
+	violated := false
+	for _, f := range sys.CheckEvents(events) {
+		st.s.Record(core.Violation{Property: f.Property, Err: f.Err, Trace: path.TraceWith(t)})
+		violated = true
+	}
+	return events, violated
+}
+
+// admit pushes child, reached over path+t, if its state is new; a
+// revisit is counted and the fork recycled.
+func (st *expander) admit(w int, child *core.System, path *core.PathNode, t core.Transition) {
+	if st.seen.Add(child.Fingerprint()) {
+		st.s.Admit(path.Depth() + 1)
+		st.push(w, item{sys: child, path: path.Child(t)})
+	} else {
+		st.s.Revisits.Add(1)
+		child.Release()
+	}
 }
 
 // expand processes one frontier item, mirroring the sequential
@@ -137,7 +169,8 @@ type hybridState struct {
 // transition with property checks, pushing unseen children. Violating
 // transitions are recorded and their subtrees pruned, exactly as the
 // paper's checker "saves the error and trace and does not explore past
-// a violating state".
+// a violating state". A transition the divert seam takes is not executed
+// here at all.
 //
 // Under sleep-set reduction (st.red non-nil) the loop additionally
 // skips transitions the item's sleep set covers, hands each child the
@@ -147,7 +180,7 @@ type hybridState struct {
 // exactly the keys that slipped awake. Sleep sets prune transition
 // executions only, never states, so UniqueStates matches the unreduced
 // search.
-func (st *hybridState) expand(w int, it item, sc *core.SleepScratch) {
+func (st *expander) expand(w int, it item, sc *core.SleepScratch) {
 	s := st.s
 	if s.Stopped() {
 		return
@@ -185,6 +218,9 @@ func (st *hybridState) expand(w int, it item, sc *core.SleepScratch) {
 		if s.Stopped() {
 			return
 		}
+		if st.divert != nil && st.divert(it, t) {
+			continue
+		}
 		if st.red != nil {
 			if it.wake != nil && !keyIn64(it.wake, sc.Key(i)) {
 				// Covered by this state's previous, larger expansion.
@@ -200,14 +236,8 @@ func (st *hybridState) expand(w int, it item, sc *core.SleepScratch) {
 			return
 		}
 		child := it.sys.Clone()
-		events = child.ApplyInto(t, events)
-
-		violated := false
-		for _, f := range child.CheckEvents(events) {
-			s.Record(core.Violation{Property: f.Property, Err: f.Err,
-				Trace: it.path.TraceWith(t)})
-			violated = true
-		}
+		var violated bool
+		events, violated = st.apply(child, it.path, t, events)
 		var childSleep []core.SleepEntry
 		if st.red != nil {
 			if !violated {
@@ -226,11 +256,11 @@ func (st *hybridState) expand(w int, it item, sc *core.SleepScratch) {
 			switch {
 			case isNew:
 				s.Admit(depth + 1)
-				st.frontier.push(w, item{sys: child, sleep: childSleep, path: it.path.Child(t)})
+				st.push(w, item{sys: child, sleep: childSleep, path: it.path.Child(t)})
 			case wake != nil:
 				s.Revisits.Add(1)
 				st.dporTel.Reexpansion()
-				st.frontier.push(w, item{sys: child, sleep: childSleep, wake: wake,
+				st.push(w, item{sys: child, sleep: childSleep, wake: wake,
 					path: it.path.Child(t)})
 			default:
 				s.Revisits.Add(1)
@@ -238,12 +268,6 @@ func (st *hybridState) expand(w int, it item, sc *core.SleepScratch) {
 			}
 			continue
 		}
-		if st.seen.Add(child.Fingerprint()) {
-			s.Admit(depth + 1)
-			st.frontier.push(w, item{sys: child, path: it.path.Child(t)})
-		} else {
-			s.Revisits.Add(1)
-			child.Release()
-		}
+		st.admit(w, child, it.path, t)
 	}
 }

@@ -9,10 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	// Registers the concolic engine so jobs can request it by name; dfs
-	// lives in core and parallel/swarm/walks register via the search
-	// import below.
-	_ "github.com/nice-go/nice/internal/concolic"
 	"github.com/nice-go/nice/internal/core"
 	"github.com/nice-go/nice/internal/search"
 	"github.com/nice-go/nice/internal/telemetry"

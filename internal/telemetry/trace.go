@@ -21,8 +21,8 @@ const (
 	TraceExpandBatch TraceKind = "expand-batch"
 	// TraceViolation marks a property violation as it is recorded.
 	TraceViolation TraceKind = "violation"
-	// TraceCacheEvict marks discover-cache entries dropped by
-	// Caches.Prune; N is the entry count evicted.
+	// TraceCacheEvict marks discover-cache entries dropped by the LRU
+	// capacity bound; N is the entry count evicted.
 	TraceCacheEvict TraceKind = "cache-evict"
 	// TraceBudget marks a budget or cancellation drawdown aborting a
 	// search; the note names the stop reason, N the transition count at

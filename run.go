@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"github.com/nice-go/nice/internal/concolic"
 	"github.com/nice-go/nice/internal/core"
 	"github.com/nice-go/nice/internal/search"
 )
@@ -106,7 +105,7 @@ var (
 	// It explores the same state graph as the full searches (identical
 	// violation sets) plus proactive discovery for hosts eager discovery
 	// never reaches — a superset of their packet classes.
-	ConcolicLoop = concolic.Loop
+	ConcolicLoop = search.Loop
 )
 
 // runSettings collects Run's functional options.
