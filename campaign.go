@@ -34,7 +34,7 @@ func (j CampaignJob) label() string {
 		// Only claim a scale the scenario will actually apply — a
 		// campaign-wide scale over mixed jobs leaves scale-less
 		// scenarios at their fixed size.
-		if sc, ok := scenarios.Lookup(j.Scenario); !ok || sc.ScaleName != "" {
+		if sc, ok := scenarios.Lookup(j.Scenario); !ok || sc.Scale(j.Scale) > 0 {
 			s = fmt.Sprintf("%s(%d)", s, j.Scale)
 		}
 	}
@@ -315,52 +315,9 @@ func formatBytes(n uint64) string {
 	}
 }
 
-// finalProgressCapture retains the engine's Final progress snapshot —
-// the source of the job's StatesPerSec / PeakHeapBytes / CacheHitRate
-// columns. The engines guarantee exactly one Final snapshot, emitted
-// after the workers drain, so no lock ordering races with the report.
-type finalProgressCapture struct {
-	mu   sync.Mutex
-	last Progress
-	got  bool
-}
-
-func (f *finalProgressCapture) OnViolation(Violation) {}
-
-func (f *finalProgressCapture) OnProgress(p Progress) {
-	if !p.Final {
-		return
-	}
-	f.mu.Lock()
-	f.last, f.got = p, true
-	f.mu.Unlock()
-}
-
-func (f *finalProgressCapture) final() (Progress, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.last, f.got
-}
-
-// teeObserver fans one search's stream to two observers (the campaign's
-// capture plus a caller-supplied observer).
-type teeObserver struct {
-	a, b Observer
-}
-
-func (t teeObserver) OnViolation(v Violation) {
-	t.a.OnViolation(v)
-	t.b.OnViolation(v)
-}
-
-func (t teeObserver) OnProgress(p Progress) {
-	t.a.OnProgress(p)
-	t.b.OnProgress(p)
-}
-
 // campaignTelemetry is the campaign-scope handle bundle on the
-// campaign-wide registry; nil (no Campaign.Telemetry) keeps every call
-// a single branch, matching the engines' disabled fast path.
+// campaign-wide registry. Without one (no Campaign.Telemetry) the scope
+// and every handle are nil, and nil handles are no-ops.
 type campaignTelemetry struct {
 	scope       *telemetry.Scope
 	jobs        *telemetry.Counter
@@ -372,9 +329,6 @@ type campaignTelemetry struct {
 }
 
 func newCampaignTelemetry(reg *Telemetry) *campaignTelemetry {
-	if reg == nil {
-		return nil
-	}
 	sc := reg.Scope("campaign")
 	return &campaignTelemetry{
 		scope:       sc,
@@ -387,19 +341,9 @@ func newCampaignTelemetry(reg *Telemetry) *campaignTelemetry {
 	}
 }
 
-func (t *campaignTelemetry) jobStart(label string) {
-	if t == nil {
-		return
-	}
-	t.scope.Emit(telemetry.TraceSearchStart, 0, label)
-}
-
 // jobDone aggregates one finished job and records the campaign-wide
 // budget drawdown.
 func (t *campaignTelemetry) jobDone(res *CampaignResult, left core.Budget) {
-	if t == nil {
-		return
-	}
 	t.jobs.Inc()
 	t.violations.Add(int64(len(res.Violated)))
 	t.states.Add(res.UniqueStates)
@@ -411,7 +355,9 @@ func (t *campaignTelemetry) jobDone(res *CampaignResult, left core.Budget) {
 		res.Label+" "+res.Outcome)
 }
 
-// cacheKey groups jobs that may share a discover-cache set.
+// cacheKey groups jobs that may share a discover-cache set: one
+// scenario at the scale it actually runs at (Scenario.Scale), buggy or
+// repaired.
 type cacheKey struct {
 	scenario string
 	scale    int
@@ -435,26 +381,19 @@ func (c *Campaign) Run(ctx context.Context, opts ...RunOption) *CampaignReport {
 
 	var cachesMu sync.Mutex
 	caches := make(map[cacheKey]*Caches)
-	jobCaches := func(j CampaignJob) *Caches {
+	jobCaches := func(k cacheKey) *Caches {
 		if !c.ShareCaches {
 			return nil
 		}
 		cachesMu.Lock()
 		defer cachesMu.Unlock()
-		k := cacheKey{scenario: j.Scenario, scale: j.Scale, fixed: j.Fixed}
 		if caches[k] == nil {
 			caches[k] = NewCaches()
 		}
 		return caches[k]
 	}
 
-	par := c.Parallelism
-	if par < 1 {
-		par = 1
-	}
-	if par > len(c.Jobs) {
-		par = len(c.Jobs)
-	}
+	par := min(max(c.Parallelism, 1), len(c.Jobs))
 	// Workers pull jobs in declaration order, so budgets drain
 	// front-to-back (and Parallelism=1 is fully deterministic).
 	var next atomic.Int64
@@ -468,11 +407,12 @@ func (c *Campaign) Run(ctx context.Context, opts ...RunOption) *CampaignReport {
 				if i >= len(c.Jobs) {
 					return
 				}
-				ct.jobStart(c.Jobs[i].label())
+				label := c.Jobs[i].label()
+				ct.scope.Emit(telemetry.TraceSearchStart, 0, label)
 				if c.OnJobStart != nil {
 					c.OnJobStart(i, c.Jobs[i])
 				}
-				res := c.runJob(ctx, c.Jobs[i], budget, jobCaches, opts)
+				res := c.runJob(ctx, c.Jobs[i], label, budget, jobCaches, opts)
 				ct.jobDone(&res, budget.Left())
 				report.Results[i] = res
 				if c.OnJobDone != nil {
@@ -502,12 +442,12 @@ func (c *Campaign) Run(ctx context.Context, opts ...RunOption) *CampaignReport {
 	return report
 }
 
-// runJob builds, budgets and runs one job, classifying the outcome. A
-// panic in the job — application or property code, on whichever
-// goroutine the engine ran it (Session.Guard hands it back here) —
-// becomes a job error, not a dead campaign.
-func (c *Campaign) runJob(ctx context.Context, job CampaignJob, budget *core.Drawdown, jobCaches func(CampaignJob) *Caches, extra []RunOption) (res CampaignResult) {
-	res = CampaignResult{Job: job, Label: job.label()}
+// runJob builds and runs one job and classifies the outcome. A panic in
+// the job — application or property code, on whichever goroutine the
+// engine ran it (Session.Guard hands it back here) — becomes a job
+// error, not a dead campaign.
+func (c *Campaign) runJob(ctx context.Context, job CampaignJob, label string, budget *core.Drawdown, jobCaches func(cacheKey) *Caches, extra []RunOption) (res CampaignResult) {
+	res = CampaignResult{Job: job, Label: label}
 	fail := func(format string, args ...any) CampaignResult {
 		res.Outcome = OutcomeError
 		res.Err = fmt.Sprintf(format, args...)
@@ -532,61 +472,43 @@ func (c *Campaign) runJob(ctx context.Context, job CampaignJob, budget *core.Dra
 		res.ExpectedMiss = sc.Misses[strat]
 	}
 
-	// Normalize the scale before cache grouping, so Scale:0 and an
-	// explicit Scale:DefaultScale of one workload share caches — and
-	// scale-less scenarios (whose Build ignores Scale entirely) group
-	// regardless of the requested value.
-	cacheJob := job
-	switch {
-	case sc.ScaleName == "":
-		cacheJob.Scale = 0
-	case cacheJob.Scale <= 0:
-		cacheJob.Scale = sc.DefaultScale
-	}
-	cc := jobCaches(cacheJob)
+	// Group caches by the scale the scenario runs at, so Scale:0 and an
+	// explicit Scale:DefaultScale of one workload share a set — and
+	// scale-less scenarios group regardless of the requested value.
+	cc := jobCaches(cacheKey{job.Scenario, sc.Scale(job.Scale), job.Fixed})
 
-	// Shared-drawdown accounting (core.Drawdown). A job that finds the
-	// pool already exhausted never runs: it is budget-starved, a
-	// distinct outcome from partial (its own budgets) and from a real
-	// violation — as is a job that stops on a limit the pool set.
-	if budget.Exhausted() {
-		res.Outcome = OutcomeStarved
-		res.StopReason = "drawdown"
-		return res
-	}
-
-	claim := budget.Clamp(core.Budget{States: c.JobMaxStates})
-	opts := []RunOption{WithWorkers(c.Workers),
-		WithMaxStates(claim.States), WithMaxTransitions(claim.Transitions)}
-	if c.JobTimeout > 0 {
-		opts = append(opts, WithDeadline(c.JobTimeout))
-	}
-	if cc != nil {
-		opts = append(opts, WithCaches(cc))
-	}
-	opts = append(opts, extra...)
-
-	// Split any caller-supplied observer and registry out of the extra
-	// options, so the campaign's own capture and per-job registry tee
-	// with them instead of replacing them.
-	var scratch runSettings
-	for _, o := range extra {
-		o(&scratch)
-	}
-	reg := scratch.eo.Telemetry
-	ownReg := reg == nil
+	// The campaign's own settings first, the caller's after, applied
+	// once; then the campaign's capture and per-job registry wrap a
+	// caller-supplied observer and registry instead of replacing them.
+	search := newJob(append([]RunOption{WithWorkers(c.Workers),
+		WithMaxStates(c.JobMaxStates), WithDeadline(c.JobTimeout), WithCaches(cc)}, extra...))
+	ownReg := search.Telemetry == nil
 	if ownReg {
-		reg = NewTelemetry()
+		search.Telemetry = NewTelemetry()
 	}
-	capt := &finalProgressCapture{}
-	var obs Observer = capt
-	if scratch.eo.Observer != nil {
-		obs = teeObserver{a: scratch.eo.Observer, b: capt}
+	// The Final snapshot is the source of the StatesPerSec / PeakHeapBytes /
+	// CacheHitRate columns. A search delivers exactly one, as its last
+	// Observer call and on this goroutine (Session.End), so nothing races.
+	var final Progress
+	var user Observer = ObserverFuncs{}
+	if search.Observer != nil {
+		user = search.Observer
 	}
-	opts = append(opts, WithTelemetry(reg), WithObserver(obs))
+	search.Observer = ObserverFuncs{
+		Violation: user.OnViolation,
+		Progress: func(p Progress) {
+			user.OnProgress(p)
+			if p.Final {
+				final = p
+			}
+		},
+	}
 
-	r := Run(ctx, cfg, opts...)
-	starved := budget.Draw(claim, r)
+	// A job that finds the shared pool already exhausted never runs, and
+	// one that stops on a limit the pool set is as undecided: both are
+	// budget-starved, distinct from partial (the job's own budgets) and
+	// from a real violation.
+	r, starved := search.Run(ctx, cfg, budget)
 	if cc != nil && c.CachePrune > 0 {
 		// Trim now, then lift the bound: no eviction during the next search.
 		cc.WithCapacity(c.CachePrune).WithCapacity(0)
@@ -599,15 +521,11 @@ func (c *Campaign) runJob(ctx context.Context, job CampaignJob, budget *core.Dra
 	res.Engine = r.Strategy
 	res.Complete = r.Complete
 	res.StopReason = string(r.StopReason)
-	if p, ok := capt.final(); ok {
-		res.StatesPerSec = p.StatesPerSec
-		res.PeakHeapBytes = p.PeakHeapInUse
-		res.CacheHitRate = p.CacheHitRate
-	} else if secs := r.Elapsed.Seconds(); secs > 0 {
-		res.StatesPerSec = float64(r.UniqueStates) / secs
-	}
+	res.StatesPerSec = final.StatesPerSec
+	res.PeakHeapBytes = final.PeakHeapInUse
+	res.CacheHitRate = final.CacheHitRate
 	if ownReg {
-		snap := reg.Snapshot()
+		snap := search.Telemetry.Snapshot()
 		res.COWForks = snap.Counter("cow.forks")
 		res.COWCopies = snap.Counter("cow.ensure_owned_copies")
 	}

@@ -1,4 +1,4 @@
-// The submit / watch / replay subcommands are the nice-server client
+// The submit / watch / replay subcommands are the `nice serve` client
 // mode: submit a registry scenario or an inline spec file over HTTP,
 // follow a job's NDJSON result stream, and fetch-and-replay persisted
 // trace artifacts.
@@ -29,7 +29,7 @@ import (
 	"github.com/nice-go/nice"
 )
 
-// client is the minimal nice-server HTTP client shared by the
+// client is the minimal `nice serve` HTTP client shared by the
 // subcommands.
 type client struct {
 	base   string
@@ -90,14 +90,14 @@ func decodeOrDie(resp *http.Response, err error, v any) {
 func clientSubmit(args []string) {
 	fs := flag.NewFlagSet("nice submit", flag.ExitOnError)
 	var (
-		server   = fs.String("server", "http://localhost:8080", "nice-server base URL")
+		server   = fs.String("server", "http://localhost:8080", "`nice serve` base URL")
 		tenant   = fs.String("tenant", "", "tenant name (X-Nice-Tenant)")
 		scenario = fs.String("scenario", "", "registry scenario name")
 		specPath = fs.String("spec", "", "path to a wire-spec JSON file (- = stdin)")
 		scale    = fs.Int("scale", 0, "scenario scale (0 = default)")
 		strategy = fs.String("strategy", "", "search strategy (pkt-seq, no-delay, flow-ir, unusual)")
 		fixed    = fs.Bool("fixed", false, "check the repaired application")
-		engine   = fs.String("engine", "", "search engine: "+engineNames()+" (empty = server default)")
+		engine   = fs.String("engine", "", "search engine: "+engineNames+" (empty = server default)")
 		workers  = fs.Int("workers", 0, "engine workers (0 = server default)")
 		states   = fs.Int64("max-states", 0, "unique-state budget (0 = server default)")
 		trans    = fs.Int64("max-transitions", 0, "transition budget (0 = server default)")
@@ -148,7 +148,7 @@ func clientSubmit(args []string) {
 func clientWatch(args []string) {
 	fs := flag.NewFlagSet("nice watch", flag.ExitOnError)
 	var (
-		server = fs.String("server", "http://localhost:8080", "nice-server base URL")
+		server = fs.String("server", "http://localhost:8080", "`nice serve` base URL")
 		tenant = fs.String("tenant", "", "tenant name (X-Nice-Tenant)")
 	)
 	fs.Parse(args)
@@ -224,7 +224,7 @@ func streamJob(c *client, id string) int {
 func clientReplay(args []string) {
 	fs := flag.NewFlagSet("nice replay", flag.ExitOnError)
 	var (
-		server = fs.String("server", "http://localhost:8080", "nice-server base URL")
+		server = fs.String("server", "http://localhost:8080", "`nice serve` base URL")
 		file   = fs.String("file", "", "replay a local artifact file instead of fetching")
 	)
 	fs.Parse(args)

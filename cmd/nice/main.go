@@ -58,6 +58,11 @@
 // expectations met so far but the campaign-wide -total-states /
 // -total-transitions drawdown starved at least one job — raise the
 // shared budget and rerun, nothing is wrong with the scenarios.
+//
+// The other subcommands have their own files: experiments (the paper's
+// Table 1, Figure 6 and §7 baseline — experiments.go), serve (the
+// checking service — serve.go) and its clients submit / watch / replay
+// (client.go).
 package main
 
 import (
@@ -94,10 +99,22 @@ func writeMetrics(path string, reg *nice.Telemetry) {
 }
 
 func main() {
+	// Ctrl-C cancels the context: the engines drain and return a partial
+	// but replayable report instead of dying mid-search, and the service
+	// shuts down gracefully.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+
 	if len(os.Args) > 1 {
 		switch os.Args[1] {
 		case "run-all":
-			runAll(os.Args[2:])
+			runAll(ctx, os.Args[2:])
+			return
+		case "serve":
+			serve(ctx, os.Args[2:])
+			return
+		case "experiments":
+			experiments(ctx, os.Args[2:])
 			return
 		case "submit":
 			clientSubmit(os.Args[2:])
@@ -110,12 +127,12 @@ func main() {
 			return
 		}
 	}
-	runOne()
+	runOne(ctx)
 }
 
 // runAll is the campaign front end: scenario set × strategy set through
 // nice.Campaign with shared budgets and a merged report.
-func runAll(args []string) {
+func runAll(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("nice run-all", flag.ExitOnError)
 	var (
 		scenarioSet = fs.String("scenarios", "all", `comma-separated scenario names, or "all" / "table2"`)
@@ -164,9 +181,6 @@ func runAll(args []string) {
 	if *metrAddr != "" {
 		serveMetrics(*metrAddr, campaign.Telemetry)
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 
 	report := campaign.Run(ctx)
 	if *metrOut != "" {
@@ -252,7 +266,7 @@ func writeJSONReport(report *nice.CampaignReport, path string) error {
 	return f.Close()
 }
 
-func runOne() {
+func runOne(ctx context.Context) {
 	var (
 		scenario  = flag.String("scenario", "", "scenario to check (see -list)")
 		strategy  = flag.String("strategy", "pkt-seq", "search strategy: pkt-seq, no-delay, flow-ir, unusual")
@@ -260,8 +274,8 @@ func runOne() {
 		sends     = flag.Int("sends", 0, "scale for the bench scenarios (0 = scenario default)")
 		scale     = flag.Int("scale", 0, "scale for any scenario's knob (see -list; 0 = scenario default)")
 		mode      = flag.String("mode", "check", "check (full search) or walk (random walks)")
-		engine    = flag.String("engine", "", "search engine: "+engineNames()+" (default inferred from -mode/-workers)")
-		reduction = flag.String("reduction", "none", "interleaving reduction: "+reductionNames()+" (exhaustive engines only)")
+		engine    = flag.String("engine", "", "search engine: "+engineNames+" (default inferred from -mode/-workers)")
+		reduction = flag.String("reduction", "none", "interleaving reduction: "+reductionNames+" (exhaustive engines only)")
 		symBudget = flag.Int64("sym-budget", 0, "concolic loop: abort after this many symbolic discover explorations (0 = unbounded)")
 		symPool   = flag.Int("sym-workers", 0, "concolic loop: solver worker pool size (0 = default)")
 		seed      = flag.Int64("seed", 1, "random-walk seed")
@@ -313,8 +327,15 @@ func runOne() {
 		cfg.StopAtFirstViolation = false
 	}
 
+	red, ok := nice.ParseReduction(*reduction)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "nice: unknown reduction %q (%s)\n", *reduction, reductionNames)
+		os.Exit(2)
+	}
+	// Zero budgets and no reduction are Run's defaults already.
 	opts := []nice.RunOption{
-		nice.WithWorkers(*workers),
+		nice.WithWorkers(*workers), nice.WithReduction(red), nice.WithDeadline(*timeout),
+		nice.WithMaxTransitions(*maxTrans), nice.WithMaxStates(*maxStates),
 	}
 	switch *mode {
 	case "check":
@@ -327,7 +348,7 @@ func runOne() {
 	if *engine != "" {
 		spec, ok := nice.LookupEngine(*engine)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "nice: unknown engine %q (%s)\n", *engine, engineNames())
+			fmt.Fprintf(os.Stderr, "nice: unknown engine %q (%s)\n", *engine, engineNames)
 			os.Exit(2)
 		}
 		opts = append(opts, nice.WithEngine(spec.New()))
@@ -337,21 +358,6 @@ func runOne() {
 	}
 	if *symPool > 0 {
 		opts = append(opts, nice.WithSymWorkers(*symPool))
-	}
-	if red, ok := nice.ParseReduction(*reduction); !ok {
-		fmt.Fprintf(os.Stderr, "nice: unknown reduction %q (%s)\n", *reduction, reductionNames())
-		os.Exit(2)
-	} else if red != nice.NoReduction {
-		opts = append(opts, nice.WithReduction(red))
-	}
-	if *maxTrans > 0 {
-		opts = append(opts, nice.WithMaxTransitions(*maxTrans))
-	}
-	if *maxStates > 0 {
-		opts = append(opts, nice.WithMaxStates(*maxStates))
-	}
-	if *timeout > 0 {
-		opts = append(opts, nice.WithDeadline(*timeout))
 	}
 	if *progress > 0 {
 		opts = append(opts,
@@ -377,11 +383,6 @@ func runOne() {
 	if *metrAddr != "" {
 		serveMetrics(*metrAddr, reg)
 	}
-
-	// Ctrl-C cancels the context: the engines drain and return a
-	// partial but replayable report instead of dying mid-search.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 
 	report := nice.Run(ctx, cfg, opts...)
 	if *metrOut != "" {
@@ -421,22 +422,14 @@ func buildConfig(name string, pings, sends, generic int, fixed bool, strategy st
 	if !ok {
 		return nil, "", fmt.Errorf("unknown scenario %q (try -list)", name)
 	}
+	// No knob: reject an explicit -scale rather than run the fixed-size
+	// scenario under a label claiming otherwise.
+	if generic > 0 && sc.Scale(generic) == 0 {
+		return nil, "", fmt.Errorf("scenario %q has no scale knob", sc.Name)
+	}
 	scale := generic
-	switch sc.ScaleName {
-	case "":
-		// No knob: reject an explicit -scale rather than run the
-		// fixed-size scenario under a label claiming otherwise.
-		if generic > 0 {
-			return nil, "", fmt.Errorf("scenario %q has no scale knob", sc.Name)
-		}
-	case "pings":
-		if pings > 0 {
-			scale = pings
-		}
-	case "sends":
-		if sends > 0 {
-			scale = sends
-		}
+	if named := map[string]int{"pings": pings, "sends": sends}[sc.ScaleName]; named > 0 {
+		scale = named
 	}
 	label := sc.Name
 	if scale > 0 {
@@ -452,18 +445,15 @@ func buildConfig(name string, pings, sends, generic int, fixed bool, strategy st
 // engineNames / reductionNames render the registries for usage text —
 // the same single source of truth the facade and service validate
 // against, so the CLI's help can never drift from what Run accepts.
-func engineNames() string {
-	var names []string
-	for _, spec := range nice.EngineSpecs() {
-		names = append(names, spec.Name)
-	}
-	return strings.Join(names, ", ")
-}
+var (
+	engineNames    = specNames(nice.EngineSpecs(), func(s nice.EngineSpec) string { return s.Name })
+	reductionNames = specNames(nice.ReductionSpecs(), func(s nice.ReductionSpec) string { return s.Name })
+)
 
-func reductionNames() string {
-	var names []string
-	for _, spec := range nice.ReductionSpecs() {
-		names = append(names, spec.Name)
+func specNames[S any](specs []S, name func(S) string) string {
+	names := make([]string, len(specs))
+	for i, spec := range specs {
+		names[i] = name(spec)
 	}
 	return strings.Join(names, ", ")
 }

@@ -152,10 +152,8 @@ func (c *Checker) Run() *Report {
 // cancellation (and deadlines) and the EngineOptions budgets, streams
 // violations and progress to the options' Observer, and on abort
 // returns a partial report whose traces still replay deterministically.
-// Option-level budgets merge with the Config's MaxTransitions (the
-// smaller nonzero bound wins). The search runs against the checker's
-// own cache set (a fresh one when it has none), whatever opts.Caches
-// says.
+// The search runs against the checker's own cache set (a fresh one when
+// it has none), whatever opts.Caches says.
 func (c *Checker) RunContext(ctx context.Context, opts EngineOptions) *Report {
 	opts.Caches = c.caches
 	c.s = Begin(ctx, "dfs", c.cfg, opts, nil)

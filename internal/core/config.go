@@ -30,24 +30,15 @@ type EnvGroupKeyFunc func(event string) string
 
 // DomainHints supplies the domain knowledge that bounds symbolic packet
 // fields (§3.2): extra addresses beyond the topology's (e.g. a load
-// balancer's virtual IP), plausible protocol constants, and stats seed
-// levels. Zero-value hints select sensible defaults.
+// balancer's virtual IP) and plausible protocol constants. Zero-value
+// hints select sensible defaults; a field without a hint of its own
+// (IP protocol, TCP flags and sequence numbers, ARP opcodes) is pinned
+// through Overrides.
 type DomainHints struct {
-	ExtraMACs   []openflow.EthAddr
-	ExtraIPs    []openflow.IPAddr
-	EthTypes    []uint16
-	IPProtos    []uint8
-	Ports       []uint16
-	TCPFlagSets []uint8
-	TCPSeqs     []uint32
-	ArpOps      []uint8
-	// FreshPerField adds one address outside the topology per MAC/IP
-	// field, letting symbolic execution reach "unknown address" paths.
-	// Defaults to true; set DisableFresh to suppress.
-	DisableFresh bool
-	// StatsLevels seeds the domains of symbolic stats variables (mined
-	// comparison thresholds are added automatically).
-	StatsLevels []uint64
+	ExtraMACs []openflow.EthAddr
+	ExtraIPs  []openflow.IPAddr
+	EthTypes  []uint16
+	Ports     []uint16
 	// Overrides pins individual fields to explicit candidate sets,
 	// replacing the defaults entirely — scenario-level domain knowledge
 	// such as "clients only address the service VIP".
@@ -95,11 +86,6 @@ type Config struct {
 	// and ages hash verbatim — §2.2.2's strawman of "the values of all
 	// variables" as switch state.
 	NoSwitchReduction bool
-	// HashCounters folds per-rule counters into state hashes even in
-	// canonical mode (needed only by applications whose control flow
-	// reads concrete counters directly, which discover_stats makes
-	// unnecessary).
-	HashCounters bool
 	// DisableSE turns off discover_packets/discover_stats; hosts send
 	// from their fixed Repertoire instead (the developer-supplied
 	// "relevant inputs" strawman of §2.2.1).
@@ -119,11 +105,6 @@ type Config struct {
 	// MaxDepth bounds execution length (transitions per trace);
 	// 0 = 400. Paths that hit the bound are recorded as truncated.
 	MaxDepth int
-	// MaxTransitions aborts the search after this many executed
-	// transitions (0 = unlimited). Reports mark the search incomplete.
-	MaxTransitions int64
-	// MaxSEPaths bounds paths per concolic exploration (0 = 256).
-	MaxSEPaths int
 	// StopAtFirstViolation ends the search at the first property
 	// violation (Table 2's time-to-first-violation setup).
 	StopAtFirstViolation bool
@@ -180,10 +161,10 @@ func (c *Config) maxDepth() int {
 func (c *Config) DepthBound() int { return c.maxDepth() }
 
 // tableHashMode says how switches hash and render their flow tables:
-// canonically (order-free) unless NO-SWITCH-REDUCTION is on, and with
-// rule counters folded in when asked or under that baseline.
+// canonically (order-free) and without rule counters, unless
+// NO-SWITCH-REDUCTION is on.
 func (c *Config) tableHashMode() (canonical, counters bool) {
-	return !c.NoSwitchReduction, c.HashCounters || c.NoSwitchReduction
+	return !c.NoSwitchReduction, c.NoSwitchReduction
 }
 
 // fieldDomains builds the per-variable candidate sets for symbolic
@@ -205,11 +186,11 @@ func (c *Config) fieldDomains() map[string][]uint64 {
 	for _, ip := range c.Domains.ExtraIPs {
 		ips = append(ips, uint64(ip))
 	}
-	macs = append(macs, uint64(openflow.BroadcastEth))
-	if !c.Domains.DisableFresh {
-		macs = append(macs, uint64(openflow.MakeEthAddr(0x0a, 0xbb, 0xcc, 0xdd, 0xee, 0x01)))
-		ips = append(ips, uint64(openflow.MakeIPAddr(172, 16, 99, 99)))
-	}
+	// One address outside the topology per MAC/IP field lets symbolic
+	// execution reach the "unknown address" paths.
+	macs = append(macs, uint64(openflow.BroadcastEth),
+		uint64(openflow.MakeEthAddr(0x0a, 0xbb, 0xcc, 0xdd, 0xee, 0x01)))
+	ips = append(ips, uint64(openflow.MakeIPAddr(172, 16, 99, 99)))
 	d[openflow.FieldEthSrc.String()] = dedupSorted(macs)
 	d[openflow.FieldEthDst.String()] = dedupSorted(macs)
 	d[openflow.FieldIPSrc.String()] = dedupSorted(ips)
@@ -219,38 +200,20 @@ func (c *Config) fieldDomains() map[string][]uint64 {
 	if ethTypes == nil {
 		ethTypes = []uint16{openflow.EthTypeIPv4, openflow.EthTypeARP}
 	}
-	d[openflow.FieldEthType.String()] = u16s(ethTypes)
+	d[openflow.FieldEthType.String()] = uints(ethTypes)
 
-	protos := c.Domains.IPProtos
-	if protos == nil {
-		protos = []uint8{openflow.IPProtoTCP}
-	}
-	d[openflow.FieldIPProto.String()] = u8s(protos)
+	d[openflow.FieldIPProto.String()] = []uint64{uint64(openflow.IPProtoTCP)}
 
 	ports := c.Domains.Ports
 	if ports == nil {
 		ports = []uint16{80, 5555}
 	}
-	d[openflow.FieldTPSrc.String()] = u16s(ports)
-	d[openflow.FieldTPDst.String()] = u16s(ports)
+	d[openflow.FieldTPSrc.String()] = uints(ports)
+	d[openflow.FieldTPDst.String()] = uints(ports)
 
-	flags := c.Domains.TCPFlagSets
-	if flags == nil {
-		flags = []uint8{0, openflow.TCPSyn, openflow.TCPAck, openflow.TCPSyn | openflow.TCPAck}
-	}
-	d[openflow.FieldTCPFlags.String()] = u8s(flags)
-
-	seqs := c.Domains.TCPSeqs
-	if seqs == nil {
-		seqs = []uint32{1000}
-	}
-	d[openflow.FieldTCPSeq.String()] = u32s(seqs)
-
-	arps := c.Domains.ArpOps
-	if arps == nil {
-		arps = []uint8{openflow.ArpRequest, openflow.ArpReply}
-	}
-	d[openflow.FieldArpOp.String()] = u8s(arps)
+	d[openflow.FieldTCPFlags.String()] = uints([]uint8{0, openflow.TCPSyn, openflow.TCPAck, openflow.TCPSyn | openflow.TCPAck})
+	d[openflow.FieldTCPSeq.String()] = []uint64{1000}
+	d[openflow.FieldArpOp.String()] = uints([]uint8{openflow.ArpRequest, openflow.ArpReply})
 
 	d[openflow.FieldVLAN.String()] = []uint64{0}
 	d[openflow.FieldVLANPCP.String()] = []uint64{0}
@@ -270,13 +233,6 @@ func (c *Config) fieldBits() map[string]int {
 	return bits
 }
 
-func (c *Config) statsLevels() []uint64 {
-	if len(c.Domains.StatsLevels) > 0 {
-		return c.Domains.StatsLevels
-	}
-	return []uint64{0}
-}
-
 func dedupSorted(vs []uint64) []uint64 {
 	set := make(map[uint64]bool, len(vs))
 	for _, v := range vs {
@@ -290,23 +246,8 @@ func dedupSorted(vs []uint64) []uint64 {
 	return out
 }
 
-func u16s(vs []uint16) []uint64 {
-	out := make([]uint64, len(vs))
-	for i, v := range vs {
-		out[i] = uint64(v)
-	}
-	return dedupSorted(out)
-}
-
-func u8s(vs []uint8) []uint64 {
-	out := make([]uint64, len(vs))
-	for i, v := range vs {
-		out[i] = uint64(v)
-	}
-	return dedupSorted(out)
-}
-
-func u32s(vs []uint32) []uint64 {
+// uints widens a hint list into a field's sorted candidate set.
+func uints[T uint8 | uint16 | uint32](vs []T) []uint64 {
 	out := make([]uint64, len(vs))
 	for i, v := range vs {
 		out[i] = uint64(v)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -212,9 +213,7 @@ func TestSearchCountsAndRevisits(t *testing.T) {
 }
 
 func TestMaxTransitionsAborts(t *testing.T) {
-	cfg := hubConfig(3)
-	cfg.MaxTransitions = 5
-	report := NewChecker(cfg).Run()
+	report := NewChecker(hubConfig(3)).RunContext(context.Background(), EngineOptions{MaxTransitions: 5})
 	if report.Complete {
 		t.Error("aborted search marked complete")
 	}

@@ -90,11 +90,10 @@ func (s *System) discoverPackets(h *hosts.Host) []openflow.Header {
 	seed := h.Seed
 	seedAsn := sym.SymbolicPacket(seed, loc.Port).CurrentAssignment()
 	explorer := &sym.Explorer{
-		Domains:  s.cfg.fieldDomains(),
-		Bits:     s.cfg.fieldBits(),
-		MaxPaths: s.cfg.MaxSEPaths,
-		Memo:     s.caches.SolverMemo(),
-		Hooks:    s.caches.symHooks(),
+		Domains: s.cfg.fieldDomains(),
+		Bits:    s.cfg.fieldBits(),
+		Memo:    s.caches.SolverMemo(),
+		Hooks:   s.caches.symHooks(),
 	}
 	// The reason code is a one-bit handler input that is not a packet
 	// field; explore the handler under both values and pool the
@@ -129,11 +128,10 @@ func (s *System) discoverPackets(h *hosts.Host) []openflow.Header {
 func (s *System) discoverStats(swID openflow.SwitchID) [][]openflow.PortStats {
 	s.caches.noteExploration()
 	ports := s.Switch(swID).Ports
-	levels := s.cfg.statsLevels()
+	// Counters seed at zero; the explorer mines the handler's comparison
+	// thresholds into their domains.
+	levels := []uint64{0}
 	seedVals := make([]uint64, len(ports))
-	for i := range seedVals {
-		seedVals[i] = levels[0]
-	}
 	seedAsn := make(sym.Assignment)
 	domains := make(map[string][]uint64, len(ports))
 	for i, p := range ports {
@@ -141,7 +139,7 @@ func (s *System) discoverStats(swID openflow.SwitchID) [][]openflow.PortStats {
 		seedAsn[name], domains[name] = seedVals[i], levels
 	}
 	explorer := &sym.Explorer{
-		Domains: domains, MaxPaths: s.cfg.MaxSEPaths, MineDomains: true,
+		Domains: domains, MineDomains: true,
 		Memo:  s.caches.SolverMemo(),
 		Hooks: s.caches.symHooks(),
 	}

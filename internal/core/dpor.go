@@ -186,7 +186,7 @@ func newComponentSpace(sys *System) *componentSpace {
 		nhost: len(sys.hostIDs),
 		nprop: len(sys.props),
 	}
-	sp.countersHashed = cfg.HashCounters || cfg.NoSwitchReduction
+	sp.countersHashed = cfg.NoSwitchReduction
 	claimed := false
 	if p, ok := cfg.App.(controller.StatePartition); ok && p.PartitionedBySwitch() {
 		claimed = true

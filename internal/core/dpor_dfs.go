@@ -113,13 +113,6 @@ func (t *fpTable) union(a, b uint32) uint32 {
 	return t.intern(fp)
 }
 
-// sleepEntry is one sleeping transition: its identity hash and the
-// footprint it had at the state where it fell asleep.
-type sleepEntry struct {
-	key uint64
-	fp  footprint
-}
-
 // sumEntry is one summarized hidden transition: its identity, its
 // footprint (an fpTable id) and anc, the union footprint of its
 // subtree-local happens-before ancestors (transitions below the
@@ -263,8 +256,8 @@ type dporFrame struct {
 	done      idxSet
 	// working is the child-sleep source: incoming sleep entries plus
 	// every sibling already explored from this frame.
-	working    []sleepEntry
-	childSleep []sleepEntry
+	working    []SleepEntry
+	childSleep []SleepEntry
 	// execIdx/execFp/execKey identify the transition currently being
 	// executed from this frame (-1 between executions); race insertion
 	// scans executing frames only.
@@ -323,7 +316,7 @@ func (c *Checker) storedSummary(node dporNode) dporSummary {
 // dporVisit explores sys (reached at depth len(trace) under the given
 // sleep set) and returns the subtree summary for race detection in the
 // caller's ancestors.
-func (c *Checker) dporVisit(sys *System, sleep []sleepEntry) dporSummary {
+func (c *Checker) dporVisit(sys *System, sleep []SleepEntry) dporSummary {
 	if c.s.Stopped() {
 		return c.globalSummary()
 	}
@@ -404,7 +397,7 @@ func (c *Checker) dporVisit(sys *System, sleep []sleepEntry) dporSummary {
 // covered by the previous expansion of this state. The returned summary
 // lives in the frame's sumBuf: valid until the next expansion at this
 // depth, and not to be stored.
-func (c *Checker) dporExpand(sys *System, depth int, enabled []Transition, sleep []sleepEntry, only []uint64) dporSummary {
+func (c *Checker) dporExpand(sys *System, depth int, enabled []Transition, sleep []SleepEntry, only []uint64) dporSummary {
 	n := len(enabled)
 
 	f := &c.dporFrames[depth]
@@ -529,7 +522,7 @@ func (c *Checker) dporExpand(sys *System, depth int, enabled []Transition, sleep
 		}
 		child.Release()
 		c.trace = c.trace[:len(c.trace)-1]
-		f.working = append(f.working, sleepEntry{key: key, fp: fp})
+		f.working = append(f.working, SleepEntry{key: key, fp: fp})
 	}
 
 	if only == nil {
@@ -686,7 +679,7 @@ func (c *Checker) dporInsertSummary(sum dporSummary) {
 
 // slippedKeys returns the stored-signature keys absent from the current
 // sleep set: transitions asleep at the previous expansion, awake now.
-func slippedKeys(stored []uint64, sleep []sleepEntry) []uint64 {
+func slippedKeys(stored []uint64, sleep []SleepEntry) []uint64 {
 	var diff []uint64
 	for _, k := range stored {
 		if !containsKey(sleep, k) {
@@ -697,7 +690,7 @@ func slippedKeys(stored []uint64, sleep []sleepEntry) []uint64 {
 }
 
 // retainKeys intersects the stored signature with the current sleep set.
-func retainKeys(stored []uint64, sleep []sleepEntry) []uint64 {
+func retainKeys(stored []uint64, sleep []SleepEntry) []uint64 {
 	kept := stored[:0]
 	for _, k := range stored {
 		if containsKey(sleep, k) {
@@ -707,7 +700,7 @@ func retainKeys(stored []uint64, sleep []sleepEntry) []uint64 {
 	return kept
 }
 
-func containsKey(sleep []sleepEntry, key uint64) bool {
+func containsKey(sleep []SleepEntry, key uint64) bool {
 	for _, e := range sleep {
 		if e.key == key {
 			return true

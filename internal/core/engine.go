@@ -30,13 +30,16 @@ const (
 	// needed a discover transition the concolic loop was no longer
 	// allowed to solve (EngineOptions.SymBudget).
 	StopSymBudget StopReason = "sym-budget"
+	// StopDrawdown: the search never started — the budget pool it
+	// shares (Job.Run) was already exhausted.
+	StopDrawdown StopReason = "drawdown"
 )
 
 // Partial reports whether the reason marks a budget- or
 // cancellation-aborted search (a partial, but still replayable, report).
 func (r StopReason) Partial() bool {
 	switch r {
-	case StopMaxTransitions, StopMaxStates, StopDeadline, StopCanceled, StopSymBudget:
+	case StopMaxTransitions, StopMaxStates, StopDeadline, StopCanceled, StopSymBudget, StopDrawdown:
 		return true
 	}
 	return false
@@ -122,8 +125,7 @@ type EngineOptions struct {
 	// been reached (0 = unlimited).
 	MaxStates int64
 	// MaxTransitions aborts the search after this many executed
-	// transitions (0 = unlimited). When Config.MaxTransitions is also
-	// set, the smaller budget wins.
+	// transitions (0 = unlimited).
 	MaxTransitions int64
 	// Workers sizes parallel engines (0 = all CPUs, 1 = sequential).
 	Workers int

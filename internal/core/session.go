@@ -12,8 +12,8 @@ import (
 // Session is one search in flight: everything an engine needs around its
 // exploration loop and nothing of the loop itself. It owns the discover
 // caches and telemetry handles, the report counters, the stop flag with
-// its first-wins reason, the merged transition budget, the violation
-// set, the context watcher, the progress timer and the closing Report.
+// its first-wins reason, the violation set, the context watcher, the
+// progress timer and the closing Report.
 // An engine is Begin → explore → End; its loop keeps only what differs
 // between engines — the frontier, the seen-set and the schedule.
 //
@@ -31,13 +31,12 @@ type Session struct {
 	Frontier    atomic.Int64 // pending work; stays 0 where there is no frontier
 	Steals      atomic.Int64
 
-	name     string
-	cfg      *Config
-	eo       EngineOptions // Caches always set
-	tel      *SearchTelemetry
-	sysTel   *systemTelemetry
-	start    time.Time
-	maxTrans int64 // merged Config/EngineOptions budget (0 = unlimited)
+	name   string
+	cfg    *Config
+	eo     EngineOptions // Caches always set
+	tel    *SearchTelemetry
+	sysTel *systemTelemetry
+	start  time.Time
 
 	stop     atomic.Bool
 	reason   atomic.Int32 // index into stopReasons, 0 = none
@@ -80,14 +79,9 @@ func Begin(ctx context.Context, name string, cfg *Config, eo EngineOptions, onSt
 	}
 	s := &Session{
 		name: name, cfg: cfg, eo: eo, onStop: onStop,
-		start:    time.Now(),
-		maxTrans: cfg.MaxTransitions,
-		tel:      newSearchTelemetry(eo.Telemetry, name),
-		sysTel:   newSystemTelemetry(eo.Telemetry),
-	}
-	// The smaller nonzero transition budget wins.
-	if eo.MaxTransitions > 0 && (s.maxTrans == 0 || eo.MaxTransitions < s.maxTrans) {
-		s.maxTrans = eo.MaxTransitions
+		start:  time.Now(),
+		tel:    newSearchTelemetry(eo.Telemetry, name),
+		sysTel: newSystemTelemetry(eo.Telemetry),
 	}
 	eo.Caches.AttachTelemetry(eo.Telemetry)
 
@@ -147,7 +141,7 @@ func (s *Session) Abort(r StopReason) {
 // workers race on the last transitions. A false return has already
 // aborted the search.
 func (s *Session) Reserve() bool {
-	if v := s.Transitions.Add(1); s.maxTrans > 0 && v > s.maxTrans {
+	if v := s.Transitions.Add(1); s.eo.MaxTransitions > 0 && v > s.eo.MaxTransitions {
 		s.Transitions.Add(-1)
 		s.Abort(StopMaxTransitions)
 		return false

@@ -190,15 +190,15 @@ func TestStopAtFirstViolation(t *testing.T) {
 // TestMaxTransitionsBudget: the engine aborts at the transition budget
 // and marks the report incomplete, like the sequential checker.
 func TestMaxTransitionsBudget(t *testing.T) {
-	cfg := scenarios.PingPong(3)
-	cfg.MaxTransitions = 50
-	par := parallel(cfg, 4, nil)
+	const budget = 50
+	par := Parallel().Search(context.Background(), scenarios.PingPong(3),
+		core.EngineOptions{Workers: 4, MaxTransitions: budget})
 	if par.Complete {
 		t.Error("report marked complete despite the budget")
 	}
 	// Budget slots are reserved before applying, so the bound is exact.
-	if par.Transitions > cfg.MaxTransitions {
-		t.Errorf("executed %d transitions, budget %d", par.Transitions, cfg.MaxTransitions)
+	if par.Transitions > budget {
+		t.Errorf("executed %d transitions, budget %d", par.Transitions, budget)
 	}
 }
 

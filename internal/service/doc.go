@@ -8,7 +8,7 @@
 // snapshots as content-addressed artifacts on disk.
 //
 // The package sits above internal/core and the public modelling SDK
-// but below the root facade: nice.Serve and cmd/nice-server wrap
+// but below the root facade: nice.Serve and `nice serve` wrap
 // Server, and `nice submit` / `nice watch` / `nice replay` are its
 // clients. See docs/SERVICE.md for the wire protocol.
 package service

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -10,7 +11,7 @@ import (
 	"time"
 
 	"github.com/nice-go/nice/internal/core"
-	"github.com/nice-go/nice/internal/search"
+	_ "github.com/nice-go/nice/internal/search" // registers the engines requests name
 	"github.com/nice-go/nice/internal/telemetry"
 	"github.com/nice-go/nice/scenarios"
 )
@@ -48,8 +49,12 @@ type Options struct {
 	JobTimeout        time.Duration
 	JobMaxStates      int64
 	JobMaxTransitions int64
+	// DefaultJobWorkers sizes the search pool of a job that leaves
+	// `workers` 0. When this is 0 too, a job naming no engine runs on
+	// one worker and a named engine on its own default (all CPUs).
 	DefaultJobWorkers int
-	ProgressEvery     time.Duration
+	// ProgressEvery is the jobs' progress-event interval (0 = 500ms).
+	ProgressEvery time.Duration
 	// Telemetry receives the "service" scope plus every job's engine
 	// scopes (nil = the server creates its own registry).
 	Telemetry *telemetry.Registry
@@ -302,9 +307,9 @@ func buildConfig(req *JobRequest) (*core.Config, error) {
 	return cfg, err
 }
 
-// runJob executes one job end to end: build, clamp budgets against
-// the tenant's drawdown, search with the event-bridging observer,
-// persist artifacts, draw down, finalize.
+// runJob executes one job end to end: build, search under the tenant's
+// drawdown (core.Job.Run) with the event-bridging observer, persist
+// artifacts, finalize.
 func (s *Server) runJob(j *job) {
 	// A job canceled while queued — or picked up mid-shutdown — never
 	// runs; it still terminates its stream with a done event.
@@ -351,53 +356,43 @@ func (s *Server) runJob(j *job) {
 	tn := s.tenants[j.tenant]
 	s.mu.Unlock()
 
-	// Budget clamping, Campaign-style: the job's own asks, capped by
-	// the server's per-job limits, capped by the tenant's remaining
-	// drawdown.
-	claim := tn.Clamp(core.Budget{States: j.req.MaxStates, Transitions: j.req.MaxTransitions}.
-		Min(core.Budget{States: s.opts.JobMaxStates, Transitions: s.opts.JobMaxTransitions}))
-
-	eo := core.EngineOptions{
-		Workers:        j.req.Workers,
-		MaxStates:      claim.States,
-		MaxTransitions: claim.Transitions,
-		Caches:         s.cc,
-		Telemetry:      s.reg,
-		ProgressEvery:  s.opts.ProgressEvery,
-		Observer: core.ObserverFuncs{
-			Violation: func(v core.Violation) {
-				wv := EncodeViolation(&v)
-				j.append(Event{Type: "violation", Violation: &wv})
-			},
-			Progress: func(p core.Progress) {
-				j.append(Event{Type: "progress", Progress: encodeProgress(p)})
+	// The job's own asks, capped by the server's per-job limits; Run
+	// caps them again by what the tenant's drawdown has left.
+	own := core.Budget{States: j.req.MaxStates, Transitions: j.req.MaxTransitions}.
+		Min(core.Budget{States: s.opts.JobMaxStates, Transitions: s.opts.JobMaxTransitions})
+	search := core.Job{
+		Timeout: time.Duration(j.req.TimeoutMS) * time.Millisecond,
+		EngineOptions: core.EngineOptions{
+			Workers:        cmp.Or(j.req.Workers, s.opts.DefaultJobWorkers),
+			MaxStates:      own.States,
+			MaxTransitions: own.Transitions,
+			Caches:         s.cc,
+			Telemetry:      s.reg,
+			ProgressEvery:  s.opts.ProgressEvery,
+			Observer: core.ObserverFuncs{
+				Violation: func(v core.Violation) {
+					wv := EncodeViolation(&v)
+					j.append(Event{Type: "violation", Violation: &wv})
+				},
+				Progress: func(p core.Progress) {
+					j.append(Event{Type: "progress", Progress: encodeProgress(p)})
+				},
 			},
 		},
 	}
-	if eo.Workers == 0 {
-		eo.Workers = s.opts.DefaultJobWorkers
-	}
-	var engine core.Engine = core.DFS()
-	if eo.Workers > 1 {
-		engine = search.Parallel()
+	if limit := s.opts.JobTimeout; limit > 0 && (search.Timeout == 0 || limit < search.Timeout) {
+		search.Timeout = limit
 	}
 	if j.req.Engine != "" {
 		// Validated at submission against the engine registry, so the
 		// lookup cannot miss here.
 		spec, _ := core.LookupEngine(j.req.Engine)
-		engine = spec.New()
-	}
-	timeout := s.opts.JobTimeout
-	if req := time.Duration(j.req.TimeoutMS) * time.Millisecond; req > 0 && (timeout == 0 || req < timeout) {
-		timeout = req
-	}
-	if timeout > 0 {
-		var tcancel context.CancelFunc
-		ctx, tcancel = context.WithTimeout(ctx, timeout)
-		defer tcancel()
+		search.Engine = spec.New()
+	} else if search.Workers == 0 {
+		search.Workers = 1 // no engine, no pool size: the sequential checker
 	}
 
-	report := engine.Search(ctx, cfg, eo)
+	report, starved := search.Run(ctx, cfg, tn)
 
 	result := &JobResult{
 		Transitions:  report.Transitions,
@@ -406,9 +401,9 @@ func (s *Server) runJob(j *job) {
 		Complete:     report.Complete,
 		StopReason:   string(report.StopReason),
 		ElapsedMS:    report.Elapsed.Milliseconds(),
-		Starved:      tn.Draw(claim, report),
+		Starved:      starved,
 	}
-	if result.Starved {
+	if starved {
 		s.tel.starved.Inc()
 	}
 	for i := range report.Violations {

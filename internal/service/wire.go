@@ -35,11 +35,14 @@ type JobRequest struct {
 	Strategy string `json:"strategy,omitempty"`
 	Fixed    bool   `json:"fixed,omitempty"`
 
-	// Engine names a registered search engine ("" = the server default,
-	// the parallel hybrid). "concolic" runs the symbolic feedback loop.
+	// Engine names a registered search engine. "" is the default every
+	// front end shares (core.Job): the full search, "dfs" on one worker
+	// and "parallel" on more. "concolic" runs the symbolic feedback loop.
 	Engine string `json:"engine,omitempty"`
 
-	// Workers sizes the engine worker pool (0 = server default).
+	// Workers sizes the engine worker pool. 0 = the server's
+	// DefaultJobWorkers, and when that is 0 too, one worker if no
+	// engine is named and the named engine's own default otherwise.
 	Workers int `json:"workers,omitempty"`
 	// MaxStates / MaxTransitions / TimeoutMS bound the search. The
 	// server clamps them against its own per-job limits and the

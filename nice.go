@@ -44,42 +44,23 @@ type (
 type (
 	// App is a controller application under test.
 	App = controller.App
-	// EnvApp adds environment (reconfiguration) events to an App.
-	EnvApp = controller.EnvApp
 	// BaseApp provides no-op handlers to embed.
 	BaseApp = controller.BaseApp
 	// Context is the per-invocation handler context and actuator.
 	Context = controller.Context
 )
 
-// End hosts (hosts).
-type (
-	// Host is the dynamic state of one end host.
-	Host = hosts.Host
-	// ReplyFunc derives a server's reply to a received packet.
-	ReplyFunc = hosts.ReplyFunc
-)
+// Host is the dynamic state of one end host (hosts).
+type Host = hosts.Host
 
 // Network model (openflow, topo).
 type (
 	// Topology is the static network description.
 	Topology = topo.Topology
-	// PortKey names one switch port.
-	PortKey = topo.PortKey
 	// Header is a packet header.
 	Header = openflow.Header
-	// Packet is a packet instance with identity.
-	Packet = openflow.Packet
-	// Match is an OpenFlow wildcard pattern.
-	Match = openflow.Match
-	// Rule is a flow-table entry.
-	Rule = openflow.Rule
 	// SwitchID identifies a switch.
 	SwitchID = openflow.SwitchID
-	// PortID identifies a switch port.
-	PortID = openflow.PortID
-	// HostID identifies an end host.
-	HostID = openflow.HostID
 	// EthAddr is a 48-bit MAC address.
 	EthAddr = openflow.EthAddr
 	// IPAddr is an IPv4 address.
@@ -87,33 +68,24 @@ type (
 	// Field names a packet header field (matching and symbolic
 	// variables share this namespace).
 	Field = openflow.Field
-	// Flow is a connection 4-tuple (the load balancer's microflow key).
-	Flow = openflow.Flow
 )
 
-// Header fields (the OpenFlow 1.0 12-tuple plus controller-visible
-// extras).
+// The header fields properties and domain hints usually name (package
+// openflow has the full OpenFlow 1.0 12-tuple).
 const (
-	FieldInPort   = openflow.FieldInPort
-	FieldEthSrc   = openflow.FieldEthSrc
-	FieldEthDst   = openflow.FieldEthDst
-	FieldEthType  = openflow.FieldEthType
-	FieldIPSrc    = openflow.FieldIPSrc
-	FieldIPDst    = openflow.FieldIPDst
-	FieldIPProto  = openflow.FieldIPProto
-	FieldTPSrc    = openflow.FieldTPSrc
-	FieldTPDst    = openflow.FieldTPDst
-	FieldTCPFlags = openflow.FieldTCPFlags
-	FieldArpOp    = openflow.FieldArpOp
+	FieldEthSrc  = openflow.FieldEthSrc
+	FieldEthDst  = openflow.FieldEthDst
+	FieldEthType = openflow.FieldEthType
+	FieldIPSrc   = openflow.FieldIPSrc
+	FieldIPDst   = openflow.FieldIPDst
+	FieldIPProto = openflow.FieldIPProto
+	FieldTPDst   = openflow.FieldTPDst
 )
 
 // Wire constants re-exported for convenience.
 const (
 	EthTypeIPv4  = openflow.EthTypeIPv4
-	EthTypeARP   = openflow.EthTypeARP
 	IPProtoTCP   = openflow.IPProtoTCP
-	TCPSyn       = openflow.TCPSyn
-	TCPAck       = openflow.TCPAck
 	BroadcastEth = openflow.BroadcastEth
 )
 
@@ -137,14 +109,6 @@ const (
 	EvStats         = core.EvStats
 	EvEnv           = core.EvEnv
 )
-
-// MakeEthAddr builds a MAC address from six octets.
-func MakeEthAddr(b0, b1, b2, b3, b4, b5 byte) EthAddr {
-	return openflow.MakeEthAddr(b0, b1, b2, b3, b4, b5)
-}
-
-// MakeIPAddr builds an IPv4 address from four octets.
-func MakeIPAddr(b0, b1, b2, b3 byte) IPAddr { return openflow.MakeIPAddr(b0, b1, b2, b3) }
 
 // Symbolic packets and stats (internal/sym) for application authors.
 type (
@@ -177,7 +141,7 @@ func LookupIP[V any](t *SymTrace, m map[IPAddr]V, key SymValue) (V, bool) {
 
 // LookupFlow is LookupEth for connection-4-tuple-keyed maps: the whole
 // tuple participates in the recorded constraint.
-func LookupFlow[V any](t *SymTrace, m map[Flow]V, p *SymPacket) (V, bool) {
+func LookupFlow[V any](t *SymTrace, m map[openflow.Flow]V, p *SymPacket) (V, bool) {
 	return sym.LookupFlow(t, m, p)
 }
 
@@ -200,50 +164,27 @@ func NewClient(spec *topo.Host, sends, burst int, seed Header) *Host {
 }
 
 // NewServer builds a replying host (receive enables send_reply).
-func NewServer(spec *topo.Host, reply ReplyFunc, replyBudget int) *Host {
+func NewServer(spec *topo.Host, reply hosts.ReplyFunc, replyBudget int) *Host {
 	return hosts.NewServer(spec, reply, replyBudget)
 }
 
 // EchoReply is the layer-2 echo behaviour of the §7 ping workload.
 func EchoReply(h *Host, rcv Header) (Header, bool) { return hosts.EchoReply(h, rcv) }
 
-// TCPServerReply models a TCP server (SYN→SYN|ACK, data→ACK).
-func TCPServerReply(h *Host, rcv Header) (Header, bool) { return hosts.TCPServerReply(h, rcv) }
-
-// Property library (§5.2).
+// Property library (§5.2); package props has the rest.
 var (
-	// NewNoForwardingLoops asserts no packet loops.
-	NewNoForwardingLoops = props.NewNoForwardingLoops
-	// NewNoBlackHoles asserts every packet leaves the network or is
-	// consumed by the controller.
-	NewNoBlackHoles = props.NewNoBlackHoles
-	// NewDirectPaths asserts established flows bypass the controller.
-	NewDirectPaths = props.NewDirectPaths
 	// NewStrictDirectPaths asserts both directions bypass the
 	// controller once established.
 	NewStrictDirectPaths = props.NewStrictDirectPaths
 	// NewNoForgottenPackets asserts switch buffers drain by the end of
 	// execution.
 	NewNoForgottenPackets = props.NewNoForgottenPackets
-	// NewFlowAffinity asserts a TCP connection sticks to one replica.
-	NewFlowAffinity = props.NewFlowAffinity
-	// NewUseCorrectRoutingTable asserts flows use the load-appropriate
-	// routing table.
-	NewUseCorrectRoutingTable = props.NewUseCorrectRoutingTable
 )
 
-// Topology construction.
+// Topology construction; package topo has the other generators.
 var (
-	// NewTopology returns an empty topology builder.
-	NewTopology = topo.New
-	// Linear builds A — s1 — … — sn — B (Figure 1 generalized).
-	Linear = topo.Linear
 	// SingleSwitch builds one switch with hosts A and B.
 	SingleSwitch = topo.SingleSwitch
-	// SingleSwitchMobile adds a third port host B can move to.
-	SingleSwitchMobile = topo.SingleSwitchMobile
-	// Cycle builds n switches in a ring.
-	Cycle = topo.Cycle
 	// LoadBalancerTopo builds the §8.2 client/replicas setting.
 	LoadBalancerTopo = topo.LoadBalancer
 	// Triangle builds the §8.3 TE setting.

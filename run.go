@@ -64,6 +64,7 @@ const (
 	StopDeadline       = core.StopDeadline
 	StopCanceled       = core.StopCanceled
 	StopSymBudget      = core.StopSymBudget
+	StopDrawdown       = core.StopDrawdown
 )
 
 // Engine registry lookups (single source of truth for CLI and service).
@@ -108,11 +109,10 @@ var (
 	ConcolicLoop = search.Loop
 )
 
-// runSettings collects Run's functional options.
+// runSettings collects Run's functional options: the search request
+// itself plus what the engine inference needs to know was asked for.
 type runSettings struct {
-	engine     Engine
-	eo         core.EngineOptions
-	deadline   time.Duration
+	core.Job
 	workersSet bool
 	walkMode   bool
 	symMode    bool
@@ -124,27 +124,26 @@ type RunOption func(*runSettings)
 // WithEngine selects the search engine explicitly, overriding the
 // defaults inferred from the other options.
 func WithEngine(e Engine) RunOption {
-	return func(s *runSettings) { s.engine = e }
+	return func(s *runSettings) { s.Engine = e }
 }
 
 // WithDeadline bounds the search's wall-clock time. The report of a
 // search that hits the deadline is partial (Complete false, StopReason
 // deadline) but every recorded trace still replays deterministically.
 func WithDeadline(d time.Duration) RunOption {
-	return func(s *runSettings) { s.deadline = d }
+	return func(s *runSettings) { s.Timeout = d }
 }
 
 // WithMaxStates aborts the search once n unique states have been
 // reached (the sequential engine stops exactly at n; parallel engines
 // may overshoot by at most the worker count).
 func WithMaxStates(n int64) RunOption {
-	return func(s *runSettings) { s.eo.MaxStates = n }
+	return func(s *runSettings) { s.MaxStates = n }
 }
 
 // WithMaxTransitions aborts the search after n executed transitions.
-// When Config.MaxTransitions is also set, the smaller budget wins.
 func WithMaxTransitions(n int64) RunOption {
-	return func(s *runSettings) { s.eo.MaxTransitions = n }
+	return func(s *runSettings) { s.MaxTransitions = n }
 }
 
 // WithWorkers sizes the worker pool (0 = all CPUs) and, unless an
@@ -153,7 +152,7 @@ func WithMaxTransitions(n int64) RunOption {
 // Workers=1 delegates to the sequential reference checker, so
 // WithWorkers(1) reproduces the default engine's reports exactly.
 func WithWorkers(n int) RunOption {
-	return func(s *runSettings) { s.eo.Workers = n; s.workersSet = true }
+	return func(s *runSettings) { s.Workers = n; s.workersSet = true }
 }
 
 // WithWalks switches Run to random-walk mode: `walks` walks of at most
@@ -162,9 +161,9 @@ func WithWorkers(n int) RunOption {
 // alone it selects the sequential RandomWalks engine.
 func WithWalks(seed int64, walks, steps int) RunOption {
 	return func(s *runSettings) {
-		s.eo.Seed = seed
-		s.eo.Walks = walks
-		s.eo.Steps = steps
+		s.Seed = seed
+		s.Walks = walks
+		s.Steps = steps
 		s.walkMode = true
 	}
 }
@@ -176,26 +175,26 @@ func WithWalks(seed int64, walks, steps int) RunOption {
 // means unbounded. Unless an engine was chosen explicitly, it selects
 // the ConcolicLoop engine; the eager engines ignore the budget.
 func WithSymBudget(n int64) RunOption {
-	return func(s *runSettings) { s.eo.SymBudget = n; s.symMode = true }
+	return func(s *runSettings) { s.SymBudget = n; s.symMode = true }
 }
 
 // WithSymWorkers sizes the concolic loop's solver pool (default 2) and,
 // unless an engine was chosen explicitly, selects the ConcolicLoop
 // engine. Composable with WithWorkers, which sizes the search pool.
 func WithSymWorkers(n int) RunOption {
-	return func(s *runSettings) { s.eo.SymWorkers = n; s.symMode = true }
+	return func(s *runSettings) { s.SymWorkers = n; s.symMode = true }
 }
 
 // WithObserver streams violations-as-found and periodic progress
 // snapshots to o while the search runs.
 func WithObserver(o Observer) RunOption {
-	return func(s *runSettings) { s.eo.Observer = o }
+	return func(s *runSettings) { s.Observer = o }
 }
 
 // WithProgressEvery sets the Observer's progress-snapshot interval
 // (default 500ms).
 func WithProgressEvery(d time.Duration) RunOption {
-	return func(s *runSettings) { s.eo.ProgressEvery = d }
+	return func(s *runSettings) { s.ProgressEvery = d }
 }
 
 // WithCaches shares a discover-cache set across Runs, so later searches
@@ -203,7 +202,7 @@ func WithProgressEvery(d time.Duration) RunOption {
 // schedule-independent across engines — the differential-parity
 // setting).
 func WithCaches(cc *Caches) RunOption {
-	return func(s *runSettings) { s.eo.Caches = cc }
+	return func(s *runSettings) { s.Caches = cc }
 }
 
 // WithReduction selects an interleaving-reduction layer, composable
@@ -216,7 +215,7 @@ func WithCaches(cc *Caches) RunOption {
 // random-walk engines sample single interleavings, where there is
 // nothing to reduce, and ignore it. Off by default.
 func WithReduction(r Reduction) RunOption {
-	return func(s *runSettings) { s.eo.Reduction = r }
+	return func(s *runSettings) { s.Reduction = r }
 }
 
 // WithTelemetry attaches a metrics registry to the search: the engine
@@ -226,7 +225,7 @@ func WithReduction(r Reduction) RunOption {
 // WithTelemetry at all — keeps every instrumentation site on its
 // single-branch disabled fast path.
 func WithTelemetry(reg *Telemetry) RunOption {
-	return func(s *runSettings) { s.eo.Telemetry = reg }
+	return func(s *runSettings) { s.Telemetry = reg }
 }
 
 // Run is the unified checking entry point: one search over cfg, on a
@@ -236,10 +235,11 @@ func WithTelemetry(reg *Telemetry) RunOption {
 //
 // Engine selection, unless WithEngine overrides it:
 //
-//   - default: SequentialDFS, the reference full search (Run(ctx, cfg)
-//     ≡ NewChecker(cfg).Run());
+//   - default: the full search on one worker — SequentialDFS, the
+//     reference checker (Run(ctx, cfg) ≡ NewChecker(cfg).Run());
 //   - WithWorkers(n): ParallelHybrid — the same full search spread
-//     over n workers (n=1 delegates to the sequential checker);
+//     over n workers (n=1 delegates to the sequential checker, which
+//     is how the default gets there);
 //   - WithWalks(...): RandomWalks, or SeededSwarm when WithWorkers is
 //     also given;
 //   - WithSymBudget / WithSymWorkers: ConcolicLoop, the feedback loop
@@ -250,29 +250,28 @@ func WithTelemetry(reg *Telemetry) RunOption {
 // false, StopReason saying why — whose violation traces still replay
 // deterministically via Checker.ReplayWithProperties.
 func Run(ctx context.Context, cfg *Config, opts ...RunOption) *Report {
+	r, _ := newJob(opts).Run(ctx, cfg, nil)
+	return r
+}
+
+// newJob applies the options — once — and infers the engine they imply.
+// The default and WithWorkers cases name none: core.Job.Run picks it.
+func newJob(opts []RunOption) core.Job {
 	var s runSettings
 	for _, opt := range opts {
 		opt(&s)
 	}
-	engine := s.engine
-	if engine == nil {
+	if s.Engine == nil {
 		switch {
 		case s.symMode:
-			engine = ConcolicLoop()
+			s.Engine = ConcolicLoop()
 		case s.walkMode && s.workersSet:
-			engine = SeededSwarm()
+			s.Engine = SeededSwarm()
 		case s.walkMode:
-			engine = RandomWalks()
-		case s.workersSet:
-			engine = ParallelHybrid()
-		default:
-			engine = SequentialDFS()
+			s.Engine = RandomWalks()
+		case !s.workersSet:
+			s.Workers = 1 // the sequential reference checker
 		}
 	}
-	if s.deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.deadline)
-		defer cancel()
-	}
-	return engine.Search(ctx, cfg, s.eo)
+	return s.Job
 }

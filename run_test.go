@@ -149,8 +149,8 @@ func TestRunMaxStatesParallel(t *testing.T) {
 	replayAll(t, fullBugII, report)
 }
 
-// TestRunMaxTransitions: the option-level transition budget matches the
-// legacy Config.MaxTransitions semantics on both engines.
+// TestRunMaxTransitions: the transition budget is exact on both engines
+// (slots are reserved before the apply).
 func TestRunMaxTransitions(t *testing.T) {
 	for name, opts := range map[string][]nice.RunOption{
 		"sequential": {nice.WithMaxTransitions(50)},

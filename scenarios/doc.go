@@ -3,9 +3,9 @@
 // eleven bug scenarios of §8 (Table 2), scaled bench workloads, and
 // generator-backed workloads on parameterized topologies
 // (generated.go), exposed through a named scenario registry
-// (registry.go) that cmd/nice, cmd/nice-experiments, the benchmark, the
-// tests and the examples all consume — a new topology or workload
-// registers in exactly one place.
+// (registry.go) that cmd/nice, the benchmark, the tests and the
+// examples all consume — a new topology or workload registers in exactly
+// one place.
 //
 // External modules can register their own workloads: build one
 // declarative Spec literal (spec.go) and RegisterSpec it, and every

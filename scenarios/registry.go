@@ -12,7 +12,7 @@ import (
 // Scenario is one named, registered checking workload: the topology,
 // application, hosts and properties behind a paper experiment or a
 // benchmark, plus the expectations the test suites assert. The CLI
-// (cmd/nice), the experiment harness (cmd/nice-experiments), the
+// (cmd/nice) with its experiment harness (nice experiments), the
 // benchmark (benchmark/), the tests and the examples all resolve
 // workloads here, so a new topology or workload registers in exactly
 // one place.
@@ -35,7 +35,7 @@ type Scenario struct {
 	// ScaleName names the scale knob ("pings", "sends"); "" when the
 	// scenario has no scale parameter.
 	ScaleName string
-	// DefaultScale is the scale used when Config is called with <= 0.
+	// DefaultScale is the scale used when one <= 0 is asked for (Scale).
 	DefaultScale int
 	// Build constructs the checking configuration at a given scale
 	// (ignored when ScaleName is empty).
@@ -49,13 +49,22 @@ type Scenario struct {
 	Strategize func(cfg *core.Config, s Strategy) *core.Config
 }
 
-// Config builds the scenario's checking configuration; scale <= 0 uses
-// DefaultScale.
-func (s Scenario) Config(scale int) *core.Config {
-	if scale <= 0 {
-		scale = s.DefaultScale
+// Scale is the scale the scenario runs at when asked for scale: the
+// asked-for one, DefaultScale when scale <= 0, and 0 when the scenario
+// has no knob (its Build hooks ignore the argument).
+func (s Scenario) Scale(scale int) int {
+	switch {
+	case s.ScaleName == "":
+		return 0
+	case scale <= 0:
+		return s.DefaultScale
 	}
-	return s.Build(scale)
+	return scale
+}
+
+// Config builds the scenario's checking configuration at Scale(scale).
+func (s Scenario) Config(scale int) *core.Config {
+	return s.Build(s.Scale(scale))
 }
 
 // FixedConfig builds the repaired-application variant, or nil.
@@ -63,10 +72,7 @@ func (s Scenario) FixedConfig(scale int) *core.Config {
 	if s.BuildFixed == nil {
 		return nil
 	}
-	if scale <= 0 {
-		scale = s.DefaultScale
-	}
-	return s.BuildFixed(scale)
+	return s.BuildFixed(s.Scale(scale))
 }
 
 // Apply applies a Table 2 strategy column to a config built by this

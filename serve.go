@@ -12,7 +12,7 @@ import (
 
 // Checking-as-a-service (internal/service), re-exported so embedders
 // can run the NICE server in-process without importing internal
-// packages. cmd/nice-server is a thin wrapper over Serve; `nice
+// packages. `nice serve` is a thin wrapper over Serve; `nice
 // submit` / `nice watch` / `nice replay` are its clients.
 type (
 	// Service is the long-running checking server: a bounded worker
