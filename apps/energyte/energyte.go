@@ -2,9 +2,10 @@ package energyte
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 
 	"github.com/nice-go/nice/controller"
-	"github.com/nice-go/nice/internal/canon"
 	"github.com/nice-go/nice/internal/sym"
 	"github.com/nice-go/nice/openflow"
 	"github.com/nice-go/nice/topo"
@@ -175,11 +176,62 @@ func (a *App) ensureOwned() {
 	a.borrowed = false
 }
 
-// StateKey implements controller.App.
+// StateKey implements controller.App with a hand-written rendering:
+// the scalars, the flow table in Flow.Less order, and the pending
+// releases in queue order with their barrier xids sorted (the
+// fmt.Sprintf + reflective canon.String walk this replaces was a sixth
+// of a Table 2 run; TestStateKeyPartition holds the two to the same
+// equalities).
 func (a *App) StateKey() string {
-	return fmt.Sprintf("high=%t table=%v n=%d polls=%d flows=%s pend=%s",
-		a.high, a.globalTable, a.flowCount, a.pollsLeft,
-		canon.String(a.flows), canon.String(a.pending))
+	flows := make([]openflow.Flow, 0, len(a.flows))
+	for f := range a.flows {
+		flows = append(flows, f)
+	}
+	slices.SortFunc(flows, func(f, g openflow.Flow) int {
+		if f.Less(g) {
+			return -1
+		}
+		return 1 // map keys: never equal
+	})
+	b := make([]byte, 0, 64+48*len(flows)+32*len(a.pending))
+	b = append(b, "high="...)
+	b = strconv.AppendBool(b, a.high)
+	b = append(b, " table="...)
+	b = strconv.AppendInt(b, int64(a.globalTable), 10)
+	b = append(b, " n="...)
+	b = strconv.AppendInt(b, int64(a.flowCount), 10)
+	b = append(b, " polls="...)
+	b = strconv.AppendInt(b, int64(a.pollsLeft), 10)
+	b = append(b, " flows{"...)
+	for i, f := range flows {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = f.AppendKey(b)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, int64(a.flows[f]), 10)
+	}
+	b = append(b, "} pend["...)
+	var xids []int
+	for _, p := range a.pending {
+		b = strconv.AppendInt(b, int64(p.Sw), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(p.Buf), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(p.Out), 10)
+		xids = xids[:0]
+		for x := range p.Waiting {
+			xids = append(xids, x)
+		}
+		slices.Sort(xids)
+		for _, x := range xids {
+			b = append(b, ',')
+			b = strconv.AppendInt(b, int64(x), 10)
+		}
+		b = append(b, ';')
+	}
+	b = append(b, ']')
+	return string(b)
 }
 
 // EnvEvents implements controller.EnvApp: the bounded periodic

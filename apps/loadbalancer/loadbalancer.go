@@ -166,7 +166,7 @@ func (a *App) StateKey() string {
 	for f := range a.inspected {
 		flows = append(flows, f)
 	}
-	sort.Slice(flows, func(i, j int) bool { return flowLess(flows[i], flows[j]) })
+	sort.Slice(flows, func(i, j int) bool { return flows[i].Less(flows[j]) })
 	b := make([]byte, 0, 48+40*len(flows))
 	b = append(b, "policy="...)
 	b = strconv.AppendInt(b, int64(a.policy), 10)
@@ -181,53 +181,12 @@ func (a *App) StateKey() string {
 		if i > 0 {
 			b = append(b, ' ')
 		}
-		b = appendFlowKey(b, f)
+		b = f.AppendKey(b)
 		b = append(b, '>')
 		b = strconv.AppendInt(b, int64(a.inspected[f]), 10)
 	}
 	b = append(b, '}')
 	return string(b)
-}
-
-// flowLess orders flows for the canonical inspected rendering.
-func flowLess(a, b openflow.Flow) bool {
-	switch {
-	case a.EthSrc != b.EthSrc:
-		return a.EthSrc < b.EthSrc
-	case a.EthDst != b.EthDst:
-		return a.EthDst < b.EthDst
-	case a.EthType != b.EthType:
-		return a.EthType < b.EthType
-	case a.IPSrc != b.IPSrc:
-		return a.IPSrc < b.IPSrc
-	case a.IPDst != b.IPDst:
-		return a.IPDst < b.IPDst
-	case a.IPProto != b.IPProto:
-		return a.IPProto < b.IPProto
-	case a.TPSrc != b.TPSrc:
-		return a.TPSrc < b.TPSrc
-	default:
-		return a.TPDst < b.TPDst
-	}
-}
-
-func appendFlowKey(b []byte, f openflow.Flow) []byte {
-	b = strconv.AppendUint(b, uint64(f.EthSrc), 16)
-	b = append(b, '>')
-	b = strconv.AppendUint(b, uint64(f.EthDst), 16)
-	b = append(b, ':')
-	b = strconv.AppendUint(b, uint64(f.EthType), 16)
-	b = append(b, ':')
-	b = strconv.AppendUint(b, uint64(uint32(f.IPSrc)), 16)
-	b = append(b, '>')
-	b = strconv.AppendUint(b, uint64(uint32(f.IPDst)), 16)
-	b = append(b, ':')
-	b = strconv.AppendUint(b, uint64(f.IPProto), 10)
-	b = append(b, ':')
-	b = strconv.AppendUint(b, uint64(f.TPSrc), 10)
-	b = append(b, '>')
-	b = strconv.AppendUint(b, uint64(f.TPDst), 10)
-	return b
 }
 
 // SwitchJoin installs the steady-state rule set: ARP redirection to the

@@ -9,14 +9,18 @@
 //	nice replay -server http://localhost:8080 <artifact-id>
 //
 // submit/watch exit 0 when the job completes clean, 1 when it reports
-// a violation, 2 on usage or transport errors, 3 when the job was cut
-// short (canceled, budget, deadline). replay exits 0 only when the
-// artifact reproduces its recorded violation fingerprint.
+// a violation, 2 on usage or transport errors (a sealed job none of
+// whose violations the server could re-read counts as one), 3 when the
+// job was cut short (canceled, budget, deadline). replay exits 0 only
+// when the artifact reproduces its recorded violation fingerprint and
+// the fetched bytes hash to the id asked for.
 package main
 
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -175,7 +179,7 @@ func streamJob(c *client, id string) int {
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	violations := 0
+	violations, unread := 0, 0
 	for sc.Scan() {
 		var ev nice.ServiceEvent
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
@@ -194,6 +198,9 @@ func streamJob(c *client, id string) int {
 				fmt.Printf("%s: final: %d states, %d transitions in %dms\n",
 					ev.Job, ev.Progress.UniqueStates, ev.Progress.Transitions, ev.Progress.ElapsedMS)
 			}
+		case "error": // only in the stream rebuilt for a sealed job
+			unread++
+			fmt.Fprintf(os.Stderr, "%s: could not be re-read: %s\n", ev.Job, ev.Error)
 		case "done":
 			fmt.Printf("%s: %s", ev.Job, ev.State)
 			if r := ev.Result; r != nil {
@@ -206,6 +213,8 @@ func streamJob(c *client, id string) int {
 			switch {
 			case violations > 0:
 				return 1
+			case unread > 0: // what the job found is no longer on the server
+				return 2
 			case ev.State == "done":
 				return 0
 			default: // canceled / error
@@ -244,6 +253,11 @@ func clientReplay(args []string) {
 				os.Exit(2)
 			}
 			data, err = io.ReadAll(resp.Body)
+			// An artifact is named by its content: bytes that do
+			// not hash to the id asked for are not that artifact.
+			if sum := sha256.Sum256(data); err == nil && hex.EncodeToString(sum[:]) != fs.Arg(0) {
+				err = fmt.Errorf("artifact %s: fetched content does not match its id", fs.Arg(0))
+			}
 		}
 	default:
 		fmt.Fprintln(os.Stderr, "usage: nice replay [-server URL] <artifact-id> | nice replay -file trace.json")

@@ -3,10 +3,16 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -104,5 +110,37 @@ func TestServe(t *testing.T) {
 	cmd.Process.Signal(syscall.SIGINT)
 	if err := cmd.Wait(); err != nil {
 		t.Errorf("nice serve after SIGINT: %v, want exit 0", err)
+	}
+}
+
+// TestReplayFailsClosed: `nice replay <id>` checks what it fetched
+// against the id it asked for; a server answering with other bytes —
+// here a well-formed artifact with one byte changed — is a transport
+// error (exit 2), not a replay.
+func TestReplayFailsClosed(t *testing.T) {
+	ta, err := json.Marshal(nice.TraceArtifact{Version: 1, Job: "j1",
+		Request: nice.JobRequest{Scenario: "bug-ii"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(ta)
+	id := hex.EncodeToString(sum[:])
+	var tampered atomic.Bool
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body := ta
+		if tampered.Load() {
+			body = bytes.Replace(ta, []byte(`"j1"`), []byte(`"j2"`), 1)
+		}
+		w.Write(body)
+	}))
+	defer ts.Close()
+
+	// Intact bytes get past the check (and replay clean: no trace).
+	if _, errOut, code := run(t, "replay", "-server", ts.URL, id); code != 1 || strings.Contains(errOut, "match") {
+		t.Errorf("intact artifact: exit %d, stderr %q; want the replay to run (exit 1, not reproduced)", code, errOut)
+	}
+	tampered.Store(true)
+	if _, errOut, code := run(t, "replay", "-server", ts.URL, id); code != 2 || !strings.Contains(errOut, "does not match its id") {
+		t.Errorf("tampered artifact: exit %d, stderr %q; want exit 2 naming the mismatch", code, errOut)
 	}
 }

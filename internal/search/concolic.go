@@ -147,27 +147,28 @@ func (loopEngine) Search(ctx context.Context, cfg *core.Config, eo core.EngineOp
 	st.push(0, item{sys: root})
 
 	var wg sync.WaitGroup
-	pool := func(n int, solver bool, work func(target)) {
+	pool := func(n int, solver bool, work func(*scratch, target)) {
 		for w := 0; w < n; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				defer s.Guard()
+				var sc scratch
 				for {
 					tg, ok := st.take(solver)
 					if !ok {
 						return
 					}
-					work(tg)
+					work(&sc, tg)
 					tg.sys.Release()
 					st.done()
 				}
 			}()
 		}
 	}
-	pool(eo.WorkerCount(), false, func(tg target) {
+	pool(eo.WorkerCount(), false, func(sc *scratch, tg target) {
 		st.feedbackTargets(tg.item)
-		st.expand(0, tg.item, nil)
+		st.expand(0, tg.item, sc)
 	})
 	pool(eo.SolverPool(), true, st.solve)
 	wg.Wait()
@@ -224,7 +225,7 @@ func (st *loopState) feedbackTargets(it item) {
 }
 
 // solve processes one symbolic target on a solver worker.
-func (st *loopState) solve(tg target) {
+func (st *loopState) solve(sc *scratch, tg target) {
 	if st.s.Stopped() {
 		return
 	}
@@ -244,9 +245,8 @@ func (st *loopState) solve(tg target) {
 	if !st.s.Reserve() {
 		return
 	}
-	events, violated := st.apply(tg.sys, tg.path, tg.t, getEventBuf())
-	putEventBuf(events)
-	if violated {
+	var violated bool
+	if sc.events, violated = st.apply(tg.sys, tg.path, tg.t, sc.events); violated {
 		return
 	}
 	// The solved classes seed a new search frontier: the post-discover

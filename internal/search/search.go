@@ -96,7 +96,7 @@ func (parallelEngine) Search(ctx context.Context, cfg *core.Config, eo core.Engi
 		go func(w int) {
 			defer wg.Done()
 			defer s.Guard()
-			var sc core.SleepScratch
+			var sc scratch
 			for {
 				it, ok := front.get(w)
 				if !ok {
@@ -114,6 +114,18 @@ func (parallelEngine) Search(ctx context.Context, cfg *core.Config, eo core.Engi
 	wg.Wait()
 	s.Tel().SetShardOccupancy(st.seen.occupancy())
 	return s.End(ctx)
+}
+
+// scratch is one worker goroutine's reusable buffers. Copy-on-write
+// forking left the enabled-transition list and the event batch of each
+// expansion (whose elements carry openflow.Msg payloads) at the top of
+// the allocation profile; both live only within one step and nothing
+// retains them, so each worker keeps its own and no step allocates
+// them.
+type scratch struct {
+	sleep   core.SleepScratch
+	enabled []core.Transition
+	events  []core.Event
 }
 
 // expander is the per-state expansion step and what its workers share
@@ -180,13 +192,13 @@ func (st *expander) admit(w int, child *core.System, path *core.PathNode, t core
 // exactly the keys that slipped awake. Sleep sets prune transition
 // executions only, never states, so UniqueStates matches the unreduced
 // search.
-func (st *expander) expand(w int, it item, sc *core.SleepScratch) {
+func (st *expander) expand(w int, it item, sc *scratch) {
 	s := st.s
 	if s.Stopped() {
 		return
 	}
-	enabled := it.sys.EnabledInto(getTransBuf())
-	defer putTransBuf(enabled)
+	sc.enabled = it.sys.EnabledInto(sc.enabled)
+	enabled := sc.enabled
 	if len(enabled) == 0 {
 		for _, f := range it.sys.CheckQuiescence() {
 			s.Record(core.Violation{Property: f.Property, Err: f.Err,
@@ -202,17 +214,8 @@ func (st *expander) expand(w int, it item, sc *core.SleepScratch) {
 
 	var executed []int
 	if st.red != nil {
-		st.red.Prepare(it.sys, enabled, sc)
+		st.red.Prepare(it.sys, enabled, &sc.sleep)
 	}
-
-	// The per-transition event batch lives only until the property
-	// checks below, so one pooled buffer serves the whole expansion —
-	// the hot-loop allocation COW forking exposes as the next
-	// bottleneck.
-	events := getEventBuf()
-	// Deferred via closure: ApplyInto may grow the buffer, and the
-	// grown backing is the one worth pooling.
-	defer func() { putEventBuf(events) }()
 
 	for i, t := range enabled {
 		if s.Stopped() {
@@ -222,12 +225,12 @@ func (st *expander) expand(w int, it item, sc *core.SleepScratch) {
 			continue
 		}
 		if st.red != nil {
-			if it.wake != nil && !keyIn64(it.wake, sc.Key(i)) {
+			if it.wake != nil && !keyIn64(it.wake, sc.sleep.Key(i)) {
 				// Covered by this state's previous, larger expansion.
 				st.dporTel.Pruned(1)
 				continue
 			}
-			if sc.Asleep(it.sleep, i) {
+			if sc.sleep.Asleep(it.sleep, i) {
 				st.dporTel.SleepHit()
 				continue
 			}
@@ -237,11 +240,11 @@ func (st *expander) expand(w int, it item, sc *core.SleepScratch) {
 		}
 		child := it.sys.Clone()
 		var violated bool
-		events, violated = st.apply(child, it.path, t, events)
+		sc.events, violated = st.apply(child, it.path, t, sc.events)
 		var childSleep []core.SleepEntry
 		if st.red != nil {
 			if !violated {
-				childSleep = sc.ChildSleep(it.sleep, executed, i)
+				childSleep = sc.sleep.ChildSleep(it.sleep, executed, i)
 			}
 			// Executed siblings join the sleep-source even when they
 			// violated: their interleavings are covered either way.

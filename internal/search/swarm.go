@@ -53,8 +53,9 @@ func (e randomWalk) Search(ctx context.Context, cfg *core.Config, eo core.Engine
 		go func(w int) {
 			defer wg.Done()
 			defer s.Guard()
+			var sc scratch
 			for i := w; i < walks && !s.Stopped(); i += workers {
-				walk(s, seen, eo.Seed+int64(i), steps)
+				walk(s, seen, &sc, eo.Seed+int64(i), steps)
 			}
 		}(w)
 	}
@@ -64,12 +65,10 @@ func (e randomWalk) Search(ctx context.Context, cfg *core.Config, eo core.Engine
 }
 
 // walk is one seeded random execution from the initial state.
-func walk(s *core.Session, seen *seenSet, seed int64, steps int) {
+func walk(s *core.Session, seen *seenSet, sc *scratch, seed int64, steps int) {
 	rng := rand.New(rand.NewSource(seed))
 	sys := s.NewSystem()
 	var trace []core.Transition
-	events := getEventBuf()
-	defer func() { putEventBuf(events) }()
 	for step := 0; step < steps; step++ {
 		if s.Stopped() {
 			return
@@ -89,10 +88,10 @@ func walk(s *core.Session, seen *seenSet, seed int64, steps int) {
 		if !s.Reserve() {
 			return
 		}
-		events = sys.ApplyInto(t, events)
+		sc.events = sys.ApplyInto(t, sc.events)
 		trace = append(trace, t)
 		violated := false
-		for _, f := range sys.CheckEvents(events) {
+		for _, f := range sys.CheckEvents(sc.events) {
 			s.Record(core.Violation{Property: f.Property, Err: f.Err,
 				Trace: cloneTrace(trace)})
 			violated = true

@@ -27,11 +27,17 @@ func newArtifactStore(dir string, tel *serviceTelemetry) (*artifactStore, error)
 	return &artifactStore{dir: dir, tel: tel}, nil
 }
 
+// artifactID is the content address of an artifact's bytes; whoever
+// fetches one checks the bytes against the id it asked for.
+func artifactID(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
+}
+
 // put writes data and returns its content address. Re-putting
 // identical content is a no-op returning the same ID.
 func (s *artifactStore) put(data []byte) (string, error) {
-	sum := sha256.Sum256(data)
-	id := hex.EncodeToString(sum[:])
+	id := artifactID(data)
 	path := s.path(id)
 	if _, err := os.Stat(path); err == nil {
 		return id, nil
@@ -64,12 +70,17 @@ func (s *artifactStore) put(data []byte) (string, error) {
 	return id, nil
 }
 
-// get returns an artifact's bytes by content address.
+// get returns an artifact's bytes by content address, and only bytes
+// that still hash to it: a truncated or altered file is an error.
 func (s *artifactStore) get(id string) ([]byte, error) {
 	if !validArtifactID(id) {
 		return nil, fmt.Errorf("invalid artifact id %q", id)
 	}
-	return os.ReadFile(s.path(id))
+	data, err := os.ReadFile(s.path(id))
+	if err == nil && artifactID(data) != id {
+		err = fmt.Errorf("artifact %s: content does not match its name", id)
+	}
+	return data, err
 }
 
 func (s *artifactStore) path(id string) string {

@@ -3,8 +3,10 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strings"
+	"time"
 
 	"github.com/nice-go/nice/internal/telemetry"
 	"github.com/nice-go/nice/scenarios"
@@ -86,7 +88,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	writeJSON(w, http.StatusOK, j.status())
+	writeJSON(w, http.StatusOK, j.document())
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -102,9 +104,15 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j.status())
 }
 
+// streamWriteTimeout is how long one line of a result stream may take
+// to reach its client. A watcher that has stopped reading is cut off
+// after it, so it cannot hold a finished job's history forever.
+var streamWriteTimeout = 30 * time.Second
+
 // handleStream replays the job's event history from the start and
 // follows it live until the job's terminal done event, the client
-// disconnecting, or server shutdown completing the job. Events are
+// disconnecting or stalling, or server shutdown completing the job; a
+// sealed job's stream is rebuilt from its artifacts. Events are
 // NDJSON lines by default; Accept: text/event-stream switches to SSE
 // frames (event: <type> / data: <json>).
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
@@ -131,32 +139,35 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	s.tel.streamClients.Set(s.streamClients.Add(1))
 	defer func() { s.tel.streamClients.Set(s.streamClients.Add(-1)) }()
 
+	rc := http.NewResponseController(w)
+	write := func(ln line) error {
+		rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
+		if !sse {
+			_, err := w.Write(ln.data)
+			return err
+		}
+		_, err := fmt.Fprintf(w, "event: %s\ndata: %s\n", ln.typ, ln.data)
+		return err
+	}
 	sub := j.subscribe()
-	defer j.unsubscribe(sub)
-	enc := json.NewEncoder(w)
-	cursor := 0
-	for {
-		evs := j.eventsFrom(cursor)
-		for i := range evs {
-			if sse {
-				if _, err := w.Write([]byte("event: " + evs[i].Type + "\ndata: ")); err != nil {
-					return
-				}
-			}
-			if err := enc.Encode(evs[i]); err != nil {
-				return
-			}
-			if sse {
-				if _, err := w.Write([]byte("\n")); err != nil {
-					return
-				}
-			}
-			if evs[i].Type == "done" {
-				flusher.Flush()
+	if sub == nil {
+		for _, ev := range j.sealedEvents() {
+			if write(marshalLine(&ev)) != nil {
 				return
 			}
 		}
-		cursor += len(evs)
+		return
+	}
+	defer j.unsubscribe(sub)
+	cursor := 0
+	for {
+		lines := j.linesFrom(cursor)
+		for _, ln := range lines {
+			if write(ln) != nil || ln.typ == "done" {
+				return
+			}
+		}
+		cursor += len(lines)
 		flusher.Flush()
 		select {
 		case <-r.Context().Done():

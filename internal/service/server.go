@@ -74,6 +74,8 @@ type serviceTelemetry struct {
 	artifactsWritten *telemetry.Counter
 	artifactBytes    *telemetry.Counter
 	streamClients    *telemetry.Gauge
+	sealed           *telemetry.Counter
+	historyBytes     *telemetry.Gauge
 }
 
 func newServiceTelemetry(reg *telemetry.Registry) *serviceTelemetry {
@@ -91,6 +93,8 @@ func newServiceTelemetry(reg *telemetry.Registry) *serviceTelemetry {
 		artifactsWritten: sc.Counter("artifacts_written"),
 		artifactBytes:    sc.Counter("artifact_bytes"),
 		streamClients:    sc.Gauge("stream_clients"),
+		sealed:           sc.Counter("jobs_sealed"),
+		historyBytes:     sc.Gauge("history_bytes"),
 	}
 }
 
@@ -109,6 +113,7 @@ type Server struct {
 	wg            sync.WaitGroup
 	running       atomic.Int64
 	streamClients atomic.Int64
+	historyBytes  atomic.Int64 // NDJSON bytes held by unsealed jobs
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -117,7 +122,16 @@ type Server struct {
 	queue    chan *job
 	tenants  map[string]*core.Drawdown // one shared pool per submitter
 	shutdown bool
+	// Without an artifact store there is nothing to re-read a sealed
+	// job's violations from, so the keepBodies most recently finished
+	// jobs stay unsealed: a ring, finished counting what it has seen.
+	recent   [keepBodies]*job
+	finished int
 }
+
+// keepBodies is how many finished jobs a server without an artifact
+// store keeps the history and violation bodies of.
+const keepBodies = 64
 
 // New builds and starts a Server (its workers run until Shutdown).
 func New(opts Options) (*Server, error) {
@@ -211,18 +225,18 @@ func (s *Server) Submit(tenantName string, req *JobRequest) (*job, error) {
 	}
 
 	s.nextID++
-	j := newJob("j"+strconv.Itoa(s.nextID), tenantName, *req)
+	j := newJob(s, "j"+strconv.Itoa(s.nextID), tenantName, *req)
 	select {
 	case s.queue <- j:
 	default:
 		s.tel.rejected.Inc()
 		return nil, &submitError{status: 429, msg: "queue full"}
 	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
+	s.jobs[j.st.ID] = j
+	s.order = append(s.order, j.st.ID)
 	s.tel.submitted.Inc()
 	s.tel.queued.Set(int64(len(s.queue)))
-	j.append(Event{Type: "status", State: StateQueued})
+	j.setState(StateQueued, nil, "")
 	return j, nil
 }
 
@@ -282,8 +296,19 @@ func (s *Server) worker() {
 	defer s.wg.Done()
 	for j := range s.queue {
 		s.tel.queued.Set(int64(len(s.queue)))
-		s.tel.queueWait.Observe(time.Since(j.queuedAt).Milliseconds())
+		s.tel.queueWait.Observe(time.Since(j.st.QueuedAt).Milliseconds())
 		s.runJob(j)
+		if s.store == nil {
+			s.mu.Lock()
+			slot := &s.recent[s.finished%keepBodies]
+			s.finished++
+			aged := *slot
+			*slot = j
+			s.mu.Unlock()
+			if aged != nil {
+				aged.unsubscribe(aged.hold)
+			}
+		}
 	}
 }
 
@@ -345,7 +370,8 @@ func (s *Server) runJob(j *job) {
 	}()
 	j.setState(StateRunning, nil, "")
 
-	cfg, err := buildConfig(&j.req)
+	req := &j.st.Request
+	cfg, err := buildConfig(req)
 	if err != nil {
 		s.tel.errored.Inc()
 		j.setState(StateError, nil, err.Error())
@@ -353,40 +379,32 @@ func (s *Server) runJob(j *job) {
 	}
 
 	s.mu.Lock()
-	tn := s.tenants[j.tenant]
+	tn := s.tenants[j.st.Tenant]
 	s.mu.Unlock()
 
 	// The job's own asks, capped by the server's per-job limits; Run
 	// caps them again by what the tenant's drawdown has left.
-	own := core.Budget{States: j.req.MaxStates, Transitions: j.req.MaxTransitions}.
+	own := core.Budget{States: req.MaxStates, Transitions: req.MaxTransitions}.
 		Min(core.Budget{States: s.opts.JobMaxStates, Transitions: s.opts.JobMaxTransitions})
 	search := core.Job{
-		Timeout: time.Duration(j.req.TimeoutMS) * time.Millisecond,
+		Timeout: time.Duration(req.TimeoutMS) * time.Millisecond,
 		EngineOptions: core.EngineOptions{
-			Workers:        cmp.Or(j.req.Workers, s.opts.DefaultJobWorkers),
+			Workers:        cmp.Or(req.Workers, s.opts.DefaultJobWorkers),
 			MaxStates:      own.States,
 			MaxTransitions: own.Transitions,
 			Caches:         s.cc,
 			Telemetry:      s.reg,
 			ProgressEvery:  s.opts.ProgressEvery,
-			Observer: core.ObserverFuncs{
-				Violation: func(v core.Violation) {
-					wv := EncodeViolation(&v)
-					j.append(Event{Type: "violation", Violation: &wv})
-				},
-				Progress: func(p core.Progress) {
-					j.append(Event{Type: "progress", Progress: encodeProgress(p)})
-				},
-			},
+			Observer:       core.ObserverFuncs{Violation: j.violation, Progress: j.progress},
 		},
 	}
 	if limit := s.opts.JobTimeout; limit > 0 && (search.Timeout == 0 || limit < search.Timeout) {
 		search.Timeout = limit
 	}
-	if j.req.Engine != "" {
+	if req.Engine != "" {
 		// Validated at submission against the engine registry, so the
 		// lookup cannot miss here.
-		spec, _ := core.LookupEngine(j.req.Engine)
+		spec, _ := core.LookupEngine(req.Engine)
 		search.Engine = spec.New()
 	} else if search.Workers == 0 {
 		search.Workers = 1 // no engine, no pool size: the sequential checker
@@ -406,9 +424,7 @@ func (s *Server) runJob(j *job) {
 	if starved {
 		s.tel.starved.Inc()
 	}
-	for i := range report.Violations {
-		result.Violations = append(result.Violations, EncodeViolation(&report.Violations[i]))
-	}
+	result.Violations = j.wireViolations(report.Violations)
 	s.persistArtifacts(j, result)
 
 	switch {
@@ -432,9 +448,9 @@ func (s *Server) persistArtifacts(j *job, result *JobResult) {
 	for i := range result.Violations {
 		ta := TraceArtifact{
 			Version:   WireVersion,
-			Job:       j.id,
-			Tenant:    j.tenant,
-			Request:   j.req,
+			Job:       j.st.ID,
+			Tenant:    j.st.Tenant,
+			Request:   j.st.Request,
 			Violation: result.Violations[i],
 		}
 		// Keep TraceArtifacts index-aligned with Violations even if a

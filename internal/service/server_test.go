@@ -40,6 +40,13 @@ func newTestServer(t *testing.T, opts service.Options) (*service.Server, *httpte
 	if opts.ArtifactDir == "" {
 		opts.ArtifactDir = t.TempDir()
 	}
+	return startServer(t, opts)
+}
+
+// startServer starts a server as configured — without an artifact store
+// unless opts names a directory — and shuts it down with the test.
+func startServer(t *testing.T, opts service.Options) (*service.Server, *httptest.Server) {
+	t.Helper()
 	s, err := service.New(opts)
 	if err != nil {
 		t.Fatalf("service.New: %v", err)
@@ -361,20 +368,7 @@ func TestServiceCancelLeavesNoGoroutines(t *testing.T) {
 	}
 	ts.Close()
 
-	// Goroutines drain asynchronously; poll with a deadline.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= before {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutines leaked: %d before, %d after\n%s",
-				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	requireNoLeak(t, before)
 }
 
 // TestServiceTenantBudgets: a tenant that exhausts its drawdown gets

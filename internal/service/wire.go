@@ -246,10 +246,12 @@ func DecodeTrace(wire []WireTransition) ([]core.Transition, error) {
 }
 
 // Event is one line of a job's result stream (NDJSON) or one SSE data
-// payload. Seq is the event's position in the job's append-only
-// history: a reconnecting client can dedup on it.
+// payload. Seq is the event's position in the stream: the same for
+// every client of an unsealed job, so a reconnecting one can dedup on
+// it, and counted afresh in the stream rebuilt for a sealed job. Only
+// that one has error events: they stand for what could not be re-read.
 type Event struct {
-	Type string `json:"type"` // "status" | "violation" | "progress" | "done"
+	Type string `json:"type"` // "status" | "violation" | "progress" | "done" | "error"
 	Job  string `json:"job"`
 	Seq  int    `json:"seq"`
 
@@ -257,6 +259,7 @@ type Event struct {
 	Violation *WireViolation `json:"violation,omitempty"` // violation events
 	Progress  *WireProgress  `json:"progress,omitempty"`  // progress events
 	Result    *JobResult     `json:"result,omitempty"`    // the final done event
+	Error     string         `json:"error,omitempty"`     // error events
 }
 
 // WireProgress is core.Progress on the wire.

@@ -2,6 +2,7 @@ package openflow
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -243,27 +244,54 @@ func (f Flow) Reverse() Flow {
 // reverse, handy for grouping a conversation's two directions.
 func (f Flow) Bidirectional() Flow {
 	r := f.Reverse()
-	if flowLess(r, f) {
+	if r.Less(f) {
 		return r
 	}
 	return f
 }
 
-func flowLess(a, b Flow) bool {
+// Less orders flows field by field: the canonical order applications
+// render flow-keyed state in (see AppendKey).
+func (f Flow) Less(g Flow) bool {
 	switch {
-	case a.EthSrc != b.EthSrc:
-		return a.EthSrc < b.EthSrc
-	case a.EthDst != b.EthDst:
-		return a.EthDst < b.EthDst
-	case a.IPSrc != b.IPSrc:
-		return a.IPSrc < b.IPSrc
-	case a.IPDst != b.IPDst:
-		return a.IPDst < b.IPDst
-	case a.TPSrc != b.TPSrc:
-		return a.TPSrc < b.TPSrc
+	case f.EthSrc != g.EthSrc:
+		return f.EthSrc < g.EthSrc
+	case f.EthDst != g.EthDst:
+		return f.EthDst < g.EthDst
+	case f.EthType != g.EthType:
+		return f.EthType < g.EthType
+	case f.IPSrc != g.IPSrc:
+		return f.IPSrc < g.IPSrc
+	case f.IPDst != g.IPDst:
+		return f.IPDst < g.IPDst
+	case f.IPProto != g.IPProto:
+		return f.IPProto < g.IPProto
+	case f.TPSrc != g.TPSrc:
+		return f.TPSrc < g.TPSrc
 	default:
-		return a.TPDst < b.TPDst
+		return f.TPDst < g.TPDst
 	}
+}
+
+// AppendKey appends an injective rendering of the flow, for the
+// StateKey encoders of applications that keep per-flow state.
+func (f Flow) AppendKey(b []byte) []byte {
+	b = strconv.AppendUint(b, uint64(f.EthSrc), 16)
+	b = append(b, '>')
+	b = strconv.AppendUint(b, uint64(f.EthDst), 16)
+	b = append(b, ':')
+	b = strconv.AppendUint(b, uint64(f.EthType), 16)
+	b = append(b, ':')
+	b = strconv.AppendUint(b, uint64(uint32(f.IPSrc)), 16)
+	b = append(b, '>')
+	b = strconv.AppendUint(b, uint64(uint32(f.IPDst)), 16)
+	b = append(b, ':')
+	b = strconv.AppendUint(b, uint64(f.IPProto), 10)
+	b = append(b, ':')
+	b = strconv.AppendUint(b, uint64(f.TPSrc), 10)
+	b = append(b, '>')
+	b = strconv.AppendUint(b, uint64(f.TPDst), 10)
+	return b
 }
 
 func (f Flow) String() string {
