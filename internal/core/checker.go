@@ -113,8 +113,8 @@ type Checker struct {
 	// never touches it.
 	space        *componentSpace
 	dporExplored map[canon.Digest]dporNode
-	sums         slab[sumEntry]
-	sleeps       slab[uint64]
+	sums         runStore[sumEntry]
+	sleeps       runStore[uint64]
 	fpt          fpTable
 	globalFp     uint32
 	dporTel      *DporTelemetry
@@ -122,8 +122,11 @@ type Checker struct {
 	frameTop     int
 	hostSwBuf    []int
 	keyBuf       []uint64
-	mergeBuf     [dporSummaryCap]sumEntry
 	hbScratch    idxSet
+	// runBuf builds the run storeSummary stores — a summary's entries,
+	// then its residual entry; a re-expansion merges its summary in
+	// place there first.
+	runBuf [dporSummaryCap + 1]sumEntry
 }
 
 // NewChecker prepares a search.

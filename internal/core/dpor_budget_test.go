@@ -211,6 +211,9 @@ func TestDPORStorageBudget(t *testing.T) {
 	if size := unsafe.Sizeof(sumEntry{}); size > 16 {
 		t.Errorf("sumEntry is %d bytes, budget 16", size)
 	}
+	if size := unsafe.Sizeof(dporNode{}); size > 8 {
+		t.Errorf("dporNode is %d bytes, budget 8", size)
+	}
 
 	c := NewChecker(linearOneWayConfig(4))
 	var before, after runtime.MemStats
@@ -228,7 +231,7 @@ func TestDPORStorageBudget(t *testing.T) {
 
 	entries := 0
 	for h, node := range c.dporExplored {
-		sum := c.sums.view(node.sum, int(node.nsum))
+		sum := c.storedSummary(node).exact
 		if cap(sum) != len(sum) {
 			t.Fatalf("state %v: stored summary has capacity %d for %d entries", h, cap(sum), len(sum))
 		}
@@ -236,5 +239,60 @@ func TestDPORStorageBudget(t *testing.T) {
 	}
 	if entries == 0 {
 		t.Error("no stored summary holds an entry; the capacity check is vacuous")
+	}
+}
+
+// planKind names the openflow plan a footprint of t consults at sys, or
+// "" for a transition whose footprint needs none.
+func planKind(sys *System, t Transition) string {
+	switch t.Kind {
+	case TSwitchProcess:
+		return "ProcessPlan"
+	case TSwitchProcessPort:
+		return "ProcessPortPlan"
+	case TSwitchOF:
+		if msg, ok := sys.ctrl.HeadOut(t.Sw); ok && msg.Type == openflow.MsgPacketOut {
+			return "OFPlan"
+		}
+	}
+	return ""
+}
+
+// TestFootprintsDoNotAllocate: once the caller's buffers are sized,
+// computing a state's footprints allocates nothing. The switch plans
+// fill a stack buffer of egress ports, which stays on the stack only as
+// long as no plan leaks it.
+func TestFootprintsDoNotAllocate(t *testing.T) {
+	covered := map[string]int{}
+	for _, micro := range []bool{false, true} {
+		cfg := linearOneWayConfig(4)
+		cfg.MicroSteps = micro
+		sim := NewSimulator(cfg)
+		sp := newComponentSpace(sim.System())
+		for walk := 0; walk < 8; walk++ {
+			sim.Reset()
+			for i := walk; ; i++ {
+				sys, enabled := sim.System(), sim.Enabled()
+				if len(enabled) == 0 {
+					break
+				}
+				for _, tr := range enabled {
+					covered[planKind(sys, tr)]++
+				}
+				fps, hostSw := sp.footprintsInto(sys, enabled, nil, nil)
+				if n := testing.AllocsPerRun(10, func() {
+					fps, hostSw = sp.footprintsInto(sys, enabled, fps, hostSw)
+				}); n != 0 {
+					t.Fatalf("footprints of %d transitions allocate %.0f times", len(enabled), n)
+				}
+				sim.Step(i % len(enabled))
+			}
+		}
+	}
+	t.Logf("transitions covered per plan: %v", covered)
+	for _, kind := range []string{"ProcessPlan", "ProcessPortPlan", "OFPlan"} {
+		if covered[kind] == 0 {
+			t.Errorf("no walk reached a transition whose footprint runs %s", kind)
+		}
 	}
 }

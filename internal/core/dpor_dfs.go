@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 
 	"github.com/nice-go/nice/internal/canon"
 	"github.com/nice-go/nice/internal/telemetry"
@@ -21,7 +22,8 @@ import (
 //   - Sleep signatures (Godefroid): a state stores the sleep set it was
 //     explored under. Reaching it again with a smaller sleep set means
 //     some transitions slept then are awake now; only that difference is
-//     re-expanded, and the stored signature shrinks to the intersection.
+//     re-expanded, and the state then names the intersection as its
+//     signature.
 //
 //   - Subtree summaries: a fully-explored state stores a summary of the
 //     transitions executed anywhere below it (a few exact (key,
@@ -34,27 +36,20 @@ import (
 //     explored (cycles) and depth-truncated states use the
 //     all-conflicting global footprint as their summary.
 type dporNode struct {
-	// sum/nsum locate the stored summary of every transition executed in
-	// the subtree below this state (valid once inProgress is false);
-	// residual is its overflow union, a footprint id (0 = none).
-	sum      uint32
-	residual uint32
-	// sleep/nsleep locate the sleep signature: transition keys asleep
-	// when the state was (last) expanded. Shrinks monotonically on
-	// re-expansion.
-	sleep  uint32
-	nsleep uint32
-	nsum   uint8
-	// inProgress marks states on the current DFS path (or mid
-	// re-expansion); their summaries are not yet trustworthy.
-	inProgress bool
+	// sum names the stored summary of every transition executed in the
+	// subtree below this state. It is noRun while the state is on the
+	// current DFS path (or mid re-expansion): its summary is not yet
+	// trustworthy.
+	sum uint32
+	// sleep names the stored sleep signature: transition keys asleep
+	// when the state was (last) expanded. A re-expansion names a new,
+	// smaller signature; stored runs never change.
+	sleep uint32
 }
 
-// slab is an append-only arena of pointer-free records. Stored states
-// keep their summaries and sleep signatures here, behind a map whose
-// values are offsets, so the collector has nothing to trace however
-// many states the search stores. It is chunked: a stored run never
-// moves (views stay valid across later puts) and growth never copies.
+// slab is an append-only arena of pointer-free records, where a runStore
+// keeps its runs. It is chunked: a stored run never moves (views stay
+// valid across later puts) and growth never copies.
 type slab[T any] struct{ chunks [][]T }
 
 const slabChunkBits = 12
@@ -80,6 +75,80 @@ func (s *slab[T]) view(off uint32, n int) []T {
 	}
 	i := int(off & (1<<slabChunkBits - 1))
 	return s.chunks[off>>slabChunkBits][i : i+n : i+n]
+}
+
+// runStore keeps each distinct run of records once and names it by a
+// dense uint32 id, so states whose summaries (or sleep signatures) are
+// equal share one copy, and equal ids mean equal runs. Runs are
+// immutable once stored. heads is a bucket array indexed by run hash;
+// the runs of one bucket are chained through next and compared in full,
+// so a collision costs a comparison, never a wrong share. No part of it
+// holds a pointer per run for the collector to trace.
+type runStore[T comparable] struct {
+	hash  func([]T) uint64
+	heads []uint32
+	runs  []storedRun
+	data  slab[T]
+}
+
+type storedRun struct{ off, n, next uint32 }
+
+// noRun is the id no run ever gets: the end of a bucket chain, and a
+// dporNode's summary while the state is in progress.
+const noRun = ^uint32(0)
+
+// put returns the id of run's content, storing a copy if it is new.
+func (s *runStore[T]) put(run []T) uint32 {
+	if len(s.runs) >= len(s.heads) {
+		s.rehash(max(64, 2*len(s.heads)))
+	}
+	b := s.hash(run) & uint64(len(s.heads)-1)
+	for id := s.heads[b]; id != noRun; id = s.runs[id].next {
+		if slices.Equal(s.get(id), run) {
+			return id
+		}
+	}
+	id := uint32(len(s.runs))
+	s.runs = append(s.runs, storedRun{off: s.data.put(run), n: uint32(len(run)), next: s.heads[b]})
+	s.heads[b] = id
+	return id
+}
+
+// rehash re-chains every stored run into n buckets (a power of two),
+// keeping the chains about one run long.
+func (s *runStore[T]) rehash(n int) {
+	s.heads = make([]uint32, n)
+	for b := range s.heads {
+		s.heads[b] = noRun
+	}
+	for id := range s.runs {
+		b := s.hash(s.get(uint32(id))) & uint64(n-1)
+		s.runs[id].next, s.heads[b] = s.heads[b], uint32(id)
+	}
+}
+
+// get returns the run stored as id, clipped to its length.
+func (s *runStore[T]) get(id uint32) []T {
+	r := s.runs[id]
+	return s.data.view(r.off, int(r.n))
+}
+
+// hashSumRun and hashKeyRun are the summary and sleep-signature stores'
+// run hashes.
+func hashSumRun(run []sumEntry) uint64 {
+	m := canon.NewMix(uint64(len(run)))
+	for _, e := range run {
+		m = m.Word(e.key).Word(uint64(e.fp)<<32 | uint64(e.anc))
+	}
+	return m.Sum()
+}
+
+func hashKeyRun(run []uint64) uint64 {
+	m := canon.NewMix(uint64(len(run)))
+	for _, k := range run {
+		m = m.Word(k)
+	}
+	return m.Sum()
 }
 
 // fpTable interns footprints for one search. Summaries name footprints
@@ -139,7 +208,7 @@ const ancInexact = 1 << 31
 // occurrences of one key with different footprints stay separate
 // (merging footprints would move the deepest-race determination, which
 // is unsound). A dporSummary is a transient view: exact is backed by a
-// frame's sumBuf while an expansion builds it and by the summary slab
+// frame's sumBuf while an expansion builds it and by the summary store
 // once stored, never by memory of its own.
 type dporSummary struct {
 	exact    []sumEntry
@@ -279,7 +348,7 @@ type dporFrame struct {
 func (c *Checker) dporRun(root *System, reg *telemetry.Registry) {
 	c.space = newComponentSpace(root)
 	c.dporExplored = make(map[canon.Digest]dporNode)
-	c.sums, c.sleeps = slab[sumEntry]{}, slab[uint64]{}
+	c.sums, c.sleeps = runStore[sumEntry]{hash: hashSumRun}, runStore[uint64]{hash: hashKeyRun}
 	c.fpt = fpTable{ids: map[footprint]uint32{{}: 0}, fps: []footprint{{}}}
 	c.globalFp = c.fpt.intern(c.space.global)
 	c.dporTel = NewDporTelemetry(reg)
@@ -294,23 +363,28 @@ func (c *Checker) globalSummary() dporSummary {
 	return dporSummary{residual: c.globalFp}
 }
 
-// storeSummary records sum as the state's finished summary — over the
-// stored run when it has not grown, in a fresh run otherwise — and
-// returns the stored copy.
+// storeSummary records sum as the state's finished summary and returns
+// the stored copy. The run stored is the exact entries followed by one
+// entry carrying the residual as its footprint.
 func (c *Checker) storeSummary(h canon.Digest, node dporNode, sum dporSummary) dporSummary {
-	if len(sum.exact) > int(node.nsum) {
-		node.sum, node.nsum = c.sums.put(sum.exact), uint8(len(sum.exact))
-	} else {
-		copy(c.sums.view(node.sum, int(node.nsum)), sum.exact)
-	}
-	node.residual = sum.residual
-	node.inProgress = false
+	run := append(c.runBuf[:0], sum.exact...)
+	node.sum = c.sums.put(append(run, sumEntry{fp: sum.residual}))
 	c.dporExplored[h] = node
 	return c.storedSummary(node)
 }
 
 func (c *Checker) storedSummary(node dporNode) dporSummary {
-	return dporSummary{exact: c.sums.view(node.sum, int(node.nsum)), residual: node.residual}
+	run := c.sums.get(node.sum)
+	n := len(run) - 1
+	return dporSummary{exact: run[:n:n], residual: run[n].fp}
+}
+
+// shrinkSignature names the intersection of stored signature id with
+// the current sleep set. It is stored as a run of its own: other states
+// may share the old one.
+func (c *Checker) shrinkSignature(id uint32, sleep []SleepEntry) uint32 {
+	c.keyBuf = retainKeys(c.keyBuf[:0], c.sleeps.get(id), sleep)
+	return c.sleeps.put(c.keyBuf)
 }
 
 // dporVisit explores sys (reached at depth len(trace) under the given
@@ -325,7 +399,7 @@ func (c *Checker) dporVisit(sys *System, sleep []SleepEntry) dporSummary {
 
 	if node, ok := c.dporExplored[h]; ok {
 		c.s.Revisits.Add(1)
-		if node.inProgress {
+		if node.sum == noRun {
 			// A cycle back onto the current path: the subtree below is
 			// this very exploration, summary unknown — go conservative.
 			g := c.globalSummary()
@@ -336,7 +410,7 @@ func (c *Checker) dporVisit(sys *System, sleep []SleepEntry) dporSummary {
 		// in for the hidden transitions in race detection.
 		sum := c.storedSummary(node)
 		c.dporInsertSummary(sum)
-		stored := c.sleeps.view(node.sleep, int(node.nsleep))
+		stored := c.sleeps.get(node.sleep)
 		diff := slippedKeys(stored, sleep)
 		if len(diff) == 0 {
 			return sum
@@ -350,21 +424,19 @@ func (c *Checker) dporVisit(sys *System, sleep []SleepEntry) dporSummary {
 		// re-expand exactly those (everything else is covered), then
 		// shrink the signature to what is still jointly asleep.
 		c.dporTel.Reexpansion()
-		node.inProgress = true
-		c.dporExplored[h] = node
+		c.dporExplored[h] = dporNode{sum: noRun, sleep: node.sleep}
 		sub := c.dporExpand(sys, depth, c.enabledAt(sys, depth), sleep, diff)
-		merged := dporSummary{exact: c.mergeBuf[:copy(c.mergeBuf[:], sum.exact)], residual: sum.residual}
+		merged := dporSummary{exact: c.runBuf[:copy(c.runBuf[:], sum.exact)], residual: sum.residual}
 		merged.mergeFolded(&c.fpt, sub, 0)
-		node.nsleep = uint32(len(retainKeys(stored, sleep)))
+		node.sleep = c.shrinkSignature(node.sleep, sleep)
 		return c.storeSummary(h, node, merged)
 	}
 
-	node := dporNode{inProgress: true, nsleep: uint32(len(sleep))}
 	c.keyBuf = c.keyBuf[:0]
 	for _, e := range sleep {
 		c.keyBuf = append(c.keyBuf, e.key)
 	}
-	node.sleep = c.sleeps.put(c.keyBuf)
+	node := dporNode{sum: noRun, sleep: c.sleeps.put(c.keyBuf)}
 	c.dporExplored[h] = node
 	c.s.Admit(depth)
 
@@ -689,15 +761,15 @@ func slippedKeys(stored []uint64, sleep []SleepEntry) []uint64 {
 	return diff
 }
 
-// retainKeys intersects the stored signature with the current sleep set.
-func retainKeys(stored []uint64, sleep []SleepEntry) []uint64 {
-	kept := stored[:0]
+// retainKeys appends to dst the stored-signature keys still in the
+// current sleep set: their intersection.
+func retainKeys(dst, stored []uint64, sleep []SleepEntry) []uint64 {
 	for _, k := range stored {
 		if containsKey(sleep, k) {
-			kept = append(kept, k)
+			dst = append(dst, k)
 		}
 	}
-	return kept
+	return dst
 }
 
 func containsKey(sleep []SleepEntry, key uint64) bool {

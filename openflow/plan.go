@@ -46,7 +46,7 @@ func (s *Switch) ProcessPlan(buf []PortID) ProcPlan {
 	pl := ProcPlan{Outputs: buf[:0]}
 	for _, p := range s.Ports {
 		if q := s.in[p]; len(q) > 0 {
-			s.planOne(&pl, q[0], p)
+			pl = s.planOne(pl, q[0], p)
 		}
 	}
 	return pl
@@ -60,8 +60,7 @@ func (s *Switch) ProcessPortPlan(p PortID, buf []PortID) (ProcPlan, bool) {
 	if len(q) == 0 {
 		return pl, false
 	}
-	s.planOne(&pl, q[0], p)
-	return pl, true
+	return s.planOne(pl, q[0], p), true
 }
 
 // OFPlan predicts ApplyOF for a packet_out message. ok is false for
@@ -90,25 +89,26 @@ func (s *Switch) OFPlan(m Msg, buf []PortID) (ProcPlan, bool) {
 	} else {
 		pl.Inject = true
 	}
-	s.planActions(&pl, m.Actions, inPort)
-	return pl, true
+	return s.planActions(pl, m.Actions, inPort), true
 }
 
 // planOne mirrors processOne: lookup, then the matched rule's actions.
-func (s *Switch) planOne(pl *ProcPlan, pkt Packet, inPort PortID) {
+// The plan goes in and comes back by value, so the caller's Outputs
+// buffer stays where the caller put it (a pointer would leak it).
+func (s *Switch) planOne(pl ProcPlan, pkt Packet, inPort PortID) ProcPlan {
 	idx, ok := s.Table.Lookup(pkt.Header, inPort)
 	if !ok {
 		pl.Miss = true
-		return
+		return pl
 	}
 	pl.Hit = true
-	s.planActions(pl, s.Table.Rules()[idx].Actions, inPort)
+	return s.planActions(pl, s.Table.Rules()[idx].Actions, inPort)
 }
 
 // planActions mirrors applyActions' port and allocation behaviour.
 // Header rewrites (ActionSetField) move no packets and need no entry;
 // the second and every later emission of one packet is a fresh copy.
-func (s *Switch) planActions(pl *ProcPlan, actions []Action, inPort PortID) {
+func (s *Switch) planActions(pl ProcPlan, actions []Action, inPort PortID) ProcPlan {
 	emitted := 0
 	for _, a := range actions {
 		switch a.Type {
@@ -129,7 +129,7 @@ func (s *Switch) planActions(pl *ProcPlan, actions []Action, inPort PortID) {
 			if emitted > 1 {
 				pl.Copies = true
 			}
-			return
+			return pl
 		case ActionController:
 			pl.Miss = true
 			emitted++
@@ -141,4 +141,5 @@ func (s *Switch) planActions(pl *ProcPlan, actions []Action, inPort PortID) {
 	if emitted > 1 {
 		pl.Copies = true
 	}
+	return pl
 }
