@@ -1,24 +1,25 @@
-// The submit / watch / replay subcommands are the `nice serve` client
-// mode: submit a registry scenario or an inline spec file over HTTP,
-// follow a job's NDJSON result stream, and fetch-and-replay persisted
-// trace artifacts.
+// The -server mode and the watch / replay subcommands are the `nice
+// serve` client: run a search as a job and follow its NDJSON result
+// stream, attach to an existing job's stream, and fetch-and-replay
+// persisted trace artifacts.
 //
-//	nice submit -server http://localhost:8080 -scenario bug-ii -watch
-//	nice submit -server http://localhost:8080 -spec scenario.json
+//	nice -server http://localhost:8080 -scenario bug-ii
+//	nice -server http://localhost:8080 -spec scenario.json
 //	nice watch  -server http://localhost:8080 j1
 //	nice replay -server http://localhost:8080 <artifact-id>
 //
-// submit/watch exit 0 when the job completes clean, 1 when it reports
-// a violation, 2 on usage or transport errors (a sealed job none of
-// whose violations the server could re-read counts as one), 3 when the
-// job was cut short (canceled, budget, deadline). replay exits 0 only
-// when the artifact reproduces its recorded violation fingerprint and
-// the fetched bytes hash to the id asked for.
+// -server and watch exit 0 when the job completes clean, 1 when it
+// reports a violation, 2 on usage or transport errors (a sealed job
+// none of whose violations the server could re-read counts as one), 3
+// when the job was cut short (canceled, budget, deadline). replay exits
+// 0 only when the artifact reproduces its recorded violation
+// fingerprint and the fetched bytes hash to the id asked for.
 package main
 
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -35,20 +36,13 @@ import (
 
 // client is the minimal `nice serve` HTTP client shared by the
 // subcommands.
-type client struct {
-	base   string
-	tenant string
-	http   *http.Client
-}
+type client struct{ base, tenant string }
 
 func newClient(server, tenant string) *client {
-	return &client{
-		base:   strings.TrimRight(server, "/"),
-		tenant: tenant,
-		http:   &http.Client{},
-	}
+	return &client{base: strings.TrimRight(server, "/"), tenant: tenant}
 }
 
+// do sends one request; timeout 0 waits as long as the server streams.
 func (c *client) do(method, path string, body io.Reader, timeout time.Duration) (*http.Response, error) {
 	req, err := http.NewRequest(method, c.base+path, body)
 	if err != nil {
@@ -60,92 +54,27 @@ func (c *client) do(method, path string, body io.Reader, timeout time.Duration) 
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	cl := c.http
-	if timeout > 0 {
-		cl = &http.Client{Timeout: timeout}
-	}
-	return cl.Do(req)
+	return (&http.Client{Timeout: timeout}).Do(req)
 }
 
-// decodeOrDie decodes a JSON response body, failing the process on
-// transport or server errors.
-func decodeOrDie(resp *http.Response, err error, v any) {
+// submit posts one job and follows its stream to the terminal event,
+// returning the exit code that event maps to. A rejected request (the
+// server's error names the field) is a usage error.
+func submit(c *client, req *nice.JobRequest) int {
+	body, _ := json.Marshal(req) // nothing a JobRequest holds fails to marshal
+	resp, err := c.do("POST", "/v1/jobs", bytes.NewReader(body), 30*time.Second)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nice:", err)
-		os.Exit(2)
+		return 2
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		var e struct {
-			Error string `json:"error"`
-		}
-		json.NewDecoder(resp.Body).Decode(&e)
-		fmt.Fprintf(os.Stderr, "nice: server: %s (%s)\n", e.Error, resp.Status)
-		os.Exit(2)
+	var st nice.JobStatus // an error body's "error" lands in st.Error
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || resp.StatusCode != http.StatusCreated {
+		fmt.Fprintf(os.Stderr, "nice: server: %s (%s)\n", cmp.Or(st.Error, fmt.Sprint(err)), resp.Status)
+		return 2
 	}
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		fmt.Fprintln(os.Stderr, "nice: decoding response:", err)
-		os.Exit(2)
-	}
-}
-
-// clientSubmit posts one job; with -watch it follows the stream to the
-// terminal event and exits accordingly.
-func clientSubmit(args []string) {
-	fs := flag.NewFlagSet("nice submit", flag.ExitOnError)
-	var (
-		server   = fs.String("server", "http://localhost:8080", "`nice serve` base URL")
-		tenant   = fs.String("tenant", "", "tenant name (X-Nice-Tenant)")
-		scenario = fs.String("scenario", "", "registry scenario name")
-		specPath = fs.String("spec", "", "path to a wire-spec JSON file (- = stdin)")
-		scale    = fs.Int("scale", 0, "scenario scale (0 = default)")
-		strategy = fs.String("strategy", "", "search strategy (pkt-seq, no-delay, flow-ir, unusual)")
-		fixed    = fs.Bool("fixed", false, "check the repaired application")
-		engine   = fs.String("engine", "", "search engine: "+engineNames+" (empty = server default)")
-		workers  = fs.Int("workers", 0, "engine workers (0 = server default)")
-		states   = fs.Int64("max-states", 0, "unique-state budget (0 = server default)")
-		trans    = fs.Int64("max-transitions", 0, "transition budget (0 = server default)")
-		timeout  = fs.Duration("timeout", 0, "search wall-clock budget (0 = server default)")
-		watch    = fs.Bool("watch", false, "follow the result stream after submitting")
-	)
-	fs.Parse(args)
-	if (*scenario == "") == (*specPath == "") {
-		fmt.Fprintln(os.Stderr, "nice submit: exactly one of -scenario and -spec required")
-		os.Exit(2)
-	}
-
-	req := nice.JobRequest{
-		Scenario:       *scenario,
-		Scale:          *scale,
-		Strategy:       *strategy,
-		Fixed:          *fixed,
-		Engine:         *engine,
-		Workers:        *workers,
-		MaxStates:      *states,
-		MaxTransitions: *trans,
-		TimeoutMS:      timeout.Milliseconds(),
-	}
-	if *specPath != "" {
-		data, err := readPath(*specPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nice submit:", err)
-			os.Exit(2)
-		}
-		if err := json.Unmarshal(data, &req.Spec); err != nil {
-			fmt.Fprintln(os.Stderr, "nice submit: parsing spec:", err)
-			os.Exit(2)
-		}
-	}
-	body, _ := json.Marshal(req)
-
-	c := newClient(*server, *tenant)
-	var st nice.JobStatus
-	resp, err := c.do("POST", "/v1/jobs", bytes.NewReader(body), 30*time.Second)
-	decodeOrDie(resp, err, &st)
 	fmt.Printf("submitted %s (%s)\n", st.ID, st.State)
-	if *watch {
-		os.Exit(streamJob(c, st.ID))
-	}
+	return streamJob(c, st.ID)
 }
 
 // clientWatch attaches to an existing job's stream.
@@ -215,9 +144,9 @@ func streamJob(c *client, id string) int {
 				return 1
 			case unread > 0: // what the job found is no longer on the server
 				return 2
-			case ev.State == "done":
+			case ev.State == "done" && ev.Result != nil && ev.Result.Complete:
 				return 0
-			default: // canceled / error
+			default: // cut short by a budget or deadline, canceled, error
 				return 3
 			}
 		}

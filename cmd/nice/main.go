@@ -6,41 +6,36 @@
 //
 //	nice -scenario bug-ii                 # find BUG-II, print the trace
 //	nice -scenario bug-vii -strategy flow-ir
-//	nice -scenario pingpong -pings 3      # exhaustive search, no properties
-//	nice -scenario pingpong -pings 3 -workers 8   # parallel search
-//	nice -scenario pingpong -pings 3 -reduction dpor   # partial-order reduction
-//	nice -scenario bug-ix -mode walk -walks 100 -steps 50 -seed 7
+//	nice -scenario pingpong -scale 3      # exhaustive search, no properties
+//	nice -scenario pingpong -scale 3 -workers 8   # parallel search
+//	nice -scenario pingpong -scale 3 -reduction dpor   # partial-order reduction
+//	nice -scenario bug-ix -walks 100 -steps 50 -seed 7 -workers 4
 //	nice -scenario pingpong-se -engine concolic -sym-workers 4
-//	nice -scenario pingpong -pings 4 -timeout 2s -progress 500ms
-//	nice -scenario pingpong -pings 4 -max-states 5000
+//	nice -scenario pingpong -scale 4 -timeout-ms 2000 -progress 500ms
+//	nice -spec scenario.json -max-states 5000
+//	nice -server http://localhost:8080 -scenario bug-ii
 //	nice -list                            # enumerate scenarios, engines, reductions
 //
-// Every search runs through nice.Run: -workers selects the parallel
-// work-stealing engine (0 = all CPUs; the default 1 runs the
-// sequential reference checker), -mode walk selects the seeded swarm,
-// -engine picks any registered engine by name (-list enumerates them
-// from the registry; "concolic" runs the model-checking × symbolic-
-// execution feedback loop, with -sym-budget/-sym-workers bounding and
-// sizing its solver side), and -timeout/-max-states/-max-transitions
-// bound the search. With -progress, streaming snapshots (states/sec,
-// frontier, depth) print to stderr as the search runs, and violations
-// print as they are found.
+// The flags state one search as a nice.JobRequest, one flag per
+// request field, so the search is the same in-process
+// (nice.RunRequest) and, with -server, as a job on `nice serve` whose
+// result stream nice follows. With no -engine, -sym-budget/-sym-workers
+// select the concolic loop, -walks/-steps the random walks (the swarm
+// with -workers), and anything else the full search on -workers
+// workers (0 = one; -engine parallel with -workers 0 uses all CPUs).
 //
-// With -metrics-addr the process serves live introspection while the
-// search runs (/metrics and /trace as JSON, /debug/vars, /debug/pprof);
-// -metrics-out writes the final telemetry snapshot as JSON (the
-// document nice.LoadTelemetrySnapshot reads back). Both flags also work
-// under run-all, where the snapshot carries the campaign-scope
-// aggregation.
+// -list, -progress (snapshots to stderr), -metrics-addr (live /metrics,
+// /trace, /debug/vars, /debug/pprof) and -metrics-out (the final
+// telemetry snapshot, as nice.LoadTelemetrySnapshot reads it) are
+// local only, and also work under run-all; -tenant is remote only.
+// Ctrl-C cancels a local search, which prints its partial, replayable
+// result.
 //
-// Ctrl-C cancels the search's context: the engines drain and the
-// partial (replayable) result prints instead of the process dying
-// mid-search.
-//
-// Exit codes: 0 = clean complete search; 1 = property violation found;
-// 2 = usage error; 3 = budget, deadline or cancellation cut the search
-// short with no violation (the printed counts are a partial but
-// replayable result).
+// Exit codes, local and remote alike: 0 = clean complete search; 1 =
+// property violation found; 2 = usage error (or, remotely, a transport
+// error); 3 = budget, deadline or cancellation cut the search short
+// with no violation (the printed counts are a partial but replayable
+// result).
 //
 // The run-all subcommand fans a whole scenario × strategy campaign
 // through the same engine concurrently, with shared budgets and a
@@ -61,11 +56,12 @@
 //
 // The other subcommands have their own files: experiments (the paper's
 // Table 1, Figure 6 and §7 baseline — experiments.go), serve (the
-// checking service — serve.go) and its clients submit / watch / replay
-// (client.go).
+// checking service — serve.go) and the clients watch / replay beside
+// the -server mode (client.go).
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -116,9 +112,6 @@ func main() {
 		case "experiments":
 			experiments(ctx, os.Args[2:])
 			return
-		case "submit":
-			clientSubmit(os.Args[2:])
-			return
 		case "watch":
 			clientWatch(os.Args[2:])
 			return
@@ -127,7 +120,7 @@ func main() {
 			return
 		}
 	}
-	runOne(ctx)
+	runOne(ctx, os.Args[1:])
 }
 
 // runAll is the campaign front end: scenario set × strategy set through
@@ -235,11 +228,7 @@ func resolveScenarioSet(set string, fixed bool) ([]string, error) {
 // names validated against scenarios.ParseStrategy.
 func resolveStrategySet(set string) ([]string, error) {
 	if strings.EqualFold(set, "all") {
-		names := make([]string, len(scenarios.Strategies))
-		for i, s := range scenarios.Strategies {
-			names[i] = strings.ToLower(s.String())
-		}
-		return names, nil
+		return scenarios.StrategyNames(), nil
 	}
 	names := strings.Split(set, ",")
 	for _, n := range names {
@@ -266,41 +255,48 @@ func writeJSONReport(report *nice.CampaignReport, path string) error {
 	return f.Close()
 }
 
-func runOne(ctx context.Context) {
+// runOne states one search as a JobRequest — one flag per request
+// field — and runs it in-process through nice.RunRequest or, with
+// -server, on a `nice serve` instance, following its result stream.
+func runOne(ctx context.Context, args []string) {
+	fs := flag.NewFlagSet("nice", flag.ExitOnError)
+	var req nice.JobRequest
+	req.Flags(fs)
 	var (
-		scenario  = flag.String("scenario", "", "scenario to check (see -list)")
-		strategy  = flag.String("strategy", "pkt-seq", "search strategy: pkt-seq, no-delay, flow-ir, unusual")
-		pings     = flag.Int("pings", 0, "scale for the ping scenarios (0 = scenario default)")
-		sends     = flag.Int("sends", 0, "scale for the bench scenarios (0 = scenario default)")
-		scale     = flag.Int("scale", 0, "scale for any scenario's knob (see -list; 0 = scenario default)")
-		mode      = flag.String("mode", "check", "check (full search) or walk (random walks)")
-		engine    = flag.String("engine", "", "search engine: "+engineNames+" (default inferred from -mode/-workers)")
-		reduction = flag.String("reduction", "none", "interleaving reduction: "+reductionNames+" (exhaustive engines only)")
-		symBudget = flag.Int64("sym-budget", 0, "concolic loop: abort after this many symbolic discover explorations (0 = unbounded)")
-		symPool   = flag.Int("sym-workers", 0, "concolic loop: solver worker pool size (0 = default)")
-		seed      = flag.Int64("seed", 1, "random-walk seed")
-		walks     = flag.Int("walks", 50, "number of random walks")
-		steps     = flag.Int("steps", 100, "max transitions per walk")
-		maxDepth  = flag.Int("max-depth", 0, "override the execution depth bound")
-		maxTrans  = flag.Int64("max-transitions", 0, "abort the search after this many transitions")
-		maxStates = flag.Int64("max-states", 0, "abort the search after this many unique states")
-		timeout   = flag.Duration("timeout", 0, "abort the search after this wall-clock budget")
-		progress  = flag.Duration("progress", 0, "stream progress snapshots to stderr at this interval")
-		fixed     = flag.Bool("fixed", false, "check the repaired application instead")
-		all       = flag.Bool("all-violations", false, "keep searching past the first violation")
-		workers   = flag.Int("workers", 1, "parallel search workers (0 = all CPUs, 1 = sequential checker)")
-		metrAddr  = flag.String("metrics-addr", "", "serve live metrics/trace/pprof on this address while the search runs")
-		metrOut   = flag.String("metrics-out", "", "write the final telemetry snapshot as JSON to this file")
-		list      = flag.Bool("list", false, "list scenarios and exit")
+		list     = fs.Bool("list", false, "local only: list scenarios, engines and reductions, and exit")
+		progress = fs.Duration("progress", 0, "local only: stream progress snapshots to stderr at this interval")
+		metrAddr = fs.String("metrics-addr", "", "local only: serve live metrics/trace/pprof on this address while the search runs")
+		metrOut  = fs.String("metrics-out", "", "local only: write the final telemetry snapshot as JSON to this file")
+		server   = fs.String("server", "", "run the search as a job on the nice serve at this `URL` instead of in-process")
+		tenant   = fs.String("tenant", "", "remote only: tenant name (X-Nice-Tenant)")
 	)
-	flag.Parse()
+	fs.Parse(args)
+	if fs.NArg() > 0 {
+		if fs.Arg(0) == "submit" {
+			fmt.Fprintln(os.Stderr, `nice: there is no "submit" subcommand: give nice the same flags plus -server URL`)
+		} else {
+			fmt.Fprintf(os.Stderr, "nice: unexpected argument %q\n", fs.Arg(0))
+		}
+		os.Exit(2)
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	local := set["list"] || set["progress"] || set["metrics-addr"] || set["metrics-out"]
+	if *server != "" && local {
+		fmt.Fprintln(os.Stderr, "nice: -list, -progress, -metrics-addr and -metrics-out are local only; drop them or -server")
+		os.Exit(2)
+	}
+	if *server == "" && set["tenant"] {
+		fmt.Fprintln(os.Stderr, "nice: -tenant needs -server")
+		os.Exit(2)
+	}
 
 	if *list {
 		fmt.Println("scenarios:")
 		for _, sc := range scenarios.All() {
 			name := sc.Name
 			if sc.ScaleName != "" {
-				name += fmt.Sprintf(" (-%s N)", sc.ScaleName)
+				name += fmt.Sprintf(" (-scale N: %s)", sc.ScaleName)
 			}
 			fmt.Printf("  %-24s %s\n", name, sc.Summary)
 		}
@@ -314,51 +310,11 @@ func runOne(ctx context.Context) {
 		}
 		return
 	}
-
-	cfg, name, err := buildConfig(*scenario, *pings, *sends, *scale, *fixed, *strategy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nice:", err)
-		os.Exit(2)
-	}
-	if *maxDepth > 0 {
-		cfg.MaxDepth = *maxDepth
-	}
-	if *all {
-		cfg.StopAtFirstViolation = false
+	if *server != "" {
+		os.Exit(submit(newClient(*server, *tenant), &req))
 	}
 
-	red, ok := nice.ParseReduction(*reduction)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "nice: unknown reduction %q (%s)\n", *reduction, reductionNames)
-		os.Exit(2)
-	}
-	// Zero budgets and no reduction are Run's defaults already.
-	opts := []nice.RunOption{
-		nice.WithWorkers(*workers), nice.WithReduction(red), nice.WithDeadline(*timeout),
-		nice.WithMaxTransitions(*maxTrans), nice.WithMaxStates(*maxStates),
-	}
-	switch *mode {
-	case "check":
-	case "walk":
-		opts = append(opts, nice.WithWalks(*seed, *walks, *steps))
-	default:
-		fmt.Fprintf(os.Stderr, "nice: unknown mode %q\n", *mode)
-		os.Exit(2)
-	}
-	if *engine != "" {
-		spec, ok := nice.LookupEngine(*engine)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "nice: unknown engine %q (%s)\n", *engine, engineNames)
-			os.Exit(2)
-		}
-		opts = append(opts, nice.WithEngine(spec.New()))
-	}
-	if *symBudget > 0 {
-		opts = append(opts, nice.WithSymBudget(*symBudget))
-	}
-	if *symPool > 0 {
-		opts = append(opts, nice.WithSymWorkers(*symPool))
-	}
+	var opts []nice.RunOption
 	if *progress > 0 {
 		opts = append(opts,
 			nice.WithProgressEvery(*progress),
@@ -374,7 +330,6 @@ func runOne(ctx context.Context) {
 				},
 			}))
 	}
-
 	var reg *nice.Telemetry
 	if *metrAddr != "" || *metrOut != "" {
 		reg = nice.NewTelemetry()
@@ -384,14 +339,18 @@ func runOne(ctx context.Context) {
 		serveMetrics(*metrAddr, reg)
 	}
 
-	report := nice.Run(ctx, cfg, opts...)
+	report, err := nice.RunRequest(ctx, &req, opts...)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nice:", err)
+		os.Exit(2)
+	}
 	if *metrOut != "" {
 		writeMetrics(*metrOut, reg)
 	}
 
 	fmt.Printf("%s (%s, %s): %d transitions, %d unique states, %d concolic runs, %v\n",
-		name, *strategy, report.Strategy, report.Transitions, report.UniqueStates,
-		report.SERuns, report.Elapsed)
+		label(&req), cmp.Or(req.Strategy, "pkt-seq"), report.Strategy, report.Transitions,
+		report.UniqueStates, report.SERuns, report.Elapsed)
 	if !report.Complete {
 		fmt.Printf("search aborted (%s) — partial result\n", report.StopReason)
 	}
@@ -408,52 +367,18 @@ func runOne(ctx context.Context) {
 	os.Exit(1)
 }
 
-// buildConfig resolves the scenario in the registry and hands it the
-// scale, the buggy-or-repaired choice and the strategy column
-// (Scenario.Resolve). The historical -pings/-sends spellings and the
-// generic -scale flag all feed the scenario's one scale knob. A Build
-// hook failing loudly on an invalid scale (e.g. an odd fat-tree arity)
-// surfaces here as a usage error, not a crash.
-func buildConfig(name string, pings, sends, generic int, fixed bool, strategy string) (*nice.Config, string, error) {
-	if name == "" {
-		return nil, "", fmt.Errorf("missing -scenario (try -list)")
+// label names the checked scenario in the summary line: its name, the
+// scale asked for and whether the repaired application ran.
+func label(req *nice.JobRequest) string {
+	name := req.Scenario
+	if req.Spec != nil {
+		name = req.Spec.Name
 	}
-	sc, ok := scenarios.Lookup(name)
-	if !ok {
-		return nil, "", fmt.Errorf("unknown scenario %q (try -list)", name)
+	if req.Scale > 0 {
+		name = fmt.Sprintf("%s(%d)", name, req.Scale)
 	}
-	// No knob: reject an explicit -scale rather than run the fixed-size
-	// scenario under a label claiming otherwise.
-	if generic > 0 && sc.Scale(generic) == 0 {
-		return nil, "", fmt.Errorf("scenario %q has no scale knob", sc.Name)
+	if req.Fixed {
+		name += " (fixed app)"
 	}
-	scale := generic
-	if named := map[string]int{"pings": pings, "sends": sends}[sc.ScaleName]; named > 0 {
-		scale = named
-	}
-	label := sc.Name
-	if scale > 0 {
-		label = fmt.Sprintf("%s(%d)", sc.Name, scale)
-	}
-	if fixed {
-		label += " (fixed app)"
-	}
-	cfg, _, err := sc.Resolve(scale, strategy, fixed)
-	return cfg, label, err
-}
-
-// engineNames / reductionNames render the registries for usage text —
-// the same single source of truth the facade and service validate
-// against, so the CLI's help can never drift from what Run accepts.
-var (
-	engineNames    = specNames(nice.EngineSpecs(), func(s nice.EngineSpec) string { return s.Name })
-	reductionNames = specNames(nice.ReductionSpecs(), func(s nice.ReductionSpec) string { return s.Name })
-)
-
-func specNames[S any](specs []S, name func(S) string) string {
-	names := make([]string, len(specs))
-	for i, spec := range specs {
-		names[i] = name(spec)
-	}
-	return strings.Join(names, ", ")
+	return name
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -11,6 +12,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -142,5 +144,69 @@ func TestReplayFailsClosed(t *testing.T) {
 	tampered.Store(true)
 	if _, errOut, code := run(t, "replay", "-server", ts.URL, id); code != 2 || !strings.Contains(errOut, "does not match its id") {
 		t.Errorf("tampered artifact: exit %d, stderr %q; want exit 2 naming the mismatch", code, errOut)
+	}
+}
+
+// TestStrayArguments: flag parsing stops at the first positional
+// argument, so one is a usage error naming it rather than a silently
+// ignored word — and the retired submit subcommand says what replaced it.
+func TestStrayArguments(t *testing.T) {
+	if _, errOut, code := run(t, "-scenario", "pingpong", "extra"); code != 2 || !strings.Contains(errOut, `"extra"`) {
+		t.Errorf("stray argument: exit %d, stderr %q; want exit 2 naming it", code, errOut)
+	}
+	if _, errOut, code := run(t, "submit", "-scenario", "bug-ii"); code != 2 || !strings.Contains(errOut, "-server") {
+		t.Errorf("nice submit: exit %d, stderr %q; want exit 2 pointing at -server", code, errOut)
+	}
+}
+
+// TestLocalAndRemote: one request, asked in-process and of a service,
+// means the same search with the same exit code; the remote run prints
+// the trace artifact its violation was persisted as. Local-only flags
+// are a usage error next to -server.
+func TestLocalAndRemote(t *testing.T) {
+	s, err := nice.NewService(nice.ServiceOptions{Workers: 1, ArtifactDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	}()
+
+	out, errOut, code := run(t, "-server", ts.URL, "-scenario", "bug-ii")
+	if code != 1 || !regexp.MustCompile(`trace artifact [0-9a-f]{64}`).MatchString(out) {
+		t.Errorf("remote bug-ii: exit %d, want 1 and a trace artifact id; stdout:\n%s\nstderr:\n%s", code, out, errOut)
+	}
+	if out, _, code := run(t, "-scenario", "bug-ii"); code != 1 || !strings.Contains(out, "StrictDirectPaths") {
+		t.Errorf("local bug-ii: exit %d, want 1 with the StrictDirectPaths trace; stdout:\n%s", code, out)
+	}
+	// A clean complete search and one a budget cuts short exit 0 and 3
+	// both ways: a job the service ends as done is clean only when its
+	// result says complete.
+	for _, c := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-scenario", "pingpong", "-scale", "1"}, 0},
+		{[]string{"-scenario", "pingpong", "-scale", "4", "-max-states", "50"}, 3},
+	} {
+		for _, remote := range []bool{false, true} {
+			args := c.args
+			if remote {
+				args = append([]string{"-server", ts.URL}, args...)
+			}
+			if out, errOut, code := run(t, args...); code != c.want {
+				t.Errorf("nice %s: exit %d, want %d; stdout:\n%s\nstderr:\n%s", strings.Join(args, " "), code, c.want, out, errOut)
+			}
+		}
+	}
+	if _, errOut, code := run(t, "-server", ts.URL, "-scenario", "bug-ii", "-workers", "5000"); code != 2 || !strings.Contains(errOut, "workers: ") {
+		t.Errorf("remote -workers 5000: exit %d, stderr %q; want exit 2 naming the field", code, errOut)
+	}
+	if _, errOut, code := run(t, "-server", ts.URL, "-scenario", "bug-ii", "-progress", "1s"); code != 2 || !strings.Contains(errOut, "local only") {
+		t.Errorf("-progress with -server: exit %d, stderr %q; want exit 2", code, errOut)
 	}
 }

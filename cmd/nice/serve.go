@@ -8,7 +8,8 @@
 //	nice serve -addr :8080 -artifacts /var/lib/nice
 //	nice serve -workers 4 -tenant-states 1000000 -cache-capacity 8192
 //
-// Submit and watch jobs with `nice submit` / `nice watch`, or raw:
+// Run jobs with `nice -server URL -scenario …`, follow one with `nice
+// watch`, or go raw:
 //
 //	curl -XPOST localhost:8080/v1/jobs -d '{"scenario":"bug-ii"}'
 //	curl localhost:8080/v1/jobs/j1/stream

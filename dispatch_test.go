@@ -3,10 +3,12 @@ package nice_test
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"testing"
 	"time"
 
@@ -33,12 +35,13 @@ const (
 // one for plain and deadline, two (in order) for exhausted.
 type asker func(t *testing.T, v variant) []answer
 
-// TestDispatch: every front end — Run's options, a Campaign, a service
+// TestDispatch: every front end — Run's options, a Campaign, a
 // JobRequest — states a search and core.Job.Run decides the rest, so
-// the three must agree on which engine a request means, on what a
-// deadline does and on what an exhausted budget pool does. Each row is
-// one way of asking; a front end that grows its own rule again fails its
-// rows.
+// they must agree on which engine a request means, on what a deadline
+// does and on what an exhausted budget pool does. Each row is one way of
+// asking; a front end that grows its own rule again fails its rows. A
+// "service" row is a JobRequest, asked both in-process (RunRequest) and
+// over HTTP, and the two answers must be the same.
 func TestDispatch(t *testing.T) {
 	rows := []struct {
 		name, want string
@@ -58,15 +61,21 @@ func TestDispatch(t *testing.T) {
 		{"Campaign{Workers:2}+WithSymWorkers(1)", "concolic", viaCampaign(2, nice.WithSymWorkers(1))},
 		{"Campaign{Workers:4}+WithEngine(dfs)", "dfs", viaCampaign(4, nice.WithEngine(nice.SequentialDFS()))},
 
-		{`service {} default 0`, "dfs", viaService(0, nice.JobRequest{})},
-		{`service {} default 1`, "dfs", viaService(1, nice.JobRequest{})},
-		{`service {workers:1} default 0`, "dfs", viaService(0, nice.JobRequest{Workers: 1})},
-		{`service {workers:1} default 1`, "dfs", viaService(1, nice.JobRequest{Workers: 1})},
-		{`service {workers:4} default 0`, "parallel", viaService(0, nice.JobRequest{Workers: 4})},
-		{`service {workers:4} default 1`, "parallel", viaService(1, nice.JobRequest{Workers: 4})},
-		{`service {} default 4`, "parallel", viaService(4, nice.JobRequest{})},
-		{`service {engine:dfs,workers:4}`, "dfs", viaService(0, nice.JobRequest{Engine: "dfs", Workers: 4})},
-		{`service {engine:concolic,workers:2}`, "concolic", viaService(0, nice.JobRequest{Engine: "concolic", Workers: 2})},
+		{`service {} default 0`, "dfs", viaRequest(0, nice.JobRequest{})},
+		{`service {} default 1`, "dfs", viaRequest(1, nice.JobRequest{})},
+		{`service {workers:1} default 0`, "dfs", viaRequest(0, nice.JobRequest{Workers: 1})},
+		{`service {workers:1} default 1`, "dfs", viaRequest(1, nice.JobRequest{Workers: 1})},
+		{`service {workers:4} default 0`, "parallel", viaRequest(0, nice.JobRequest{Workers: 4})},
+		{`service {workers:4} default 1`, "parallel", viaRequest(1, nice.JobRequest{Workers: 4})},
+		{`service {} default 4`, "parallel", viaRequest(4, nice.JobRequest{})},
+		{`service {engine:dfs,workers:4}`, "dfs", viaRequest(0, nice.JobRequest{Engine: "dfs", Workers: 4})},
+		{`service {engine:concolic,workers:2}`, "concolic", viaRequest(0, nice.JobRequest{Engine: "concolic", Workers: 2})},
+		{`service {reduction:dpor}`, "dfs", viaRequest(0, nice.JobRequest{Reduction: "dpor"})},
+		{`service {sym_workers:1}`, "concolic", viaRequest(0, nice.JobRequest{SymWorkers: 1})},
+		{`service {walks:4}`, "walks", viaRequest(0, nice.JobRequest{Walks: 4})},
+		{`service {walks:4,workers:2}`, "swarm", viaRequest(0, nice.JobRequest{Walks: 4, Workers: 2})},
+		{`service {max_depth:200}`, "dfs", viaRequest(0, nice.JobRequest{MaxDepth: 200})},
+		{`service {all_violations}`, "dfs", viaRequest(0, nice.JobRequest{AllViolations: true})},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -94,6 +103,27 @@ func TestDispatch(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// TestDispatchArtifactV1: the request grew fields, and a trace artifact
+// written before it did — a bug-ii violation persisted by a service of
+// the previous wire, pinned byte for byte — still decodes and replays.
+func TestDispatchArtifactV1(t *testing.T) {
+	data, err := os.ReadFile("testdata/trace_artifact_v1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ta, err := nice.DecodeTraceArtifact(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := nice.ReplayArtifact(ta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Reproduced || res.Property != "StrictDirectPaths" {
+		t.Errorf("replay %+v, want StrictDirectPaths reproduced", res)
 	}
 }
 
@@ -131,6 +161,35 @@ func viaCampaign(workers int, extra ...nice.RunOption) asker {
 	}
 }
 
+// viaRequest asks req both ways and checks the two answers agree: in
+// process through RunRequest, and over HTTP to an in-process service
+// with the given DefaultJobWorkers — which stands for `workers: 0`
+// before the engine is inferred, so in process the request carries it.
+// Only the service draws on a pool, so exhausted asks it alone.
+func viaRequest(defaultWorkers int, req nice.JobRequest) asker {
+	req.Scenario = "pingpong"
+	return func(t *testing.T, v variant) []answer {
+		got := viaService(defaultWorkers, req)(t, v)
+		if v == exhausted {
+			return got
+		}
+		local := req
+		local.Workers = cmp.Or(local.Workers, defaultWorkers)
+		var opts []nice.RunOption
+		if v == deadline {
+			opts = append(opts, nice.WithDeadline(time.Nanosecond))
+		}
+		r, err := nice.RunRequest(context.Background(), &local, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in := (answer{r.Strategy, string(r.StopReason), false}); in != got[0] {
+			t.Errorf("in process %+v, over HTTP %+v", in, got[0])
+		}
+		return got
+	}
+}
+
 // viaService asks an in-process service with the given DefaultJobWorkers
 // over HTTP. An exhausted tenant is turned away at submission, so the
 // exhausted variant must get its second job admitted while the first
@@ -139,13 +198,15 @@ func viaCampaign(workers int, extra ...nice.RunOption) asker {
 func viaService(defaultWorkers int, req nice.JobRequest) asker {
 	const servicePool = 20000
 	return func(t *testing.T, v variant) []answer {
-		req.Scenario = "pingpong"
 		opts := nice.ServiceOptions{Workers: 1, DefaultJobWorkers: defaultWorkers}
 		asks := 1
 		switch v {
 		case deadline:
 			opts.JobTimeout = time.Nanosecond
 		case exhausted:
+			if req.Walks > 0 {
+				t.Skip("a few random walks never use up the pool")
+			}
 			req.Scenario, req.Scale = "pyswitch-bench", 6
 			opts.TenantMaxStates = servicePool
 			asks = 2

@@ -9,10 +9,14 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+
+	"github.com/nice-go/nice"
 )
 
 // lintSkipDirs are subtrees the package-doc lint does not descend
@@ -154,6 +158,36 @@ func TestMarkdownLinks(t *testing.T) {
 						f, link, anchor, resolved)
 				}
 			}
+		}
+	}
+}
+
+// TestRequestFieldsDocumented: every JobRequest field is a wire field
+// docs/SERVICE.md explains and a `nice` flag (its JSON name with "-"
+// for "_"), so a knob added to the request cannot reach one door and
+// miss the others' documentation.
+func TestRequestFieldsDocumented(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go toolchain not on PATH")
+	}
+	// -help prints the usage to stderr and exits 0.
+	help, err := exec.Command(goBin, "run", "./cmd/nice", "-help").CombinedOutput()
+	if err != nil {
+		t.Fatalf("nice -help: %v\n%s", err, help)
+	}
+	service, err := os.ReadFile("docs/SERVICE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	typ := reflect.TypeOf(nice.JobRequest{})
+	for i := 0; i < typ.NumField(); i++ {
+		name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+		if !strings.Contains(string(service), "`"+name+"`") {
+			t.Errorf("docs/SERVICE.md does not document request field %q", name)
+		}
+		if flag := "-" + strings.ReplaceAll(name, "_", "-"); !regexp.MustCompile(`(?m)^  ` + flag + `\b`).Match(help) {
+			t.Errorf("nice -help lists no %s flag for request field %q", flag, name)
 		}
 	}
 }

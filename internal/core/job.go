@@ -10,9 +10,8 @@ import (
 // each fill a Job in and end here, so which engine runs, under which
 // deadline and against which share of a budget pool is decided once.
 type Job struct {
-	// Engine runs the search. Nil names no engine: the registered
-	// "parallel" engine runs, which is the sequential checker at
-	// Workers == 1.
+	// Engine runs the search. Nil names no engine: InferEngine decides,
+	// and Run treats a nil Engine as a job that set only its pool size.
 	Engine Engine
 	// Timeout bounds the search's wall clock (0 = unbounded).
 	Timeout time.Duration
@@ -20,6 +19,34 @@ type Job struct {
 	// MaxTransitions are the search's own budget, tightened to what the
 	// pool has left.
 	EngineOptions
+}
+
+// InferEngine is the one rule for a job that names no engine, given
+// which engine-shaping knobs its front end set: a solver knob
+// (SymBudget, SymWorkers) selects the concolic loop; a walk knob (a
+// walk count or length, not the seed alone) the seeded swarm when a
+// pool size was set too and the sequential walks when not; anything
+// else the full search, on the pool it was given or, with none, on one
+// worker — the sequential reference checker. A named engine stays.
+func (j *Job) InferEngine(workers, walks, sym bool) {
+	if j.Engine != nil {
+		return
+	}
+	name := "parallel"
+	switch {
+	case sym:
+		name = "concolic"
+	case walks && workers:
+		name = "swarm"
+	case walks:
+		name = "walks"
+	case !workers:
+		j.Workers = 1
+	}
+	j.Engine = DFS() // all there is when internal/search is not linked in
+	if spec, ok := LookupEngine(name); ok {
+		j.Engine = spec.New()
+	}
 }
 
 // Run searches cfg and charges the search to pool (nil = no pool).
@@ -33,13 +60,7 @@ func (j Job) Run(ctx context.Context, cfg *Config, pool *Drawdown) (r *Report, s
 	if pool.Exhausted() {
 		return &Report{StopReason: StopDrawdown}, true
 	}
-	engine := j.Engine
-	if engine == nil {
-		engine = DFS() // all there is when internal/search is not linked in
-		if spec, ok := LookupEngine("parallel"); ok {
-			engine = spec.New()
-		}
-	}
+	j.InferEngine(true, false, false)
 	if j.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, j.Timeout)
@@ -47,6 +68,6 @@ func (j Job) Run(ctx context.Context, cfg *Config, pool *Drawdown) (r *Report, s
 	}
 	claim := pool.Clamp(Budget{States: j.MaxStates, Transitions: j.MaxTransitions})
 	j.MaxStates, j.MaxTransitions = claim.States, claim.Transitions
-	r = engine.Search(ctx, cfg, j.EngineOptions)
+	r = j.Engine.Search(ctx, cfg, j.EngineOptions)
 	return r, pool.Draw(claim, r)
 }

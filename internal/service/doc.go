@@ -9,6 +9,9 @@
 //
 // The package sits above internal/core and the public modelling SDK
 // but below the root facade: nice.Serve and `nice serve` wrap
-// Server, and `nice submit` / `nice watch` / `nice replay` are its
-// clients. See docs/SERVICE.md for the wire protocol.
+// Server, and `nice -server`, `nice watch` and `nice replay` are its
+// clients. JobRequest is the one search request of every door: the
+// wire body, the `nice` flags (Flags) and nice.RunRequest's argument,
+// resolved in one place (Resolve). See docs/SERVICE.md for the wire
+// protocol.
 package service

@@ -13,7 +13,6 @@ import (
 	"github.com/nice-go/nice/internal/core"
 	_ "github.com/nice-go/nice/internal/search" // registers the engines requests name
 	"github.com/nice-go/nice/internal/telemetry"
-	"github.com/nice-go/nice/scenarios"
 )
 
 // Options configures a Server. The zero value is serviceable: two
@@ -52,6 +51,7 @@ type Options struct {
 	// DefaultJobWorkers sizes the search pool of a job that leaves
 	// `workers` 0. When this is 0 too, a job naming no engine runs on
 	// one worker and a named engine on its own default (all CPUs).
+	// New rejects a value above MaxWorkers.
 	DefaultJobWorkers int
 	// ProgressEvery is the jobs' progress-event interval (0 = 500ms).
 	ProgressEvery time.Duration
@@ -135,6 +135,9 @@ const keepBodies = 64
 
 // New builds and starts a Server (its workers run until Shutdown).
 func New(opts Options) (*Server, error) {
+	if opts.DefaultJobWorkers < 0 || opts.DefaultJobWorkers > MaxWorkers {
+		return nil, fmt.Errorf("service: DefaultJobWorkers %d outside [0, %d]", opts.DefaultJobWorkers, MaxWorkers)
+	}
 	if opts.Workers <= 0 {
 		opts.Workers = 2
 	}
@@ -196,12 +199,9 @@ func (e *submitError) Error() string { return e.msg }
 
 // Submit validates, admits and enqueues a job for the tenant.
 func (s *Server) Submit(tenantName string, req *JobRequest) (*job, error) {
-	if err := req.Validate(); err != nil {
-		return nil, &submitError{status: 400, msg: err.Error()}
-	}
-	// Resolve the scenario now so an unknown name is a 400 at submit,
-	// not a failed job; the config itself is rebuilt when the job runs.
-	if _, err := buildConfig(req); err != nil {
+	// Resolve now so an unknown scenario is a 400 at submit, not a
+	// failed job; the search itself is resolved again when the job runs.
+	if _, _, err := req.Resolve(); err != nil {
 		return nil, &submitError{status: 400, msg: err.Error()}
 	}
 	if tenantName == "" {
@@ -312,26 +312,6 @@ func (s *Server) worker() {
 	}
 }
 
-// buildConfig resolves a request — a registry name or an inline spec —
-// into a runnable Config.
-func buildConfig(req *JobRequest) (*core.Config, error) {
-	var sc scenarios.Scenario
-	if req.Scenario != "" {
-		var ok bool
-		if sc, ok = scenarios.Lookup(req.Scenario); !ok {
-			return nil, fmt.Errorf("unknown scenario %q", req.Scenario)
-		}
-	} else {
-		sp, err := req.Spec.Compile()
-		if err != nil {
-			return nil, err
-		}
-		sc = sp.Scenario()
-	}
-	cfg, _, err := sc.Resolve(req.Scale, req.Strategy, req.Fixed)
-	return cfg, err
-}
-
 // runJob executes one job end to end: build, search under the tenant's
 // drawdown (core.Job.Run) with the event-bridging observer, persist
 // artifacts, finalize.
@@ -370,8 +350,11 @@ func (s *Server) runJob(j *job) {
 	}()
 	j.setState(StateRunning, nil, "")
 
-	req := &j.st.Request
-	cfg, err := buildConfig(req)
+	// The request as a service job asks it: `workers: 0` is the
+	// server's default pool before the engine is inferred.
+	req := j.st.Request
+	req.Workers = cmp.Or(req.Workers, s.opts.DefaultJobWorkers)
+	cfg, search, err := req.Resolve()
 	if err != nil {
 		s.tel.errored.Inc()
 		j.setState(StateError, nil, err.Error())
@@ -384,31 +367,14 @@ func (s *Server) runJob(j *job) {
 
 	// The job's own asks, capped by the server's per-job limits; Run
 	// caps them again by what the tenant's drawdown has left.
-	own := core.Budget{States: req.MaxStates, Transitions: req.MaxTransitions}.
+	own := core.Budget{States: search.MaxStates, Transitions: search.MaxTransitions}.
 		Min(core.Budget{States: s.opts.JobMaxStates, Transitions: s.opts.JobMaxTransitions})
-	search := core.Job{
-		Timeout: time.Duration(req.TimeoutMS) * time.Millisecond,
-		EngineOptions: core.EngineOptions{
-			Workers:        cmp.Or(req.Workers, s.opts.DefaultJobWorkers),
-			MaxStates:      own.States,
-			MaxTransitions: own.Transitions,
-			Caches:         s.cc,
-			Telemetry:      s.reg,
-			ProgressEvery:  s.opts.ProgressEvery,
-			Observer:       core.ObserverFuncs{Violation: j.violation, Progress: j.progress},
-		},
-	}
+	search.MaxStates, search.MaxTransitions = own.States, own.Transitions
 	if limit := s.opts.JobTimeout; limit > 0 && (search.Timeout == 0 || limit < search.Timeout) {
 		search.Timeout = limit
 	}
-	if req.Engine != "" {
-		// Validated at submission against the engine registry, so the
-		// lookup cannot miss here.
-		spec, _ := core.LookupEngine(req.Engine)
-		search.Engine = spec.New()
-	} else if search.Workers == 0 {
-		search.Workers = 1 // no engine, no pool size: the sequential checker
-	}
+	search.Caches, search.Telemetry, search.ProgressEvery = s.cc, s.reg, s.opts.ProgressEvery
+	search.Observer = core.ObserverFuncs{Violation: j.violation, Progress: j.progress}
 
 	report, starved := search.Run(ctx, cfg, tn)
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -434,29 +435,50 @@ func TestServiceChurnKeepsCacheBounded(t *testing.T) {
 	}
 }
 
-// TestServiceRejections: malformed submissions fail loudly with the
-// offending field, unknown scenarios 400, queue overflow 429.
+// TestServiceRejections: malformed submissions fail loudly — every bad
+// request names its JSON field, both as the *scenarios.FieldError
+// Resolve returns and as the prefix of the 400 — and unknown fields and
+// artifact ids are rejected.
 func TestServiceRejections(t *testing.T) {
 	_, ts := newTestServer(t, service.Options{Workers: 1})
 
-	if _, code, msg := trySubmit(t, ts, "", `{"scenario": "no-such"}`); code != 400 || !strings.Contains(msg, "no-such") {
-		t.Errorf("unknown scenario: %d %q", code, msg)
+	badSpec := strings.Replace(wireSpecJSON, `"kind": "linear-hosts"`, `"kind": "torus"`, 1)
+	rows := []struct{ body, field, names string }{
+		{`{}`, "scenario", "exactly one"},
+		{`{"scenario": "bug-ii", "spec": ` + wireSpecJSON + `}`, "scenario", "exactly one"},
+		{`{"scenario": "no-such"}`, "scenario", "no-such"},
+		{`{"spec": ` + badSpec + `}`, "spec.topology.kind", "torus"},
+		{`{"scenario": "bug-ii", "strategy": "psychic"}`, "strategy", "flow-ir"},
+		{`{"scenario": "bug-ii", "engine": "psychic"}`, "engine", "concolic"},
+		{`{"scenario": "bug-ii", "reduction": "sleepy"}`, "reduction", "dpor"},
+		{`{"scenario": "bug-ii", "scale": 3}`, "scale", "no scale knob"},
+		{`{"scenario": "pingpong", "scale": -1}`, "scale", "negative"},
+		{`{"scenario": "bug-ii", "workers": -1}`, "workers", "negative"},
+		{`{"scenario": "bug-ii", "workers": 1073741824}`, "workers", "1024"},
+		{`{"scenario": "bug-ii", "sym_workers": 1025}`, "sym_workers", "1024"},
+		{`{"scenario": "bug-ii", "sym_budget": -1}`, "sym_budget", "negative"},
+		{`{"scenario": "bug-ii", "max_states": -1}`, "max_states", "negative"},
+		{`{"scenario": "bug-ii", "max_transitions": -1}`, "max_transitions", "negative"},
+		{`{"scenario": "bug-ii", "timeout_ms": -1}`, "timeout_ms", "negative"},
+		{`{"scenario": "bug-ii", "max_depth": -1}`, "max_depth", "negative"},
+		{`{"scenario": "bug-ii", "walks": -1}`, "walks", "negative"},
+		{`{"scenario": "bug-ii", "steps": -1}`, "steps", "negative"},
+	}
+	for _, row := range rows {
+		req, err := service.DecodeJobRequest(strings.NewReader(row.body))
+		if err == nil {
+			_, _, err = req.Resolve()
+		}
+		var fe *scenarios.FieldError
+		if !errors.As(err, &fe) || fe.Field != row.field {
+			t.Errorf("%s: error %v, want a FieldError for %q", row.body, err, row.field)
+		}
+		if _, code, msg := trySubmit(t, ts, "", row.body); code != 400 || !strings.HasPrefix(msg, row.field+": ") || !strings.Contains(msg, row.names) {
+			t.Errorf("POST %s: %d %q, want 400 naming %q and %q", row.body, code, msg, row.field, row.names)
+		}
 	}
 	if _, code, msg := trySubmit(t, ts, "", `{"scenario": "bug-ii", "bogus": 1}`); code != 400 || !strings.Contains(msg, "bogus") {
 		t.Errorf("unknown field: %d %q", code, msg)
-	}
-	if _, code, msg := trySubmit(t, ts, "", `{"scenario": "bug-ii", "spec": `+wireSpecJSON+`}`); code != 400 || !strings.Contains(msg, "exactly one") {
-		t.Errorf("scenario+spec: %d %q", code, msg)
-	}
-	badSpec := strings.Replace(wireSpecJSON, `"kind": "linear-hosts"`, `"kind": "torus"`, 1)
-	if _, code, msg := trySubmit(t, ts, "", `{"spec": `+badSpec+`}`); code != 400 || !strings.Contains(msg, "topology.kind") {
-		t.Errorf("bad spec: %d %q — want the offending field named", code, msg)
-	}
-	if _, code, _ := trySubmit(t, ts, "", `{"scenario": "bug-ii", "strategy": "psychic"}`); code != 400 {
-		t.Errorf("unknown strategy: %d, want 400", code)
-	}
-	if _, code, msg := trySubmit(t, ts, "", `{"scenario": "bug-ii", "engine": "psychic"}`); code != 400 || !strings.Contains(msg, "engine") {
-		t.Errorf("unknown engine: %d %q — want the offending field named", code, msg)
 	}
 	resp, err := http.Get(ts.URL + "/v1/artifacts/" + strings.Repeat("zz", 32))
 	if err != nil {
@@ -465,6 +487,36 @@ func TestServiceRejections(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("invalid artifact id: %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestRequestBoundsWorkerPools: a pool of a billion workers would be a
+// billion goroutines and deques — an out-of-memory crash no recover
+// catches. The server answers 400 instead and runs the next job.
+func TestRequestBoundsWorkerPools(t *testing.T) {
+	_, ts := newTestServer(t, service.Options{Workers: 1})
+	for _, body := range []string{
+		`{"scenario": "bug-ii", "workers": 1073741824}`,
+		`{"scenario": "bug-ii", "engine": "concolic", "sym_workers": 1073741824}`,
+	} {
+		if _, code, _ := trySubmit(t, ts, "", body); code != 400 {
+			t.Errorf("POST %s: %d, want 400", body, code)
+		}
+	}
+	evs := collectStream(t, ts, submit(t, ts, "", `{"scenario": "bug-ii", "workers": 2}`).ID)
+	if done := evs[len(evs)-1]; done.State != service.StateDone || len(done.Result.Violations) == 0 {
+		t.Errorf("the next job ended %s with %+v, want done with bug-ii's violation", done.State, done.Result)
+	}
+}
+
+// TestDefaultJobWorkersBounded: the operator's default pool for
+// `workers: 0` obeys the same bound as a request, checked when the
+// server is built rather than blamed on each job that leaves it 0.
+func TestDefaultJobWorkersBounded(t *testing.T) {
+	for _, n := range []int{-1, service.MaxWorkers + 1} {
+		if _, err := service.New(service.Options{DefaultJobWorkers: n}); err == nil || !strings.Contains(err.Error(), "DefaultJobWorkers") {
+			t.Errorf("DefaultJobWorkers %d: err %v, want one naming DefaultJobWorkers", n, err)
+		}
 	}
 }
 

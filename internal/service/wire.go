@@ -3,14 +3,11 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"github.com/nice-go/nice/internal/core"
 	"github.com/nice-go/nice/openflow"
-	"github.com/nice-go/nice/scenarios"
 	"github.com/nice-go/nice/topo"
 )
 
@@ -18,79 +15,6 @@ import (
 // prefix, the JobRequest/Event shapes and the artifact layout all
 // version together.
 const WireVersion = 1
-
-// JobRequest is one check submission: a named registry scenario or an
-// inline declarative spec, plus search knobs. Exactly one of Scenario
-// and Spec must be set.
-type JobRequest struct {
-	// Scenario names a registry entry (GET /v1/scenarios lists them).
-	Scenario string `json:"scenario,omitempty"`
-	// Spec is an inline declarative scenario (scenarios.WireSpec).
-	Spec *scenarios.WireSpec `json:"spec,omitempty"`
-
-	// Scale is the scenario's scale knob (0 = default); Strategy the
-	// Table 2 search-strategy column ("" = pkt-seq); Fixed selects the
-	// repaired application.
-	Scale    int    `json:"scale,omitempty"`
-	Strategy string `json:"strategy,omitempty"`
-	Fixed    bool   `json:"fixed,omitempty"`
-
-	// Engine names a registered search engine. "" is the default every
-	// front end shares (core.Job): the full search, "dfs" on one worker
-	// and "parallel" on more. "concolic" runs the symbolic feedback loop.
-	Engine string `json:"engine,omitempty"`
-
-	// Workers sizes the engine worker pool. 0 = the server's
-	// DefaultJobWorkers, and when that is 0 too, one worker if no
-	// engine is named and the named engine's own default otherwise.
-	Workers int `json:"workers,omitempty"`
-	// MaxStates / MaxTransitions / TimeoutMS bound the search. The
-	// server clamps them against its own per-job limits and the
-	// tenant's remaining drawdown budget.
-	MaxStates      int64 `json:"max_states,omitempty"`
-	MaxTransitions int64 `json:"max_transitions,omitempty"`
-	TimeoutMS      int64 `json:"timeout_ms,omitempty"`
-}
-
-// Validate checks the request shape (not the scenario's existence —
-// that is resolved at submission against the live registry).
-func (r *JobRequest) Validate() error {
-	if (r.Scenario == "") == (r.Spec == nil) {
-		return errors.New("request: exactly one of scenario and spec required")
-	}
-	if r.Spec != nil {
-		if err := r.Spec.Validate(); err != nil {
-			return fmt.Errorf("request: spec: %w", err)
-		}
-	}
-	if _, ok := scenarios.ParseStrategy(r.Strategy); !ok {
-		return fmt.Errorf("request: unknown strategy %q", r.Strategy)
-	}
-	if r.Engine != "" {
-		if _, ok := core.LookupEngine(r.Engine); !ok {
-			return fmt.Errorf("request: unknown engine %q (known: %v)",
-				r.Engine, core.EngineNames())
-		}
-	}
-	if r.Scale < 0 || r.Workers < 0 || r.MaxStates < 0 || r.MaxTransitions < 0 || r.TimeoutMS < 0 {
-		return errors.New("request: negative bound")
-	}
-	return nil
-}
-
-// DecodeJobRequest parses a submission body, rejecting unknown fields.
-func DecodeJobRequest(r io.Reader) (*JobRequest, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var req JobRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("request: %w", err)
-	}
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	return &req, nil
-}
 
 // Job states.
 const (

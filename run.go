@@ -34,12 +34,6 @@ type (
 	// Reduction selects an interleaving-reduction layer for the search
 	// (see WithReduction).
 	Reduction = core.Reduction
-	// EngineSpec describes one registered engine (name, summary and
-	// constructor) — the single source of truth the CLI usage text and
-	// the service's strategy validation read.
-	EngineSpec = core.EngineSpec
-	// ReductionSpec describes one reduction layer by name.
-	ReductionSpec = core.ReductionSpec
 )
 
 // Reduction layers for WithReduction.
@@ -67,16 +61,13 @@ const (
 	StopDrawdown       = core.StopDrawdown
 )
 
-// Engine registry lookups (single source of truth for CLI and service).
+// The engine and reduction registries, for listing what a request may
+// name (a JobRequest resolves the names itself).
 var (
 	// EngineSpecs lists every registered engine, sorted by name.
 	EngineSpecs = core.EngineSpecs
-	// LookupEngine resolves an engine by (case-insensitive) name.
-	LookupEngine = core.LookupEngine
 	// ReductionSpecs lists the reduction layers by name.
 	ReductionSpecs = core.ReductionSpecs
-	// ParseReduction resolves a reduction by name ("" = none).
-	ParseReduction = core.ParseReduction
 )
 
 // NewCaches builds a fresh discover-cache set for WithCaches.
@@ -233,17 +224,11 @@ func WithTelemetry(reg *Telemetry) RunOption {
 // to an Observer — the paper's single search loop (§1.3, §4) behind
 // one composable API.
 //
-// Engine selection, unless WithEngine overrides it:
-//
-//   - default: the full search on one worker — SequentialDFS, the
-//     reference checker (Run(ctx, cfg) ≡ NewChecker(cfg).Run());
-//   - WithWorkers(n): ParallelHybrid — the same full search spread
-//     over n workers (n=1 delegates to the sequential checker, which
-//     is how the default gets there);
-//   - WithWalks(...): RandomWalks, or SeededSwarm when WithWorkers is
-//     also given;
-//   - WithSymBudget / WithSymWorkers: ConcolicLoop, the feedback loop
-//     between the state-space search and the symbolic solver.
+// Unless WithEngine names one, the options imply the engine by the rule
+// every front end shares: WithSymBudget / WithSymWorkers the
+// ConcolicLoop; WithWalks RandomWalks, or SeededSwarm with WithWorkers;
+// WithWorkers alone ParallelHybrid; none of them SequentialDFS, the
+// reference checker (Run(ctx, cfg) ≡ NewChecker(cfg).Run()).
 //
 // Cancel ctx, set WithDeadline, or exhaust WithMaxStates /
 // WithMaxTransitions and Run returns a partial Report — Complete
@@ -254,24 +239,32 @@ func Run(ctx context.Context, cfg *Config, opts ...RunOption) *Report {
 	return r
 }
 
-// newJob applies the options — once — and infers the engine they imply.
-// The default and WithWorkers cases name none: core.Job.Run picks it.
+// RunRequest runs a JobRequest in-process: the search `nice serve`
+// would run for it, resolved the same way (JobRequest.Resolve) but
+// drawing on no tenant pool. opts then add what the wire cannot carry —
+// an Observer, caches, telemetry — or override a resolved knob; the
+// engine the request implies is already chosen and stays unless
+// WithEngine replaces it. An invalid request is an error, not a report.
+func RunRequest(ctx context.Context, req *JobRequest, opts ...RunOption) (*Report, error) {
+	cfg, job, err := req.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	s := runSettings{Job: job}
+	for _, opt := range opts {
+		opt(&s)
+	}
+	r, _ := s.Run(ctx, cfg, nil)
+	return r, nil
+}
+
+// newJob applies the options — once — and lets core.Job.InferEngine
+// pick the engine they imply.
 func newJob(opts []RunOption) core.Job {
 	var s runSettings
 	for _, opt := range opts {
 		opt(&s)
 	}
-	if s.Engine == nil {
-		switch {
-		case s.symMode:
-			s.Engine = ConcolicLoop()
-		case s.walkMode && s.workersSet:
-			s.Engine = SeededSwarm()
-		case s.walkMode:
-			s.Engine = RandomWalks()
-		case !s.workersSet:
-			s.Workers = 1 // the sequential reference checker
-		}
-	}
+	s.InferEngine(s.workersSet, s.walkMode, s.symMode)
 	return s.Job
 }

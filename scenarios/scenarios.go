@@ -33,6 +33,15 @@ const (
 // Strategies lists Table 2's column order.
 var Strategies = []Strategy{PktSeqOnly, NoDelay, FlowIR, Unusual}
 
+// StrategyNames spells Strategies as ParseStrategy reads them.
+func StrategyNames() []string {
+	names := make([]string, len(Strategies))
+	for i, s := range Strategies {
+		names[i] = strings.ToLower(s.String())
+	}
+	return names
+}
+
 func (s Strategy) String() string {
 	switch s {
 	case NoDelay:

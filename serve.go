@@ -12,8 +12,8 @@ import (
 
 // Checking-as-a-service (internal/service), re-exported so embedders
 // can run the NICE server in-process without importing internal
-// packages. `nice serve` is a thin wrapper over Serve; `nice
-// submit` / `nice watch` / `nice replay` are its clients.
+// packages. `nice serve` is a thin wrapper over Serve; `nice -server`,
+// `nice watch` and `nice replay` are its clients.
 type (
 	// Service is the long-running checking server: a bounded worker
 	// pool over an HTTP job queue with per-tenant drawdown budgets,
@@ -21,8 +21,9 @@ type (
 	Service = service.Server
 	// ServiceOptions configures NewService/Serve.
 	ServiceOptions = service.Options
-	// JobRequest is one check submission (a named registry scenario or
-	// an inline scenarios.WireSpec) plus search knobs.
+	// JobRequest is one search request (a named registry scenario or
+	// an inline scenarios.WireSpec plus search knobs), the same for
+	// every door: POST /v1/jobs, RunRequest and the `nice` flags.
 	JobRequest = service.JobRequest
 	// JobStatus is a submitted job's status document.
 	JobStatus = service.JobStatus
