@@ -8,7 +8,7 @@ import (
 	"github.com/nice-go/nice/apps/energyte"
 	"github.com/nice-go/nice/controller"
 	"github.com/nice-go/nice/internal/core"
-	_ "github.com/nice-go/nice/internal/search" // registers the default engine
+	"github.com/nice-go/nice/internal/search"
 	"github.com/nice-go/nice/scenarios"
 )
 
@@ -73,7 +73,7 @@ func TestStateKeyPartition(t *testing.T) {
 			cfg.App = spy{app, p}
 			cfg.StopAtFirstViolation = false
 			seen := p.calls
-			report, _ := core.Job{EngineOptions: core.EngineOptions{Workers: 1}}.Run(context.Background(), cfg, nil)
+			report, _ := search.Job{EngineOptions: core.EngineOptions{Workers: 1}}.Run(context.Background(), cfg, nil)
 			if !report.Complete || p.calls == seen {
 				t.Errorf("%s/%s: complete %t (%s), %d keys rendered", name, strategy,
 					report.Complete, report.StopReason, p.calls-seen)

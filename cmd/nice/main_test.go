@@ -209,4 +209,20 @@ func TestLocalAndRemote(t *testing.T) {
 	if _, errOut, code := run(t, "-server", ts.URL, "-scenario", "bug-ii", "-progress", "1s"); code != 2 || !strings.Contains(errOut, "local only") {
 		t.Errorf("-progress with -server: exit %d, stderr %q; want exit 2", code, errOut)
 	}
+	// A deadline past what a time.Duration holds, and a topology past
+	// MaxHosts, are usage errors naming the field both ways.
+	for _, c := range [][]string{
+		{"-scenario", "bug-ii", "-timeout-ms", "9223372036855", "timeout_ms: "},
+		{"-scenario", "pyswitch-fattree", "-scale", "64", "scale: "},
+	} {
+		args, field := c[:len(c)-1], c[len(c)-1]
+		for _, remote := range []bool{false, true} {
+			if remote {
+				args = append([]string{"-server", ts.URL}, args...)
+			}
+			if _, errOut, code := run(t, args...); code != 2 || !strings.Contains(errOut, field) {
+				t.Errorf("nice %s: exit %d, stderr %q; want exit 2 naming %q", strings.Join(args, " "), code, errOut, field)
+			}
+		}
+	}
 }

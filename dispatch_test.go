@@ -36,7 +36,7 @@ const (
 type asker func(t *testing.T, v variant) []answer
 
 // TestDispatch: every front end — Run's options, a Campaign, a
-// JobRequest — states a search and core.Job.Run decides the rest, so
+// JobRequest — states a search and search.Job.Run decides the rest, so
 // they must agree on which engine a request means, on what a deadline
 // does and on what an exhausted budget pool does. Each row is one way of
 // asking; a front end that grows its own rule again fails its rows. A
@@ -69,6 +69,7 @@ func TestDispatch(t *testing.T) {
 		{`service {workers:4} default 1`, "parallel", viaRequest(1, nice.JobRequest{Workers: 4})},
 		{`service {} default 4`, "parallel", viaRequest(4, nice.JobRequest{})},
 		{`service {engine:dfs,workers:4}`, "dfs", viaRequest(0, nice.JobRequest{Engine: "dfs", Workers: 4})},
+		{`service {engine:DFS,workers:4}`, "dfs", viaRequest(0, nice.JobRequest{Engine: "DFS", Workers: 4})},
 		{`service {engine:concolic,workers:2}`, "concolic", viaRequest(0, nice.JobRequest{Engine: "concolic", Workers: 2})},
 		{`service {reduction:dpor}`, "dfs", viaRequest(0, nice.JobRequest{Reduction: "dpor"})},
 		{`service {sym_workers:1}`, "concolic", viaRequest(0, nice.JobRequest{SymWorkers: 1})},

@@ -31,7 +31,7 @@ const (
 	// allowed to solve (EngineOptions.SymBudget).
 	StopSymBudget StopReason = "sym-budget"
 	// StopDrawdown: the search never started — the budget pool it
-	// shares (Job.Run) was already exhausted.
+	// shares (a Drawdown) was already exhausted.
 	StopDrawdown StopReason = "drawdown"
 )
 
@@ -209,8 +209,8 @@ func (o EngineOptions) StepBound() int {
 // violation trace recorded so far still reproduces deterministically
 // from the initial state.
 type Engine interface {
-	// Name is the engine's stable identifier, recorded in
-	// Report.Strategy and Progress.Strategy.
+	// Name is the engine's stable identifier: the name a request
+	// selects it by, recorded in Report.Strategy and Progress.Strategy.
 	Name() string
 	// Search explores cfg under the given options.
 	Search(ctx context.Context, cfg *Config, opts EngineOptions) *Report

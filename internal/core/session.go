@@ -66,7 +66,7 @@ func contextStopReason(ctx context.Context) StopReason {
 	return StopCanceled
 }
 
-// Begin opens a search named name (the engine's registry name: it labels
+// Begin opens a search named name (the engine's Name: it labels
 // the telemetry scope, Progress.Strategy and Report.Strategy). onStop,
 // when non-nil, runs on every Abort — an engine whose workers block
 // passes its wake-up here; it must be ready before Begin is called,

@@ -18,14 +18,6 @@ import (
 	"github.com/nice-go/nice/internal/telemetry"
 )
 
-func init() {
-	core.RegisterEngine(core.EngineSpec{
-		Name:    "concolic",
-		Summary: "model-checking × symbolic-execution feedback loop (§3, Fig. 1)",
-		New:     Loop,
-	})
-}
-
 // Loop returns the concolic feedback-loop engine as a core.Engine.
 func Loop() core.Engine { return loopEngine{} }
 

@@ -9,18 +9,20 @@ import (
 	"github.com/nice-go/nice/scenarios"
 )
 
-// TestConcolicRegistered pins the engine's registry entry — the CLI and
-// the service resolve it by name.
+// TestConcolicRegistered pins the engine's row in the table — the CLI
+// and the service resolve it by name, in any case.
 func TestConcolicRegistered(t *testing.T) {
-	spec, ok := core.LookupEngine("concolic")
-	if !ok {
-		t.Fatal("concolic engine not registered")
-	}
-	if got := spec.New().Name(); got != "concolic" {
-		t.Fatalf("engine name = %q", got)
-	}
-	if spec.Summary == "" {
-		t.Error("registry entry has no summary")
+	for _, name := range []string{"concolic", "Concolic"} {
+		spec, ok := Lookup(name)
+		if !ok {
+			t.Fatalf("Lookup(%q): no such engine", name)
+		}
+		if got := spec.New().Name(); got != "concolic" {
+			t.Fatalf("engine name = %q", got)
+		}
+		if spec.Summary == "" {
+			t.Error("table row has no summary")
+		}
 	}
 }
 

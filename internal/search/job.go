@@ -1,9 +1,44 @@
-package core
+package search
 
 import (
 	"context"
+	"slices"
+	"strings"
 	"time"
+
+	"github.com/nice-go/nice/internal/core"
 )
+
+// EngineSpec is one row of the engine table: the name front ends select
+// the engine by (Report.Strategy carries the same string), a one-line
+// summary for usage text, and its constructor.
+type EngineSpec struct {
+	Name    string
+	Summary string
+	New     func() core.Engine
+}
+
+// engines is every engine, sorted by name: the order -list, -help and
+// the wire's unknown-engine error name them in.
+var engines = []EngineSpec{
+	{"concolic", "model-checking × symbolic-execution feedback loop (§3, Fig. 1)", Loop},
+	{"dfs", "sequential depth-first reference search (Figure 5)", core.DFS},
+	{"parallel", "work-stealing parallel full search (owners DFS, thieves BFS)", Parallel},
+	{"swarm", "parallel seeded random-walk swarm", SwarmEngine},
+	{"walks", "sequential seeded random walks (§1.3): the swarm on one worker", Walks},
+}
+
+// Engines returns the engine table, sorted by name.
+func Engines() []EngineSpec { return slices.Clone(engines) }
+
+// Lookup finds an engine by name, case-insensitively.
+func Lookup(name string) (EngineSpec, bool) {
+	i := slices.IndexFunc(engines, func(e EngineSpec) bool { return strings.EqualFold(e.Name, name) })
+	if i < 0 {
+		return EngineSpec{}, false
+	}
+	return engines[i], true
+}
 
 // Job is one search as a front end asks for it, and Run the one step
 // from that request to the search: nice.Run, Campaign and the service
@@ -12,13 +47,13 @@ import (
 type Job struct {
 	// Engine runs the search. Nil names no engine: InferEngine decides,
 	// and Run treats a nil Engine as a job that set only its pool size.
-	Engine Engine
+	Engine core.Engine
 	// Timeout bounds the search's wall clock (0 = unbounded).
 	Timeout time.Duration
 	// EngineOptions are handed to the engine; their MaxStates and
 	// MaxTransitions are the search's own budget, tightened to what the
 	// pool has left.
-	EngineOptions
+	core.EngineOptions
 }
 
 // InferEngine is the one rule for a job that names no engine, given
@@ -32,20 +67,18 @@ func (j *Job) InferEngine(workers, walks, sym bool) {
 	if j.Engine != nil {
 		return
 	}
-	name := "parallel"
 	switch {
 	case sym:
-		name = "concolic"
+		j.Engine = Loop()
 	case walks && workers:
-		name = "swarm"
+		j.Engine = SwarmEngine()
 	case walks:
-		name = "walks"
-	case !workers:
-		j.Workers = 1
-	}
-	j.Engine = DFS() // all there is when internal/search is not linked in
-	if spec, ok := LookupEngine(name); ok {
-		j.Engine = spec.New()
+		j.Engine = Walks()
+	default:
+		if !workers {
+			j.Workers = 1
+		}
+		j.Engine = Parallel()
 	}
 }
 
@@ -53,12 +86,12 @@ func (j *Job) InferEngine(workers, walks, sym bool) {
 // starved says the pool, not the job's own budget, cut the search
 // short; a job that finds the pool already exhausted never runs and
 // reports StopDrawdown.
-func (j Job) Run(ctx context.Context, cfg *Config, pool *Drawdown) (r *Report, starved bool) {
+func (j Job) Run(ctx context.Context, cfg *core.Config, pool *core.Drawdown) (r *core.Report, starved bool) {
 	if pool == nil {
-		pool = NewDrawdown(Budget{})
+		pool = core.NewDrawdown(core.Budget{})
 	}
 	if pool.Exhausted() {
-		return &Report{StopReason: StopDrawdown}, true
+		return &core.Report{StopReason: core.StopDrawdown}, true
 	}
 	j.InferEngine(true, false, false)
 	if j.Timeout > 0 {
@@ -66,7 +99,7 @@ func (j Job) Run(ctx context.Context, cfg *Config, pool *Drawdown) (r *Report, s
 		ctx, cancel = context.WithTimeout(ctx, j.Timeout)
 		defer cancel()
 	}
-	claim := pool.Clamp(Budget{States: j.MaxStates, Transitions: j.MaxTransitions})
+	claim := pool.Clamp(core.Budget{States: j.MaxStates, Transitions: j.MaxTransitions})
 	j.MaxStates, j.MaxTransitions = claim.States, claim.Transitions
 	r = j.Engine.Search(ctx, cfg, j.EngineOptions)
 	return r, pool.Draw(claim, r)

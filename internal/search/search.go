@@ -23,6 +23,9 @@
 // budgets, cancellation, the merged deterministic violation set,
 // streaming and the Report.
 //
+// Every front end dispatches through job.go: the table of the five
+// engines (core.DFS included) a request names one from, and Job.Run.
+//
 // Parallel with one worker delegates to the sequential core.Checker,
 // which stays the reference oracle; search_test.go asserts differential
 // parity between the two on the paper's scenarios.
@@ -37,24 +40,6 @@ import (
 
 // seenShards is the seen-set stripe count.
 const seenShards = 256
-
-func init() {
-	core.RegisterEngine(core.EngineSpec{
-		Name:    "parallel",
-		Summary: "work-stealing parallel full search (owners DFS, thieves BFS)",
-		New:     Parallel,
-	})
-	core.RegisterEngine(core.EngineSpec{
-		Name:    "swarm",
-		Summary: "parallel seeded random-walk swarm",
-		New:     SwarmEngine,
-	})
-	core.RegisterEngine(core.EngineSpec{
-		Name:    "walks",
-		Summary: "sequential seeded random walks (§1.3): the swarm on one worker",
-		New:     Walks,
-	})
-}
 
 // Parallel returns the exhaustive parallel search as a core.Engine:
 // per-worker depth-first expansion over a work-stealing frontier whose

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/nice-go/nice/internal/core"
+	"github.com/nice-go/nice/internal/search"
 	"github.com/nice-go/nice/scenarios"
 )
 
@@ -32,8 +33,8 @@ type JobRequest struct {
 	Strategy string `json:"strategy,omitempty"`
 	Fixed    bool   `json:"fixed,omitempty"`
 
-	// Engine names a registered engine; "" lets the other knobs imply
-	// one (core.Job.InferEngine). Workers sizes its pool, at most
+	// Engine names an engine of search.Engines; "" lets the other knobs
+	// imply one (search.Job.InferEngine). Workers sizes its pool, at most
 	// MaxWorkers (0 = a server's DefaultJobWorkers, then the engine's
 	// own default, or one worker when no engine is named).
 	Engine  string `json:"engine,omitempty"`
@@ -65,6 +66,11 @@ type JobRequest struct {
 // would end the whole server in an out-of-memory crash.
 const MaxWorkers = 1024
 
+// maxTimeoutMS is the largest timeout_ms a time.Duration holds. A
+// larger one would overflow to a negative Timeout, which means no
+// deadline at all.
+const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
+
 // Flags registers one flag per field on fs, named by its JSON name
 // with "-" for "_" and defaulting to the field's current value. -spec
 // reads a WireSpec JSON file ("-" = stdin).
@@ -84,14 +90,14 @@ func (r *JobRequest) Flags(fs *flag.FlagSet) {
 	fs.IntVar(&r.Scale, "scale", r.Scale, "the scenario's scale knob (see -list; 0 = scenario default)")
 	fs.StringVar(&r.Strategy, "strategy", r.Strategy, "search strategy: "+strings.Join(scenarios.StrategyNames(), ", ")+" (default pkt-seq)")
 	fs.BoolVar(&r.Fixed, "fixed", r.Fixed, "check the repaired application instead")
-	fs.StringVar(&r.Engine, "engine", r.Engine, "search engine: "+strings.Join(core.EngineNames(), ", ")+" (default inferred from the other flags)")
+	fs.StringVar(&r.Engine, "engine", r.Engine, "search engine: "+engineNames+" (default inferred from the other flags)")
 	fs.IntVar(&r.Workers, "workers", r.Workers, fmt.Sprintf("engine worker pool, at most %d (0 = default: the named engine's own, else 1)", MaxWorkers))
 	fs.Int64Var(&r.MaxStates, "max-states", r.MaxStates, "abort the search after this many unique states")
 	fs.Int64Var(&r.MaxTransitions, "max-transitions", r.MaxTransitions, "abort the search after this many transitions")
 	fs.Int64Var(&r.TimeoutMS, "timeout-ms", r.TimeoutMS, "abort the search after this many milliseconds")
 	fs.IntVar(&r.MaxDepth, "max-depth", r.MaxDepth, "override the execution depth bound")
 	fs.BoolVar(&r.AllViolations, "all-violations", r.AllViolations, "keep searching past the first violation")
-	fs.StringVar(&r.Reduction, "reduction", r.Reduction, "interleaving reduction: "+strings.Join(reductionNames(), ", ")+" (exhaustive engines only)")
+	fs.StringVar(&r.Reduction, "reduction", r.Reduction, "interleaving reduction: "+reductionNames+" (exhaustive engines only)")
 	fs.Int64Var(&r.SymBudget, "sym-budget", r.SymBudget, "concolic loop: abort after this many symbolic discover explorations")
 	fs.IntVar(&r.SymWorkers, "sym-workers", r.SymWorkers, "concolic loop: solver worker pool size (0 = 2)")
 	fs.Int64Var(&r.Seed, "seed", r.Seed, "random-walk seed (walk i uses seed+i); read only by a walk engine, which -walks/-steps or -engine select")
@@ -114,11 +120,11 @@ func (r *JobRequest) Validate() error {
 	if _, ok := scenarios.ParseStrategy(r.Strategy); !ok {
 		return fieldErr("strategy", "unknown strategy %q (known: %s)", r.Strategy, strings.Join(scenarios.StrategyNames(), ", "))
 	}
-	if _, ok := core.LookupEngine(r.Engine); r.Engine != "" && !ok {
-		return fieldErr("engine", "unknown engine %q (known: %s)", r.Engine, strings.Join(core.EngineNames(), ", "))
+	if _, ok := search.Lookup(r.Engine); r.Engine != "" && !ok {
+		return fieldErr("engine", "unknown engine %q (known: %s)", r.Engine, engineNames)
 	}
 	if _, ok := core.ParseReduction(r.Reduction); !ok {
-		return fieldErr("reduction", "unknown reduction %q (known: %s)", r.Reduction, strings.Join(reductionNames(), ", "))
+		return fieldErr("reduction", "unknown reduction %q (known: %s)", r.Reduction, reductionNames)
 	}
 	const none = math.MaxInt64
 	for _, b := range []struct {
@@ -127,7 +133,7 @@ func (r *JobRequest) Validate() error {
 	}{
 		{"scale", int64(r.Scale), none}, {"workers", int64(r.Workers), MaxWorkers},
 		{"max_states", r.MaxStates, none}, {"max_transitions", r.MaxTransitions, none},
-		{"timeout_ms", r.TimeoutMS, none}, {"max_depth", int64(r.MaxDepth), none},
+		{"timeout_ms", r.TimeoutMS, maxTimeoutMS}, {"max_depth", int64(r.MaxDepth), none},
 		{"sym_budget", r.SymBudget, none}, {"sym_workers", int64(r.SymWorkers), MaxWorkers},
 		{"walks", int64(r.Walks), none}, {"steps", int64(r.Steps), none},
 	} {
@@ -144,41 +150,41 @@ func (r *JobRequest) Validate() error {
 // Resolve is the one step from a request to a search: it validates the
 // request, looks the scenario up (or compiles the spec), builds the
 // configuration at the asked-for scale, strategy and variant, and fills
-// a core.Job with every knob and the engine they imply. Every door that
+// a search.Job with every knob and the engine they imply. Every door that
 // adds no knob of its own runs the same search for the same request.
-func (r *JobRequest) Resolve() (*core.Config, core.Job, error) {
+func (r *JobRequest) Resolve() (*core.Config, search.Job, error) {
 	if err := r.Validate(); err != nil {
-		return nil, core.Job{}, err
+		return nil, search.Job{}, err
 	}
 	sc, ok := scenarios.Lookup(r.Scenario)
 	if r.Spec != nil {
 		sp, err := r.Spec.Compile()
 		if err != nil {
-			return nil, core.Job{}, underSpec(err)
+			return nil, search.Job{}, underSpec(err)
 		}
 		sc, ok = sp.Scenario(), true
 	}
 	switch {
 	case !ok:
-		return nil, core.Job{}, fieldErr("scenario", "unknown scenario %q", r.Scenario)
+		return nil, search.Job{}, fieldErr("scenario", "unknown scenario %q", r.Scenario)
 	case r.Scale > 0 && sc.Scale(r.Scale) == 0: // a scale that would never apply
-		return nil, core.Job{}, fieldErr("scale", "scenario %q has no scale knob", sc.Name)
+		return nil, search.Job{}, fieldErr("scale", "scenario %q has no scale knob", sc.Name)
 	}
 	cfg, _, err := sc.Resolve(r.Scale, r.Strategy, r.Fixed)
 	if err != nil {
-		return nil, core.Job{}, err
+		return nil, search.Job{}, err
 	}
 	if r.MaxDepth > 0 {
 		cfg.MaxDepth = r.MaxDepth
 	}
 	cfg.StopAtFirstViolation = cfg.StopAtFirstViolation && !r.AllViolations
 
-	job := core.Job{Timeout: time.Duration(r.TimeoutMS) * time.Millisecond, EngineOptions: core.EngineOptions{
+	job := search.Job{Timeout: time.Duration(r.TimeoutMS) * time.Millisecond, EngineOptions: core.EngineOptions{
 		Workers: r.Workers, MaxStates: r.MaxStates, MaxTransitions: r.MaxTransitions,
 		SymBudget: r.SymBudget, SymWorkers: r.SymWorkers, Seed: r.Seed, Walks: r.Walks, Steps: r.Steps,
 	}}
 	job.Reduction, _ = core.ParseReduction(r.Reduction)
-	if spec, ok := core.LookupEngine(r.Engine); ok {
+	if spec, ok := search.Lookup(r.Engine); ok {
 		job.Engine = spec.New()
 	}
 	job.InferEngine(r.Workers > 0, r.Walks > 0 || r.Steps > 0, r.SymBudget > 0 || r.SymWorkers > 0)
@@ -218,9 +224,17 @@ func underSpec(err error) error {
 	return errors.Join(rooted...)
 }
 
-func reductionNames() (names []string) {
-	for _, spec := range core.ReductionSpecs() {
-		names = append(names, spec.Name)
+// engineNames and reductionNames list what engine and reduction accept,
+// in table order, for usage text and errors.
+var (
+	engineNames    = names(search.Engines(), func(e search.EngineSpec) string { return e.Name })
+	reductionNames = names(core.ReductionSpecs(), func(r core.ReductionSpec) string { return r.Name })
+)
+
+func names[S any](specs []S, name func(S) string) string {
+	out := make([]string, len(specs))
+	for i, s := range specs {
+		out[i] = name(s)
 	}
-	return names
+	return strings.Join(out, ", ")
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"github.com/nice-go/nice/internal/core"
-	_ "github.com/nice-go/nice/internal/search" // registers the engines requests name
 	"github.com/nice-go/nice/internal/telemetry"
 )
 
@@ -313,7 +312,7 @@ func (s *Server) worker() {
 }
 
 // runJob executes one job end to end: build, search under the tenant's
-// drawdown (core.Job.Run) with the event-bridging observer, persist
+// drawdown (search.Job.Run) with the event-bridging observer, persist
 // artifacts, finalize.
 func (s *Server) runJob(j *job) {
 	// A job canceled while queued — or picked up mid-shutdown — never

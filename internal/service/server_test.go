@@ -443,6 +443,12 @@ func TestServiceRejections(t *testing.T) {
 	_, ts := newTestServer(t, service.Options{Workers: 1})
 
 	badSpec := strings.Replace(wireSpecJSON, `"kind": "linear-hosts"`, `"kind": "torus"`, 1)
+	topology := func(with string) string {
+		return strings.Replace(wireSpecJSON, `"kind": "linear-hosts", "switches": 2, "hosts_per_switch": 2`, with, 1)
+	}
+	scaled := func(topo, extra string) string {
+		return strings.Replace(topology(topo), `"name": "wire-linear-ping",`, `"name": "wire-linear-ping", "scale_name": "n",`+extra, 1)
+	}
 	rows := []struct{ body, field, names string }{
 		{`{}`, "scenario", "exactly one"},
 		{`{"scenario": "bug-ii", "spec": ` + wireSpecJSON + `}`, "scenario", "exactly one"},
@@ -463,6 +469,17 @@ func TestServiceRejections(t *testing.T) {
 		{`{"scenario": "bug-ii", "max_depth": -1}`, "max_depth", "negative"},
 		{`{"scenario": "bug-ii", "walks": -1}`, "walks", "negative"},
 		{`{"scenario": "bug-ii", "steps": -1}`, "steps", "negative"},
+		{`{"scenario": "bug-ii", "timeout_ms": 9223372036855}`, "timeout_ms", "9223372036854"},
+		{`{"scenario": "pyswitch-fattree", "scale": 64}`, "scale", "16"},
+		{`{"scenario": "loadbalancer-star", "scale": 1024}`, "scale", "1023"},
+		{`{"scenario": "pyswitch-linearhosts", "scale": 513}`, "scale", "512"},
+		{`{"spec": ` + topology(`"kind": "fat-tree", "k": 64`) + `}`, "spec.topology.k", "16"},
+		{`{"spec": ` + topology(`"kind": "mesh", "host_count": 65`) + `}`, "spec.topology.host_count", "64"},
+		{`{"spec": ` + topology(`"kind": "star", "host_count": 1025`) + `}`, "spec.topology.host_count", "1024"},
+		{`{"spec": ` + topology(`"kind": "linear-hosts", "switches": 513, "hosts_per_switch": 2`) + `}`, "spec.topology.switches", "512"},
+		{`{"spec": ` + topology(`"kind": "linear-hosts", "hosts_per_switch": 1025`) + `}`, "spec.topology.hosts_per_switch", "1024"},
+		{`{"spec": ` + scaled(`"kind": "fat-tree"`, `"default_scale": 18,`) + `}`, "spec.default_scale", "16"},
+		{`{"spec": ` + scaled(`"kind": "fat-tree"`, `"default_scale": 4,`) + `, "scale": 18}`, "scale", "16"},
 	}
 	for _, row := range rows {
 		req, err := service.DecodeJobRequest(strings.NewReader(row.body))
@@ -487,6 +504,10 @@ func TestServiceRejections(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("invalid artifact id: %d, want 404", resp.StatusCode)
+	}
+	evs := collectStream(t, ts, submit(t, ts, "", `{"scenario": "bug-ii"}`).ID)
+	if done := evs[len(evs)-1]; done.State != service.StateDone || len(done.Result.Violations) == 0 {
+		t.Errorf("the next job ended %s with %+v, want done with bug-ii's violation", done.State, done.Result)
 	}
 }
 

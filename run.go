@@ -61,11 +61,11 @@ const (
 	StopDrawdown       = core.StopDrawdown
 )
 
-// The engine and reduction registries, for listing what a request may
-// name (a JobRequest resolves the names itself).
+// The engine and reduction tables, for listing what a request may name
+// (a JobRequest resolves the names itself).
 var (
-	// EngineSpecs lists every registered engine, sorted by name.
-	EngineSpecs = core.EngineSpecs
+	// EngineSpecs lists the five engines, sorted by name.
+	EngineSpecs = search.Engines
 	// ReductionSpecs lists the reduction layers by name.
 	ReductionSpecs = core.ReductionSpecs
 )
@@ -103,7 +103,7 @@ var (
 // runSettings collects Run's functional options: the search request
 // itself plus what the engine inference needs to know was asked for.
 type runSettings struct {
-	core.Job
+	search.Job
 	workersSet bool
 	walkMode   bool
 	symMode    bool
@@ -258,9 +258,9 @@ func RunRequest(ctx context.Context, req *JobRequest, opts ...RunOption) (*Repor
 	return r, nil
 }
 
-// newJob applies the options — once — and lets core.Job.InferEngine
+// newJob applies the options — once — and lets search.Job.InferEngine
 // pick the engine they imply.
-func newJob(opts []RunOption) core.Job {
+func newJob(opts []RunOption) search.Job {
 	var s runSettings
 	for _, opt := range opts {
 		opt(&s)

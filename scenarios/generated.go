@@ -18,16 +18,6 @@ import (
 // the scenario-diversity axis beyond the fixed §7–§8 settings. Each is
 // one declarative Spec literal.
 
-// fatTreeK validates the scale knob as a fat-tree arity. Rejecting a
-// bad scale (rather than rounding it) keeps every reported label
-// honest; cmd/nice and Campaign turn the panic into a clean job error.
-func fatTreeK(scale int) int {
-	if scale < 2 || scale%2 != 0 {
-		panic(fmt.Sprintf("scenarios: pyswitch-fattree needs an even k >= 2, got %d", scale))
-	}
-	return scale
-}
-
 // starNames names the load-balancer star: one client, then replicas.
 func starNames(replicas int) []string {
 	names := make([]string, replicas+1)
@@ -52,8 +42,11 @@ func registerGenerated() {
 		App:          "pyswitch (MAC learning)",
 		ScaleName:    "k",
 		DefaultScale: 4,
+		MaxScale:     maxFatTreeK,
+		// topo.FatTree refuses an odd arity, and Resolve turns that
+		// panic into an error naming the scenario.
 		Topology: func(scale int) *topo.Topology {
-			t, _ := topo.FatTree(fatTreeK(scale))
+			t, _ := topo.FatTree(scale)
 			return t
 		},
 		NewApp: func(t *topo.Topology) controller.App { return pyswitch.New(pyswitch.Buggy, t) },
@@ -82,6 +75,7 @@ func registerGenerated() {
 		App:          "load balancer",
 		ScaleName:    "replicas",
 		DefaultScale: 4,
+		MaxScale:     MaxHosts - 1, // and the client
 		Topology: func(scale int) *topo.Topology {
 			if scale < 2 {
 				panic(fmt.Sprintf("scenarios: loadbalancer-star needs >= 2 replicas, got %d", scale))
@@ -120,6 +114,7 @@ func registerGenerated() {
 		App:          "pyswitch (MAC learning)",
 		ScaleName:    "switches",
 		DefaultScale: 3,
+		MaxScale:     MaxHosts / 2,
 		Topology: func(scale int) *topo.Topology {
 			t, _ := topo.LinearHosts(scale, 2)
 			return t

@@ -37,6 +37,9 @@ type Scenario struct {
 	ScaleName string
 	// DefaultScale is the scale used when one <= 0 is asked for (Scale).
 	DefaultScale int
+	// MaxScale is the largest scale Resolve builds (0 = no limit): where
+	// the scale sizes a generated topology, the one with MaxHosts hosts.
+	MaxScale int
 	// Build constructs the checking configuration at a given scale
 	// (ignored when ScaleName is empty).
 	Build func(scale int) *core.Config
@@ -88,9 +91,10 @@ func (s Scenario) Apply(cfg *core.Config, strat Strategy) *core.Config {
 // Resolve builds the configuration every front end runs — the CLI, a
 // Campaign job, a service job: the buggy or repaired application at a
 // scale (<= 0 = DefaultScale) under one Table 2 strategy column, named
-// as ParseStrategy spells it. Build hooks fail loudly on an invalid
-// scale (an odd fat-tree arity, say); that panic is an error here, not
-// a dead caller.
+// as ParseStrategy spells it. A scale above MaxScale is a *FieldError
+// naming "scale", returned before anything is built. Build hooks fail
+// loudly on an invalid scale (an odd fat-tree arity, say); that panic
+// is an error here, not a dead caller.
 func (s Scenario) Resolve(scale int, strategy string, fixed bool) (cfg *core.Config, strat Strategy, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -100,6 +104,9 @@ func (s Scenario) Resolve(scale int, strategy string, fixed bool) (cfg *core.Con
 	strat, ok := ParseStrategy(strategy)
 	if !ok {
 		return nil, strat, fmt.Errorf("unknown strategy %q", strategy)
+	}
+	if s.MaxScale > 0 && s.Scale(scale) > s.MaxScale {
+		return nil, strat, fieldErr("scale", "%d exceeds scenario %q's limit of %d", s.Scale(scale), s.Name, s.MaxScale)
 	}
 	if fixed {
 		if cfg = s.FixedConfig(scale); cfg == nil {

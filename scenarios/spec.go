@@ -31,10 +31,11 @@ type Spec struct {
 	Summary string
 	App     string
 
-	// ScaleName/DefaultScale expose one scale knob; the scale value is
-	// passed to Topology and to ScaleSends host specs.
+	// ScaleName/DefaultScale/MaxScale expose one scale knob; the scale
+	// value is passed to Topology and to ScaleSends host specs.
 	ScaleName    string
 	DefaultScale int
+	MaxScale     int
 
 	// Topology builds the network at a given scale (the scale is the
 	// generator parameter: k, switch count, …; ignore it for fixed
@@ -228,6 +229,7 @@ func (sp Spec) Scenario() Scenario {
 		Misses:           sp.Misses,
 		ScaleName:        sp.ScaleName,
 		DefaultScale:     sp.DefaultScale,
+		MaxScale:         sp.MaxScale,
 		Build:            build(sp.NewApp),
 		BuildFixed:       build(sp.NewFixedApp),
 		Strategize: func(cfg *core.Config, s Strategy) *core.Config {

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -77,6 +79,42 @@ type WireTopology struct {
 	Names []string `json:"names,omitempty"`
 }
 
+// MaxHosts bounds the topology a request can build: a fat tree of
+// arity maxFatTreeK has 16³/4 = 1 024 hosts and builds in ~30 ms (arity
+// 64: over a minute and 250 MB). A full mesh's links grow with the
+// square of its hosts, so it stops at maxMeshHosts (1 024 hosts would
+// be 523 776 links, ~18 s to build).
+const (
+	MaxHosts     = 1024
+	maxFatTreeK  = 16
+	maxMeshHosts = 64
+)
+
+// size names the kind's size parameter, its value (0 = the scenario
+// scale) and the largest value it accepts.
+func (wt *WireTopology) size() (field string, v, limit int) {
+	switch wt.Kind {
+	case "star":
+		return "host_count", wt.HostCount, MaxHosts
+	case "mesh":
+		return "host_count", wt.HostCount, maxMeshHosts
+	case "linear-hosts":
+		return "switches", wt.Switches, MaxHosts / max(wt.HostsPerSwitch, 1)
+	case "fat-tree":
+		return "k", wt.K, maxFatTreeK
+	}
+	return "", 0, 0
+}
+
+// maxScale is the largest scale the topology accepts when the scale
+// sizes it, and 0 when it does not.
+func (wt *WireTopology) maxScale() int {
+	if _, v, limit := wt.size(); v == 0 {
+		return limit
+	}
+	return 0
+}
+
 // WireApp names the controller application under test.
 type WireApp struct {
 	// Name is one of "pyswitch", "loadbalancer", "energyte".
@@ -146,24 +184,11 @@ var wireReplies = map[string]hosts.ReplyFunc{
 
 // WireProperties lists the property names a WireSpec may reference,
 // sorted lexically.
-func WireProperties() []string { return sortedKeys(wireProps) }
+func WireProperties() []string { return slices.Sorted(maps.Keys(wireProps)) }
 
 // WireReplies lists the reply-behaviour names a WireHost may
 // reference, sorted lexically.
-func WireReplies() []string { return sortedKeys(wireReplies) }
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
+func WireReplies() []string { return slices.Sorted(maps.Keys(wireReplies)) }
 
 // DecodeWireSpec parses a JSON wire submission, rejecting unknown
 // fields and any schema version other than WireVersion. It validates
@@ -247,6 +272,9 @@ func (ws *WireSpec) Validate() error {
 	if ws.DefaultScale < 0 {
 		bad("default_scale", "must be >= 0")
 	}
+	if limit := ws.Topology.maxScale(); limit > 0 && ws.DefaultScale > limit {
+		bad("default_scale", "%d exceeds the limit of %d for a %s", ws.DefaultScale, limit, ws.Topology.Kind)
+	}
 	if ws.MaxDepth < 0 {
 		bad("max_depth", "must be >= 0")
 	}
@@ -263,8 +291,16 @@ func (wt *WireTopology) validate(errs *[]error) {
 			bad("kind", "single-switch takes no parameters")
 		}
 	case "star", "mesh":
-		if wt.HostCount < 0 {
-			bad("host_count", "must be >= 0")
+		if wt.HostCount < 0 || wt.HostCount == 1 {
+			bad("host_count", "must be 0 (the scenario scale) or >= 2")
+		}
+		if len(wt.Names) != 0 && len(wt.Names) != wt.HostCount {
+			bad("names", "%d names need host_count %d", len(wt.Names), len(wt.Names))
+		}
+		for i, n := range wt.Names {
+			if n == "" || slices.Contains(wt.Names[:i], n) {
+				bad("names["+strconv.Itoa(i)+"]", "empty or repeated host name %q", n)
+			}
 		}
 		if wt.K != 0 || wt.Switches != 0 || wt.HostsPerSwitch != 0 {
 			bad("kind", "%s takes only host_count and names", wt.Kind)
@@ -293,6 +329,12 @@ func (wt *WireTopology) validate(errs *[]error) {
 		bad("kind", "required")
 	default:
 		bad("kind", "unknown topology kind %q (known: single-switch, star, mesh, linear-hosts, fat-tree)", wt.Kind)
+	}
+	if wt.HostsPerSwitch > MaxHosts {
+		bad("hosts_per_switch", "%d exceeds the limit of %d", wt.HostsPerSwitch, MaxHosts)
+	}
+	if field, v, limit := wt.size(); v > limit {
+		bad(field, "%d exceeds the limit of %d", v, limit)
 	}
 }
 
@@ -414,6 +456,7 @@ func (ws *WireSpec) Compile() (Spec, error) {
 		App:                  ws.App.Name,
 		ScaleName:            ws.ScaleName,
 		DefaultScale:         ws.DefaultScale,
+		MaxScale:             ws.Topology.maxScale(),
 		ExpectedProperty:     ws.ExpectedProperty,
 		StopAtFirstViolation: ws.StopAtFirstViolation,
 		DisableSE:            ws.DisableSE,

@@ -50,9 +50,11 @@ func namesField(err error) bool {
 }
 
 // FuzzWireSpec: whatever bytes a client submits, decoding and compiling
-// never panic; a spec that decodes compiles; and every rejection names
-// the field at fault — except a payload that is not one JSON object at
-// all (a syntax error, a non-object, trailing data), which has none.
+// never panic; a spec that decodes compiles and builds its topology, at
+// the largest scale it accepts when the scale sizes it, with at most
+// MaxHosts hosts; and every rejection names the field at fault — except
+// a payload that is not one JSON object at all (a syntax error, a
+// non-object, trailing data), which has none.
 func FuzzWireSpec(f *testing.F) {
 	spec := string(serviceDocSpec(f))
 	if _, err := ParseWireSpec([]byte(spec)); err != nil {
@@ -66,6 +68,9 @@ func FuzzWireSpec(f *testing.F) {
 		{`"version": 1`, `"version": 1, "bogus": {}`},
 		{`"StrictDirectPaths"]`, `"NoSuchProperty"]`},
 		{`"pyswitch"`, `"energyte", "vip": "10.0.0.300"`},
+		{`"switches": 2, "hosts_per_switch": 2`, `"hosts_per_switch": 3`},
+		{`"kind": "linear-hosts", "switches": 2, "hosts_per_switch": 2`, `"kind": "fat-tree"`},
+		{`"kind": "linear-hosts", "switches": 2, "hosts_per_switch": 2`, `"kind": "mesh", "host_count": 1024`},
 	} {
 		f.Add([]byte(strings.Replace(spec, edit[0], edit[1], 1)))
 	}
@@ -74,8 +79,12 @@ func FuzzWireSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ws, err := ParseWireSpec(data)
 		if err == nil {
-			if _, err := ws.Compile(); err != nil {
+			sp, err := ws.Compile()
+			if err != nil {
 				t.Fatalf("decoded but does not compile: %v", err)
+			}
+			if n := len(sp.Topology(sp.MaxScale).Hosts()); n > MaxHosts {
+				t.Fatalf("%+v at scale %d builds %d hosts, over %d", ws.Topology, sp.MaxScale, n, MaxHosts)
 			}
 			return
 		}
