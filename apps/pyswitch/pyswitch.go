@@ -1,6 +1,9 @@
 package pyswitch
 
 import (
+	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -30,18 +33,28 @@ type App struct {
 	topo    *topo.Topology
 
 	// mactable[sw][mac] = port, exactly Figure 3's
-	// ctrl_state[sw_id][pkt.src] = inport.
+	// ctrl_state[sw_id][pkt.src] = inport. The outer map indexes one
+	// table per joined switch; a stored table is never written (a write
+	// stores a new one), so forks and clones share every table they do
+	// not write.
 	mactable map[openflow.SwitchID]map[openflow.EthAddr]openflow.PortID
 
-	// borrowed marks mactable as shared with the instance this one was
-	// forked from (controller.ForkableApp); the first learning write
-	// deep-copies it. The flag lives only on the fork — the frozen
-	// source is never written.
+	// borrowed marks the outer map as shared with the instance this one
+	// was forked from (controller.ForkableApp); the first write copies
+	// it. The flag lives only on the fork — the frozen source is never
+	// written.
 	borrowed bool
 
-	// stPorts caches the spanning-tree flood ports per switch (Fixed
-	// only; immutable after construction).
-	stPorts map[openflow.SwitchID][]openflow.PortID
+	// floods is the Fixed variant's spanning-tree flood list per
+	// (switch, in-port), built once in New and shared by every fork,
+	// clone and message (never written).
+	floods map[floodKey][]openflow.Action
+}
+
+// floodKey indexes the Fixed variant's flood lists.
+type floodKey struct {
+	sw     openflow.SwitchID
+	inport openflow.PortID
 }
 
 // New builds the application for a topology.
@@ -52,7 +65,13 @@ func New(variant Variant, t *topo.Topology) *App {
 		mactable: make(map[openflow.SwitchID]map[openflow.EthAddr]openflow.PortID),
 	}
 	if variant == Fixed {
-		a.stPorts = spanningTreePorts(t)
+		stPorts := spanningTreePorts(t)
+		a.floods = make(map[floodKey][]openflow.Action)
+		for _, spec := range t.Switches() {
+			for _, p := range spec.Ports {
+				a.floods[floodKey{spec.ID, p}] = floodActions(stPorts[spec.ID], p)
+			}
+		}
 	}
 	return a
 }
@@ -65,21 +84,15 @@ func (a *App) Name() string {
 	return "pyswitch"
 }
 
-// Clone implements controller.App with a full deep copy (used by
-// discover_packets' throwaway handler runs and the deep-clone reference
-// path; the checker's copy-on-write fast path uses Fork).
+// Clone implements controller.App (used by discover_packets' throwaway
+// handler runs and the deep-clone reference path; the checker's
+// copy-on-write fast path uses Fork). A copy of the outer map makes the
+// clone independent: the tables it shares are never written.
 func (a *App) Clone() controller.App {
-	c := &App{VersionCounter: a.VersionCounter,
-		variant: a.variant, topo: a.topo, stPorts: a.stPorts,
-		mactable: make(map[openflow.SwitchID]map[openflow.EthAddr]openflow.PortID, len(a.mactable))}
-	for sw, t := range a.mactable {
-		m := make(map[openflow.EthAddr]openflow.PortID, len(t))
-		for k, v := range t {
-			m[k] = v
-		}
-		c.mactable[sw] = m
-	}
-	return c
+	c := *a
+	c.borrowed = true
+	c.ensureOwned()
+	return &c
 }
 
 // EmitsTo implements controller.EmissionScope: every handler emission
@@ -96,43 +109,68 @@ func (a *App) EmitsTo(sw openflow.SwitchID) ([]openflow.SwitchID, bool) {
 func (a *App) PartitionedBySwitch() bool { return true }
 
 // Fork implements controller.ForkableApp: an O(1) copy borrowing the
-// MAC tables; ensureOwned deep-copies them before the first learning
-// write on the fork. The receiver must be frozen afterwards, per the
-// ForkableApp ownership rules.
+// MAC tables; ensureOwned copies the outer map before the fork's first
+// write. The receiver must be frozen afterwards, per the ForkableApp
+// ownership rules.
 func (a *App) Fork() controller.App {
 	c := *a
 	c.borrowed = true
 	return &c
 }
 
-// ensureOwned deep-copies borrowed MAC tables before the first write.
+// ensureOwned copies a borrowed outer map before the first write; the
+// tables stay shared.
 func (a *App) ensureOwned() {
 	if !a.borrowed {
 		return
 	}
 	mt := make(map[openflow.SwitchID]map[openflow.EthAddr]openflow.PortID, len(a.mactable))
 	for sw, t := range a.mactable {
-		m := make(map[openflow.EthAddr]openflow.PortID, len(t))
-		for k, v := range t {
-			m[k] = v
-		}
-		mt[sw] = m
+		mt[sw] = t
 	}
 	a.mactable = mt
 	a.borrowed = false
 }
 
+// store replaces sw's table with t, a table no other instance holds.
+func (a *App) store(sw openflow.SwitchID, t map[openflow.EthAddr]openflow.PortID) {
+	a.ensureOwned()
+	a.BumpStateVersion()
+	a.mactable[sw] = t
+}
+
+// learn stores ctrl_state[sw][mac] = port (Figure 3 line 7) in a new
+// copy of sw's table, so a fork copies the one table it writes and not
+// the whole network. Learning on a switch that never joined panics, as
+// Figure 3's write into a missing table does.
+func (a *App) learn(sw openflow.SwitchID, mac openflow.EthAddr, port openflow.PortID) {
+	t, ok := a.mactable[sw]
+	if !ok {
+		panic(fmt.Sprintf("pyswitch: learn on switch %d, which never joined", sw))
+	}
+	m := make(map[openflow.EthAddr]openflow.PortID, len(t)+1)
+	for k, v := range t {
+		m[k] = v
+	}
+	m[mac] = port
+	a.store(sw, m)
+}
+
 // StateKey implements controller.App with a hand-written sorted
 // rendering of the MAC table (the reflective canon.String walk this
 // replaces dominated AppKey cost; TestStateKeyMatchesCanon holds the two
-// to the same equality semantics).
+// to the same equality semantics). One scratch slice sorts every
+// switch's MACs in turn.
 func (a *App) StateKey() string {
 	sws := make([]openflow.SwitchID, 0, len(a.mactable))
-	for sw := range a.mactable {
+	most := 0
+	for sw, t := range a.mactable {
 		sws = append(sws, sw)
+		most = max(most, len(t))
 	}
-	sort.Slice(sws, func(i, j int) bool { return sws[i] < sws[j] })
-	b := make([]byte, 0, 64)
+	slices.Sort(sws)
+	macs := make([]openflow.EthAddr, 0, most)
+	b := make([]byte, 0, 256)
 	b = append(b, '{')
 	for i, sw := range sws {
 		if i > 0 {
@@ -141,11 +179,11 @@ func (a *App) StateKey() string {
 		b = strconv.AppendInt(b, int64(sw), 10)
 		b = append(b, ":{"...)
 		t := a.mactable[sw]
-		macs := make([]openflow.EthAddr, 0, len(t))
+		macs = macs[:0]
 		for mac := range t {
 			macs = append(macs, mac)
 		}
-		sort.Slice(macs, func(i, j int) bool { return macs[i] < macs[j] })
+		slices.Sort(macs)
 		for j, mac := range macs {
 			if j > 0 {
 				b = append(b, ' ')
@@ -186,12 +224,10 @@ func (a *App) PortStatus(ctx *controller.Context, sw openflow.SwitchID, port ope
 	if a.variant != Fixed || up {
 		return
 	}
-	for mac, p := range a.mactable[sw] {
-		if p == port {
-			a.ensureOwned()
-			a.BumpStateVersion()
-			delete(a.mactable[sw], mac)
-		}
+	t := maps.Clone(a.mactable[sw])
+	maps.DeleteFunc(t, func(_ openflow.EthAddr, p openflow.PortID) bool { return p == port })
+	if len(t) < len(a.mactable[sw]) {
+		a.store(sw, t)
 	}
 	// Also clear any forwarding rules pointing at the dead port: the
 	// learned rules match on IN_PORT, so deleting by ingress is not
@@ -213,11 +249,9 @@ func (a *App) PacketIn(ctx *controller.Context, sw openflow.SwitchID, pkt *sym.P
 	isBcastDst := pkt.EthDst().Byte(0, 6).And(sym.Concrete(1)).EqConst(1)
 
 	// Lines 6-7: learn the source port. (The table alias of Figure 3's
-	// line 3 is taken after the write so it points at the owned copy.)
+	// line 3 is taken after the write so it sees the new table.)
 	if !ctx.If(isBcastSrc) {
-		a.ensureOwned()
-		a.BumpStateVersion()
-		a.mactable[sw][openflow.EthAddr(pkt.EthSrc().C)] = inport
+		a.learn(sw, openflow.EthAddr(pkt.EthSrc().C), inport)
 	}
 	mactable := a.mactable[sw] // line 3
 
@@ -301,8 +335,14 @@ func (a *App) flood(ctx *controller.Context, sw openflow.SwitchID,
 		ctx.FloodPacket(sw, buf)
 		return
 	}
+	ctx.PacketOut(sw, buf, a.floods[floodKey{sw, inport}]...)
+}
+
+// floodActions outputs to every spanning-tree port but the ingress one,
+// or drops when there is none.
+func floodActions(stPorts []openflow.PortID, inport openflow.PortID) []openflow.Action {
 	var actions []openflow.Action
-	for _, p := range a.stPorts[sw] {
+	for _, p := range stPorts {
 		if p != inport {
 			actions = append(actions, openflow.Output(p))
 		}
@@ -310,7 +350,7 @@ func (a *App) flood(ctx *controller.Context, sw openflow.SwitchID,
 	if len(actions) == 0 {
 		actions = []openflow.Action{openflow.Drop()}
 	}
-	ctx.PacketOut(sw, buf, actions...)
+	return actions
 }
 
 // spanningTreePorts computes, per switch, the ports on a BFS spanning

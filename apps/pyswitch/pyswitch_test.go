@@ -1,7 +1,11 @@
 package pyswitch
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/nice-go/nice/internal/canon"
@@ -199,27 +203,65 @@ func TestSpanningTreePortsOnCycle(t *testing.T) {
 	}
 }
 
+// macMap is the MAC table as Figure 3 writes it: ctrl_state[sw][mac].
+type macMap map[openflow.SwitchID]map[openflow.EthAddr]openflow.PortID
+
+// refKey renders a MAC table in StateKey's format with fmt and sorted
+// key iterators: the reference the hand-written encoder is held to.
+func refKey(m macMap) string {
+	var b strings.Builder
+	b.WriteByte('{')
+	for i, sw := range slices.Sorted(maps.Keys(m)) {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%d:{", sw)
+		for j, mac := range slices.Sorted(maps.Keys(m[sw])) {
+			if j > 0 {
+				b.WriteByte(' ')
+			}
+			fmt.Fprintf(&b, "%d:%d", uint64(mac), m[sw][mac])
+		}
+		b.WriteByte('}')
+	}
+	b.WriteByte('}')
+	return b.String()
+}
+
+// randomApp joins up to three switches and learns up to five MACs on
+// each, every bound drawn once.
+func randomApp(rng *rand.Rand, tp *topo.Topology) *App {
+	a := New(Buggy, tp)
+	nsw := rng.Intn(4)
+	for sw := 1; sw <= nsw; sw++ {
+		a.SwitchJoin(newCtx(), openflow.SwitchID(sw))
+		nmac := rng.Intn(6)
+		for m := 0; m < nmac; m++ {
+			a.learn(openflow.SwitchID(sw), openflow.EthAddr(rng.Intn(6)*2), openflow.PortID(rng.Intn(3)+1))
+		}
+	}
+	return a
+}
+
 // TestStateKeyMatchesCanon holds the hand-written StateKey encoder to
 // the reflective canon.String rendering of the same MAC table: two
 // tables render equal under one iff they render equal under the other,
-// across a spread of randomized table shapes.
+// across a spread of randomized table shapes. The encoder also matches
+// the reference rendering byte for byte.
 func TestStateKeyMatchesCanon(t *testing.T) {
 	tp, _, _ := topo.Linear(2)
 	rng := rand.New(rand.NewSource(11))
-	mk := func() *App {
-		a := New(Buggy, tp)
-		for sw := 1; sw <= rng.Intn(3); sw++ {
-			a.mactable[openflow.SwitchID(sw)] = make(map[openflow.EthAddr]openflow.PortID)
-			for m := 0; m < rng.Intn(4); m++ {
-				a.mactable[openflow.SwitchID(sw)][openflow.EthAddr(rng.Intn(6)*2)] =
-					openflow.PortID(rng.Intn(3) + 1)
-			}
-		}
-		return a
-	}
 	apps := make([]*App, 40)
+	distinct := map[string]bool{}
 	for i := range apps {
-		apps[i] = mk()
+		apps[i] = randomApp(rng, tp)
+		if got, want := apps[i].StateKey(), refKey(apps[i].mactable); got != want {
+			t.Fatalf("app %d: StateKey %s, reference %s", i, got, want)
+		}
+		distinct[apps[i].StateKey()] = true
+	}
+	if len(distinct) < 20 {
+		t.Fatalf("only %d distinct tables among %d: the generator is degenerate", len(distinct), len(apps))
 	}
 	for i, a := range apps {
 		for j, b := range apps {
@@ -240,4 +282,150 @@ func TestStateKeyMatchesCanon(t *testing.T) {
 	if a.StateVersion() == v0 {
 		t.Error("PacketIn learn did not bump the state version")
 	}
+}
+
+// joined builds a Buggy app with n joined switches; every switch but
+// the first knows known MACs.
+func joined(n, known int) *App {
+	tp, _, _ := topo.Linear(2)
+	a := New(Buggy, tp)
+	for sw := 1; sw <= n; sw++ {
+		a.SwitchJoin(newCtx(), openflow.SwitchID(sw))
+		for m := 0; sw > 1 && m < known; m++ {
+			a.learn(openflow.SwitchID(sw), openflow.EthAddr(100+2*m), 1)
+		}
+	}
+	return a
+}
+
+// TestLearnCopiesOneTable: a learning PacketIn on a fresh fork copies
+// the outer map and the one table it writes, so what it allocates does
+// not depend on what the other switches' tables hold.
+func TestLearnCopiesOneTable(t *testing.T) {
+	learnAllocs := func(parent *App) float64 {
+		return testing.AllocsPerRun(200, func() {
+			f := parent.Fork().(*App)
+			packetIn(f, newCtx(), ping(), 1)
+		})
+	}
+	for _, n := range []int{2, 16} {
+		if empty, full := learnAllocs(joined(n, 0)), learnAllocs(joined(n, 6)); empty != full {
+			t.Errorf("%d switches: a learning PacketIn allocates %.1f times beside empty tables, %.1f beside full ones",
+				n, empty, full)
+		}
+	}
+	parent := joined(3, 6)
+	before := parent.StateKey()
+	f := parent.Fork().(*App)
+	packetIn(f, newCtx(), ping(), 1)
+	if parent.StateKey() != before || f.StateKey() == before {
+		t.Errorf("fork's learn: parent %s → %s, fork %s", before, parent.StateKey(), f.StateKey())
+	}
+}
+
+func TestLearnOnUnjoinedSwitchPanics(t *testing.T) {
+	tp, _, _ := topo.SingleSwitch()
+	app := New(Buggy, tp)
+	defer func() {
+		if recover() == nil {
+			t.Error("learning on a switch that never joined did not panic")
+		}
+	}()
+	packetIn(app, newCtx(), ping(), 1)
+}
+
+// TestFloodLists: the Fixed variant floods out of every spanning-tree
+// port but the ingress one, from lists built once in New.
+func TestFloodLists(t *testing.T) {
+	tp, _, _ := topo.Cycle(3)
+	a := New(Fixed, tp)
+	st := spanningTreePorts(tp)
+	for _, spec := range tp.Switches() {
+		for _, in := range spec.Ports {
+			var want []openflow.Action
+			for _, p := range st[spec.ID] {
+				if p != in {
+					want = append(want, openflow.Output(p))
+				}
+			}
+			ctx := newCtx()
+			a.flood(ctx, spec.ID, in, 7)
+			if got := ctx.Messages()[0].Actions; !slices.Equal(got, want) {
+				t.Errorf("flood on %v from %v: %v, want %v", spec.ID, in, got, want)
+			}
+		}
+	}
+}
+
+// FuzzMacTable applies a byte-coded sequence of join, leave, learn and
+// port-down operations to a chain of forks, mirrored on a map-of-maps
+// reference; other operations fork (freezing the parent) or take a
+// clone and write to it. After every step the live fork renders like
+// the reference, a changed rendering comes with a changed state version,
+// and every frozen parent and every clone still renders as it did.
+func FuzzMacTable(f *testing.F) {
+	// Each op is three bytes: kind (join, leave, learn, port-down,
+	// fork, clone), then switch and destination, then MAC and port.
+	f.Add([]byte{0, 0, 0, 2, 0, 0, 4, 0, 0, 2, 0, 6})                   // a fork re-learns a moved host
+	f.Add([]byte{0, 0, 0, 2, 0, 0, 2, 0, 7, 4, 0, 0, 3, 0, 0})          // a fork's port goes down
+	f.Add([]byte{0, 0, 0, 2, 0, 0, 5, 0, 6, 2, 0, 6})                   // a clone and its source both learn
+	f.Add([]byte{0, 3, 0, 2, 3, 1, 4, 0, 0, 1, 3, 0, 0, 3, 0, 2, 3, 1}) // leave and rejoin off the topology
+	tp, _, _ := topo.Linear(3)
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		type frozen struct {
+			a   controller.App
+			key string
+		}
+		var held []frozen
+		ref := macMap{}
+		a := New(Fixed, tp)
+		for len(ops) >= 3 {
+			op, sw, dst := ops[0], openflow.SwitchID(ops[1]%4+1), openflow.EthAddr(ops[1]/4%6*2)
+			mac, port := openflow.EthAddr(ops[2]%6*2), openflow.PortID(ops[2]/6%3+1)
+			ops = ops[3:]
+			before, v := a.StateKey(), a.StateVersion()
+			switch op % 6 {
+			case 0:
+				a.SwitchJoin(newCtx(), sw)
+				if ref[sw] == nil {
+					ref[sw] = map[openflow.EthAddr]openflow.PortID{}
+				}
+			case 1:
+				a.SwitchLeave(newCtx(), sw)
+				delete(ref, sw)
+			case 2:
+				if ref[sw] == nil {
+					continue // learning on an unjoined switch panics
+				}
+				h := ping()
+				h.EthSrc, h.EthDst = mac, dst
+				a.PacketIn(newCtx(), sw, sym.ConcretePacket(h, port), 7, openflow.ReasonNoMatch)
+				ref[sw][mac] = port
+			case 3:
+				a.PortStatus(newCtx(), sw, port, false)
+				maps.DeleteFunc(ref[sw], func(_ openflow.EthAddr, p openflow.PortID) bool { return p == port })
+			case 4:
+				held = append(held, frozen{a, before})
+				a = a.Fork().(*App)
+			case 5:
+				c := a.Clone().(*App)
+				if ref[sw] != nil {
+					c.learn(sw, mac, port%3+1)
+				}
+				held = append(held, frozen{c, c.StateKey()})
+			}
+			key := a.StateKey()
+			if want := refKey(ref); key != want {
+				t.Fatalf("op %d: fork renders %s, reference %s", op%6, key, want)
+			}
+			if key != before && a.StateVersion() == v {
+				t.Fatalf("op %d changed the state (%s → %s) without a version bump", op%6, before, key)
+			}
+			for i, h := range held {
+				if got := h.a.StateKey(); got != h.key {
+					t.Fatalf("op %d: held instance %d changed: %s → %s", op%6, i, h.key, got)
+				}
+			}
+		}
+	})
 }
