@@ -1,6 +1,7 @@
 // Benchmarks regenerating the paper's evaluation (§7–§8): one benchmark
-// per table and figure, plus ablations of the design choices DESIGN.md
-// §6 calls out. Run them all with
+// per table and figure, plus ablations of the design choices the
+// checker's model rests on (docs/ARCHITECTURE.md). Every search is a
+// registry row resolved under one strategy column. Run them all with
 //
 //	go test -bench=. -benchmem
 //
@@ -18,6 +19,16 @@ import (
 	"github.com/nice-go/nice/scenarios"
 )
 
+// resolve builds a registry scenario at a scale under one strategy
+// column, as scenarios.ParseStrategy spells it.
+func resolve(b *testing.B, name string, scale int, strategy string) *core.Config {
+	cfg, _, err := scenarios.MustLookup(name).Resolve(scale, strategy, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return cfg
+}
+
 func reportSearch(b *testing.B, r *core.Report) {
 	b.Helper()
 	b.ReportMetric(float64(r.Transitions), "transitions")
@@ -29,7 +40,7 @@ func reportSearch(b *testing.B, r *core.Report) {
 func benchTable1(b *testing.B, pings int, noReduction bool) {
 	var last *core.Report
 	for i := 0; i < b.N; i++ {
-		cfg := scenarios.PingPong(pings)
+		cfg := resolve(b, "pingpong", pings, "pkt-seq")
 		cfg.NoSwitchReduction = noReduction
 		last = core.NewChecker(cfg).Run()
 	}
@@ -59,9 +70,7 @@ func BenchmarkFigure6_NoDelay(b *testing.B) {
 		b.Run(fmt.Sprintf("pings=%d", pings), func(b *testing.B) {
 			var last *core.Report
 			for i := 0; i < b.N; i++ {
-				cfg := scenarios.PingPong(pings)
-				cfg.NoDelay = true
-				last = core.NewChecker(cfg).Run()
+				last = core.NewChecker(resolve(b, "pingpong", pings, "no-delay")).Run()
 			}
 			reportSearch(b, last)
 		})
@@ -73,9 +82,7 @@ func BenchmarkFigure6_FlowIR(b *testing.B) {
 		b.Run(fmt.Sprintf("pings=%d", pings), func(b *testing.B) {
 			var last *core.Report
 			for i := 0; i < b.N; i++ {
-				cfg := scenarios.PingPong(pings)
-				cfg.FlowGroupKey = scenarios.PingGroup
-				last = core.NewChecker(cfg).Run()
+				last = core.NewChecker(resolve(b, "pingpong", pings, "flow-ir")).Run()
 			}
 			reportSearch(b, last)
 		})
@@ -89,7 +96,7 @@ func BenchmarkBaselineFine(b *testing.B) {
 		b.Run(fmt.Sprintf("pings=%d", pings), func(b *testing.B) {
 			var last *core.Report
 			for i := 0; i < b.N; i++ {
-				last = core.NewChecker(scenarios.BaselineFine(pings)).Run()
+				last = core.NewChecker(resolve(b, "baseline-fine", pings, "pkt-seq")).Run()
 			}
 			reportSearch(b, last)
 		})
@@ -100,14 +107,13 @@ func BenchmarkBaselineFine(b *testing.B) {
 // strategy. Missed cells report 0 found. ---
 
 func BenchmarkTable2(b *testing.B) {
-	for _, bug := range scenarios.AllBugs {
-		for _, s := range scenarios.Strategies {
-			bug, s := bug, s
-			b.Run(fmt.Sprintf("%s/%s", bug, s), func(b *testing.B) {
+	for _, sc := range scenarios.Table2() {
+		for _, s := range scenarios.StrategyNames() {
+			sc, s := sc, s
+			b.Run(fmt.Sprintf("%s/%s", sc.Name, s), func(b *testing.B) {
 				var last *core.Report
 				for i := 0; i < b.N; i++ {
-					cfg := scenarios.WithStrategy(scenarios.BugConfig(bug), bug, s)
-					last = core.NewChecker(cfg).Run()
+					last = core.NewChecker(resolve(b, sc.Name, 0, s)).Run()
 				}
 				reportSearch(b, last)
 				if last.FirstViolation() != nil {
@@ -120,7 +126,7 @@ func BenchmarkTable2(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §6) ---
+// --- Ablations ---
 
 // BenchmarkAblationCanonicalTable isolates the canonical-representation
 // win at a fixed workload size.
@@ -133,7 +139,7 @@ func BenchmarkAblationCanonicalTable(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var last *core.Report
 			for i := 0; i < b.N; i++ {
-				cfg := scenarios.PingPong(3)
+				cfg := resolve(b, "pingpong", 3, "pkt-seq")
 				cfg.NoSwitchReduction = !canonical
 				last = core.NewChecker(cfg).Run()
 			}
@@ -153,7 +159,7 @@ func BenchmarkAblationMicroSteps(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var last *core.Report
 			for i := 0; i < b.N; i++ {
-				cfg := scenarios.PingPong(2)
+				cfg := resolve(b, "pingpong", 2, "pkt-seq")
 				cfg.MicroSteps = micro
 				last = core.NewChecker(cfg).Run()
 			}
@@ -168,7 +174,7 @@ func BenchmarkAblationSE(b *testing.B) {
 	b.Run("discover-packets", func(b *testing.B) {
 		var last *core.Report
 		for i := 0; i < b.N; i++ {
-			last = core.NewChecker(scenarios.BugConfig(scenarios.BugII)).Run()
+			last = core.NewChecker(resolve(b, "bug-ii", 0, "pkt-seq")).Run()
 		}
 		reportSearch(b, last)
 		b.ReportMetric(float64(last.SERuns), "se-runs")
@@ -180,7 +186,7 @@ func BenchmarkAblationSE(b *testing.B) {
 	b.Run("fixed-repertoire-lucky", func(b *testing.B) {
 		var last *core.Report
 		for i := 0; i < b.N; i++ {
-			cfg := scenarios.BugConfig(scenarios.BugII)
+			cfg := resolve(b, "bug-ii", 0, "pkt-seq")
 			cfg.DisableSE = true
 			cfg.Hosts[0].Repertoire = []nice.Header{cfg.Hosts[0].Seed}
 			last = core.NewChecker(cfg).Run()
@@ -191,7 +197,7 @@ func BenchmarkAblationSE(b *testing.B) {
 	b.Run("fixed-repertoire-wrong-guess", func(b *testing.B) {
 		var last *core.Report
 		for i := 0; i < b.N; i++ {
-			cfg := scenarios.BugConfig(scenarios.BugII)
+			cfg := resolve(b, "bug-ii", 0, "pkt-seq")
 			cfg.DisableSE = true
 			bcast := cfg.Hosts[0].Seed
 			bcast.EthDst = nice.BroadcastEth

@@ -9,9 +9,12 @@
 //
 // Table 2 (§8) is a campaign: nice run-all -scenarios table2 -strategies all.
 //
+// Every search is a registry row: the pingpong and baseline-fine
+// scenarios, resolved at a ping count under one Table 2 strategy column.
+//
 // Absolute numbers differ from the paper's (Go vs Python, simplified
 // substrate); the shapes under comparison are the reproduction targets —
-// see EXPERIMENTS.md.
+// see "Deviations from the paper" in docs/ARCHITECTURE.md.
 package main
 
 import (
@@ -67,6 +70,16 @@ func experiments(ctx context.Context, args []string) {
 // searchFunc runs one search of the harness.
 type searchFunc func(*nice.Config) *nice.Report
 
+// resolve builds a built-in ping scenario at `pings` under one strategy
+// column, as ParseStrategy spells it.
+func resolve(scenario string, pings int, strategy string) *nice.Config {
+	cfg, _, err := scenarios.MustLookup(scenario).Resolve(pings, strategy, false)
+	if err != nil {
+		panic(err) // the built-in rows resolve at every ping count
+	}
+	return cfg
+}
+
 func runTable1(run searchFunc, maxPings int) {
 	fmt.Println("Table 1: exhaustive search, NICE-MC vs NO-SWITCH-REDUCTION")
 	fmt.Println("(layer-2 ping workload on A—s1—s2—B, MAC-learning controller, SE off)")
@@ -74,9 +87,9 @@ func runTable1(run searchFunc, maxPings int) {
 	fmt.Fprintln(w, "Pings\tTransitions\tUnique states\tCPU time\tTransitions\tUnique states\tCPU time\trho")
 	fmt.Fprintln(w, "\t— NICE-MC —\t\t\t— NO-SWITCH-REDUCTION —\t\t\t")
 	for pings := 1; pings <= maxPings; pings++ {
-		mc := run(scenarios.PingPong(pings))
-		cfg := scenarios.PingPong(pings)
-		cfg.NoSwitchReduction = true
+		mc := run(resolve("pingpong", pings, "pkt-seq"))
+		cfg := resolve("pingpong", pings, "pkt-seq")
+		cfg.NoSwitchReduction = true // an ablation, not a strategy column
 		nr := run(cfg)
 		rho := 1 - float64(mc.UniqueStates)/float64(nr.UniqueStates)
 		fmt.Fprintf(w, "%d\t%d\t%d\t%v\t%d\t%d\t%v\t%.2f\n",
@@ -92,15 +105,9 @@ func runFigure6(run searchFunc, maxPings int) {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Pings\tNO-DELAY trans.\tNO-DELAY CPU\tFLOW-IR trans.\tFLOW-IR CPU")
 	for pings := 2; pings <= maxPings; pings++ {
-		base := run(scenarios.PingPong(pings))
-
-		nd := scenarios.PingPong(pings)
-		nd.NoDelay = true
-		noDelay := run(nd)
-
-		fir := scenarios.PingPong(pings)
-		fir.FlowGroupKey = scenarios.PingGroup
-		flowIR := run(fir)
+		base := run(resolve("pingpong", pings, "pkt-seq"))
+		noDelay := run(resolve("pingpong", pings, "no-delay"))
+		flowIR := run(resolve("pingpong", pings, "flow-ir"))
 
 		fmt.Fprintf(w, "%d\t%.2f\t%.2f\t%.2f\t%.2f\n", pings,
 			reduction(base.Transitions, noDelay.Transitions),
@@ -115,12 +122,12 @@ func runFigure6(run searchFunc, maxPings int) {
 
 func runBaseline(run searchFunc, maxPings int) {
 	fmt.Println("§7 comparison: NICE-MC vs a fine-grained off-the-shelf-style checker")
-	fmt.Println("(micro-step packet processing, raw switch state — DESIGN.md §2(3))")
+	fmt.Println("(micro-step packet processing, raw switch state — docs/ARCHITECTURE.md, \"Deviations from the paper\")")
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Pings\tNICE-MC trans.\tNICE-MC CPU\tBaseline trans.\tBaseline CPU\tSpeed-up")
 	for pings := 1; pings <= maxPings; pings++ {
-		mc := run(scenarios.PingPong(pings))
-		fine := run(scenarios.BaselineFine(pings))
+		mc := run(resolve("pingpong", pings, "pkt-seq"))
+		fine := run(resolve("baseline-fine", pings, "pkt-seq"))
 		speedup := float64(fine.Elapsed) / float64(mc.Elapsed)
 		fmt.Fprintf(w, "%d\t%d\t%v\t%d\t%v\t%.1fx\n",
 			pings, mc.Transitions, round(mc.Elapsed),

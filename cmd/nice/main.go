@@ -202,7 +202,7 @@ func resolveScenarioSet(set string, fixed bool) ([]string, error) {
 	case "all":
 		var names []string
 		for _, sc := range scenarios.All() {
-			if fixed && sc.BuildFixed == nil {
+			if fixed && !sc.HasFixed() {
 				continue
 			}
 			names = append(names, sc.Name)

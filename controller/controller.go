@@ -596,7 +596,7 @@ func (r *Runtime) DispatchEnv(event string) []openflow.Msg {
 // the app's own canonical state plus both channel contents — the string
 // twin of AppKeyDigest/InKeyHash64/OutKeyHash64 that the oracle and
 // debug output read. seq/xid counters are excluded (scheduler metadata;
-// see DESIGN.md).
+// see docs/ARCHITECTURE.md, "Deviations from the paper").
 func (r *Runtime) StateKey() string {
 	var b strings.Builder
 	b.WriteString("app{")

@@ -1,6 +1,7 @@
 // Documentation lints: every Go package in the module must carry a
 // package comment, every relative markdown link (including its heading
-// anchor) must resolve, and nothing may name the measurement stack that
+// anchor) must resolve, every markdown file a source or document names
+// must exist, and nothing may name the measurement stack that
 // benchmark/ replaced. All run as ordinary tests so CI's docs job fails
 // the moment a package, a link or a description goes stale.
 package nice_test
@@ -117,6 +118,69 @@ func TestNoRetiredBenchReferences(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// mdNameRE matches a markdown file name in running text: a path or a
+// bare name ending in ".md".
+var mdNameRE = regexp.MustCompile(`[A-Za-z0-9_][A-Za-z0-9_./-]*\.md\b`)
+
+// TestMarkdownNamesExist: every markdown file that source, workflows,
+// README.md, docs/ and the skill notes name must exist — resolved from
+// the repository root, from the naming file's directory, or, for a bare
+// name, as the base name of some file in the repository. A comment that
+// sends its reader to a document nobody wrote is a dead end.
+// CHANGES.md and ROADMAP.md are history and benchmark/ is frozen by
+// BENCHMARK.json, as in TestNoRetiredBenchReferences.
+func TestMarkdownNamesExist(t *testing.T) {
+	type naming struct {
+		path string
+		line int
+		name string
+	}
+	var names []naming
+	bases := make(map[string]bool)
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		path = filepath.ToSlash(path)
+		if d.IsDir() {
+			if path == ".git" || path == ".bench_build" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		bases[d.Name()] = true
+		if strings.HasPrefix(path, "benchmark/") {
+			return nil
+		}
+		md := strings.HasSuffix(path, ".md") && (path == "README.md" ||
+			strings.HasPrefix(path, "docs/") || strings.HasPrefix(path, ".claude/"))
+		if !md && !strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, ".yml") {
+			return nil
+		}
+		body, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(body), "\n") {
+			for _, name := range mdNameRE.FindAllString(line, -1) {
+				names = append(names, naming{path, i + 1, name})
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exists := func(p string) bool { _, err := os.Stat(p); return err == nil }
+	for _, n := range names {
+		if exists(n.name) || exists(filepath.Join(filepath.Dir(n.path), n.name)) ||
+			(!strings.Contains(n.name, "/") && bases[n.name]) {
+			continue
+		}
+		t.Errorf("%s:%d: names %s, which is not in the repository", n.path, n.line, n.name)
 	}
 }
 

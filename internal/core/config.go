@@ -66,7 +66,8 @@ type Config struct {
 	// exchange completes atomically within the triggering transition
 	// ("the global system runs in lock step"). Stats replies dispatch
 	// with their concrete values, so threshold-crossing behaviours are
-	// deliberately out of reach — see DESIGN.md.
+	// deliberately out of reach — see docs/ARCHITECTURE.md, "Deviations
+	// from the paper".
 	NoDelay bool
 	// Unusual enables the UNUSUAL strategy: depth-first exploration
 	// prefers orderings that delay and reverse controller→switch
@@ -91,7 +92,8 @@ type Config struct {
 	// "relevant inputs" strawman of §2.2.1).
 	DisableSE bool
 	// MicroSteps switches process_pkt to one-packet-per-channel
-	// granularity (the fine-grained baseline of DESIGN.md §2(3)).
+	// granularity (the fine-grained baseline; see docs/ARCHITECTURE.md,
+	// "Deviations from the paper").
 	MicroSteps bool
 	// oracleHash and deepClone select the retained reference paths the
 	// production ones are differentially tested against. They are

@@ -81,7 +81,8 @@ type System struct {
 // topology, hosts cloned from their prototypes, and the application
 // booted by dispatching a switch_join per switch, with all resulting
 // messages applied synchronously (the network is fully joined before
-// exploration starts; see DESIGN.md).
+// exploration starts; see docs/ARCHITECTURE.md, "Deviations from the
+// paper").
 func NewSystem(cfg *Config) *System {
 	return NewSystemWith(cfg, NewCaches())
 }

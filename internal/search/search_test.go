@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"github.com/nice-go/nice/internal/canon"
@@ -39,8 +40,8 @@ func parallel(cfg *core.Config, workers int, cc *core.Caches) *core.Report {
 
 // fullSearch is the bug scenario with the early stop removed, so both
 // engines walk the whole state space and reports are comparable.
-func fullSearch(b scenarios.Bug) *core.Config {
-	cfg := scenarios.BugConfig(b)
+func fullSearch(sc scenarios.Scenario) *core.Config {
+	cfg := sc.Config(0)
 	cfg.StopAtFirstViolation = false
 	return cfg
 }
@@ -52,9 +53,9 @@ func fullSearch(b scenarios.Bug) *core.Config {
 // exactly its transitions, for any worker count.
 func TestDifferentialParityNoSE(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
-		cfg := scenarios.PingPong(2)
+		cfg := scenarios.MustLookup("pingpong").Config(2)
 		seq := core.NewChecker(cfg).Run()
-		par := parallel(scenarios.PingPong(2), workers, nil)
+		par := parallel(scenarios.MustLookup("pingpong").Config(2), workers, nil)
 		if par.UniqueStates != seq.UniqueStates || par.Transitions != seq.Transitions ||
 			par.Revisits != seq.Revisits {
 			t.Errorf("workers=%d: parallel states/trans/revisits %d/%d/%d != sequential %d/%d/%d",
@@ -72,11 +73,11 @@ func TestDifferentialParityNoSE(t *testing.T) {
 // map), making unique-state and transition counts schedule-independent;
 // the parallel engine must match the sequential oracle exactly.
 func TestDifferentialParityWarm(t *testing.T) {
-	for _, b := range scenarios.AllBugs {
-		b := b
-		t.Run(b.String(), func(t *testing.T) {
+	for _, sc := range scenarios.Table2() {
+		sc := sc
+		t.Run(strings.ToUpper(sc.Name), func(t *testing.T) {
 			t.Parallel()
-			cfg := fullSearch(b)
+			cfg := fullSearch(sc)
 			cc := core.NewCaches()
 			core.NewCheckerWith(cfg, cc).Run() // warm the discover caches
 			seq := core.NewCheckerWith(cfg, cc).Run()
@@ -101,18 +102,18 @@ func TestDifferentialParityWarm(t *testing.T) {
 // every reachable underlying state is eventually expanded with its full
 // send repertoire under any schedule.)
 func TestDifferentialViolations(t *testing.T) {
-	for _, b := range scenarios.AllBugs {
-		b := b
-		t.Run(b.String(), func(t *testing.T) {
+	for _, sc := range scenarios.Table2() {
+		sc := sc
+		t.Run(strings.ToUpper(sc.Name), func(t *testing.T) {
 			t.Parallel()
-			seq := core.NewChecker(fullSearch(b)).Run()
-			par := parallel(fullSearch(b), 4, nil)
+			seq := core.NewChecker(fullSearch(sc)).Run()
+			par := parallel(fullSearch(sc), 4, nil)
 			if !sameSet(violatedSet(par), violatedSet(seq)) {
 				t.Errorf("violated properties differ: parallel %v, sequential %v",
 					violatedSet(par), violatedSet(seq))
 			}
-			if !violatedSet(par)[b.ExpectedProperty()] {
-				t.Errorf("parallel search missed %s", b.ExpectedProperty())
+			if !violatedSet(par)[sc.ExpectedProperty] {
+				t.Errorf("parallel search missed %s", sc.ExpectedProperty)
 			}
 		})
 	}
@@ -124,16 +125,16 @@ func TestDifferentialViolations(t *testing.T) {
 // This is the paper's deterministic-replay guarantee (§1.3, §6) carried
 // over to traces recorded concurrently.
 func TestReplayDeterminism(t *testing.T) {
-	for _, b := range scenarios.AllBugs {
-		b := b
-		t.Run(b.String(), func(t *testing.T) {
+	for _, sc := range scenarios.Table2() {
+		sc := sc
+		t.Run(strings.ToUpper(sc.Name), func(t *testing.T) {
 			t.Parallel()
-			par := parallel(fullSearch(b), 4, nil)
+			par := parallel(fullSearch(sc), 4, nil)
 			if len(par.Violations) == 0 {
 				t.Fatalf("no violations to replay")
 			}
 			for _, v := range par.Violations {
-				_, got := core.NewChecker(fullSearch(b)).ReplayWithProperties(v.Trace)
+				_, got := core.NewChecker(fullSearch(sc)).ReplayWithProperties(v.Trace)
 				if got == nil {
 					t.Errorf("violation of %s did not reproduce on replay", v.Property)
 					continue
@@ -153,9 +154,9 @@ func TestReplayDeterminism(t *testing.T) {
 // reaches a violating state is scheduling-dependent; replayability of
 // whatever trace is kept is asserted by TestReplayDeterminism.)
 func TestReportDeterministic(t *testing.T) {
-	ref := parallel(fullSearch(scenarios.BugIII), 4, nil)
+	ref := parallel(fullSearch(scenarios.MustLookup("bug-iii")), 4, nil)
 	for i := 0; i < 3; i++ {
-		got := parallel(fullSearch(scenarios.BugIII), 4, nil)
+		got := parallel(fullSearch(scenarios.MustLookup("bug-iii")), 4, nil)
 		if len(got.Violations) != len(ref.Violations) {
 			t.Fatalf("run %d: %d violations, want %d", i, len(got.Violations), len(ref.Violations))
 		}
@@ -172,16 +173,16 @@ func TestReportDeterministic(t *testing.T) {
 // TestStopAtFirstViolation: the parallel engine honors the early stop
 // and still returns a reproducible violation.
 func TestStopAtFirstViolation(t *testing.T) {
-	cfg := scenarios.BugConfig(scenarios.BugII) // StopAtFirstViolation set
+	cfg := scenarios.MustLookup("bug-ii").Config(0) // StopAtFirstViolation set
 	par := parallel(cfg, 4, nil)
 	v := par.FirstViolation()
 	if v == nil {
 		t.Fatal("no violation found")
 	}
-	if v.Property != scenarios.BugII.ExpectedProperty() {
-		t.Fatalf("found %s, want %s", v.Property, scenarios.BugII.ExpectedProperty())
+	if v.Property != "StrictDirectPaths" {
+		t.Fatalf("found %s, want StrictDirectPaths", v.Property)
 	}
-	_, got := core.NewChecker(scenarios.BugConfig(scenarios.BugII)).ReplayWithProperties(v.Trace)
+	_, got := core.NewChecker(scenarios.MustLookup("bug-ii").Config(0)).ReplayWithProperties(v.Trace)
 	if got == nil || got.Property != v.Property {
 		t.Fatalf("early-stop violation did not reproduce on replay")
 	}
@@ -191,7 +192,7 @@ func TestStopAtFirstViolation(t *testing.T) {
 // and marks the report incomplete, like the sequential checker.
 func TestMaxTransitionsBudget(t *testing.T) {
 	const budget = 50
-	par := Parallel().Search(context.Background(), scenarios.PingPong(3),
+	par := Parallel().Search(context.Background(), scenarios.MustLookup("pingpong").Config(3),
 		core.EngineOptions{Workers: 4, MaxTransitions: budget})
 	if par.Complete {
 		t.Error("report marked complete despite the budget")
@@ -207,7 +208,7 @@ func TestMaxTransitionsBudget(t *testing.T) {
 // violations — does not depend on the worker count.
 func TestSwarmWorkerInvariance(t *testing.T) {
 	run := func(workers int) *core.Report {
-		return SwarmEngine().Search(context.Background(), scenarios.PingPong(3),
+		return SwarmEngine().Search(context.Background(), scenarios.MustLookup("pingpong").Config(3),
 			core.EngineOptions{Workers: workers, Seed: 7, Walks: 32, Steps: 60})
 	}
 	ref := run(1)
@@ -223,14 +224,14 @@ func TestSwarmWorkerInvariance(t *testing.T) {
 // TestSwarmFindsViolation: the swarm reproduces the random-walk hunt
 // (cmd/nice's walk mode) and its finds replay deterministically.
 func TestSwarmFindsViolation(t *testing.T) {
-	cfg := scenarios.BugConfig(scenarios.BugIV)
+	cfg := scenarios.MustLookup("bug-iv").Config(0)
 	par := SwarmEngine().Search(context.Background(), cfg,
 		core.EngineOptions{Workers: 4, Seed: 1, Walks: 100, Steps: 60})
 	v := par.FirstViolation()
 	if v == nil {
 		t.Fatal("swarm found no violation on BUG-IV")
 	}
-	_, got := core.NewChecker(scenarios.BugConfig(scenarios.BugIV)).ReplayWithProperties(v.Trace)
+	_, got := core.NewChecker(scenarios.MustLookup("bug-iv").Config(0)).ReplayWithProperties(v.Trace)
 	if got == nil || got.Property != v.Property || got.Err.Error() != v.Err.Error() {
 		t.Fatalf("swarm violation did not reproduce on replay")
 	}

@@ -18,9 +18,13 @@ import (
 	"time"
 
 	"github.com/nice-go/nice"
+	"github.com/nice-go/nice/apps/pyswitch"
+	"github.com/nice-go/nice/controller"
+	"github.com/nice-go/nice/hosts"
 	"github.com/nice-go/nice/internal/core"
 	"github.com/nice-go/nice/internal/service"
 	"github.com/nice-go/nice/scenarios"
+	"github.com/nice-go/nice/topo"
 )
 
 // boomProperty panics once an execution has shown it 20 events: faulty
@@ -45,13 +49,17 @@ func (p *boomProperty) OnEvents(_ *core.System, events []core.Event) error {
 // concolic loop has solver workers waiting when the panic hits) under
 // the panicking property.
 var registerBoom = sync.OnceFunc(func() {
-	scenarios.Register(scenarios.Scenario{
-		Name:    "test-boom",
-		Summary: "test only: a property that panics mid-search",
-		Build: func(int) *core.Config {
-			cfg := scenarios.PingPongSE(2)
-			cfg.Properties = append(cfg.Properties, &boomProperty{})
-			return cfg
+	scenarios.RegisterSpec(scenarios.Spec{
+		Name:     "test-boom",
+		Summary:  "test only: a property that panics mid-search",
+		Topology: func(int) *topo.Topology { t, _, _ := topo.Linear(2); return t },
+		NewApp:   func(t *topo.Topology) controller.App { return pyswitch.New(pyswitch.Buggy, t) },
+		Hosts: []scenarios.HostSpec{
+			{Name: "A", Sends: 2, SendTo: "B"},
+			{Name: "B", Reply: hosts.EchoReply, ReplyBudget: 2},
+		},
+		Properties: []func(*topo.Topology) core.Property{
+			func(*topo.Topology) core.Property { return &boomProperty{} },
 		},
 	})
 })

@@ -19,7 +19,8 @@ type Rule struct {
 	Actions  []Action
 	// IdleTimeout (soft timeout) and HardTimeout are in model ticks;
 	// Permanent (0) disables them. Timer expiry is an optional
-	// environment transition — see DESIGN.md §2(6).
+	// environment transition — see docs/ARCHITECTURE.md, "Deviations
+	// from the paper".
 	IdleTimeout int
 	HardTimeout int
 

@@ -346,8 +346,9 @@ func (s *Switch) ProcessPackets(alloc *IDAlloc) ProcResult {
 }
 
 // ProcessPacketOnPort dequeues and processes the head packet of a single
-// port's channel. The fine-grained baseline checker (DESIGN.md §2(3))
-// uses this instead of the batched ProcessPackets.
+// port's channel. The fine-grained baseline checker (docs/ARCHITECTURE.md,
+// "Deviations from the paper") uses this instead of the batched
+// ProcessPackets.
 func (s *Switch) ProcessPacketOnPort(p PortID, alloc *IDAlloc) (ProcResult, bool) {
 	if len(s.in[p]) == 0 {
 		return ProcResult{}, false
@@ -540,7 +541,8 @@ func (s *Switch) portStats(port PortID) []PortStats {
 }
 
 // ExpireTimers advances the flow-table timeout clock by one tick
-// (optional environment transition; see DESIGN.md §2(6)).
+// (optional environment transition; see docs/ARCHITECTURE.md,
+// "Deviations from the paper").
 func (s *Switch) ExpireTimers() []Rule {
 	s.MarkDirty()
 	return s.Table.Tick()

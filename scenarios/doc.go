@@ -7,7 +7,10 @@
 // examples all consume — a new topology or workload registers in exactly
 // one place.
 //
-// External modules can register their own workloads: build one
-// declarative Spec literal (spec.go) and RegisterSpec it, and every
-// front end — including `nice run-all` campaigns — picks it up.
+// Every scenario is one declarative Spec (spec.go), compiled and
+// registered by RegisterSpec: the paper's built-ins are Spec rows in
+// registry.go, and external modules and wire submissions (wire.go) use
+// the same shape. A Scenario is what a Spec compiles to, and
+// Scenario.Apply is the one rule that turns a Table 2 strategy column
+// into configuration.
 package scenarios

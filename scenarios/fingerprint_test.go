@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/nice-go/nice/internal/core"
@@ -63,13 +64,13 @@ func TestFingerprintOracleParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table 2 sweep")
 	}
-	for _, b := range scenarios.AllBugs {
+	for _, sc := range scenarios.Table2() {
 		for _, s := range scenarios.Strategies {
-			b, s := b, s
-			t.Run(fmt.Sprintf("%s/%s", b, s), func(t *testing.T) {
+			sc, s := sc, s
+			t.Run(fmt.Sprintf("%s/%s", strings.ToUpper(sc.Name), s), func(t *testing.T) {
 				t.Parallel()
 				mk := func() *core.Config {
-					cfg := scenarios.WithStrategy(scenarios.BugConfig(b), b, s)
+					cfg := sc.Apply(sc.Config(0), s)
 					cfg.StopAtFirstViolation = false
 					return cfg
 				}
@@ -107,14 +108,14 @@ func TestFingerprintOracleParity(t *testing.T) {
 // render. A failure pinpoints a mutation path missing its dirty hook.
 func TestFingerprintCacheIntegrity(t *testing.T) {
 	cases := map[string]func() *core.Config{
-		"pingpong-noSE": func() *core.Config { return scenarios.PingPong(2) },
-		"pyswitch-se":   func() *core.Config { return scenarios.BugConfig(scenarios.BugII) },
-		"lb-env":        func() *core.Config { return scenarios.BugConfig(scenarios.BugV) },
-		"lb-arp":        func() *core.Config { return scenarios.BugConfig(scenarios.BugVI) },
-		"te-stats":      func() *core.Config { return scenarios.BugConfig(scenarios.BugX) },
-		"mobile-host":   func() *core.Config { return scenarios.BugConfig(scenarios.BugI) },
+		"pingpong-noSE": func() *core.Config { return scenarios.MustLookup("pingpong").Config(2) },
+		"pyswitch-se":   func() *core.Config { return scenarios.MustLookup("bug-ii").Config(0) },
+		"lb-env":        func() *core.Config { return scenarios.MustLookup("bug-v").Config(0) },
+		"lb-arp":        func() *core.Config { return scenarios.MustLookup("bug-vi").Config(0) },
+		"te-stats":      func() *core.Config { return scenarios.MustLookup("bug-x").Config(0) },
+		"mobile-host":   func() *core.Config { return scenarios.MustLookup("bug-i").Config(0) },
 		"faults": func() *core.Config {
-			cfg := scenarios.PingPong(2)
+			cfg := scenarios.MustLookup("pingpong").Config(2)
 			cfg.EnableTimers = true
 			cfg.Faults = core.FaultModel{
 				MaxDrops: 1, MaxDuplicates: 1, MaxReorders: 1,

@@ -8,7 +8,6 @@ import (
 	"github.com/nice-go/nice/controller"
 	"github.com/nice-go/nice/hosts"
 	"github.com/nice-go/nice/internal/core"
-	"github.com/nice-go/nice/openflow"
 	"github.com/nice-go/nice/props"
 	"github.com/nice-go/nice/topo"
 )
@@ -39,7 +38,7 @@ func registerGenerated() {
 	RegisterSpec(Spec{
 		Name:         "pyswitch-fattree",
 		Summary:      "MAC-learning flooding loops on a k-ary fat tree (BUG-III at datacenter shape)",
-		App:          "pyswitch (MAC learning)",
+		App:          pyswitchLabel,
 		ScaleName:    "k",
 		DefaultScale: 4,
 		MaxScale:     maxFatTreeK,
@@ -49,15 +48,13 @@ func registerGenerated() {
 			t, _ := topo.FatTree(scale)
 			return t
 		},
-		NewApp: func(t *topo.Topology) controller.App { return pyswitch.New(pyswitch.Buggy, t) },
-		NewFixedApp: func(t *topo.Topology) controller.App {
-			return pyswitch.New(pyswitch.Fixed, t)
-		},
+		NewApp:      pyswitchApp(pyswitch.Buggy),
+		NewFixedApp: pyswitchApp(pyswitch.Fixed),
 		Hosts: []HostSpec{
 			{Name: "h1", Sends: 1, SendToLast: true},
 			{Last: true},
 		},
-		Properties:           []func() core.Property{Prop(props.NewNoForwardingLoops)},
+		Properties:           []func(*topo.Topology) core.Property{Prop(props.NewNoForwardingLoops)},
 		ExpectedProperty:     "NoForwardingLoops",
 		StopAtFirstViolation: true,
 		DisableSE:            true,
@@ -72,7 +69,7 @@ func registerGenerated() {
 	RegisterSpec(Spec{
 		Name:         "loadbalancer-star",
 		Summary:      "§8.2 load balancer with N replicas on a Star topology (BUG-IV scaled out)",
-		App:          "load balancer",
+		App:          lbLabel,
 		ScaleName:    "replicas",
 		DefaultScale: 4,
 		MaxScale:     MaxHosts - 1, // and the client
@@ -96,7 +93,7 @@ func registerGenerated() {
 		Hosts: []HostSpec{
 			{Name: "client", Sends: 1, Seed: synToVIP},
 		},
-		Properties:           []func() core.Property{Prop(props.NewNoForgottenPackets)},
+		Properties:           []func(*topo.Topology) core.Property{Prop(props.NewNoForgottenPackets)},
 		ExpectedProperty:     "NoForgottenPackets",
 		StopAtFirstViolation: true,
 		Domains:              lbDomains,
@@ -111,7 +108,7 @@ func registerGenerated() {
 	RegisterSpec(Spec{
 		Name:         "pyswitch-linearhosts",
 		Summary:      "MAC learning on LinearHosts(N, 2) — reply path sticks to the controller (BUG-II shape)",
-		App:          "pyswitch (MAC learning)",
+		App:          pyswitchLabel,
 		ScaleName:    "switches",
 		DefaultScale: 3,
 		MaxScale:     MaxHosts / 2,
@@ -119,54 +116,16 @@ func registerGenerated() {
 			t, _ := topo.LinearHosts(scale, 2)
 			return t
 		},
-		NewApp: func(t *topo.Topology) controller.App { return pyswitch.New(pyswitch.Buggy, t) },
-		NewFixedApp: func(t *topo.Topology) controller.App {
-			return pyswitch.New(pyswitch.Fixed, t)
-		},
+		NewApp:      pyswitchApp(pyswitch.Buggy),
+		NewFixedApp: pyswitchApp(pyswitch.Fixed),
 		Hosts: []HostSpec{
 			{Name: "h1", Sends: 2, SendToLast: true},
 			{Last: true, Reply: hosts.EchoReply, ReplyBudget: 1},
 		},
-		Properties:           []func() core.Property{Prop(props.NewStrictDirectPaths)},
+		Properties:           []func(*topo.Topology) core.Property{Prop(props.NewStrictDirectPaths)},
 		ExpectedProperty:     "StrictDirectPaths",
 		StopAtFirstViolation: true,
 		DisableSE:            true,
 		FlowGroup:            macPairGroup,
 	})
-}
-
-// synToVIP is the load-balancer client seed: a TCP SYN from the client
-// to the virtual IP (the §8.2 workload's packet shape).
-func synToVIP(_ *topo.Topology, self, _ *topo.Host) openflow.Header {
-	return openflow.Header{
-		EthSrc: self.MAC, EthDst: loadbalancer.VirtualMAC,
-		EthType: openflow.EthTypeIPv4,
-		IPSrc:   self.IP, IPDst: VIP, IPProto: openflow.IPProtoTCP,
-		TPSrc: 5555, TPDst: 80, TCPFlags: openflow.TCPSyn, TCPSeq: 1000,
-		Payload: "syn",
-	}
-}
-
-// lbDomains is the load balancer's symbolic-input domain knowledge on
-// any topology with a host named "client" (§3.2 specialized as in the
-// Table 2 scenarios).
-func lbDomains(t *topo.Topology) core.DomainHints {
-	client, ok := t.HostByName("client")
-	if !ok {
-		panic(`scenarios: lbDomains needs a host named "client"`)
-	}
-	return core.DomainHints{
-		ExtraIPs:  []openflow.IPAddr{VIP},
-		ExtraMACs: []openflow.EthAddr{loadbalancer.VirtualMAC},
-		EthTypes:  []uint16{openflow.EthTypeIPv4},
-		Ports:     []uint16{80, 5555},
-		Overrides: map[openflow.Field][]uint64{
-			openflow.FieldEthDst:  {uint64(loadbalancer.VirtualMAC)},
-			openflow.FieldIPDst:   {uint64(VIP)},
-			openflow.FieldIPSrc:   {uint64(client.IP)},
-			openflow.FieldEthSrc:  {uint64(client.MAC)},
-			openflow.FieldTPDst:   {80},
-			openflow.FieldIPProto: {uint64(openflow.IPProtoTCP)},
-		},
-	}
 }

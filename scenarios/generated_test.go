@@ -32,7 +32,7 @@ func TestGeneratedScenariosRegistered(t *testing.T) {
 		if sc.ExpectedProperty == "" {
 			t.Errorf("%s: no expected violation wired", name)
 		}
-		if sc.BuildFixed == nil {
+		if !sc.HasFixed() {
 			t.Errorf("%s: no repaired variant", name)
 		}
 		if sc.ScaleName == "" || sc.DefaultScale == 0 {
@@ -115,26 +115,31 @@ func TestGeneratedScenariosScaleKnob(t *testing.T) {
 	}
 }
 
-// TestGeneratedStrategize: the Spec-compiled Strategize wires the
-// generic strategy columns.
+// TestGeneratedStrategize: Scenario.Apply wires every strategy column
+// on every registered scenario — NO-DELAY and UNUSUAL set their flags,
+// FLOW-IR installs the row's grouping wherever it declares one, and
+// PKT-SEQ leaves the config as built.
 func TestGeneratedStrategize(t *testing.T) {
-	sc := MustLookup("pyswitch-fattree")
-	if cfg := sc.Apply(sc.Config(0), NoDelay); !cfg.NoDelay {
-		t.Error("NoDelay column did not set Config.NoDelay")
-	}
-	if cfg := sc.Apply(sc.Config(0), Unusual); !cfg.Unusual {
-		t.Error("Unusual column did not set Config.Unusual")
-	}
-	if cfg := sc.Apply(sc.Config(0), FlowIR); cfg.FlowGroupKey == nil {
-		t.Error("FlowIR column did not set Config.FlowGroupKey")
-	}
-	if cfg := sc.Apply(sc.Config(0), PktSeqOnly); cfg.NoDelay || cfg.Unusual || cfg.FlowGroupKey != nil {
-		t.Error("PktSeqOnly mutated the config")
+	for _, sc := range All() {
+		if cfg := sc.Apply(sc.Config(0), NoDelay); !cfg.NoDelay {
+			t.Errorf("%s: NoDelay column did not set Config.NoDelay", sc.Name)
+		}
+		if cfg := sc.Apply(sc.Config(0), Unusual); !cfg.Unusual {
+			t.Errorf("%s: Unusual column did not set Config.Unusual", sc.Name)
+		}
+		if cfg := sc.Apply(sc.Config(0), FlowIR); sc.spec.FlowGroup != nil && cfg.FlowGroupKey == nil {
+			t.Errorf("%s: FlowIR column did not set Config.FlowGroupKey", sc.Name)
+		}
+		cfg := sc.Config(0)
+		if out := sc.Apply(cfg, PktSeqOnly); out != cfg || out.NoDelay || out.Unusual ||
+			out.FlowGroupKey != nil || out.EnvGroupKey != nil {
+			t.Errorf("%s: PktSeqOnly mutated the config", sc.Name)
+		}
 	}
 }
 
 // TestSpecHostResolutionPanics: a Spec naming a host missing from its
-// topology fails loudly at Build time.
+// topology fails loudly when its config is built.
 func TestSpecHostResolutionPanics(t *testing.T) {
 	sp := Spec{
 		Name:     "broken",
@@ -144,10 +149,10 @@ func TestSpecHostResolutionPanics(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("Build with unknown host name did not panic")
+			t.Error("Config with unknown host name did not panic")
 		}
 	}()
-	sp.Scenario().Build(0)
+	sp.Scenario().Config(0)
 }
 
 // TestGeneratedTopologyFingerprintStability: two construction orders of

@@ -15,7 +15,7 @@ import (
 // controller (§5.2 — the property "is useful for many OpenFlow
 // applications, though it does not apply to the MAC-learning switch").
 func TestDirectPathsOnFixedTE(t *testing.T) {
-	cfg := BugConfig(BugVIII)
+	cfg := MustLookup("bug-viii").Config(0)
 	cfg.App = energyte.New(energyte.Fixed, cfg.Topo, TEThreshold, 0)
 	cfg.Hosts[0].SendBudget = 2
 	cfg.Properties = []core.Property{
@@ -37,7 +37,7 @@ func TestDirectPathsOnFixedTE(t *testing.T) {
 func TestWalkPrefixDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 20; trial++ {
-		cfg := BugConfig(BugII)
+		cfg := MustLookup("bug-ii").Config(0)
 		cfg.StopAtFirstViolation = false
 		simA := core.NewSimulator(cfg)
 
@@ -54,7 +54,7 @@ func TestWalkPrefixDeterminism(t *testing.T) {
 			}
 		}
 
-		simB := core.NewSimulator(BugConfig(BugII))
+		simB := core.NewSimulator(MustLookup("bug-ii").Config(0))
 		for _, i := range picks {
 			if _, _, err := simB.Step(i); err != nil {
 				t.Fatalf("trial %d: replaying pick %d: %v", trial, i, err)
@@ -77,8 +77,8 @@ func TestWalkPrefixDeterminism(t *testing.T) {
 // that hash equal must enable the same transitions in the same order —
 // the property that makes hash-based state matching sound.
 func TestEnabledSetsAgreeAcrossEqualStates(t *testing.T) {
-	simA := core.NewSimulator(BugConfig(BugIV))
-	simB := core.NewSimulator(BugConfig(BugIV))
+	simA := core.NewSimulator(MustLookup("bug-iv").Config(0))
+	simB := core.NewSimulator(MustLookup("bug-iv").Config(0))
 	for step := 0; step < 15; step++ {
 		ea, eb := simA.Enabled(), simB.Enabled()
 		if len(ea) != len(eb) {

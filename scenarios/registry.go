@@ -2,20 +2,27 @@ package scenarios
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
+	"github.com/nice-go/nice/apps/energyte"
+	"github.com/nice-go/nice/apps/loadbalancer"
+	"github.com/nice-go/nice/apps/pyswitch"
+	"github.com/nice-go/nice/hosts"
 	"github.com/nice-go/nice/internal/core"
+	"github.com/nice-go/nice/openflow"
+	"github.com/nice-go/nice/props"
+	"github.com/nice-go/nice/topo"
 )
 
-// Scenario is one named, registered checking workload: the topology,
-// application, hosts and properties behind a paper experiment or a
-// benchmark, plus the expectations the test suites assert. The CLI
-// (cmd/nice) with its experiment harness (nice experiments), the
-// benchmark (benchmark/), the tests and the examples all resolve
-// workloads here, so a new topology or workload registers in exactly
-// one place.
+// Scenario is one named, registered checking workload: what a Spec
+// compiles to (RegisterSpec) — the labels and expectations the front
+// ends and test suites read, and the Spec that builds its
+// configuration. The CLI (cmd/nice) with its experiment harness (nice
+// experiments), the benchmark (benchmark/), the tests and the examples
+// all resolve workloads here, so a new topology or workload registers
+// in exactly one place.
 type Scenario struct {
 	// Name is the canonical lookup key ("bug-ii", "pingpong", ...);
 	// lookups are case-insensitive.
@@ -24,8 +31,6 @@ type Scenario struct {
 	Summary string
 	// App names the controller application under test.
 	App string
-	// Bug is nonzero for the eleven Table 2 bug scenarios.
-	Bug Bug
 	// ExpectedProperty names the property a full search violates
 	// ("" when the scenario is expected clean).
 	ExpectedProperty string
@@ -40,21 +45,13 @@ type Scenario struct {
 	// MaxScale is the largest scale Resolve builds (0 = no limit): where
 	// the scale sizes a generated topology, the one with MaxHosts hosts.
 	MaxScale int
-	// Build constructs the checking configuration at a given scale
-	// (ignored when ScaleName is empty).
-	Build func(scale int) *core.Config
-	// BuildFixed constructs the repaired-application variant
-	// (nil when the scenario has none).
-	BuildFixed func(scale int) *core.Config
-	// Strategize applies one of the Table 2 strategy columns with the
-	// scenario-appropriate FLOW-IR grouping (nil = strategies are not
-	// applicable; PktSeqOnly is always a no-op).
-	Strategize func(cfg *core.Config, s Strategy) *core.Config
+
+	spec Spec
 }
 
 // Scale is the scale the scenario runs at when asked for scale: the
 // asked-for one, DefaultScale when scale <= 0, and 0 when the scenario
-// has no knob (its Build hooks ignore the argument).
+// has no knob.
 func (s Scenario) Scale(scale int) int {
 	switch {
 	case s.ScaleName == "":
@@ -67,34 +64,49 @@ func (s Scenario) Scale(scale int) int {
 
 // Config builds the scenario's checking configuration at Scale(scale).
 func (s Scenario) Config(scale int) *core.Config {
-	return s.Build(s.Scale(scale))
+	return s.spec.build(s.spec.NewApp, s.Scale(scale))
 }
+
+// HasFixed reports whether the scenario has a repaired-application
+// variant.
+func (s Scenario) HasFixed() bool { return s.spec.NewFixedApp != nil }
 
 // FixedConfig builds the repaired-application variant, or nil.
 func (s Scenario) FixedConfig(scale int) *core.Config {
-	if s.BuildFixed == nil {
+	if !s.HasFixed() {
 		return nil
 	}
-	return s.BuildFixed(s.Scale(scale))
+	return s.spec.build(s.spec.NewFixedApp, s.Scale(scale))
 }
 
 // Apply applies a Table 2 strategy column to a config built by this
-// scenario (no-op for PktSeqOnly or when the scenario has no
-// Strategize hook).
+// scenario. It is the one strategy rule: NO-DELAY and UNUSUAL set their
+// flags, FLOW-IR installs the scenario's FlowGroup/EnvGroup grouping,
+// and PKT-SEQ leaves the config as built.
 func (s Scenario) Apply(cfg *core.Config, strat Strategy) *core.Config {
-	if s.Strategize == nil || strat == PktSeqOnly {
-		return cfg
+	switch strat {
+	case NoDelay:
+		cfg.NoDelay = true
+	case Unusual:
+		cfg.Unusual = true
+	case FlowIR:
+		if s.spec.FlowGroup != nil {
+			cfg.FlowGroupKey = s.spec.FlowGroup
+		}
+		if s.spec.EnvGroup != nil {
+			cfg.EnvGroupKey = s.spec.EnvGroup
+		}
 	}
-	return s.Strategize(cfg, strat)
+	return cfg
 }
 
 // Resolve builds the configuration every front end runs — the CLI, a
-// Campaign job, a service job: the buggy or repaired application at a
-// scale (<= 0 = DefaultScale) under one Table 2 strategy column, named
-// as ParseStrategy spells it. A scale above MaxScale is a *FieldError
-// naming "scale", returned before anything is built. Build hooks fail
-// loudly on an invalid scale (an odd fat-tree arity, say); that panic
-// is an error here, not a dead caller.
+// Campaign job, a service job, the experiment harness: the buggy or
+// repaired application at a scale (<= 0 = DefaultScale) under one
+// Table 2 strategy column, named as ParseStrategy spells it. A scale
+// above MaxScale is a *FieldError naming "scale", returned before
+// anything is built. Builders fail loudly on an invalid scale (an odd
+// fat-tree arity, say); that panic is an error here, not a dead caller.
 func (s Scenario) Resolve(scale int, strategy string, fixed bool) (cfg *core.Config, strat Strategy, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -119,23 +131,21 @@ func (s Scenario) Resolve(scale int, strategy string, fixed bool) (cfg *core.Con
 }
 
 // registry is the process-wide scenario table. Built-ins register from
-// init below; external packages may Register their own workloads
+// init below; external packages may RegisterSpec their own workloads
 // (topologies, apps, properties) and every front end picks them up.
+// table2 names the eleven bug rows in Table 2 order.
 var registry struct {
-	mu    sync.RWMutex
-	order []string
-	byKey map[string]Scenario
+	mu     sync.RWMutex
+	order  []string
+	byKey  map[string]Scenario
+	table2 []string
 }
 
-// Register adds a scenario under its Name. It panics on an empty or
-// duplicate name or a nil Build hook — registration is init-time
-// wiring, and a bad entry should fail loudly.
-func Register(s Scenario) {
+// register adds a compiled scenario under its Name, panicking on an
+// empty or duplicate name.
+func register(s Scenario) {
 	if s.Name == "" {
-		panic("scenarios: Register with empty Name")
-	}
-	if s.Build == nil {
-		panic("scenarios: Register " + s.Name + " with nil Build")
+		panic("scenarios: RegisterSpec with empty Name")
 	}
 	key := strings.ToLower(s.Name)
 	registry.mu.Lock()
@@ -170,7 +180,7 @@ func MustLookup(name string) Scenario {
 
 // All returns every registered scenario in registration order (the
 // built-ins: ping workloads first, then the Table 2 bugs, then the
-// bench workloads).
+// bench workloads, then the generated ones).
 func All() []Scenario {
 	registry.mu.RLock()
 	defer registry.mu.RUnlock()
@@ -181,125 +191,152 @@ func All() []Scenario {
 	return out
 }
 
-// Table2 returns the eleven bug scenarios in Table 2 order.
+// Table2 returns the eleven bug scenarios ("bug-i" … "bug-xi") in
+// Table 2 order.
 func Table2() []Scenario {
-	out := make([]Scenario, 0, len(AllBugs))
-	for _, s := range All() {
-		if s.Bug != 0 {
-			out = append(out, s)
-		}
+	out := make([]Scenario, len(registry.table2))
+	for i, name := range registry.table2 {
+		out[i] = MustLookup(name)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Bug < out[j].Bug })
 	return out
 }
 
-// table2Misses is the expected strategy miss-matrix. The paper's
-// Table 2 reports NO-DELAY missing BUG-V, BUG-X and BUG-XI (race and
-// perceived-load bugs) and FLOW-IR missing BUG-VII. Our NO-DELAY
-// additionally misses BUG-IX: with every controller↔switch exchange
-// atomic, a packet can never outrun a rule install (see EXPERIMENTS.md
-// for the deviation discussion).
-var table2Misses = map[Bug]map[Strategy]bool{
-	BugV:   {NoDelay: true},
-	BugVII: {FlowIR: true},
-	BugIX:  {NoDelay: true},
-	BugX:   {NoDelay: true},
-	BugXI:  {NoDelay: true},
-}
-
-// appName labels the application a bug scenario exercises.
-func appName(b Bug) string {
-	switch {
-	case b <= BugIII:
-		return "pyswitch (MAC learning)"
-	case b <= BugVII:
-		return "load balancer"
-	default:
-		return "energy-efficient TE"
-	}
-}
-
-// pingStrategize is the §7 ping workload's Table 2 strategy wiring:
-// each ping exchange is one independent FLOW-IR group.
-func pingStrategize(cfg *core.Config, s Strategy) *core.Config {
-	switch s {
-	case NoDelay:
-		cfg.NoDelay = true
-	case Unusual:
-		cfg.Unusual = true
-	case FlowIR:
-		cfg.FlowGroupKey = PingGroup
-	}
-	return cfg
-}
+// The application labels -list and the service's scenario table show.
+const (
+	pyswitchLabel = "pyswitch (MAC learning)"
+	lbLabel       = "load balancer"
+	teLabel       = "energy-efficient TE"
+)
 
 func init() {
-	Register(Scenario{
+	// The §7 ping workload (Table 1, Figure 6): the Figure 1 topology
+	// A — s1 — s2 — B, the MAC-learning controller, and "host A sends a
+	// 'layer-2 ping' packet to host B which replies with a packet to A",
+	// with `pings` concurrent exchanges. Symbolic execution is off, as
+	// in Table 1 ("Symbolic execution is turned off in both cases"): A's
+	// repertoire holds the concrete pings (pingRepertoire).
+	ping := Spec{
 		Name:         "pingpong",
 		Summary:      "§7 layer-2 ping workload (Table 1, Figure 6); SE off",
-		App:          "pyswitch (MAC learning)",
+		App:          pyswitchLabel,
 		ScaleName:    "pings",
 		DefaultScale: 2,
-		Build:        PingPong,
-		Strategize:   pingStrategize,
-	})
-	Register(Scenario{
-		Name:         "pingpong-se",
-		Summary:      "ping workload with symbolic execution discovering the sends",
-		App:          "pyswitch (MAC learning)",
-		ScaleName:    "pings",
-		DefaultScale: 2,
-		Build:        PingPongSE,
-		Strategize:   pingStrategize,
-	})
-	Register(Scenario{
-		Name:         "baseline-fine",
-		Summary:      "ping workload under an off-the-shelf-style fine-grained checker",
-		App:          "pyswitch (MAC learning)",
-		ScaleName:    "pings",
-		DefaultScale: 2,
-		Build:        BaselineFine,
-	})
-	for _, b := range AllBugs {
-		b := b
-		Register(Scenario{
-			Name: strings.ToLower(b.String()),
-			Summary: fmt.Sprintf("%s: %s violating %s (§8)",
-				b, appName(b), b.ExpectedProperty()),
-			App:              appName(b),
-			Bug:              b,
-			ExpectedProperty: b.ExpectedProperty(),
-			Misses:           table2Misses[b],
-			Build:            func(int) *core.Config { return BugConfig(b) },
-			BuildFixed:       func(int) *core.Config { return FixedConfig(b) },
-			Strategize: func(cfg *core.Config, s Strategy) *core.Config {
-				return WithStrategy(cfg, b, s)
-			},
-		})
+		Topology:     func(int) *topo.Topology { t, _, _ := topo.Linear(2); return t },
+		NewApp:       pyswitchApp(pyswitch.Buggy),
+		Hosts: []HostSpec{
+			{Name: "A", ScaleSends: true, SendTo: "B"},
+			{Name: "B", Reply: hosts.EchoReply},
+		},
+		DisableSE: true,
+		FlowGroup: pingGroup,
+		Tune:      pingRepertoire,
 	}
-	Register(Scenario{
-		Name:             "pyswitch-bench",
-		Summary:          "BUG-II scenario scaled for benchmarking (full search, no early stop)",
-		App:              "pyswitch (MAC learning)",
-		ExpectedProperty: BugII.ExpectedProperty(),
-		ScaleName:        "sends",
-		DefaultScale:     3,
-		Build:            PyswitchBench,
-		Strategize: func(cfg *core.Config, s Strategy) *core.Config {
-			return WithStrategy(cfg, BugII, s)
-		},
-	})
-	Register(Scenario{
-		Name:             "loadbalancer-bench",
-		Summary:          "BUG-IV scenario scaled for benchmarking (full search, no early stop)",
-		App:              "load balancer",
-		ExpectedProperty: BugIV.ExpectedProperty(),
-		ScaleName:        "sends",
-		DefaultScale:     4,
-		Build:            LoadBalancerBench,
-		Strategize: func(cfg *core.Config, s Strategy) *core.Config {
-			return WithStrategy(cfg, BugIV, s)
-		},
-	})
+	RegisterSpec(ping)
+
+	// The same workload with A's sends discovered by discover_packets.
+	se := ping
+	se.Name = "pingpong-se"
+	se.Summary = "ping workload with symbolic execution discovering the sends"
+	se.DisableSE = false
+	RegisterSpec(se)
+
+	// The ping workload checked the way an off-the-shelf model checker
+	// would see the system: one packet per channel per transition
+	// instead of the batched process_pkt, and raw, uncanonicalized
+	// switch state. It stands in for the paper's SPIN/JPF comparison
+	// (see "Deviations from the paper" in docs/ARCHITECTURE.md).
+	fine := ping
+	fine.Name = "baseline-fine"
+	fine.Summary = "ping workload under an off-the-shelf-style fine-grained checker"
+	fine.Tune = func(cfg *core.Config, pings int) {
+		pingRepertoire(cfg, pings)
+		cfg.MicroSteps = true
+		cfg.NoSwitchReduction = true
+	}
+	RegisterSpec(fine)
+
+	// The eleven bugs of §8. Each row runs the app at the fix level
+	// that repairs every earlier bug of the same app (the paper found
+	// each bug after fixing the previous one); its fixed variant is the
+	// fully repaired app. The misses are the paper's Table 2 blanks —
+	// NO-DELAY misses BUG-V, BUG-X and BUG-XI (race and perceived-load
+	// bugs), FLOW-IR misses BUG-VII — plus our NO-DELAY's BUG-IX miss:
+	// with every controller↔switch exchange atomic, a packet can never
+	// outrun a rule install (see "Deviations from the paper" in
+	// docs/ARCHITECTURE.md).
+	bugII := pyswitchBug("bug-ii", topo.SingleSwitch, 2, hosts.EchoReply,
+		"StrictDirectPaths", Prop(props.NewStrictDirectPaths))
+	bugIV := lbBug("bug-iv", loadbalancer.Buggy, 1)
+	bugVI := lbBug("bug-vi", loadbalancer.FixV, 0)
+	bugVI.Domains = func(t *topo.Topology) core.DomainHints {
+		d := lbDomains(t)
+		d.EthTypes = append(d.EthTypes, openflow.EthTypeARP)
+		return d
+	}
+	bugVII := lbBug("bug-vii", loadbalancer.FixVI, 1)
+	bugVII.Hosts[0].Sends = 2
+	bugVII.ExpectedProperty = "FlowAffinity"
+	bugVII.Properties = []func(*topo.Topology) core.Property{flowAffinity}
+	// The published BUG-VII needs a connection established before the
+	// policy change; applying the reconfiguration atomically keeps
+	// BUG-V-family update races (already fixed at this level) out of
+	// the search.
+	bugVII.AtomicEnv = true
+	bugVII.Misses = map[Strategy]bool{FlowIR: true}
+	bugX := teBug("bug-x", energyte.FixIX, 1, 1)
+	bugX.ExpectedProperty = "UseCorrectRoutingTable"
+	bugX.Properties = []func(*topo.Topology) core.Property{
+		func(t *topo.Topology) core.Property { return props.NewUseCorrectRoutingTable(teSpec(t)) },
+	}
+	for _, sp := range []Spec{
+		pyswitchBug("bug-i", topo.SingleSwitchMobile, 2, hosts.EchoReply,
+			"NoBlackHoles", Prop(props.NewNoBlackHoles)),
+		bugII,
+		pyswitchBug("bug-iii", cycle3, 1, nil, "NoForwardingLoops", Prop(props.NewNoForwardingLoops)),
+		bugIV,
+		missesNoDelay(lbBug("bug-v", loadbalancer.FixIV, 1)),
+		bugVI,
+		bugVII,
+		teBug("bug-viii", energyte.Buggy, 0, 1),
+		missesNoDelay(teBug("bug-ix", energyte.FixVIII, 0, 1)),
+		missesNoDelay(bugX),
+		missesNoDelay(teBug("bug-xi", energyte.FixX, 2, 2)),
+	} {
+		sp.Summary = fmt.Sprintf("%s: %s violating %s (§8)",
+			strings.ToUpper(sp.Name), sp.App, sp.ExpectedProperty)
+		sp.StopAtFirstViolation = true
+		RegisterSpec(sp)
+		registry.table2 = append(registry.table2, sp.Name)
+	}
+
+	// BUG-II and BUG-IV scaled for benchmarking: the client's send
+	// budget is the scale, and the whole state space is walked — the
+	// workloads the benchmark's full-search runs and the parallel-engine
+	// differential tests measure against. At their default scales the
+	// full searches run ~10k and ~13k unique states.
+	RegisterSpec(bench(bugII, "pyswitch-bench",
+		"BUG-II scenario scaled for benchmarking (full search, no early stop)", 3))
+	RegisterSpec(bench(bugIV, "loadbalancer-bench",
+		"BUG-IV scenario scaled for benchmarking (full search, no early stop)", 4))
+
 	registerGenerated()
+}
+
+// missesNoDelay marks a Table 2 row the NO-DELAY column misses.
+func missesNoDelay(sp Spec) Spec {
+	sp.Misses = map[Strategy]bool{NoDelay: true}
+	return sp
+}
+
+// bench turns a Table 2 row into a benchmark workload: its first host's
+// send budget becomes the scale knob, and the search no longer stops at
+// the first violation.
+func bench(sp Spec, name, summary string, sends int) Spec {
+	sp.Name, sp.Summary = name, summary
+	sp.ScaleName, sp.DefaultScale = "sends", sends
+	sp.Hosts = slices.Clone(sp.Hosts)
+	sp.Hosts[0].ScaleSends = true
+	sp.StopAtFirstViolation = false
+	sp.NewFixedApp, sp.Misses = nil, nil
+	return sp
 }

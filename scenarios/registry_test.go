@@ -10,18 +10,20 @@ func TestRegistryBuiltins(t *testing.T) {
 	if len(all) < 16 { // 3 ping workloads + 11 bugs + 2 bench
 		t.Fatalf("registry holds %d scenarios, want >= 16", len(all))
 	}
+	bugs := []string{"bug-i", "bug-ii", "bug-iii", "bug-iv", "bug-v", "bug-vi",
+		"bug-vii", "bug-viii", "bug-ix", "bug-x", "bug-xi"}
 	t2 := Table2()
-	if len(t2) != len(AllBugs) {
-		t.Fatalf("Table2() returned %d scenarios, want %d", len(t2), len(AllBugs))
+	if len(t2) != len(bugs) {
+		t.Fatalf("Table2() returned %d scenarios, want %d", len(t2), len(bugs))
 	}
 	for i, sc := range t2 {
-		if sc.Bug != AllBugs[i] {
-			t.Errorf("Table2()[%d] = %s, want %s", i, sc.Bug, AllBugs[i])
+		if sc.Name != bugs[i] {
+			t.Errorf("Table2()[%d] = %s, want %s", i, sc.Name, bugs[i])
 		}
 		if sc.ExpectedProperty == "" {
 			t.Errorf("%s: missing ExpectedProperty", sc.Name)
 		}
-		if sc.BuildFixed == nil {
+		if !sc.HasFixed() {
 			t.Errorf("%s: missing repaired variant", sc.Name)
 		}
 	}
@@ -68,8 +70,10 @@ func TestRegistryScale(t *testing.T) {
 func TestRegisterRejectsDuplicates(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("duplicate Register did not panic")
+			t.Error("duplicate RegisterSpec did not panic")
 		}
 	}()
-	Register(Scenario{Name: "PingPong", Build: PingPong})
+	sp := MustLookup("pingpong").spec
+	sp.Name = "PingPong"
+	RegisterSpec(sp)
 }

@@ -1,6 +1,7 @@
 package scenarios
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/nice-go/nice/internal/core"
@@ -12,19 +13,18 @@ import (
 // fresh initial state with fresh property instances, reproduces the same
 // violation — the paper's "traces to deterministically reproduce them".
 func TestViolationTracesReplay(t *testing.T) {
-	for _, b := range AllBugs {
-		b := b
-		t.Run(b.String(), func(t *testing.T) {
+	for _, sc := range Table2() {
+		sc := sc
+		t.Run(strings.ToUpper(sc.Name), func(t *testing.T) {
 			t.Parallel()
-			cfg := BugConfig(b)
-			report := core.NewChecker(cfg).Run()
+			report := core.NewChecker(sc.Config(0)).Run()
 			v := report.FirstViolation()
 			if v == nil {
-				t.Fatalf("%s not found", b)
+				t.Fatalf("%s not found", sc.Name)
 			}
-			_, reproduced := core.NewChecker(BugConfig(b)).ReplayWithProperties(v.Trace)
+			_, reproduced := core.NewChecker(sc.Config(0)).ReplayWithProperties(v.Trace)
 			if reproduced == nil {
-				t.Fatalf("replay of %s's trace reproduced nothing", b)
+				t.Fatalf("replay of %s's trace reproduced nothing", sc.Name)
 			}
 			if reproduced.Property != v.Property {
 				t.Fatalf("replay violated %s, original %s", reproduced.Property, v.Property)
@@ -39,7 +39,7 @@ func TestViolationTracesReplay(t *testing.T) {
 // the paper's point that the hard-timeout "fix" restores reachability
 // while still allowing transient loss (§8.1).
 func TestBugIFixedRecovers(t *testing.T) {
-	cfg := FixedConfig(BugI)
+	cfg := MustLookup("bug-i").FixedConfig(0)
 	cfg.EnableTimers = true
 	cfg.EnablePortStatus = true
 	cfg.Properties = nil // strict NoBlackHoles would flag the transient loss
@@ -123,7 +123,7 @@ func TestBugIFixedRecovers(t *testing.T) {
 // published pyswitch, after B moves the installed rule forwards A's
 // traffic into the vacated port.
 func TestBugIBuggyBlackholesAfterMove(t *testing.T) {
-	cfg := BugConfig(BugI)
+	cfg := MustLookup("bug-i").Config(0)
 	report := core.NewChecker(cfg).Run()
 	v := report.FirstViolation()
 	if v == nil {
@@ -146,14 +146,14 @@ func TestBugIBuggyBlackholesAfterMove(t *testing.T) {
 // is the environment's doing; forgotten buffers would still be the
 // controller's.
 func TestFixedAppsUnderFaults(t *testing.T) {
-	cfg := FixedConfig(BugII)
+	cfg := MustLookup("bug-ii").FixedConfig(0)
 	cfg.Properties = []core.Property{props.NewNoForgottenPackets()}
 	cfg.Faults = core.FaultModel{MaxDrops: 1, MaxDuplicates: 1, MaxReorders: 1}
 	report := core.NewChecker(cfg).Run()
 	if v := report.FirstViolation(); v != nil {
 		t.Fatalf("fixed pyswitch forgets packets under faults: %v\n%s", v.Err, v)
 	}
-	base := core.NewChecker(FixedConfig(BugII)).Run()
+	base := core.NewChecker(MustLookup("bug-ii").FixedConfig(0)).Run()
 	if report.UniqueStates <= base.UniqueStates {
 		t.Errorf("fault model explored no extra states: %d vs %d",
 			report.UniqueStates, base.UniqueStates)
@@ -169,16 +169,11 @@ func TestFigure6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive searches are slow")
 	}
+	ping := MustLookup("pingpong")
 	for pings := 2; pings <= 3; pings++ {
-		base := core.NewChecker(PingPong(pings)).Run()
-
-		nd := PingPong(pings)
-		nd.NoDelay = true
-		noDelay := core.NewChecker(nd).Run()
-
-		fir := PingPong(pings)
-		fir.FlowGroupKey = PingGroup
-		flowIR := core.NewChecker(fir).Run()
+		base := core.NewChecker(ping.Config(pings)).Run()
+		noDelay := core.NewChecker(ping.Apply(ping.Config(pings), NoDelay)).Run()
+		flowIR := core.NewChecker(ping.Apply(ping.Config(pings), FlowIR)).Run()
 
 		t.Logf("pings=%d: NICE-MC=%d trans, NO-DELAY=%d (%.2fx), FLOW-IR=%d (%.2fx)",
 			pings, base.Transitions,

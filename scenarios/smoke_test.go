@@ -1,13 +1,14 @@
 package scenarios
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/nice-go/nice/internal/core"
 )
 
 func TestSmokePingPong1(t *testing.T) {
-	cfg := PingPong(1)
+	cfg := MustLookup("pingpong").Config(1)
 	report := core.NewChecker(cfg).Run()
 	t.Logf("pings=1: transitions=%d unique=%d elapsed=%v violations=%d",
 		report.Transitions, report.UniqueStates, report.Elapsed, len(report.Violations))
@@ -17,27 +18,26 @@ func TestSmokePingPong1(t *testing.T) {
 }
 
 func TestSmokeAllBugs(t *testing.T) {
-	for _, b := range AllBugs {
-		b := b
-		t.Run(b.String(), func(t *testing.T) {
-			cfg := BugConfig(b)
-			report := core.NewChecker(cfg).Run()
+	for _, sc := range Table2() {
+		sc := sc
+		t.Run(strings.ToUpper(sc.Name), func(t *testing.T) {
+			report := core.NewChecker(sc.Config(0)).Run()
 			t.Logf("%s: transitions=%d unique=%d violations=%d elapsed=%v",
-				b, report.Transitions, report.UniqueStates, len(report.Violations), report.Elapsed)
+				sc.Name, report.Transitions, report.UniqueStates, len(report.Violations), report.Elapsed)
 			v := report.FirstViolation()
 			if v == nil {
-				t.Fatalf("%s not found", b)
+				t.Fatalf("%s not found", sc.Name)
 			}
 			t.Logf("violation: %s: %v (trace %d steps)", v.Property, v.Err, len(v.Trace))
-			if v.Property != b.ExpectedProperty() {
-				t.Fatalf("wrong property: got %s want %s", v.Property, b.ExpectedProperty())
+			if v.Property != sc.ExpectedProperty {
+				t.Fatalf("wrong property: got %s want %s", v.Property, sc.ExpectedProperty)
 			}
 		})
 	}
 }
 
 func TestSmokeBugII(t *testing.T) {
-	cfg := BugConfig(BugII)
+	cfg := MustLookup("bug-ii").Config(0)
 	report := core.NewChecker(cfg).Run()
 	t.Logf("BUG-II: transitions=%d unique=%d violations=%d elapsed=%v",
 		report.Transitions, report.UniqueStates, len(report.Violations), report.Elapsed)

@@ -12,16 +12,18 @@ import (
 
 // Spec is a declarative scenario: one composite literal naming the
 // topology, the application, the end-host behaviours, the properties
-// and the expected outcome. RegisterSpec compiles it into a registered
-// Scenario, so adding a workload to the registry is writing data, not
-// writing Build/Strategize plumbing:
+// and the expected outcome. It is the only way to declare a scenario —
+// the paper's built-ins are Spec rows too (registry.go) — and
+// RegisterSpec compiles it into a registered Scenario:
 //
 //	scenarios.RegisterSpec(scenarios.Spec{
 //		Name:     "pyswitch-fattree",
 //		Topology: func(k int) *topo.Topology { t, _ := topo.FatTree(k); return t },
 //		NewApp:   func(t *topo.Topology) controller.App { return pyswitch.New(pyswitch.Buggy, t) },
 //		Hosts:    []scenarios.HostSpec{{Name: "h1", Sends: 1, SendToLast: true}},
-//		Properties: []func() core.Property{props.NewNoForwardingLoops},
+//		Properties: []func(*topo.Topology) core.Property{
+//			scenarios.Prop(props.NewNoForwardingLoops),
+//		},
 //		ExpectedProperty: "NoForwardingLoops",
 //		StopAtFirstViolation: true,
 //	})
@@ -52,9 +54,10 @@ type Spec struct {
 	// topologies may have many more attachment points than actors).
 	Hosts []HostSpec
 
-	// Properties are the checked correctness properties (factory
-	// references, e.g. props.NewNoForwardingLoops).
-	Properties []func() core.Property
+	// Properties are the checked correctness properties, each built
+	// on the scenario's topology; Prop adapts a constructor that needs
+	// none (e.g. props.NewNoForwardingLoops).
+	Properties []func(*topo.Topology) core.Property
 
 	// ExpectedProperty and Misses are the registry-test expectations:
 	// the property a full search must violate ("" = expected clean)
@@ -71,13 +74,15 @@ type Spec struct {
 	// Domains supplies symbolic-input domain hints (optional).
 	Domains func(t *topo.Topology) core.DomainHints
 
-	// FlowGroup and EnvGroup wire the FLOW-IR strategy column
+	// FlowGroup and EnvGroup are the scenario's FLOW-IR grouping
 	// (optional; without FlowGroup, FLOW-IR is a no-op for this
-	// scenario). NoDelay/Unusual need no wiring.
+	// scenario).
+	// The other strategy columns need no wiring (Scenario.Apply).
 	FlowGroup core.GroupKeyFunc
 	EnvGroup  func(string) string
 
-	// Tune is a final escape hatch run on every built Config.
+	// Tune is a final escape hatch run on every built Config, for a
+	// knob only one scenario needs.
 	Tune func(cfg *core.Config, scale int)
 }
 
@@ -174,52 +179,44 @@ func (hs HostSpec) resolve(t *topo.Topology, scale int, disableSE bool) *hosts.H
 	return hosts.NewServer(self, hs.Reply, hs.ReplyBudget)
 }
 
-// Scenario compiles the declarative Spec into a registrable Scenario:
-// Build constructs topology, app, hosts and properties; Strategize
-// wires the generic strategy columns (NoDelay/Unusual flags plus the
-// Spec's FLOW-IR grouping).
+// build constructs the checking configuration with newApp at a scale
+// Scenario.Scale has resolved (0 for a scenario without a knob).
+func (sp *Spec) build(newApp func(*topo.Topology) controller.App, scale int) *core.Config {
+	t := sp.Topology(scale)
+	hh := make([]*hosts.Host, len(sp.Hosts))
+	for i, hs := range sp.Hosts {
+		hh[i] = hs.resolve(t, scale, sp.DisableSE)
+	}
+	pp := make([]core.Property, len(sp.Properties))
+	for i, f := range sp.Properties {
+		pp[i] = f(t)
+	}
+	cfg := &core.Config{
+		Topo:                 t,
+		App:                  newApp(t),
+		Hosts:                hh,
+		Properties:           pp,
+		StopAtFirstViolation: sp.StopAtFirstViolation,
+		DisableSE:            sp.DisableSE,
+		AtomicEnv:            sp.AtomicEnv,
+		MaxDepth:             sp.MaxDepth,
+	}
+	if sp.Domains != nil {
+		cfg.Domains = sp.Domains(t)
+	}
+	if sp.Tune != nil {
+		sp.Tune(cfg, scale)
+	}
+	return cfg
+}
+
+// Scenario compiles the declarative Spec into a registrable Scenario.
 func (sp Spec) Scenario() Scenario {
 	if sp.Topology == nil {
 		panic("scenarios: Spec " + sp.Name + " without Topology")
 	}
 	if sp.NewApp == nil {
 		panic("scenarios: Spec " + sp.Name + " without NewApp")
-	}
-	build := func(newApp func(*topo.Topology) controller.App) func(int) *core.Config {
-		if newApp == nil {
-			return nil
-		}
-		return func(scale int) *core.Config {
-			if scale <= 0 {
-				scale = sp.DefaultScale
-			}
-			t := sp.Topology(scale)
-			hh := make([]*hosts.Host, len(sp.Hosts))
-			for i, hs := range sp.Hosts {
-				hh[i] = hs.resolve(t, scale, sp.DisableSE)
-			}
-			pp := make([]core.Property, len(sp.Properties))
-			for i, f := range sp.Properties {
-				pp[i] = f()
-			}
-			cfg := &core.Config{
-				Topo:                 t,
-				App:                  newApp(t),
-				Hosts:                hh,
-				Properties:           pp,
-				StopAtFirstViolation: sp.StopAtFirstViolation,
-				DisableSE:            sp.DisableSE,
-				AtomicEnv:            sp.AtomicEnv,
-				MaxDepth:             sp.MaxDepth,
-			}
-			if sp.Domains != nil {
-				cfg.Domains = sp.Domains(t)
-			}
-			if sp.Tune != nil {
-				sp.Tune(cfg, scale)
-			}
-			return cfg
-		}
 	}
 	return Scenario{
 		Name:             sp.Name,
@@ -230,33 +227,19 @@ func (sp Spec) Scenario() Scenario {
 		ScaleName:        sp.ScaleName,
 		DefaultScale:     sp.DefaultScale,
 		MaxScale:         sp.MaxScale,
-		Build:            build(sp.NewApp),
-		BuildFixed:       build(sp.NewFixedApp),
-		Strategize: func(cfg *core.Config, s Strategy) *core.Config {
-			switch s {
-			case NoDelay:
-				cfg.NoDelay = true
-			case Unusual:
-				cfg.Unusual = true
-			case FlowIR:
-				if sp.FlowGroup != nil {
-					cfg.FlowGroupKey = sp.FlowGroup
-				}
-				if sp.EnvGroup != nil {
-					cfg.EnvGroupKey = sp.EnvGroup
-				}
-			}
-			return cfg
-		},
+		spec:             sp,
 	}
 }
 
-// RegisterSpec compiles and registers a declarative scenario.
-func RegisterSpec(sp Spec) { Register(sp.Scenario()) }
+// RegisterSpec compiles and registers a declarative scenario under its
+// Name. It panics on an empty or duplicate name or a Spec without
+// Topology or NewApp — registration is init-time wiring, and a bad
+// entry should fail loudly.
+func RegisterSpec(sp Spec) { register(sp.Scenario()) }
 
-// Prop adapts a concrete property constructor (e.g.
+// Prop adapts a property constructor that takes no arguments (e.g.
 // props.NewNoForwardingLoops, which returns its concrete type) to the
 // Spec.Properties element type.
-func Prop[P core.Property](f func() P) func() core.Property {
-	return func() core.Property { return f() }
+func Prop[P core.Property](f func() P) func(*topo.Topology) core.Property {
+	return func(*topo.Topology) core.Property { return f() }
 }

@@ -22,8 +22,9 @@ func TestTable1Shape(t *testing.T) {
 	}
 	var rows []row
 	for pings := 1; pings <= 3; pings++ {
-		nice := core.NewChecker(PingPong(pings)).Run()
-		cfgNR := PingPong(pings)
+		ping := MustLookup("pingpong")
+		nice := core.NewChecker(ping.Config(pings)).Run()
+		cfgNR := ping.Config(pings)
 		cfgNR.NoSwitchReduction = true
 		nr := core.NewChecker(cfgNR).Run()
 		rho := 1 - float64(nice.UniqueStates)/float64(nr.UniqueStates)

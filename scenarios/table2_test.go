@@ -1,6 +1,7 @@
 package scenarios
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/nice-go/nice/apps/energyte"
@@ -10,7 +11,7 @@ import (
 // TestTable2StrategyMatrix reproduces the paper's Table 2 strategy
 // miss-matrix, driven entirely by the scenario registry: each bug
 // scenario carries its expected property and per-strategy misses (see
-// registry.go's table2Misses for the deviation discussion).
+// registry.go's Table 2 rows for the deviation discussion).
 func TestTable2StrategyMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("strategy matrix is slow")
@@ -50,7 +51,7 @@ func TestTable2StrategyMatrix(t *testing.T) {
 // whole path is installed (§8.3). The intermediate-switch ignore is
 // still present (fix level FixVIII), yet no packet is ever forgotten.
 func TestBarrierFixForBugIX(t *testing.T) {
-	cfg := BugConfig(BugIX)
+	cfg := MustLookup("bug-ix").Config(0)
 	barrierApp := energyte.New(energyte.FixVIII, cfg.Topo, TEThreshold, 0)
 	barrierApp.UseBarriers = true
 	cfg.App = barrierApp
@@ -62,7 +63,7 @@ func TestBarrierFixForBugIX(t *testing.T) {
 
 	// Sanity: under UNUSUAL (which hunts exactly this race) it is
 	// still clean.
-	cfg2 := BugConfig(BugIX)
+	cfg2 := MustLookup("bug-ix").Config(0)
 	barrierApp2 := energyte.New(energyte.FixVIII, cfg2.Topo, TEThreshold, 0)
 	barrierApp2.UseBarriers = true
 	cfg2.App = barrierApp2
@@ -73,23 +74,22 @@ func TestBarrierFixForBugIX(t *testing.T) {
 }
 
 func TestFixedAppsAreClean(t *testing.T) {
-	for _, b := range AllBugs {
-		if b == BugI {
+	for _, sc := range Table2() {
+		if sc.Name == "bug-i" {
 			// BUG-I's published remedy (a hard timeout) only bounds
 			// the outage; strict NoBlackHoles still flags the
 			// transient loss, as §8.1 discusses. Covered by
 			// TestBugIFixedRecovers in pyswitch_test.go.
 			continue
 		}
-		b := b
-		t.Run(b.String(), func(t *testing.T) {
+		sc := sc
+		t.Run(strings.ToUpper(sc.Name), func(t *testing.T) {
 			t.Parallel()
-			cfg := FixedConfig(b)
-			report := core.NewChecker(cfg).Run()
+			report := core.NewChecker(sc.FixedConfig(0)).Run()
 			if v := report.FirstViolation(); v != nil {
 				t.Fatalf("fixed app still violates %s: %v\ntrace:\n%s", v.Property, v.Err, v)
 			}
-			t.Logf("%s fixed: clean over %d transitions / %d states", b, report.Transitions, report.UniqueStates)
+			t.Logf("%s fixed: clean over %d transitions / %d states", sc.Name, report.Transitions, report.UniqueStates)
 		})
 	}
 }

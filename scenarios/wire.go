@@ -167,13 +167,13 @@ func fieldErr(field, format string, args ...any) *FieldError {
 }
 
 // wireProps is the registry of property names accepted on the wire —
-// the nullary constructors from props.
-var wireProps = map[string]func() core.Property{
-	"NoForwardingLoops":  func() core.Property { return props.NewNoForwardingLoops() },
-	"NoBlackHoles":       func() core.Property { return props.NewNoBlackHoles() },
-	"NoForgottenPackets": func() core.Property { return props.NewNoForgottenPackets() },
-	"DirectPaths":        func() core.Property { return props.NewDirectPaths() },
-	"StrictDirectPaths":  func() core.Property { return props.NewStrictDirectPaths() },
+// the constructors from props that take no arguments.
+var wireProps = map[string]func(*topo.Topology) core.Property{
+	"NoForwardingLoops":  Prop(props.NewNoForwardingLoops),
+	"NoBlackHoles":       Prop(props.NewNoBlackHoles),
+	"NoForgottenPackets": Prop(props.NewNoForgottenPackets),
+	"DirectPaths":        Prop(props.NewDirectPaths),
+	"StrictDirectPaths":  Prop(props.NewStrictDirectPaths),
 }
 
 // wireReplies is the registry of server reply behaviours.
@@ -271,6 +271,9 @@ func (ws *WireSpec) Validate() error {
 	}
 	if ws.DefaultScale < 0 {
 		bad("default_scale", "must be >= 0")
+	}
+	if ws.DefaultScale > 0 && ws.ScaleName == "" {
+		bad("default_scale", "needs a scale_name: a spec without a scale knob runs at scale 0")
 	}
 	if limit := ws.Topology.maxScale(); limit > 0 && ws.DefaultScale > limit {
 		bad("default_scale", "%d exceeds the limit of %d for a %s", ws.DefaultScale, limit, ws.Topology.Kind)

@@ -87,6 +87,7 @@ func TestWireSpecValidationNamesFields(t *testing.T) {
 		{func(ws *WireSpec) { ws.Hosts[1].Reply = "" }, "hosts[1].reply_budget"},
 		{func(ws *WireSpec) { ws.Properties = []string{"NoTeleportation"} }, "properties[0]"},
 		{func(ws *WireSpec) { ws.ExpectedProperty = "NoBlackHoles" }, "expected_property"},
+		{func(ws *WireSpec) { ws.ScaleName = "" }, "default_scale"},
 		{func(ws *WireSpec) { ws.MaxDepth = -1 }, "max_depth"},
 	}
 	for _, tc := range cases {
@@ -140,7 +141,7 @@ func TestWireSpecCompileFindsViolation(t *testing.T) {
 		t.Fatalf("Compile: %v", err)
 	}
 	sc := sp.Scenario()
-	rep := core.NewChecker(sc.Build(0)).Run()
+	rep := core.NewChecker(sc.Config(0)).Run()
 	found := false
 	for _, v := range rep.Violations {
 		if v.Property == "StrictDirectPaths" {
@@ -151,10 +152,10 @@ func TestWireSpecCompileFindsViolation(t *testing.T) {
 		t.Errorf("compiled wire spec found no StrictDirectPaths violation (got %d violations)", len(rep.Violations))
 	}
 	// The repaired column compiles too, and stays clean.
-	if sc.BuildFixed == nil {
+	if !sc.HasFixed() {
 		t.Fatal("buggy wire spec lost its fixed build")
 	}
-	if rep := core.NewChecker(sc.BuildFixed(0)).Run(); len(rep.Violations) != 0 {
+	if rep := core.NewChecker(sc.FixedConfig(0)).Run(); len(rep.Violations) != 0 {
 		t.Errorf("fixed variant violated: %v", rep.Violations)
 	}
 }
@@ -172,7 +173,7 @@ func TestWireSpecCompileAllApps(t *testing.T) {
 			t.Errorf("%s: %v", app.Name, err)
 			continue
 		}
-		cfg := sp.Scenario().Build(0)
+		cfg := sp.Scenario().Config(0)
 		if cfg.App == nil {
 			t.Errorf("%s: compiled config has no app", app.Name)
 		}
@@ -184,7 +185,7 @@ func TestWireSpecCompileAllApps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp.Scenario().BuildFixed != nil {
+	if sp.Scenario().HasFixed() {
 		t.Error("variant-pinned spec grew a fixed build")
 	}
 }
