@@ -90,16 +90,6 @@ type Campaign struct {
 	// workload reuse each other's symbolic-execution results.
 	ShareCaches bool
 
-	// CachePrune bounds each shared discover-cache set when ShareCaches
-	// is on: after a job finishes, a set grown past CachePrune entries
-	// is trimmed back to it, least recently used first
-	// (Caches.WithCapacity), counted and traced as cache evictions. The
-	// bound is lifted again before the next job, so a search never loses
-	// entries it is using. Jobs that run concurrently on one set
-	// (Parallelism > 1) can be trimmed mid-search; see Caches for what
-	// that can cost a frontier engine. 0 = unbounded.
-	CachePrune int
-
 	// OnJobStart / OnJobDone, when non-nil, observe the job lifecycle:
 	// OnJobStart fires as a worker picks up Jobs[i], OnJobDone after its
 	// result is final. Both may be called concurrently from different
@@ -509,10 +499,6 @@ func (c *Campaign) runJob(ctx context.Context, job CampaignJob, label string, bu
 	// budget-starved, distinct from partial (the job's own budgets) and
 	// from a real violation.
 	r, starved := search.Run(ctx, cfg, budget)
-	if cc != nil && c.CachePrune > 0 {
-		// Trim now, then lift the bound: no eviction during the next search.
-		cc.WithCapacity(c.CachePrune).WithCapacity(0)
-	}
 
 	res.Transitions = r.Transitions
 	res.UniqueStates = r.UniqueStates

@@ -139,7 +139,6 @@ func runAll(ctx context.Context, args []string) {
 		totalStates = fs.Int64("total-states", 0, "shared unique-state budget across all jobs")
 		totalTrans  = fs.Int64("total-transitions", 0, "shared transition budget across all jobs")
 		shareCaches = fs.Bool("share-caches", true, "share discover caches between strategy columns of one workload")
-		cachePrune  = fs.Int("cache-prune", 0, "LRU bound on each shared cache set's entries, applied after each job (0 = unbounded)")
 		jsonPath    = fs.String("json", "", `write the merged report as JSON to this file ("-" = stdout)`)
 		metrAddr    = fs.String("metrics-addr", "", "serve live campaign metrics/trace/pprof on this address")
 		metrOut     = fs.String("metrics-out", "", "write the final campaign telemetry snapshot as JSON to this file")
@@ -166,7 +165,6 @@ func runAll(ctx context.Context, args []string) {
 		TotalMaxStates:      *totalStates,
 		TotalMaxTransitions: *totalTrans,
 		ShareCaches:         *shareCaches,
-		CachePrune:          *cachePrune,
 	}
 	if *metrAddr != "" || *metrOut != "" {
 		campaign.Telemetry = nice.NewTelemetry()

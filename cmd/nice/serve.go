@@ -3,7 +3,9 @@
 // entries or inline declarative specs), schedules them onto a bounded
 // worker pool under per-tenant budgets, streams violations and
 // progress as NDJSON/SSE, and persists replayable violation traces as
-// content-addressed artifacts.
+// content-addressed artifacts. Jobs share one discover memo; a job that
+// finds it holding more than -cache-capacity entries starts a fresh
+// one, so memory stays bounded and no running search loses an entry.
 //
 //	nice serve -addr :8080 -artifacts /var/lib/nice
 //	nice serve -workers 4 -tenant-states 1000000 -cache-capacity 8192
@@ -36,7 +38,7 @@ func serve(ctx context.Context, args []string) {
 		workers   = fs.Int("workers", 2, "concurrently running jobs")
 		queue     = fs.Int("queue", 64, "queued-job limit (excess submissions get 429)")
 		artifacts = fs.String("artifacts", "", "artifact directory (empty = no persistence)")
-		cacheCap  = fs.Int("cache-capacity", 4096, "shared discover-memo LRU bound in entries (-1 = unbounded)")
+		cacheCap  = fs.Int("cache-capacity", 4096, "discover-memo entries past which the next job starts a fresh memo (-1 = unbounded)")
 		tenantS   = fs.Int64("tenant-states", 0, "per-tenant unique-state drawdown budget (0 = unbounded)")
 		tenantT   = fs.Int64("tenant-transitions", 0, "per-tenant transition drawdown budget (0 = unbounded)")
 		jobTime   = fs.Duration("job-timeout", 0, "per-job wall-clock cap (0 = uncapped)")

@@ -1,12 +1,15 @@
 // Documentation lints: every Go package in the module must carry a
 // package comment, every relative markdown link (including its heading
 // anchor) must resolve, every markdown file a source or document names
-// must exist, and nothing may name the measurement stack that
-// benchmark/ replaced. All run as ordinary tests so CI's docs job fails
+// must exist, the telemetry reference must list the trace kinds and
+// service series the code has, and nothing may name the measurement
+// stack that benchmark/ replaced. All run as ordinary tests so CI's docs job fails
 // the moment a package, a link or a description goes stale.
 package nice_test
 
 import (
+	"context"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
@@ -14,10 +17,14 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"github.com/nice-go/nice"
+	"github.com/nice-go/nice/internal/service"
+	"github.com/nice-go/nice/internal/telemetry"
 )
 
 // lintSkipDirs are subtrees the package-doc lint does not descend
@@ -253,6 +260,104 @@ func TestRequestFieldsDocumented(t *testing.T) {
 		if flag := "-" + strings.ReplaceAll(name, "_", "-"); !regexp.MustCompile(`(?m)^  ` + flag + `\b`).Match(help) {
 			t.Errorf("nice -help lists no %s flag for request field %q", flag, name)
 		}
+	}
+}
+
+// TestTelemetryNamesDocumented: docs/METRICS.md's trace table lists
+// exactly the telemetry.TraceKind constants, and its `service` table
+// exactly the series a server registers, so a kind or series added or
+// retired in code cannot leave the reference behind.
+func TestTelemetryNamesDocumented(t *testing.T) {
+	doc, err := os.ReadFile("docs/METRICS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	f, err := parser.ParseFile(token.NewFileSet(), "internal/telemetry/trace.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []string
+	for _, decl := range f.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			if typ, ok := vs.Type.(*ast.Ident); !ok || typ.Name != "TraceKind" {
+				continue
+			}
+			for _, v := range vs.Values {
+				kind, err := strconv.Unquote(v.(*ast.BasicLit).Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kinds = append(kinds, kind)
+			}
+		}
+	}
+	sameNames(t, "trace kinds", kinds, mdTableNames(string(doc), "## The trace ring"))
+
+	reg := telemetry.New()
+	s, err := service.New(service.Options{Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	var series []string
+	for _, names := range []map[string]int64{snap.Counters, snap.Gauges} {
+		for name := range names {
+			series = append(series, name)
+		}
+	}
+	for name := range snap.Histograms {
+		series = append(series, name)
+	}
+	for i, name := range series {
+		series[i] = strings.TrimPrefix(name, "service.")
+	}
+	sameNames(t, "service series", series, mdTableNames(string(doc), "## Scope `service`"))
+}
+
+var backquotedRE = regexp.MustCompile("`([^`]+)`")
+
+// mdTableNames collects the backquoted names in the first column of the
+// first table under heading.
+func mdTableNames(doc, heading string) []string {
+	_, section, _ := strings.Cut(doc, "\n"+heading)
+	var names []string
+	inTable := false
+	for _, line := range strings.Split(section, "\n")[1:] {
+		if strings.HasPrefix(line, "#") {
+			break
+		}
+		if !strings.HasPrefix(line, "|") {
+			if inTable {
+				break
+			}
+			continue
+		}
+		inTable = true
+		cell := strings.Split(line, "|")[1]
+		for _, m := range backquotedRE.FindAllStringSubmatch(cell, -1) {
+			names = append(names, m[1])
+		}
+	}
+	return names
+}
+
+// sameNames reports the names code has and the document lacks, and the
+// other way round.
+func sameNames(t *testing.T, what string, code, doc []string) {
+	t.Helper()
+	slices.Sort(code)
+	slices.Sort(doc)
+	if !slices.Equal(code, doc) {
+		t.Errorf("%s: code has %v, docs/METRICS.md lists %v", what, code, doc)
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -31,48 +30,26 @@ type statsCacheKey struct {
 }
 
 // memo is one typed map of the discover cache: Figure 5's client.packets
-// (and its stats and solver twins) with an LRU stamp per entry. The map
-// stays typed by its key so the Fingerprint/EnabledInto lookups hash a
-// fixed-width struct and allocate nothing; the lock, the LRU clock and
-// the capacity belong to the owning Caches, because the bound spans all
-// three memos.
+// (and its stats and solver twins). The map stays typed by its key so
+// the Fingerprint/EnabledInto lookups hash a fixed-width struct and
+// allocate nothing; the lock belongs to the owning Caches.
 type memo[K comparable, V any] struct {
 	c *Caches
-	m map[K]*cacheNode[V]
+	m map[K]V
 	// hits/misses are the optional lookup counters (AttachTelemetry);
 	// nil means disabled, and a lookup pays one atomic load.
 	hits, misses atomic.Pointer[telemetry.Counter]
 }
 
-// cacheNode is one memo entry. used carries the logical last-use stamp
-// for LRU eviction: hits store a fresh clock tick with an atomic write,
-// so the read path keeps the shared RLock (a linked-list LRU would need
-// the write lock on every fingerprint-path hit, serializing parallel
-// workers). Eviction scans for the minimum stamp — O(entries), but it
-// only runs on insert-over-capacity, and every insert is preceded by a
-// full concolic execution that dwarfs the scan.
-type cacheNode[V any] struct {
-	used atomic.Int64
-	val  V
-}
-
 func newMemo[K comparable, V any](c *Caches) memo[K, V] {
-	return memo[K, V]{c: c, m: make(map[K]*cacheNode[V])}
+	return memo[K, V]{c: c, m: make(map[K]V)}
 }
 
-// get looks key up, refreshing its recency on a hit. The stamp is an
-// atomic write under the RLock, so concurrent hits race benignly (either
-// order is a valid recency).
+// get looks key up under the shared read lock.
 func (m *memo[K, V]) get(key K) (V, bool) {
-	c := m.c
-	c.mu.RLock()
-	n, ok := m.m[key]
-	var v V
-	if ok {
-		v = n.val
-		n.used.Store(c.clock.Add(1))
-	}
-	c.mu.RUnlock()
+	m.c.mu.RLock()
+	v, ok := m.m[key]
+	m.c.mu.RUnlock()
 	if ok {
 		m.hits.Load().Inc()
 	} else {
@@ -85,18 +62,12 @@ func (m *memo[K, V]) get(key K) (V, bool) {
 // (winning) value is returned so racing workers agree. won reports
 // whether this call was that first writer.
 func (m *memo[K, V]) put(key K, v V) (canonical V, won bool) {
-	c := m.c
-	c.mu.Lock()
+	m.c.mu.Lock()
+	defer m.c.mu.Unlock()
 	if prev, ok := m.m[key]; ok {
-		c.mu.Unlock()
-		return prev.val, false
+		return prev, false
 	}
-	n := &cacheNode[V]{val: v}
-	n.used.Store(c.clock.Add(1))
-	m.m[key] = n
-	dropped := c.evictOverCapacityLocked()
-	c.mu.Unlock()
-	c.noteEvictions(dropped, "lru")
+	m.m[key] = v
 	return v, true
 }
 
@@ -111,28 +82,6 @@ func getOrDiscover[K comparable, E any](m *memo[K, []E], key K, discover func() 
 		m.c.noteClasses(len(v))
 	}
 	return v
-}
-
-// lruMemo is what the eviction scan needs of a memo, whatever its key
-// and value types. Callers hold the owner's write lock.
-type lruMemo interface {
-	// oldest reports the smallest last-use stamp and a func that drops
-	// that entry; evict is nil when the memo is empty.
-	oldest() (stamp int64, evict func())
-}
-
-func (m *memo[K, V]) oldest() (stamp int64, evict func()) {
-	var victim K
-	found := false
-	for k, n := range m.m {
-		if u := n.used.Load(); !found || u < stamp {
-			stamp, victim, found = u, k, true
-		}
-	}
-	if !found {
-		return 0, nil
-	}
-	return stamp, func() { delete(m.m, victim) }
 }
 
 // solution is one memoized solver outcome; model is immutable once
@@ -150,22 +99,13 @@ type solution struct {
 // Caches may be shared by the parallel workers of internal/search (and
 // across sequential searches, to warm later runs).
 //
-// WithCapacity bounds the memo with an LRU over all three maps — the
-// multi-tenant setting (internal/service), where unbounded scenario
-// churn would otherwise grow the process without limit. Evicting is
-// memory-safe at any time: discovery is deterministic, so a re-miss
-// re-runs concolic execution and re-inserts the identical value. But
-// cache presence feeds state identity (System.Fingerprint) and the
-// enabled set (sends once present, the discover transition before). The
-// sequential checker reads both in one step, so an eviction mid-search
-// only makes a revisited state look new and costs re-expansion work.
-// The frontier engines fingerprint a state at admission and enumerate
-// it at expansion: evict the entry in between and the state offers only
-// its discover transition, whose successor is itself — already seen —
-// so its sends go unexplored (a 1-entry bound loses bug-ii's violation
-// in ~3 % of 2-worker runs). Size the bound above one search's working
-// set (the LRU then only reclaims across scenarios) or apply it between
-// searches, as Campaign.CachePrune does, and searches stay exact.
+// A set only grows: no entry is ever dropped. That is what keeps a
+// search exact, because cache presence feeds state identity
+// (System.Fingerprint) and the enabled set (sends once present, the
+// discover transition before) — an entry gone between a state's
+// admission and its expansion would leave that state offering only its
+// discover transition. A caller that must bound memory starts a fresh
+// set between searches instead, as `nice serve` does between jobs.
 type Caches struct {
 	mu      sync.RWMutex
 	packets memo[packetsCacheKey, []openflow.Header]
@@ -173,40 +113,33 @@ type Caches struct {
 	// solutions memoizes raw solver outcomes across explorations,
 	// keyed by the 128-bit digest of the finite-domain problem
 	// (sym.ProblemKey) — the same keying discipline as the discover
-	// maps, under the same LRU bound.
+	// maps.
 	solutions memo[canon.Digest, solution]
 	seRuns    atomic.Int64 // concolic explorations performed
 	// classes counts discovered equivalence classes (packet headers +
-	// stats vectors) inserted into the memo, cumulatively — eviction
-	// never decrements it, so it is a monotone discovery counter, not
-	// an occupancy gauge.
+	// stats vectors) inserted into the memo, cumulatively.
 	classes atomic.Int64
 
-	// capacity bounds the three memos' total entry count; 0 =
-	// unbounded. clock is the logical LRU timestamp source (monotonic
-	// per lookup/insert).
-	capacity  int
-	clock     atomic.Int64
-	evictions atomic.Int64
-
-	// tel is the eviction instrumentation, attached race-free
-	// mid-lifetime (campaigns share one Caches across concurrent jobs);
 	// sym is the symbolic-execution instrumentation ("sym" scope),
-	// attached alongside it. Both start as bundles of nil counters,
+	// attached race-free mid-lifetime (campaigns share one Caches
+	// across concurrent jobs). It starts as a bundle of nil counters,
 	// which count nothing.
-	tel atomic.Pointer[cacheTelemetry]
 	sym atomic.Pointer[symTelemetry]
-	// credited lists the registries whose sym totals already include
-	// this set's pre-attachment discovery (guarded by mu).
-	credited []*telemetry.Registry
+	// credit names this set in the ledgers of the registries it has
+	// credited (telemetry.Registry.CreditOnce).
+	credit *creditToken
 }
 
-// NewCaches builds an empty, unbounded discover-cache set.
+// creditToken is a cache set's name in a registry's credit ledger. It
+// is a separate allocation so that a registry outliving many sets (the
+// service's) holds a byte of each, not its memo.
+type creditToken struct{ _ byte }
+
+// NewCaches builds an empty discover-cache set.
 func NewCaches() *Caches {
-	c := &Caches{}
+	c := &Caches{credit: new(creditToken)}
 	c.packets, c.stats, c.solutions = newMemo[packetsCacheKey, []openflow.Header](c),
 		newMemo[statsCacheKey, [][]openflow.PortStats](c), newMemo[canon.Digest, solution](c)
-	c.tel.Store(&cacheTelemetry{})
 	c.sym.Store(&symTelemetry{})
 	return c
 }
@@ -223,15 +156,8 @@ type symTelemetry struct {
 	classes      *telemetry.Counter // equivalence classes discovered
 }
 
-// cacheTelemetry is the eviction half of the "cache" scope; the lookup
-// counters hang off each memo.
-type cacheTelemetry struct {
-	evictions *telemetry.Counter
-	scope     *telemetry.Scope
-}
-
-// AttachTelemetry wires the cache set's hit/miss/eviction counters into
-// a registry (idempotent per registry; nil is a no-op).
+// AttachTelemetry wires the cache set's lookup and symbolic-execution
+// counters into a registry (idempotent per registry; nil is a no-op).
 func (c *Caches) AttachTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -243,7 +169,6 @@ func (c *Caches) AttachTelemetry(reg *telemetry.Registry) {
 	c.stats.misses.Store(sc.Counter("stats_misses"))
 	c.solutions.hits.Store(ss.Counter("memo_hits"))
 	c.solutions.misses.Store(ss.Counter("memo_misses"))
-	c.tel.Store(&cacheTelemetry{evictions: sc.Counter("evictions"), scope: sc})
 	st := &symTelemetry{
 		explorations: ss.Counter("explorations"),
 		paths:        ss.Counter("paths"),
@@ -254,14 +179,13 @@ func (c *Caches) AttachTelemetry(reg *telemetry.Registry) {
 	}
 	// A registry attached mid-lifetime reports this set's totals, but may
 	// serve other sets too (a Campaign, consecutive Runs): credit by Add,
-	// once per (set, registry) pair, so the series stay monotone.
-	c.mu.Lock()
-	if !slices.Contains(c.credited, reg) {
-		c.credited = append(c.credited, reg)
+	// once per (set, registry) pair, so the series stay monotone. The
+	// registry keeps that ledger, so a long-lived set pins none of the
+	// registries it has served.
+	if reg.CreditOnce(c.credit) {
 		st.explorations.Add(c.seRuns.Load())
 		st.classes.Add(c.classes.Load())
 	}
-	c.mu.Unlock()
 	c.sym.Store(st)
 }
 
@@ -291,78 +215,14 @@ func (c *Caches) HitRate() float64 {
 func (c *Caches) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.lenLocked()
-}
-
-func (c *Caches) lenLocked() int {
 	return len(c.packets.m) + len(c.stats.m) + len(c.solutions.m)
-}
-
-// Evictions counts entries dropped so far by the WithCapacity LRU bound
-// (monotonic, observable without a telemetry registry).
-func (c *Caches) Evictions() int64 { return c.evictions.Load() }
-
-// Capacity reports the LRU bound (0 = unbounded).
-func (c *Caches) Capacity() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.capacity
-}
-
-// WithCapacity bounds the memo to at most max entries across all maps,
-// evicting least-recently-used entries on insert (and immediately, if
-// the memo is already over the new bound). max <= 0 removes the bound.
-// Returns c for chaining; safe to call while searches run.
-func (c *Caches) WithCapacity(max int) *Caches {
-	c.mu.Lock()
-	if max < 0 {
-		max = 0
-	}
-	c.capacity = max
-	dropped := c.evictOverCapacityLocked()
-	c.mu.Unlock()
-	c.noteEvictions(dropped, "capacity")
-	return c
-}
-
-// noteEvictions forwards an eviction count to the attached telemetry.
-func (c *Caches) noteEvictions(n int64, why string) {
-	if n > 0 {
-		t := c.tel.Load()
-		t.evictions.Add(n)
-		t.scope.Emit(telemetry.TraceCacheEvict, n, why)
-	}
-}
-
-// evictOverCapacityLocked drops least-recently-used entries, whichever
-// memo holds them, until the set fits the bound, returning how many were
-// dropped. Caller holds mu and reports the count to telemetry after
-// unlocking.
-func (c *Caches) evictOverCapacityLocked() int64 {
-	var dropped int64
-	for c.capacity > 0 && c.lenLocked() > c.capacity {
-		var (
-			evict  func()
-			oldest int64
-		)
-		for _, m := range [...]lruMemo{&c.packets, &c.stats, &c.solutions} {
-			if u, ev := m.oldest(); ev != nil && (evict == nil || u < oldest) {
-				evict, oldest = ev, u
-			}
-		}
-		evict()
-		dropped++
-	}
-	c.evictions.Add(dropped)
-	return dropped
 }
 
 // SERuns reports how many concolic explorations have been performed.
 func (c *Caches) SERuns() int64 { return c.seRuns.Load() }
 
 // Classes reports how many packet/stats equivalence classes discovery
-// has inserted into the memo so far (monotone; eviction does not
-// decrement it).
+// has inserted into the memo so far.
 func (c *Caches) Classes() int64 { return c.classes.Load() }
 
 // noteExploration counts one concolic discover run into SERuns and the
@@ -389,15 +249,15 @@ func (c *Caches) DiscoveredClasses() map[string]bool {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	out := make(map[string]bool, len(c.packets.m)+len(c.stats.m))
-	for k, n := range c.packets.m {
+	for k, hdrs := range c.packets.m {
 		prefix := fmt.Sprintf("pkt:h%d@%d.%d:%s:", int(k.host), int(k.loc.Sw), int(k.loc.Port), k.app.Hex())
-		for _, hdr := range n.val {
+		for _, hdr := range hdrs {
 			out[prefix+hdr.String()] = true
 		}
 	}
-	for k, n := range c.stats.m {
+	for k, vecs := range c.stats.m {
 		prefix := fmt.Sprintf("stats:sw%d:%s:", int(k.sw), k.app.Hex())
-		for _, v := range n.val {
+		for _, v := range vecs {
 			out[prefix+fmt.Sprintf("%v", v)] = true
 		}
 	}

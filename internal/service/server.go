@@ -15,8 +15,8 @@ import (
 )
 
 // Options configures a Server. The zero value is serviceable: two
-// workers, a 64-deep queue, a 4096-entry shared discover memo, no
-// artifact persistence and unbounded tenants.
+// workers, a 64-deep queue, a shared discover memo renewed past 4096
+// entries, no artifact persistence and unbounded tenants.
 type Options struct {
 	// Workers bounds concurrently running jobs (default 2).
 	Workers int
@@ -28,10 +28,13 @@ type Options struct {
 	// content-addressed JSON under this directory ("" = no artifacts).
 	ArtifactDir string
 
-	// CacheCapacity LRU-bounds the discover memo shared by every job
-	// (default 4096 entries; negative = unbounded). The memo is keyed
-	// by app-state digest, so jobs of the same scenario warm each
-	// other up while tenant churn cannot grow the process unboundedly.
+	// CacheCapacity bounds the discover memo the jobs share (default
+	// 4096 entries; negative = unbounded). The memo is keyed by
+	// app-state digest, so jobs of the same scenario warm each other
+	// up; a job that starts on a memo holding more than CacheCapacity
+	// entries starts a fresh one instead, so tenant churn cannot grow
+	// the process unboundedly. A running job keeps the memo it started
+	// on: no search ever loses an entry.
 	CacheCapacity int
 
 	// TenantMaxStates / TenantMaxTransitions are per-tenant drawdown
@@ -75,6 +78,7 @@ type serviceTelemetry struct {
 	streamClients    *telemetry.Gauge
 	sealed           *telemetry.Counter
 	historyBytes     *telemetry.Gauge
+	memoResets       *telemetry.Counter
 }
 
 func newServiceTelemetry(reg *telemetry.Registry) *serviceTelemetry {
@@ -94,17 +98,17 @@ func newServiceTelemetry(reg *telemetry.Registry) *serviceTelemetry {
 		streamClients:    sc.Gauge("stream_clients"),
 		sealed:           sc.Counter("jobs_sealed"),
 		historyBytes:     sc.Gauge("history_bytes"),
+		memoResets:       sc.Counter("memo_resets"),
 	}
 }
 
 // Server is the long-running checking service: a bounded worker pool
 // over a job queue, per-job event streams, per-tenant budgets, one
-// shared LRU-bounded discover memo, and an artifact store.
+// shared discover memo, and an artifact store.
 type Server struct {
 	opts  Options
 	reg   *telemetry.Registry
 	tel   *serviceTelemetry
-	cc    *core.Caches
 	store *artifactStore
 
 	baseCtx       context.Context
@@ -120,6 +124,7 @@ type Server struct {
 	nextID   int
 	queue    chan *job
 	tenants  map[string]*core.Drawdown // one shared pool per submitter
+	cc       *core.Caches              // the discover memo the next job starts on
 	shutdown bool
 	// Without an artifact store there is nothing to re-read a sealed
 	// job's violations from, so the keepBodies most recently finished
@@ -158,21 +163,18 @@ func New(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	cc := core.NewCaches().WithCapacity(opts.CacheCapacity)
-	cc.AttachTelemetry(reg)
-
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		opts:    opts,
 		reg:     reg,
 		tel:     tel,
-		cc:      cc,
 		store:   store,
 		baseCtx: ctx,
 		cancel:  cancel,
 		jobs:    make(map[string]*job),
 		queue:   make(chan *job, opts.QueueLimit),
 		tenants: make(map[string]*core.Drawdown),
+		cc:      core.NewCaches(),
 	}
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
@@ -185,8 +187,13 @@ func New(opts Options) (*Server, error) {
 // mux or snapshotting).
 func (s *Server) Telemetry() *telemetry.Registry { return s.reg }
 
-// Caches exposes the shared discover memo (tests observe its bound).
-func (s *Server) Caches() *core.Caches { return s.cc }
+// Caches exposes the discover memo the next job will start on (tests
+// observe its bound).
+func (s *Server) Caches() *core.Caches {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cc
+}
 
 // submitError distinguishes rejection classes for the HTTP layer.
 type submitError struct {
@@ -360,8 +367,16 @@ func (s *Server) runJob(j *job) {
 		return
 	}
 
+	// The job runs on the current memo unless that has outgrown the
+	// bound; then it starts a fresh one, and the jobs still running on
+	// the old memo keep it until they end.
 	s.mu.Lock()
 	tn := s.tenants[j.st.Tenant]
+	if limit := s.opts.CacheCapacity; limit > 0 && s.cc.Len() > limit {
+		s.cc = core.NewCaches()
+		s.tel.memoResets.Inc()
+	}
+	cc := s.cc
 	s.mu.Unlock()
 
 	// The job's own asks, capped by the server's per-job limits; Run
@@ -372,7 +387,7 @@ func (s *Server) runJob(j *job) {
 	if limit := s.opts.JobTimeout; limit > 0 && (search.Timeout == 0 || limit < search.Timeout) {
 		search.Timeout = limit
 	}
-	search.Caches, search.Telemetry, search.ProgressEvery = s.cc, s.reg, s.opts.ProgressEvery
+	search.Caches, search.Telemetry, search.ProgressEvery = cc, s.reg, s.opts.ProgressEvery
 	search.Observer = core.ObserverFuncs{Violation: j.violation, Progress: j.progress}
 
 	report, starved := search.Run(ctx, cfg, tn)

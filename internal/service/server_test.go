@@ -397,41 +397,105 @@ func TestServiceTenantBudgets(t *testing.T) {
 }
 
 // TestServiceChurnKeepsCacheBounded is the acceptance churn test:
-// three tenants submit a stream of distinct scenarios and the shared
-// discover memo stays at its LRU bound with live hit-rate telemetry.
+// three tenants submit a stream of distinct scenarios, and every job
+// starts on a discover memo of at most the server's capacity — the one
+// the last job left when that fits, a fresh one (a service.memo_resets)
+// when it does not — with live hit-rate telemetry. The jobs run one at a
+// time so the memo each one starts on is known.
 func TestServiceChurnKeepsCacheBounded(t *testing.T) {
 	const capacity = 4
 	s, ts := newTestServer(t, service.Options{
 		Workers:       2,
 		CacheCapacity: capacity,
 	})
-	var ids []string
+	var jobs, wantResets int64
 	for scale := 1; scale <= 3; scale++ {
 		for _, tenant := range []string{"t1", "t2", "t3"} {
+			before := s.Caches()
+			held := before.Len()
 			body := fmt.Sprintf(`{"scenario": "pingpong-se", "scale": %d}`, scale)
-			st := submit(t, ts, tenant, body)
-			ids = append(ids, st.ID)
+			collectStream(t, ts, submit(t, ts, tenant, body).ID)
+			jobs++
+			ran := s.Caches()
+			if held > capacity {
+				wantResets++
+				if ran == before {
+					t.Errorf("job %d started on a memo of %d entries, capacity %d", jobs, held, capacity)
+				}
+			} else if ran != before {
+				t.Errorf("job %d replaced a memo of %d entries, within capacity %d", jobs, held, capacity)
+			}
 		}
 	}
-	for _, id := range ids {
-		collectStream(t, ts, id)
-	}
 
-	if got := s.Caches().Len(); got > capacity {
-		t.Errorf("shared memo holds %d entries after churn, want <= %d", got, capacity)
+	snap := s.Telemetry().Snapshot()
+	if got := snap.Counter("service.memo_resets"); got != wantResets || got == 0 {
+		t.Errorf("service.memo_resets = %d, want %d (> 0)", got, wantResets)
 	}
 	hits, misses := s.Caches().HitCounts()
 	if hits+misses == 0 {
 		t.Error("cache hit-rate telemetry not observable: no lookups recorded")
 	}
-	// Every miss inserts an entry; more inserts than capacity means the
-	// LRU must have evicted.
-	if misses > capacity && s.Caches().Evictions() == 0 {
-		t.Errorf("%d inserts at capacity %d produced no evictions", misses, capacity)
+	if got := snap.Counter("service.jobs_completed"); got != jobs {
+		t.Errorf("service.jobs_completed = %d, want %d", got, jobs)
 	}
-	snap := s.Telemetry().Snapshot()
-	if got := snap.Counter("service.jobs_completed"); got != int64(len(ids)) {
-		t.Errorf("service.jobs_completed = %d, want %d", got, len(ids))
+}
+
+// TestServiceMemoBoundKeepsVerdicts: a memory bound far below one
+// search's working set still finds every violation, on one worker and
+// on two, while the server's two workers share or replace the memo
+// between jobs. A bound that drops entries during a search loses
+// bug-ii's violation in a third of such jobs: a frontier engine admits
+// a state while its discover result is cached and enumerates it after
+// the entry is gone. Verdicts are judged by the stop reason because a
+// server without an artifact store releases the violation bodies of
+// older jobs.
+func TestServiceMemoBoundKeepsVerdicts(t *testing.T) {
+	s, _ := startServer(t, service.Options{Workers: 2, CacheCapacity: 1})
+	const jobs = 50
+	for i := 0; i < jobs; i++ {
+		if _, err := s.Submit("", &service.JobRequest{Scenario: "bug-ii", Workers: 1 + i%2}); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	var sts []service.JobStatus
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(10 * time.Millisecond) {
+		sts = s.Jobs()
+		done := 0
+		for _, st := range sts {
+			if st.State == service.StateDone || st.State == service.StateError || st.State == service.StateCanceled {
+				done++
+			}
+		}
+		if done == jobs {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d jobs finished within a minute", done, jobs)
+		}
+	}
+	missed := 0
+	for _, st := range sts {
+		if st.State != service.StateDone || st.Result == nil || st.Result.StopReason != "violation" {
+			missed++
+			if st.Result != nil {
+				t.Errorf("%s (workers %d): %s, stop reason %q; want a violation", st.ID, st.Request.Workers, st.State, st.Result.StopReason)
+			} else {
+				t.Errorf("%s (workers %d): %s %s; want a violation", st.ID, st.Request.Workers, st.State, st.Error)
+			}
+			continue
+		}
+		for _, v := range st.Result.Violations {
+			if v.Property != "StrictDirectPaths" {
+				t.Errorf("%s: violated %s, want StrictDirectPaths", st.ID, v.Property)
+			}
+		}
+	}
+	if missed > 0 {
+		t.Errorf("%d of %d bug-ii jobs missed the violation", missed, jobs)
+	}
+	if got := s.Telemetry().Snapshot().Counter("service.memo_resets"); got == 0 {
+		t.Error("service.memo_resets = 0 at capacity 1; the bound never replaced the memo")
 	}
 }
 

@@ -161,6 +161,8 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	tracer   tracer
+	// credited is the CreditOnce ledger.
+	credited map[any]bool
 }
 
 // New builds an empty registry with the default trace capacity.
@@ -222,6 +224,27 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 		r.hists[name] = h
 	}
 	return h
+}
+
+// CreditOnce reports whether source is new to this registry, and
+// records it. A source that folds its running totals into each registry
+// it is attached to asks first, so every registry credits it once; the
+// ledger lives and dies with the registry, and holds source (a
+// comparable key) for as long. Nil-safe (false).
+func (r *Registry) CreditOnce(source any) bool {
+	if r == nil {
+		return false
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.credited[source] {
+		return false
+	}
+	if r.credited == nil {
+		r.credited = make(map[any]bool)
+	}
+	r.credited[source] = true
+	return true
 }
 
 // Emit appends one trace event to the bounded stream (no-op on nil).

@@ -108,6 +108,22 @@ func TestScopePrefixing(t *testing.T) {
 	}
 }
 
+// TestCreditOnce: a source is credited to a registry once, each
+// registry keeps its own ledger, and a nil registry credits nothing.
+func TestCreditOnce(t *testing.T) {
+	a, b := New(), New()
+	if !a.CreditOnce(1) || a.CreditOnce(1) {
+		t.Error("source 1 credited to a other than exactly once")
+	}
+	if !a.CreditOnce(2) || !b.CreditOnce(1) {
+		t.Error("a new source, or a new registry, was not credited")
+	}
+	var nilReg *Registry
+	if nilReg.CreditOnce(1) {
+		t.Error("nil registry credited a source")
+	}
+}
+
 // TestTraceRing: sequence numbers are monotonic and the ring evicts
 // oldest-first at capacity.
 func TestTraceRing(t *testing.T) {

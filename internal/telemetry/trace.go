@@ -21,9 +21,6 @@ const (
 	TraceExpandBatch TraceKind = "expand-batch"
 	// TraceViolation marks a property violation as it is recorded.
 	TraceViolation TraceKind = "violation"
-	// TraceCacheEvict marks discover-cache entries dropped by the LRU
-	// capacity bound; N is the entry count evicted.
-	TraceCacheEvict TraceKind = "cache-evict"
 	// TraceBudget marks a budget or cancellation drawdown aborting a
 	// search; the note names the stop reason, N the transition count at
 	// abort.
@@ -42,8 +39,8 @@ type TraceEvent struct {
 	Scope string `json:"scope,omitempty"`
 	// Kind classifies the event.
 	Kind TraceKind `json:"kind"`
-	// N is the kind-specific magnitude (transitions in a batch, entries
-	// evicted, ...).
+	// N is the kind-specific magnitude (transitions in a batch, the
+	// unique-state total at stop, ...).
 	N int64 `json:"n,omitempty"`
 	// Note is the kind-specific detail (stop reason, violation
 	// property, job label, ...).

@@ -286,7 +286,6 @@ func TestCampaignTelemetryAndResults(t *testing.T) {
 			{Scenario: "bug-iii"},
 		},
 		ShareCaches: true,
-		CachePrune:  1, // trim between sequential jobs: evictions must trace
 		Telemetry:   nice.NewTelemetry(),
 	}
 	report := c.Run(context.Background())
@@ -323,22 +322,5 @@ func TestCampaignTelemetryAndResults(t *testing.T) {
 	report.WriteText(&text)
 	if !strings.Contains(text.String(), "hit%") {
 		t.Error("run-all table lost the cache hit-rate column")
-	}
-
-	// The trim's evictions are counted and traced where the job's engine
-	// metrics go — here one registry the caller owns.
-	reg := nice.NewTelemetry()
-	bounded := &nice.Campaign{Jobs: c.Jobs, ShareCaches: true, CachePrune: 1}
-	if r := bounded.Run(context.Background(), nice.WithTelemetry(reg)); !r.OK() {
-		t.Fatalf("bounded campaign not OK: %+v", r.Results)
-	}
-	snap = reg.Snapshot()
-	traced := false
-	for _, ev := range snap.Trace {
-		traced = traced || (ev.Kind == nice.TraceCacheEvict && ev.Note == "capacity")
-	}
-	if snap.Counter("cache.evictions") == 0 || !traced {
-		t.Errorf("CachePrune 1: cache.evictions = %d, capacity %s traced = %v",
-			snap.Counter("cache.evictions"), nice.TraceCacheEvict, traced)
 	}
 }

@@ -22,8 +22,7 @@ type (
 	// read back by LoadTelemetrySnapshot.
 	TelemetrySnapshot = telemetry.Snapshot
 	// TraceEvent is one entry of the structured trace stream (search
-	// start/stop, expansion batches, violations, cache evictions, budget
-	// drawdowns).
+	// start/stop, expansion batches, violations, budget drawdowns).
 	TraceEvent = telemetry.TraceEvent
 	// TraceKind tags a TraceEvent.
 	TraceKind = telemetry.TraceKind
@@ -35,7 +34,6 @@ const (
 	TraceSearchStop  = telemetry.TraceSearchStop
 	TraceExpandBatch = telemetry.TraceExpandBatch
 	TraceViolation   = telemetry.TraceViolation
-	TraceCacheEvict  = telemetry.TraceCacheEvict
 	TraceBudget      = telemetry.TraceBudget
 )
 
