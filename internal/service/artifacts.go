@@ -35,11 +35,16 @@ func artifactID(data []byte) string {
 }
 
 // put writes data and returns its content address. Re-putting
-// identical content is a no-op returning the same ID.
+// identical content keeps the file already there and returns the same
+// ID; a file of another size than data was damaged and is written
+// again (get removes one whose bytes were altered in place).
 func (s *artifactStore) put(data []byte) (string, error) {
 	id := artifactID(data)
 	path := s.path(id)
-	if _, err := os.Stat(path); err == nil {
+	if fi, err := os.Stat(path); err == nil && fi.Size() == int64(len(data)) {
+		if s.tel != nil {
+			s.tel.artifactsReused.Inc()
+		}
 		return id, nil
 	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -71,13 +76,16 @@ func (s *artifactStore) put(data []byte) (string, error) {
 }
 
 // get returns an artifact's bytes by content address, and only bytes
-// that still hash to it: a truncated or altered file is an error.
+// that still hash to it: a truncated or altered file is an error, and
+// is removed so that the next put of that content writes it afresh.
 func (s *artifactStore) get(id string) ([]byte, error) {
 	if !validArtifactID(id) {
 		return nil, fmt.Errorf("invalid artifact id %q", id)
 	}
 	data, err := os.ReadFile(s.path(id))
 	if err == nil && artifactID(data) != id {
+		// Should the remove fail, the next read finds the file again.
+		os.Remove(s.path(id))
 		err = fmt.Errorf("artifact %s: content does not match its name", id)
 	}
 	return data, err

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -75,6 +76,7 @@ type serviceTelemetry struct {
 	queueWait        *telemetry.Histogram
 	artifactsWritten *telemetry.Counter
 	artifactBytes    *telemetry.Counter
+	artifactsReused  *telemetry.Counter
 	streamClients    *telemetry.Gauge
 	sealed           *telemetry.Counter
 	historyBytes     *telemetry.Gauge
@@ -95,6 +97,7 @@ func newServiceTelemetry(reg *telemetry.Registry) *serviceTelemetry {
 		queueWait:        sc.Histogram("queue_wait_ms", []int64{1, 10, 100, 1000, 10000}),
 		artifactsWritten: sc.Counter("artifacts_written"),
 		artifactBytes:    sc.Counter("artifact_bytes"),
+		artifactsReused:  sc.Counter("artifacts_reused"),
 		streamClients:    sc.Gauge("stream_clients"),
 		sealed:           sc.Counter("jobs_sealed"),
 		historyBytes:     sc.Gauge("history_bytes"),
@@ -419,8 +422,10 @@ func (s *Server) runJob(j *job) {
 
 // persistArtifacts writes one trace artifact per violation plus the
 // job's telemetry snapshot, recording their content addresses on the
-// result. Artifact failures degrade to an unpersisted result — the
-// stream still carries the violations — rather than failing the job.
+// result. A trace artifact names no job or tenant, so a violation found
+// before, by any job, resolves to the file already stored. Artifact
+// failures degrade to an unpersisted result — the stream still carries
+// the violations — rather than failing the job.
 func (s *Server) persistArtifacts(j *job, result *JobResult) {
 	if s.store == nil {
 		return
@@ -428,21 +433,24 @@ func (s *Server) persistArtifacts(j *job, result *JobResult) {
 	for i := range result.Violations {
 		ta := TraceArtifact{
 			Version:   WireVersion,
-			Job:       j.st.ID,
-			Tenant:    j.st.Tenant,
 			Request:   j.st.Request,
 			Violation: result.Violations[i],
 		}
 		// Keep TraceArtifacts index-aligned with Violations even if a
 		// write fails: the placeholder is the empty string.
 		id := ""
-		if data, err := json.MarshalIndent(ta, "", " "); err == nil {
+		if data, err := json.Marshal(ta); err == nil {
 			id, _ = s.store.put(data)
 		}
 		result.TraceArtifacts = append(result.TraceArtifacts, id)
 	}
-	if snap, err := json.Marshal(s.reg.Snapshot()); err == nil {
-		if id, err := s.store.put(snap); err == nil {
+	// Of the registry's trace ring, the snapshot keeps the job's window:
+	// the events emitted since it started.
+	snap := s.reg.Snapshot()
+	start := j.st.StartedAt.UnixNano()
+	snap.Trace = slices.DeleteFunc(snap.Trace, func(ev telemetry.TraceEvent) bool { return ev.WallNS < start })
+	if data, err := json.Marshal(snap); err == nil {
+		if id, err := s.store.put(data); err == nil {
 			result.TelemetryArtifact = id
 		}
 	}

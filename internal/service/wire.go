@@ -56,9 +56,11 @@ type JobResult struct {
 	ElapsedMS int64 `json:"elapsed_ms"`
 
 	// TraceArtifacts are the content-addressed IDs of the persisted
-	// violation traces, index-aligned with Violations;
-	// TelemetryArtifact the job's telemetry snapshot. Empty when the
-	// server runs without an artifact directory.
+	// violation traces, index-aligned with Violations; a violation any
+	// job found before with the same trace has the same ID.
+	// TelemetryArtifact is the job's telemetry snapshot: the registry's
+	// series when the job ended and the trace events from its StartedAt
+	// on. Empty when the server runs without an artifact directory.
 	TraceArtifacts    []string `json:"trace_artifacts,omitempty"`
 	TelemetryArtifact string   `json:"telemetry_artifact,omitempty"`
 }
@@ -221,10 +223,12 @@ func encodeProgress(p core.Progress) *WireProgress {
 
 // TraceArtifact is the persisted, replayable form of one violation:
 // the original request (so the scenario rebuilds identically) plus the
-// wire-encoded trace. ReplayArtifact re-executes it.
+// wire-encoded trace. ReplayArtifact re-executes it. The server writes
+// neither Job nor Tenant, so every job that finds the same violation
+// shares one document; older documents that carry them still decode.
 type TraceArtifact struct {
 	Version   int           `json:"version"`
-	Job       string        `json:"job"`
+	Job       string        `json:"job,omitempty"`
 	Tenant    string        `json:"tenant,omitempty"`
 	Request   JobRequest    `json:"request"`
 	Violation WireViolation `json:"violation"`
