@@ -2,7 +2,7 @@
 // package comment, every relative markdown link (including its heading
 // anchor) must resolve, every markdown file a source or document names
 // must exist, the telemetry reference must list the trace kinds and
-// service series the code has, and nothing may name the measurement
+// every scope's series the code has, and nothing may name the measurement
 // stack that benchmark/ replaced. All run as ordinary tests so CI's docs job fails
 // the moment a package, a link or a description goes stale.
 package nice_test
@@ -25,6 +25,7 @@ import (
 	"github.com/nice-go/nice"
 	"github.com/nice-go/nice/internal/service"
 	"github.com/nice-go/nice/internal/telemetry"
+	"github.com/nice-go/nice/scenarios"
 )
 
 // lintSkipDirs are subtrees the package-doc lint does not descend
@@ -264,14 +265,17 @@ func TestRequestFieldsDocumented(t *testing.T) {
 }
 
 // TestTelemetryNamesDocumented: docs/METRICS.md's trace table lists
-// exactly the telemetry.TraceKind constants, and its `service` table
-// exactly the series a server registers, so a kind or series added or
-// retired in code cannot leave the reference behind.
+// exactly the telemetry.TraceKind constants, and each scope's table
+// exactly the series the code registers in it — the engine table once
+// per engine, then `cow`, `cache`, `sym`, `dpor`, `campaign` and
+// `service` — so a kind or series added, renamed or retired in code
+// cannot leave the reference behind.
 func TestTelemetryNamesDocumented(t *testing.T) {
-	doc, err := os.ReadFile("docs/METRICS.md")
+	data, err := os.ReadFile("docs/METRICS.md")
 	if err != nil {
 		t.Fatal(err)
 	}
+	doc := string(data)
 
 	f, err := parser.ParseFile(token.NewFileSet(), "internal/telemetry/trace.go", nil, 0)
 	if err != nil {
@@ -297,7 +301,7 @@ func TestTelemetryNamesDocumented(t *testing.T) {
 			}
 		}
 	}
-	sameNames(t, "trace kinds", kinds, mdTableNames(string(doc), "## The trace ring"))
+	sameNames(t, "trace kinds", kinds, mdTableNames(doc, "## The trace ring"))
 
 	reg := telemetry.New()
 	s, err := service.New(service.Options{Telemetry: reg})
@@ -307,20 +311,60 @@ func TestTelemetryNamesDocumented(t *testing.T) {
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	sameNames(t, "service series", seriesByScope(reg)["service"], mdTableNames(doc, "## Scope `service`"))
+
+	// Every other scope, on one registry: bug-ii under each engine, under
+	// DPOR on both exhaustive engines, and as a one-job Campaign.
+	reg = nice.NewTelemetry()
+	ctx := context.Background()
+	bug := func() *nice.Config { return scenarios.MustLookup("bug-ii").Config(0) }
+	for _, e := range nice.EngineSpecs() {
+		nice.Run(ctx, bug(), nice.WithEngine(e.New()), nice.WithTelemetry(reg))
+	}
+	for _, workers := range []int{1, 2} {
+		nice.Run(ctx, bug(), nice.WithWorkers(workers), nice.WithReduction(nice.DPOR), nice.WithTelemetry(reg))
+	}
+	(&nice.Campaign{Jobs: []nice.CampaignJob{{Scenario: "bug-ii"}}, Telemetry: reg}).Run(ctx, nice.WithTelemetry(reg))
+	scopes := seriesByScope(reg)
+	engine := mdTableNames(doc, "## Engine scopes")
+	for _, e := range nice.EngineSpecs() {
+		sameNames(t, e.Name+" series", scopes[e.Name], engine)
+		delete(scopes, e.Name)
+	}
+	for _, scope := range []string{"cow", "cache", "sym", "dpor", "campaign"} {
+		sameNames(t, scope+" series", scopes[scope], mdTableNames(doc, "## Scope `"+scope+"`"))
+		delete(scopes, scope)
+	}
+	for scope := range scopes {
+		t.Errorf("scope %q has no table in docs/METRICS.md", scope)
+	}
+}
+
+// seriesByScope lists a registry's series names by scope, the scope
+// prefix cut off; campaign outcome counters read as the documented
+// `outcome_<class>`.
+func seriesByScope(reg *telemetry.Registry) map[string][]string {
 	snap := reg.Snapshot()
-	var series []string
-	for _, names := range []map[string]int64{snap.Counters, snap.Gauges} {
-		for name := range names {
-			series = append(series, name)
+	var names []string
+	for _, series := range []map[string]int64{snap.Counters, snap.Gauges} {
+		for name := range series {
+			names = append(names, name)
 		}
 	}
 	for name := range snap.Histograms {
-		series = append(series, name)
+		names = append(names, name)
 	}
-	for i, name := range series {
-		series[i] = strings.TrimPrefix(name, "service.")
+	scopes := make(map[string][]string)
+	for _, name := range names {
+		scope, series, _ := strings.Cut(name, ".")
+		if scope == "campaign" && strings.HasPrefix(series, "outcome_") {
+			series = "outcome_<class>"
+		}
+		if !slices.Contains(scopes[scope], series) {
+			scopes[scope] = append(scopes[scope], series)
+		}
 	}
-	sameNames(t, "service series", series, mdTableNames(string(doc), "## Scope `service`"))
+	return scopes
 }
 
 var backquotedRE = regexp.MustCompile("`([^`]+)`")

@@ -1,12 +1,17 @@
-// Decision pinning for dynamic partial-order reduction: the parity
-// suite (dpor_parity_test.go) holds the reduced search to the unreduced
+// Decision pinning for dynamic partial-order reduction: the invariance
+// matrix (invariance_test.go) holds the reduced search to the unreduced
 // verdict, which a change to the reduction's bookkeeping can keep while
 // still deciding differently — one more backtrack point, one fewer
-// sleep hit. This test pins the decisions themselves: on every
-// registered scenario and on the benchmark's linear one-way shape, the
-// sequential reduced search must reproduce the recorded counts of
-// states, transitions, revisits and violations and the four dpor.*
-// telemetry counters to the last digit.
+// sleep hit. TestDPORDecisionsGolden pins the decisions themselves: on
+// every registered scenario and on the benchmark's linear one-way
+// shape, the sequential reduced search must reproduce the recorded
+// counts of states, transitions, revisits and violations and the four
+// dpor.* telemetry counters to the last digit.
+//
+// TestDPORReductionFloor then holds the reduction to its purpose on the
+// disjoint-flow shapes it is built for: the same verdict from at most
+// 70 % of the unreduced search's unique states — a within-run ratio of
+// two counts, so it needs neither a clock nor a recorded baseline.
 package nice_test
 
 import (
@@ -72,11 +77,19 @@ func linearPings(n int, oneWay, micro bool) *nice.Config {
 		DisableSE:  true, MicroSteps: micro}
 }
 
-func dporDecide(cfg *nice.Config) dporDecisions {
+// dporCaps bounds a golden row's search below the default 60 000
+// states where the smaller cap pins the same decisions: the fat tree's
+// reduction takes no sleep hit and prunes nothing at either cap.
+var dporCaps = map[string]int64{"pyswitch-fattree": 5000}
+
+func dporDecide(cfg *nice.Config, maxStates int64) dporDecisions {
+	if maxStates == 0 {
+		maxStates = 60000
+	}
 	cfg.StopAtFirstViolation = false
 	reg := nice.NewTelemetry()
 	r := nice.Run(context.Background(), cfg, nice.WithReduction(nice.DPOR),
-		nice.WithMaxStates(60000), nice.WithTelemetry(reg))
+		nice.WithMaxStates(maxStates), nice.WithTelemetry(reg))
 	snap := reg.Snapshot()
 	return dporDecisions{
 		UniqueStates: r.UniqueStates, Transitions: r.Transitions,
@@ -110,7 +123,7 @@ func TestDPORDecisionsGolden(t *testing.T) {
 	if *updateDPORGolden {
 		got := make(map[string]dporDecisions, len(workloads))
 		for _, w := range workloads {
-			got[w.name] = dporDecide(w.build())
+			got[w.name] = dporDecide(w.build(), dporCaps[w.name])
 		}
 		data, err := json.MarshalIndent(got, "", " ")
 		if err != nil {
@@ -141,9 +154,44 @@ func TestDPORDecisionsGolden(t *testing.T) {
 			if !ok {
 				t.Fatalf("no golden row; record one with -update-dpor-golden")
 			}
-			if got := dporDecide(w.build()); got != row {
+			if got := dporDecide(w.build(), dporCaps[w.name]); got != row {
 				t.Errorf("reduction decided differently:\n got  %+v\n want %+v", got, row)
 			}
+		})
+	}
+}
+
+func TestDPORReductionFloor(t *testing.T) {
+	for _, shape := range []struct {
+		name          string
+		n             int
+		oneWay, micro bool
+	}{
+		{name: "linear4-oneway", n: 4, oneWay: true},
+		{name: "linear3-pairs", n: 3},
+		{name: "linear3-pairs-micro", n: 3, micro: true},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			t.Parallel()
+			// Symbolic execution is off, so state identity needs no
+			// warm discover caches.
+			run := func(opts ...nice.RunOption) *nice.Report {
+				return nice.Run(context.Background(),
+					linearPings(shape.n, shape.oneWay, shape.micro), opts...)
+			}
+			full, red := run(), run(nice.WithReduction(nice.DPOR))
+			if !full.Complete || !red.Complete {
+				t.Fatalf("search cut short: full %q, reduced %q", full.StopReason, red.StopReason)
+			}
+			if violationsSHA256(full) != violationsSHA256(red) {
+				t.Errorf("DPOR violations %v != unreduced %v", violationKeys(red), violationKeys(full))
+			}
+			if float64(red.UniqueStates) > 0.70*float64(full.UniqueStates) {
+				t.Errorf("DPOR explored %d of %d unique states, floor is 70%%",
+					red.UniqueStates, full.UniqueStates)
+			}
+			t.Logf("states %d -> %d (%.2f)", full.UniqueStates, red.UniqueStates,
+				float64(red.UniqueStates)/float64(full.UniqueStates))
 		})
 	}
 }

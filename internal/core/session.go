@@ -32,6 +32,7 @@ type Session struct {
 	Steals      atomic.Int64
 
 	name   string
+	ctx    context.Context
 	cfg    *Config
 	eo     EngineOptions // Caches always set
 	tel    *SearchTelemetry
@@ -78,7 +79,7 @@ func Begin(ctx context.Context, name string, cfg *Config, eo EngineOptions, onSt
 		eo.Caches = NewCaches()
 	}
 	s := &Session{
-		name: name, cfg: cfg, eo: eo, onStop: onStop,
+		name: name, ctx: ctx, cfg: cfg, eo: eo, onStop: onStop,
 		start:  time.Now(),
 		tel:    newSearchTelemetry(eo.Telemetry, name),
 		sysTel: newSystemTelemetry(eo.Telemetry),
@@ -167,7 +168,9 @@ func (s *Session) Admit(depth int) {
 // Record registers a violation: a new property+error key is counted and
 // streamed to the Observer exactly once (see violationSet for which
 // trace is kept). Like the paper's checker, the search stops on every
-// recorded violation, new key or not, when the config asks.
+// recorded violation, new key or not, when the config asks. An Observer
+// that cancels the search's context is obeyed before the engine's next
+// step, not whenever the context watcher gets scheduled.
 func (s *Session) Record(v Violation) {
 	if s.viols.add(v) {
 		s.tel.violation(v.Property)
@@ -177,6 +180,9 @@ func (s *Session) Record(v Violation) {
 	}
 	if s.cfg.StopAtFirstViolation {
 		s.Abort(StopViolation)
+	}
+	if s.ctx.Err() != nil {
+		s.Abort(contextStopReason(s.ctx))
 	}
 }
 

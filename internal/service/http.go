@@ -56,10 +56,19 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
 }
 
+// maxRequestBytes bounds a submission body, read before it is
+// validated: a spec naming and listing all scenarios.MaxHosts hosts of
+// a star is ~67 KB, so 1 MiB leaves room for long names.
+const maxRequestBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req, err := DecodeJobRequest(r.Body)
+	req, err := DecodeJobRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, err.Error())
 		return
 	}
 	j, err := s.Submit(r.Header.Get(TenantHeader), req)

@@ -191,16 +191,22 @@ func (r *JobRequest) Resolve() (*core.Config, search.Job, error) {
 	return cfg, job, nil
 }
 
-// DecodeJobRequest parses a submission body, rejecting unknown fields;
-// Resolve (which Server.Submit calls) validates the rest.
+// DecodeJobRequest parses a submission body, rejecting unknown fields
+// and anything but white space after the request object; Resolve
+// (which Server.Submit calls) validates the rest.
 func DecodeJobRequest(r io.Reader) (*JobRequest, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var req JobRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("request: %w", err)
+	err := dec.Decode(&req)
+	if err == nil {
+		if err = dec.Decode(new(json.RawMessage)); err == nil {
+			err = errors.New("a second JSON value follows the request object")
+		} else if err == io.EOF {
+			return &req, nil
+		}
 	}
-	return &req, nil
+	return nil, fmt.Errorf("request: %w", err)
 }
 
 func fieldErr(field, format string, args ...any) *scenarios.FieldError {

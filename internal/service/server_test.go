@@ -575,6 +575,47 @@ func TestServiceRejections(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyBounded: the server stops reading a submission one byte
+// past 1 MiB and answers 413 before decoding it, and a body carries one
+// JSON value; the largest topology a spec may build, every host listed
+// and named, still fits.
+func TestSubmitBodyBounded(t *testing.T) {
+	_, ts := newTestServer(t, service.Options{Workers: 1})
+
+	const limit = 1 << 20
+	pad := func(n int) string {
+		body := `{"scenario": "bug-ii", "max_states": 10}`
+		return body[:1] + strings.Repeat(" ", n-len(body)) + body[1:]
+	}
+	if _, code, msg := trySubmit(t, ts, "", pad(limit+1)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("body of %d bytes: %d %q, want 413", limit+1, code, msg)
+	}
+	submit(t, ts, "", pad(limit))
+	if _, code, msg := trySubmit(t, ts, "", `{"scenario":"bug-ii"} {"scenario":"bug-iii"}`); code != http.StatusBadRequest {
+		t.Errorf("two JSON values: %d %q, want 400", code, msg)
+	}
+
+	spec := scenarios.WireSpec{
+		Version: 1, Name: "star-max",
+		Topology:   scenarios.WireTopology{Kind: "star", HostCount: scenarios.MaxHosts},
+		App:        scenarios.WireApp{Name: "pyswitch"},
+		Properties: []string{"StrictDirectPaths"}, DisableSE: true,
+	}
+	for i := 1; i <= scenarios.MaxHosts; i++ {
+		name := fmt.Sprintf("host-%04d", i)
+		spec.Topology.Names = append(spec.Topology.Names, name)
+		spec.Hosts = append(spec.Hosts, scenarios.WireHost{Name: name, Reply: "echo", ReplyBudget: 1})
+	}
+	spec.Hosts[0] = scenarios.WireHost{Name: "host-0001", Sends: 1, SendTo: "host-1024"}
+	data, err := json.Marshal(map[string]any{"max_states": 10, "spec": spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := string(data)
+	t.Logf("%d-host star spec: %d bytes", scenarios.MaxHosts, len(body))
+	submit(t, ts, "", body)
+}
+
 // TestRequestBoundsWorkerPools: a pool of a billion workers would be a
 // billion goroutines and deques — an out-of-memory crash no recover
 // catches. The server answers 400 instead and runs the next job.

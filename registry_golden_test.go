@@ -8,14 +8,10 @@ package nice_test
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
-	"strings"
 	"testing"
 
 	"github.com/nice-go/nice"
@@ -106,14 +102,8 @@ func (c registryCell) record(t *testing.T) registryRow {
 	cfg := c.build(t)
 	cfg.StopAtFirstViolation = false
 	r := nice.Run(context.Background(), cfg, nice.WithMaxStates(registryCap))
-	keys := make([]string, len(r.Violations))
-	for i, v := range r.Violations {
-		keys[i] = v.Property + "|" + v.Err.Error()
-	}
-	sort.Strings(keys)
-	sum := sha256.Sum256([]byte(strings.Join(keys, "\n")))
 	return registryRow{Fingerprint: root, UniqueStates: r.UniqueStates,
-		Transitions: r.Transitions, Violations: hex.EncodeToString(sum[:])}
+		Transitions: r.Transitions, Violations: violationsSHA256(r)}
 }
 
 func TestRegistryGolden(t *testing.T) {

@@ -87,6 +87,13 @@ func TestRunCancelSequential(t *testing.T) {
 		t.Errorf("canceled search ran %d transitions, full search runs %d — not partial",
 			report.Transitions, full.Transitions)
 	}
+	// The cancel is obeyed before the engine's next step: the search ends
+	// exactly where one that stops at its first violation does.
+	first := nice.Run(context.Background(), scenarios.MustLookup("bug-ii").Config(0))
+	if report.UniqueStates != first.UniqueStates || report.Transitions != first.Transitions {
+		t.Errorf("canceled search ran %d states/%d transitions, one stopping at its first violation %d/%d",
+			report.UniqueStates, report.Transitions, first.UniqueStates, first.Transitions)
+	}
 	replayAll(t, fullBugII, report)
 }
 
