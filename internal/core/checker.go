@@ -103,9 +103,9 @@ type Checker struct {
 	// the same depth can reuse one buffer.
 	transBufs [][]Transition
 	// trace is the DFS path stack: one mutable slice pushed/popped per
-	// frame. Violations snapshot it (cloneTrace) — copying the whole
-	// prefix per explored transition was nearly half of all bytes the
-	// search allocated.
+	// frame — copying the whole prefix per explored transition was
+	// nearly half of all bytes the search allocated. Violations pass it
+	// by reference; the session copies it only when it keeps the trace.
 	trace []Transition
 
 	// Reduction-layer state (dpor.go, dpor_dfs.go), populated only when
@@ -194,7 +194,7 @@ func (c *Checker) dfs(sys *System) {
 	if len(enabled) == 0 {
 		for _, f := range sys.CheckQuiescence() {
 			s.Record(Violation{Property: f.Property, Err: f.Err,
-				Trace: cloneTrace(c.trace), Quiescence: true})
+				Trace: c.trace, Quiescence: true})
 			if s.Stopped() {
 				return
 			}
@@ -206,28 +206,33 @@ func (c *Checker) dfs(sys *System) {
 		return
 	}
 
-	for _, t := range enabled {
+	last := len(enabled) - 1
+	for i, t := range enabled {
 		if s.Stopped() || !s.Reserve() {
 			return
 		}
-		child := sys.Clone()
+		// The last successor is sys itself: the reclaims gave sys back
+		// what it owned, so applying in place writes that uncopied.
+		child, epoch := sys, uint64(0)
+		if i < last {
+			child, epoch = sys.lend()
+		}
 		events := child.ApplyInto(t, c.eventBuf)
 		c.eventBuf = events
 		c.trace = append(c.trace, t)
 
 		violated := false
 		for _, f := range child.CheckEvents(events) {
-			s.Record(Violation{Property: f.Property, Err: f.Err,
-				Trace: cloneTrace(c.trace)})
+			s.Record(Violation{Property: f.Property, Err: f.Err, Trace: c.trace})
 			violated = true
 		}
-		if violated {
-			// The paper's checker saves the error and trace and does
-			// not explore past a violating state.
-			child.Release()
-		} else {
+		// The paper's checker saves the error and trace and does not
+		// explore past a violating state.
+		if !violated {
 			c.dfs(child)
-			child.Release()
+		}
+		if i < last {
+			sys.reclaim(child, epoch)
 		}
 		c.trace = c.trace[:len(c.trace)-1]
 	}

@@ -446,7 +446,7 @@ func (c *Checker) dporVisit(sys *System, sleep []SleepEntry) dporSummary {
 	if len(enabled) == 0 {
 		for _, f := range sys.CheckQuiescence() {
 			c.s.Record(Violation{Property: f.Property, Err: f.Err,
-				Trace: cloneTrace(c.trace), Quiescence: true})
+				Trace: c.trace, Quiescence: true})
 			if c.s.Stopped() {
 				return c.storeSummary(h, node, c.globalSummary())
 			}
@@ -573,8 +573,7 @@ func (c *Checker) dporExpand(sys *System, depth int, enabled []Transition, sleep
 
 		violated := false
 		for _, fail := range child.CheckEvents(events) {
-			c.s.Record(Violation{Property: fail.Property, Err: fail.Err,
-				Trace: cloneTrace(c.trace)})
+			c.s.Record(Violation{Property: fail.Property, Err: fail.Err, Trace: c.trace})
 			violated = true
 		}
 		fpID := c.fpt.intern(fp)

@@ -166,16 +166,17 @@ func (s *Session) Admit(depth int) {
 }
 
 // Record registers a violation: a new property+error key is counted and
-// streamed to the Observer exactly once (see violationSet for which
-// trace is kept). Like the paper's checker, the search stops on every
-// recorded violation, new key or not, when the config asks. An Observer
-// that cancels the search's context is obeyed before the engine's next
-// step, not whenever the context watcher gets scheduled.
+// streamed to the Observer exactly once, as held (see violationSet for
+// which trace is kept); the caller may reuse v.Trace once Record
+// returns. Like the paper's checker, the search stops on every recorded
+// violation, new key or not, when the config asks. An Observer that
+// cancels the search's context is obeyed before the engine's next step,
+// not whenever the context watcher gets scheduled.
 func (s *Session) Record(v Violation) {
-	if s.viols.add(v) {
-		s.tel.violation(v.Property)
+	if held, isNew := s.viols.add(v); isNew {
+		s.tel.violation(held.Property)
 		if s.eo.Observer != nil {
-			s.eo.Observer.OnViolation(v)
+			s.eo.Observer.OnViolation(held)
 		}
 	}
 	if s.cfg.StopAtFirstViolation {

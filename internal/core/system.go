@@ -217,6 +217,21 @@ func (s *System) Clone() *System {
 	return c
 }
 
+// lend forks s for the sequential DFS, returning the epoch s held
+// before the fork for reclaim.
+func (s *System) lend() (*System, uint64) {
+	epoch := s.epoch
+	return s.Clone(), epoch
+}
+
+// reclaim releases fork, lent at epoch, and returns s to that epoch (the
+// reclaim rule of internal/cow): the caller asserts every fork made from
+// fork is released too, so s again owns what it owned then.
+func (s *System) reclaim(fork *System, epoch uint64) {
+	fork.Release()
+	s.epoch = epoch
+}
+
 // systemPool recycles System structs and their component-pointer slice
 // backings across forks: under copy-on-write these are the only
 // allocations Clone makes, and the engines know exactly when a fork is

@@ -25,28 +25,34 @@ import (
 //
 // Nothing is rendered on either path. A full search records the same
 // key thousands of times (2 262 records for 422 keys on the load
-// balancer), so add compares lengths only, and list identifies traces by
-// a word-wise fold of their transitions' identities instead of their
-// canonical rendering.
+// balancer), so add compares lengths only and copies a trace only to
+// store it, and list identifies traces by a word-wise fold of their
+// transitions' identities instead of their canonical rendering.
 type violationSet struct {
 	mu sync.Mutex
-	m  map[string]Violation // keyed by Property + "|" + Err.Error()
+	m  map[violationKey]Violation
 }
 
-// add records a violation and reports whether its key was new — the
-// signal to count and stream it exactly once.
-func (s *violationSet) add(v Violation) bool {
-	key := v.Property + "|" + v.Err.Error()
+// violationKey is a violation's identity: property and error text.
+type violationKey struct{ property, err string }
+
+// add records a violation and returns it as held, with whether its key
+// was new — the signal to count and stream it exactly once. The caller
+// may reuse v.Trace once add returns.
+func (s *violationSet) add(v Violation) (Violation, bool) {
+	key := violationKey{v.Property, v.Err.Error()}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.m == nil {
-		s.m = make(map[string]Violation)
+		s.m = make(map[violationKey]Violation)
 	}
 	prev, ok := s.m[key]
-	if !ok || len(v.Trace) < len(prev.Trace) {
-		s.m[key] = v
+	if ok && len(v.Trace) >= len(prev.Trace) {
+		return prev, false
 	}
-	return !ok
+	v.Trace = cloneTrace(v.Trace)
+	s.m[key] = v
+	return v, !ok
 }
 
 // list returns the merged set in its deterministic order.
@@ -58,7 +64,7 @@ func (s *violationSet) list() []Violation {
 	s.mu.Lock()
 	all := make([]entry, 0, len(s.m))
 	for key, v := range s.m {
-		all = append(all, entry{key[len(v.Property)+1:], v})
+		all = append(all, entry{key.err, v})
 	}
 	s.mu.Unlock()
 	slices.SortFunc(all, func(a, b entry) int {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -19,10 +20,10 @@ func TestViolationSetTraceDedup(t *testing.T) {
 	traceB := []Transition{{Kind: THostDiscover, Host: 1},
 		{Kind: TSwitchProcess, Sw: 1}}
 
-	if !s.add(Violation{Property: "P", Err: errors.New("worker 0 wording"), Trace: traceB}) {
+	if _, isNew := s.add(Violation{Property: "P", Err: errors.New("worker 0 wording"), Trace: traceB}); !isNew {
 		t.Fatal("first add must report a new key")
 	}
-	if s.add(Violation{Property: "P", Err: errors.New("worker 0 wording"), Trace: traceA}) {
+	if _, isNew := s.add(Violation{Property: "P", Err: errors.New("worker 0 wording"), Trace: traceA}); isNew {
 		t.Fatal("repeat add must not report a new key")
 	}
 	// Equal length: the kept trace stays — no tie-break, nothing rendered.
@@ -56,29 +57,32 @@ func TestViolationSetTraceDedup(t *testing.T) {
 
 // TestViolationSetRendersNothing pins the pitfall a full search measured
 // (the load balancer records 2 262 violations for 422 keys, 1 009 of
-// them equal-length duplicates): re-recording a kept key must cost no
-// more than building the key, and listing must not render traces — a
-// rendering set read +18 % allocations per state there.
+// them equal-length duplicates): recording a held key through
+// Session.Record, as every engine does, must allocate nothing — no key
+// string, no trace copy — and listing must not render traces (a
+// rendering set read +18 % allocations per state there). A stored trace
+// is the set's own copy, so a caller may reuse the one it passed.
 func TestViolationSetRendersNothing(t *testing.T) {
 	const n, steps = 400, 40
-	var s violationSet
+	sess := Begin(context.Background(), "dfs", &Config{}, EngineOptions{}, nil)
+	defer sess.Close()
 	errs := make([]error, n)
+	trace := make([]Transition, steps)
 	for i := range errs {
-		trace := make([]Transition, steps)
 		for j := range trace {
 			trace[j] = Transition{Kind: TSwitchProcess, Sw: 1, Host: 2, Port: 3, seq: i*steps + j}
 			trace[j].Hdr.TCPSeq = uint32(i*steps + j)
 		}
 		errs[i] = fmt.Errorf("packet %d forgotten", i)
-		s.add(Violation{Property: "NoForgottenPackets", Err: errs[i], Trace: trace})
+		sess.Record(Violation{Property: "NoForgottenPackets", Err: errs[i], Trace: trace})
 	}
 
-	dup := Violation{Property: "NoForgottenPackets", Err: errs[7], Trace: make([]Transition, steps)}
-	if per := testing.AllocsPerRun(100, func() { s.add(dup) }); per > 1 {
-		t.Errorf("re-recording a kept key with an equal-length trace: %.0f allocs, want at most the key string", per)
+	dup := Violation{Property: "NoForgottenPackets", Err: errs[7], Trace: trace}
+	if per := testing.AllocsPerRun(100, func() { sess.Record(dup) }); per != 0 {
+		t.Errorf("recording a held key with an equal-length trace: %.0f allocs, want none", per)
 	}
 	var listed int
-	per := testing.AllocsPerRun(10, func() { listed = len(s.list()) })
+	per := testing.AllocsPerRun(10, func() { listed = len(sess.viols.list()) })
 	if listed != n {
 		t.Fatalf("listed %d violations, want %d", listed, n)
 	}
@@ -86,4 +90,9 @@ func TestViolationSetRendersNothing(t *testing.T) {
 		t.Errorf("listing %d kept %d-step violations: %.0f allocs, want a small constant per violation", n, steps, per)
 	}
 	t.Logf("list: %.0f allocs for %d violations", per, n)
+	for i, err := range errs {
+		if v := sess.viols.m[violationKey{"NoForgottenPackets", err.Error()}]; v.Trace[0].seq != i*steps {
+			t.Fatalf("%v holds a trace rewritten after it was recorded", err)
+		}
+	}
 }

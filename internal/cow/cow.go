@@ -1,11 +1,11 @@
 // Package cow implements the epoch-based copy-on-write ownership
 // protocol that makes forking a modelled System cheap. The model
 // checker spends most of its time forking states — one fork per enabled
-// transition — yet a typical transition touches one switch and one
-// queue, so deep-copying every component per fork is almost entirely
-// wasted work. Under this protocol a fork is O(#components) pointer
-// copies and the deep copy of a component happens lazily, exactly when
-// (and only if) that component is first mutated.
+// transition but a state's last — yet a typical transition touches one
+// switch and one queue, so deep-copying every component per fork is
+// almost entirely wasted work. Under this protocol a fork is
+// O(#components) pointer copies and the deep copy of a component
+// happens lazily, exactly when (and only if) it is first mutated.
 //
 // # Protocol
 //
@@ -22,11 +22,14 @@
 //
 // Forking retires ownership wholesale by giving BOTH sides fresh
 // epochs: no component tag can match either side's new epoch, so the
-// first write on either side copies. Because epochs are never reused, a
-// retired component can never be mutated in place again — it is frozen.
-// Crucially, forking writes nothing into shared components (only the
-// two System epochs change), so a fork never races with another
-// goroutine reading components it shares.
+// first write on either side copies. A retired component is frozen: it
+// is not mutated in place while any fork that may share it is alive.
+// The reclaim rule is the one way back: a System may return to its
+// pre-fork epoch only after every fork made from it, and every fork of
+// those forks, has been released — which the sequential DFS always
+// meets and the parallel engines never do. Crucially, forking writes
+// nothing into shared components (only the two System epochs change), so
+// a fork never races with another goroutine reading components it shares.
 //
 // Nested state (a switch's flow table and channel maps, a runtime's
 // application and message queues) uses borrowed flags instead of
@@ -41,7 +44,8 @@
 //  1. Exclusivity: Tag.OwnedBy(sys.epoch) implies the component is
 //     reachable from no other System.
 //  2. Frozen sources: once a System forks, every component it held is
-//     permanently immutable through the old references.
+//     immutable through the old references while any fork may share
+//     it, and for good unless the System reclaims its pre-fork epoch.
 //  3. Warm caches: System forks warm every component's memoized state
 //     hash first, so shared (frozen) components are only ever read —
 //     including their hash caches — never filled concurrently.

@@ -139,7 +139,7 @@ func (loopEngine) Search(ctx context.Context, cfg *core.Config, eo core.EngineOp
 	st.push(0, item{sys: root})
 
 	var wg sync.WaitGroup
-	pool := func(n int, solver bool, work func(*scratch, target)) {
+	pool := func(n int, solver bool, work func(*scratch, target) bool) {
 		for w := 0; w < n; w++ {
 			wg.Add(1)
 			go func() {
@@ -151,16 +151,17 @@ func (loopEngine) Search(ctx context.Context, cfg *core.Config, eo core.EngineOp
 					if !ok {
 						return
 					}
-					work(&sc, tg)
-					tg.sys.Release()
+					if !work(&sc, tg) {
+						tg.sys.Release()
+					}
 					st.done()
 				}
 			}()
 		}
 	}
-	pool(eo.WorkerCount(), false, func(sc *scratch, tg target) {
+	pool(eo.WorkerCount(), false, func(sc *scratch, tg target) bool {
 		st.feedbackTargets(tg.item)
-		st.expand(0, tg.item, sc)
+		return st.expand(0, tg.item, sc)
 	})
 	pool(eo.SolverPool(), true, st.solve)
 	wg.Wait()
@@ -216,33 +217,35 @@ func (st *loopState) feedbackTargets(it item) {
 	}
 }
 
-// solve processes one symbolic target on a solver worker.
-func (st *loopState) solve(sc *scratch, tg target) {
+// solve processes one symbolic target on a solver worker, reporting
+// whether the post-discover state took tg.sys over.
+func (st *loopState) solve(sc *scratch, tg target) bool {
 	if st.s.Stopped() {
-		return
+		return false
 	}
 	if !tg.demand {
 		if st.symAllowed() {
 			tg.sys.DiscoverPacketClasses(tg.t.Host)
 		}
-		return
+		return false
 	}
 	// Demand target: the exploration may already be memoized (another
 	// worker got there first) — then applying is free; otherwise the
 	// budget must cover a fresh discover run.
 	if !st.symAllowed() && !tg.sys.DiscoverCached(tg.t) {
 		st.s.Abort(core.StopSymBudget)
-		return
+		return false
 	}
 	if !st.s.Reserve() {
-		return
+		return false
 	}
 	var violated bool
 	if sc.events, violated = st.apply(tg.sys, tg.path, tg.t, sc.events); violated {
-		return
+		return false
 	}
 	// The solved classes seed a new search frontier: the post-discover
-	// state re-enters the worklist, where the host's sends (or the
-	// stats variants) are now enabled transitions.
-	st.admit(0, tg.sys.Clone(), tg.path, tg.t)
+	// state (the private fork itself) re-enters the worklist, where the
+	// host's sends (or the stats variants) are now enabled transitions.
+	st.admit(0, tg.sys, tg.path, tg.t)
+	return true
 }

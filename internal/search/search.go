@@ -87,11 +87,13 @@ func (parallelEngine) Search(ctx context.Context, cfg *core.Config, eo core.Engi
 				if !ok {
 					return
 				}
-				st.expand(w, it, &sc)
 				// The item is fully expanded: recycle its System's
 				// struct and slice backings (components live on in
-				// the pushed children that borrowed them).
-				it.sys.Release()
+				// the pushed children that borrowed them), unless its
+				// last successor took it over.
+				if !st.expand(w, it, &sc) {
+					it.sys.Release()
+				}
 				front.done()
 			}
 		}(w)
@@ -167,7 +169,8 @@ func (st *expander) admit(w int, child *core.System, path *core.PathNode, t core
 // transitions are recorded and their subtrees pruned, exactly as the
 // paper's checker "saves the error and trace and does not explore past
 // a violating state". A transition the divert seam takes is not executed
-// here at all.
+// here at all. The last enabled transition takes it.sys over, and then
+// expand reports true: the caller must not release it.sys.
 //
 // Under sleep-set reduction (st.red non-nil) the loop additionally
 // skips transitions the item's sleep set covers, hands each child the
@@ -177,10 +180,10 @@ func (st *expander) admit(w int, child *core.System, path *core.PathNode, t core
 // exactly the keys that slipped awake. Sleep sets prune transition
 // executions only, never states, so UniqueStates matches the unreduced
 // search.
-func (st *expander) expand(w int, it item, sc *scratch) {
+func (st *expander) expand(w int, it item, sc *scratch) (tookOver bool) {
 	s := st.s
 	if s.Stopped() {
-		return
+		return false
 	}
 	sc.enabled = it.sys.EnabledInto(sc.enabled)
 	enabled := sc.enabled
@@ -189,12 +192,12 @@ func (st *expander) expand(w int, it item, sc *scratch) {
 			s.Record(core.Violation{Property: f.Property, Err: f.Err,
 				Trace: it.path.Trace(), Quiescence: true})
 		}
-		return
+		return false
 	}
 	depth := it.path.Depth()
 	if depth >= st.cfg.DepthBound() {
 		s.Truncated.Add(1)
-		return
+		return false
 	}
 
 	var executed []int
@@ -202,9 +205,10 @@ func (st *expander) expand(w int, it item, sc *scratch) {
 		st.red.Prepare(it.sys, enabled, &sc.sleep)
 	}
 
+	last := len(enabled) - 1
 	for i, t := range enabled {
 		if s.Stopped() {
-			return
+			return false
 		}
 		if st.divert != nil && st.divert(it, t) {
 			continue
@@ -221,9 +225,15 @@ func (st *expander) expand(w int, it item, sc *scratch) {
 			}
 		}
 		if !s.Reserve() {
-			return
+			return false
 		}
-		child := it.sys.Clone()
+		// Forking a sibling retired it.sys's epoch, so the takeover
+		// copies what it writes; live siblings forbid a reclaim.
+		tookOver = i == last
+		child := it.sys
+		if !tookOver {
+			child = it.sys.Clone()
+		}
 		var violated bool
 		sc.events, violated = st.apply(child, it.path, t, sc.events)
 		var childSleep []core.SleepEntry
@@ -258,4 +268,5 @@ func (st *expander) expand(w int, it item, sc *scratch) {
 		}
 		st.admit(w, child, it.path, t)
 	}
+	return tookOver
 }

@@ -80,7 +80,7 @@ func walk(s *core.Session, seen *seenSet, sc *scratch, seed int64, steps int) {
 		if len(enabled) == 0 {
 			for _, f := range sys.CheckQuiescence() {
 				s.Record(core.Violation{Property: f.Property, Err: f.Err,
-					Trace: cloneTrace(trace), Quiescence: true})
+					Trace: trace, Quiescence: true})
 			}
 			return
 		}
@@ -92,16 +92,11 @@ func walk(s *core.Session, seen *seenSet, sc *scratch, seed int64, steps int) {
 		trace = append(trace, t)
 		violated := false
 		for _, f := range sys.CheckEvents(sc.events) {
-			s.Record(core.Violation{Property: f.Property, Err: f.Err,
-				Trace: cloneTrace(trace)})
+			s.Record(core.Violation{Property: f.Property, Err: f.Err, Trace: trace})
 			violated = true
 		}
 		if violated {
 			return
 		}
 	}
-}
-
-func cloneTrace(trace []core.Transition) []core.Transition {
-	return append([]core.Transition(nil), trace...)
 }

@@ -109,8 +109,8 @@ func (j *job) progress(p core.Progress) {
 }
 
 // violation streams one violation, encoding it the only time the job
-// will: every recorded violation owns its trace array (cloneTrace,
-// TraceWith), which is how wireViolations recognises it in the report.
+// will: the session streams the violation it keeps, trace array and
+// all, which is how wireViolations recognises it in the report.
 func (j *job) violation(v core.Violation) {
 	wv := EncodeViolation(&v)
 	j.mu.Lock()
