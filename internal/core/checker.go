@@ -215,7 +215,7 @@ func (c *Checker) dfs(sys *System) {
 		// what it owned, so applying in place writes that uncopied.
 		child, epoch := sys, uint64(0)
 		if i < last {
-			child, epoch = sys.lend()
+			child, epoch = sys.Lend()
 		}
 		events := child.ApplyInto(t, c.eventBuf)
 		c.eventBuf = events
@@ -232,7 +232,7 @@ func (c *Checker) dfs(sys *System) {
 			c.dfs(child)
 		}
 		if i < last {
-			sys.reclaim(child, epoch)
+			sys.Reclaim(child, epoch)
 		}
 		c.trace = c.trace[:len(c.trace)-1]
 	}

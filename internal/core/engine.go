@@ -62,10 +62,11 @@ type Progress struct {
 	Revisits     int64
 	Truncated    int64
 	SERuns       int64
-	// Frontier is the pending work: discovered-but-unexpanded states
-	// (parallel), plus queued symbolic targets (concolic). Engines
-	// without a frontier — the DFS's is its call stack, walks have
-	// none — report 0.
+	// Frontier is the pending work: states handed off between workers
+	// and not yet fully expanded (parallel, whose workers expand the
+	// rest in place), or queued states plus symbolic targets
+	// (concolic). Engines without a frontier — the DFS's is its call
+	// stack, walks have none — report 0.
 	Frontier int64
 	// Depth is the trace length of the deepest state reached so far.
 	Depth int

@@ -16,11 +16,6 @@ func DPORSummaryStorage(ctx context.Context, cfg *Config, maxStates int64) (entr
 	return entries, len(c.dporExplored)
 }
 
-// Lend and Reclaim expose the sequential DFS's fork and its reclaim
-// (system.go) to the external reclaim walk.
-func (s *System) Lend() (*System, uint64)            { return s.lend() }
-func (s *System) Reclaim(fork *System, epoch uint64) { s.reclaim(fork, epoch) }
-
 // ArmDiscover fills the discover caches for every host and switch at
 // s's application state, so that no later discovery changes s's
 // identity (cache presence is part of it).

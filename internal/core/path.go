@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // PathNode is one link of the parent-pointer chain that reached a
 // frontier state (nil = the root). Siblings share their prefix through
 // one pointer; a replayable trace is materialized only for a violation.
@@ -22,20 +24,14 @@ func (n *PathNode) Depth() int {
 	return n.depth
 }
 
-// Trace materializes the replayable transition sequence root→node.
-func (n *PathNode) Trace() []Transition {
-	if n == nil {
-		return nil
-	}
-	return n.parent.TraceWith(n.t)
-}
-
-// TraceWith materializes the node's trace extended by one transition.
-func (n *PathNode) TraceWith(t Transition) []Transition {
-	out := make([]Transition, n.Depth()+1)
-	out[len(out)-1] = t
+// AppendTrace appends the replayable transition sequence root→node to
+// dst: an engine that records violations builds each trace in one
+// reused buffer, and Session.Record copies only a trace it keeps.
+func (n *PathNode) AppendTrace(dst []Transition) []Transition {
+	start := len(dst)
+	dst = slices.Grow(dst, n.Depth())[:start+n.Depth()]
 	for cur := n; cur != nil; cur = cur.parent {
-		out[cur.depth-1] = cur.t
+		dst[start+cur.depth-1] = cur.t
 	}
-	return out
+	return dst
 }

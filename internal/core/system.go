@@ -217,17 +217,18 @@ func (s *System) Clone() *System {
 	return c
 }
 
-// lend forks s for the sequential DFS, returning the epoch s held
-// before the fork for reclaim.
-func (s *System) lend() (*System, uint64) {
+// Lend forks s for a depth-first search that will explore the fork's
+// subtree before s's next successor, returning the epoch s held before
+// the fork for Reclaim.
+func (s *System) Lend() (*System, uint64) {
 	epoch := s.epoch
 	return s.Clone(), epoch
 }
 
-// reclaim releases fork, lent at epoch, and returns s to that epoch (the
+// Reclaim releases fork, lent at epoch, and returns s to that epoch (the
 // reclaim rule of internal/cow): the caller asserts every fork made from
 // fork is released too, so s again owns what it owned then.
-func (s *System) reclaim(fork *System, epoch uint64) {
+func (s *System) Reclaim(fork *System, epoch uint64) {
 	fork.Release()
 	s.epoch = epoch
 }

@@ -26,8 +26,10 @@
 // is not mutated in place while any fork that may share it is alive.
 // The reclaim rule is the one way back: a System may return to its
 // pre-fork epoch only after every fork made from it, and every fork of
-// those forks, has been released — which the sequential DFS always
-// meets and the parallel engines never do. Crucially, forking writes
+// those forks, has been released. The sequential DFS always meets it; a
+// parallel worker meets it when it queued no state for another goroutine
+// while the fork's subtree ran (internal/search counts those exports per
+// worker). Crucially, forking writes
 // nothing into shared components (only the two System epochs change), so
 // a fork never races with another goroutine reading components it shares.
 //

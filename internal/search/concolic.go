@@ -127,7 +127,11 @@ func (loopEngine) Search(ctx context.Context, cfg *core.Config, eo core.EngineOp
 	})
 	// red stays nil: EngineOptions.Reduction is accepted and ignored.
 	st.expander = expander{s: s, cfg: cfg, seen: newSeenSet(seenShards),
-		push:   func(_ int, it item) { enqueue(st, &st.searchQ, it) },
+		push: func(sc *scratch, it item) bool {
+			sc.exports++
+			enqueue(st, &st.searchQ, it)
+			return true
+		},
 		divert: st.deferDiscover,
 	}
 	st.pending, st.seStart = &s.Frontier, s.Caches().SERuns()
@@ -136,7 +140,7 @@ func (loopEngine) Search(ctx context.Context, cfg *core.Config, eo core.EngineOp
 	root := s.NewSystem()
 	st.seen.Add(root.Fingerprint())
 	s.Admit(0)
-	st.push(0, item{sys: root})
+	enqueue(st, &st.searchQ, item{sys: root})
 
 	var wg sync.WaitGroup
 	pool := func(n int, solver bool, work func(*scratch, target) bool) {
@@ -161,7 +165,7 @@ func (loopEngine) Search(ctx context.Context, cfg *core.Config, eo core.EngineOp
 	}
 	pool(eo.WorkerCount(), false, func(sc *scratch, tg target) bool {
 		st.feedbackTargets(tg.item)
-		return st.expand(0, tg.item, sc)
+		return st.expand(sc, tg.item)
 	})
 	pool(eo.SolverPool(), true, st.solve)
 	wg.Wait()
@@ -218,7 +222,7 @@ func (st *loopState) feedbackTargets(it item) {
 }
 
 // solve processes one symbolic target on a solver worker, reporting
-// whether the post-discover state took tg.sys over.
+// whether tg.sys lives on as the queued post-discover state.
 func (st *loopState) solve(sc *scratch, tg target) bool {
 	if st.s.Stopped() {
 		return false
@@ -239,13 +243,11 @@ func (st *loopState) solve(sc *scratch, tg target) bool {
 	if !st.s.Reserve() {
 		return false
 	}
-	var violated bool
-	if sc.events, violated = st.apply(tg.sys, tg.path, tg.t, sc.events); violated {
+	if st.apply(sc, tg.sys, tg.path, tg.t) {
 		return false
 	}
 	// The solved classes seed a new search frontier: the post-discover
 	// state (the private fork itself) re-enters the worklist, where the
 	// host's sends (or the stats variants) are now enabled transitions.
-	st.admit(0, tg.sys, tg.path, tg.t)
-	return true
+	return st.admit(sc, tg.sys, tg.path, tg.t)
 }

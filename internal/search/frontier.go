@@ -9,11 +9,12 @@ import (
 	"github.com/nice-go/nice/internal/core"
 )
 
-// item is one unit of frontier work: an unexpanded system state plus
-// the path that reached it, as a parent-pointer chain. Sibling children
-// share the whole prefix through one pointer — materializing a
-// replayable trace (Trace) happens only when a violation is recorded,
-// so the hot path never copies O(depth) transition prefixes.
+// item is one unexpanded system state plus the path that reached it, as
+// a parent-pointer chain: what push hands on, and what the frontier
+// holds once handed off. Sibling children share the whole prefix through
+// one pointer — a replayable trace is materialized (AppendTrace) only
+// when a violation is recorded, so the hot path never copies O(depth)
+// transition prefixes.
 type item struct {
 	sys  *core.System
 	path *core.PathNode
@@ -26,13 +27,17 @@ type item struct {
 	wake  []uint64
 }
 
-// frontier is the work-stealing scheduler: one deque per worker. The
-// owner pushes and pops at the tail (LIFO, so each worker runs
-// depth-first and the frontier stays compact); thieves steal from the
-// head, which holds the oldest — typically shallowest — states, giving
-// the breadth that spreads the search across cores.
+// frontier is the work-stealing scheduler: one deque per worker,
+// holding only the states a worker handed off. A worker expands its
+// children in place, depth-first, and queues one on its own deque only
+// while another worker waits in get (idle > 0). The owner pops at the
+// tail (LIFO); thieves steal from the head, which holds the oldest —
+// typically shallowest — states, giving the breadth that spreads the
+// search across cores.
 type frontier struct {
 	deques []deque
+	// idle counts the workers waiting in get for work.
+	idle atomic.Int64
 	// pending counts items enqueued but not yet fully expanded. Zero
 	// means global termination: nothing queued and no worker mid-expand
 	// (workers decrement only after expanding, so any children are
@@ -67,6 +72,13 @@ func (f *frontier) push(w int, it item) {
 	d.mu.Lock()
 	d.items = append(d.items, it)
 	d.mu.Unlock()
+}
+
+// handoff queues it on the deque of sc's worker for another worker to
+// steal, counting the export.
+func (f *frontier) handoff(sc *scratch, it item) {
+	sc.exports++
+	f.push(sc.w, it)
 }
 
 // popLast takes a queue's newest element, zeroing its slot so the
@@ -121,8 +133,15 @@ func (f *frontier) steal(w int) (item, bool) {
 
 // get returns the next item for worker w, stealing when its own deque
 // is dry. It returns false when the search is over: every item expanded
-// or the stop flag raised.
+// or the stop flag raised. While it finds no work the worker counts as
+// idle, which makes the others hand off their children.
 func (f *frontier) get(w int) (item, bool) {
+	idle := false
+	defer func() {
+		if idle {
+			f.idle.Add(-1)
+		}
+	}()
 	backoff := 0
 	for {
 		if f.s.Stopped() {
@@ -138,6 +157,10 @@ func (f *frontier) get(w int) (item, bool) {
 			return item{}, false
 		}
 		// Someone is still expanding; its children may land any moment.
+		if !idle {
+			idle = true
+			f.idle.Add(1)
+		}
 		backoff++
 		if backoff < 32 {
 			runtime.Gosched()

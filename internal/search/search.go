@@ -9,14 +9,18 @@
 // spreads the expansion over cores:
 //
 //   - a lock-striped seen-set keyed by System.Fingerprint() (seenset.go),
-//   - per-worker frontiers with work-stealing, where each work item is
-//     a forked System plus the replayable trace prefix that reached it
-//     (frontier.go),
-//   - three loops over them: the default BFS/DFS hybrid (owners pop
+//   - per-worker frontiers with work-stealing (frontier.go), holding
+//     only handed-off states: a worker expands each new child at once,
+//     depth-first on its own goroutine, lending every successor but the
+//     last a fork and reclaiming it as the sequential checker does, and
+//     queues a child (a forked System plus the replayable trace prefix
+//     that reached it) only while another worker waits for one,
+//   - three loops over them: the default hybrid (workers run
 //     depth-first, thieves steal breadth-first), seeded random walks, as
 //     a swarm or pinned to one worker (swarm.go), and the concolic
 //     feedback loop, which runs the hybrid's expansion step on one pool
-//     and symbolic execution on another (concolic.go).
+//     — queueing every child — and symbolic execution on another
+//     (concolic.go).
 //
 // Each loop is a core.Engine (Parallel, SwarmEngine, Walks, Loop) and
 // runs inside a core.Session, which supplies what every engine shares:
@@ -42,13 +46,15 @@ import (
 const seenShards = 256
 
 // Parallel returns the exhaustive parallel search as a core.Engine:
-// per-worker depth-first expansion over a work-stealing frontier whose
-// steals are breadth-first, EngineOptions.Workers workers (0 = all
-// CPUs). It visits exactly the states the sequential checker visits
-// whenever state identity is schedule-independent — symbolic execution
-// off, or discover caches warmed. On cold SE-enabled runs the counts can
-// differ slightly (cache presence is part of the state hash and fills in
-// schedule order); the violated-property set matches regardless.
+// EngineOptions.Workers workers (0 = all CPUs), each running the
+// sequential checker's depth-first expansion on its own goroutine and
+// handing a state to the work-stealing frontier only while another
+// worker waits for one. It visits exactly the states the sequential
+// checker visits whenever state identity is schedule-independent —
+// symbolic execution off, or discover caches warmed. On cold SE-enabled
+// runs the counts can differ slightly (cache presence is part of the
+// state hash and fills in schedule order); the violated-property set
+// matches regardless.
 func Parallel() core.Engine { return parallelEngine{} }
 
 type parallelEngine struct{}
@@ -64,8 +70,34 @@ func (parallelEngine) Search(ctx context.Context, cfg *core.Config, eo core.Engi
 		return core.DFS().Search(ctx, cfg, eo)
 	}
 	s := core.Begin(ctx, "parallel", cfg, eo, nil)
+	st, front := newParallel(s, cfg, eo, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			defer s.Guard()
+			st.work(front, w)
+		}(w)
+	}
+	wg.Wait()
+	s.Tel().SetShardOccupancy(st.seen.occupancy())
+	return s.End(ctx)
+}
+
+// newParallel sets up the parallel engine on s: the expander whose push
+// expands a child in place unless the frontier has a worker waiting, and
+// the frontier holding the root.
+func newParallel(s *core.Session, cfg *core.Config, eo core.EngineOptions, workers int) (*expander, *frontier) {
 	front := newFrontier(workers, s)
-	st := &expander{s: s, cfg: cfg, seen: newSeenSet(seenShards), push: front.push}
+	st := &expander{s: s, cfg: cfg, seen: newSeenSet(seenShards)}
+	st.push = func(sc *scratch, it item) bool {
+		if front.idle.Load() > 0 {
+			front.handoff(sc, it)
+			return true
+		}
+		return st.expand(sc, it)
+	}
 	root := s.NewSystem()
 	if eo.Reduction == core.ReductionDPOR {
 		st.red = core.NewSleepReducer(root)
@@ -74,45 +106,59 @@ func (parallelEngine) Search(ctx context.Context, cfg *core.Config, eo core.Engi
 	st.seen.Add(root.Fingerprint())
 	s.Admit(0)
 	front.push(0, item{sys: root})
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer s.Guard()
-			var sc scratch
-			for {
-				it, ok := front.get(w)
-				if !ok {
-					return
-				}
-				// The item is fully expanded: recycle its System's
-				// struct and slice backings (components live on in
-				// the pushed children that borrowed them), unless its
-				// last successor took it over.
-				if !st.expand(w, it, &sc) {
-					it.sys.Release()
-				}
-				front.done()
-			}
-		}(w)
-	}
-	wg.Wait()
-	s.Tel().SetShardOccupancy(st.seen.occupancy())
-	return s.End(ctx)
+	return st, front
 }
 
-// scratch is one worker goroutine's reusable buffers. Copy-on-write
-// forking left the enabled-transition list and the event batch of each
-// expansion (whose elements carry openflow.Msg payloads) at the top of
-// the allocation profile; both live only within one step and nothing
-// retains them, so each worker keeps its own and no step allocates
-// them.
+// work is worker w's loop: take a handed-off state, expand it and its
+// subtree, and recycle its System's struct and slice backings
+// (components live on in the children that borrowed them) unless a
+// handed-off successor took it over.
+func (st *expander) work(front *frontier, w int) {
+	sc := scratch{w: w}
+	for {
+		it, ok := front.get(w)
+		if !ok {
+			return
+		}
+		if !st.expand(&sc, it) {
+			it.sys.Release()
+		}
+		front.done()
+	}
+}
+
+// scratch is one worker goroutine's reusable buffers and its export
+// count. Copy-on-write forking left the enabled-transition list and the
+// event batch of each expansion (whose elements carry openflow.Msg
+// payloads) at the top of the allocation profile; nothing retains them,
+// so each worker keeps its own and no step allocates them. An expansion
+// recurses into its children, so the enabled list and the sleep scratch
+// are kept per depth, as Checker.enabledAt's transBufs are; the event
+// batch and the violation trace live only within one apply.
 type scratch struct {
-	sleep   core.SleepScratch
+	w      int // the worker's deque (parallel engine)
+	frames []*frame
+	events []core.Event
+	trace  []core.Transition
+	// exports counts the states this worker queued for another
+	// goroutine: handed-off children and diverted targets. While it
+	// does not move, a lent child's subtree has exported nothing; only
+	// then may the parent reclaim the epoch it held before the fork.
+	exports int64
+}
+
+// frame is the per-depth part of scratch.
+type frame struct {
 	enabled []core.Transition
-	events  []core.Event
+	sleep   core.SleepScratch
+}
+
+// frame returns the worker's buffers for an expansion at depth.
+func (sc *scratch) frame(depth int) *frame {
+	for len(sc.frames) <= depth {
+		sc.frames = append(sc.frames, new(frame))
+	}
+	return sc.frames[depth]
 }
 
 // expander is the per-state expansion step and what its workers share
@@ -123,9 +169,12 @@ type expander struct {
 	cfg  *core.Config
 	seen *seenSet
 
-	// push enqueues an admitted child found by worker w: onto w's deque
-	// (parallel) or the loop's search queue (concolic).
-	push func(w int, it item)
+	// push hands on an admitted child found by the worker owning sc and
+	// reports whether the child lives on elsewhere: queued on a deque or
+	// the loop's search queue, or taken over by a queued successor. The
+	// parallel engine expands the child at once unless a worker waits
+	// for work; the concolic loop always queues it.
+	push func(sc *scratch, it item) bool
 	// divert, when non-nil, is offered each enabled transition of it
 	// before it executes; true means the caller took it over. The
 	// concolic loop hands discover transitions to its solver pool.
@@ -137,40 +186,59 @@ type expander struct {
 	dporTel *core.DporTelemetry
 }
 
-// apply executes t on sys — a fork nobody else holds — recording every
+// apply executes t on sys — a state nobody else holds — recording every
 // property failure against the trace path+t, and reports whether there
-// was one. events is the caller's reusable buffer, returned grown.
-func (st *expander) apply(sys *core.System, path *core.PathNode, t core.Transition, events []core.Event) ([]core.Event, bool) {
-	events = sys.ApplyInto(t, events)
-	violated := false
-	for _, f := range sys.CheckEvents(events) {
-		st.s.Record(core.Violation{Property: f.Property, Err: f.Err, Trace: path.TraceWith(t)})
-		violated = true
-	}
-	return events, violated
+// was one.
+func (st *expander) apply(sc *scratch, sys *core.System, path *core.PathNode, t core.Transition) bool {
+	sc.events = sys.ApplyInto(t, sc.events)
+	return st.record(sc, sys.CheckEvents(sc.events), path, &t)
 }
 
-// admit pushes child, reached over path+t, if its state is new; a
-// revisit is counted and the fork recycled.
-func (st *expander) admit(w int, child *core.System, path *core.PathNode, t core.Transition) {
+// record records fails against the trace path+t, or path alone for the
+// quiescence failures t == nil stands for, and reports whether there
+// was one. The trace is built in the worker's buffer: Session.Record
+// copies only a trace it keeps, so a violation already held costs no
+// allocation.
+func (st *expander) record(sc *scratch, fails []core.PropertyFailure, path *core.PathNode, t *core.Transition) bool {
+	if len(fails) == 0 {
+		return false
+	}
+	sc.trace = path.AppendTrace(sc.trace[:0])
+	if t != nil {
+		sc.trace = append(sc.trace, *t)
+	}
+	for _, f := range fails {
+		st.s.Record(core.Violation{Property: f.Property, Err: f.Err, Trace: sc.trace, Quiescence: t == nil})
+	}
+	return true
+}
+
+// admit pushes child, reached over path+t, if its state is new, and
+// reports whether the child lives on elsewhere; a revisit is counted.
+func (st *expander) admit(sc *scratch, child *core.System, path *core.PathNode, t core.Transition) bool {
 	if st.seen.Add(child.Fingerprint()) {
 		st.s.Admit(path.Depth() + 1)
-		st.push(w, item{sys: child, path: path.Child(t)})
-	} else {
-		st.s.Revisits.Add(1)
-		child.Release()
+		return st.push(sc, item{sys: child, path: path.Child(t)})
 	}
+	st.s.Revisits.Add(1)
+	return false
 }
 
-// expand processes one frontier item, mirroring the sequential
-// checker's per-state work (checker.go dfs): quiescence properties on
-// dead ends, depth truncation, then one clone+apply per enabled
-// transition with property checks, pushing unseen children. Violating
-// transitions are recorded and their subtrees pruned, exactly as the
-// paper's checker "saves the error and trace and does not explore past
-// a violating state". A transition the divert seam takes is not executed
-// here at all. The last enabled transition takes it.sys over, and then
-// expand reports true: the caller must not release it.sys.
+// expand processes one state, mirroring the sequential checker's
+// per-state work (checker.go dfs): quiescence properties on dead ends,
+// depth truncation, then one apply per enabled transition with property
+// checks, pushing unseen children. Violating transitions are recorded
+// and their subtrees pruned, exactly as the paper's checker "saves the
+// error and trace and does not explore past a violating state". A
+// transition the divert seam takes is not executed here at all.
+//
+// Every successor but the last runs on a lent fork. When the fork comes
+// back dead and the worker exported nothing meanwhile, its whole subtree
+// is released and it.sys reclaims the epoch it held before the fork, so
+// the last transition, applied to it.sys itself, writes uncopied what
+// it owned then. expand reports whether it.sys lives on elsewhere (its
+// last successor was queued); otherwise the caller must release or
+// reclaim it.
 //
 // Under sleep-set reduction (st.red non-nil) the loop additionally
 // skips transitions the item's sleep set covers, hands each child the
@@ -180,21 +248,19 @@ func (st *expander) admit(w int, child *core.System, path *core.PathNode, t core
 // exactly the keys that slipped awake. Sleep sets prune transition
 // executions only, never states, so UniqueStates matches the unreduced
 // search.
-func (st *expander) expand(w int, it item, sc *scratch) (tookOver bool) {
+func (st *expander) expand(sc *scratch, it item) (livesOn bool) {
 	s := st.s
 	if s.Stopped() {
 		return false
 	}
-	sc.enabled = it.sys.EnabledInto(sc.enabled)
-	enabled := sc.enabled
+	depth := it.path.Depth()
+	f := sc.frame(depth)
+	f.enabled = it.sys.EnabledInto(f.enabled)
+	enabled := f.enabled
 	if len(enabled) == 0 {
-		for _, f := range it.sys.CheckQuiescence() {
-			s.Record(core.Violation{Property: f.Property, Err: f.Err,
-				Trace: it.path.Trace(), Quiescence: true})
-		}
+		st.record(sc, it.sys.CheckQuiescence(), it.path, nil)
 		return false
 	}
-	depth := it.path.Depth()
 	if depth >= st.cfg.DepthBound() {
 		s.Truncated.Add(1)
 		return false
@@ -202,7 +268,7 @@ func (st *expander) expand(w int, it item, sc *scratch) (tookOver bool) {
 
 	var executed []int
 	if st.red != nil {
-		st.red.Prepare(it.sys, enabled, &sc.sleep)
+		st.red.Prepare(it.sys, enabled, &f.sleep)
 	}
 
 	last := len(enabled) - 1
@@ -211,15 +277,16 @@ func (st *expander) expand(w int, it item, sc *scratch) (tookOver bool) {
 			return false
 		}
 		if st.divert != nil && st.divert(it, t) {
+			sc.exports++
 			continue
 		}
 		if st.red != nil {
-			if it.wake != nil && !keyIn64(it.wake, sc.sleep.Key(i)) {
+			if it.wake != nil && !keyIn64(it.wake, f.sleep.Key(i)) {
 				// Covered by this state's previous, larger expansion.
 				st.dporTel.Pruned(1)
 				continue
 			}
-			if sc.sleep.Asleep(it.sleep, i) {
+			if f.sleep.Asleep(it.sleep, i) {
 				st.dporTel.SleepHit()
 				continue
 			}
@@ -227,46 +294,56 @@ func (st *expander) expand(w int, it item, sc *scratch) (tookOver bool) {
 		if !s.Reserve() {
 			return false
 		}
-		// Forking a sibling retired it.sys's epoch, so the takeover
-		// copies what it writes; live siblings forbid a reclaim.
-		tookOver = i == last
-		child := it.sys
-		if !tookOver {
-			child = it.sys.Clone()
+		child, epoch, exports := it.sys, uint64(0), sc.exports
+		if i < last {
+			child, epoch = it.sys.Lend()
 		}
-		var violated bool
-		sc.events, violated = st.apply(child, it.path, t, sc.events)
+		violated := st.apply(sc, child, it.path, t)
 		var childSleep []core.SleepEntry
 		if st.red != nil {
 			if !violated {
-				childSleep = sc.sleep.ChildSleep(it.sleep, executed, i)
+				childSleep = f.sleep.ChildSleep(it.sleep, executed, i)
 			}
 			// Executed siblings join the sleep-source even when they
 			// violated: their interleavings are covered either way.
 			executed = append(executed, i)
 		}
-		if violated {
+		lives := false
+		switch {
+		case violated:
+		case st.red != nil:
+			lives = st.admitSleep(sc, child, childSleep, it.path, t)
+		default:
+			lives = st.admit(sc, child, it.path, t)
+		}
+		if i == last {
+			return lives
+		}
+		switch {
+		case lives:
+		case sc.exports == exports:
+			it.sys.Reclaim(child, epoch)
+		default:
 			child.Release()
-			continue
 		}
-		if st.red != nil {
-			isNew, wake := st.seen.AddSleep(child.Fingerprint(), core.SleepKeySet(childSleep))
-			switch {
-			case isNew:
-				s.Admit(depth + 1)
-				st.push(w, item{sys: child, sleep: childSleep, path: it.path.Child(t)})
-			case wake != nil:
-				s.Revisits.Add(1)
-				st.dporTel.Reexpansion()
-				st.push(w, item{sys: child, sleep: childSleep, wake: wake,
-					path: it.path.Child(t)})
-			default:
-				s.Revisits.Add(1)
-				child.Release()
-			}
-			continue
-		}
-		st.admit(w, child, it.path, t)
 	}
-	return tookOver
+	return false
+}
+
+// admitSleep is admit under sleep-set reduction: a revisit whose sleep
+// set left keys awake that the stored expansion slept is pushed again
+// to re-expand exactly those.
+func (st *expander) admitSleep(sc *scratch, child *core.System, sleep []core.SleepEntry, path *core.PathNode, t core.Transition) bool {
+	isNew, wake := st.seen.AddSleep(child.Fingerprint(), core.SleepKeySet(sleep))
+	switch {
+	case isNew:
+		st.s.Admit(path.Depth() + 1)
+	case wake != nil:
+		st.s.Revisits.Add(1)
+		st.dporTel.Reexpansion()
+	default:
+		st.s.Revisits.Add(1)
+		return false
+	}
+	return st.push(sc, item{sys: child, sleep: sleep, wake: wake, path: path.Child(t)})
 }

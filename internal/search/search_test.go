@@ -2,11 +2,15 @@ package search
 
 import (
 	"context"
+	"errors"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/nice-go/nice/internal/canon"
 	"github.com/nice-go/nice/internal/core"
+	"github.com/nice-go/nice/openflow"
 	"github.com/nice-go/nice/scenarios"
 )
 
@@ -252,10 +256,13 @@ func TestSeenSet(t *testing.T) {
 	}
 }
 
-// TestFrontierStealing exercises push/pop/steal ordering: owners pop
-// newest-first, thieves steal oldest-first.
+// TestFrontierStealing exercises push/pop/steal ordering (owners pop
+// newest-first, thieves steal oldest-first) and the idle count: a get
+// that finds no work counts as idle until it returns, whether work
+// arrives or the search stops.
 func TestFrontierStealing(t *testing.T) {
-	f := newFrontier(2, new(core.Session))
+	s := new(core.Session)
+	f := newFrontier(2, s)
 	d1 := (*core.PathNode)(nil).Child(core.Transition{})
 	d2 := d1.Child(core.Transition{})
 	a := item{}
@@ -275,5 +282,133 @@ func TestFrontierStealing(t *testing.T) {
 	}
 	if _, ok := f.popLocal(0); ok {
 		t.Fatal("deque should be empty")
+	}
+	f.pending.Add(1) // an item mid-expansion: get must wait, not end
+	waitIdle := func(got <-chan bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); f.idle.Load() != 1; {
+			if time.Now().After(deadline) {
+				t.Fatalf("idle = %d while a get waits, want 1", f.idle.Load())
+			}
+			time.Sleep(time.Millisecond)
+		}
+		select {
+		case <-got:
+			t.Fatal("get returned with no work queued and an item pending")
+		default:
+		}
+	}
+	got := make(chan bool)
+	go func() { _, ok := f.get(1); got <- ok }()
+	waitIdle(got)
+	f.push(0, b)
+	if !<-got {
+		t.Fatal("a waiting get should steal the item pushed meanwhile")
+	}
+	if n := f.idle.Load(); n != 0 {
+		t.Fatalf("idle = %d after get returned work, want 0", n)
+	}
+	go func() { _, ok := f.get(1); got <- ok }()
+	waitIdle(got)
+	s.Abort(core.StopNone)
+	if <-got {
+		t.Fatal("get returned work after the stop")
+	}
+	if n := f.idle.Load(); n != 0 {
+		t.Fatalf("idle = %d after a stop, want 0", n)
+	}
+}
+
+// violationKeys projects a report onto its sorted property|error keys.
+func violationKeys(r *core.Report) []string {
+	var keys []string
+	for _, v := range r.Violations {
+		keys = append(keys, v.Property+"|"+v.Err.Error())
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// TestReclaimHandoffParity pins the reclaim rule of the parallel
+// expansion on one goroutine, where the handoffs do not depend on
+// timing: push hands off every k-th admitted child and expands the rest
+// in place, so lent subtrees both do and do not export states. A parent
+// that reclaimed a fork whose subtree exported a state would write into
+// components that state still shares; an expansion clobbering an outer
+// depth's enabled list would skip or repeat transitions. Either shows as
+// a count or violation that differs from the sequential DFS's, on warm
+// caches (where state identity is schedule-independent). Under sleep-set
+// reduction the unique states still match, and the transitions do not
+// exceed the unreduced search's.
+func TestReclaimHandoffParity(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		scenario string
+		scale    int
+	}{{"pyswitch-bench", 3}, {"pyswitch-linearhosts", 4}, {"loadbalancer-bench", 0}} {
+		cfg := scenarios.MustLookup(tc.scenario).Config(tc.scale)
+		cfg.StopAtFirstViolation = false
+		cc := core.NewCaches()
+		core.NewCheckerWith(cfg, cc).Run() // warm the discover caches
+		ref := core.NewCheckerWith(cfg, cc).Run()
+		for _, red := range []core.Reduction{core.ReductionNone, core.ReductionDPOR} {
+			for _, k := range []int{2, 5, 64} {
+				// The budgets stop a search a broken reclaim sends astray.
+				eo := core.EngineOptions{Caches: cc, Reduction: red,
+					MaxStates: 2 * ref.UniqueStates, MaxTransitions: 2 * ref.Transitions}
+				s := core.Begin(ctx, "parallel", cfg, eo, nil)
+				st, front := newParallel(s, cfg, eo, 1)
+				admitted := 0
+				st.push = func(sc *scratch, it item) bool {
+					if admitted++; admitted%k == 0 {
+						front.handoff(sc, it)
+						return true
+					}
+					return st.expand(sc, it)
+				}
+				st.work(front, 0)
+				r := s.End(ctx)
+				differs := !r.Complete || r.UniqueStates != ref.UniqueStates ||
+					!slices.Equal(violationKeys(r), violationKeys(ref))
+				if red == core.ReductionDPOR {
+					differs = differs || r.Transitions > ref.Transitions
+				} else {
+					differs = differs || r.Transitions != ref.Transitions || r.Revisits != ref.Revisits
+				}
+				if differs {
+					t.Errorf("%s(%d) %v, every %d-th child handed off: states/trans/revisits %d/%d/%d, %d violations; sequential %d/%d/%d, %d",
+						tc.scenario, tc.scale, red, k, r.UniqueStates, r.Transitions, r.Revisits, len(r.Violations),
+						ref.UniqueStates, ref.Transitions, ref.Revisits, len(ref.Violations))
+				}
+			}
+		}
+	}
+}
+
+// TestRecordHeldViolationAllocs: the expansion step records a violation
+// through the worker's trace buffer, so recording one the session
+// already holds, after a transition or at quiescence, allocates nothing.
+func TestRecordHeldViolationAllocs(t *testing.T) {
+	cfg := &core.Config{}
+	s := core.Begin(context.Background(), "parallel", cfg, core.EngineOptions{}, nil)
+	st := &expander{s: s, cfg: cfg}
+	var path *core.PathNode
+	for i := 0; i < 40; i++ {
+		path = path.Child(core.Transition{Kind: core.TSwitchProcess, Port: openflow.PortID(i)})
+	}
+	t1 := core.Transition{Kind: core.THostSend}
+	end := path.Child(t1) // a quiescent state reached over path+t1
+	fails := []core.PropertyFailure{{Property: "NoForgottenPackets", Err: errors.New("packet forgotten")}}
+	var sc scratch
+	st.record(&sc, fails, path, &t1)
+	if per := testing.AllocsPerRun(100, func() { st.record(&sc, fails, path, &t1) }); per != 0 {
+		t.Errorf("recording a held violation: %.0f allocs, want none", per)
+	}
+	if per := testing.AllocsPerRun(100, func() { st.record(&sc, fails, end, nil) }); per != 0 {
+		t.Errorf("recording a held violation at quiescence: %.0f allocs, want none", per)
+	}
+	r := s.End(context.Background())
+	if len(r.Violations) != 1 || len(r.Violations[0].Trace) != 41 || r.Violations[0].Trace[40].Kind != t1.Kind {
+		t.Fatalf("recorded %v, want one violation over path+t1", r.Violations)
 	}
 }

@@ -79,9 +79,9 @@ var (
 	// (Figure 5) — the reference oracle. Run's default engine.
 	SequentialDFS = core.DFS
 	// ParallelHybrid is the work-stealing parallel search
-	// (internal/search): owners expand depth-first, thieves steal
-	// breadth-first. WithWorkers sizes the pool; 1 delegates to the
-	// sequential checker.
+	// (internal/search): workers expand depth-first and hand a state
+	// off only while another waits, thieves steal breadth-first.
+	// WithWorkers sizes the pool; 1 delegates to the sequential checker.
 	ParallelHybrid = search.Parallel
 	// RandomWalks is the sequential random-walk mode (§1.3): the
 	// swarm's loop on one worker, so walk i uses seed+i here too.
