@@ -31,7 +31,7 @@ import (
 
 // experiments is the harness front end. Every search goes through
 // nice.Run with -workers: 1 = the sequential reference checker,
-// otherwise the parallel work-stealing pool (0 = all CPUs).
+// otherwise the parallel engine's pool (0 = all CPUs).
 func experiments(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("nice experiments", flag.ExitOnError)
 	var (

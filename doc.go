@@ -27,8 +27,8 @@
 //	}
 //
 // Run is the single entry point for every exploration mode: the
-// sequential DFS reference search (default), the parallel
-// work-stealing engine (WithWorkers), random walks and seeded swarms
+// sequential DFS reference search (default), the parallel engine
+// (WithWorkers), random walks and seeded swarms
 // (WithWalks), with wall-clock/state/transition budgets (WithDeadline,
 // WithMaxStates, WithMaxTransitions), context cancellation, and
 // streaming results (WithObserver) — see run.go.

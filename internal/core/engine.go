@@ -199,9 +199,9 @@ func (o EngineOptions) StepBound() int {
 
 // Engine is a pluggable search strategy: one way of exploring a
 // Config's transition graph. The sequential DFS checker, the parallel
-// work-stealing engine, random walks, the seeded swarm and the concolic
-// loop all implement it, so every front end — CLI, benchmarks, tests,
-// servers — drives searches through the same entry point (nice.Run).
+// engine, random walks, the seeded swarm and the concolic loop all
+// implement it, so every front end — CLI, benchmarks, tests, servers —
+// drives searches through the same entry point (nice.Run).
 // Each is a loop between Begin and Session.End; the Session supplies
 // everything the five have in common.
 //

@@ -20,8 +20,9 @@ import (
 // All methods are safe for concurrent use by the engine's workers. The
 // counters are exported so a loop can bump the ones with no admission
 // logic (Revisits, Truncated) directly; Frontier and Steals are the
-// work-stealing frontier's own counters, which it updates through a
-// pointer so snapshots read them without a mirrored second atomic.
+// work queue's own counters (its pending work and its handoffs to a
+// waiting worker), so snapshots read them without a mirrored second
+// atomic.
 type Session struct {
 	Transitions atomic.Int64
 	Unique      atomic.Int64

@@ -10,7 +10,7 @@ package core
 // carries the sleep set it was reached under, exactly like it carries
 // its replayable parent path.
 //
-// internal/search's work-stealing engine is the consumer; the facade
+// internal/search's parallel engine is the consumer; the facade
 // activates it through EngineOptions.Reduction.
 
 // SleepEntry is one sleeping transition: its identity hash plus the

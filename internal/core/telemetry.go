@@ -20,8 +20,8 @@ var depthBounds = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 // The Session already keeps the report counters on the hot path, so the
 // bundle is synced from them at progress-snapshot and stop time
 // (syncProgress, searchStop) instead of double-counting per transition;
-// only the signals no report counter carries — depth observations and
-// violations — update live.
+// only the signals no report counter carries — depth observations,
+// violations and the frontier's high-water mark — update live.
 type SearchTelemetry struct {
 	scope *telemetry.Scope
 
@@ -110,11 +110,20 @@ func (t *SearchTelemetry) syncProgress(p Progress, steals int64) {
 	t.truncated.Store(p.Truncated)
 	t.seRuns.Store(p.SERuns)
 	t.frontier.Set(p.Frontier)
-	t.frontierPeak.SetMax(p.Frontier)
 	if d := p.Transitions - t.lastBatch; d > 0 {
 		t.lastBatch = p.Transitions
 		t.scope.Emit(telemetry.TraceExpandBatch, d, "")
 	}
+}
+
+// RaiseFrontierPeak lifts frontier_peak to n, the pending work just
+// after an engine queued an item, so the gauge is a true high-water mark
+// however short the search.
+func (t *SearchTelemetry) RaiseFrontierPeak(n int64) {
+	if t == nil {
+		return
+	}
+	t.frontierPeak.SetMax(n)
 }
 
 // observeDepth records one reached state's trace depth.

@@ -3,8 +3,9 @@
 // discover transition to a pool of solver workers instead of executing
 // it; solver workers run (or recall) the symbolic execution and feed the
 // post-discover state back. What is private to the loop is what differs
-// from the parallel engine: the two cond-guarded queues, the feedback
-// rounds that open proactive targets, and the symbolic budget.
+// from the parallel engine: the two solver queues, kept under the shared
+// queue's lock, the feedback rounds that open proactive targets, and the
+// symbolic budget.
 
 package search
 
@@ -36,20 +37,16 @@ type target struct {
 	demand bool
 }
 
-// loopState is what the two pools share beyond the expander.
+// loopState is what the two pools share beyond the expander, whose
+// queue holds the search side's items.
 type loopState struct {
 	expander
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	searchQ []item // LIFO: workers keep expanding deep states
-	// Solver work: demand targets gate search progress and are served
-	// first (newest first); proactive ones only add coverage (FIFO).
+	// Solver work, guarded by the queue's lock and counted in its
+	// pending: demand targets gate search progress and are served first
+	// (newest first); proactive ones only add coverage (FIFO).
 	demandQ    []target
 	proactiveQ []target
-	// pending counts queued + in-flight items. It is the session's
-	// Frontier gauge: written under mu, read lock-free by snapshots.
-	pending *atomic.Int64
 
 	seenApps map[canon.Digest]bool // guarded by mu
 
@@ -59,50 +56,28 @@ type loopState struct {
 	fbRounds  *telemetry.Counter // sym scope's feedback_rounds
 }
 
-// enqueue appends work to one of the loop's queues.
-func enqueue[T any](st *loopState, q *[]T, v T) {
-	st.mu.Lock()
-	*q = append(*q, v)
-	st.pending.Add(1)
-	st.cond.Broadcast()
-	st.mu.Unlock()
-}
-
-// take pops one work item for a pool (solver workers drain the target
-// queues, search workers searchQ). It blocks until work of the pool's
-// kind arrives, the whole loop drains (pending 0), or the search stops;
-// ok=false means the worker should exit.
-func (st *loopState) take(solver bool) (target, bool) {
+// takeTarget pops one solver target. It blocks until one arrives, the
+// whole loop drains (nothing pending), or the search stops; ok=false
+// means the solver should exit.
+func (st *loopState) takeTarget() (target, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for {
 		switch {
 		case st.s.Stopped():
 			return target{}, false
-		case !solver && len(st.searchQ) > 0:
-			return target{item: popLast(&st.searchQ)}, true
-		case solver && len(st.demandQ) > 0:
+		case len(st.demandQ) > 0:
 			return popLast(&st.demandQ), true
-		case solver && len(st.proactiveQ) > 0:
+		case len(st.proactiveQ) > 0:
 			tg := st.proactiveQ[0]
 			st.proactiveQ[0] = target{}
 			st.proactiveQ = st.proactiveQ[1:]
 			return tg, true
-		case st.pending.Load() == 0:
+		case st.s.Frontier.Load() == 0:
 			return target{}, false
 		}
 		st.cond.Wait()
 	}
-}
-
-// done retires one in-flight item; the last one wakes every waiter so
-// the pools can drain.
-func (st *loopState) done() {
-	st.mu.Lock()
-	if st.pending.Add(-1) == 0 {
-		st.cond.Broadcast()
-	}
-	st.mu.Unlock()
 }
 
 // symAllowed reports whether the discover budget still has room. The
@@ -115,59 +90,51 @@ func (st *loopState) symAllowed() bool {
 
 // Search implements core.Engine.
 func (loopEngine) Search(ctx context.Context, cfg *core.Config, eo core.EngineOptions) *core.Report {
-	st := &loopState{seenApps: make(map[canon.Digest]bool), symBudget: eo.SymBudget}
-	st.cond = sync.NewCond(&st.mu)
-	// Every Abort wakes both pools. The broadcast takes mu, so no Session
-	// method that can abort is called with mu held; and the cond exists
-	// before Begin because a pre-canceled context aborts in there.
-	s := core.Begin(ctx, "concolic", cfg, eo, func() {
-		st.mu.Lock()
-		st.cond.Broadcast()
-		st.mu.Unlock()
-	})
 	// red stays nil: EngineOptions.Reduction is accepted and ignored.
-	st.expander = expander{s: s, cfg: cfg, seen: newSeenSet(seenShards),
-		push: func(sc *scratch, it item) bool {
-			sc.exports++
-			enqueue(st, &st.searchQ, it)
-			return true
-		},
-		divert: st.deferDiscover,
+	st := &loopState{expander: expander{cfg: cfg, seen: newSeenSet(seenShards)},
+		seenApps: make(map[canon.Digest]bool), symBudget: eo.SymBudget}
+	st.divert = st.deferDiscover
+	st.push = func(sc *scratch, it item) bool {
+		st.put(sc, it)
+		return true
 	}
-	st.pending, st.seStart = &s.Frontier, s.Caches().SERuns()
+	s := st.begin(ctx, "concolic", cfg, eo)
+	st.seStart = s.Caches().SERuns()
 	st.fbRounds = eo.Telemetry.Scope("sym").Counter("feedback_rounds") // nil without a registry
 
 	root := s.NewSystem()
 	st.seen.Add(root.Fingerprint())
 	s.Admit(0)
-	enqueue(st, &st.searchQ, item{sys: root})
+	enqueue(&st.queue, &st.items, item{sys: root})
 
 	var wg sync.WaitGroup
-	pool := func(n int, solver bool, work func(*scratch, target) bool) {
+	pool := func(n int, work func(*scratch)) {
 		for w := 0; w < n; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				defer s.Guard()
-				var sc scratch
-				for {
-					tg, ok := st.take(solver)
-					if !ok {
-						return
-					}
-					if !work(&sc, tg) {
-						tg.sys.Release()
-					}
-					st.done()
-				}
+				work(new(scratch))
 			}()
 		}
 	}
-	pool(eo.WorkerCount(), false, func(sc *scratch, tg target) bool {
-		st.feedbackTargets(tg.item)
-		return st.expand(sc, tg.item)
+	pool(eo.WorkerCount(), func(sc *scratch) {
+		for it, ok := st.take(); ok; it, ok = st.take() {
+			st.feedbackTargets(it)
+			if !st.expand(sc, it) {
+				it.sys.Release()
+			}
+			st.done()
+		}
 	})
-	pool(eo.SolverPool(), true, st.solve)
+	pool(eo.SolverPool(), func(sc *scratch) {
+		for tg, ok := st.takeTarget(); ok; tg, ok = st.takeTarget() {
+			if !st.solve(sc, tg) {
+				tg.sys.Release()
+			}
+			st.done()
+		}
+	})
 	wg.Wait()
 
 	s.Tel().SetShardOccupancy(st.seen.occupancy())
@@ -179,12 +146,12 @@ func (loopEngine) Search(ctx context.Context, cfg *core.Config, eo core.EngineOp
 // deferDiscover is the expansion step's divert hook: a discover transition is
 // itself the symbolic job, so it becomes a demand target on a private
 // fork (the search side never blocks on symbolic execution). The solver
-// worker applies it and feeds the resulting state back into searchQ.
+// worker applies it and feeds the resulting state back into the queue.
 func (st *loopState) deferDiscover(it item, t core.Transition) bool {
 	if t.Kind != core.THostDiscover && t.Kind != core.TCtrlDiscoverStats {
 		return false
 	}
-	enqueue(st, &st.demandQ, target{item: item{sys: it.sys.Clone(), path: it.path}, t: t, demand: true})
+	enqueue(&st.queue, &st.demandQ, target{item: item{sys: it.sys.Clone(), path: it.path}, t: t, demand: true})
 	return true
 }
 
@@ -212,7 +179,7 @@ func (st *loopState) feedbackTargets(it item) {
 		if !st.symAllowed() {
 			break // proactive coverage is best-effort under a budget
 		}
-		enqueue(st, &st.proactiveQ, target{item: item{sys: it.sys.Clone()}, t: t})
+		enqueue(&st.queue, &st.proactiveQ, target{item: item{sys: it.sys.Clone()}, t: t})
 		round = true
 	}
 	if round {

@@ -23,7 +23,7 @@ type EngineSpec struct {
 var engines = []EngineSpec{
 	{"concolic", "model-checking × symbolic-execution feedback loop (§3, Fig. 1)", Loop},
 	{"dfs", "sequential depth-first reference search (Figure 5)", core.DFS},
-	{"parallel", "work-stealing parallel full search (owners DFS, thieves BFS)", Parallel},
+	{"parallel", "parallel full search (depth-first workers, one shared queue)", Parallel},
 	{"swarm", "parallel seeded random-walk swarm", SwarmEngine},
 	{"walks", "sequential seeded random walks (§1.3): the swarm on one worker", Walks},
 }

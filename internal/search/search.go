@@ -9,18 +9,18 @@
 // spreads the expansion over cores:
 //
 //   - a lock-striped seen-set keyed by System.Fingerprint() (seenset.go),
-//   - per-worker frontiers with work-stealing (frontier.go), holding
-//     only handed-off states: a worker expands each new child at once,
-//     depth-first on its own goroutine, lending every successor but the
-//     last a fork and reclaiming it as the sequential checker does, and
-//     queues a child (a forked System plus the replayable trace prefix
-//     that reached it) only while another worker waits for one,
-//   - three loops over them: the default hybrid (workers run
-//     depth-first, thieves steal breadth-first), seeded random walks, as
-//     a swarm or pinned to one worker (swarm.go), and the concolic
-//     feedback loop, which runs the hybrid's expansion step on one pool
-//     — queueing every child — and symbolic execution on another
-//     (concolic.go).
+//   - one work queue (queue.go), a LIFO under a lock and a cond that
+//     holds only handed-off states: a parallel worker expands each new
+//     child at once, depth-first on its own goroutine, lending every
+//     successor but the last a fork and reclaiming it as the sequential
+//     checker does, and queues a child (a forked System plus the
+//     replayable trace prefix that reached it) only while another
+//     worker waits for one,
+//   - three loops over them: the default parallel search, seeded random
+//     walks, as a swarm or pinned to one worker (swarm.go), and the
+//     concolic feedback loop, which runs the parallel expansion step on
+//     one pool — queueing every child — and symbolic execution on
+//     another, whose targets share the queue's lock (concolic.go).
 //
 // Each loop is a core.Engine (Parallel, SwarmEngine, Walks, Loop) and
 // runs inside a core.Session, which supplies what every engine shares:
@@ -48,13 +48,12 @@ const seenShards = 256
 // Parallel returns the exhaustive parallel search as a core.Engine:
 // EngineOptions.Workers workers (0 = all CPUs), each running the
 // sequential checker's depth-first expansion on its own goroutine and
-// handing a state to the work-stealing frontier only while another
-// worker waits for one. It visits exactly the states the sequential
-// checker visits whenever state identity is schedule-independent —
-// symbolic execution off, or discover caches warmed. On cold SE-enabled
-// runs the counts can differ slightly (cache presence is part of the
-// state hash and fills in schedule order); the violated-property set
-// matches regardless.
+// handing a state to the shared queue only while another worker waits
+// for one. It visits exactly the states the sequential checker visits
+// whenever state identity is schedule-independent — symbolic execution
+// off, or discover caches warmed. On cold SE-enabled runs the counts can
+// differ slightly (cache presence is part of the state hash and fills in
+// schedule order); the violated-property set matches regardless.
 func Parallel() core.Engine { return parallelEngine{} }
 
 type parallelEngine struct{}
@@ -69,31 +68,31 @@ func (parallelEngine) Search(ctx context.Context, cfg *core.Config, eo core.Engi
 		// report and the stream must agree.
 		return core.DFS().Search(ctx, cfg, eo)
 	}
-	s := core.Begin(ctx, "parallel", cfg, eo, nil)
-	st, front := newParallel(s, cfg, eo, workers)
+	st := newParallel(ctx, cfg, eo)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			defer s.Guard()
-			st.work(front, w)
-		}(w)
+			defer st.s.Guard()
+			st.work()
+		}()
 	}
 	wg.Wait()
-	s.Tel().SetShardOccupancy(st.seen.occupancy())
-	return s.End(ctx)
+	st.s.Tel().SetShardOccupancy(st.seen.occupancy())
+	return st.s.End(ctx)
 }
 
-// newParallel sets up the parallel engine on s: the expander whose push
-// expands a child in place unless the frontier has a worker waiting, and
-// the frontier holding the root.
-func newParallel(s *core.Session, cfg *core.Config, eo core.EngineOptions, workers int) (*expander, *frontier) {
-	front := newFrontier(workers, s)
-	st := &expander{s: s, cfg: cfg, seen: newSeenSet(seenShards)}
+// newParallel opens the parallel engine's session: the expander whose
+// push expands a child in place unless a worker waits in take, and the
+// queue holding the root.
+func newParallel(ctx context.Context, cfg *core.Config, eo core.EngineOptions) *expander {
+	st := &expander{cfg: cfg, seen: newSeenSet(seenShards)}
+	s := st.begin(ctx, "parallel", cfg, eo)
 	st.push = func(sc *scratch, it item) bool {
-		if front.idle.Load() > 0 {
-			front.handoff(sc, it)
+		if st.waiting.Load() > 0 {
+			s.Steals.Add(1)
+			st.put(sc, it)
 			return true
 		}
 		return st.expand(sc, it)
@@ -105,25 +104,25 @@ func newParallel(s *core.Session, cfg *core.Config, eo core.EngineOptions, worke
 	}
 	st.seen.Add(root.Fingerprint())
 	s.Admit(0)
-	front.push(0, item{sys: root})
-	return st, front
+	enqueue(&st.queue, &st.items, item{sys: root})
+	return st
 }
 
-// work is worker w's loop: take a handed-off state, expand it and its
+// work is one worker's loop: take a handed-off state, expand it and its
 // subtree, and recycle its System's struct and slice backings
 // (components live on in the children that borrowed them) unless a
 // handed-off successor took it over.
-func (st *expander) work(front *frontier, w int) {
-	sc := scratch{w: w}
+func (st *expander) work() {
+	var sc scratch
 	for {
-		it, ok := front.get(w)
+		it, ok := st.take()
 		if !ok {
 			return
 		}
 		if !st.expand(&sc, it) {
 			it.sys.Release()
 		}
-		front.done()
+		st.done()
 	}
 }
 
@@ -136,7 +135,6 @@ func (st *expander) work(front *frontier, w int) {
 // are kept per depth, as Checker.enabledAt's transBufs are; the event
 // batch and the violation trace live only within one apply.
 type scratch struct {
-	w      int // the worker's deque (parallel engine)
 	frames []*frame
 	events []core.Event
 	trace  []core.Transition
@@ -161,19 +159,20 @@ func (sc *scratch) frame(depth int) *frame {
 	return sc.frames[depth]
 }
 
-// expander is the per-state expansion step and what its workers share
-// beyond the Session. The parallel engine and the concolic loop run the
-// same step; they differ in the two seams below.
+// expander is the per-state expansion step and what its workers share:
+// the queue, which holds the Session, and the seen-set. The parallel
+// engine and the concolic loop run the same step; they differ in the two
+// seams below.
 type expander struct {
-	s    *core.Session
+	queue
 	cfg  *core.Config
 	seen *seenSet
 
 	// push hands on an admitted child found by the worker owning sc and
-	// reports whether the child lives on elsewhere: queued on a deque or
-	// the loop's search queue, or taken over by a queued successor. The
-	// parallel engine expands the child at once unless a worker waits
-	// for work; the concolic loop always queues it.
+	// reports whether the child lives on elsewhere: queued, or taken
+	// over by a queued successor. The parallel engine expands the child
+	// at once unless a worker waits for work; the concolic loop always
+	// queues it.
 	push func(sc *scratch, it item) bool
 	// divert, when non-nil, is offered each enabled transition of it
 	// before it executes; true means the caller took it over. The

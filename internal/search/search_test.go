@@ -10,6 +10,7 @@ import (
 
 	"github.com/nice-go/nice/internal/canon"
 	"github.com/nice-go/nice/internal/core"
+	"github.com/nice-go/nice/internal/telemetry"
 	"github.com/nice-go/nice/openflow"
 	"github.com/nice-go/nice/scenarios"
 )
@@ -35,7 +36,7 @@ func sameSet(a, b map[string]bool) bool {
 	return true
 }
 
-// parallel runs the work-stealing engine with fresh discover caches
+// parallel runs the parallel engine with fresh discover caches
 // unless cc is given.
 func parallel(cfg *core.Config, workers int, cc *core.Caches) *core.Report {
 	return Parallel().Search(context.Background(), cfg,
@@ -256,66 +257,72 @@ func TestSeenSet(t *testing.T) {
 	}
 }
 
-// TestFrontierStealing exercises push/pop/steal ordering (owners pop
-// newest-first, thieves steal oldest-first) and the idle count: a get
-// that finds no work counts as idle until it returns, whether work
-// arrives or the search stops.
-func TestFrontierStealing(t *testing.T) {
-	s := new(core.Session)
-	f := newFrontier(2, s)
-	d1 := (*core.PathNode)(nil).Child(core.Transition{})
-	d2 := d1.Child(core.Transition{})
-	a := item{}
-	b := item{path: d1}
-	c := item{path: d2}
-	f.push(0, a)
-	f.push(0, b)
-	f.push(0, c)
-	if it, ok := f.steal(1); !ok || it.path.Depth() != 0 {
-		t.Fatalf("thief should take the oldest item (depth 0)")
-	}
-	if it, ok := f.popLocal(0); !ok || it.path.Depth() != 2 {
-		t.Fatalf("owner should pop the newest item (depth 2)")
-	}
-	if it, ok := f.popLocal(0); !ok || it.path.Depth() != 1 {
-		t.Fatalf("owner should pop the remaining item (depth 1)")
-	}
-	if _, ok := f.popLocal(0); ok {
-		t.Fatal("deque should be empty")
-	}
-	f.pending.Add(1) // an item mid-expansion: get must wait, not end
-	waitIdle := func(got <-chan bool) {
+// TestQueue exercises take's blocking contract: with an item pending
+// and none queued, take blocks and counts as waiting until an item is
+// put (which it returns), the search stops, or the pending item is done
+// (both false); waiting is back to 0 after each, and put counts the
+// export.
+func TestQueue(t *testing.T) {
+	var q queue
+	s := q.begin(context.Background(), "parallel", &core.Config{}, core.EngineOptions{})
+	defer s.End(context.Background())
+	got := make(chan bool)
+	takeWhile := func(step string, unblock func()) bool {
 		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); f.idle.Load() != 1; {
+		go func() { _, ok := q.take(); got <- ok }()
+		for deadline := time.Now().Add(5 * time.Second); q.waiting.Load() != 1; {
 			if time.Now().After(deadline) {
-				t.Fatalf("idle = %d while a get waits, want 1", f.idle.Load())
+				t.Fatalf("%s: waiting = %d while a take blocks, want 1", step, q.waiting.Load())
 			}
 			time.Sleep(time.Millisecond)
 		}
 		select {
 		case <-got:
-			t.Fatal("get returned with no work queued and an item pending")
+			t.Fatalf("%s: take returned with nothing queued and an item pending", step)
 		default:
 		}
+		unblock()
+		ok := <-got
+		if n := q.waiting.Load(); n != 0 {
+			t.Fatalf("%s: waiting = %d after take returned, want 0", step, n)
+		}
+		return ok
 	}
-	got := make(chan bool)
-	go func() { _, ok := f.get(1); got <- ok }()
-	waitIdle(got)
-	f.push(0, b)
-	if !<-got {
-		t.Fatal("a waiting get should steal the item pushed meanwhile")
+	enqueue(&q, &q.items, item{}) // the root
+	if _, ok := q.take(); !ok {
+		t.Fatal("take should return the queued root")
 	}
-	if n := f.idle.Load(); n != 0 {
-		t.Fatalf("idle = %d after get returned work, want 0", n)
+	var sc scratch
+	if !takeWhile("put", func() { q.put(&sc, item{}) }) {
+		t.Fatal("a blocked take should return the item put meanwhile")
 	}
-	go func() { _, ok := f.get(1); got <- ok }()
-	waitIdle(got)
-	s.Abort(core.StopNone)
-	if <-got {
-		t.Fatal("get returned work after the stop")
+	if sc.exports != 1 {
+		t.Fatalf("exports = %d after one put, want 1", sc.exports)
 	}
-	if n := f.idle.Load(); n != 0 {
-		t.Fatalf("idle = %d after a stop, want 0", n)
+	q.done() // the put item; the root is still pending
+	if takeWhile("drain", q.done) {
+		t.Fatal("take returned an item once nothing was pending")
+	}
+	q.put(&sc, item{})
+	if _, ok := q.take(); !ok {
+		t.Fatal("take should return the queued item")
+	}
+	if takeWhile("stop", func() { s.Abort(core.StopNone) }) {
+		t.Fatal("take returned an item after the stop")
+	}
+}
+
+// TestFrontierPeak: frontier_peak is a high-water mark of the queue,
+// raised as items are put, so a search that ends before its first
+// progress snapshot still reports the root it queued.
+func TestFrontierPeak(t *testing.T) {
+	for _, e := range []core.Engine{Parallel(), Loop()} {
+		reg := telemetry.New()
+		e.Search(context.Background(), scenarioConfig("pingpong-se"),
+			core.EngineOptions{Workers: 2, Telemetry: reg})
+		if peak := reg.Snapshot().Gauges[e.Name()+".frontier_peak"]; peak < 1 {
+			t.Errorf("%s: frontier_peak = %d, want >= 1", e.Name(), peak)
+		}
 	}
 }
 
@@ -331,15 +338,16 @@ func violationKeys(r *core.Report) []string {
 
 // TestReclaimHandoffParity pins the reclaim rule of the parallel
 // expansion on one goroutine, where the handoffs do not depend on
-// timing: push hands off every k-th admitted child and expands the rest
-// in place, so lent subtrees both do and do not export states. A parent
-// that reclaimed a fork whose subtree exported a state would write into
-// components that state still shares; an expansion clobbering an outer
-// depth's enabled list would skip or repeat transitions. Either shows as
-// a count or violation that differs from the sequential DFS's, on warm
-// caches (where state identity is schedule-independent). Under sleep-set
-// reduction the unique states still match, and the transitions do not
-// exceed the unreduced search's.
+// timing: push puts every k-th admitted child on the queue and expands
+// the rest in place, and work drains the queue, so lent subtrees both do
+// and do not export states. A parent that reclaimed a fork whose subtree
+// exported a state would write into components that state still
+// shares; an expansion clobbering an outer depth's enabled list would
+// skip or repeat transitions. Either shows as a count or violation that
+// differs from the sequential DFS's, on warm caches (where state
+// identity is schedule-independent). Under sleep-set reduction the
+// unique states still match, and the transitions do not exceed the
+// unreduced search's.
 func TestReclaimHandoffParity(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -356,18 +364,17 @@ func TestReclaimHandoffParity(t *testing.T) {
 				// The budgets stop a search a broken reclaim sends astray.
 				eo := core.EngineOptions{Caches: cc, Reduction: red,
 					MaxStates: 2 * ref.UniqueStates, MaxTransitions: 2 * ref.Transitions}
-				s := core.Begin(ctx, "parallel", cfg, eo, nil)
-				st, front := newParallel(s, cfg, eo, 1)
+				st := newParallel(ctx, cfg, eo)
 				admitted := 0
 				st.push = func(sc *scratch, it item) bool {
 					if admitted++; admitted%k == 0 {
-						front.handoff(sc, it)
+						st.put(sc, it)
 						return true
 					}
 					return st.expand(sc, it)
 				}
-				st.work(front, 0)
-				r := s.End(ctx)
+				st.work()
+				r := st.s.End(ctx)
 				differs := !r.Complete || r.UniqueStates != ref.UniqueStates ||
 					!slices.Equal(violationKeys(r), violationKeys(ref))
 				if red == core.ReductionDPOR {
@@ -390,8 +397,8 @@ func TestReclaimHandoffParity(t *testing.T) {
 // already holds, after a transition or at quiescence, allocates nothing.
 func TestRecordHeldViolationAllocs(t *testing.T) {
 	cfg := &core.Config{}
-	s := core.Begin(context.Background(), "parallel", cfg, core.EngineOptions{}, nil)
-	st := &expander{s: s, cfg: cfg}
+	st := &expander{cfg: cfg}
+	s := st.begin(context.Background(), "parallel", cfg, core.EngineOptions{})
 	var path *core.PathNode
 	for i := 0; i < 40; i++ {
 		path = path.Child(core.Transition{Kind: core.TSwitchProcess, Port: openflow.PortID(i)})

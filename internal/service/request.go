@@ -62,8 +62,8 @@ type JobRequest struct {
 }
 
 // MaxWorkers bounds a request's worker pools (workers, sym_workers):
-// each worker is a goroutine and a frontier deque, so an unbounded ask
-// would end the whole server in an out-of-memory crash.
+// each worker is a goroutine with its own expansion buffers, so an
+// unbounded ask would end the whole server in an out-of-memory crash.
 const MaxWorkers = 1024
 
 // maxTimeoutMS is the largest timeout_ms a time.Duration holds. A

@@ -617,7 +617,7 @@ func TestSubmitBodyBounded(t *testing.T) {
 }
 
 // TestRequestBoundsWorkerPools: a pool of a billion workers would be a
-// billion goroutines and deques — an out-of-memory crash no recover
+// billion goroutines — an out-of-memory crash no recover
 // catches. The server answers 400 instead and runs the next job.
 func TestRequestBoundsWorkerPools(t *testing.T) {
 	_, ts := newTestServer(t, service.Options{Workers: 1})

@@ -12,7 +12,7 @@ import (
 // options can be used without importing internal packages.
 type (
 	// Engine is a pluggable search strategy: the sequential DFS
-	// checker, the parallel work-stealing engine, random walks, the
+	// checker, the parallel engine, random walks, the
 	// seeded swarm and the concolic loop all implement it. Run drives
 	// whichever is selected.
 	Engine = core.Engine
@@ -78,9 +78,9 @@ var (
 	// SequentialDFS is the paper's default full depth-first search
 	// (Figure 5) — the reference oracle. Run's default engine.
 	SequentialDFS = core.DFS
-	// ParallelHybrid is the work-stealing parallel search
-	// (internal/search): workers expand depth-first and hand a state
-	// off only while another waits, thieves steal breadth-first.
+	// ParallelHybrid is the parallel search (internal/search): workers
+	// expand depth-first and put a state on the shared queue only
+	// while another worker waits for one.
 	// WithWorkers sizes the pool; 1 delegates to the sequential checker.
 	ParallelHybrid = search.Parallel
 	// RandomWalks is the sequential random-walk mode (§1.3): the

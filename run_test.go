@@ -98,7 +98,7 @@ func TestRunCancelSequential(t *testing.T) {
 }
 
 // TestRunCancelParallel: the same mid-search cancel under the parallel
-// work-stealing engine.
+// engine.
 func TestRunCancelParallel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

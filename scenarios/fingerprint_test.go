@@ -87,7 +87,7 @@ func TestFingerprintOracleParity(t *testing.T) {
 				orcW := core.NewCheckerWith(oracle(mk()), cc).Run()
 				requireSameCounts(t, "warm", incW, orcW)
 
-				// Warm, parallel: the work-stealing engine on incremental
+				// Warm, parallel: the parallel engine on incremental
 				// fingerprints against the sequential oracle.
 				par := search.Parallel().Search(context.Background(), mk(),
 					core.EngineOptions{Workers: 4, Caches: cc})
