@@ -1,11 +1,12 @@
 // The concolic feedback loop (§3, Figure 1; docs/SYMBOLIC.md): search
-// workers run the shared expansion step over a LIFO queue, handing every
-// discover transition to a pool of solver workers instead of executing
-// it; solver workers run (or recall) the symbolic execution and feed the
-// post-discover state back. What is private to the loop is what differs
-// from the parallel engine: the two solver queues, kept under the shared
-// queue's lock, the feedback rounds that open proactive targets, and the
-// symbolic budget.
+// workers run the parallel engine's workers and push — each expands a
+// new child in place and queues it only while another search worker
+// waits — but hand every discover transition to a pool of solver
+// workers instead of executing it; solver workers run (or recall) the
+// symbolic execution and queue the post-discover state. What is private
+// to the loop is what differs from the parallel engine: the two solver
+// queues, kept under the shared queue's lock, the feedback rounds that
+// open proactive targets, and the symbolic budget.
 
 package search
 
@@ -52,8 +53,10 @@ type loopState struct {
 
 	feedback  atomic.Int64
 	symBudget int64
-	seStart   int64
-	fbRounds  *telemetry.Counter // sym scope's feedback_rounds
+	// seRuns counts the explorations this loop ran: the memo, and its
+	// SERuns, may be shared with other searches.
+	seRuns   atomic.Int64
+	fbRounds *telemetry.Counter // sym scope's feedback_rounds
 }
 
 // takeTarget pops one solver target. It blocks until one arrives, the
@@ -85,62 +88,44 @@ func (st *loopState) takeTarget() (target, bool) {
 // by at most the pool size — the same slack the parallel engine's
 // MaxStates bound accepts.
 func (st *loopState) symAllowed() bool {
-	return st.symBudget <= 0 || st.s.Caches().SERuns()-st.seStart < st.symBudget
+	return st.symBudget <= 0 || st.seRuns.Load() < st.symBudget
 }
 
 // Search implements core.Engine.
 func (loopEngine) Search(ctx context.Context, cfg *core.Config, eo core.EngineOptions) *core.Report {
-	// red stays nil: EngineOptions.Reduction is accepted and ignored.
-	st := &loopState{expander: expander{cfg: cfg, seen: newSeenSet(seenShards)},
-		seenApps: make(map[canon.Digest]bool), symBudget: eo.SymBudget}
-	st.divert = st.deferDiscover
-	st.push = func(sc *scratch, it item) bool {
-		st.put(sc, it)
-		return true
-	}
-	s := st.begin(ctx, "concolic", cfg, eo)
-	st.seStart = s.Caches().SERuns()
-	st.fbRounds = eo.Telemetry.Scope("sym").Counter("feedback_rounds") // nil without a registry
-
-	root := s.NewSystem()
-	st.seen.Add(root.Fingerprint())
-	s.Admit(0)
-	enqueue(&st.queue, &st.items, item{sys: root})
-
+	st := newLoop(ctx, cfg, eo)
 	var wg sync.WaitGroup
-	pool := func(n int, work func(*scratch)) {
-		for w := 0; w < n; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer s.Guard()
-				work(new(scratch))
-			}()
-		}
-	}
-	pool(eo.WorkerCount(), func(sc *scratch) {
-		for it, ok := st.take(); ok; it, ok = st.take() {
-			st.feedbackTargets(it)
-			if !st.expand(sc, it) {
-				it.sys.Release()
-			}
-			st.done()
-		}
-	})
-	pool(eo.SolverPool(), func(sc *scratch) {
-		for tg, ok := st.takeTarget(); ok; tg, ok = st.takeTarget() {
-			if !st.solve(sc, tg) {
-				tg.sys.Release()
-			}
-			st.done()
-		}
-	})
+	st.spawn(&wg, eo.WorkerCount(), st.work)
+	st.spawn(&wg, eo.SolverPool(), st.serve)
 	wg.Wait()
 
-	s.Tel().SetShardOccupancy(st.seen.occupancy())
-	report := s.End(ctx)
+	st.s.Tel().SetShardOccupancy(st.seen.occupancy())
+	report := st.s.End(ctx)
 	report.FeedbackRounds = st.feedback.Load()
 	return report
+}
+
+// newLoop opens the loop's session with the root queued. Its expansion
+// never reduces: EngineOptions.Reduction is accepted and ignored.
+func newLoop(ctx context.Context, cfg *core.Config, eo core.EngineOptions) *loopState {
+	st := &loopState{expander: expander{cfg: cfg, seen: newSeenSet(seenShards)},
+		seenApps: make(map[canon.Digest]bool), symBudget: eo.SymBudget}
+	st.enter = st.feedbackTargets
+	st.divert = st.deferDiscover
+	st.fbRounds = eo.Telemetry.Scope("sym").Counter("feedback_rounds") // nil without a registry
+	st.start(ctx, "concolic", eo, false)
+	return st
+}
+
+// serve is one solver worker's loop.
+func (st *loopState) serve() {
+	var sc scratch
+	for tg, ok := st.takeTarget(); ok; tg, ok = st.takeTarget() {
+		if !st.solve(&sc, tg) {
+			tg.sys.Release()
+		}
+		st.done()
+	}
 }
 
 // deferDiscover is the expansion step's divert hook: a discover transition is
@@ -155,11 +140,13 @@ func (st *loopState) deferDiscover(it item, t core.Transition) bool {
 	return true
 }
 
-// feedbackTargets opens a feedback round when the node carries a novel
-// controller-application state: each host whose discover results are
-// not yet memoized against it is enqueued as a proactive symbolic
-// target (on a private fork, so solver workers never share a System).
-func (st *loopState) feedbackTargets(it item) {
+// feedbackTargets is the expansion step's enter hook. It opens a
+// feedback round when the node carries a novel controller-application
+// state: each host whose discover results are not yet memoized against
+// it is enqueued as a proactive symbolic target, on a private fork, so
+// solver workers never share a System. The fork shares it.sys's
+// components, so each counts as an export of the worker owning sc.
+func (st *loopState) feedbackTargets(sc *scratch, it item) {
 	app := it.sys.AppDigest()
 	st.mu.Lock()
 	fresh := !st.seenApps[app]
@@ -180,6 +167,7 @@ func (st *loopState) feedbackTargets(it item) {
 			break // proactive coverage is best-effort under a budget
 		}
 		enqueue(&st.queue, &st.proactiveQ, target{item: item{sys: it.sys.Clone()}, t: t})
+		sc.exports++
 		round = true
 	}
 	if round {
@@ -189,32 +177,35 @@ func (st *loopState) feedbackTargets(it item) {
 }
 
 // solve processes one symbolic target on a solver worker, reporting
-// whether tg.sys lives on as the queued post-discover state.
+// whether tg.sys lives on as the queued post-discover state. A solver
+// always queues that state: it never expands in place.
 func (st *loopState) solve(sc *scratch, tg target) bool {
 	if st.s.Stopped() {
 		return false
 	}
-	if !tg.demand {
-		if st.symAllowed() {
+	// A memoized exploration is free; a fresh one must fit the budget.
+	// Another worker filling the memo entry first can only overcount.
+	if !tg.sys.DiscoverCached(tg.t) {
+		if !st.symAllowed() {
+			if tg.demand {
+				st.s.Abort(core.StopSymBudget)
+			}
+			return false
+		}
+		st.seRuns.Add(1)
+		if !tg.demand {
 			tg.sys.DiscoverPacketClasses(tg.t.Host)
 		}
-		return false
 	}
-	// Demand target: the exploration may already be memoized (another
-	// worker got there first) — then applying is free; otherwise the
-	// budget must cover a fresh discover run.
-	if !st.symAllowed() && !tg.sys.DiscoverCached(tg.t) {
-		st.s.Abort(core.StopSymBudget)
-		return false
-	}
-	if !st.s.Reserve() {
-		return false
-	}
-	if st.apply(sc, tg.sys, tg.path, tg.t) {
+	if !tg.demand || !st.s.Reserve() || st.apply(sc, tg.sys, tg.path, tg.t) {
 		return false
 	}
 	// The solved classes seed a new search frontier: the post-discover
-	// state (the private fork itself) re-enters the worklist, where the
+	// state (the private fork itself) re-enters the queue, where the
 	// host's sends (or the stats variants) are now enabled transitions.
-	return st.admit(sc, tg.sys, tg.path, tg.t)
+	if !st.fresh(tg.sys, tg.path) {
+		return false
+	}
+	st.put(sc, item{sys: tg.sys, path: tg.path.Child(tg.t)})
+	return true
 }

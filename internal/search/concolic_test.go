@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"github.com/nice-go/nice/internal/core"
@@ -102,7 +103,9 @@ func TestConcolicFeedbackClasses(t *testing.T) {
 // TestConcolicSymBudget covers both budget outcomes: a budget too small
 // for the demanded discover runs aborts with StopSymBudget (partial),
 // and the exhausted loop drops proactive targets instead of aborting
-// when demand discovery fits.
+// when demand discovery fits. The budget is charged only for the
+// search's own explorations, not for those of another search sharing
+// its memo.
 func TestConcolicSymBudget(t *testing.T) {
 	r := Loop().Search(context.Background(), scenarioConfig("pingpong-se"),
 		core.EngineOptions{Workers: 2, SymWorkers: 1, SymBudget: 1})
@@ -118,6 +121,68 @@ func TestConcolicSymBudget(t *testing.T) {
 	if full.StopReason != core.StopNone || !full.Complete {
 		t.Errorf("roomy budget: stop=%q complete=%v", full.StopReason, full.Complete)
 	}
+
+	// loadbalancer-bench(3) runs 24 explorations of its own, a few of
+	// them before its first violation. There, while its one search
+	// worker waits, a full bug-xi search runs its own on the same memo,
+	// more than 48; a budget of twice the 24 must still see the first
+	// search through.
+	cc := core.NewCaches()
+	var once sync.Once
+	other := func(core.Violation) {
+		once.Do(func() {
+			Loop().Search(context.Background(), scenarioConfig("bug-xi"),
+				core.EngineOptions{Caches: cc, Workers: 1, SymWorkers: 1})
+		})
+	}
+	shared := Loop().Search(context.Background(), scenarios.MustLookup("loadbalancer-bench").Config(3),
+		core.EngineOptions{Caches: cc, Workers: 1, SymWorkers: 1, SymBudget: 48,
+			Observer: core.ObserverFuncs{Violation: other}})
+	if shared.StopReason != core.StopNone || !shared.Complete {
+		t.Errorf("shared memo: stop=%q complete=%v, want a complete search", shared.StopReason, shared.Complete)
+	}
+	if n := cc.SERuns(); n <= 24+48 {
+		t.Errorf("the two searches ran %d explorations, want more than 24+48", n)
+	}
+}
+
+// TestConcolicFeedbackExports: a proactive target forks the state it
+// came from, so feedbackTargets counts one export per target. A parent
+// that reclaimed its epoch past an uncounted one would write components
+// the queued fork still reads.
+func TestConcolicFeedbackExports(t *testing.T) {
+	ctx := context.Background()
+	st := newLoop(ctx, scenarioConfig("pingpong-se"), core.EngineOptions{})
+	defer st.s.End(ctx)
+	root, _ := st.take()
+	var sc scratch
+	st.feedbackTargets(&sc, root)
+	if n := int64(len(st.proactiveQ)); n == 0 || sc.exports != n {
+		t.Errorf("%d proactive targets, %d exports; want some targets, one export each", n, sc.exports)
+	}
+}
+
+// TestConcolicSolverQueues: a solver queues the post-discover state it
+// admits even while no search worker waits for one, instead of
+// expanding it in place as a search worker would.
+func TestConcolicSolverQueues(t *testing.T) {
+	ctx := context.Background()
+	st := newLoop(ctx, scenarioConfig("pingpong-se"), core.EngineOptions{})
+	defer st.s.End(ctx)
+	root, _ := st.take()
+	var sc scratch
+	for _, tr := range root.sys.EnabledInto(nil) {
+		if tr.Kind != core.THostDiscover {
+			continue
+		}
+		tg := target{item: item{sys: root.sys.Clone(), path: root.path}, t: tr, demand: true}
+		if !st.solve(&sc, tg) || len(st.items) != 1 || st.waiting.Load() != 0 {
+			t.Errorf("solve: %d items queued with %d workers waiting, want the post-discover state queued",
+				len(st.items), st.waiting.Load())
+		}
+		return
+	}
+	t.Fatal("the root enables no discover transition")
 }
 
 // TestConcolicCancel covers the cancellation path: a pre-canceled

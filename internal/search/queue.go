@@ -28,15 +28,16 @@ type item struct {
 
 // queue is the one scheduler of the multi-worker engines: a LIFO of
 // handed-off items under one mutex, whose cond wakes the workers
-// blocked in take. The parallel engine queues a child only while a
-// worker waits; the concolic loop queues every child, and keeps its
-// solver targets under the same lock and cond.
+// blocked in take. A worker queues a child only while another worker
+// waits (handOff); the concolic loop's solvers queue every
+// post-discover state, and its solver targets live under the same lock
+// and cond.
 type queue struct {
 	mu    sync.Mutex
 	cond  sync.Cond
 	items []item
 	// waiting counts the workers blocked in take: written under mu,
-	// read lock-free by the parallel engine's push.
+	// read lock-free by handOff.
 	waiting atomic.Int64
 	// s supplies the stop flag and the pending count, s.Frontier: work
 	// queued on any list under mu, or taken and not yet done, written

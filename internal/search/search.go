@@ -18,9 +18,9 @@
 //     worker waits for one,
 //   - three loops over them: the default parallel search, seeded random
 //     walks, as a swarm or pinned to one worker (swarm.go), and the
-//     concolic feedback loop, which runs the parallel expansion step on
-//     one pool — queueing every child — and symbolic execution on
-//     another, whose targets share the queue's lock (concolic.go).
+//     concolic feedback loop, which runs the parallel engine's workers
+//     and push on one pool and symbolic execution on another, whose
+//     targets share the queue's lock (concolic.go).
 //
 // Each loop is a core.Engine (Parallel, SwarmEngine, Walks, Loop) and
 // runs inside a core.Session, which supplies what every engine shares:
@@ -70,42 +70,56 @@ func (parallelEngine) Search(ctx context.Context, cfg *core.Config, eo core.Engi
 	}
 	st := newParallel(ctx, cfg, eo)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer st.s.Guard()
-			st.work()
-		}()
-	}
+	st.spawn(&wg, workers, st.work)
 	wg.Wait()
 	st.s.Tel().SetShardOccupancy(st.seen.occupancy())
 	return st.s.End(ctx)
 }
 
-// newParallel opens the parallel engine's session: the expander whose
-// push expands a child in place unless a worker waits in take, and the
-// queue holding the root.
+// newParallel opens the parallel engine's session, under sleep-set
+// reduction when eo asks for it.
 func newParallel(ctx context.Context, cfg *core.Config, eo core.EngineOptions) *expander {
 	st := &expander{cfg: cfg, seen: newSeenSet(seenShards)}
-	s := st.begin(ctx, "parallel", cfg, eo)
-	st.push = func(sc *scratch, it item) bool {
-		if st.waiting.Load() > 0 {
-			s.Steals.Add(1)
-			st.put(sc, it)
-			return true
-		}
-		return st.expand(sc, it)
-	}
+	st.start(ctx, "parallel", eo, eo.Reduction == core.ReductionDPOR)
+	return st
+}
+
+// start opens the session named name, with handOff as push, and queues
+// the root; dpor turns on sleep-set reduction.
+func (st *expander) start(ctx context.Context, name string, eo core.EngineOptions, dpor bool) {
+	s := st.begin(ctx, name, st.cfg, eo)
+	st.push = st.handOff
 	root := s.NewSystem()
-	if eo.Reduction == core.ReductionDPOR {
+	if dpor {
 		st.red = core.NewSleepReducer(root)
 		st.dporTel = core.NewDporTelemetry(eo.Telemetry)
 	}
 	st.seen.Add(root.Fingerprint())
 	s.Admit(0)
 	enqueue(&st.queue, &st.items, item{sys: root})
-	return st
+}
+
+// spawn starts n goroutines running work under the session's guard.
+func (st *expander) spawn(wg *sync.WaitGroup, n int, work func()) {
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer st.s.Guard()
+			work()
+		}()
+	}
+}
+
+// handOff is the push of both multi-worker engines: it queues the child
+// while another worker waits in take, and otherwise expands it at once.
+func (st *expander) handOff(sc *scratch, it item) bool {
+	if st.waiting.Load() > 0 {
+		st.s.Steals.Add(1)
+		st.put(sc, it)
+		return true
+	}
+	return st.expand(sc, it)
 }
 
 // work is one worker's loop: take a handed-off state, expand it and its
@@ -139,7 +153,7 @@ type scratch struct {
 	events []core.Event
 	trace  []core.Transition
 	// exports counts the states this worker queued for another
-	// goroutine: handed-off children and diverted targets. While it
+	// goroutine: handed-off children and solver targets. While it
 	// does not move, a lent child's subtree has exported nothing; only
 	// then may the parent reclaim the epoch it held before the fork.
 	exports int64
@@ -161,8 +175,8 @@ func (sc *scratch) frame(depth int) *frame {
 
 // expander is the per-state expansion step and what its workers share:
 // the queue, which holds the Session, and the seen-set. The parallel
-// engine and the concolic loop run the same step; they differ in the two
-// seams below.
+// engine and the concolic loop run the same step, workers and push; they
+// differ in the two seams enter and divert.
 type expander struct {
 	queue
 	cfg  *core.Config
@@ -170,10 +184,11 @@ type expander struct {
 
 	// push hands on an admitted child found by the worker owning sc and
 	// reports whether the child lives on elsewhere: queued, or taken
-	// over by a queued successor. The parallel engine expands the child
-	// at once unless a worker waits for work; the concolic loop always
-	// queues it.
+	// over by a queued successor. It is handOff except in tests.
 	push func(sc *scratch, it item) bool
+	// enter, when non-nil, sees each state before it is expanded. The
+	// concolic loop opens its feedback rounds there.
+	enter func(sc *scratch, it item)
 	// divert, when non-nil, is offered each enabled transition of it
 	// before it executes; true means the caller took it over. The
 	// concolic loop hands discover transitions to its solver pool.
@@ -213,11 +228,17 @@ func (st *expander) record(sc *scratch, fails []core.PropertyFailure, path *core
 }
 
 // admit pushes child, reached over path+t, if its state is new, and
-// reports whether the child lives on elsewhere; a revisit is counted.
+// reports whether the child lives on elsewhere.
 func (st *expander) admit(sc *scratch, child *core.System, path *core.PathNode, t core.Transition) bool {
+	return st.fresh(child, path) && st.push(sc, item{sys: child, path: path.Child(t)})
+}
+
+// fresh adds child, reached below path, to the seen-set and reports
+// whether its state is new; a revisit is counted.
+func (st *expander) fresh(child *core.System, path *core.PathNode) bool {
 	if st.seen.Add(child.Fingerprint()) {
 		st.s.Admit(path.Depth() + 1)
-		return st.push(sc, item{sys: child, path: path.Child(t)})
+		return true
 	}
 	st.s.Revisits.Add(1)
 	return false
@@ -251,6 +272,9 @@ func (st *expander) expand(sc *scratch, it item) (livesOn bool) {
 	s := st.s
 	if s.Stopped() {
 		return false
+	}
+	if st.enter != nil {
+		st.enter(sc, it)
 	}
 	depth := it.path.Depth()
 	f := sc.frame(depth)

@@ -97,8 +97,8 @@ func (r *JobRequest) Flags(fs *flag.FlagSet) {
 	fs.Int64Var(&r.TimeoutMS, "timeout-ms", r.TimeoutMS, "abort the search after this many milliseconds")
 	fs.IntVar(&r.MaxDepth, "max-depth", r.MaxDepth, "override the execution depth bound")
 	fs.BoolVar(&r.AllViolations, "all-violations", r.AllViolations, "keep searching past the first violation")
-	fs.StringVar(&r.Reduction, "reduction", r.Reduction, "interleaving reduction: "+reductionNames+" (exhaustive engines only)")
-	fs.Int64Var(&r.SymBudget, "sym-budget", r.SymBudget, "concolic loop: abort after this many symbolic discover explorations")
+	fs.StringVar(&r.Reduction, "reduction", r.Reduction, "interleaving reduction: "+reductionNames+" (dfs and parallel only; walks, swarm and concolic ignore it)")
+	fs.Int64Var(&r.SymBudget, "sym-budget", r.SymBudget, "concolic loop: abort after this many symbolic discover explorations of its own")
 	fs.IntVar(&r.SymWorkers, "sym-workers", r.SymWorkers, "concolic loop: solver worker pool size (0 = 2)")
 	fs.Int64Var(&r.Seed, "seed", r.Seed, "random-walk seed (walk i uses seed+i); read only by a walk engine, which -walks/-steps or -engine select")
 	fs.IntVar(&r.Walks, "walks", r.Walks, "number of random walks (0 = 64)")

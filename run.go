@@ -161,8 +161,9 @@ func WithWalks(seed int64, walks, steps int) RunOption {
 
 // WithSymBudget bounds the concolic loop's symbolic-execution budget:
 // the search aborts with StopSymBudget (a partial, replayable report)
-// once n discover explorations have run and a state still demands
-// discovery; proactive feedback targets are dropped instead. n <= 0
+// once it has run n discover explorations itself (not counting those of
+// a search sharing its Caches) and a state still demands discovery;
+// proactive feedback targets are dropped instead. n <= 0
 // means unbounded. Unless an engine was chosen explicitly, it selects
 // the ConcolicLoop engine; the eager engines ignore the budget.
 func WithSymBudget(n int64) RunOption {
@@ -204,7 +205,8 @@ func WithCaches(cc *Caches) RunOption {
 // available unchanged (they live inside the Config). Reduction applies
 // to the exhaustive engines (SequentialDFS, ParallelHybrid); the
 // random-walk engines sample single interleavings, where there is
-// nothing to reduce, and ignore it. Off by default.
+// nothing to reduce, and ignore it, and so does the ConcolicLoop.
+// Off by default.
 func WithReduction(r Reduction) RunOption {
 	return func(s *runSettings) { s.Reduction = r }
 }
