@@ -11,6 +11,7 @@
 package nice_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -42,7 +43,7 @@ func benchTable1(b *testing.B, pings int, noReduction bool) {
 	for i := 0; i < b.N; i++ {
 		cfg := resolve(b, "pingpong", pings, "pkt-seq")
 		cfg.NoSwitchReduction = noReduction
-		last = core.NewChecker(cfg).Run()
+		last = nice.Run(context.Background(), cfg)
 	}
 	reportSearch(b, last)
 }
@@ -70,7 +71,7 @@ func BenchmarkFigure6_NoDelay(b *testing.B) {
 		b.Run(fmt.Sprintf("pings=%d", pings), func(b *testing.B) {
 			var last *core.Report
 			for i := 0; i < b.N; i++ {
-				last = core.NewChecker(resolve(b, "pingpong", pings, "no-delay")).Run()
+				last = nice.Run(context.Background(), resolve(b, "pingpong", pings, "no-delay"))
 			}
 			reportSearch(b, last)
 		})
@@ -82,7 +83,7 @@ func BenchmarkFigure6_FlowIR(b *testing.B) {
 		b.Run(fmt.Sprintf("pings=%d", pings), func(b *testing.B) {
 			var last *core.Report
 			for i := 0; i < b.N; i++ {
-				last = core.NewChecker(resolve(b, "pingpong", pings, "flow-ir")).Run()
+				last = nice.Run(context.Background(), resolve(b, "pingpong", pings, "flow-ir"))
 			}
 			reportSearch(b, last)
 		})
@@ -96,7 +97,7 @@ func BenchmarkBaselineFine(b *testing.B) {
 		b.Run(fmt.Sprintf("pings=%d", pings), func(b *testing.B) {
 			var last *core.Report
 			for i := 0; i < b.N; i++ {
-				last = core.NewChecker(resolve(b, "baseline-fine", pings, "pkt-seq")).Run()
+				last = nice.Run(context.Background(), resolve(b, "baseline-fine", pings, "pkt-seq"))
 			}
 			reportSearch(b, last)
 		})
@@ -113,7 +114,7 @@ func BenchmarkTable2(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", sc.Name, s), func(b *testing.B) {
 				var last *core.Report
 				for i := 0; i < b.N; i++ {
-					last = core.NewChecker(resolve(b, sc.Name, 0, s)).Run()
+					last = nice.Run(context.Background(), resolve(b, sc.Name, 0, s))
 				}
 				reportSearch(b, last)
 				if last.FirstViolation() != nil {
@@ -141,7 +142,7 @@ func BenchmarkAblationCanonicalTable(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := resolve(b, "pingpong", 3, "pkt-seq")
 				cfg.NoSwitchReduction = !canonical
-				last = core.NewChecker(cfg).Run()
+				last = nice.Run(context.Background(), cfg)
 			}
 			reportSearch(b, last)
 		})
@@ -161,7 +162,7 @@ func BenchmarkAblationMicroSteps(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := resolve(b, "pingpong", 2, "pkt-seq")
 				cfg.MicroSteps = micro
-				last = core.NewChecker(cfg).Run()
+				last = nice.Run(context.Background(), cfg)
 			}
 			reportSearch(b, last)
 		})
@@ -174,7 +175,7 @@ func BenchmarkAblationSE(b *testing.B) {
 	b.Run("discover-packets", func(b *testing.B) {
 		var last *core.Report
 		for i := 0; i < b.N; i++ {
-			last = core.NewChecker(resolve(b, "bug-ii", 0, "pkt-seq")).Run()
+			last = nice.Run(context.Background(), resolve(b, "bug-ii", 0, "pkt-seq"))
 		}
 		reportSearch(b, last)
 		b.ReportMetric(float64(last.SERuns), "se-runs")
@@ -189,7 +190,7 @@ func BenchmarkAblationSE(b *testing.B) {
 			cfg := resolve(b, "bug-ii", 0, "pkt-seq")
 			cfg.DisableSE = true
 			cfg.Hosts[0].Repertoire = []nice.Header{cfg.Hosts[0].Seed}
-			last = core.NewChecker(cfg).Run()
+			last = nice.Run(context.Background(), cfg)
 		}
 		reportSearch(b, last)
 		b.ReportMetric(b01(last.FirstViolation() != nil), "found")
@@ -202,7 +203,7 @@ func BenchmarkAblationSE(b *testing.B) {
 			bcast := cfg.Hosts[0].Seed
 			bcast.EthDst = nice.BroadcastEth
 			cfg.Hosts[0].Repertoire = []nice.Header{bcast}
-			last = core.NewChecker(cfg).Run()
+			last = nice.Run(context.Background(), cfg)
 		}
 		reportSearch(b, last)
 		b.ReportMetric(b01(last.FirstViolation() != nil), "found")

@@ -72,7 +72,7 @@ type Campaign struct {
 	Parallelism int
 
 	// Workers is the per-job engine worker count, as in WithWorkers
-	// (0 = all CPUs, 1 = the sequential reference checker).
+	// (0 = all CPUs, 1 = the sequential DFS).
 	Workers int
 
 	// JobTimeout bounds each job's wall clock (0 = unbounded).

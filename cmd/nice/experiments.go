@@ -30,7 +30,7 @@ import (
 )
 
 // experiments is the harness front end. Every search goes through
-// nice.Run with -workers: 1 = the sequential reference checker,
+// nice.Run with -workers: 1 = the sequential DFS,
 // otherwise the parallel engine's pool (0 = all CPUs).
 func experiments(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("nice experiments", flag.ExitOnError)
@@ -40,7 +40,7 @@ func experiments(ctx context.Context, args []string) {
 		baseline = fs.Bool("baseline", false, "run the off-the-shelf-checker baseline comparison")
 		all      = fs.Bool("all", false, "run everything")
 		maxPings = fs.Int("maxpings", 4, "largest ping count for table1/figure6")
-		workers  = fs.Int("workers", 1, "parallel search workers (0 = all CPUs, 1 = sequential checker)")
+		workers  = fs.Int("workers", 1, "parallel search workers (0 = all CPUs, 1 = sequential DFS)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "Usage of nice experiments:")

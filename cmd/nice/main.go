@@ -133,7 +133,7 @@ func runAll(ctx context.Context, args []string) {
 		scale       = fs.Int("scale", 0, "scale for every scenario (0 = each scenario's default)")
 		fixed       = fs.Bool("fixed", false, "check the repaired applications instead")
 		jobs        = fs.Int("jobs", 2, "concurrently running jobs")
-		workers     = fs.Int("workers", 1, "per-job search workers (0 = all CPUs, 1 = sequential checker)")
+		workers     = fs.Int("workers", 1, "per-job search workers (0 = all CPUs, 1 = sequential DFS)")
 		jobTimeout  = fs.Duration("job-timeout", 0, "wall-clock budget per job")
 		jobStates   = fs.Int64("job-max-states", 0, "unique-state budget per job")
 		totalStates = fs.Int64("total-states", 0, "shared unique-state budget across all jobs")

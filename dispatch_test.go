@@ -54,6 +54,7 @@ func TestDispatch(t *testing.T) {
 		{"Run(WithWalks,WithWorkers(2))", "swarm", viaRun(nice.WithWalks(1, 4, 10), nice.WithWorkers(2))},
 		{"Run(WithSymWorkers(1))", "concolic", viaRun(nice.WithSymWorkers(1))},
 		{"Run(WithEngine(dfs),WithWorkers(4))", "dfs", viaRun(nice.WithEngine(nice.SequentialDFS()), nice.WithWorkers(4))},
+		{"Run(WithEngine(parallel),WithWorkers(1))", "parallel", viaRun(nice.WithEngine(nice.ParallelHybrid()), nice.WithWorkers(1))},
 
 		{"Campaign{Workers:1}", "dfs", viaCampaign(1)},
 		{"Campaign{Workers:4}", "parallel", viaCampaign(4)},

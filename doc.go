@@ -27,7 +27,7 @@
 //	}
 //
 // Run is the single entry point for every exploration mode: the
-// sequential DFS reference search (default), the parallel engine
+// sequential depth-first search (default), the parallel engine
 // (WithWorkers), random walks and seeded swarms
 // (WithWalks), with wall-clock/state/transition budgets (WithDeadline,
 // WithMaxStates, WithMaxTransitions), context cancellation, and

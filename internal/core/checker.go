@@ -53,8 +53,9 @@ type Report struct {
 	// sharing one Caches, like SERuns).
 	PacketClasses int64
 	// FeedbackRounds counts model-checking → symbolic-execution
-	// feedback rounds: controller states whose novelty enqueued fresh
-	// symbolic targets. Only the concolic loop sets it.
+	// feedback rounds: states whose novel (controller state, host,
+	// location) triples enqueued fresh symbolic targets. Only the
+	// concolic loop sets it.
 	FeedbackRounds int64
 	// Violations lists the property failures found, under every engine
 	// deduplicated by property + error text (keeping the shortest trace
@@ -84,33 +85,25 @@ func (r *Report) FirstViolation() *Violation {
 	return &r.Violations[0]
 }
 
-// Checker runs state-space searches over a Config.
+// Checker holds a Config and its discover caches: it replays traces
+// (Replay, ReplayWithProperties) and runs the persistent-set DPOR DFS
+// (RunContext). The unreduced searches are the engines of
+// internal/search.
 type Checker struct {
 	cfg    *Config
 	caches *Caches
 
-	explored map[canon.Digest]bool
 	// s is the search in flight (set by RunContext): counters, budgets,
 	// stop control, violations and streaming.
 	s *Session
 
-	// eventBuf is the reused per-transition event batch: events are
-	// dead once the property checks ran (nothing retains the slice),
-	// so the whole search shares one growing buffer.
-	eventBuf []Event
-	// transBufs are per-depth enabled-transition buffers: a frame's
-	// enabled set is live across its recursive calls, but siblings at
-	// the same depth can reuse one buffer.
-	transBufs [][]Transition
-	// trace is the DFS path stack: one mutable slice pushed/popped per
-	// frame — copying the whole prefix per explored transition was
-	// nearly half of all bytes the search allocated. Violations pass it
-	// by reference; the session copies it only when it keeps the trace.
-	trace []Transition
-
-	// Reduction-layer state (dpor.go, dpor_dfs.go), populated only when
-	// EngineOptions.Reduction selects DPOR; the vanilla dfs() hot path
-	// never touches it.
+	// The DPOR DFS's state (dpor.go, dpor_dfs.go). trace is its path
+	// stack, pushed and popped per executed transition: violations pass
+	// it by reference and the session copies only a trace it keeps.
+	// events is the reused per-transition event batch, dead once the
+	// property checks ran.
+	trace        []Transition
+	events       []Event
 	space        *componentSpace
 	dporExplored map[canon.Digest]dporNode
 	sums         runStore[sumEntry]
@@ -129,13 +122,13 @@ type Checker struct {
 	runBuf [dporSummaryCap + 1]sumEntry
 }
 
-// NewChecker prepares a search.
+// NewChecker prepares a checker with a fresh discover-cache set.
 func NewChecker(cfg *Config) *Checker {
 	return &Checker{cfg: cfg, caches: NewCaches()}
 }
 
-// NewCheckerWith prepares a search against a caller-supplied
-// discover-cache set (shared with a parallel engine or a prior run).
+// NewCheckerWith prepares a checker against a caller-supplied
+// discover-cache set (shared with another search or a prior run).
 func NewCheckerWith(cfg *Config, cc *Caches) *Checker {
 	return &Checker{cfg: cfg, caches: cc}
 }
@@ -143,20 +136,15 @@ func NewCheckerWith(cfg *Config, cc *Caches) *Checker {
 // Caches exposes the checker's discover caches for sharing.
 func (c *Checker) Caches() *Caches { return c.caches }
 
-// Run performs the full depth-first search from the initial state and
-// returns the report. It follows Figure 5 of the paper: explore enabled
-// transitions, hash-match states, arm discover transitions, check
-// properties after every transition and at quiescent states.
-func (c *Checker) Run() *Report {
-	return c.RunContext(context.Background(), EngineOptions{})
-}
-
-// RunContext is Run with runtime controls: it honors context
-// cancellation (and deadlines) and the EngineOptions budgets, streams
-// violations and progress to the options' Observer, and on abort
-// returns a partial report whose traces still replay deterministically.
-// The search runs against the checker's own cache set (a fresh one when
-// it has none), whatever opts.Caches says.
+// RunContext runs the sequential depth-first search under dynamic
+// partial-order reduction — the persistent-set DPOR DFS that search.DFS
+// runs for ReductionDPOR — whatever opts.Reduction says; an unreduced
+// search is nice.Run. It honors context cancellation (and deadlines)
+// and the EngineOptions budgets, streams violations and progress to the
+// options' Observer, and on abort returns a partial report whose traces
+// still replay deterministically. The search runs against the checker's
+// own cache set (a fresh one when it has none), whatever opts.Caches
+// says.
 func (c *Checker) RunContext(ctx context.Context, opts EngineOptions) *Report {
 	opts.Caches = c.caches
 	c.s = Begin(ctx, "dfs", c.cfg, opts, nil)
@@ -165,88 +153,9 @@ func (c *Checker) RunContext(ctx context.Context, opts EngineOptions) *Report {
 	// goroutines need stopping on the way out.
 	defer c.s.Close()
 
-	c.explored = make(map[canon.Digest]bool)
 	c.trace = c.trace[:0]
-	root := c.s.NewSystem()
-	if opts.Reduction == ReductionDPOR {
-		c.dporRun(root, opts.Telemetry)
-	} else {
-		c.dfs(root)
-	}
+	c.dporRun(c.s.NewSystem(), opts.Telemetry)
 	return c.s.End(ctx)
-}
-
-func (c *Checker) dfs(sys *System) {
-	s := c.s
-	if s.Stopped() {
-		return
-	}
-	h := sys.Fingerprint()
-	if c.explored[h] {
-		s.Revisits.Add(1)
-		return
-	}
-	c.explored[h] = true
-	depth := len(c.trace)
-	s.Admit(depth)
-
-	enabled := c.enabledAt(sys, depth)
-	if len(enabled) == 0 {
-		for _, f := range sys.CheckQuiescence() {
-			s.Record(Violation{Property: f.Property, Err: f.Err,
-				Trace: c.trace, Quiescence: true})
-			if s.Stopped() {
-				return
-			}
-		}
-		return
-	}
-	if depth >= c.cfg.maxDepth() {
-		s.Truncated.Add(1)
-		return
-	}
-
-	last := len(enabled) - 1
-	for i, t := range enabled {
-		if s.Stopped() || !s.Reserve() {
-			return
-		}
-		// The last successor is sys itself: the reclaims gave sys back
-		// what it owned, so applying in place writes that uncopied.
-		child, epoch := sys, uint64(0)
-		if i < last {
-			child, epoch = sys.Lend()
-		}
-		events := child.ApplyInto(t, c.eventBuf)
-		c.eventBuf = events
-		c.trace = append(c.trace, t)
-
-		violated := false
-		for _, f := range child.CheckEvents(events) {
-			s.Record(Violation{Property: f.Property, Err: f.Err, Trace: c.trace})
-			violated = true
-		}
-		// The paper's checker saves the error and trace and does not
-		// explore past a violating state.
-		if !violated {
-			c.dfs(child)
-		}
-		if i < last {
-			sys.Reclaim(child, epoch)
-		}
-		c.trace = c.trace[:len(c.trace)-1]
-	}
-}
-
-// enabledAt enumerates sys's enabled transitions into the per-depth
-// buffer: a frame's transitions stay valid while deeper frames run.
-func (c *Checker) enabledAt(sys *System, depth int) []Transition {
-	for len(c.transBufs) <= depth {
-		c.transBufs = append(c.transBufs, nil)
-	}
-	enabled := sys.EnabledInto(c.transBufs[depth])
-	c.transBufs[depth] = enabled[:0]
-	return enabled
 }
 
 func cloneTrace(trace []Transition) []Transition {

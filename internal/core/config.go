@@ -158,8 +158,7 @@ func (c *Config) maxDepth() int {
 }
 
 // DepthBound is the effective execution depth bound (MaxDepth with its
-// default applied); the parallel search engine truncates at the same
-// depth as the sequential checker.
+// default applied): every engine truncates there.
 func (c *Config) DepthBound() int { return c.maxDepth() }
 
 // tableHashMode says how switches hash and render their flow tables:

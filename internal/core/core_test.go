@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -170,86 +169,6 @@ func TestHashDetectsEveryComponent(t *testing.T) {
 	s3.Controller().DeliverToController(openflow.Msg{Type: openflow.MsgPacketIn, Switch: 1})
 	if s3.Hash() == mk().Hash() {
 		t.Error("controller channel change invisible to hash")
-	}
-}
-
-func TestReplayDeterminism(t *testing.T) {
-	cfg := hubConfig(2)
-	checker := NewChecker(cfg)
-	report := checker.Run()
-	if report.Transitions == 0 {
-		t.Fatal("empty search")
-	}
-
-	// Drive one execution and replay it.
-	sim := NewSimulator(cfg)
-	for i := 0; i < 30; i++ {
-		en := sim.Enabled()
-		if len(en) == 0 {
-			break
-		}
-		if _, _, err := sim.Step(len(en) - 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := sim.System().Hash()
-	replayed, _ := NewChecker(cfg).Replay(sim.Trace())
-	if replayed.Hash() != want {
-		t.Error("replay reached a different state")
-	}
-}
-
-func TestSearchCountsAndRevisits(t *testing.T) {
-	report := NewChecker(hubConfig(2)).Run()
-	if report.UniqueStates == 0 || report.Transitions < report.UniqueStates-1 {
-		t.Errorf("implausible counts: %+v", report)
-	}
-	if !report.Complete {
-		t.Error("bounded search marked incomplete")
-	}
-	if report.Revisits == 0 {
-		t.Log("note: no revisits in this tiny model")
-	}
-}
-
-func TestMaxTransitionsAborts(t *testing.T) {
-	report := NewChecker(hubConfig(3)).RunContext(context.Background(), EngineOptions{MaxTransitions: 5})
-	if report.Complete {
-		t.Error("aborted search marked complete")
-	}
-	if report.Transitions > 6 {
-		t.Errorf("executed %d transitions past the budget", report.Transitions)
-	}
-}
-
-func TestMaxDepthTruncates(t *testing.T) {
-	cfg := hubConfig(3)
-	cfg.MaxDepth = 3
-	report := NewChecker(cfg).Run()
-	if report.Truncated == 0 {
-		t.Error("no truncation at depth 3")
-	}
-}
-
-func TestNoDelayCollapsesExchanges(t *testing.T) {
-	cfg := hubConfig(2)
-	cfg.NoDelay = true
-	plain := NewChecker(hubConfig(2)).Run()
-	lockstep := NewChecker(cfg).Run()
-	if lockstep.UniqueStates >= plain.UniqueStates {
-		t.Errorf("NO-DELAY did not reduce states: %d vs %d",
-			lockstep.UniqueStates, plain.UniqueStates)
-	}
-	// Under lock step a single send drains in one transition.
-	sim := NewSimulator(cfg)
-	if _, _, err := sim.Step(0); err != nil { // send
-		t.Fatal(err)
-	}
-	if _, _, err := sim.Step(0); err != nil { // process_pkt + the whole exchange
-		t.Fatal(err)
-	}
-	if in := sim.System().Controller().PendingIn(); len(in) != 0 {
-		t.Errorf("controller channel not drained under NO-DELAY: %v", in)
 	}
 }
 

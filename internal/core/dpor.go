@@ -29,7 +29,7 @@ const (
 	// the paper's searches, unchanged. The default.
 	ReductionNone Reduction = iota
 	// ReductionDPOR enables dynamic partial-order reduction: sleep sets
-	// plus Flanagan–Godefroid backtrack sets in the sequential checker
+	// plus Flanagan–Godefroid backtrack sets in the sequential DPOR DFS
 	// (pruning both transitions and states), and sleep-set transition
 	// pruning in the parallel engine. Sound for the checked properties:
 	// the violated-property set is preserved exactly.

@@ -8,13 +8,14 @@ import (
 	"github.com/nice-go/nice/internal/telemetry"
 )
 
-// Stateful Flanagan–Godefroid DPOR for the sequential checker: sleep
+// Stateful Flanagan–Godefroid DPOR for the sequential DFS: sleep
 // sets prune redundant transitions, dynamically-computed backtrack sets
 // prune whole subtrees, and per-state bookkeeping (dporNode) adapts both
-// to the checker's hash-matched state storage. The exploration order,
+// to the search's hash-matched state storage. The exploration order,
 // state counting, quiescence/depth semantics and violation handling
-// mirror dfs() exactly — DPOR changes only WHICH enabled transitions get
-// executed, never what happens when one does.
+// mirror the unreduced search (internal/search's expansion step) — DPOR
+// changes only WHICH enabled transitions get executed, never what
+// happens when one does.
 //
 // Two stateful-search adaptations on top of the classic stack-based
 // algorithm:
@@ -343,8 +344,8 @@ type dporFrame struct {
 	sumBuf [dporSummaryCap]sumEntry
 }
 
-// dporRun is the ReductionDPOR entry point, dispatched by RunContext in
-// place of dfs(); reg feeds the shared dpor telemetry scope.
+// dporRun is the DPOR DFS's entry point, called by RunContext; reg
+// feeds the shared dpor telemetry scope.
 func (c *Checker) dporRun(root *System, reg *telemetry.Registry) {
 	c.space = newComponentSpace(root)
 	c.dporExplored = make(map[canon.Digest]dporNode)
@@ -425,7 +426,9 @@ func (c *Checker) dporVisit(sys *System, sleep []SleepEntry) dporSummary {
 		// shrink the signature to what is still jointly asleep.
 		c.dporTel.Reexpansion()
 		c.dporExplored[h] = dporNode{sum: noRun, sleep: node.sleep}
-		sub := c.dporExpand(sys, depth, c.enabledAt(sys, depth), sleep, diff)
+		f := &c.dporFrames[depth]
+		f.enabled = sys.EnabledInto(f.enabled)
+		sub := c.dporExpand(sys, depth, sleep, diff)
 		merged := dporSummary{exact: c.runBuf[:copy(c.runBuf[:], sum.exact)], residual: sum.residual}
 		merged.mergeFolded(&c.fpt, sub, 0)
 		node.sleep = c.shrinkSignature(node.sleep, sleep)
@@ -440,10 +443,11 @@ func (c *Checker) dporVisit(sys *System, sleep []SleepEntry) dporSummary {
 	c.dporExplored[h] = node
 	c.s.Admit(depth)
 
-	// Quiescence and depth handling mirror dfs(): the checks run against
-	// the full enabled set, before any reduction.
-	enabled := c.enabledAt(sys, depth)
-	if len(enabled) == 0 {
+	// Quiescence and depth handling mirror the unreduced search: the
+	// checks run against the full enabled set, before any reduction.
+	f := &c.dporFrames[depth]
+	f.enabled = sys.EnabledInto(f.enabled)
+	if len(f.enabled) == 0 {
 		for _, f := range sys.CheckQuiescence() {
 			c.s.Record(Violation{Property: f.Property, Err: f.Err,
 				Trace: c.trace, Quiescence: true})
@@ -458,24 +462,23 @@ func (c *Checker) dporVisit(sys *System, sleep []SleepEntry) dporSummary {
 		// The whole subtree is hidden behind the bound.
 		return c.storeSummary(h, node, c.globalSummary())
 	}
-	return c.storeSummary(h, node, c.dporExpand(sys, depth, enabled, sleep, nil))
+	return c.storeSummary(h, node, c.dporExpand(sys, depth, sleep, nil))
 }
 
 // dporExpand runs the backtrack-set exploration loop at one state over
-// its enabled set. With only == nil this is a first expansion:
+// its enabled set, which the caller put in the depth's frame. With only == nil this is a first expansion:
 // transitions in sleep start asleep and the first awake transition seeds
 // the backtrack set. With only != nil it is a re-expansion: exactly the
 // keys in only are awake and all of them are seeded; the rest were
 // covered by the previous expansion of this state. The returned summary
 // lives in the frame's sumBuf: valid until the next expansion at this
 // depth, and not to be stored.
-func (c *Checker) dporExpand(sys *System, depth int, enabled []Transition, sleep []SleepEntry, only []uint64) dporSummary {
-	n := len(enabled)
-
+func (c *Checker) dporExpand(sys *System, depth int, sleep []SleepEntry, only []uint64) dporSummary {
 	f := &c.dporFrames[depth]
+	enabled := f.enabled
+	n := len(enabled)
 	c.frameTop = depth + 1
 
-	f.enabled = enabled
 	f.fps, c.hostSwBuf = c.space.footprintsInto(sys, enabled, f.fps[:0], c.hostSwBuf)
 	f.keys = f.keys[:0]
 	for i := range enabled {
@@ -567,12 +570,11 @@ func (c *Checker) dporExpand(sys *System, depth int, enabled []Transition, sleep
 			return c.globalSummary()
 		}
 		child := sys.Clone()
-		events := child.ApplyInto(t, c.eventBuf)
-		c.eventBuf = events
+		c.events = child.ApplyInto(t, c.events)
 		c.trace = append(c.trace, t)
 
 		violated := false
-		for _, fail := range child.CheckEvents(events) {
+		for _, fail := range child.CheckEvents(c.events) {
 			c.s.Record(Violation{Property: fail.Property, Err: fail.Err, Trace: c.trace})
 			violated = true
 		}

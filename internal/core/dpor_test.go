@@ -109,58 +109,6 @@ func violationKeys(r *Report) []string {
 	return keys
 }
 
-// TestDPORParity: the reduced search finds exactly the violations the
-// full search finds, while executing no more transitions. The workload
-// runs at full depth — depth truncation forces conservative global
-// summaries that disable pruning (soundness is preserved, reduction is
-// not), which the bench-level tests cover separately.
-func TestDPORParity(t *testing.T) {
-	for _, failAt := range []int{0, 1} {
-		t.Run(fmt.Sprintf("failAt=%d", failAt), func(t *testing.T) {
-			mk := func() *Config {
-				cfg := dporConfig(1, failAt)
-				cfg.StopAtFirstViolation = false
-				return cfg
-			}
-			full := NewChecker(mk()).Run()
-			red := NewChecker(mk()).RunContext(t.Context(), EngineOptions{Reduction: ReductionDPOR})
-
-			fullViol, redViol := violationKeys(full), violationKeys(red)
-			if len(fullViol) != len(redViol) {
-				t.Fatalf("violation sets differ: full=%v dpor=%v", fullViol, redViol)
-			}
-			for i := range fullViol {
-				if fullViol[i] != redViol[i] {
-					t.Fatalf("violation sets differ: full=%v dpor=%v", fullViol, redViol)
-				}
-			}
-			if red.Transitions > full.Transitions {
-				t.Errorf("DPOR executed more transitions (%d) than full search (%d)",
-					red.Transitions, full.Transitions)
-			}
-			if red.UniqueStates > full.UniqueStates {
-				t.Errorf("DPOR visited more states (%d) than full search (%d)",
-					red.UniqueStates, full.UniqueStates)
-			}
-			t.Logf("full: %d states / %d transitions; dpor: %d states / %d transitions",
-				full.UniqueStates, full.Transitions, red.UniqueStates, red.Transitions)
-		})
-	}
-}
-
-// TestDPORReduces: on the concurrent workload the reduction must
-// actually prune, not just break even.
-func TestDPORReduces(t *testing.T) {
-	mk := func() *Config { return dporConfig(1, 0) }
-	full := NewChecker(mk()).Run()
-	red := NewChecker(mk()).RunContext(t.Context(), EngineOptions{Reduction: ReductionDPOR})
-	if red.Transitions >= full.Transitions {
-		t.Fatalf("no reduction: full=%d transitions, dpor=%d", full.Transitions, red.Transitions)
-	}
-	t.Logf("transitions: full=%d dpor=%d (%.0f%%)", full.Transitions, red.Transitions,
-		100*float64(red.Transitions)/float64(full.Transitions))
-}
-
 // TestDPORReplay: every DPOR-found violation trace replays to the same
 // violation from a fresh initial state.
 func TestDPORReplay(t *testing.T) {

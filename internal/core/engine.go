@@ -216,16 +216,3 @@ type Engine interface {
 	// Search explores cfg under the given options.
 	Search(ctx context.Context, cfg *Config, opts EngineOptions) *Report
 }
-
-// DFS returns the sequential depth-first reference engine — the
-// paper's default full search (Figure 5), and the oracle the parallel
-// engines are differentially tested against.
-func DFS() Engine { return dfsEngine{} }
-
-type dfsEngine struct{}
-
-func (dfsEngine) Name() string { return "dfs" }
-
-func (dfsEngine) Search(ctx context.Context, cfg *Config, opts EngineOptions) *Report {
-	return NewCheckerWith(cfg, opts.Caches).RunContext(ctx, opts)
-}

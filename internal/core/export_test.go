@@ -30,3 +30,12 @@ func (s *System) ArmDiscover() {
 		s.statsClasses(sw)
 	}
 }
+
+// The package's small test configurations and report projection, for
+// the tests that need a full search (search_test.go), which live
+// outside the package because the search loop does.
+var (
+	HubConfig     = hubConfig
+	DporConfig    = dporConfig
+	ViolationKeys = violationKeys
+)

@@ -194,20 +194,3 @@ func TestFaultSwitchDownClearsStateAndNotifies(t *testing.T) {
 		}
 	}
 }
-
-// TestFaultSearchTerminates: a full search with all fault budgets on a
-// small model terminates and visits fault branches.
-func TestFaultSearchTerminates(t *testing.T) {
-	cfg := faultConfig(FaultModel{MaxDrops: 1, MaxDuplicates: 1, MaxReorders: 1})
-	report := NewChecker(cfg).Run()
-	if !report.Complete {
-		t.Error("fault-model search did not complete")
-	}
-	if report.Transitions == 0 {
-		t.Error("empty search")
-	}
-	base := NewChecker(hubConfig(1)).Run()
-	if report.UniqueStates <= base.UniqueStates {
-		t.Errorf("fault model added no states: %d vs %d", report.UniqueStates, base.UniqueStates)
-	}
-}

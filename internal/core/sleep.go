@@ -2,7 +2,7 @@ package core
 
 // The slice of the DPOR machinery external engines can reuse: sleep
 // sets over the transition dependence relation, detached from the
-// sequential checker's stack. Sleep sets alone never hide a reachable
+// DPOR DFS's stack. Sleep sets alone never hide a reachable
 // state — they prune re-executions of transitions whose effect a
 // sibling interleaving already covers (Godefroid's classic result) —
 // so a frontier-based engine can adopt them without the stack-shaped

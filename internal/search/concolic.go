@@ -12,12 +12,15 @@ package search
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"github.com/nice-go/nice/internal/canon"
 	"github.com/nice-go/nice/internal/core"
 	"github.com/nice-go/nice/internal/telemetry"
+	"github.com/nice-go/nice/openflow"
+	"github.com/nice-go/nice/topo"
 )
 
 // Loop returns the concolic feedback-loop engine as a core.Engine.
@@ -49,7 +52,7 @@ type loopState struct {
 	demandQ    []target
 	proactiveQ []target
 
-	seenApps map[canon.Digest]bool // guarded by mu
+	seenHosts map[hostAt]bool // guarded by mu
 
 	feedback  atomic.Int64
 	symBudget int64
@@ -57,6 +60,15 @@ type loopState struct {
 	// SERuns, may be shared with other searches.
 	seRuns   atomic.Int64
 	fbRounds *telemetry.Counter // sym scope's feedback_rounds
+}
+
+// hostAt is a host at a location under an application state: the key
+// of the discover memo's packet classes, and of the loop's feedback
+// rounds.
+type hostAt struct {
+	app  canon.Digest
+	host openflow.HostID
+	loc  topo.PortKey
 }
 
 // takeTarget pops one solver target. It blocks until one arrives, the
@@ -109,11 +121,11 @@ func (loopEngine) Search(ctx context.Context, cfg *core.Config, eo core.EngineOp
 // never reduces: EngineOptions.Reduction is accepted and ignored.
 func newLoop(ctx context.Context, cfg *core.Config, eo core.EngineOptions) *loopState {
 	st := &loopState{expander: expander{cfg: cfg, seen: newSeenSet(seenShards)},
-		seenApps: make(map[canon.Digest]bool), symBudget: eo.SymBudget}
+		seenHosts: make(map[hostAt]bool), symBudget: eo.SymBudget}
 	st.enter = st.feedbackTargets
 	st.divert = st.deferDiscover
 	st.fbRounds = eo.Telemetry.Scope("sym").Counter("feedback_rounds") // nil without a registry
-	st.start(ctx, "concolic", eo, false)
+	st.queueRoot(st.start(ctx, "concolic", eo, false))
 	return st
 }
 
@@ -136,29 +148,33 @@ func (st *loopState) deferDiscover(it item, t core.Transition) bool {
 	if t.Kind != core.THostDiscover && t.Kind != core.TCtrlDiscoverStats {
 		return false
 	}
-	enqueue(&st.queue, &st.demandQ, target{item: item{sys: it.sys.Clone(), path: it.path}, t: t, demand: true})
+	enqueue(&st.queue, &st.demandQ, target{item: item{sys: it.sys.Clone(), trace: slices.Clone(it.trace)}, t: t, demand: true})
 	return true
 }
 
 // feedbackTargets is the expansion step's enter hook. It opens a
-// feedback round when the node carries a novel controller-application
-// state: each host whose discover results are not yet memoized against
-// it is enqueued as a proactive symbolic target, on a private fork, so
-// solver workers never share a System. The fork shares it.sys's
-// components, so each counts as an export of the worker owning sc.
+// feedback round when the node shows a host at an (application state,
+// location) pair no round has covered yet — the key the discover memo
+// itself holds packet classes under: each such host whose discover
+// results are not yet memoized is enqueued as a proactive symbolic
+// target, on a private fork, so solver workers never share a System.
+// The fork shares it.sys's components, so each counts as an export of
+// the worker owning sc.
 func (st *loopState) feedbackTargets(sc *scratch, it item) {
 	app := it.sys.AppDigest()
+	var buf [8]openflow.HostID
+	fresh := buf[:0]
 	st.mu.Lock()
-	fresh := !st.seenApps[app]
-	if fresh {
-		st.seenApps[app] = true
+	for _, id := range it.sys.HostIDs() {
+		at := hostAt{app: app, host: id, loc: it.sys.Host(id).Loc}
+		if !st.seenHosts[at] {
+			st.seenHosts[at] = true
+			fresh = append(fresh, id)
+		}
 	}
 	st.mu.Unlock()
-	if !fresh {
-		return
-	}
 	round := false
-	for _, id := range it.sys.HostIDs() {
+	for _, id := range fresh {
 		t := core.Transition{Kind: core.THostDiscover, Host: id}
 		if it.sys.DiscoverCached(t) {
 			continue
@@ -197,15 +213,19 @@ func (st *loopState) solve(sc *scratch, tg target) bool {
 			tg.sys.DiscoverPacketClasses(tg.t.Host)
 		}
 	}
-	if !tg.demand || !st.s.Reserve() || st.apply(sc, tg.sys, tg.path, tg.t) {
+	if !tg.demand || !st.s.Reserve() {
+		return false
+	}
+	sc.stack = append(sc.stack[:0], tg.trace...)
+	if st.apply(sc, tg.sys, len(tg.trace), tg.t) {
 		return false
 	}
 	// The solved classes seed a new search frontier: the post-discover
 	// state (the private fork itself) re-enters the queue, where the
 	// host's sends (or the stats variants) are now enabled transitions.
-	if !st.fresh(tg.sys, tg.path) {
+	if !st.fresh(tg.sys, len(sc.stack)) {
 		return false
 	}
-	st.put(sc, item{sys: tg.sys, path: tg.path.Child(tg.t)})
+	st.put(sc, item{sys: tg.sys, trace: sc.stack})
 	return true
 }

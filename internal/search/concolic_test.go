@@ -34,7 +34,7 @@ func TestConcolicFindsBugII(t *testing.T) {
 	cfg := scenarios.MustLookup("bug-ii").Config(0)
 	cfg.StopAtFirstViolation = false
 
-	ref := core.NewChecker(cfg).Run()
+	ref := dfs(cfg, nil)
 	loop := Loop().Search(context.Background(),
 		scenarioConfig("bug-ii"), core.EngineOptions{Workers: 4, SymWorkers: 2})
 
@@ -75,7 +75,7 @@ func scenarioConfig(name string) *core.Config {
 // on the violation set.
 func TestConcolicFeedbackClasses(t *testing.T) {
 	ccEager := core.NewCaches()
-	core.NewCheckerWith(scenarioConfig("pingpong-se"), ccEager).Run()
+	dfs(scenarioConfig("pingpong-se"), ccEager)
 
 	ccLoop := core.NewCaches()
 	loop := Loop().Search(context.Background(), scenarioConfig("pingpong-se"),
@@ -175,7 +175,7 @@ func TestConcolicSolverQueues(t *testing.T) {
 		if tr.Kind != core.THostDiscover {
 			continue
 		}
-		tg := target{item: item{sys: root.sys.Clone(), path: root.path}, t: tr, demand: true}
+		tg := target{item: item{sys: root.sys.Clone(), trace: root.trace}, t: tr, demand: true}
 		if !st.solve(&sc, tg) || len(st.items) != 1 || st.waiting.Load() != 0 {
 			t.Errorf("solve: %d items queued with %d workers waiting, want the post-discover state queued",
 				len(st.items), st.waiting.Load())

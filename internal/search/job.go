@@ -22,7 +22,7 @@ type EngineSpec struct {
 // the wire's unknown-engine error name them in.
 var engines = []EngineSpec{
 	{"concolic", "model-checking × symbolic-execution feedback loop (§3, Fig. 1)", Loop},
-	{"dfs", "sequential depth-first reference search (Figure 5)", core.DFS},
+	{"dfs", "sequential depth-first search (Figure 5): the expansion step on one goroutine", DFS},
 	{"parallel", "parallel full search (depth-first workers, one shared queue)", Parallel},
 	{"swarm", "parallel seeded random-walk swarm", SwarmEngine},
 	{"walks", "sequential seeded random walks (§1.3): the swarm on one worker", Walks},
@@ -61,8 +61,9 @@ type Job struct {
 // (SymBudget, SymWorkers) selects the concolic loop; a walk knob (a
 // walk count or length, not the seed alone) the seeded swarm when a
 // pool size was set too and the sequential walks when not; anything
-// else the full search, on the pool it was given or, with none, on one
-// worker — the sequential reference checker. A named engine stays.
+// else the full search — the sequential DFS when no pool size was set
+// or the pool is one worker, the parallel search otherwise. A named
+// engine stays, and runs as itself whatever the pool size.
 func (j *Job) InferEngine(workers, walks, sym bool) {
 	if j.Engine != nil {
 		return
@@ -74,10 +75,9 @@ func (j *Job) InferEngine(workers, walks, sym bool) {
 		j.Engine = SwarmEngine()
 	case walks:
 		j.Engine = Walks()
+	case !workers || j.WorkerCount() == 1:
+		j.Engine = DFS()
 	default:
-		if !workers {
-			j.Workers = 1
-		}
 		j.Engine = Parallel()
 	}
 }

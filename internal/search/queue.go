@@ -2,21 +2,22 @@ package search
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"github.com/nice-go/nice/internal/core"
 )
 
-// item is one unexpanded system state plus the path that reached it, as
-// a parent-pointer chain: what push hands on, and what the queue holds
-// once handed off. Sibling children share the whole prefix through one
-// pointer — a replayable trace is materialized (AppendTrace) only when
-// a violation is recorded, so the hot path never copies O(depth)
-// transition prefixes.
+// item is one unexpanded system state plus the trace that reached it:
+// what push hands on, and what the queue holds once handed off. A child
+// expanded in place shares its worker's transition stack (scratch.stack:
+// its trace is the stack's prefix, so the hot path copies nothing); only
+// a state that leaves its worker — queued by put, or a solver target —
+// carries its own copy.
 type item struct {
-	sys  *core.System
-	path *core.PathNode
+	sys   *core.System
+	trace []core.Transition
 	// sleep is the DPOR sleep set the state was reached under (nil
 	// unless the search runs with EngineOptions.Reduction). wake, when
 	// non-nil, marks a re-expansion: only transitions with these
@@ -68,9 +69,11 @@ func enqueue[T any](q *queue, list *[]T, v T) {
 }
 
 // put queues it, found by the worker owning sc, for another worker,
-// counting the export.
+// counting the export. The item leaves the worker, so its trace is
+// copied off the worker's stack.
 func (q *queue) put(sc *scratch, it item) {
 	sc.exports++
+	it.trace = slices.Clone(it.trace)
 	enqueue(q, &q.items, it)
 }
 
@@ -114,7 +117,7 @@ func (q *queue) wake() {
 }
 
 // popLast takes a list's newest element, zeroing its slot so the
-// backing array does not keep a released System and its path reachable.
+// backing array does not keep a released System and its trace reachable.
 func popLast[T any](l *[]T) T {
 	n := len(*l) - 1
 	v := (*l)[n]

@@ -1,38 +1,38 @@
-// Package search is the parallel state-space exploration engine: a
-// worker pool that explores the same core.System transition graph as
-// the sequential core.Checker, concurrently. The paper's searches run
-// millions of transitions (§7) and lean on hash-based state matching
-// precisely because the explored set dominates (§6); this engine keeps
-// those semantics — every state expanded once, properties checked on
-// every transition and at quiescence, the NO-DELAY/UNUSUAL/FLOW-IR
-// reductions honored unchanged (they live inside System.Enabled) — and
-// spreads the expansion over cores:
+// Package search is the state-space exploration layer: one expansion
+// step (expand, the paper's Figure 5 loop — enumerate the enabled
+// transitions, apply one, hash-match the state (§6), check the
+// properties, recurse) and the engines that schedule it. The paper's
+// searches run millions of transitions (§7) and lean on hash-based
+// state matching precisely because the explored set dominates; every
+// engine keeps those semantics — every state expanded once, properties
+// checked on every transition and at quiescence, the
+// NO-DELAY/UNUSUAL/FLOW-IR reductions honored unchanged (they live
+// inside System.Enabled):
 //
 //   - a lock-striped seen-set keyed by System.Fingerprint() (seenset.go),
 //   - one work queue (queue.go), a LIFO under a lock and a cond that
-//     holds only handed-off states: a parallel worker expands each new
-//     child at once, depth-first on its own goroutine, lending every
-//     successor but the last a fork and reclaiming it as the sequential
-//     checker does, and queues a child (a forked System plus the
-//     replayable trace prefix that reached it) only while another
-//     worker waits for one,
-//   - three loops over them: the default parallel search, seeded random
-//     walks, as a swarm or pinned to one worker (swarm.go), and the
-//     concolic feedback loop, which runs the parallel engine's workers
-//     and push on one pool and symbolic execution on another, whose
-//     targets share the queue's lock (concolic.go).
+//     holds only handed-off states: a worker expands each new child at
+//     once, depth-first on its own goroutine, lending every successor
+//     but the last a fork and reclaiming it, and queues a child (a
+//     forked System plus a copy of the trace that reached it) only while
+//     another worker waits for one,
+//   - four loops over them: the sequential DFS, which is the expansion
+//     step on the caller's goroutine with no queue; the parallel search;
+//     seeded random walks, as a swarm or pinned to one worker
+//     (swarm.go); and the concolic feedback loop, which runs the
+//     parallel engine's workers and push on one pool and symbolic
+//     execution on another, whose targets share the queue's lock
+//     (concolic.go).
 //
-// Each loop is a core.Engine (Parallel, SwarmEngine, Walks, Loop) and
-// runs inside a core.Session, which supplies what every engine shares:
-// budgets, cancellation, the merged deterministic violation set,
-// streaming and the Report.
+// Each loop is a core.Engine (DFS, Parallel, SwarmEngine, Walks, Loop)
+// and runs inside a core.Session, which supplies what every engine
+// shares: budgets, cancellation, the merged deterministic violation
+// set, streaming and the Report.
 //
 // Every front end dispatches through job.go: the table of the five
-// engines (core.DFS included) a request names one from, and Job.Run.
-//
-// Parallel with one worker delegates to the sequential core.Checker,
-// which stays the reference oracle; search_test.go asserts differential
-// parity between the two on the paper's scenarios.
+// engines a request names one from, and Job.Run. search_test.go asserts
+// differential parity between the parallel engines and the DFS on the
+// paper's scenarios.
 package search
 
 import (
@@ -45,15 +45,44 @@ import (
 // seenShards is the seen-set stripe count.
 const seenShards = 256
 
+// DFS returns the sequential depth-first search as a core.Engine — the
+// paper's default full search (Figure 5): the expansion step on the
+// caller's goroutine, expanding every admitted child in place, with no
+// queue, against a one-stripe seen-set. Under ReductionDPOR it runs the
+// persistent-set DPOR DFS (core.Checker.RunContext) instead.
+func DFS() core.Engine { return depthFirst{} }
+
+type depthFirst struct{}
+
+func (depthFirst) Name() string { return "dfs" }
+
+func (depthFirst) Search(ctx context.Context, cfg *core.Config, eo core.EngineOptions) *core.Report {
+	if eo.Reduction == core.ReductionDPOR {
+		return core.NewCheckerWith(cfg, eo.Caches).RunContext(ctx, eo)
+	}
+	st := &expander{cfg: cfg, seen: newSeenSet(1)}
+	root := st.start(ctx, "dfs", eo, false)
+	st.push = st.expand
+	// The search runs on this goroutine, so a panicking App or Property
+	// unwinds through here with its own stack; only the session's
+	// goroutines need stopping on the way out.
+	defer st.s.Close()
+	var sc scratch
+	if !st.expand(&sc, item{sys: root}) {
+		root.Release()
+	}
+	return st.s.End(ctx)
+}
+
 // Parallel returns the exhaustive parallel search as a core.Engine:
-// EngineOptions.Workers workers (0 = all CPUs), each running the
-// sequential checker's depth-first expansion on its own goroutine and
-// handing a state to the shared queue only while another worker waits
-// for one. It visits exactly the states the sequential checker visits
-// whenever state identity is schedule-independent — symbolic execution
-// off, or discover caches warmed. On cold SE-enabled runs the counts can
-// differ slightly (cache presence is part of the state hash and fills in
-// schedule order); the violated-property set matches regardless.
+// EngineOptions.Workers workers (0 = all CPUs), each running the DFS's
+// expansion step on its own goroutine and handing a state to the shared
+// queue only while another worker waits for one. It visits exactly the
+// states the DFS visits whenever state identity is
+// schedule-independent — symbolic execution off, or discover caches
+// warmed. On cold SE-enabled runs the counts can differ slightly (cache
+// presence is part of the state hash and fills in schedule order); the
+// violated-property set matches regardless.
 func Parallel() core.Engine { return parallelEngine{} }
 
 type parallelEngine struct{}
@@ -61,34 +90,26 @@ type parallelEngine struct{}
 func (parallelEngine) Name() string { return "parallel" }
 
 func (parallelEngine) Search(ctx context.Context, cfg *core.Config, eo core.EngineOptions) *core.Report {
-	workers := eo.WorkerCount()
-	if workers == 1 {
-		// The delegated report keeps Strategy "dfs": the sequential
-		// checker really ran, and its Progress snapshots say so — the
-		// report and the stream must agree.
-		return core.DFS().Search(ctx, cfg, eo)
-	}
 	st := newParallel(ctx, cfg, eo)
 	var wg sync.WaitGroup
-	st.spawn(&wg, workers, st.work)
+	st.spawn(&wg, eo.WorkerCount(), st.work)
 	wg.Wait()
 	st.s.Tel().SetShardOccupancy(st.seen.occupancy())
 	return st.s.End(ctx)
 }
 
 // newParallel opens the parallel engine's session, under sleep-set
-// reduction when eo asks for it.
+// reduction when eo asks for it, with the root queued.
 func newParallel(ctx context.Context, cfg *core.Config, eo core.EngineOptions) *expander {
 	st := &expander{cfg: cfg, seen: newSeenSet(seenShards)}
-	st.start(ctx, "parallel", eo, eo.Reduction == core.ReductionDPOR)
+	st.queueRoot(st.start(ctx, "parallel", eo, eo.Reduction == core.ReductionDPOR))
 	return st
 }
 
-// start opens the session named name, with handOff as push, and queues
-// the root; dpor turns on sleep-set reduction.
-func (st *expander) start(ctx context.Context, name string, eo core.EngineOptions, dpor bool) {
+// start opens the session named name and admits its root, which it
+// returns; dpor turns on sleep-set reduction.
+func (st *expander) start(ctx context.Context, name string, eo core.EngineOptions, dpor bool) *core.System {
 	s := st.begin(ctx, name, st.cfg, eo)
-	st.push = st.handOff
 	root := s.NewSystem()
 	if dpor {
 		st.red = core.NewSleepReducer(root)
@@ -96,6 +117,13 @@ func (st *expander) start(ctx context.Context, name string, eo core.EngineOption
 	}
 	st.seen.Add(root.Fingerprint())
 	s.Admit(0)
+	return root
+}
+
+// queueRoot makes handOff the push of a multi-worker engine and queues
+// its root for the first worker.
+func (st *expander) queueRoot(root *core.System) {
+	st.push = st.handOff
 	enqueue(&st.queue, &st.items, item{sys: root})
 }
 
@@ -122,10 +150,11 @@ func (st *expander) handOff(sc *scratch, it item) bool {
 	return st.expand(sc, it)
 }
 
-// work is one worker's loop: take a handed-off state, expand it and its
-// subtree, and recycle its System's struct and slice backings
-// (components live on in the children that borrowed them) unless a
-// handed-off successor took it over.
+// work is one worker's loop: take a handed-off state, load its trace
+// onto the worker's stack, expand it and its subtree, and recycle its
+// System's struct and slice backings (components live on in the
+// children that borrowed them) unless a handed-off successor took it
+// over.
 func (st *expander) work() {
 	var sc scratch
 	for {
@@ -133,6 +162,7 @@ func (st *expander) work() {
 		if !ok {
 			return
 		}
+		sc.stack = append(sc.stack[:0], it.trace...)
 		if !st.expand(&sc, it) {
 			it.sys.Release()
 		}
@@ -146,12 +176,16 @@ func (st *expander) work() {
 // payloads) at the top of the allocation profile; nothing retains them,
 // so each worker keeps its own and no step allocates them. An expansion
 // recurses into its children, so the enabled list and the sleep scratch
-// are kept per depth, as Checker.enabledAt's transBufs are; the event
-// batch and the violation trace live only within one apply.
+// are kept per depth; the event batch lives only within one apply.
 type scratch struct {
 	frames []*frame
 	events []core.Event
-	trace  []core.Transition
+	// stack is the transition stack: stack[:d] is the trace of the state
+	// being expanded at depth d. An expansion writes stack[d] before
+	// each apply, so the trace of a violation — stack[:d] plus the
+	// transition — is never built; Session.Record copies only a trace
+	// it keeps.
+	stack []core.Transition
 	// exports counts the states this worker queued for another
 	// goroutine: handed-off children and solver targets. While it
 	// does not move, a lent child's subtree has exported nothing; only
@@ -174,9 +208,10 @@ func (sc *scratch) frame(depth int) *frame {
 }
 
 // expander is the per-state expansion step and what its workers share:
-// the queue, which holds the Session, and the seen-set. The parallel
-// engine and the concolic loop run the same step, workers and push; they
-// differ in the two seams enter and divert.
+// the queue, which holds the Session, and the seen-set. Every engine but
+// the random walks runs this step; the DFS pushes a child by expanding
+// it, the multi-worker engines by handOff, and the concolic loop adds
+// the two seams enter and divert.
 type expander struct {
 	queue
 	cfg  *core.Config
@@ -184,7 +219,7 @@ type expander struct {
 
 	// push hands on an admitted child found by the worker owning sc and
 	// reports whether the child lives on elsewhere: queued, or taken
-	// over by a queued successor. It is handOff except in tests.
+	// over by a queued successor.
 	push func(sc *scratch, it item) bool
 	// enter, when non-nil, sees each state before it is expanded. The
 	// concolic loop opens its feedback rounds there.
@@ -200,57 +235,54 @@ type expander struct {
 	dporTel *core.DporTelemetry
 }
 
-// apply executes t on sys — a state nobody else holds — recording every
-// property failure against the trace path+t, and reports whether there
-// was one.
-func (st *expander) apply(sc *scratch, sys *core.System, path *core.PathNode, t core.Transition) bool {
+// apply executes t on sys — a state nobody else holds — reached over
+// the worker's stack[:depth], writing stack[depth] = t, records every
+// property failure against the trace stack[:depth+1], and reports
+// whether there was one.
+func (st *expander) apply(sc *scratch, sys *core.System, depth int, t core.Transition) bool {
+	sc.stack = append(sc.stack[:depth], t)
 	sc.events = sys.ApplyInto(t, sc.events)
-	return st.record(sc, sys.CheckEvents(sc.events), path, &t)
+	return st.record(sys.CheckEvents(sc.events), sc.stack, false)
 }
 
-// record records fails against the trace path+t, or path alone for the
-// quiescence failures t == nil stands for, and reports whether there
-// was one. The trace is built in the worker's buffer: Session.Record
-// copies only a trace it keeps, so a violation already held costs no
-// allocation.
-func (st *expander) record(sc *scratch, fails []core.PropertyFailure, path *core.PathNode, t *core.Transition) bool {
-	if len(fails) == 0 {
-		return false
-	}
-	sc.trace = path.AppendTrace(sc.trace[:0])
-	if t != nil {
-		sc.trace = append(sc.trace, *t)
-	}
+// record records fails against trace, the path to the state they were
+// found at, and reports whether there was one. After a transition every
+// failure is recorded; at quiescence the recording stops at the one
+// that stopped the search.
+func (st *expander) record(fails []core.PropertyFailure, trace []core.Transition, quiescence bool) bool {
 	for _, f := range fails {
-		st.s.Record(core.Violation{Property: f.Property, Err: f.Err, Trace: sc.trace, Quiescence: t == nil})
+		st.s.Record(core.Violation{Property: f.Property, Err: f.Err, Trace: trace, Quiescence: quiescence})
+		if quiescence && st.s.Stopped() {
+			break
+		}
 	}
-	return true
+	return len(fails) > 0
 }
 
-// admit pushes child, reached over path+t, if its state is new, and
-// reports whether the child lives on elsewhere.
-func (st *expander) admit(sc *scratch, child *core.System, path *core.PathNode, t core.Transition) bool {
-	return st.fresh(child, path) && st.push(sc, item{sys: child, path: path.Child(t)})
+// admit pushes child, found at the top of the worker's stack, if its
+// state is new, and reports whether the child lives on elsewhere.
+func (st *expander) admit(sc *scratch, child *core.System) bool {
+	return st.fresh(child, len(sc.stack)) && st.push(sc, item{sys: child, trace: sc.stack})
 }
 
-// fresh adds child, reached below path, to the seen-set and reports
+// fresh adds child, reached at depth, to the seen-set and reports
 // whether its state is new; a revisit is counted.
-func (st *expander) fresh(child *core.System, path *core.PathNode) bool {
+func (st *expander) fresh(child *core.System, depth int) bool {
 	if st.seen.Add(child.Fingerprint()) {
-		st.s.Admit(path.Depth() + 1)
+		st.s.Admit(depth)
 		return true
 	}
 	st.s.Revisits.Add(1)
 	return false
 }
 
-// expand processes one state, mirroring the sequential checker's
-// per-state work (checker.go dfs): quiescence properties on dead ends,
-// depth truncation, then one apply per enabled transition with property
-// checks, pushing unseen children. Violating transitions are recorded
-// and their subtrees pruned, exactly as the paper's checker "saves the
-// error and trace and does not explore past a violating state". A
-// transition the divert seam takes is not executed here at all.
+// expand processes one state, reached over it.trace, which the worker's
+// stack holds: quiescence properties on dead ends, depth truncation,
+// then one apply per enabled transition with property checks, pushing
+// unseen children. Violating transitions are recorded and their
+// subtrees pruned, exactly as the paper's checker "saves the error and
+// trace and does not explore past a violating state". A transition the
+// divert seam takes is not executed here at all.
 //
 // Every successor but the last runs on a lent fork. When the fork comes
 // back dead and the worker exported nothing meanwhile, its whole subtree
@@ -276,12 +308,12 @@ func (st *expander) expand(sc *scratch, it item) (livesOn bool) {
 	if st.enter != nil {
 		st.enter(sc, it)
 	}
-	depth := it.path.Depth()
+	depth := len(it.trace)
 	f := sc.frame(depth)
 	f.enabled = it.sys.EnabledInto(f.enabled)
 	enabled := f.enabled
 	if len(enabled) == 0 {
-		st.record(sc, it.sys.CheckQuiescence(), it.path, nil)
+		st.record(it.sys.CheckQuiescence(), it.trace, true)
 		return false
 	}
 	if depth >= st.cfg.DepthBound() {
@@ -321,7 +353,7 @@ func (st *expander) expand(sc *scratch, it item) (livesOn bool) {
 		if i < last {
 			child, epoch = it.sys.Lend()
 		}
-		violated := st.apply(sc, child, it.path, t)
+		violated := st.apply(sc, child, depth, t)
 		var childSleep []core.SleepEntry
 		if st.red != nil {
 			if !violated {
@@ -335,9 +367,9 @@ func (st *expander) expand(sc *scratch, it item) (livesOn bool) {
 		switch {
 		case violated:
 		case st.red != nil:
-			lives = st.admitSleep(sc, child, childSleep, it.path, t)
+			lives = st.admitSleep(sc, child, childSleep)
 		default:
-			lives = st.admit(sc, child, it.path, t)
+			lives = st.admit(sc, child)
 		}
 		if i == last {
 			return lives
@@ -356,11 +388,11 @@ func (st *expander) expand(sc *scratch, it item) (livesOn bool) {
 // admitSleep is admit under sleep-set reduction: a revisit whose sleep
 // set left keys awake that the stored expansion slept is pushed again
 // to re-expand exactly those.
-func (st *expander) admitSleep(sc *scratch, child *core.System, sleep []core.SleepEntry, path *core.PathNode, t core.Transition) bool {
+func (st *expander) admitSleep(sc *scratch, child *core.System, sleep []core.SleepEntry) bool {
 	isNew, wake := st.seen.AddSleep(child.Fingerprint(), core.SleepKeySet(sleep))
 	switch {
 	case isNew:
-		st.s.Admit(path.Depth() + 1)
+		st.s.Admit(len(sc.stack))
 	case wake != nil:
 		st.s.Revisits.Add(1)
 		st.dporTel.Reexpansion()
@@ -368,5 +400,5 @@ func (st *expander) admitSleep(sc *scratch, child *core.System, sleep []core.Sle
 		st.s.Revisits.Add(1)
 		return false
 	}
-	return st.push(sc, item{sys: child, sleep: sleep, wake: wake, path: path.Child(t)})
+	return st.push(sc, item{sys: child, sleep: sleep, wake: wake, trace: sc.stack})
 }

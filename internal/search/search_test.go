@@ -36,6 +36,12 @@ func sameSet(a, b map[string]bool) bool {
 	return true
 }
 
+// dfs runs the sequential DFS with fresh discover caches unless cc is
+// given.
+func dfs(cfg *core.Config, cc *core.Caches) *core.Report {
+	return DFS().Search(context.Background(), cfg, core.EngineOptions{Caches: cc})
+}
+
 // parallel runs the parallel engine with fresh discover caches
 // unless cc is given.
 func parallel(cfg *core.Config, workers int, cc *core.Caches) *core.Report {
@@ -54,12 +60,12 @@ func fullSearch(sc scenarios.Scenario) *core.Config {
 // TestDifferentialParityNoSE checks exact cold-start parity on the §7
 // pyswitch ping workload, where symbolic execution is off and state
 // identity is independent of the discover caches: the parallel engine
-// must reach exactly the sequential checker's unique states and execute
+// must reach exactly the sequential DFS's unique states and execute
 // exactly its transitions, for any worker count.
 func TestDifferentialParityNoSE(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
 		cfg := scenarios.MustLookup("pingpong").Config(2)
-		seq := core.NewChecker(cfg).Run()
+		seq := dfs(cfg, nil)
 		par := parallel(scenarios.MustLookup("pingpong").Config(2), workers, nil)
 		if par.UniqueStates != seq.UniqueStates || par.Transitions != seq.Transitions ||
 			par.Revisits != seq.Revisits {
@@ -80,10 +86,9 @@ func TestDifferentialParityNoSE(t *testing.T) {
 // presence is part of the hash, mirroring Figure 5's client.packets
 // map), making unique-state and transition counts schedule-independent;
 // the parallel engine and the concolic loop must match the sequential
-// oracle exactly. The one exception is the loop where a host moves: it
-// discovers proactively for the hosts where they stand at the first
-// state that shows a controller state, and which state that is depends
-// on the schedule, so there only its violated set must match.
+// DFS exactly. The loop opens its proactive rounds per (controller
+// state, host, location), the key the discover memo holds, so a moving
+// host (BUG-I) leaves nothing to the schedule either.
 func TestDifferentialParityWarm(t *testing.T) {
 	ctx := context.Background()
 	for _, sc := range scenarios.Table2() {
@@ -97,15 +102,13 @@ func TestDifferentialParityWarm(t *testing.T) {
 				n = cc.SERuns()
 				Loop().Search(ctx, cfg, loopOpts)
 			}
-			core.NewCheckerWith(cfg, cc).Run()
-			seq := core.NewCheckerWith(cfg, cc).Run()
-			loopExact := !movesHosts(cfg)
+			dfs(cfg, cc)
+			seq := dfs(cfg, cc)
 			for name, r := range map[string]*core.Report{
 				"parallel": parallel(cfg, 4, cc),
 				"concolic": Loop().Search(ctx, cfg, loopOpts),
 			} {
-				if (name == "parallel" || loopExact) &&
-					(r.UniqueStates != seq.UniqueStates || r.Transitions != seq.Transitions) {
+				if r.UniqueStates != seq.UniqueStates || r.Transitions != seq.Transitions {
 					t.Errorf("%s states/trans %d/%d != sequential %d/%d",
 						name, r.UniqueStates, r.Transitions, seq.UniqueStates, seq.Transitions)
 				}
@@ -118,19 +121,8 @@ func TestDifferentialParityWarm(t *testing.T) {
 	}
 }
 
-// movesHosts reports whether a host of cfg can move.
-func movesHosts(cfg *core.Config) bool {
-	root := core.NewSystem(cfg)
-	for _, id := range root.HostIDs() {
-		if len(root.Host(id).MoveTargets) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // TestDifferentialViolations checks that cold-start parallel searches
-// find exactly the sequential checker's violated-property set on every
+// find exactly the sequential DFS's violated-property set on every
 // bug scenario. (Cold unique-state counts can differ slightly on
 // SE-enabled scenarios — discover-cache presence is part of state
 // identity and fills in schedule order — but the violations cannot:
@@ -141,7 +133,7 @@ func TestDifferentialViolations(t *testing.T) {
 		sc := sc
 		t.Run(strings.ToUpper(sc.Name), func(t *testing.T) {
 			t.Parallel()
-			seq := core.NewChecker(fullSearch(sc)).Run()
+			seq := dfs(fullSearch(sc), nil)
 			par := parallel(fullSearch(sc), 4, nil)
 			if !sameSet(violatedSet(par), violatedSet(seq)) {
 				t.Errorf("violated properties differ: parallel %v, sequential %v",
@@ -156,7 +148,7 @@ func TestDifferentialViolations(t *testing.T) {
 
 // TestReplayDeterminism: every violation the parallel engine reports
 // must reproduce — same property, same error — when its trace is
-// replayed from a fresh initial state through the sequential checker.
+// replayed from a fresh initial state through Checker.ReplayWithProperties.
 // This is the paper's deterministic-replay guarantee (§1.3, §6) carried
 // over to traces recorded concurrently.
 func TestReplayDeterminism(t *testing.T) {
@@ -224,7 +216,7 @@ func TestStopAtFirstViolation(t *testing.T) {
 }
 
 // TestMaxTransitionsBudget: the engine aborts at the transition budget
-// and marks the report incomplete, like the sequential checker.
+// and marks the report incomplete, like the sequential DFS.
 func TestMaxTransitionsBudget(t *testing.T) {
 	const budget = 50
 	par := Parallel().Search(context.Background(), scenarios.MustLookup("pingpong").Config(3),
@@ -366,18 +358,21 @@ func violationKeys(r *core.Report) []string {
 	return keys
 }
 
-// TestReclaimHandoffParity pins the reclaim rule of the parallel
-// expansion on one goroutine, where the handoffs do not depend on
-// timing: push puts every k-th admitted child on the queue and expands
-// the rest in place, and work drains the queue, so lent subtrees both do
-// and do not export states. A parent that reclaimed a fork whose subtree
-// exported a state would write into components that state still
-// shares; an expansion clobbering an outer depth's enabled list would
-// skip or repeat transitions. Either shows as a count or violation that
-// differs from the sequential DFS's, on warm caches (where state
-// identity is schedule-independent). Under sleep-set reduction the
-// unique states still match, and the transitions do not exceed the
-// unreduced search's.
+// TestReclaimHandoffParity pins the reclaim rule and the trace stack of
+// the parallel expansion on one goroutine, where the handoffs do not
+// depend on timing: push puts every k-th admitted child on the queue
+// and expands the rest in place, and work drains the queue, so lent
+// subtrees both do and do not export states. A parent that reclaimed a
+// fork whose subtree exported a state would write into components that
+// state still shares; an expansion clobbering an outer depth's enabled
+// list would skip or repeat transitions. Either shows as a count or
+// violation that differs from the sequential DFS's, on warm caches
+// (where state identity is schedule-independent). Under sleep-set
+// reduction the unique states still match, and the transitions do not
+// exceed the unreduced search's. Every recorded trace must replay to
+// its violation: a queued child that kept sharing its worker's stack,
+// or an in-place child whose transition never reached the stack, would
+// record another path's trace.
 func TestReclaimHandoffParity(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -387,8 +382,20 @@ func TestReclaimHandoffParity(t *testing.T) {
 		cfg := scenarios.MustLookup(tc.scenario).Config(tc.scale)
 		cfg.StopAtFirstViolation = false
 		cc := core.NewCaches()
-		core.NewCheckerWith(cfg, cc).Run() // warm the discover caches
-		ref := core.NewCheckerWith(cfg, cc).Run()
+		dfs(cfg, cc) // warm the discover caches
+		ref := dfs(cfg, cc)
+		// replays reports whether v's trace reproduces v; a trace of
+		// another path may not even be executable, and panics.
+		replay := core.NewCheckerWith(cfg, cc)
+		replays := func(v core.Violation) (ok bool) {
+			defer func() {
+				if recover() != nil {
+					ok = false
+				}
+			}()
+			_, got := replay.ReplayWithProperties(v.Trace)
+			return got != nil && got.Property == v.Property && got.Err.Error() == v.Err.Error()
+		}
 		for _, red := range []core.Reduction{core.ReductionNone, core.ReductionDPOR} {
 			for _, k := range []int{2, 5, 64} {
 				// The budgets stop a search a broken reclaim sends astray.
@@ -417,35 +424,63 @@ func TestReclaimHandoffParity(t *testing.T) {
 						tc.scenario, tc.scale, red, k, r.UniqueStates, r.Transitions, r.Revisits, len(r.Violations),
 						ref.UniqueStates, ref.Transitions, ref.Revisits, len(ref.Violations))
 				}
+				for _, v := range r.Violations {
+					if !replays(v) {
+						t.Errorf("%s(%d) %v, every %d-th child handed off: the trace of %s (%v) does not replay to it",
+							tc.scenario, tc.scale, red, k, v.Property, v.Err)
+					}
+				}
 			}
 		}
 	}
 }
 
 // TestRecordHeldViolationAllocs: the expansion step records a violation
-// through the worker's trace buffer, so recording one the session
+// against the worker's transition stack, so recording one the session
 // already holds, after a transition or at quiescence, allocates nothing.
 func TestRecordHeldViolationAllocs(t *testing.T) {
 	cfg := &core.Config{}
 	st := &expander{cfg: cfg}
 	s := st.begin(context.Background(), "parallel", cfg, core.EngineOptions{})
-	var path *core.PathNode
-	for i := 0; i < 40; i++ {
-		path = path.Child(core.Transition{Kind: core.TSwitchProcess, Port: openflow.PortID(i)})
-	}
-	t1 := core.Transition{Kind: core.THostSend}
-	end := path.Child(t1) // a quiescent state reached over path+t1
-	fails := []core.PropertyFailure{{Property: "NoForgottenPackets", Err: errors.New("packet forgotten")}}
 	var sc scratch
-	st.record(&sc, fails, path, &t1)
-	if per := testing.AllocsPerRun(100, func() { st.record(&sc, fails, path, &t1) }); per != 0 {
+	for i := 0; i < 40; i++ {
+		sc.stack = append(sc.stack, core.Transition{Kind: core.TSwitchProcess, Port: openflow.PortID(i)})
+	}
+	sc.stack = append(sc.stack, core.Transition{Kind: core.THostSend})
+	fails := []core.PropertyFailure{{Property: "NoForgottenPackets", Err: errors.New("packet forgotten")}}
+	st.record(fails, sc.stack, false)
+	if per := testing.AllocsPerRun(100, func() { st.record(fails, sc.stack, false) }); per != 0 {
 		t.Errorf("recording a held violation: %.0f allocs, want none", per)
 	}
-	if per := testing.AllocsPerRun(100, func() { st.record(&sc, fails, end, nil) }); per != 0 {
+	if per := testing.AllocsPerRun(100, func() { st.record(fails, sc.stack, true) }); per != 0 {
 		t.Errorf("recording a held violation at quiescence: %.0f allocs, want none", per)
 	}
 	r := s.End(context.Background())
-	if len(r.Violations) != 1 || len(r.Violations[0].Trace) != 41 || r.Violations[0].Trace[40].Kind != t1.Kind {
-		t.Fatalf("recorded %v, want one violation over path+t1", r.Violations)
+	if len(r.Violations) != 1 || len(r.Violations[0].Trace) != 41 || r.Violations[0].Trace[40].Kind != core.THostSend {
+		t.Fatalf("recorded %v, want one violation over the 41-transition stack", r.Violations)
+	}
+}
+
+// TestRecordQuiescenceStops pins the recording rule: after a transition
+// every failure is recorded, but at quiescence recording stops at the
+// failure that stopped the search, so a search that stops at its first
+// violation reports exactly one quiescence failure of its last state.
+func TestRecordQuiescenceStops(t *testing.T) {
+	fails := []core.PropertyFailure{
+		{Property: "NoForgottenPackets", Err: errors.New("packet forgotten")},
+		{Property: "NoForwardingLoops", Err: errors.New("loop")},
+	}
+	for _, quiescence := range []bool{false, true} {
+		cfg := &core.Config{StopAtFirstViolation: true}
+		st := &expander{cfg: cfg}
+		s := st.begin(context.Background(), "dfs", cfg, core.EngineOptions{})
+		st.record(fails, nil, quiescence)
+		want := len(fails)
+		if quiescence {
+			want = 1
+		}
+		if r := s.End(context.Background()); len(r.Violations) != want {
+			t.Errorf("quiescence=%v: recorded %d violations, want %d", quiescence, len(r.Violations), want)
+		}
 	}
 }

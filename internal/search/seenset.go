@@ -59,7 +59,7 @@ func (s *seenSet) Add(d canon.Digest) bool {
 // its sleep signature (the identity keys asleep when the state is
 // expanded). On a first visit it stores the signature and reports
 // new=true. On a revisit it compares signatures, mirroring the
-// sequential checker's stateful sleep-set patch (dpor_dfs.go): keys
+// DPOR DFS's stateful sleep-set patch (dpor_dfs.go): keys
 // asleep at the stored expansion but awake now ("slipped") were never
 // explored from this state, so the caller must re-expand exactly those —
 // returned in wake — and the stored signature shrinks to the

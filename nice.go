@@ -18,7 +18,8 @@ type (
 	Config = core.Config
 	// DomainHints supplies symbolic-input domain knowledge (§3.2).
 	DomainHints = core.DomainHints
-	// Checker runs state-space searches.
+	// Checker replays recorded traces (Replay, ReplayWithProperties)
+	// and runs the DPOR DFS (RunContext); Run runs every search.
 	Checker = core.Checker
 	// Report summarizes a search.
 	Report = core.Report
@@ -150,7 +151,7 @@ func LookupFlow[V any](t *SymTrace, m map[openflow.Flow]V, p *SymPacket) (V, boo
 // use so equal logical states always produce equal keys.
 func CanonicalKey(v any) string { return canon.String(v) }
 
-// NewChecker prepares a search over a configuration.
+// NewChecker prepares a checker over a configuration.
 func NewChecker(cfg *Config) *Checker { return core.NewChecker(cfg) }
 
 // NewSimulator boots a system for interactive stepping (§1.3's

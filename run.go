@@ -43,7 +43,7 @@ const (
 	NoReduction = core.ReductionNone
 	// DPOR enables dynamic partial-order reduction over the transition
 	// dependence relation: sleep sets plus Flanagan–Godefroid backtrack
-	// sets in the sequential checker, sleep sets in the parallel hybrid
+	// sets in the sequential DFS, sleep sets in the parallel hybrid
 	// engine. Sound for the violated-property set; prunes states and
 	// transitions the explored interleavings already cover.
 	DPOR = core.ReductionDPOR
@@ -76,12 +76,12 @@ func NewCaches() *Caches { return core.NewCaches() }
 // The five built-in engines.
 var (
 	// SequentialDFS is the paper's default full depth-first search
-	// (Figure 5) — the reference oracle. Run's default engine.
-	SequentialDFS = core.DFS
+	// (Figure 5): the search loop every full search runs, on one
+	// goroutine. Run's default engine.
+	SequentialDFS = search.DFS
 	// ParallelHybrid is the parallel search (internal/search): workers
 	// expand depth-first and put a state on the shared queue only
-	// while another worker waits for one.
-	// WithWorkers sizes the pool; 1 delegates to the sequential checker.
+	// while another worker waits for one. WithWorkers sizes the pool.
 	ParallelHybrid = search.Parallel
 	// RandomWalks is the sequential random-walk mode (§1.3): the
 	// swarm's loop on one worker, so walk i uses seed+i here too.
@@ -139,9 +139,9 @@ func WithMaxTransitions(n int64) RunOption {
 
 // WithWorkers sizes the worker pool (0 = all CPUs) and, unless an
 // engine was chosen explicitly, selects the parallel engine — the
-// hybrid full search, or the swarm when WithWalks is also present.
-// Workers=1 delegates to the sequential reference checker, so
-// WithWorkers(1) reproduces the default engine's reports exactly.
+// hybrid full search, or the swarm when WithWalks is also present. A
+// full search on a pool of one is the SequentialDFS, so WithWorkers(1)
+// reproduces the default engine's reports exactly.
 func WithWorkers(n int) RunOption {
 	return func(s *runSettings) { s.Workers = n; s.workersSet = true }
 }
@@ -229,8 +229,8 @@ func WithTelemetry(reg *Telemetry) RunOption {
 // Unless WithEngine names one, the options imply the engine by the rule
 // every front end shares: WithSymBudget / WithSymWorkers the
 // ConcolicLoop; WithWalks RandomWalks, or SeededSwarm with WithWorkers;
-// WithWorkers alone ParallelHybrid; none of them SequentialDFS, the
-// reference checker (Run(ctx, cfg) ≡ NewChecker(cfg).Run()).
+// WithWorkers alone ParallelHybrid (SequentialDFS on a pool of one);
+// none of them SequentialDFS.
 //
 // Cancel ctx, set WithDeadline, or exhaust WithMaxStates /
 // WithMaxTransitions and Run returns a partial Report — Complete

@@ -43,10 +43,9 @@ func replayAll(t *testing.T, build func() *nice.Config, r *nice.Report) {
 }
 
 // TestRunDefaultMatchesCheck: Run with no options is the sequential
-// reference search — identical counts and violations to
-// NewChecker(cfg).Run().
+// DFS — identical counts and violations to naming it.
 func TestRunDefaultMatchesCheck(t *testing.T) {
-	legacy := nice.NewChecker(fullBugII()).Run()
+	legacy := nice.Run(context.Background(), fullBugII(), nice.WithEngine(nice.SequentialDFS()))
 	got := nice.Run(context.Background(), fullBugII())
 	if got.Strategy != "dfs" {
 		t.Errorf("default engine = %q, want dfs", got.Strategy)
@@ -82,7 +81,7 @@ func TestRunCancelSequential(t *testing.T) {
 	if len(report.Violations) == 0 {
 		t.Fatal("expected at least the violation that triggered the cancel")
 	}
-	full := nice.NewChecker(fullBugII()).Run()
+	full := nice.Run(context.Background(), fullBugII())
 	if report.Transitions >= full.Transitions {
 		t.Errorf("canceled search ran %d transitions, full search runs %d — not partial",
 			report.Transitions, full.Transitions)

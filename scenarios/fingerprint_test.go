@@ -17,6 +17,12 @@ import (
 // component-hash combination.
 var oracle = core.WithOracleHash
 
+// dfs runs the sequential DFS over cfg with fresh discover caches
+// unless cc is given.
+func dfs(cfg *core.Config, cc *core.Caches) *core.Report {
+	return search.DFS().Search(context.Background(), cfg, core.EngineOptions{Caches: cc})
+}
+
 func violated(r *core.Report) map[string]bool {
 	set := make(map[string]bool)
 	for _, v := range r.Violations {
@@ -76,15 +82,15 @@ func TestFingerprintOracleParity(t *testing.T) {
 				}
 
 				// Cold, sequential.
-				inc := core.NewChecker(mk()).Run()
-				orc := core.NewChecker(oracle(mk())).Run()
+				inc := dfs(mk(), nil)
+				orc := dfs(oracle(mk()), nil)
 				requireSameCounts(t, "cold", inc, orc)
 
 				// Warm, sequential: one shared cache set, warmed once.
 				cc := core.NewCaches()
-				core.NewCheckerWith(mk(), cc).Run()
-				incW := core.NewCheckerWith(mk(), cc).Run()
-				orcW := core.NewCheckerWith(oracle(mk()), cc).Run()
+				dfs(mk(), cc)
+				incW := dfs(mk(), cc)
+				orcW := dfs(oracle(mk()), cc)
 				requireSameCounts(t, "warm", incW, orcW)
 
 				// Warm, parallel: the parallel engine on incremental

@@ -9,6 +9,7 @@ import (
 	"github.com/nice-go/nice/controller"
 	"github.com/nice-go/nice/hosts"
 	"github.com/nice-go/nice/internal/core"
+	"github.com/nice-go/nice/internal/search"
 	"github.com/nice-go/nice/openflow"
 	"github.com/nice-go/nice/topo"
 )
@@ -48,7 +49,7 @@ func TestGeneratedScenariosRegistered(t *testing.T) {
 func TestGeneratedScenariosViolateExpected(t *testing.T) {
 	for _, name := range generatedNames {
 		sc := MustLookup(name)
-		report := core.NewChecker(sc.Config(0)).Run()
+		report := dfs(sc.Config(0))
 		v := report.FirstViolation()
 		if v == nil {
 			t.Errorf("%s: no violation found (%d states)", name, report.UniqueStates)
@@ -70,7 +71,7 @@ func TestGeneratedScenariosViolateExpected(t *testing.T) {
 func TestGeneratedScenariosFixedClean(t *testing.T) {
 	for _, name := range []string{"loadbalancer-star", "pyswitch-linearhosts"} {
 		sc := MustLookup(name)
-		report := core.NewChecker(sc.FixedConfig(0)).Run()
+		report := dfs(sc.FixedConfig(0))
 		if v := report.FirstViolation(); v != nil {
 			t.Errorf("%s fixed: violates %s: %v", name, v.Property, v.Err)
 		}
@@ -80,7 +81,7 @@ func TestGeneratedScenariosFixedClean(t *testing.T) {
 	}
 
 	sc := MustLookup("pyswitch-fattree")
-	report := core.DFS().Search(context.Background(), sc.FixedConfig(0),
+	report := search.DFS().Search(context.Background(), sc.FixedConfig(0),
 		core.EngineOptions{MaxStates: 20000})
 	if v := report.FirstViolation(); v != nil {
 		t.Errorf("pyswitch-fattree fixed: violates %s within budget: %v", v.Property, v.Err)

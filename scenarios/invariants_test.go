@@ -22,7 +22,7 @@ func TestDirectPathsOnFixedTE(t *testing.T) {
 		props.NewDirectPaths(),
 		props.NewNoForgottenPackets(),
 	}
-	report := core.NewChecker(cfg).Run()
+	report := dfs(cfg)
 	if v := report.FirstViolation(); v != nil {
 		t.Fatalf("fixed TE violates %s: %v\n%s", v.Property, v.Err, v)
 	}

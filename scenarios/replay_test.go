@@ -17,7 +17,7 @@ func TestViolationTracesReplay(t *testing.T) {
 		sc := sc
 		t.Run(strings.ToUpper(sc.Name), func(t *testing.T) {
 			t.Parallel()
-			report := core.NewChecker(sc.Config(0)).Run()
+			report := dfs(sc.Config(0))
 			v := report.FirstViolation()
 			if v == nil {
 				t.Fatalf("%s not found", sc.Name)
@@ -124,7 +124,7 @@ func TestBugIFixedRecovers(t *testing.T) {
 // traffic into the vacated port.
 func TestBugIBuggyBlackholesAfterMove(t *testing.T) {
 	cfg := MustLookup("bug-i").Config(0)
-	report := core.NewChecker(cfg).Run()
+	report := dfs(cfg)
 	v := report.FirstViolation()
 	if v == nil {
 		t.Fatal("BUG-I not found")
@@ -149,11 +149,11 @@ func TestFixedAppsUnderFaults(t *testing.T) {
 	cfg := MustLookup("bug-ii").FixedConfig(0)
 	cfg.Properties = []core.Property{props.NewNoForgottenPackets()}
 	cfg.Faults = core.FaultModel{MaxDrops: 1, MaxDuplicates: 1, MaxReorders: 1}
-	report := core.NewChecker(cfg).Run()
+	report := dfs(cfg)
 	if v := report.FirstViolation(); v != nil {
 		t.Fatalf("fixed pyswitch forgets packets under faults: %v\n%s", v.Err, v)
 	}
-	base := core.NewChecker(MustLookup("bug-ii").FixedConfig(0)).Run()
+	base := dfs(MustLookup("bug-ii").FixedConfig(0))
 	if report.UniqueStates <= base.UniqueStates {
 		t.Errorf("fault model explored no extra states: %d vs %d",
 			report.UniqueStates, base.UniqueStates)
@@ -171,9 +171,9 @@ func TestFigure6Shape(t *testing.T) {
 	}
 	ping := MustLookup("pingpong")
 	for pings := 2; pings <= 3; pings++ {
-		base := core.NewChecker(ping.Config(pings)).Run()
-		noDelay := core.NewChecker(ping.Apply(ping.Config(pings), NoDelay)).Run()
-		flowIR := core.NewChecker(ping.Apply(ping.Config(pings), FlowIR)).Run()
+		base := dfs(ping.Config(pings))
+		noDelay := dfs(ping.Apply(ping.Config(pings), NoDelay))
+		flowIR := dfs(ping.Apply(ping.Config(pings), FlowIR))
 
 		t.Logf("pings=%d: NICE-MC=%d trans, NO-DELAY=%d (%.2fx), FLOW-IR=%d (%.2fx)",
 			pings, base.Transitions,

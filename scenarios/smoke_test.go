@@ -1,15 +1,22 @@
 package scenarios
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"github.com/nice-go/nice/internal/core"
+	"github.com/nice-go/nice/internal/search"
 )
+
+// dfs runs the sequential DFS over cfg with fresh discover caches.
+func dfs(cfg *core.Config) *core.Report {
+	return search.DFS().Search(context.Background(), cfg, core.EngineOptions{})
+}
 
 func TestSmokePingPong1(t *testing.T) {
 	cfg := MustLookup("pingpong").Config(1)
-	report := core.NewChecker(cfg).Run()
+	report := dfs(cfg)
 	t.Logf("pings=1: transitions=%d unique=%d elapsed=%v violations=%d",
 		report.Transitions, report.UniqueStates, report.Elapsed, len(report.Violations))
 	if report.Transitions == 0 {
@@ -21,7 +28,7 @@ func TestSmokeAllBugs(t *testing.T) {
 	for _, sc := range Table2() {
 		sc := sc
 		t.Run(strings.ToUpper(sc.Name), func(t *testing.T) {
-			report := core.NewChecker(sc.Config(0)).Run()
+			report := dfs(sc.Config(0))
 			t.Logf("%s: transitions=%d unique=%d violations=%d elapsed=%v",
 				sc.Name, report.Transitions, report.UniqueStates, len(report.Violations), report.Elapsed)
 			v := report.FirstViolation()
@@ -38,7 +45,7 @@ func TestSmokeAllBugs(t *testing.T) {
 
 func TestSmokeBugII(t *testing.T) {
 	cfg := MustLookup("bug-ii").Config(0)
-	report := core.NewChecker(cfg).Run()
+	report := dfs(cfg)
 	t.Logf("BUG-II: transitions=%d unique=%d violations=%d elapsed=%v",
 		report.Transitions, report.UniqueStates, len(report.Violations), report.Elapsed)
 	v := report.FirstViolation()

@@ -23,10 +23,10 @@ func TestTable1Shape(t *testing.T) {
 	var rows []row
 	for pings := 1; pings <= 3; pings++ {
 		ping := MustLookup("pingpong")
-		nice := core.NewChecker(ping.Config(pings)).Run()
+		nice := dfs(ping.Config(pings))
 		cfgNR := ping.Config(pings)
 		cfgNR.NoSwitchReduction = true
-		nr := core.NewChecker(cfgNR).Run()
+		nr := dfs(cfgNR)
 		rho := 1 - float64(nice.UniqueStates)/float64(nr.UniqueStates)
 		rows = append(rows, row{pings, nice, nr, rho})
 		t.Logf("pings=%d NICE-MC: %d trans / %d states (%v) | NO-SWITCH-REDUCTION: %d trans / %d states (%v) | rho=%.2f",

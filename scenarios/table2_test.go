@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/nice-go/nice/apps/energyte"
-	"github.com/nice-go/nice/internal/core"
 )
 
 // TestTable2StrategyMatrix reproduces the paper's Table 2 strategy
@@ -22,7 +21,7 @@ func TestTable2StrategyMatrix(t *testing.T) {
 			t.Run(sc.Name+"/"+s.String(), func(t *testing.T) {
 				t.Parallel()
 				cfg := sc.Apply(sc.Config(0), s)
-				report := core.NewChecker(cfg).Run()
+				report := dfs(cfg)
 				found := report.FirstViolation() != nil
 				wantMiss := sc.Misses[s]
 				if found && wantMiss {
@@ -55,7 +54,7 @@ func TestBarrierFixForBugIX(t *testing.T) {
 	barrierApp := energyte.New(energyte.FixVIII, cfg.Topo, TEThreshold, 0)
 	barrierApp.UseBarriers = true
 	cfg.App = barrierApp
-	report := core.NewChecker(cfg).Run()
+	report := dfs(cfg)
 	if v := report.FirstViolation(); v != nil {
 		t.Fatalf("barrier variant still violates: %v\n%s", v.Err, v)
 	}
@@ -68,7 +67,7 @@ func TestBarrierFixForBugIX(t *testing.T) {
 	barrierApp2.UseBarriers = true
 	cfg2.App = barrierApp2
 	cfg2.Unusual = true
-	if v := core.NewChecker(cfg2).Run().FirstViolation(); v != nil {
+	if v := dfs(cfg2).FirstViolation(); v != nil {
 		t.Fatalf("barrier variant violates under UNUSUAL: %v", v.Err)
 	}
 }
@@ -85,7 +84,7 @@ func TestFixedAppsAreClean(t *testing.T) {
 		sc := sc
 		t.Run(strings.ToUpper(sc.Name), func(t *testing.T) {
 			t.Parallel()
-			report := core.NewChecker(sc.FixedConfig(0)).Run()
+			report := dfs(sc.FixedConfig(0))
 			if v := report.FirstViolation(); v != nil {
 				t.Fatalf("fixed app still violates %s: %v\ntrace:\n%s", v.Property, v.Err, v)
 			}

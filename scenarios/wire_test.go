@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"github.com/nice-go/nice/internal/core"
 )
 
 // wireLinearPing mirrors the registered pyswitch-linearhosts scenario
@@ -141,7 +139,7 @@ func TestWireSpecCompileFindsViolation(t *testing.T) {
 		t.Fatalf("Compile: %v", err)
 	}
 	sc := sp.Scenario()
-	rep := core.NewChecker(sc.Config(0)).Run()
+	rep := dfs(sc.Config(0))
 	found := false
 	for _, v := range rep.Violations {
 		if v.Property == "StrictDirectPaths" {
@@ -155,7 +153,7 @@ func TestWireSpecCompileFindsViolation(t *testing.T) {
 	if !sc.HasFixed() {
 		t.Fatal("buggy wire spec lost its fixed build")
 	}
-	if rep := core.NewChecker(sc.FixedConfig(0)).Run(); len(rep.Violations) != 0 {
+	if rep := dfs(sc.FixedConfig(0)); len(rep.Violations) != 0 {
 		t.Errorf("fixed variant violated: %v", rep.Violations)
 	}
 }
