@@ -120,9 +120,8 @@ func New(fix FixLevel, t *topo.Topology, threshold uint64, polls int) *App {
 func (a *App) Name() string { return fmt.Sprintf("energyte(fix=%d)", int(a.fix)) }
 
 // Clone implements controller.App with a full deep copy (used by
-// discover_packets / discover_stats throwaway handler runs and the
-// deep-clone reference path; the checker's copy-on-write fast path uses
-// Fork).
+// discover_packets / discover_stats throwaway handler runs; the
+// checker's copy-on-write fast path uses Fork).
 func (a *App) Clone() controller.App {
 	c := *a
 	c.flows = make(map[openflow.Flow]Path, len(a.flows))

@@ -115,8 +115,8 @@ func New(fix FixLevel, t *topo.Topology, vip openflow.IPAddr, reconfigs int) *Ap
 func (a *App) Name() string { return fmt.Sprintf("loadbalancer(fix=%d)", int(a.fix)) }
 
 // Clone implements controller.App with a full deep copy (used by
-// discover_packets' throwaway handler runs and the deep-clone reference
-// path; the checker's copy-on-write fast path uses Fork).
+// discover_packets' throwaway handler runs; the checker's copy-on-write
+// fast path uses Fork).
 func (a *App) Clone() controller.App {
 	c := *a
 	c.replicas = append([]Replica(nil), a.replicas...)

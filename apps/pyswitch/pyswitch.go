@@ -85,9 +85,9 @@ func (a *App) Name() string {
 }
 
 // Clone implements controller.App (used by discover_packets' throwaway
-// handler runs and the deep-clone reference path; the checker's
-// copy-on-write fast path uses Fork). A copy of the outer map makes the
-// clone independent: the tables it shares are never written.
+// handler runs; the checker's copy-on-write fast path uses Fork). A copy
+// of the outer map makes the clone independent: the tables it shares
+// are never written.
 func (a *App) Clone() controller.App {
 	c := *a
 	c.borrowed = true

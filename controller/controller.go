@@ -18,10 +18,9 @@ import (
 //
 // Two extra obligations make the app checkable:
 //
-//   - Clone must deep-copy all mutable state (the checker's retained
-//     deep-copy reference path forks states with it, and
-//     discover_packets runs handlers on throwaway clones while the
-//     receiver stays live);
+//   - Clone must deep-copy all mutable state (every explored system
+//     starts from a clone of the prototype, and discover_packets runs
+//     handlers on throwaway clones while the receiver stays live);
 //   - StateKey must render the app state canonically (internal/canon's
 //     String helper does this for free), because state matching and the
 //     relevant-packet cache are keyed by the stringified controller
@@ -102,7 +101,7 @@ type StatePartition interface {
 //
 // Clone keeps its full deep-copy semantics and remains required: it is
 // used where the receiver stays live and mutable — discover_packets'
-// throwaway handler runs and the retained deep-clone reference path.
+// throwaway handler runs — and by forkApp for an app without Fork.
 type ForkableApp interface {
 	App
 	// Fork returns a copy-on-write fork of the application; the
@@ -395,42 +394,6 @@ func copyQueues(m map[openflow.SwitchID][]openflow.Msg) map[openflow.SwitchID][]
 		c[sw] = q[:len(q):len(q)]
 	}
 	return c
-}
-
-// Clone deep-copies the runtime (including the app) — the retained
-// deep-copy forking path; Fork is the copy-on-write fast path.
-func (r *Runtime) Clone() *Runtime {
-	c := &Runtime{
-		App:  r.App.Clone(),
-		inQ:  make(map[openflow.SwitchID][]openflow.Msg, len(r.inQ)),
-		outQ: make(map[openflow.SwitchID][]openflow.Msg, len(r.outQ)),
-		seq:  r.seq,
-		xid:  r.xid,
-
-		appKey:       r.appKey,
-		appKeyDigest: r.appKeyDigest,
-		appKeyValid:  r.appKeyValid,
-		appVersion:   r.appVersion,
-		inKeyHash:    r.inKeyHash,
-		inKeyValid:   r.inKeyValid,
-		outKeyHash:   r.outKeyHash,
-		outKeyValid:  r.outKeyValid,
-	}
-	for sw, q := range r.inQ {
-		c.inQ[sw] = cloneMsgs(q)
-	}
-	for sw, q := range r.outQ {
-		c.outQ[sw] = cloneMsgs(q)
-	}
-	return c
-}
-
-func cloneMsgs(q []openflow.Msg) []openflow.Msg {
-	out := make([]openflow.Msg, len(q))
-	for i, m := range q {
-		out[i] = m.Clone()
-	}
-	return out
 }
 
 // DeliverToController enqueues a switch→controller message.

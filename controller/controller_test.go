@@ -117,17 +117,17 @@ func TestHeadDoesNotConsume(t *testing.T) {
 	}
 }
 
-func TestRuntimeCloneIndependence(t *testing.T) {
+func TestRuntimeForkIndependence(t *testing.T) {
 	rt := NewRuntime(&recorderApp{})
 	rt.DeliverToController(packetInMsg())
-	c := rt.Clone()
+	c := rt.Fork(1)
 	c.Dispatch(packetInMsg())
 	if len(rt.App.(*recorderApp).Calls) != 0 {
-		t.Error("clone dispatch mutated original app")
+		t.Error("fork dispatch mutated original app")
 	}
 	c.PopIn(1)
 	if _, ok := rt.HeadIn(1); !ok {
-		t.Error("clone pop drained original channel")
+		t.Error("fork pop drained original channel")
 	}
 }
 

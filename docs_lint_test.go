@@ -86,17 +86,24 @@ func TestPackageDocs(t *testing.T) {
 	}
 }
 
-// retiredBenchRE matches the names of the retired measurement stack: its
-// command, its package and its BENCH_N baseline files. It is assembled
-// from pieces so that this file passes its own lint.
-var retiredBenchRE = regexp.MustCompile(`nice-` + `bench\b|internal/` + `bench\b|BENCH` + `_[0-9]`)
+// retiredNames matches retired names, each with what replaced it: the
+// measurement stack's command, package and BENCH_N baseline files, and
+// the deep-clone and oracle-hash reference paths with their tests. The
+// patterns are assembled from pieces so that this file passes its own
+// lint.
+var retiredNames = map[*regexp.Regexp]string{
+	regexp.MustCompile(`nice-` + `bench\b|internal/` + `bench\b|BENCH` + `_[0-9]`): "benchmark/ (bash benchmark/run.sh)",
+	regexp.MustCompile(`With` + `DeepClone\b|TestCOW` + `DeepCloneParity\b`):       "copy-on-write Fork, held to scenarios' TestReferenceExplorer",
+	regexp.MustCompile(`With` + `OracleHash\b|TestFingerprint` + `OracleParity\b`): "System.OracleKey, which TestReferenceExplorer names states by",
+}
 
-// TestNoRetiredBenchReferences: that stack outlived its replacement long
-// enough for three documents to name three different baselines for one
-// gate. Source, workflows, README, docs/ and the skill notes must not
-// mention it again; CHANGES.md and ROADMAP.md are history, benchmark/ is
-// frozen by BENCHMARK.json and .bench_build/ is its build output.
-func TestNoRetiredBenchReferences(t *testing.T) {
+// TestNoRetiredNames: the measurement stack outlived its replacement
+// long enough for three documents to name three different baselines for
+// one gate. Source, workflows, README, docs/ and the skill notes must
+// not mention a retired name again; CHANGES.md and ROADMAP.md are
+// history, benchmark/ is frozen by BENCHMARK.json and .bench_build/ is
+// its build output.
+func TestNoRetiredNames(t *testing.T) {
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -118,8 +125,10 @@ func TestNoRetiredBenchReferences(t *testing.T) {
 			return err
 		}
 		for i, line := range strings.Split(string(body), "\n") {
-			if m := retiredBenchRE.FindString(line); m != "" {
-				t.Errorf("%s:%d: mentions %q; the measurement contract is benchmark/ (bash benchmark/run.sh)", path, i+1, m)
+			for re, replacement := range retiredNames {
+				if m := re.FindString(line); m != "" {
+					t.Errorf("%s:%d: mentions retired %q; use %s", path, i+1, m, replacement)
+				}
 			}
 		}
 		return nil
@@ -139,7 +148,7 @@ var mdNameRE = regexp.MustCompile(`[A-Za-z0-9_][A-Za-z0-9_./-]*\.md\b`)
 // name, as the base name of some file in the repository. A comment that
 // sends its reader to a document nobody wrote is a dead end.
 // CHANGES.md and ROADMAP.md are history and benchmark/ is frozen by
-// BENCHMARK.json, as in TestNoRetiredBenchReferences.
+// BENCHMARK.json, as in TestNoRetiredNames.
 func TestMarkdownNamesExist(t *testing.T) {
 	type naming struct {
 		path string

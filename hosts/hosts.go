@@ -85,8 +85,8 @@ type Host struct {
 // Invalidate drops the cached KeyHash64.
 func (h *Host) Invalidate() { h.keyValid = false }
 
-// Clone deep-copies the host state — the retained deep-copy forking
-// path; Fork is the copy-on-write fast path.
+// Clone deep-copies the host state: NewSystem clones each prototype;
+// Fork is the copy-on-write fork the search makes.
 func (h *Host) Clone() *Host {
 	c := *h
 	c.MoveTargets = append([]topo.PortKey(nil), h.MoveTargets...)

@@ -95,12 +95,6 @@ type Config struct {
 	// granularity (the fine-grained baseline; see docs/ARCHITECTURE.md,
 	// "Deviations from the paper").
 	MicroSteps bool
-	// oracleHash and deepClone select the retained reference paths the
-	// production ones are differentially tested against. They are
-	// oracles, not configuration: only WithOracleHash / WithDeepClone
-	// set them, and the facade re-exports neither.
-	oracleHash bool
-	deepClone  bool
 
 	// --- Budgets ---
 
@@ -128,26 +122,6 @@ type Config struct {
 	// reconfiguration-window races (BUG-V's own scenario) from bugs
 	// that need an established pre-change state (BUG-VII).
 	AtomicEnv bool
-}
-
-// WithOracleHash returns a copy of cfg whose Fingerprint hashes the full
-// from-scratch state serialization (OracleKey) instead of combining
-// cached component hashes — the reflective oracle the incremental
-// fingerprint is differentially tested against.
-func WithOracleHash(cfg *Config) *Config {
-	c := *cfg
-	c.oracleHash = true
-	return &c
-}
-
-// WithDeepClone returns a copy of cfg whose System.Clone deep-copies
-// every component eagerly instead of forking copy-on-write — the
-// reference path the COW protocol is differentially tested against.
-// Semantics are identical; only forking cost differs.
-func WithDeepClone(cfg *Config) *Config {
-	c := *cfg
-	c.deepClone = true
-	return &c
 }
 
 func (c *Config) maxDepth() int {

@@ -47,10 +47,10 @@ func walkCloneIndependence(t *testing.T, scenario string, seed int64, steps int)
 		// Arm this state's discover caches first: cache presence is
 		// part of state identity by design (Figure 5's shared memo), so
 		// a cold discover transition legitimately changes every
-		// same-app-state fingerprint — including the parent's — in both
-		// clone modes. With the caches armed, the only way the parent's
-		// identity can change below is a missed ensureOwned hook, which
-		// is exactly what this test hunts.
+		// same-app-state fingerprint — including the parent's. With the
+		// caches armed, the only way the parent's identity can change
+		// below is a missed ensureOwned hook, which is exactly what this
+		// test hunts.
 		for _, tr := range parent.Enabled() {
 			if tr.Kind == core.THostDiscover || tr.Kind == core.TCtrlDiscoverStats {
 				c := parent.Clone()
@@ -128,33 +128,4 @@ func FuzzCloneIndependence(f *testing.F) {
 		n := int(steps)%40 + 5
 		walkCloneIndependence(t, name, seed, n)
 	})
-}
-
-// TestCloneIndependenceDeepMode runs the same walk under the retained
-// deep-clone reference path: forking semantics must be identical in
-// both modes, so the independence property holds there trivially — a
-// failure would mean the reference itself is broken.
-func TestCloneIndependenceDeepMode(t *testing.T) {
-	sc := scenarios.MustLookup("pyswitch-bench")
-	cfg := core.WithDeepClone(sc.Config(0))
-	parent := core.NewSystemWith(cfg, core.NewCaches())
-	for step := 0; step < 20; step++ {
-		for _, tr := range parent.Enabled() { // arm discover caches (see above)
-			if tr.Kind == core.THostDiscover || tr.Kind == core.TCtrlDiscoverStats {
-				c := parent.Clone()
-				c.Apply(tr)
-			}
-		}
-		enabled := parent.Enabled()
-		if len(enabled) == 0 {
-			return
-		}
-		oracle := parent.OracleKey()
-		child := parent.Clone()
-		child.Apply(enabled[step%len(enabled)])
-		if parent.OracleKey() != oracle {
-			t.Fatalf("step %d: deep-clone parent mutated by child", step)
-		}
-		parent = child
-	}
 }

@@ -185,7 +185,8 @@ func freshPropKey(p Property) string {
 // same two ownership rules — the caller freezes the receiver (the
 // checker guarantees this by epoch retirement), and the fork copies
 // borrowed state before its own first mutation. Clone keeps its full
-// deep-copy semantics for the deep-clone reference path.
+// deep-copy semantics: NewSystem clones each prototype with it, and
+// forkProperty falls back to it.
 type ForkableProperty interface {
 	Property
 	// ForkProp returns a copy-on-write fork; the receiver must be

@@ -16,22 +16,17 @@ import (
 // table's term is a commutative sum maintained at every flow_mod, so
 // the canonical (order-free) table needs no sort either.
 //
-// Under WithOracleHash, the fingerprint is instead the hash of the
-// full from-scratch string serialization (OracleKey). Every structural
-// hash folds exactly the fields its component's StateKey renders, so
-// states with equal component keys produce equal fingerprints in both
-// modes; the modes differ only in their (improbable) collision
-// surfaces. The structural path compresses each component — and each
-// rule of a canonical table, before summing — to 64 bits, so a 64-bit
-// component collision, or two rule multisets whose per-rule hashes
-// share a sum, could merge states the oracle distinguishes. The
-// differential tests assert the search reports agree in practice; a
-// one-mode-only count divergence therefore means either a missing dirty
-// hook (VerifyCaches pinpoints it) or such a collision.
+// Every structural hash folds exactly the fields its component's
+// StateKey renders, so states with equal OracleKey strings have equal
+// fingerprints. The converse holds up to (improbable) collisions: each
+// component — and each rule of a canonical table, before summing — is
+// compressed to 64 bits, so a 64-bit component collision, or two rule
+// multisets whose per-rule hashes share a sum, could merge states the
+// OracleKey distinguishes. scenarios' reference explorer, which names
+// states by OracleKey, asserts the search reports agree in practice; a
+// count divergence there means a missing dirty hook (VerifyCaches
+// pinpoints it), a missing COW hook, or such a collision.
 func (s *System) Fingerprint() canon.Digest {
-	if s.cfg.oracleHash {
-		return canon.Hash128(s.OracleKey())
-	}
 	canonical, hashCounters := s.cfg.tableHashMode()
 	h := canon.NewMix128()
 	for _, sw := range s.switches {

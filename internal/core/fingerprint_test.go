@@ -37,7 +37,7 @@ func (p *staleProp) RenderStateKey() string { return strconv.Itoa(p.events) }
 // TestVerifyCachesCatchesStalePropertyMemo asserts the oracle path
 // bypasses property memos: a property whose cached key goes stale must
 // surface as a VerifyCaches divergence rather than poisoning the
-// incremental and oracle hashes identically.
+// structural fingerprint and OracleKey identically.
 func TestVerifyCachesCatchesStalePropertyMemo(t *testing.T) {
 	cfg := hubConfig(1)
 	cfg.Properties = []Property{&staleProp{}}

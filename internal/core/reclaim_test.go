@@ -16,13 +16,14 @@ import (
 	"github.com/nice-go/nice/scenarios"
 )
 
-// reclaimWalk is one seeded walk and the replay references its states
-// are checked against: a copy-on-write and a deep-clone checker on the
-// walk's own caches, so discover-cache presence agrees.
+// reclaimWalk is one seeded walk and the checker whose replays its
+// states are held to, on the walk's own caches, so discover-cache
+// presence agrees. Replay never forks, so the reference shares no
+// copy-on-write state with the walk.
 type reclaimWalk struct {
 	t   *testing.T
 	rng *rand.Rand
-	ref []*core.Checker
+	ref *core.Checker
 }
 
 func walkReclaim(t *testing.T, scenario string, seed int64, steps int) {
@@ -34,9 +35,7 @@ func walkReclaim(t *testing.T, scenario string, seed int64, steps int) {
 	cfg := sc.Config(0)
 	cfg.StopAtFirstViolation = false
 	caches := core.NewCaches()
-	w := &reclaimWalk{t: t, rng: rand.New(rand.NewSource(seed)),
-		ref: []*core.Checker{core.NewCheckerWith(cfg, caches),
-			core.NewCheckerWith(core.WithDeepClone(cfg), caches)}}
+	w := &reclaimWalk{t: t, rng: rand.New(rand.NewSource(seed)), ref: core.NewCheckerWith(cfg, caches)}
 
 	sys := core.NewSystemWith(cfg, caches)
 	var trace []core.Transition
@@ -106,17 +105,14 @@ func (w *reclaimWalk) drive(sys *core.System, trace []core.Transition, depth int
 	w.drive(sys, with(trace, b), depth-1)
 }
 
-// check holds sys to its trace replayed from the initial state, under
-// copy-on-write and deep-clone forking alike, and to its own caches.
+// check holds sys to its trace replayed from the initial state and to
+// its own caches.
 func (w *reclaimWalk) check(sys *core.System, trace []core.Transition) {
 	w.t.Helper()
 	fp, oracle := sys.Fingerprint(), sys.OracleKey()
-	for _, c := range w.ref {
-		want, _ := c.Replay(trace)
-		if want.Fingerprint() != fp || want.OracleKey() != oracle {
-			w.t.Fatalf("state after %d transitions differs from its replay (last %s):\n got: %s\nwant: %s",
-				len(trace), trace[len(trace)-1].Key(), oracle, want.OracleKey())
-		}
+	if want, _ := w.ref.Replay(trace); want.Fingerprint() != fp || want.OracleKey() != oracle {
+		w.t.Fatalf("state after %d transitions differs from its replay (last %s):\n got: %s\nwant: %s",
+			len(trace), trace[len(trace)-1].Key(), oracle, want.OracleKey())
 	}
 	if err := sys.VerifyCaches(); err != nil {
 		w.t.Fatalf("caches stale after %d transitions: %v", len(trace), err)

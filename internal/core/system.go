@@ -19,8 +19,7 @@ import (
 // observers. Systems fork copy-on-write as the search explores (the
 // internal/cow protocol: Clone is O(#components) pointer copies, and a
 // component deep-copies lazily when first mutated) and are hashed for
-// the explored-state set; WithDeepClone retains the eager deep-copy
-// forking path as the differential reference.
+// the explored-state set.
 type System struct {
 	cfg    *Config
 	caches *Caches
@@ -161,15 +160,10 @@ func NewSystemWith(cfg *Config, cc *Caches) *System {
 }
 
 // Clone forks the state (sharing the immutable config and the monotonic
-// discover caches). By default the fork is copy-on-write (the
-// internal/cow protocol): O(#components) pointer copies now, with each
-// component deep-copied lazily by the ensureOwned hooks at its mutation
-// sites. WithDeepClone selects the retained eager deep-copy path —
-// the differential reference COW is tested against.
+// discover caches) copy-on-write (the internal/cow protocol):
+// O(#components) pointer copies now, with each component deep-copied
+// lazily by the ensureOwned hooks at its mutation sites.
 func (s *System) Clone() *System {
-	if s.cfg.deepClone {
-		return s.deepClone()
-	}
 	if m := s.met; m != nil {
 		m.forks.Inc()
 		if s.cachesWarm {
@@ -266,53 +260,6 @@ func (s *System) Release() {
 	}
 	s.hosts = s.hosts[:0]
 	systemPool.Put(s)
-}
-
-// deepClone is the retained deep-copy forking path: every component is
-// copied eagerly and owned by the child outright.
-func (s *System) deepClone() *System {
-	epoch := cow.NextEpoch()
-	c := &System{
-		cfg:         s.cfg,
-		caches:      s.caches,
-		switches:    make([]*openflow.Switch, len(s.switches)),
-		swIDs:       s.swIDs,
-		ctrl:        s.ctrl.Clone(),
-		hosts:       make([]*hosts.Host, len(s.hosts)),
-		hostIDs:     s.hostIDs,
-		alloc:       s.alloc,
-		epoch:       epoch,
-		propsEpoch:  epoch,
-		propsOwned:  ^uint64(0),
-		groupEpoch:  epoch,
-		lastGroup:   s.lastGroup,
-		groupCounts: make(map[string]int, len(s.groupCounts)),
-		groupDigest: s.groupDigest,
-		faults:      s.faults,
-		met:         s.met,
-	}
-	if s.met != nil {
-		s.met.forks.Inc()
-	}
-	c.ctrl.SetOwner(epoch)
-	for k, v := range s.groupCounts {
-		c.groupCounts[k] = v
-	}
-	for i, sw := range s.switches {
-		n := sw.Clone()
-		n.SetOwner(epoch)
-		c.switches[i] = n
-	}
-	for i, h := range s.hosts {
-		n := h.Clone()
-		n.SetOwner(epoch)
-		c.hosts[i] = n
-	}
-	c.props = make([]Property, len(s.props))
-	for i, p := range s.props {
-		c.props[i] = p.Clone()
-	}
-	return c
 }
 
 // warmKeyCaches fills every memoized component hash (a no-op when
@@ -479,8 +426,9 @@ func (s *System) Properties() []Property { return s.props }
 
 // OracleKey renders the full system state from scratch as one canonical
 // string, bypassing every component hash cache and every property and
-// application key memo — the reference the structural fingerprint is
-// differentially tested against (WithOracleHash hashes it).
+// application key memo — the state identity the structural fingerprint
+// is differentially tested against, and the one the reference explorer
+// in scenarios' tests names states by.
 func (s *System) OracleKey() string {
 	var b strings.Builder
 	canonical, hashCounters := s.cfg.tableHashMode()

@@ -78,16 +78,6 @@ type FlowTable struct {
 // NewFlowTable returns an empty table.
 func NewFlowTable() *FlowTable { return &FlowTable{} }
 
-// Clone deep-copies the table (rules and action lists) — the retained
-// deep-copy forking path; Fork is the copy-on-write fast path.
-func (t *FlowTable) Clone() *FlowTable {
-	c := &FlowTable{rules: make([]Rule, len(t.rules)), sum: t.sum}
-	for i, r := range t.rules {
-		c.rules[i] = r.CloneRule()
-	}
-	return c
-}
-
 // Fork returns a copy-on-write fork: a new table borrowing the
 // receiver's rule storage. The receiver must be frozen (not mutated)
 // while the fork may still read it; the fork copies before its own

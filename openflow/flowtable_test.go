@@ -197,18 +197,18 @@ func TestLookupOrderIndependence(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
+func TestForkIndependence(t *testing.T) {
 	ft := NewFlowTable()
 	ft.Install(ruleOut(5, MatchAll(), 1))
-	c := ft.Clone()
+	c := ft.Fork()
 	c.Install(ruleOut(9, MatchAll().With(FieldEthType, 1), 2))
 	idx, _ := c.Lookup(hdrAB(), 1)
 	c.Hit(idx)
 	if ft.Len() != 1 {
-		t.Error("clone mutation leaked into original (rules)")
+		t.Error("fork mutation leaked into original (rules)")
 	}
 	if ft.Rules()[0].PacketCount != 0 {
-		t.Error("clone mutation leaked into original (counters)")
+		t.Error("fork mutation leaked into original (counters)")
 	}
 }
 

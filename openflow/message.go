@@ -158,17 +158,6 @@ type Msg struct {
 	keyHash uint64
 }
 
-// Clone deep-copies the message.
-func (m Msg) Clone() Msg {
-	m.Actions = CloneActions(m.Actions)
-	if m.Stats != nil {
-		s := make([]PortStats, len(m.Stats))
-		copy(s, m.Stats)
-		m.Stats = s
-	}
-	return m
-}
-
 func (m Msg) String() string {
 	switch m.Type {
 	case MsgFlowMod:

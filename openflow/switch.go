@@ -158,30 +158,6 @@ func (s *Switch) SetPortUp(p PortID, isUp bool) {
 // PortUp reports a port's link state.
 func (s *Switch) PortUp(p PortID) bool { return s.up[p] }
 
-// Clone deep-copies the switch — the retained deep-copy forking path;
-// Fork is the copy-on-write fast path.
-func (s *Switch) Clone() *Switch {
-	c := &Switch{
-		ID:      s.ID,
-		Ports:   append([]PortID(nil), s.Ports...),
-		Table:   *s.Table.Clone(),
-		in:      make(map[PortID][]Packet, len(s.in)),
-		up:      make(map[PortID]bool, len(s.up)),
-		buffer:  make([]BufEntry, len(s.buffer)),
-		nextBuf: s.nextBuf,
-		Alive:   s.Alive,
-		key:     s.key,
-	}
-	for p, q := range s.in {
-		c.in[p] = append([]Packet(nil), q...)
-	}
-	for p, u := range s.up {
-		c.up[p] = u
-	}
-	copy(c.buffer, s.buffer)
-	return c
-}
-
 // Fork returns a copy-on-write fork owned at epoch owner: an O(1)
 // struct copy that borrows the flow table, channel maps and buffer.
 // The receiver must be frozen afterwards (the System-level protocol
@@ -601,8 +577,7 @@ func (s *Switch) hashState(table uint64) uint64 {
 }
 
 // StateKey renders the switch state canonically, from scratch: the
-// string twin of KeyHash64 that OracleKey, core.WithOracleHash and debug
-// output read. canonical and includeCounters are KeyHash64's.
+// string twin of KeyHash64 that OracleKey and debug output read. canonical and includeCounters are KeyHash64's.
 func (s *Switch) StateKey(canonical, includeCounters bool) string {
 	b := make([]byte, 0, 256)
 	b = append(b, "sw"...)

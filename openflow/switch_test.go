@@ -253,20 +253,20 @@ func TestBarrierAndStats(t *testing.T) {
 	}
 }
 
-func TestSwitchCloneIndependence(t *testing.T) {
+func TestSwitchForkIndependence(t *testing.T) {
 	sw, alloc := newTestSwitch()
 	sw.Enqueue(1, pkt(alloc, hdrAB()))
-	c := sw.Clone()
+	c := sw.Fork(1)
 	c.ProcessPackets(alloc)
 	if sw.TotalQueued() != 1 {
-		t.Error("clone processing drained the original's channel")
+		t.Error("fork processing drained the original's channel")
 	}
 	if len(sw.Buffered()) != 0 && len(c.Buffered()) == 0 {
-		t.Error("buffer state crossed the clone boundary")
+		t.Error("buffer state crossed the fork boundary")
 	}
 	c.SetPortUp(2, false)
 	if !sw.PortUp(2) {
-		t.Error("port state crossed the clone boundary")
+		t.Error("port state crossed the fork boundary")
 	}
 }
 

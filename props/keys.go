@@ -15,8 +15,8 @@ import (
 // encoders replacing the reflective canon.String walks that dominated
 // the per-state fingerprint profile. The renderings only need to be
 // deterministic and injective — the same property always renders through
-// the same code path on both the incremental and the oracle hash, so the
-// formats are not pinned to the historical reflective output.
+// the same code path for the structural fingerprint and for OracleKey,
+// so the formats are not pinned to the historical reflective output.
 
 // cachedKey memoizes one rendered StateKey (and its 64-bit hash, which
 // System.Fingerprint combines without re-hashing the string every

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,94 +13,145 @@ import (
 	"github.com/nice-go/nice/scenarios"
 )
 
-// oracle copies a config onto the oracle hash: states are identified by
-// hashing the full from-scratch serialization instead of the incremental
-// component-hash combination.
-var oracle = core.WithOracleHash
-
-// dfs runs the sequential DFS over cfg with fresh discover caches
-// unless cc is given.
-func dfs(cfg *core.Config, cc *core.Caches) *core.Report {
-	return search.DFS().Search(context.Background(), cfg, core.EngineOptions{Caches: cc})
-}
-
-func violated(r *core.Report) map[string]bool {
-	set := make(map[string]bool)
+// summary is what the reference explorer and an engine must agree on:
+// unique states, transitions, revisits, truncated paths and the sorted,
+// distinct property|error violation keys.
+func summary(r *core.Report) string {
+	var keys []string
 	for _, v := range r.Violations {
-		set[v.Property] = true
+		keys = append(keys, v.Property+"|"+v.Err.Error())
 	}
-	return set
+	slices.Sort(keys)
+	return fmt.Sprintf("%d states, %d transitions, %d revisits, %d truncated, violations %q",
+		r.UniqueStates, r.Transitions, r.Revisits, r.Truncated, slices.Compact(keys))
 }
 
-func sameViolations(a, b *core.Report) bool {
-	va, vb := violated(a), violated(b)
-	if len(va) != len(vb) {
-		return false
+// explore is the reference explorer: a breadth-first search written
+// with none of what the engines optimise. A state is named by its
+// OracleKey string and built by replaying its trace from the initial
+// state, feeding the properties on the way (a state's last successor
+// is the state's own replay, one step on) — so no Clone, copy-on-write
+// fork, Fingerprint, seen-set, lend or reclaim takes part. It applies
+// the engines' rules in their plainest form: properties are checked
+// after every transition and at dead ends, a violating transition is
+// recorded and its child not admitted, and a path stops at the depth
+// bound.
+func explore(cfg *core.Config, cc *core.Caches) *core.Report {
+	// A state is its last transition and its parent's node. Until it is
+	// expanded, sys holds its replay and enabled its transitions.
+	type node struct {
+		parent  *node
+		t       core.Transition
+		depth   int
+		sys     *core.System
+		enabled []core.Transition
 	}
-	for k := range va {
-		if !vb[k] {
-			return false
+	var events []core.Event
+	step := func(sys *core.System, t core.Transition) []core.PropertyFailure {
+		events = sys.ApplyInto(t, events)
+		return sys.CheckEvents(events)
+	}
+	var replay func(n *node) (*core.System, []core.PropertyFailure)
+	replay = func(n *node) (*core.System, []core.PropertyFailure) {
+		if n.parent == nil {
+			return core.NewSystemWith(cfg, cc), nil
+		}
+		sys, _ := replay(n.parent)
+		return sys, step(sys, n.t)
+	}
+	r := &core.Report{}
+	record := func(fails []core.PropertyFailure) {
+		for _, f := range fails {
+			r.Violations = append(r.Violations, core.Violation{Property: f.Property, Err: f.Err})
 		}
 	}
-	return true
+	var queue []*node
+	// admit counts a new state, reached as n, and queues it for
+	// expansion unless it is a dead end or at the depth bound.
+	admit := func(n *node, sys *core.System) {
+		r.UniqueStates++
+		n.sys, n.enabled = sys, sys.Enabled()
+		switch {
+		case len(n.enabled) == 0:
+			record(sys.CheckQuiescence())
+		case n.depth >= cfg.DepthBound():
+			r.Truncated++
+		default:
+			queue = append(queue, n)
+		}
+	}
+	root := &node{}
+	sys, _ := replay(root)
+	seen := map[string]bool{sys.OracleKey(): true}
+	admit(root, sys)
+	for ; len(queue) > 0; queue = queue[1:] {
+		n := queue[0]
+		for i, t := range n.enabled {
+			next := &node{parent: n, t: t, depth: n.depth + 1}
+			var child *core.System
+			var fails []core.PropertyFailure
+			if i < len(n.enabled)-1 {
+				child, fails = replay(next)
+			} else {
+				child, fails = n.sys, step(n.sys, t)
+			}
+			r.Transitions++
+			if len(fails) > 0 {
+				record(fails)
+				continue
+			}
+			if key := child.OracleKey(); seen[key] {
+				r.Revisits++
+			} else {
+				seen[key] = true
+				admit(next, child)
+			}
+		}
+		n.sys, n.enabled = nil, nil
+	}
+	return r
 }
 
-func requireSameCounts(t *testing.T, label string, inc, orc *core.Report) {
-	t.Helper()
-	if inc.UniqueStates != orc.UniqueStates || inc.Transitions != orc.Transitions ||
-		inc.Revisits != orc.Revisits || inc.Truncated != orc.Truncated {
-		t.Errorf("%s: incremental states/trans/revisits/trunc %d/%d/%d/%d != oracle %d/%d/%d/%d",
-			label, inc.UniqueStates, inc.Transitions, inc.Revisits, inc.Truncated,
-			orc.UniqueStates, orc.Transitions, orc.Revisits, orc.Truncated)
-	}
-	if !sameViolations(inc, orc) {
-		t.Errorf("%s: violated properties differ: incremental %v, oracle %v",
-			label, violated(inc), violated(orc))
-	}
-}
-
-// TestFingerprintOracleParity is the tentpole's differential acceptance
-// test: on all eleven Table 2 scenarios, under all four strategies, the
-// incremental fingerprint must reproduce the reflective oracle's
-// unique-state and transition counts exactly — cold (fresh discover
-// caches per run; the sequential checker is deterministic, so cold runs
-// are comparable) and warm (caches pre-filled and shared), sequential
-// and parallel (4 workers, warm, where state identity is
-// schedule-independent).
-func TestFingerprintOracleParity(t *testing.T) {
+// TestReferenceExplorer holds the production engines to the reference
+// explorer: on every Table 2 scenario and on pingpong at scales 1 and
+// 2, under every strategy column, the sequential DFS and the 4-worker
+// parallel search must report the reference's unique states,
+// transitions, revisits, truncated paths and violation keys exactly.
+// All three run on one discover-cache set, warmed until a DFS run
+// discovers nothing new: cache presence is part of state identity, so
+// only warm counts are schedule-independent.
+func TestReferenceExplorer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table 2 sweep")
 	}
+	rows := make(map[string]func(scenarios.Strategy) *core.Config)
 	for _, sc := range scenarios.Table2() {
+		rows[strings.ToUpper(sc.Name)] = func(s scenarios.Strategy) *core.Config { return sc.Apply(sc.Config(0), s) }
+	}
+	ping := scenarios.MustLookup("pingpong")
+	for _, scale := range []int{1, 2} {
+		rows[fmt.Sprintf("PINGPONG-%d", scale)] = func(s scenarios.Strategy) *core.Config { return ping.Apply(ping.Config(scale), s) }
+	}
+	ctx := context.Background()
+	for name, build := range rows {
 		for _, s := range scenarios.Strategies {
-			sc, s := sc, s
-			t.Run(fmt.Sprintf("%s/%s", strings.ToUpper(sc.Name), s), func(t *testing.T) {
+			t.Run(name+"/"+s.String(), func(t *testing.T) {
 				t.Parallel()
-				mk := func() *core.Config {
-					cfg := sc.Apply(sc.Config(0), s)
-					cfg.StopAtFirstViolation = false
-					return cfg
-				}
-
-				// Cold, sequential.
-				inc := dfs(mk(), nil)
-				orc := dfs(oracle(mk()), nil)
-				requireSameCounts(t, "cold", inc, orc)
-
-				// Warm, sequential: one shared cache set, warmed once.
+				cfg := build(s)
+				cfg.StopAtFirstViolation = false
 				cc := core.NewCaches()
-				dfs(mk(), cc)
-				incW := dfs(mk(), cc)
-				orcW := dfs(oracle(mk()), cc)
-				requireSameCounts(t, "warm", incW, orcW)
-
-				// Warm, parallel: the parallel engine on incremental
-				// fingerprints against the sequential oracle.
-				par := search.Parallel().Search(context.Background(), mk(),
-					core.EngineOptions{Workers: 4, Caches: cc})
-				if par.UniqueStates != orcW.UniqueStates || par.Transitions != orcW.Transitions {
-					t.Errorf("parallel incremental states/trans %d/%d != sequential oracle %d/%d",
-						par.UniqueStates, par.Transitions, orcW.UniqueStates, orcW.Transitions)
+				var dfs *core.Report
+				for n := int64(-1); n != cc.SERuns(); {
+					n = cc.SERuns()
+					dfs = search.DFS().Search(ctx, cfg, core.EngineOptions{Caches: cc})
+				}
+				par := search.Parallel().Search(ctx, cfg, core.EngineOptions{Caches: cc, Workers: 4})
+				want := summary(explore(cfg, cc))
+				t.Log("reference:", want)
+				for name, rep := range map[string]*core.Report{"dfs": dfs, "parallel": par} {
+					if got := summary(rep); got != want {
+						t.Errorf("%s: %s; reference: %s", name, got, want)
+					}
 				}
 			})
 		}
@@ -131,7 +183,6 @@ func TestFingerprintCacheIntegrity(t *testing.T) {
 		},
 	}
 	for name, mk := range cases {
-		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(7))

@@ -23,18 +23,18 @@ func TestFingerprintGolden(t *testing.T) {
 	}
 }
 
-// TestFingerprintAgreesWithOracleKey walks random executions of the
-// three application families and checks, state by state, that the
+// TestFingerprintAgreesWithOracleKey walks random executions of every
+// registered scenario, cold, and checks, state by state, that the
 // structural fingerprint and the from-scratch string serialization
 // agree on which states are equal: one fingerprint per oracle key, one
-// oracle key per fingerprint. (The WithOracleHash parity suites assert the
-// same through search counts; this names the two states on failure.)
+// oracle key per fingerprint. (TestReferenceExplorer asserts the same
+// through warm search counts on Table 2; this covers cold discover
+// caches and every scenario, and names the two states on failure.)
 func TestFingerprintAgreesWithOracleKey(t *testing.T) {
-	for _, name := range []string{"pyswitch-bench", "loadbalancer-bench", "bug-x", "bug-i"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
+	for _, sc := range scenarios.All() {
+		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
-			cfg := scenarios.MustLookup(name).Config(0)
+			cfg := sc.Config(0)
 			byKey := make(map[string]canon.Digest)
 			byPrint := make(map[canon.Digest]string)
 			rng := rand.New(rand.NewSource(3))
