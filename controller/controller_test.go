@@ -117,7 +117,7 @@ func TestHeadDoesNotConsume(t *testing.T) {
 	}
 }
 
-func TestRuntimeForkIndependence(t *testing.T) {
+func TestRuntimeCloneIndependence(t *testing.T) {
 	rt := NewRuntime(&recorderApp{})
 	rt.DeliverToController(packetInMsg())
 	c := rt.Fork(1)

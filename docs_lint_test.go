@@ -88,13 +88,12 @@ func TestPackageDocs(t *testing.T) {
 
 // retiredNames matches retired names, each with what replaced it: the
 // measurement stack's command, package and BENCH_N baseline files, and
-// the deep-clone and oracle-hash reference paths with their tests. The
-// patterns are assembled from pieces so that this file passes its own
-// lint.
+// the deep-clone and oracle-hash reference paths. The patterns are
+// assembled from pieces so that this file passes its own lint.
 var retiredNames = map[*regexp.Regexp]string{
 	regexp.MustCompile(`nice-` + `bench\b|internal/` + `bench\b|BENCH` + `_[0-9]`): "benchmark/ (bash benchmark/run.sh)",
-	regexp.MustCompile(`With` + `DeepClone\b|TestCOW` + `DeepCloneParity\b`):       "copy-on-write Fork, held to scenarios' TestReferenceExplorer",
-	regexp.MustCompile(`With` + `OracleHash\b|TestFingerprint` + `OracleParity\b`): "System.OracleKey, which TestReferenceExplorer names states by",
+	regexp.MustCompile(`With` + `DeepClone\b`):                                     "copy-on-write Fork, held to reftest.Explore by TestCOWDeepCloneParity",
+	regexp.MustCompile(`With` + `OracleHash\b`):                                    "System.OracleKey, which reftest.Explore names states by",
 }
 
 // TestNoRetiredNames: the measurement stack outlived its replacement

@@ -234,18 +234,21 @@ func (s *Server) Submit(tenantName string, req *JobRequest) (*job, error) {
 	}
 
 	s.nextID++
-	j := newJob(s, "j"+strconv.Itoa(s.nextID), tenantName, *req)
-	select {
-	case s.queue <- j:
-	default:
+	// Only Submit sends on the queue, under s.mu, so room now is room
+	// at the send. The queued status goes out before a worker can take
+	// the job: set after the send, it could land on top of the worker's
+	// running status and leave a running job reading "queued".
+	if len(s.queue) == cap(s.queue) {
 		s.tel.rejected.Inc()
 		return nil, &submitError{status: 429, msg: "queue full"}
 	}
+	j := newJob(s, "j"+strconv.Itoa(s.nextID), tenantName, *req)
+	j.setState(StateQueued, nil, "")
+	s.queue <- j
 	s.jobs[j.st.ID] = j
 	s.order = append(s.order, j.st.ID)
 	s.tel.submitted.Inc()
 	s.tel.queued.Set(int64(len(s.queue)))
-	j.setState(StateQueued, nil, "")
 	return j, nil
 }
 

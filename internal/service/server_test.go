@@ -261,6 +261,9 @@ func TestServiceGracefulShutdown(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	// A failure before the shutdown below must still end the job, or
+	// Close waits on its stream for good.
+	defer s.Shutdown(context.Background())
 
 	// An effectively unbounded search: the full-search benchmark
 	// scenario at scale 6 has far too many states to finish before the

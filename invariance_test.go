@@ -9,9 +9,12 @@
 // the cold search's exact violations (the sha256 of the sorted
 // property|error list); a walk cell a subset of them, identical across
 // swarm runs. Each check is the subtest
-// TestInvarianceMatrix/<scenario>/<STRATEGY>/<check>. The reference
-// the warm counts are held to is scenarios' TestReferenceExplorer,
-// which shares no forking or hashing with the engines.
+// TestInvarianceMatrix/<scenario>/<STRATEGY>/<check>; the knob tests
+// (TestDPORScenarioParity and the three after it) run one knob's checks
+// again under the names that knob's verdict has always had. The
+// reference the warm counts are held to is reftest.Explore, which
+// shares no forking or hashing with the engines: TestCOWDeepCloneParity
+// here and scenarios' TestFingerprintOracleParity compare against it.
 package nice_test
 
 import (
@@ -25,6 +28,7 @@ import (
 
 	"github.com/nice-go/nice"
 	"github.com/nice-go/nice/internal/core"
+	"github.com/nice-go/nice/internal/reftest"
 	"github.com/nice-go/nice/scenarios"
 )
 
@@ -126,8 +130,55 @@ func TestInvarianceMatrix(t *testing.T) {
 	for _, row := range matrixRows() {
 		t.Run(row.sc.Name+"/"+row.strat.String(), func(t *testing.T) {
 			t.Parallel()
-			row.check(t)
+			row.check(t, func(string) bool { return true })
 		})
+	}
+}
+
+func pktSeq(row matrixRow) bool { return row.strat == scenarios.PktSeqOnly }
+func table2(row matrixRow) bool { return row.table2 }
+
+func TestDPORScenarioParity(t *testing.T) {
+	runKnob(t, pktSeq, false, map[string][]string{
+		"SequentialDFS":  {"cold/dpor", "dfs/dpor"},
+		"ParallelHybrid": {"parallel/dpor"},
+	})
+}
+
+func TestConcolicScenarioParity(t *testing.T) {
+	runKnob(t, pktSeq, false, map[string][]string{"": {"cold/concolic"}})
+}
+
+func TestRunRegistryMatrixParity(t *testing.T) {
+	runKnob(t, table2, true, map[string][]string{"": {"dfs", "parallel", "registry"}})
+}
+
+func TestRunSwarmWarmParity(t *testing.T) {
+	runKnob(t, func(row matrixRow) bool { return table2(row) && pktSeq(row) }, false,
+		map[string][]string{"": {"swarm", "swarm/again"}})
+}
+
+// runKnob runs a knob test: one parallel subtest per selected row and
+// entry of subs, named scenario[/STRATEGY][/sub], that checks the row
+// afresh with the entry's checks alone.
+func runKnob(t *testing.T, rows func(matrixRow) bool, byStrat bool, subs map[string][]string) {
+	for _, row := range matrixRows() {
+		if !rows(row) {
+			continue
+		}
+		for sub, checks := range subs {
+			name := row.sc.Name
+			if byStrat {
+				name += "/" + row.strat.String()
+			}
+			if sub != "" {
+				name += "/" + sub
+			}
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				row.check(t, func(check string) bool { return slices.Contains(checks, check) })
+			})
+		}
 	}
 }
 
@@ -142,11 +193,13 @@ func finds(keys []string, prop string) bool {
 	return slices.ContainsFunc(keys, func(k string) bool { return strings.HasPrefix(k, prop+"|") })
 }
 
-// check explores the row cold, then runs each check as a subtest of t
-// in order: "registry" holds the cold search to the expected-violation
-// matrix, "replay" replays its traces, and each cell is named after its
-// knob. The cells share the cold search's caches, warm after it.
-func (row matrixRow) check(t *testing.T) {
+// check explores the row cold, then runs each check that sel selects as
+// a subtest of t, in order: "registry" holds the cold search to the
+// expected-violation matrix, "replay" replays its traces, and each cell
+// is named after its knob. The cells share the cold search's caches,
+// warm after it. A cell sel leaves out runs only when a selected cell
+// compares against it: its twin, or the warm "dfs".
+func (row matrixRow) check(t *testing.T, sel func(check string) bool) {
 	ctx := context.Background()
 	cc := nice.NewCaches()
 	refOpts := []nice.RunOption{nice.WithCaches(cc)}
@@ -160,7 +213,7 @@ func (row matrixRow) check(t *testing.T) {
 	refClasses, refClassCount := cc.DiscoveredClasses(), cc.Classes()
 	refKeys, refSum := violationKeys(ref), violationsSHA256(ref)
 	found := finds(refKeys, row.sc.ExpectedProperty)
-	if row.table2 {
+	if row.table2 && sel("registry") {
 		t.Run("registry", func(t *testing.T) {
 			if found == row.sc.Misses[row.strat] {
 				t.Errorf("expected property %q found=%v, registry expects miss=%v",
@@ -168,18 +221,27 @@ func (row matrixRow) check(t *testing.T) {
 			}
 		})
 	}
-	t.Run("replay", func(t *testing.T) {
-		for _, v := range ref.Violations {
-			_, got := core.NewCheckerWith(row.build(), nice.NewCaches()).ReplayWithProperties(v.Trace)
-			if want := v.Property + "|" + v.Err.Error(); got == nil || got.Property+"|"+got.Err.Error() != want {
-				t.Errorf("trace of %s does not replay to it: got %v", want, got)
+	if sel("replay") {
+		t.Run("replay", func(t *testing.T) {
+			for _, v := range ref.Violations {
+				_, got := core.NewCheckerWith(row.build(), nice.NewCaches()).ReplayWithProperties(v.Trace)
+				if want := v.Property + "|" + v.Err.Error(); got == nil || got.Property+"|"+got.Err.Error() != want {
+					t.Errorf("trace of %s does not replay to it: got %v", want, got)
+				}
 			}
-		}
-	})
+		})
+	}
 
+	run := make(map[string]bool)
+	for _, k := range knobs() {
+		if sel(k.name) {
+			run[k.name], run[k.twin] = true, true
+			run["dfs"] = run["dfs"] || !k.cold && !k.walk()
+		}
+	}
 	reports := make(map[string]*nice.Report)
 	for _, k := range knobs() {
-		if !k.everyColumn && row.strat != scenarios.PktSeqOnly {
+		if !run[k.name] || !k.everyColumn && row.strat != scenarios.PktSeqOnly {
 			continue
 		}
 		caches := cc
@@ -192,6 +254,9 @@ func (row matrixRow) check(t *testing.T) {
 		}
 		r := nice.Run(ctx, row.build(), opts...)
 		reports[k.name] = r
+		if !sel(k.name) {
+			continue
+		}
 		t.Run(k.name, func(t *testing.T) {
 			if r.Strategy != k.engine {
 				t.Errorf("engine %q, want %q", r.Strategy, k.engine)
@@ -256,5 +321,68 @@ func sameCounts(t *testing.T, vs string, r, want *nice.Report) {
 	t.Helper()
 	if r.UniqueStates != want.UniqueStates || r.Transitions != want.Transitions {
 		t.Errorf("states/trans %d/%d %s %d/%d", r.UniqueStates, r.Transitions, vs, want.UniqueStates, want.Transitions)
+	}
+}
+
+// TestCOWDeepCloneParity holds the copy-on-write engines to a search
+// that shares nothing between states: reftest.Explore builds every
+// state afresh by replaying its trace from the initial one. On every
+// registered scenario under PKT-SEQ, on caches warmed until a DFS
+// discovers nothing new, the sequential DFS and the 4-worker parallel
+// search must report the reference's exact unique states, transitions,
+// revisits, truncated paths and violation keys, and every violation the
+// random walks and the seeded swarm report must be one of the
+// reference's and replay from the initial state to itself. (Table 2
+// under the other columns is scenarios' TestFingerprintOracleParity.)
+func TestCOWDeepCloneParity(t *testing.T) {
+	ctx := context.Background()
+	walk := nice.WithWalks(11, 24, 60)
+	for _, row := range matrixRows() {
+		if !pktSeq(row) {
+			continue
+		}
+		t.Run(row.sc.Name, func(t *testing.T) {
+			t.Parallel()
+			cfg, cc := row.build(), nice.NewCaches()
+			if testing.Short() {
+				if r := nice.Run(ctx, cfg, nice.WithCaches(cc), nice.WithMaxStates(shortStates)); r.StopReason == nice.StopMaxStates {
+					t.Skipf("search reaches %d states", shortStates)
+				}
+			}
+			var dfs *nice.Report
+			for n := int64(-1); n != cc.SERuns(); {
+				n = cc.SERuns()
+				dfs = nice.Run(ctx, cfg, nice.WithCaches(cc))
+			}
+			ref := reftest.Explore(cfg, cc)
+			want := reftest.Summary(ref)
+			t.Log("reference:", want)
+			exhaustive := func(r *nice.Report) func(*testing.T) {
+				return func(t *testing.T) {
+					if got := reftest.Summary(r); got != want {
+						t.Errorf("%s; reference: %s", got, want)
+					}
+				}
+			}
+			t.Run("SequentialDFS", exhaustive(dfs))
+			t.Run("ParallelHybrid", exhaustive(nice.Run(ctx, cfg, nice.WithCaches(cc), nice.WithWorkers(4))))
+			refKeys := violationKeys(ref)
+			walked := func(opts ...nice.RunOption) func(*testing.T) {
+				r := nice.Run(ctx, cfg, append(opts, nice.WithCaches(cc))...)
+				return func(t *testing.T) {
+					for _, v := range r.Violations {
+						key := v.Property + "|" + v.Err.Error()
+						if _, ok := slices.BinarySearch(refKeys, key); !ok {
+							t.Errorf("violation %s is not the reference's", key)
+						}
+						if _, got := core.NewCheckerWith(cfg, cc).ReplayWithProperties(v.Trace); got == nil || got.Property+"|"+got.Err.Error() != key {
+							t.Errorf("trace of %s does not replay to it: got %v", key, got)
+						}
+					}
+				}
+			}
+			t.Run("RandomWalks", walked(walk))
+			t.Run("SeededSwarm", walked(walk, nice.WithWorkers(2)))
+		})
 	}
 }

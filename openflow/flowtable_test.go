@@ -197,7 +197,7 @@ func TestLookupOrderIndependence(t *testing.T) {
 	}
 }
 
-func TestForkIndependence(t *testing.T) {
+func TestCloneIndependence(t *testing.T) {
 	ft := NewFlowTable()
 	ft.Install(ruleOut(5, MatchAll(), 1))
 	c := ft.Fork()

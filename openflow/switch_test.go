@@ -253,7 +253,7 @@ func TestBarrierAndStats(t *testing.T) {
 	}
 }
 
-func TestSwitchForkIndependence(t *testing.T) {
+func TestSwitchCloneIndependence(t *testing.T) {
 	sw, alloc := newTestSwitch()
 	sw.Enqueue(1, pkt(alloc, hdrAB()))
 	c := sw.Fork(1)

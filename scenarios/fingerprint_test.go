@@ -4,123 +4,26 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 
 	"github.com/nice-go/nice/internal/core"
+	"github.com/nice-go/nice/internal/reftest"
 	"github.com/nice-go/nice/internal/search"
 	"github.com/nice-go/nice/scenarios"
 )
 
-// summary is what the reference explorer and an engine must agree on:
-// unique states, transitions, revisits, truncated paths and the sorted,
-// distinct property|error violation keys.
-func summary(r *core.Report) string {
-	var keys []string
-	for _, v := range r.Violations {
-		keys = append(keys, v.Property+"|"+v.Err.Error())
-	}
-	slices.Sort(keys)
-	return fmt.Sprintf("%d states, %d transitions, %d revisits, %d truncated, violations %q",
-		r.UniqueStates, r.Transitions, r.Revisits, r.Truncated, slices.Compact(keys))
-}
-
-// explore is the reference explorer: a breadth-first search written
-// with none of what the engines optimise. A state is named by its
-// OracleKey string and built by replaying its trace from the initial
-// state, feeding the properties on the way (a state's last successor
-// is the state's own replay, one step on) — so no Clone, copy-on-write
-// fork, Fingerprint, seen-set, lend or reclaim takes part. It applies
-// the engines' rules in their plainest form: properties are checked
-// after every transition and at dead ends, a violating transition is
-// recorded and its child not admitted, and a path stops at the depth
-// bound.
-func explore(cfg *core.Config, cc *core.Caches) *core.Report {
-	// A state is its last transition and its parent's node. Until it is
-	// expanded, sys holds its replay and enabled its transitions.
-	type node struct {
-		parent  *node
-		t       core.Transition
-		depth   int
-		sys     *core.System
-		enabled []core.Transition
-	}
-	var events []core.Event
-	step := func(sys *core.System, t core.Transition) []core.PropertyFailure {
-		events = sys.ApplyInto(t, events)
-		return sys.CheckEvents(events)
-	}
-	var replay func(n *node) (*core.System, []core.PropertyFailure)
-	replay = func(n *node) (*core.System, []core.PropertyFailure) {
-		if n.parent == nil {
-			return core.NewSystemWith(cfg, cc), nil
-		}
-		sys, _ := replay(n.parent)
-		return sys, step(sys, n.t)
-	}
-	r := &core.Report{}
-	record := func(fails []core.PropertyFailure) {
-		for _, f := range fails {
-			r.Violations = append(r.Violations, core.Violation{Property: f.Property, Err: f.Err})
-		}
-	}
-	var queue []*node
-	// admit counts a new state, reached as n, and queues it for
-	// expansion unless it is a dead end or at the depth bound.
-	admit := func(n *node, sys *core.System) {
-		r.UniqueStates++
-		n.sys, n.enabled = sys, sys.Enabled()
-		switch {
-		case len(n.enabled) == 0:
-			record(sys.CheckQuiescence())
-		case n.depth >= cfg.DepthBound():
-			r.Truncated++
-		default:
-			queue = append(queue, n)
-		}
-	}
-	root := &node{}
-	sys, _ := replay(root)
-	seen := map[string]bool{sys.OracleKey(): true}
-	admit(root, sys)
-	for ; len(queue) > 0; queue = queue[1:] {
-		n := queue[0]
-		for i, t := range n.enabled {
-			next := &node{parent: n, t: t, depth: n.depth + 1}
-			var child *core.System
-			var fails []core.PropertyFailure
-			if i < len(n.enabled)-1 {
-				child, fails = replay(next)
-			} else {
-				child, fails = n.sys, step(n.sys, t)
-			}
-			r.Transitions++
-			if len(fails) > 0 {
-				record(fails)
-				continue
-			}
-			if key := child.OracleKey(); seen[key] {
-				r.Revisits++
-			} else {
-				seen[key] = true
-				admit(next, child)
-			}
-		}
-		n.sys, n.enabled = nil, nil
-	}
-	return r
-}
-
-// TestReferenceExplorer holds the production engines to the reference
-// explorer: on every Table 2 scenario and on pingpong at scales 1 and
-// 2, under every strategy column, the sequential DFS and the 4-worker
-// parallel search must report the reference's unique states,
+// TestFingerprintOracleParity holds the production engines, which name
+// states by Fingerprint, to reftest.Explore, which names them by
+// OracleKey and forks nothing: on every Table 2 scenario and on
+// pingpong at scales 1 and 2, under every strategy column, the
+// sequential DFS and the 4-worker parallel search must report the
+// reference's unique states,
 // transitions, revisits, truncated paths and violation keys exactly.
 // All three run on one discover-cache set, warmed until a DFS run
 // discovers nothing new: cache presence is part of state identity, so
 // only warm counts are schedule-independent.
-func TestReferenceExplorer(t *testing.T) {
+func TestFingerprintOracleParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table 2 sweep")
 	}
@@ -146,10 +49,10 @@ func TestReferenceExplorer(t *testing.T) {
 					dfs = search.DFS().Search(ctx, cfg, core.EngineOptions{Caches: cc})
 				}
 				par := search.Parallel().Search(ctx, cfg, core.EngineOptions{Caches: cc, Workers: 4})
-				want := summary(explore(cfg, cc))
+				want := reftest.Summary(reftest.Explore(cfg, cc))
 				t.Log("reference:", want)
 				for name, rep := range map[string]*core.Report{"dfs": dfs, "parallel": par} {
-					if got := summary(rep); got != want {
+					if got := reftest.Summary(rep); got != want {
 						t.Errorf("%s: %s; reference: %s", name, got, want)
 					}
 				}

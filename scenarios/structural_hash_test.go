@@ -27,7 +27,7 @@ func TestFingerprintGolden(t *testing.T) {
 // registered scenario, cold, and checks, state by state, that the
 // structural fingerprint and the from-scratch string serialization
 // agree on which states are equal: one fingerprint per oracle key, one
-// oracle key per fingerprint. (TestReferenceExplorer asserts the same
+// oracle key per fingerprint. (TestFingerprintOracleParity asserts the same
 // through warm search counts on Table 2; this covers cold discover
 // caches and every scenario, and names the two states on failure.)
 func TestFingerprintAgreesWithOracleKey(t *testing.T) {
