@@ -50,6 +50,7 @@ func TestDispatch(t *testing.T) {
 		{"Run()", "dfs", viaRun()},
 		{"Run(WithWorkers(1))", "dfs", viaRun(nice.WithWorkers(1))},
 		{"Run(WithWorkers(4))", "parallel", viaRun(nice.WithWorkers(4))},
+		{"Run(WithWorkers(4),WithReduction(DPOR))", "dfs", viaRun(nice.WithWorkers(4), nice.WithReduction(nice.DPOR))},
 		{"Run(WithWalks)", "walks", viaRun(nice.WithWalks(1, 4, 10))},
 		{"Run(WithWalks,WithWorkers(2))", "swarm", viaRun(nice.WithWalks(1, 4, 10), nice.WithWorkers(2))},
 		{"Run(WithSymWorkers(1))", "concolic", viaRun(nice.WithSymWorkers(1))},
@@ -58,6 +59,7 @@ func TestDispatch(t *testing.T) {
 
 		{"Campaign{Workers:1}", "dfs", viaCampaign(1)},
 		{"Campaign{Workers:4}", "parallel", viaCampaign(4)},
+		{"Campaign{Workers:4}+WithReduction(DPOR)", "dfs", viaCampaign(4, nice.WithReduction(nice.DPOR))},
 		{"Campaign{Workers:2}+WithWalks", "swarm", viaCampaign(2, nice.WithWalks(1, 4, 10))},
 		{"Campaign{Workers:2}+WithSymWorkers(1)", "concolic", viaCampaign(2, nice.WithSymWorkers(1))},
 		{"Campaign{Workers:4}+WithEngine(dfs)", "dfs", viaCampaign(4, nice.WithEngine(nice.SequentialDFS()))},
@@ -73,6 +75,7 @@ func TestDispatch(t *testing.T) {
 		{`service {engine:DFS,workers:4}`, "dfs", viaRequest(0, nice.JobRequest{Engine: "DFS", Workers: 4})},
 		{`service {engine:concolic,workers:2}`, "concolic", viaRequest(0, nice.JobRequest{Engine: "concolic", Workers: 2})},
 		{`service {reduction:dpor}`, "dfs", viaRequest(0, nice.JobRequest{Reduction: "dpor"})},
+		{`service {reduction:dpor} default 4`, "dfs", viaRequest(4, nice.JobRequest{Reduction: "dpor"})},
 		{`service {sym_workers:1}`, "concolic", viaRequest(0, nice.JobRequest{SymWorkers: 1})},
 		{`service {walks:4}`, "walks", viaRequest(0, nice.JobRequest{Walks: 4})},
 		{`service {walks:4,workers:2}`, "swarm", viaRequest(0, nice.JobRequest{Walks: 4, Workers: 2})},
@@ -110,7 +113,8 @@ func TestDispatch(t *testing.T) {
 
 // TestDispatchArtifactV1: the request grew fields, and a trace artifact
 // written before it did — a bug-ii violation persisted by a service of
-// the previous wire, pinned byte for byte — still decodes and replays.
+// the previous wire, pinned byte for byte — still decodes and replays,
+// and so does one whose request the wire now rejects.
 func TestDispatchArtifactV1(t *testing.T) {
 	data, err := os.ReadFile("testdata/trace_artifact_v1.json")
 	if err != nil {
@@ -126,6 +130,13 @@ func TestDispatchArtifactV1(t *testing.T) {
 	}
 	if !res.Reproduced || res.Property != "StrictDirectPaths" {
 		t.Errorf("replay %+v, want StrictDirectPaths reproduced", res)
+	}
+
+	// The wire once took DPOR on the parallel engine; the reduction now
+	// rejects that request, but an artifact recording it still replays.
+	ta.Request.Engine, ta.Request.Reduction = "parallel", "dpor"
+	if res, err := nice.ReplayArtifact(ta); err != nil || !res.Reproduced {
+		t.Errorf("replay of a parallel DPOR job's artifact: %+v, %v", res, err)
 	}
 }
 

@@ -87,13 +87,17 @@ func TestPackageDocs(t *testing.T) {
 }
 
 // retiredNames matches retired names, each with what replaced it: the
-// measurement stack's command, package and BENCH_N baseline files, and
-// the deep-clone and oracle-hash reference paths. The patterns are
+// measurement stack's command, package and BENCH_N baseline files, the
+// deep-clone and oracle-hash reference paths, and the parallel engine's
+// sleep-set reduction and Checker's DPOR entry point. The patterns are
 // assembled from pieces so that this file passes its own lint.
 var retiredNames = map[*regexp.Regexp]string{
 	regexp.MustCompile(`nice-` + `bench\b|internal/` + `bench\b|BENCH` + `_[0-9]`): "benchmark/ (bash benchmark/run.sh)",
 	regexp.MustCompile(`With` + `DeepClone\b`):                                     "copy-on-write Fork, held to reftest.Explore by TestCOWDeepCloneParity",
 	regexp.MustCompile(`With` + `OracleHash\b`):                                    "System.OracleKey, which reftest.Explore names states by",
+	regexp.MustCompile(`Sleep` + `Reducer\b`):                                      "the persistent-set DPOR DFS (core.RunDPOR), the one reduction",
+	regexp.MustCompile(`Add` + `Sleep\b`):                                          "seenSet.Add: the parallel engine does not reduce",
+	regexp.MustCompile(`Run` + `Context\b`):                                        "core.RunDPOR, or nice.Run(ctx, cfg, nice.WithReduction(nice.DPOR))",
 }
 
 // TestNoRetiredNames: the measurement stack outlived its replacement
@@ -322,7 +326,8 @@ func TestTelemetryNamesDocumented(t *testing.T) {
 	sameNames(t, "service series", seriesByScope(reg)["service"], mdTableNames(doc, "## Scope `service`"))
 
 	// Every other scope, on one registry: bug-ii under each engine, under
-	// DPOR on both exhaustive engines, and as a one-job Campaign.
+	// DPOR on pools of one and two workers (both run the DPOR DFS), and
+	// as a one-job Campaign.
 	reg = nice.NewTelemetry()
 	ctx := context.Background()
 	bug := func() *nice.Config { return scenarios.MustLookup("bug-ii").Config(0) }

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
-
-	"github.com/nice-go/nice/internal/canon"
 )
 
 // Violation is one property failure: what failed, why, and the
@@ -85,41 +82,12 @@ func (r *Report) FirstViolation() *Violation {
 	return &r.Violations[0]
 }
 
-// Checker holds a Config and its discover caches: it replays traces
-// (Replay, ReplayWithProperties) and runs the persistent-set DPOR DFS
-// (RunContext). The unreduced searches are the engines of
-// internal/search.
+// Checker holds a Config and its discover caches, and replays traces
+// against them (Replay, ReplayWithProperties). The searches are the
+// engines of internal/search.
 type Checker struct {
 	cfg    *Config
 	caches *Caches
-
-	// s is the search in flight (set by RunContext): counters, budgets,
-	// stop control, violations and streaming.
-	s *Session
-
-	// The DPOR DFS's state (dpor.go, dpor_dfs.go). trace is its path
-	// stack, pushed and popped per executed transition: violations pass
-	// it by reference and the session copies only a trace it keeps.
-	// events is the reused per-transition event batch, dead once the
-	// property checks ran.
-	trace        []Transition
-	events       []Event
-	space        *componentSpace
-	dporExplored map[canon.Digest]dporNode
-	sums         runStore[sumEntry]
-	sleeps       runStore[uint64]
-	fpt          fpTable
-	globalFp     uint32
-	dporTel      *DporTelemetry
-	dporFrames   []dporFrame
-	frameTop     int
-	hostSwBuf    []int
-	keyBuf       []uint64
-	hbScratch    idxSet
-	// runBuf builds the run storeSummary stores — a summary's entries,
-	// then its residual entry; a re-expansion merges its summary in
-	// place there first.
-	runBuf [dporSummaryCap + 1]sumEntry
 }
 
 // NewChecker prepares a checker with a fresh discover-cache set.
@@ -131,31 +99,6 @@ func NewChecker(cfg *Config) *Checker {
 // discover-cache set (shared with another search or a prior run).
 func NewCheckerWith(cfg *Config, cc *Caches) *Checker {
 	return &Checker{cfg: cfg, caches: cc}
-}
-
-// Caches exposes the checker's discover caches for sharing.
-func (c *Checker) Caches() *Caches { return c.caches }
-
-// RunContext runs the sequential depth-first search under dynamic
-// partial-order reduction — the persistent-set DPOR DFS that search.DFS
-// runs for ReductionDPOR — whatever opts.Reduction says; an unreduced
-// search is nice.Run. It honors context cancellation (and deadlines)
-// and the EngineOptions budgets, streams violations and progress to the
-// options' Observer, and on abort returns a partial report whose traces
-// still replay deterministically. The search runs against the checker's
-// own cache set (a fresh one when it has none), whatever opts.Caches
-// says.
-func (c *Checker) RunContext(ctx context.Context, opts EngineOptions) *Report {
-	opts.Caches = c.caches
-	c.s = Begin(ctx, "dfs", c.cfg, opts, nil)
-	// The search runs on this goroutine, so a panicking App or Property
-	// unwinds through here with its own stack; only the session's
-	// goroutines need stopping on the way out.
-	defer c.s.Close()
-
-	c.trace = c.trace[:0]
-	c.dporRun(c.s.NewSystem(), opts.Telemetry)
-	return c.s.End(ctx)
 }
 
 func cloneTrace(trace []Transition) []Transition {

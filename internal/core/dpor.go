@@ -28,10 +28,10 @@ const (
 	// ReductionNone explores every enabled transition at every state —
 	// the paper's searches, unchanged. The default.
 	ReductionNone Reduction = iota
-	// ReductionDPOR enables dynamic partial-order reduction: sleep sets
-	// plus Flanagan–Godefroid backtrack sets in the sequential DPOR DFS
-	// (pruning both transitions and states), and sleep-set transition
-	// pruning in the parallel engine. Sound for the checked properties:
+	// ReductionDPOR enables dynamic partial-order reduction: the
+	// sequential persistent-set DPOR DFS (RunDPOR), sleep sets plus
+	// Flanagan–Godefroid backtrack sets, pruning both transitions and
+	// states. Only the DFS reduces. Sound for the checked properties:
 	// the violated-property set is preserved exactly.
 	ReductionDPOR
 )
@@ -732,27 +732,27 @@ func dporKeyHash(sys *System, t *Transition) uint64 {
 	return m.Sum()
 }
 
-// DporTelemetry is the reduction-layer metric bundle ("dpor" scope):
+// dporTelemetry is the reduction-layer metric bundle ("dpor" scope):
 // how many transitions sleep sets skipped, how many backtrack points the
 // Flanagan–Godefroid race analysis inserted, how many enabled
 // transitions the reduction never had to execute, and how many revisits
 // required a partial re-expansion (the stateful sleep-set patch). Nil —
 // no registry attached — keeps every site to one branch.
-type DporTelemetry struct {
+type dporTelemetry struct {
 	sleepHits    *telemetry.Counter
 	backtracks   *telemetry.Counter
 	pruned       *telemetry.Counter
 	reexpansions *telemetry.Counter
 }
 
-// NewDporTelemetry resolves the dpor-scope handles, or nil when no
+// newDporTelemetry resolves the dpor-scope handles, or nil when no
 // registry is attached.
-func NewDporTelemetry(reg *telemetry.Registry) *DporTelemetry {
+func newDporTelemetry(reg *telemetry.Registry) *dporTelemetry {
 	if reg == nil {
 		return nil
 	}
 	sc := reg.Scope("dpor")
-	return &DporTelemetry{
+	return &dporTelemetry{
 		sleepHits:    sc.Counter("sleep_hits"),
 		backtracks:   sc.Counter("backtrack_points"),
 		pruned:       sc.Counter("pruned_transitions"),
@@ -761,14 +761,14 @@ func NewDporTelemetry(reg *telemetry.Registry) *DporTelemetry {
 }
 
 // SleepHit counts a transition skipped because it was asleep.
-func (t *DporTelemetry) SleepHit() {
+func (t *dporTelemetry) SleepHit() {
 	if t != nil {
 		t.sleepHits.Inc()
 	}
 }
 
 // Backtrack counts an inserted backtrack point.
-func (t *DporTelemetry) Backtrack() {
+func (t *dporTelemetry) Backtrack() {
 	if t != nil {
 		t.backtracks.Inc()
 	}
@@ -776,7 +776,7 @@ func (t *DporTelemetry) Backtrack() {
 
 // Pruned counts enabled transitions a fully-expanded state never had to
 // execute.
-func (t *DporTelemetry) Pruned(n int) {
+func (t *dporTelemetry) Pruned(n int) {
 	if t != nil && n > 0 {
 		t.pruned.Add(int64(n))
 	}
@@ -784,7 +784,7 @@ func (t *DporTelemetry) Pruned(n int) {
 
 // Reexpansion counts a revisit that re-explored previously-slept
 // transitions (the stateful sleep-set patch).
-func (t *DporTelemetry) Reexpansion() {
+func (t *dporTelemetry) Reexpansion() {
 	if t != nil {
 		t.reexpansions.Inc()
 	}

@@ -167,18 +167,12 @@ func TestSendIdentityLossless(t *testing.T) {
 		t.Fatalf("the trace rendering is expected to be lossy here: %q %q %q",
 			enabled[0].Key(), enabled[1].Key(), enabled[2].Key())
 	}
-	var sc SleepScratch
-	NewSleepReducer(sys).Prepare(sys, enabled, &sc)
-	if sc.Key(0) == sc.Key(1) {
+	key := func(i int) uint64 { return dporKeyHash(sys, &enabled[i]) }
+	if key(0) == key(1) {
 		t.Error("sends differing only in VLAN share a sleep-set identity")
 	}
-	if sc.Key(0) == sc.Key(2) {
+	if key(0) == key(2) {
 		t.Error("ICMP sends differing only in TPSrc share a sleep-set identity")
-	}
-	for i := range enabled {
-		if got := dporKeyHash(sys, &enabled[i]); got != sc.Key(i) {
-			t.Errorf("transition %d: the checker's identity %#x differs from SleepReducer's %#x", i, got, sc.Key(i))
-		}
 	}
 }
 
@@ -215,10 +209,10 @@ func TestDPORStorageBudget(t *testing.T) {
 		t.Errorf("dporNode is %d bytes, budget 8", size)
 	}
 
-	c := NewChecker(linearOneWayConfig(4))
+	c := &dporDFS{cfg: linearOneWayConfig(4)}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	r := c.RunContext(t.Context(), EngineOptions{Reduction: ReductionDPOR})
+	r := c.run(t.Context(), EngineOptions{})
 	runtime.ReadMemStats(&after)
 	if !r.Complete || r.UniqueStates == 0 {
 		t.Fatalf("linear4 search did not complete: %+v", r)

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"context"
 	"math/bits"
 	"slices"
 
 	"github.com/nice-go/nice/internal/canon"
-	"github.com/nice-go/nice/internal/telemetry"
 )
 
 // Stateful Flanagan–Godefroid DPOR for the sequential DFS: sleep
@@ -46,6 +46,13 @@ type dporNode struct {
 	// when the state was (last) expanded. A re-expansion names a new,
 	// smaller signature; stored runs never change.
 	sleep uint32
+}
+
+// sleepEntry is one sleeping transition: its identity hash plus the
+// footprint it had where it fell asleep. Entries are immutable values.
+type sleepEntry struct {
+	key uint64
+	fp  footprint
 }
 
 // slab is an append-only arena of pointer-free records, where a runStore
@@ -326,8 +333,8 @@ type dporFrame struct {
 	done      idxSet
 	// working is the child-sleep source: incoming sleep entries plus
 	// every sibling already explored from this frame.
-	working    []SleepEntry
-	childSleep []SleepEntry
+	working    []sleepEntry
+	childSleep []sleepEntry
 	// execIdx/execFp/execKey identify the transition currently being
 	// executed from this frame (-1 between executions); race insertion
 	// scans executing frames only.
@@ -344,37 +351,82 @@ type dporFrame struct {
 	sumBuf [dporSummaryCap]sumEntry
 }
 
-// dporRun is the DPOR DFS's entry point, called by RunContext; reg
-// feeds the shared dpor telemetry scope.
-func (c *Checker) dporRun(root *System, reg *telemetry.Registry) {
+// RunDPOR runs the sequential depth-first search under dynamic
+// partial-order reduction: the persistent-set DPOR DFS, which search.DFS
+// runs for ReductionDPOR. It honors context cancellation (and
+// deadlines) and the EngineOptions budgets, streams violations and
+// progress to the options' Observer, and on abort returns a partial
+// report whose traces still replay deterministically.
+func RunDPOR(ctx context.Context, cfg *Config, eo EngineOptions) *Report {
+	return (&dporDFS{cfg: cfg}).run(ctx, eo)
+}
+
+// dporDFS is one DPOR DFS run: its session and the reduction's state.
+type dporDFS struct {
+	cfg *Config
+	// s is the search in flight: counters, budgets, stop control,
+	// violations and streaming.
+	s *Session
+
+	// trace is the path stack, pushed and popped per executed
+	// transition: violations pass it by reference and the session copies
+	// only a trace it keeps. events is the reused per-transition event
+	// batch, dead once the property checks ran.
+	trace        []Transition
+	events       []Event
+	space        *componentSpace
+	dporExplored map[canon.Digest]dporNode
+	sums         runStore[sumEntry]
+	sleeps       runStore[uint64]
+	fpt          fpTable
+	globalFp     uint32
+	dporTel      *dporTelemetry
+	dporFrames   []dporFrame
+	frameTop     int
+	hostSwBuf    []int
+	keyBuf       []uint64
+	hbScratch    idxSet
+	// runBuf builds the run storeSummary stores — a summary's entries,
+	// then its residual entry; a re-expansion merges its summary in
+	// place there first.
+	runBuf [dporSummaryCap + 1]sumEntry
+}
+
+// run opens the session, explores from its root and ends it.
+func (c *dporDFS) run(ctx context.Context, eo EngineOptions) *Report {
+	c.s = Begin(ctx, "dfs", c.cfg, eo, nil)
+	// The search runs on this goroutine, so a panicking App or Property
+	// unwinds through here with its own stack; only the session's
+	// goroutines need stopping on the way out.
+	defer c.s.Close()
+
+	root := c.s.NewSystem()
 	c.space = newComponentSpace(root)
 	c.dporExplored = make(map[canon.Digest]dporNode)
 	c.sums, c.sleeps = runStore[sumEntry]{hash: hashSumRun}, runStore[uint64]{hash: hashKeyRun}
 	c.fpt = fpTable{ids: map[footprint]uint32{{}: 0}, fps: []footprint{{}}}
 	c.globalFp = c.fpt.intern(c.space.global)
-	c.dporTel = NewDporTelemetry(reg)
-	if need := c.cfg.maxDepth() + 2; len(c.dporFrames) < need {
-		c.dporFrames = make([]dporFrame, need)
-	}
-	c.frameTop = 0
+	c.dporTel = newDporTelemetry(eo.Telemetry)
+	c.dporFrames = make([]dporFrame, c.cfg.maxDepth()+2)
 	c.dporVisit(root, nil)
+	return c.s.End(ctx)
 }
 
-func (c *Checker) globalSummary() dporSummary {
+func (c *dporDFS) globalSummary() dporSummary {
 	return dporSummary{residual: c.globalFp}
 }
 
 // storeSummary records sum as the state's finished summary and returns
 // the stored copy. The run stored is the exact entries followed by one
 // entry carrying the residual as its footprint.
-func (c *Checker) storeSummary(h canon.Digest, node dporNode, sum dporSummary) dporSummary {
+func (c *dporDFS) storeSummary(h canon.Digest, node dporNode, sum dporSummary) dporSummary {
 	run := append(c.runBuf[:0], sum.exact...)
 	node.sum = c.sums.put(append(run, sumEntry{fp: sum.residual}))
 	c.dporExplored[h] = node
 	return c.storedSummary(node)
 }
 
-func (c *Checker) storedSummary(node dporNode) dporSummary {
+func (c *dporDFS) storedSummary(node dporNode) dporSummary {
 	run := c.sums.get(node.sum)
 	n := len(run) - 1
 	return dporSummary{exact: run[:n:n], residual: run[n].fp}
@@ -383,7 +435,7 @@ func (c *Checker) storedSummary(node dporNode) dporSummary {
 // shrinkSignature names the intersection of stored signature id with
 // the current sleep set. It is stored as a run of its own: other states
 // may share the old one.
-func (c *Checker) shrinkSignature(id uint32, sleep []SleepEntry) uint32 {
+func (c *dporDFS) shrinkSignature(id uint32, sleep []sleepEntry) uint32 {
 	c.keyBuf = retainKeys(c.keyBuf[:0], c.sleeps.get(id), sleep)
 	return c.sleeps.put(c.keyBuf)
 }
@@ -391,7 +443,7 @@ func (c *Checker) shrinkSignature(id uint32, sleep []SleepEntry) uint32 {
 // dporVisit explores sys (reached at depth len(trace) under the given
 // sleep set) and returns the subtree summary for race detection in the
 // caller's ancestors.
-func (c *Checker) dporVisit(sys *System, sleep []SleepEntry) dporSummary {
+func (c *dporDFS) dporVisit(sys *System, sleep []sleepEntry) dporSummary {
 	if c.s.Stopped() {
 		return c.globalSummary()
 	}
@@ -473,7 +525,7 @@ func (c *Checker) dporVisit(sys *System, sleep []SleepEntry) dporSummary {
 // covered by the previous expansion of this state. The returned summary
 // lives in the frame's sumBuf: valid until the next expansion at this
 // depth, and not to be stored.
-func (c *Checker) dporExpand(sys *System, depth int, sleep []SleepEntry, only []uint64) dporSummary {
+func (c *dporDFS) dporExpand(sys *System, depth int, sleep []sleepEntry, only []uint64) dporSummary {
 	f := &c.dporFrames[depth]
 	enabled := f.enabled
 	n := len(enabled)
@@ -595,7 +647,7 @@ func (c *Checker) dporExpand(sys *System, depth int, sleep []SleepEntry, only []
 		}
 		child.Release()
 		c.trace = c.trace[:len(c.trace)-1]
-		f.working = append(f.working, SleepEntry{key: key, fp: fp})
+		f.working = append(f.working, sleepEntry{key: key, fp: fp})
 	}
 
 	if only == nil {
@@ -626,7 +678,7 @@ func nextIndex(backtrack, done *idxSet) int {
 // computeHB fills the executing frame's happens-before ancestry: itself
 // plus the (transitively-closed) ancestries of every shallower executing
 // frame whose transition is dependent with fp.
-func (c *Checker) computeHB(f *dporFrame, depth int, fp footprint) {
+func (c *dporDFS) computeHB(f *dporFrame, depth int, fp footprint) {
 	f.hb.reset(depth + 1)
 	f.hb.set(depth)
 	for e := 0; e < depth; e++ {
@@ -678,7 +730,7 @@ func keyIndex(keys []uint64, key uint64) int {
 // names only depths up to its own and the chain search at d reads only
 // bits in (d, top), so the frames above d — already passed — have
 // contributed every bit it can see.
-func (c *Checker) dporRaceInsert(key uint64, fp, anc *footprint, ancExact bool) {
+func (c *dporDFS) dporRaceInsert(key uint64, fp, anc *footprint, ancExact bool) {
 	top := c.frameTop
 	hbP := &c.hbScratch
 	useAnc := !anc.empty()
@@ -725,7 +777,7 @@ func (c *Checker) dporRaceInsert(key uint64, fp, anc *footprint, ancExact bool) 
 // dporResidualInsert handles a union-of-footprints residual, for which
 // no single insertion point is sound: every dependent executing frame
 // gets a full backtrack set.
-func (c *Checker) dporResidualInsert(fp footprint) {
+func (c *dporDFS) dporResidualInsert(fp footprint) {
 	for d := c.frameTop - 1; d >= 0; d-- {
 		f := &c.dporFrames[d]
 		if f.execIdx < 0 || !Dependent(f.execFp, fp) {
@@ -740,7 +792,7 @@ func (c *Checker) dporResidualInsert(fp footprint) {
 // dporInsertSummary replays a stored subtree summary against the current
 // stack: exact entries get precise race insertion, the residual the
 // conservative all-frames treatment.
-func (c *Checker) dporInsertSummary(sum dporSummary) {
+func (c *dporDFS) dporInsertSummary(sum dporSummary) {
 	fps := c.fpt.fps
 	for _, e := range sum.exact {
 		c.dporRaceInsert(e.key, &fps[e.fp], &fps[e.anc&^ancInexact], e.anc&ancInexact == 0)
@@ -752,7 +804,7 @@ func (c *Checker) dporInsertSummary(sum dporSummary) {
 
 // slippedKeys returns the stored-signature keys absent from the current
 // sleep set: transitions asleep at the previous expansion, awake now.
-func slippedKeys(stored []uint64, sleep []SleepEntry) []uint64 {
+func slippedKeys(stored []uint64, sleep []sleepEntry) []uint64 {
 	var diff []uint64
 	for _, k := range stored {
 		if !containsKey(sleep, k) {
@@ -764,7 +816,7 @@ func slippedKeys(stored []uint64, sleep []SleepEntry) []uint64 {
 
 // retainKeys appends to dst the stored-signature keys still in the
 // current sleep set: their intersection.
-func retainKeys(dst, stored []uint64, sleep []SleepEntry) []uint64 {
+func retainKeys(dst, stored []uint64, sleep []sleepEntry) []uint64 {
 	for _, k := range stored {
 		if containsKey(sleep, k) {
 			dst = append(dst, k)
@@ -773,7 +825,7 @@ func retainKeys(dst, stored []uint64, sleep []SleepEntry) []uint64 {
 	return dst
 }
 
-func containsKey(sleep []SleepEntry, key uint64) bool {
+func containsKey(sleep []sleepEntry, key uint64) bool {
 	for _, e := range sleep {
 		if e.key == key {
 			return true

@@ -75,7 +75,7 @@ func keyRange(from, n int) []uint64 {
 func TestRunStore(t *testing.T) {
 	for name, hash := range map[string]func([]uint64) uint64{"weak": weakKeyHash, "production": hashKeyRun} {
 		t.Run(name, func(t *testing.T) {
-			c := &Checker{sleeps: runStore[uint64]{hash: hash}}
+			c := &dporDFS{sleeps: runStore[uint64]{hash: hash}}
 			o := newStoreOracle(&c.sleeps)
 			long := keyRange(0, 300) // sleep signatures are not capped at dporSummaryCap
 			for _, run := range [][]uint64{
@@ -98,7 +98,7 @@ func TestRunStore(t *testing.T) {
 			if owner != sharer {
 				t.Fatalf("equal signatures stored as %d and %d", owner, sharer)
 			}
-			shrunk := c.shrinkSignature(owner, []SleepEntry{{key: 20}, {key: 40}})
+			shrunk := c.shrinkSignature(owner, []sleepEntry{{key: 20}, {key: 40}})
 			if got := o.s.get(sharer); !slices.Equal(got, []uint64{10, 20, 30}) {
 				t.Errorf("re-expanding the owner changed the sharer's signature to %v", got)
 			}

@@ -114,7 +114,7 @@ func violationKeys(r *Report) []string {
 func TestDPORReplay(t *testing.T) {
 	cfg := dporConfig(1, 1)
 	cfg.StopAtFirstViolation = false
-	red := NewChecker(cfg).RunContext(t.Context(), EngineOptions{Reduction: ReductionDPOR})
+	red := RunDPOR(t.Context(), cfg, EngineOptions{})
 	if len(red.Violations) == 0 {
 		t.Fatal("expected violations")
 	}

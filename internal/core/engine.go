@@ -151,9 +151,10 @@ type EngineOptions struct {
 	Telemetry *telemetry.Registry
 	// Reduction selects an interleaving-reduction layer (dpor.go).
 	// ReductionNone — the default — explores every enabled transition.
-	// ReductionDPOR enables sleep-set/persistent-set pruning in the
-	// systematic engines; walk engines ignore it (a random walk explores
-	// one interleaving, there is nothing to prune).
+	// ReductionDPOR runs the sequential DFS as the persistent-set DPOR
+	// DFS (RunDPOR); every other engine ignores it, and Job.InferEngine
+	// sends a full search that asks for it to the DFS whatever its pool
+	// size.
 	Reduction Reduction
 	// SymBudget bounds the concolic loop's symbolic-execution runs
 	// (discover explorations); 0 = unlimited. When the budget runs out

@@ -8,8 +8,8 @@ import "context"
 // it stored.
 func DPORSummaryStorage(ctx context.Context, cfg *Config, maxStates int64) (entries, states int) {
 	cfg.StopAtFirstViolation = false
-	c := NewChecker(cfg)
-	c.RunContext(ctx, EngineOptions{Reduction: ReductionDPOR, MaxStates: maxStates})
+	c := &dporDFS{cfg: cfg}
+	c.run(ctx, EngineOptions{MaxStates: maxStates})
 	for id := range c.sums.runs {
 		entries += len(c.sums.get(uint32(id))) - 1 // the last entry carries the residual
 	}

@@ -16,7 +16,7 @@ type ReductionSpec struct {
 func ReductionSpecs() []ReductionSpec {
 	return []ReductionSpec{
 		{Name: "none", Summary: "explore every enabled transition (the paper's semantics)", Reduction: ReductionNone},
-		{Name: "dpor", Summary: "dynamic partial-order reduction (sleep/persistent sets)", Reduction: ReductionDPOR},
+		{Name: "dpor", Summary: "dynamic partial-order reduction: the persistent-set DPOR DFS", Reduction: ReductionDPOR},
 	}
 }
 

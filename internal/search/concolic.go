@@ -117,15 +117,14 @@ func (loopEngine) Search(ctx context.Context, cfg *core.Config, eo core.EngineOp
 	return report
 }
 
-// newLoop opens the loop's session with the root queued. Its expansion
-// never reduces: EngineOptions.Reduction is accepted and ignored.
+// newLoop opens the loop's session with the root queued.
 func newLoop(ctx context.Context, cfg *core.Config, eo core.EngineOptions) *loopState {
 	st := &loopState{expander: expander{cfg: cfg, seen: newSeenSet(seenShards)},
 		seenHosts: make(map[hostAt]bool), symBudget: eo.SymBudget}
 	st.enter = st.feedbackTargets
 	st.divert = st.deferDiscover
 	st.fbRounds = eo.Telemetry.Scope("sym").Counter("feedback_rounds") // nil without a registry
-	st.queueRoot(st.start(ctx, "concolic", eo, false))
+	st.queueRoot(st.start(ctx, "concolic", eo))
 	return st
 }
 

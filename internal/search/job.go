@@ -61,9 +61,10 @@ type Job struct {
 // (SymBudget, SymWorkers) selects the concolic loop; a walk knob (a
 // walk count or length, not the seed alone) the seeded swarm when a
 // pool size was set too and the sequential walks when not; anything
-// else the full search — the sequential DFS when no pool size was set
-// or the pool is one worker, the parallel search otherwise. A named
-// engine stays, and runs as itself whatever the pool size.
+// else the full search — the sequential DFS when no pool size was set,
+// the pool is one worker or the job asks for ReductionDPOR (only the
+// DFS reduces), the parallel search otherwise. A named engine stays,
+// and runs as itself whatever the pool size.
 func (j *Job) InferEngine(workers, walks, sym bool) {
 	if j.Engine != nil {
 		return
@@ -75,7 +76,7 @@ func (j *Job) InferEngine(workers, walks, sym bool) {
 		j.Engine = SwarmEngine()
 	case walks:
 		j.Engine = Walks()
-	case !workers || j.WorkerCount() == 1:
+	case !workers || j.WorkerCount() == 1 || j.Reduction == core.ReductionDPOR:
 		j.Engine = DFS()
 	default:
 		j.Engine = Parallel()

@@ -18,13 +18,6 @@ import (
 type item struct {
 	sys   *core.System
 	trace []core.Transition
-	// sleep is the DPOR sleep set the state was reached under (nil
-	// unless the search runs with EngineOptions.Reduction). wake, when
-	// non-nil, marks a re-expansion: only transitions with these
-	// identity keys are executed — everything else was covered by this
-	// state's previous expansion under a larger sleep set.
-	sleep []core.SleepEntry
-	wake  []uint64
 }
 
 // queue is the one scheduler of the multi-worker engines: a LIFO of

@@ -24,6 +24,10 @@
 //     execution on another, whose targets share the queue's lock
 //     (concolic.go).
 //
+// The one reduced search is not a loop here: under
+// core.ReductionDPOR the DFS runs core.RunDPOR, the persistent-set
+// DPOR DFS, and no other loop reduces.
+//
 // Each loop is a core.Engine (DFS, Parallel, SwarmEngine, Walks, Loop)
 // and runs inside a core.Session, which supplies what every engine
 // shares: budgets, cancellation, the merged deterministic violation
@@ -49,7 +53,7 @@ const seenShards = 256
 // paper's default full search (Figure 5): the expansion step on the
 // caller's goroutine, expanding every admitted child in place, with no
 // queue, against a one-stripe seen-set. Under ReductionDPOR it runs the
-// persistent-set DPOR DFS (core.Checker.RunContext) instead.
+// persistent-set DPOR DFS (core.RunDPOR) instead.
 func DFS() core.Engine { return depthFirst{} }
 
 type depthFirst struct{}
@@ -58,10 +62,10 @@ func (depthFirst) Name() string { return "dfs" }
 
 func (depthFirst) Search(ctx context.Context, cfg *core.Config, eo core.EngineOptions) *core.Report {
 	if eo.Reduction == core.ReductionDPOR {
-		return core.NewCheckerWith(cfg, eo.Caches).RunContext(ctx, eo)
+		return core.RunDPOR(ctx, cfg, eo)
 	}
 	st := &expander{cfg: cfg, seen: newSeenSet(1)}
-	root := st.start(ctx, "dfs", eo, false)
+	root := st.start(ctx, "dfs", eo)
 	st.push = st.expand
 	// The search runs on this goroutine, so a panicking App or Property
 	// unwinds through here with its own stack; only the session's
@@ -77,7 +81,8 @@ func (depthFirst) Search(ctx context.Context, cfg *core.Config, eo core.EngineOp
 // Parallel returns the exhaustive parallel search as a core.Engine:
 // EngineOptions.Workers workers (0 = all CPUs), each running the DFS's
 // expansion step on its own goroutine and handing a state to the shared
-// queue only while another worker waits for one. It visits exactly the
+// queue only while another worker waits for one. It does not reduce:
+// EngineOptions.Reduction is accepted and ignored. It visits exactly the
 // states the DFS visits whenever state identity is
 // schedule-independent — symbolic execution off, or discover caches
 // warmed. On cold SE-enabled runs the counts can differ slightly (cache
@@ -98,23 +103,18 @@ func (parallelEngine) Search(ctx context.Context, cfg *core.Config, eo core.Engi
 	return st.s.End(ctx)
 }
 
-// newParallel opens the parallel engine's session, under sleep-set
-// reduction when eo asks for it, with the root queued.
+// newParallel opens the parallel engine's session with the root queued.
 func newParallel(ctx context.Context, cfg *core.Config, eo core.EngineOptions) *expander {
 	st := &expander{cfg: cfg, seen: newSeenSet(seenShards)}
-	st.queueRoot(st.start(ctx, "parallel", eo, eo.Reduction == core.ReductionDPOR))
+	st.queueRoot(st.start(ctx, "parallel", eo))
 	return st
 }
 
 // start opens the session named name and admits its root, which it
-// returns; dpor turns on sleep-set reduction.
-func (st *expander) start(ctx context.Context, name string, eo core.EngineOptions, dpor bool) *core.System {
+// returns.
+func (st *expander) start(ctx context.Context, name string, eo core.EngineOptions) *core.System {
 	s := st.begin(ctx, name, st.cfg, eo)
 	root := s.NewSystem()
-	if dpor {
-		st.red = core.NewSleepReducer(root)
-		st.dporTel = core.NewDporTelemetry(eo.Telemetry)
-	}
 	st.seen.Add(root.Fingerprint())
 	s.Admit(0)
 	return root
@@ -175,11 +175,12 @@ func (st *expander) work() {
 // event batch of each expansion (whose elements carry openflow.Msg
 // payloads) at the top of the allocation profile; nothing retains them,
 // so each worker keeps its own and no step allocates them. An expansion
-// recurses into its children, so the enabled list and the sleep scratch
-// are kept per depth; the event batch lives only within one apply.
+// recurses into its children, so the enabled list is kept per depth;
+// the event batch lives only within one apply.
 type scratch struct {
-	frames []*frame
-	events []core.Event
+	// enabled[d] is the enabled list of the state expanded at depth d.
+	enabled [][]core.Transition
+	events  []core.Event
 	// stack is the transition stack: stack[:d] is the trace of the state
 	// being expanded at depth d. An expansion writes stack[d] before
 	// each apply, so the trace of a violation — stack[:d] plus the
@@ -191,20 +192,6 @@ type scratch struct {
 	// does not move, a lent child's subtree has exported nothing; only
 	// then may the parent reclaim the epoch it held before the fork.
 	exports int64
-}
-
-// frame is the per-depth part of scratch.
-type frame struct {
-	enabled []core.Transition
-	sleep   core.SleepScratch
-}
-
-// frame returns the worker's buffers for an expansion at depth.
-func (sc *scratch) frame(depth int) *frame {
-	for len(sc.frames) <= depth {
-		sc.frames = append(sc.frames, new(frame))
-	}
-	return sc.frames[depth]
 }
 
 // expander is the per-state expansion step and what its workers share:
@@ -228,11 +215,6 @@ type expander struct {
 	// before it executes; true means the caller took it over. The
 	// concolic loop hands discover transitions to its solver pool.
 	divert func(it item, t core.Transition) bool
-
-	// red is non-nil when the search runs with sleep-set reduction
-	// (EngineOptions.Reduction); dporTel feeds the shared dpor scope.
-	red     *core.SleepReducer
-	dporTel *core.DporTelemetry
 }
 
 // apply executes t on sys — a state nobody else holds — reached over
@@ -291,15 +273,6 @@ func (st *expander) fresh(child *core.System, depth int) bool {
 // it owned then. expand reports whether it.sys lives on elsewhere (its
 // last successor was queued); otherwise the caller must release or
 // reclaim it.
-//
-// Under sleep-set reduction (st.red non-nil) the loop additionally
-// skips transitions the item's sleep set covers, hands each child the
-// sleep set it is owed (incoming entries plus executed siblings,
-// filtered by independence), and routes revisits through the seen-set's
-// sleep signatures: a revisit under a smaller sleep set re-expands
-// exactly the keys that slipped awake. Sleep sets prune transition
-// executions only, never states, so UniqueStates matches the unreduced
-// search.
 func (st *expander) expand(sc *scratch, it item) (livesOn bool) {
 	s := st.s
 	if s.Stopped() {
@@ -309,9 +282,11 @@ func (st *expander) expand(sc *scratch, it item) (livesOn bool) {
 		st.enter(sc, it)
 	}
 	depth := len(it.trace)
-	f := sc.frame(depth)
-	f.enabled = it.sys.EnabledInto(f.enabled)
-	enabled := f.enabled
+	for len(sc.enabled) <= depth {
+		sc.enabled = append(sc.enabled, nil)
+	}
+	enabled := it.sys.EnabledInto(sc.enabled[depth])
+	sc.enabled[depth] = enabled
 	if len(enabled) == 0 {
 		st.record(it.sys.CheckQuiescence(), it.trace, true)
 		return false
@@ -319,11 +294,6 @@ func (st *expander) expand(sc *scratch, it item) (livesOn bool) {
 	if depth >= st.cfg.DepthBound() {
 		s.Truncated.Add(1)
 		return false
-	}
-
-	var executed []int
-	if st.red != nil {
-		st.red.Prepare(it.sys, enabled, &f.sleep)
 	}
 
 	last := len(enabled) - 1
@@ -335,17 +305,6 @@ func (st *expander) expand(sc *scratch, it item) (livesOn bool) {
 			sc.exports++
 			continue
 		}
-		if st.red != nil {
-			if it.wake != nil && !keyIn64(it.wake, f.sleep.Key(i)) {
-				// Covered by this state's previous, larger expansion.
-				st.dporTel.Pruned(1)
-				continue
-			}
-			if f.sleep.Asleep(it.sleep, i) {
-				st.dporTel.SleepHit()
-				continue
-			}
-		}
 		if !s.Reserve() {
 			return false
 		}
@@ -353,24 +312,7 @@ func (st *expander) expand(sc *scratch, it item) (livesOn bool) {
 		if i < last {
 			child, epoch = it.sys.Lend()
 		}
-		violated := st.apply(sc, child, depth, t)
-		var childSleep []core.SleepEntry
-		if st.red != nil {
-			if !violated {
-				childSleep = f.sleep.ChildSleep(it.sleep, executed, i)
-			}
-			// Executed siblings join the sleep-source even when they
-			// violated: their interleavings are covered either way.
-			executed = append(executed, i)
-		}
-		lives := false
-		switch {
-		case violated:
-		case st.red != nil:
-			lives = st.admitSleep(sc, child, childSleep)
-		default:
-			lives = st.admit(sc, child)
-		}
+		lives := !st.apply(sc, child, depth, t) && st.admit(sc, child)
 		if i == last {
 			return lives
 		}
@@ -383,22 +325,4 @@ func (st *expander) expand(sc *scratch, it item) (livesOn bool) {
 		}
 	}
 	return false
-}
-
-// admitSleep is admit under sleep-set reduction: a revisit whose sleep
-// set left keys awake that the stored expansion slept is pushed again
-// to re-expand exactly those.
-func (st *expander) admitSleep(sc *scratch, child *core.System, sleep []core.SleepEntry) bool {
-	isNew, wake := st.seen.AddSleep(child.Fingerprint(), core.SleepKeySet(sleep))
-	switch {
-	case isNew:
-		st.s.Admit(len(sc.stack))
-	case wake != nil:
-		st.s.Revisits.Add(1)
-		st.dporTel.Reexpansion()
-	default:
-		st.s.Revisits.Add(1)
-		return false
-	}
-	return st.push(sc, item{sys: child, sleep: sleep, wake: wake, trace: sc.stack})
 }

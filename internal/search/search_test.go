@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/nice-go/nice/internal/canon"
 	"github.com/nice-go/nice/internal/core"
@@ -279,6 +280,15 @@ func TestSeenSet(t *testing.T) {
 	}
 }
 
+// TestSeenShardSize: a seen-set shard fills one 64-byte cache line, so
+// workers probing adjacent shards do not false-share. A field added
+// without shrinking the pad changes the size.
+func TestSeenShardSize(t *testing.T) {
+	if size := unsafe.Sizeof(seenShard{}); size != 64 {
+		t.Errorf("seenShard is %d bytes, want one 64-byte cache line", size)
+	}
+}
+
 // TestQueue exercises take's blocking contract: with an item pending
 // and none queued, take blocks and counts as waiting until an item is
 // put (which it returns), the search stops, or the pending item is done
@@ -367,12 +377,10 @@ func violationKeys(r *core.Report) []string {
 // state still shares; an expansion clobbering an outer depth's enabled
 // list would skip or repeat transitions. Either shows as a count or
 // violation that differs from the sequential DFS's, on warm caches
-// (where state identity is schedule-independent). Under sleep-set
-// reduction the unique states still match, and the transitions do not
-// exceed the unreduced search's. Every recorded trace must replay to
-// its violation: a queued child that kept sharing its worker's stack,
-// or an in-place child whose transition never reached the stack, would
-// record another path's trace.
+// (where state identity is schedule-independent). Every recorded trace
+// must replay to its violation: a queued child that kept sharing its
+// worker's stack, or an in-place child whose transition never reached
+// the stack, would record another path's trace.
 func TestReclaimHandoffParity(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -396,39 +404,31 @@ func TestReclaimHandoffParity(t *testing.T) {
 			_, got := replay.ReplayWithProperties(v.Trace)
 			return got != nil && got.Property == v.Property && got.Err.Error() == v.Err.Error()
 		}
-		for _, red := range []core.Reduction{core.ReductionNone, core.ReductionDPOR} {
-			for _, k := range []int{2, 5, 64} {
-				// The budgets stop a search a broken reclaim sends astray.
-				eo := core.EngineOptions{Caches: cc, Reduction: red,
-					MaxStates: 2 * ref.UniqueStates, MaxTransitions: 2 * ref.Transitions}
-				st := newParallel(ctx, cfg, eo)
-				admitted := 0
-				st.push = func(sc *scratch, it item) bool {
-					if admitted++; admitted%k == 0 {
-						st.put(sc, it)
-						return true
-					}
-					return st.expand(sc, it)
+		for _, k := range []int{2, 5, 64} {
+			// The budgets stop a search a broken reclaim sends astray.
+			eo := core.EngineOptions{Caches: cc,
+				MaxStates: 2 * ref.UniqueStates, MaxTransitions: 2 * ref.Transitions}
+			st := newParallel(ctx, cfg, eo)
+			admitted := 0
+			st.push = func(sc *scratch, it item) bool {
+				if admitted++; admitted%k == 0 {
+					st.put(sc, it)
+					return true
 				}
-				st.work()
-				r := st.s.End(ctx)
-				differs := !r.Complete || r.UniqueStates != ref.UniqueStates ||
-					!slices.Equal(violationKeys(r), violationKeys(ref))
-				if red == core.ReductionDPOR {
-					differs = differs || r.Transitions > ref.Transitions
-				} else {
-					differs = differs || r.Transitions != ref.Transitions || r.Revisits != ref.Revisits
-				}
-				if differs {
-					t.Errorf("%s(%d) %v, every %d-th child handed off: states/trans/revisits %d/%d/%d, %d violations; sequential %d/%d/%d, %d",
-						tc.scenario, tc.scale, red, k, r.UniqueStates, r.Transitions, r.Revisits, len(r.Violations),
-						ref.UniqueStates, ref.Transitions, ref.Revisits, len(ref.Violations))
-				}
-				for _, v := range r.Violations {
-					if !replays(v) {
-						t.Errorf("%s(%d) %v, every %d-th child handed off: the trace of %s (%v) does not replay to it",
-							tc.scenario, tc.scale, red, k, v.Property, v.Err)
-					}
+				return st.expand(sc, it)
+			}
+			st.work()
+			r := st.s.End(ctx)
+			if !r.Complete || r.UniqueStates != ref.UniqueStates || r.Transitions != ref.Transitions ||
+				r.Revisits != ref.Revisits || !slices.Equal(violationKeys(r), violationKeys(ref)) {
+				t.Errorf("%s(%d), every %d-th child handed off: states/trans/revisits %d/%d/%d, %d violations; sequential %d/%d/%d, %d",
+					tc.scenario, tc.scale, k, r.UniqueStates, r.Transitions, r.Revisits, len(r.Violations),
+					ref.UniqueStates, ref.Transitions, ref.Revisits, len(ref.Violations))
+			}
+			for _, v := range r.Violations {
+				if !replays(v) {
+					t.Errorf("%s(%d), every %d-th child handed off: the trace of %s (%v) does not replay to it",
+						tc.scenario, tc.scale, k, v.Property, v.Err)
 				}
 			}
 		}

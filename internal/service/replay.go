@@ -27,7 +27,12 @@ type ReplayResult struct {
 // trace must reproduce the recorded violation (same property, same
 // property+trace fingerprint) for Reproduced to hold.
 func ReplayArtifact(ta *TraceArtifact) (*ReplayResult, error) {
-	cfg, _, err := ta.Request.Resolve()
+	// A replay runs no search, so the reduction is dropped: an artifact
+	// of a parallel search under DPOR, which the wire accepted before
+	// DPOR became the DFS's alone, still replays.
+	req := ta.Request
+	req.Reduction = ""
+	cfg, _, err := req.Resolve()
 	if err != nil {
 		return nil, fmt.Errorf("replay: %w", err)
 	}

@@ -97,7 +97,7 @@ func (r *JobRequest) Flags(fs *flag.FlagSet) {
 	fs.Int64Var(&r.TimeoutMS, "timeout-ms", r.TimeoutMS, "abort the search after this many milliseconds")
 	fs.IntVar(&r.MaxDepth, "max-depth", r.MaxDepth, "override the execution depth bound")
 	fs.BoolVar(&r.AllViolations, "all-violations", r.AllViolations, "keep searching past the first violation")
-	fs.StringVar(&r.Reduction, "reduction", r.Reduction, "interleaving reduction: "+reductionNames+" (dfs and parallel only; walks, swarm and concolic ignore it)")
+	fs.StringVar(&r.Reduction, "reduction", r.Reduction, "interleaving reduction: "+reductionNames+" (dfs only: with no -engine it selects dfs, with another engine it is an error)")
 	fs.Int64Var(&r.SymBudget, "sym-budget", r.SymBudget, "concolic loop: abort after this many symbolic discover explorations of its own")
 	fs.IntVar(&r.SymWorkers, "sym-workers", r.SymWorkers, "concolic loop: solver worker pool size (0 = 2)")
 	fs.Int64Var(&r.Seed, "seed", r.Seed, "random-walk seed (walk i uses seed+i); read only by a walk engine, which -walks/-steps or -engine select")
@@ -150,8 +150,10 @@ func (r *JobRequest) Validate() error {
 // Resolve is the one step from a request to a search: it validates the
 // request, looks the scenario up (or compiles the spec), builds the
 // configuration at the asked-for scale, strategy and variant, and fills
-// a search.Job with every knob and the engine they imply. Every door that
-// adds no knob of its own runs the same search for the same request.
+// a search.Job with every knob and the engine they imply. A reduction
+// the engine would ignore is an error: DPOR runs on the dfs engine only.
+// Every door that adds no knob of its own runs the same search for the
+// same request.
 func (r *JobRequest) Resolve() (*core.Config, search.Job, error) {
 	if err := r.Validate(); err != nil {
 		return nil, search.Job{}, err
@@ -188,6 +190,9 @@ func (r *JobRequest) Resolve() (*core.Config, search.Job, error) {
 		job.Engine = spec.New()
 	}
 	job.InferEngine(r.Workers > 0, r.Walks > 0 || r.Steps > 0, r.SymBudget > 0 || r.SymWorkers > 0)
+	if name := job.Engine.Name(); job.Reduction == core.ReductionDPOR && name != "dfs" {
+		return nil, search.Job{}, fieldErr("reduction", "%q runs on engine dfs only, not %s", r.Reduction, name)
+	}
 	return cfg, job, nil
 }
 

@@ -524,6 +524,8 @@ func TestServiceRejections(t *testing.T) {
 		{`{"scenario": "bug-ii", "strategy": "psychic"}`, "strategy", "flow-ir"},
 		{`{"scenario": "bug-ii", "engine": "psychic"}`, "engine", "concolic"},
 		{`{"scenario": "bug-ii", "reduction": "sleepy"}`, "reduction", "dpor"},
+		{`{"scenario": "bug-ii", "engine": "parallel", "reduction": "dpor"}`, "reduction", "dfs"},
+		{`{"scenario": "bug-ii", "walks": 4, "reduction": "dpor"}`, "reduction", "dfs"},
 		{`{"scenario": "bug-ii", "scale": 3}`, "scale", "no scale knob"},
 		{`{"scenario": "pingpong", "scale": -1}`, "scale", "negative"},
 		{`{"scenario": "bug-ii", "workers": -1}`, "workers", "negative"},

@@ -18,8 +18,8 @@ type (
 	Config = core.Config
 	// DomainHints supplies symbolic-input domain knowledge (§3.2).
 	DomainHints = core.DomainHints
-	// Checker replays recorded traces (Replay, ReplayWithProperties)
-	// and runs the DPOR DFS (RunContext); Run runs every search.
+	// Checker replays recorded traces (Replay, ReplayWithProperties);
+	// Run runs every search, the DPOR DFS under WithReduction(DPOR).
 	Checker = core.Checker
 	// Report summarizes a search.
 	Report = core.Report

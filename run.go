@@ -42,10 +42,11 @@ const (
 	// the paper's semantics, and the default.
 	NoReduction = core.ReductionNone
 	// DPOR enables dynamic partial-order reduction over the transition
-	// dependence relation: sleep sets plus Flanagan–Godefroid backtrack
-	// sets in the sequential DFS, sleep sets in the parallel hybrid
-	// engine. Sound for the violated-property set; prunes states and
-	// transitions the explored interleavings already cover.
+	// dependence relation: the sequential persistent-set DPOR DFS, sleep
+	// sets plus Flanagan–Godefroid backtrack sets. A full search under
+	// DPOR runs it whatever the pool size; no other engine reduces.
+	// Sound for the violated-property set; prunes states and transitions
+	// the explored interleavings already cover.
 	DPOR = core.ReductionDPOR
 )
 
@@ -202,11 +203,10 @@ func WithCaches(cc *Caches) RunOption {
 // WithReduction(DPOR) prunes interleavings of provably independent
 // transitions — packets on disjoint switches, commuting controller
 // events — on top of the paper's heuristic strategies, which stay
-// available unchanged (they live inside the Config). Reduction applies
-// to the exhaustive engines (SequentialDFS, ParallelHybrid); the
-// random-walk engines sample single interleavings, where there is
-// nothing to reduce, and ignore it, and so does the ConcolicLoop.
-// Off by default.
+// available unchanged (they live inside the Config). Only SequentialDFS
+// reduces: a full search under DPOR runs it whatever WithWorkers says,
+// and an engine WithEngine names — ParallelHybrid, the random walks,
+// the ConcolicLoop — runs unreduced. Off by default.
 func WithReduction(r Reduction) RunOption {
 	return func(s *runSettings) { s.Reduction = r }
 }
@@ -229,8 +229,8 @@ func WithTelemetry(reg *Telemetry) RunOption {
 // Unless WithEngine names one, the options imply the engine by the rule
 // every front end shares: WithSymBudget / WithSymWorkers the
 // ConcolicLoop; WithWalks RandomWalks, or SeededSwarm with WithWorkers;
-// WithWorkers alone ParallelHybrid (SequentialDFS on a pool of one);
-// none of them SequentialDFS.
+// WithWorkers alone ParallelHybrid (SequentialDFS on a pool of one, or
+// under WithReduction(DPOR)); none of them SequentialDFS.
 //
 // Cancel ctx, set WithDeadline, or exhaust WithMaxStates /
 // WithMaxTransitions and Run returns a partial Report — Complete
