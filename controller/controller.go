@@ -118,23 +118,25 @@ func forkApp(a App) App {
 	return a.Clone()
 }
 
-// Versioned is the AppKey dirty hook: applications that bump a version
-// counter at every state mutation implement it (embed VersionCounter),
-// and the runtime then caches the rendered StateKey until the version
-// moves. Applications without it get conservative invalidation — the
-// cache is dropped on every dispatched handler, mutating or not.
+// Versioned is the one dirty hook of apps and properties: an app or
+// property that bumps a version counter at every state mutation
+// implements it (embed VersionCounter), and the checker caches its key —
+// the runtime an app's StateKey, core.System a property's key hash —
+// until the version moves. Without it the cache is dropped on every
+// dispatched handler or delivered event batch, mutating or not.
 type Versioned interface {
 	// StateVersion returns a counter that changes (strictly increases)
-	// whenever the application's hashable state mutates.
+	// whenever the app's or property's hashable state mutates.
 	StateVersion() uint64
 }
 
-// VersionCounter is the embeddable implementation of Versioned. (The
-// field must not be named like the method, or embedding would shadow
-// the promoted StateVersion method — TestAppsImplementVersioned guards
-// this.) Handlers call BumpStateVersion at every mutation site;
-// value-copying clones (c := *a) carry the counter over, which is
-// correct because the clone starts in an identical state.
+// VersionCounter is the embeddable implementation of Versioned for
+// apps and properties. (The field must not be named like the method, or
+// embedding would shadow the promoted StateVersion method —
+// TestAppsImplementVersioned and TestPropertiesImplementVersioned guard
+// this.) Handlers and OnEvents call BumpStateVersion at every mutation
+// site; value-copying clones and forks (c := *a) carry the counter
+// over, which is correct because the copy starts in an identical state.
 type VersionCounter struct{ version uint64 }
 
 // BumpStateVersion marks one state mutation.

@@ -88,8 +88,9 @@ func TestPackageDocs(t *testing.T) {
 
 // retiredNames matches retired names, each with what replaced it: the
 // measurement stack's command, package and BENCH_N baseline files, the
-// deep-clone and oracle-hash reference paths, and the parallel engine's
-// sleep-set reduction and Checker's DPOR entry point. The patterns are
+// deep-clone and oracle-hash reference paths, the parallel engine's
+// sleep-set reduction and Checker's DPOR entry point, and the property
+// key memo interfaces. The patterns are
 // assembled from pieces so that this file passes its own lint.
 var retiredNames = map[*regexp.Regexp]string{
 	regexp.MustCompile(`nice-` + `bench\b|internal/` + `bench\b|BENCH` + `_[0-9]`): "benchmark/ (bash benchmark/run.sh)",
@@ -98,6 +99,10 @@ var retiredNames = map[*regexp.Regexp]string{
 	regexp.MustCompile(`Sleep` + `Reducer\b`):                                      "the persistent-set DPOR DFS (core.RunDPOR), the one reduction",
 	regexp.MustCompile(`Add` + `Sleep\b`):                                          "seenSet.Add: the parallel engine does not reduce",
 	regexp.MustCompile(`Run` + `Context\b`):                                        "core.RunDPOR, or nice.Run(ctx, cfg, nice.WithReduction(nice.DPOR))",
+	regexp.MustCompile(`\bKey` + `Hasher\b`):                                       "controller.Versioned, with core caching the property key hash",
+	regexp.MustCompile(`\bFresh` + `Keyer\b`):                                      "controller.Versioned, with core caching the property key hash",
+	regexp.MustCompile(`\bStateKey` + `Hash64\b`):                                  "controller.Versioned, with core caching the property key hash",
+	regexp.MustCompile(`\bRender` + `StateKey\b`):                                  "controller.Versioned, with core caching the property key hash",
 }
 
 // TestNoRetiredNames: the measurement stack outlived its replacement

@@ -81,7 +81,7 @@ func Hash128(s string) Digest {
 }
 
 // Hash64String is FNV-1a 64-bit over a string, allocation-free — the
-// hash properties memoize alongside their state keys.
+// property key hash core.System caches beside each property.
 func Hash64String(s string) uint64 {
 	h := uint64(offset64)
 	for i := 0; i < len(s); i++ {

@@ -86,11 +86,11 @@ func (f *footprint) union(o footprint) {
 	f.w.union(o.w)
 }
 
-// Dependent reports whether two transitions (by footprint) may fail to
+// dependent reports whether two transitions (by footprint) may fail to
 // commute: a write of one meets a read or write of the other. Enabledness
 // of a transition is folded into its read set, so independence also
 // guarantees that neither enables or disables the other.
-func Dependent(a, b footprint) bool {
+func dependent(a, b footprint) bool {
 	return a.w.intersects(b.w) || a.w.intersects(b.r) || a.r.intersects(b.w)
 }
 
@@ -230,7 +230,7 @@ func newComponentSpace(sys *System) *componentSpace {
 	sp.global = footprint{r: compSet{^uint64(0), ^uint64(0)}, w: compSet{^uint64(0), ^uint64(0)}}
 
 	sp.propMasks = make([]uint64, 0, sp.nprop)
-	for _, p := range sys.props {
+	for _, p := range cfg.Properties {
 		if ob, ok := p.(PacketIDOblivious); !ok || !ob.PacketIDOblivious() {
 			sp.idSensitive = true
 		}

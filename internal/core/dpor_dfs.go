@@ -255,7 +255,7 @@ func (s *dporSummary) mergeFolded(t *fpTable, o dporSummary, fpT uint32) {
 	fp := t.fps[fpT]
 	for _, e := range o.exact {
 		anc := e.anc &^ ancInexact
-		if Dependent(fp, t.fps[e.fp]) || Dependent(fp, t.fps[anc]) {
+		if dependent(fp, t.fps[e.fp]) || dependent(fp, t.fps[anc]) {
 			e.anc = t.union(anc, fpT) | e.anc&ancInexact
 		}
 		s.add(t, e)
@@ -605,7 +605,7 @@ func (c *dporDFS) dporExpand(sys *System, depth int, sleep []sleepEntry, only []
 		// inserted. Sleeping transitions stay out: they are covered by
 		// an earlier branch.
 		for j := 0; j < n; j++ {
-			if j != i && !f.asleep.get(j) && Dependent(fp, f.fps[j]) {
+			if j != i && !f.asleep.get(j) && dependent(fp, f.fps[j]) {
 				if f.backtrack.set(j) {
 					c.dporTel.Backtrack()
 				}
@@ -635,7 +635,7 @@ func (c *dporDFS) dporExpand(sys *System, depth int, sleep []sleepEntry, only []
 		if !violated {
 			f.childSleep = f.childSleep[:0]
 			for _, e := range f.working {
-				if !Dependent(e.fp, fp) {
+				if !dependent(e.fp, fp) {
 					f.childSleep = append(f.childSleep, e)
 				}
 			}
@@ -683,7 +683,7 @@ func (c *dporDFS) computeHB(f *dporFrame, depth int, fp footprint) {
 	f.hb.set(depth)
 	for e := 0; e < depth; e++ {
 		g := &c.dporFrames[e]
-		if g.execIdx >= 0 && Dependent(g.execFp, fp) {
+		if g.execIdx >= 0 && dependent(g.execFp, fp) {
 			f.hb.unionWith(&g.hb)
 		}
 	}
@@ -742,7 +742,7 @@ func (c *dporDFS) dporRaceInsert(key uint64, fp, anc *footprint, ancExact bool) 
 		if f.execIdx < 0 {
 			continue
 		}
-		if Dependent(f.execFp, *fp) {
+		if dependent(f.execFp, *fp) {
 			j := -1
 			if ancExact {
 				for e := d + 1; e < top && j < 0; e++ {
@@ -767,7 +767,7 @@ func (c *dporDFS) dporRaceInsert(key uint64, fp, anc *footprint, ancExact bool) 
 				return
 			}
 			// Proven causal (ancExact holds here): keep looking shallower.
-		} else if !ancExact || !useAnc || !Dependent(f.execFp, *anc) {
+		} else if !ancExact || !useAnc || !dependent(f.execFp, *anc) {
 			continue
 		}
 		hbP.unionWith(&f.hb)
@@ -780,7 +780,7 @@ func (c *dporDFS) dporRaceInsert(key uint64, fp, anc *footprint, ancExact bool) 
 func (c *dporDFS) dporResidualInsert(fp footprint) {
 	for d := c.frameTop - 1; d >= 0; d-- {
 		f := &c.dporFrames[d]
-		if f.execIdx < 0 || !Dependent(f.execFp, fp) {
+		if f.execIdx < 0 || !dependent(f.execFp, fp) {
 			continue
 		}
 		if f.backtrack.setAll(len(f.enabled)) {

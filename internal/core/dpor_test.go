@@ -155,11 +155,11 @@ func TestFootprintDependence(t *testing.T) {
 	sendB := find(THostSend, 2)
 	// Hosts 1 and 2 sit on adjacent switches of Linear(2): their sends
 	// enqueue at different switches and the property is ID-oblivious.
-	if Dependent(fps[sendA], fps[sendB]) {
+	if dependent(fps[sendA], fps[sendB]) {
 		t.Errorf("sends on distinct hosts/switches should be independent:\n%+v\n%+v",
 			fps[sendA], fps[sendB])
 	}
-	if !Dependent(fps[sendA], fps[sendA]) {
+	if !dependent(fps[sendA], fps[sendA]) {
 		t.Error("a transition must be dependent with itself")
 	}
 	if sp.idSensitive {
@@ -188,7 +188,7 @@ func TestFootprintIDSensitive(t *testing.T) {
 	if len(sends) < 2 {
 		t.Fatalf("want two sends, got %v", enabled)
 	}
-	if !Dependent(fps[sends[0]], fps[sends[1]]) {
+	if !dependent(fps[sends[0]], fps[sends[1]]) {
 		t.Error("allocating sends must conflict when an ID-sensitive property is attached")
 	}
 }
@@ -203,7 +203,7 @@ func checkCommutation(t *testing.T, sys *System, sp *componentSpace, maxPairs in
 	checked := 0
 	for i := 0; i < len(enabled) && checked < maxPairs; i++ {
 		for j := i + 1; j < len(enabled) && checked < maxPairs; j++ {
-			if Dependent(fps[i], fps[j]) {
+			if dependent(fps[i], fps[j]) {
 				continue
 			}
 			checked++

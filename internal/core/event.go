@@ -147,36 +147,11 @@ type Property interface {
 	AtQuiescence(sys *System) error
 	// StateKey folds the property's local state into the system hash so
 	// state matching never merges states the property distinguishes.
-	// Implementations may memoize it; those that do should also
-	// implement FreshKeyer so the differential oracle can bypass the
-	// memo.
+	// It renders from scratch; the System caches the key's hash as the
+	// controller runtime caches an app's key: a controller.Versioned
+	// property is rendered again when its version moves, any other
+	// after each batch delivered to it.
 	StateKey() string
-}
-
-// KeyHasher is implemented by properties that memoize the 64-bit hash
-// of their StateKey alongside the rendering; System.Fingerprint then
-// combines the cached hash instead of re-hashing the key string on
-// every explored state.
-type KeyHasher interface {
-	StateKeyHash64() uint64
-}
-
-// FreshKeyer is implemented by properties whose StateKey is memoized:
-// RenderStateKey re-renders from scratch, ignoring the memo. The oracle
-// hash path (OracleKey / VerifyCaches) uses it so a missing
-// cache-invalidation hook in a property shows up as a divergence
-// instead of poisoning both hash modes identically.
-type FreshKeyer interface {
-	RenderStateKey() string
-}
-
-// freshPropKey returns a property's state key, bypassing its memo when
-// it has one.
-func freshPropKey(p Property) string {
-	if fk, ok := p.(FreshKeyer); ok {
-		return fk.RenderStateKey()
-	}
-	return p.StateKey()
 }
 
 // ForkableProperty is the copy-on-write forking contract for
@@ -250,8 +225,8 @@ type PropertyFailure struct {
 func (s *System) CheckEvents(events []Event) []PropertyFailure {
 	var fails []PropertyFailure
 	m := eventsMask(events)
-	for i, p := range s.props {
-		if em, ok := p.(EventMasker); ok && em.EventMask()&m == 0 {
+	for i := range s.props {
+		if em, ok := s.props[i].p.(EventMasker); ok && em.EventMask()&m == 0 {
 			continue
 		}
 		op := s.ownProp(i)
@@ -267,9 +242,9 @@ func (s *System) CheckEvents(events []Event) []PropertyFailure {
 // collects the violations, in property order.
 func (s *System) CheckQuiescence() []PropertyFailure {
 	var fails []PropertyFailure
-	for _, p := range s.props {
-		if err := p.AtQuiescence(s); err != nil {
-			fails = append(fails, PropertyFailure{Property: p.Name(), Err: err})
+	for _, sl := range s.props {
+		if err := sl.p.AtQuiescence(s); err != nil {
+			fails = append(fails, PropertyFailure{Property: sl.p.Name(), Err: err})
 		}
 	}
 	return fails

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"github.com/nice-go/nice/controller"
 	"github.com/nice-go/nice/internal/canon"
 )
 
@@ -37,14 +38,10 @@ func (s *System) Fingerprint() canon.Digest {
 	for _, host := range s.hosts {
 		h = h.Word(host.KeyHash64())
 	}
-	// Property keys stay strings (the public Property contract);
-	// KeyHasher properties memoize the hash next to the key.
-	for _, p := range s.props {
-		if kh, ok := p.(KeyHasher); ok {
-			h = h.Word(kh.StateKeyHash64())
-		} else {
-			h = h.Word(canon.Hash64String(p.StateKey()))
-		}
+	// Property keys stay strings (the public Property contract); each
+	// slot caches its key's hash.
+	for i := range s.props {
+		h = h.Word(s.props[i].keyHash())
 	}
 	// Discover-cache presence is part of state identity (see
 	// OracleKey): one word per host and switch, 0 when not cached.
@@ -77,11 +74,11 @@ func (s *System) Fingerprint() canon.Digest {
 // VerifyCaches cross-checks everything Fingerprint reads from a cache —
 // each switch, host and channel hash, the flow tables' maintained sums
 // and the messages' memoized hashes inside them, the group-count
-// digest, and the memoized application and property keys — against a
+// digest, the application key and the property key hashes — against a
 // from-scratch recompute, returning an error naming the first stale
 // component. Stress tests walk transition sequences and call it after
 // every step; a failure means a mutation path is missing its
-// dirty-tracking hook.
+// dirty-tracking hook or version bump.
 func (s *System) VerifyCaches() error {
 	canonical, hashCounters := s.cfg.tableHashMode()
 	var err error
@@ -100,8 +97,9 @@ func (s *System) VerifyCaches() error {
 	for _, host := range s.hosts {
 		check(host.KeyHash64(), host.FreshKeyHash64(), "host hash", int(host.ID))
 	}
-	for i, p := range s.props {
-		check(p.StateKey(), freshPropKey(p), "property key "+p.Name(), i)
+	for i := range s.props {
+		sl := &s.props[i]
+		check(sl.keyHash(), canon.Hash64String(sl.p.StateKey()), "property key hash "+sl.p.Name(), i)
 	}
 	var groups uint64
 	for k, n := range s.groupCounts {
@@ -109,4 +107,34 @@ func (s *System) VerifyCaches() error {
 	}
 	check(s.groupDigest, groups, "group-count digest", 0)
 	return err
+}
+
+// propSlot is one property of a System with its cached key hash. It
+// follows the rule controller.Runtime applies to an app's key: the hash
+// of a controller.Versioned property stays valid until its version
+// moves, and any other property's slot is invalidated by ownProp, when
+// a batch is delivered to it. The slots are copied with the props slice
+// (ownProp), so a fork keeps its parent's hashes.
+type propSlot struct {
+	p       Property
+	hash    uint64 // canon.Hash64String(p.StateKey()) when valid
+	version uint64 // a Versioned p's StateVersion when hash was taken
+	valid   bool
+}
+
+// keyHash returns the slot's hash, rendering the key only when the slot
+// is stale. A stale slot lives only in a props slice its System owns
+// (cow invariant 3: Clone warms every slot first), so this write never
+// touches a slice another System reads.
+func (sl *propSlot) keyHash() uint64 {
+	v, versioned := sl.p.(controller.Versioned)
+	if sl.valid && (!versioned || v.StateVersion() == sl.version) {
+		return sl.hash
+	}
+	sl.hash = canon.Hash64String(sl.p.StateKey())
+	if versioned {
+		sl.version = v.StateVersion()
+	}
+	sl.valid = true
+	return sl.hash
 }

@@ -3,66 +3,118 @@ package core
 import (
 	"strconv"
 	"testing"
+
+	"github.com/nice-go/nice/controller"
 )
 
-// staleProp simulates the bug class the FreshKeyer oracle hook exists
-// to catch: a memoizing property that forgets to invalidate its cached
-// StateKey when its state mutates. StateKey keeps returning the stale
-// memo; RenderStateKey reports the live state.
-type staleProp struct {
+// versionedProp counts the events delivered to it. It embeds
+// controller.VersionCounter, so the System keeps its key hash until the
+// version moves; with bump unset it mutates without bumping, the bug
+// class a mutation site missing its BumpStateVersion produces.
+type versionedProp struct {
+	controller.VersionCounter
 	events int
-	memo   string
-	valid  bool
+	bump   bool
 }
 
-func (p *staleProp) Name() string { return "stale" }
-func (p *staleProp) Clone() Property {
+func (p *versionedProp) Name() string { return "versioned" }
+func (p *versionedProp) Clone() Property {
 	c := *p
 	return &c
 }
-func (p *staleProp) OnEvents(_ *System, events []Event) error {
-	p.events += len(events) // mutation WITHOUT invalidating the memo
+func (p *versionedProp) OnEvents(_ *System, events []Event) error {
+	p.events += len(events)
+	if p.bump {
+		p.BumpStateVersion()
+	}
 	return nil
 }
-func (p *staleProp) AtQuiescence(*System) error { return nil }
-func (p *staleProp) StateKey() string {
-	if !p.valid {
-		p.memo = p.RenderStateKey()
-		p.valid = true
-	}
-	return p.memo
-}
-func (p *staleProp) RenderStateKey() string { return strconv.Itoa(p.events) }
+func (p *versionedProp) AtQuiescence(*System) error { return nil }
+func (p *versionedProp) StateKey() string           { return strconv.Itoa(p.events) }
 
-// TestVerifyCachesCatchesStalePropertyMemo asserts the oracle path
-// bypasses property memos: a property whose cached key goes stale must
-// surface as a VerifyCaches divergence rather than poisoning the
-// structural fingerprint and OracleKey identically.
-func TestVerifyCachesCatchesStalePropertyMemo(t *testing.T) {
-	cfg := hubConfig(1)
-	cfg.Properties = []Property{&staleProp{}}
-	sys := NewSystem(cfg)
-	if err := sys.VerifyCaches(); err != nil {
-		t.Fatalf("initial state should verify: %v", err)
-	}
-	// Prime the memo (Fingerprint reads the memoized key), then mutate the property the way the checker does
-	// (OnEvents after a transition) without invalidating.
-	sys.Fingerprint()
+// stepWithProperties applies sys's first enabled transition and
+// delivers its events to the properties, as every engine does.
+func stepWithProperties(t *testing.T, sys *System) {
+	t.Helper()
 	enabled := sys.Enabled()
 	if len(enabled) == 0 {
 		t.Fatal("no enabled transitions")
 	}
 	events := sys.Apply(enabled[0])
-	for _, p := range sys.Properties() {
-		if err := p.OnEvents(sys, events); err != nil {
-			t.Fatal(err)
+	if len(events) == 0 {
+		t.Fatal("transition produced no events; no property changes")
+	}
+	if fails := sys.CheckEvents(events); len(fails) > 0 {
+		t.Fatal(fails)
+	}
+}
+
+// TestVerifyCachesCatchesStalePropertyMemo asserts VerifyCaches renders
+// property keys afresh: a Versioned property that mutates without
+// bumping keeps its cached hash, and that must surface as a divergence
+// rather than poisoning the fingerprint unseen. The same property that
+// bumps verifies and moves the fingerprint.
+func TestVerifyCachesCatchesStalePropertyMemo(t *testing.T) {
+	for _, bump := range []bool{true, false} {
+		cfg := hubConfig(1)
+		cfg.Properties = []Property{&versionedProp{bump: bump}}
+		sys := NewSystem(cfg)
+		if err := sys.VerifyCaches(); err != nil {
+			t.Fatalf("bump=%t: initial state should verify: %v", bump, err)
+		}
+		before := sys.Fingerprint() // fills the property's slot
+		stepWithProperties(t, sys)
+		err := sys.VerifyCaches()
+		switch {
+		case bump && err != nil:
+			t.Errorf("a property that bumps its version fails VerifyCaches: %v", err)
+		case bump && sys.Fingerprint() == before:
+			t.Error("a bumped property's new key did not reach the fingerprint")
+		case !bump && err == nil:
+			t.Error("VerifyCaches missed a stale property key hash — it reads the cached hash on both sides")
 		}
 	}
-	if len(events) == 0 {
-		t.Fatal("transition produced no events; stale memo not exercised")
+}
+
+// renderCounter is a property without a version that counts its key
+// renders.
+type renderCounter struct {
+	events  int
+	renders *int
+}
+
+func (p *renderCounter) Name() string { return "counting" }
+func (p *renderCounter) Clone() Property {
+	c := *p
+	return &c
+}
+func (p *renderCounter) OnEvents(_ *System, events []Event) error {
+	p.events += len(events)
+	return nil
+}
+func (p *renderCounter) AtQuiescence(*System) error { return nil }
+func (p *renderCounter) StateKey() string {
+	*p.renders++
+	return strconv.Itoa(p.events)
+}
+
+// TestUnversionedPropertyRendersOncePerBatch: a property without
+// controller.Versioned is rendered once after each batch delivered to
+// it, however many fingerprints follow, and a fork reuses the render.
+func TestUnversionedPropertyRendersOncePerBatch(t *testing.T) {
+	renders := 0
+	cfg := hubConfig(1)
+	cfg.Properties = []Property{&renderCounter{renders: &renders}}
+	sys := NewSystem(cfg)
+	sys.Fingerprint()
+	stepWithProperties(t, sys)
+	renders = 0
+	for range 5 {
+		sys.Fingerprint()
 	}
-	if err := sys.VerifyCaches(); err == nil {
-		t.Fatal("VerifyCaches missed a stale property memo — oracle is reading the memoized key")
+	sys.Clone().Fingerprint()
+	if renders != 1 {
+		t.Errorf("%d renders after one delivered batch and six fingerprints, want 1", renders)
 	}
 }
 

@@ -34,7 +34,7 @@ type System struct {
 	hosts    []*hosts.Host
 	hostIDs  []openflow.HostID
 	alloc    openflow.IDAlloc
-	props    []Property
+	props    []propSlot
 
 	// epoch is this System's current copy-on-write ownership epoch: a
 	// component whose tag matches it is exclusively owned and may be
@@ -130,7 +130,7 @@ func NewSystemWith(cfg *Config, cc *Caches) *System {
 		s.hosts[s.hostIndex(hc.ID)] = hc
 	}
 	for _, p := range cfg.Properties {
-		s.props = append(s.props, p.Clone())
+		s.props = append(s.props, propSlot{p: p.Clone()})
 	}
 
 	// Port link state: a port is up when a switch-switch link or a
@@ -277,14 +277,8 @@ func (s *System) warmKeyCaches() {
 	for _, h := range s.hosts {
 		h.KeyHash64()
 	}
-	for _, p := range s.props {
-		_ = p.StateKey()
-		if kh, ok := p.(KeyHasher); ok {
-			// Fingerprint reads the memoized hash, so it must be warm
-			// too — a custom property may memoize it separately from
-			// the key string.
-			_ = kh.StateKeyHash64()
-		}
+	for i := range s.props {
+		s.props[i].keyHash()
 	}
 }
 
@@ -354,22 +348,28 @@ func (s *System) ownCtrl() *controller.Runtime {
 }
 
 // ownProp returns property i for mutation (event delivery), copying the
-// props slice and the property itself on first use after a fork.
+// props slice and the property itself on first use after a fork, and
+// invalidates the key hash of a property that does not report its
+// mutations by a version (the rule Runtime.appDirty applies to apps).
 func (s *System) ownProp(i int) Property {
 	s.cachesWarm = false
 	if s.propsEpoch != s.epoch {
-		s.props = append([]Property(nil), s.props...)
+		s.props = append([]propSlot(nil), s.props...)
 		s.propsOwned = 0
 		s.propsEpoch = s.epoch
 	}
+	sl := &s.props[i]
 	if s.propsOwned&(1<<uint(i)) == 0 {
-		s.props[i] = forkProperty(s.props[i])
+		sl.p = forkProperty(sl.p)
 		s.propsOwned |= 1 << uint(i)
 		if s.met != nil {
 			s.met.copies.Inc()
 		}
 	}
-	return s.props[i]
+	if _, ok := sl.p.(controller.Versioned); !ok {
+		sl.valid = false
+	}
+	return sl.p
 }
 
 // ownGroupCounts copies the shared FLOW-IR instance counters before the
@@ -421,12 +421,9 @@ func (s *System) Controller() *controller.Runtime { return s.ctrl }
 // Config exposes the checking configuration.
 func (s *System) Config() *Config { return s.cfg }
 
-// Properties exposes this state's property instances.
-func (s *System) Properties() []Property { return s.props }
-
 // OracleKey renders the full system state from scratch as one canonical
-// string, bypassing every component hash cache and every property and
-// application key memo — the state identity the structural fingerprint
+// string, bypassing every component hash cache and the application and
+// property key caches — the state identity the structural fingerprint
 // is differentially tested against, and the one the reference explorer
 // in scenarios' tests names states by.
 func (s *System) OracleKey() string {
@@ -442,10 +439,10 @@ func (s *System) OracleKey() string {
 		b.WriteString(h.StateKey())
 		b.WriteByte('\n')
 	}
-	for _, p := range s.props {
-		b.WriteString(p.Name())
+	for _, sl := range s.props {
+		b.WriteString(sl.p.Name())
 		b.WriteByte(':')
-		b.WriteString(freshPropKey(p))
+		b.WriteString(sl.p.StateKey())
 		b.WriteByte('\n')
 	}
 	// The relevant-packet caches gate which transitions are enabled

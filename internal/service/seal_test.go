@@ -16,6 +16,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -270,15 +271,38 @@ func TestCorruptArtifactsFailClosed(t *testing.T) {
 	}
 }
 
-// smallBuffers accepts connections with a 4 KB send buffer.
-type smallBuffers struct{ net.Listener }
+// stallListener gives a 4 KB send buffer only to the connections whose
+// client address is in stall, so only a watcher meant to stall fills
+// its buffers and meets the stream write timeout; a reading watcher
+// keeps the default buffers however late the scheduler runs it.
+type stallListener struct {
+	net.Listener
+	stall *sync.Map // client address → struct{}
+}
 
-func (l smallBuffers) Accept() (net.Conn, error) {
+func (l stallListener) Accept() (net.Conn, error) {
 	c, err := l.Listener.Accept()
-	if err == nil {
-		c.(*net.TCPConn).SetWriteBuffer(4 << 10)
+	if err != nil {
+		return c, err
 	}
-	return c, err
+	return &stallConn{Conn: c, stall: l.stall}, nil
+}
+
+type stallConn struct {
+	net.Conn
+	stall *sync.Map
+	once  sync.Once
+}
+
+// Write shrinks the send buffer before the first response byte, by which
+// time the client has registered its address.
+func (c *stallConn) Write(b []byte) (int, error) {
+	c.once.Do(func() {
+		if _, ok := c.stall.Load(c.RemoteAddr().String()); ok {
+			c.Conn.(*net.TCPConn).SetWriteBuffer(4 << 10)
+		}
+	})
+	return c.Conn.Write(b)
 }
 
 // TestSlowWatcherDoesNotPinHistory: a watcher that disconnects
@@ -291,18 +315,23 @@ func TestSlowWatcherDoesNotPinHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var stall sync.Map
 	ts := httptest.NewUnstartedServer(s.Handler())
-	ts.Listener = smallBuffers{ts.Listener}
+	ts.Listener = stallListener{ts.Listener, &stall}
 	ts.Start()
 
-	// watch opens a raw stream connection; with small socket buffers at
-	// both ends the server's writes stall once the client stops reading.
-	watch := func(id string) (net.Conn, *bufio.Reader) {
+	// watch opens a raw stream connection; a stalling one gets small
+	// socket buffers at both ends, so the server's writes stall once
+	// the client stops reading.
+	watch := func(id string, stalling bool) (net.Conn, *bufio.Reader) {
 		conn, err := net.Dial("tcp", strings.TrimPrefix(ts.URL, "http://"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		conn.(*net.TCPConn).SetReadBuffer(4 << 10)
+		if stalling {
+			conn.(*net.TCPConn).SetReadBuffer(4 << 10)
+			stall.Store(conn.LocalAddr().String(), struct{}{})
+		}
 		fmt.Fprintf(conn, "GET /v1/jobs/%s/stream HTTP/1.1\r\nHost: x\r\n\r\n", id)
 		r := bufio.NewReaderSize(conn, 512)
 		if line, err := r.ReadString('\n'); err != nil || !strings.Contains(line, "200") {
@@ -313,9 +342,9 @@ func TestSlowWatcherDoesNotPinHistory(t *testing.T) {
 	// A search long enough that both watchers attach while it runs, and
 	// a stream larger than any socket buffer between them.
 	id := submit(t, ts, "", `{"scenario": "loadbalancer-bench", "scale": 5, "engine": "dfs"}`).ID
-	stalled, _ := watch(id)
+	stalled, _ := watch(id, true)
 	defer stalled.Close()
-	gone, r := watch(id)
+	gone, r := watch(id, false)
 	r.ReadString('\n')
 	gone.Close()
 

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 
+	"github.com/nice-go/nice/controller"
 	"github.com/nice-go/nice/internal/core"
 	"github.com/nice-go/nice/openflow"
 )
@@ -27,7 +28,7 @@ type FlowAffinity struct {
 
 	assigned map[connKey]openflow.HostID
 	borrowed bool
-	cache    cachedKey
+	controller.VersionCounter
 }
 
 // NewFlowAffinity returns the property for the given virtual IP and
@@ -40,13 +41,10 @@ func NewFlowAffinity(vip openflow.IPAddr, replicas ...openflow.HostID) *FlowAffi
 // Name implements core.Property.
 func (p *FlowAffinity) Name() string { return "FlowAffinity" }
 
-// Clone implements core.Property.
+// Clone implements core.Property: a fork that copies at once.
 func (p *FlowAffinity) Clone() core.Property {
-	c := NewFlowAffinity(p.VIP, p.Replicas...)
-	for k, v := range p.assigned {
-		c.assigned[k] = v
-	}
-	c.cache = p.cache
+	c := p.ForkProp().(*FlowAffinity)
+	c.ensureOwned()
 	return c
 }
 
@@ -79,7 +77,7 @@ func (p *FlowAffinity) OnEvents(_ *core.System, events []core.Event) error {
 				k.ClientIP, k.ClientPort, prev, e.Host, h)
 		}
 		p.ensureOwned()
-		p.cache.invalidate()
+		p.BumpStateVersion()
 		p.assigned[k] = e.Host
 	}
 	return nil
@@ -117,17 +115,8 @@ func (p *FlowAffinity) EventMask() uint64 { return core.MaskOf(core.EvDelivered)
 // IDs appear in neither the observer state nor the error texts.
 func (p *FlowAffinity) PacketIDOblivious() bool { return true }
 
-// StateKey implements core.Property (memoized; see keys.go).
-func (p *FlowAffinity) StateKey() string { return p.cache.get(p.renderStateKey) }
-
-// StateKeyHash64 implements core.KeyHasher with the memoized hash.
-func (p *FlowAffinity) StateKeyHash64() uint64 { return p.cache.hash64(p.renderStateKey) }
-
-// RenderStateKey implements core.FreshKeyer: a from-scratch render
-// bypassing the memo, for the differential oracle.
-func (p *FlowAffinity) RenderStateKey() string { return p.renderStateKey() }
-
-func (p *FlowAffinity) renderStateKey() string {
+// StateKey implements core.Property.
+func (p *FlowAffinity) StateKey() string {
 	keys := make([]connKey, 0, len(p.assigned))
 	for k := range p.assigned {
 		keys = append(keys, k)
@@ -199,7 +188,7 @@ type UseCorrectRoutingTable struct {
 	flowIdx  int
 	expected map[openflow.Flow]openflow.PortID
 	borrowed bool
-	cache    cachedKey
+	controller.VersionCounter
 }
 
 // NewUseCorrectRoutingTable returns the property for a TE spec.
@@ -211,15 +200,10 @@ func NewUseCorrectRoutingTable(spec TESpec) *UseCorrectRoutingTable {
 // Name implements core.Property.
 func (p *UseCorrectRoutingTable) Name() string { return "UseCorrectRoutingTable" }
 
-// Clone implements core.Property.
+// Clone implements core.Property: a fork that copies at once.
 func (p *UseCorrectRoutingTable) Clone() core.Property {
-	c := NewUseCorrectRoutingTable(p.Spec)
-	c.high = p.high
-	c.flowIdx = p.flowIdx
-	for k, v := range p.expected {
-		c.expected[k] = v
-	}
-	c.cache = p.cache
+	c := p.ForkProp().(*UseCorrectRoutingTable)
+	c.ensureOwned()
 	return c
 }
 
@@ -230,7 +214,7 @@ func (p *UseCorrectRoutingTable) OnEvents(_ *core.System, events []core.Event) e
 		case core.EvStats:
 			for _, ps := range e.Stats {
 				if ps.Port == p.Spec.MonitorPort {
-					p.cache.invalidate()
+					p.BumpStateVersion()
 					p.high = ps.TxBytes >= p.Spec.Threshold
 				}
 			}
@@ -247,7 +231,7 @@ func (p *UseCorrectRoutingTable) OnEvents(_ *core.System, events []core.Event) e
 				continue
 			}
 			p.ensureOwned()
-			p.cache.invalidate()
+			p.BumpStateVersion()
 			p.expected[f] = p.Spec.ExpectedPort(p.high, p.flowIdx)
 			p.flowIdx++
 		case core.EvRuleInstalled:
@@ -349,17 +333,8 @@ func (p *UseCorrectRoutingTable) ensureOwned() {
 	p.borrowed = false
 }
 
-// StateKey implements core.Property (memoized; see keys.go).
-func (p *UseCorrectRoutingTable) StateKey() string { return p.cache.get(p.renderStateKey) }
-
-// StateKeyHash64 implements core.KeyHasher with the memoized hash.
-func (p *UseCorrectRoutingTable) StateKeyHash64() uint64 { return p.cache.hash64(p.renderStateKey) }
-
-// RenderStateKey implements core.FreshKeyer: a from-scratch render
-// bypassing the memo, for the differential oracle.
-func (p *UseCorrectRoutingTable) RenderStateKey() string { return p.renderStateKey() }
-
-func (p *UseCorrectRoutingTable) renderStateKey() string {
+// StateKey implements core.Property.
+func (p *UseCorrectRoutingTable) StateKey() string {
 	flows := make([]openflow.Flow, 0, len(p.expected))
 	for f := range p.expected {
 		flows = append(flows, f)

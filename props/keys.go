@@ -1,49 +1,21 @@
 package props
 
 import (
-	"github.com/nice-go/nice/internal/canon"
-
 	"sort"
 	"strconv"
 
 	"github.com/nice-go/nice/openflow"
 )
 
-// This file holds the property-side half of incremental state
-// fingerprinting: a memoized StateKey cache (properties render once per
-// mutation, not once per explored state) and hand-written sorted map
-// encoders replacing the reflective canon.String walks that dominated
-// the per-state fingerprint profile. The renderings only need to be
-// deterministic and injective — the same property always renders through
-// the same code path for the structural fingerprint and for OracleKey,
-// so the formats are not pinned to the historical reflective output.
-
-// cachedKey memoizes one rendered StateKey (and its 64-bit hash, which
-// System.Fingerprint combines without re-hashing the string every
-// state) between mutations. Properties embed it by value; Clone and
-// ForkProp copy it, so a forked property (identical state) keeps the
-// rendering.
-type cachedKey struct {
-	key   string
-	hash  uint64
-	valid bool
-}
-
-func (c *cachedKey) invalidate() { c.valid = false }
-
-func (c *cachedKey) get(render func() string) string {
-	if !c.valid {
-		c.key = render()
-		c.hash = canon.Hash64String(c.key)
-		c.valid = true
-	}
-	return c.key
-}
-
-func (c *cachedKey) hash64(render func() string) uint64 {
-	c.get(render)
-	return c.hash
-}
+// This file holds the hand-written sorted map encoders the properties'
+// StateKey renderings share, in place of the reflective canon.String
+// walks that dominated the per-state fingerprint profile. A property
+// renders its key from scratch; core.System caches the key's hash and
+// renders again only when the property's controller.Versioned version
+// moves. The renderings only need to be deterministic and injective —
+// the same code path renders the key for the structural fingerprint and
+// for OracleKey — so the formats are not pinned to the historical
+// reflective output.
 
 func appendPacketIDSet(b []byte, m map[openflow.PacketID]bool) []byte {
 	ids := make([]int64, 0, len(m))

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"github.com/nice-go/nice/controller"
 	"github.com/nice-go/nice/internal/core"
 	"github.com/nice-go/nice/openflow"
 )
@@ -25,7 +26,7 @@ type visitKey struct {
 type NoForwardingLoops struct {
 	visited  map[visitKey]bool
 	borrowed bool
-	cache    cachedKey
+	controller.VersionCounter
 }
 
 // NewNoForwardingLoops returns the property.
@@ -36,13 +37,10 @@ func NewNoForwardingLoops() *NoForwardingLoops {
 // Name implements core.Property.
 func (p *NoForwardingLoops) Name() string { return "NoForwardingLoops" }
 
-// Clone implements core.Property.
+// Clone implements core.Property: a fork that copies at once.
 func (p *NoForwardingLoops) Clone() core.Property {
-	c := NewNoForwardingLoops()
-	for k := range p.visited {
-		c.visited[k] = true
-	}
-	c.cache = p.cache
+	c := p.ForkProp().(*NoForwardingLoops)
+	c.ensureOwned()
 	return c
 }
 
@@ -78,7 +76,7 @@ func (p *NoForwardingLoops) OnEvents(_ *core.System, events []core.Event) error 
 				e.Pkt.Header, e.Sw, e.Port)
 		}
 		p.ensureOwned()
-		p.cache.invalidate()
+		p.BumpStateVersion()
 		p.visited[k] = true
 	}
 	return nil
@@ -90,17 +88,8 @@ func (p *NoForwardingLoops) AtQuiescence(*core.System) error { return nil }
 // EventMask implements core.EventMasker: only packet arrivals matter.
 func (p *NoForwardingLoops) EventMask() uint64 { return core.MaskOf(core.EvArrive) }
 
-// StateKey implements core.Property (memoized; see keys.go).
-func (p *NoForwardingLoops) StateKey() string { return p.cache.get(p.renderStateKey) }
-
-// StateKeyHash64 implements core.KeyHasher with the memoized hash.
-func (p *NoForwardingLoops) StateKeyHash64() uint64 { return p.cache.hash64(p.renderStateKey) }
-
-// RenderStateKey implements core.FreshKeyer: a from-scratch render
-// bypassing the memo, for the differential oracle.
-func (p *NoForwardingLoops) RenderStateKey() string { return p.renderStateKey() }
-
-func (p *NoForwardingLoops) renderStateKey() string {
+// StateKey implements core.Property.
+func (p *NoForwardingLoops) StateKey() string {
 	keys := make([]visitKey, 0, len(p.visited))
 	for k := range p.visited {
 		keys = append(keys, k)
@@ -143,7 +132,7 @@ type NoBlackHoles struct {
 	// buffered marks instances currently parked at a switch.
 	buffered map[openflow.PacketID]bool
 	borrowed bool
-	cache    cachedKey
+	controller.VersionCounter
 }
 
 // NewNoBlackHoles returns the property.
@@ -157,16 +146,10 @@ func NewNoBlackHoles() *NoBlackHoles {
 // Name implements core.Property.
 func (p *NoBlackHoles) Name() string { return "NoBlackHoles" }
 
-// Clone implements core.Property.
+// Clone implements core.Property: a fork that copies at once.
 func (p *NoBlackHoles) Clone() core.Property {
-	c := NewNoBlackHoles()
-	for k, v := range p.alive {
-		c.alive[k] = v
-	}
-	for k, v := range p.buffered {
-		c.buffered[k] = v
-	}
-	c.cache = p.cache
+	c := p.ForkProp().(*NoBlackHoles)
+	c.ensureOwned()
 	return c
 }
 
@@ -200,22 +183,22 @@ func (p *NoBlackHoles) OnEvents(_ *core.System, events []core.Event) error {
 		switch e.Kind {
 		case core.EvHostSend, core.EvCopied, core.EvCtrlInject, core.EvFaultDuplicated:
 			p.ensureOwned()
-			p.cache.invalidate()
+			p.BumpStateVersion()
 			p.alive[e.Pkt.ID] = e.Pkt.Header.String()
 		case core.EvDelivered, core.EvDropped, core.EvFaultDropped:
 			// Fault-model losses are the environment's doing, not the
 			// controller's; they leave the balance.
 			p.ensureOwned()
-			p.cache.invalidate()
+			p.BumpStateVersion()
 			delete(p.alive, e.Pkt.ID)
 			delete(p.buffered, e.Pkt.ID)
 		case core.EvBuffered:
 			p.ensureOwned()
-			p.cache.invalidate()
+			p.BumpStateVersion()
 			p.buffered[e.Pkt.ID] = true
 		case core.EvReleased:
 			p.ensureOwned()
-			p.cache.invalidate()
+			p.BumpStateVersion()
 			delete(p.buffered, e.Pkt.ID)
 		case core.EvVanished:
 			return fmt.Errorf("packet (%s) emitted on %v:%v with nothing attached — black hole",
@@ -249,17 +232,8 @@ func (p *NoBlackHoles) EventMask() uint64 {
 		core.EvFaultDropped, core.EvBuffered, core.EvReleased, core.EvVanished)
 }
 
-// StateKey implements core.Property (memoized; see keys.go).
-func (p *NoBlackHoles) StateKey() string { return p.cache.get(p.renderStateKey) }
-
-// StateKeyHash64 implements core.KeyHasher with the memoized hash.
-func (p *NoBlackHoles) StateKeyHash64() uint64 { return p.cache.hash64(p.renderStateKey) }
-
-// RenderStateKey implements core.FreshKeyer: a from-scratch render
-// bypassing the memo, for the differential oracle.
-func (p *NoBlackHoles) RenderStateKey() string { return p.renderStateKey() }
-
-func (p *NoBlackHoles) renderStateKey() string {
+// StateKey implements core.Property.
+func (p *NoBlackHoles) StateKey() string {
 	ids := make([]int64, 0, len(p.alive))
 	for id := range p.alive {
 		ids = append(ids, int64(id))
@@ -337,7 +311,7 @@ type DirectPaths struct {
 	// robustness: packets already in flight are exempt).
 	lateSend map[openflow.PacketID]bool
 	borrowed bool
-	cache    cachedKey
+	controller.VersionCounter
 }
 
 // NewDirectPaths returns the property.
@@ -351,16 +325,10 @@ func NewDirectPaths() *DirectPaths {
 // Name implements core.Property.
 func (p *DirectPaths) Name() string { return "DirectPaths" }
 
-// Clone implements core.Property.
+// Clone implements core.Property: a fork that copies at once.
 func (p *DirectPaths) Clone() core.Property {
-	c := NewDirectPaths()
-	for k, v := range p.delivered {
-		c.delivered[k] = v
-	}
-	for k, v := range p.lateSend {
-		c.lateSend[k] = v
-	}
-	c.cache = p.cache
+	c := p.ForkProp().(*DirectPaths)
+	c.ensureOwned()
 	return c
 }
 
@@ -401,12 +369,12 @@ func (p *DirectPaths) OnEvents(_ *core.System, events []core.Event) error {
 				continue
 			}
 			p.ensureOwned()
-			p.cache.invalidate()
+			p.BumpStateVersion()
 			p.delivered[e.Pkt.Header.Flow()] = true
 		case core.EvHostSend:
 			if !degenerateFlow(e.Pkt.Header) && p.delivered[e.Pkt.Header.Flow()] {
 				p.ensureOwned()
-				p.cache.invalidate()
+				p.BumpStateVersion()
 				p.lateSend[e.Pkt.Orig] = true
 			}
 		case core.EvPacketIn:
@@ -435,17 +403,8 @@ func (p *DirectPaths) EventMask() uint64 {
 	return core.MaskOf(core.EvDelivered, core.EvHostSend, core.EvPacketIn)
 }
 
-// StateKey implements core.Property (memoized; see keys.go).
-func (p *DirectPaths) StateKey() string { return p.cache.get(p.renderStateKey) }
-
-// StateKeyHash64 implements core.KeyHasher with the memoized hash.
-func (p *DirectPaths) StateKeyHash64() uint64 { return p.cache.hash64(p.renderStateKey) }
-
-// RenderStateKey implements core.FreshKeyer: a from-scratch render
-// bypassing the memo, for the differential oracle.
-func (p *DirectPaths) RenderStateKey() string { return p.renderStateKey() }
-
-func (p *DirectPaths) renderStateKey() string {
+// StateKey implements core.Property.
+func (p *DirectPaths) StateKey() string {
 	b := appendFlowSet(make([]byte, 0, 64), p.delivered)
 	return string(appendPacketIDSet(b, p.lateSend))
 }
@@ -459,7 +418,7 @@ type StrictDirectPaths struct {
 	delivered map[openflow.Flow]bool // unidirectional deliveries seen
 	lateSend  map[openflow.PacketID]bool
 	borrowed  bool
-	cache     cachedKey
+	controller.VersionCounter
 }
 
 // NewStrictDirectPaths returns the property.
@@ -473,16 +432,10 @@ func NewStrictDirectPaths() *StrictDirectPaths {
 // Name implements core.Property.
 func (p *StrictDirectPaths) Name() string { return "StrictDirectPaths" }
 
-// Clone implements core.Property.
+// Clone implements core.Property: a fork that copies at once.
 func (p *StrictDirectPaths) Clone() core.Property {
-	c := NewStrictDirectPaths()
-	for k, v := range p.delivered {
-		c.delivered[k] = v
-	}
-	for k, v := range p.lateSend {
-		c.lateSend[k] = v
-	}
-	c.cache = p.cache
+	c := p.ForkProp().(*StrictDirectPaths)
+	c.ensureOwned()
 	return c
 }
 
@@ -530,12 +483,12 @@ func (p *StrictDirectPaths) OnEvents(_ *core.System, events []core.Event) error 
 				continue
 			}
 			p.ensureOwned()
-			p.cache.invalidate()
+			p.BumpStateVersion()
 			p.delivered[e.Pkt.Header.Flow()] = true
 		case core.EvHostSend:
 			if !degenerateFlow(e.Pkt.Header) && p.established(e.Pkt.Header.Flow()) {
 				p.ensureOwned()
-				p.cache.invalidate()
+				p.BumpStateVersion()
 				p.lateSend[e.Pkt.Orig] = true
 			}
 		case core.EvPacketIn:
@@ -556,17 +509,8 @@ func (p *StrictDirectPaths) EventMask() uint64 {
 	return core.MaskOf(core.EvDelivered, core.EvHostSend, core.EvPacketIn)
 }
 
-// StateKey implements core.Property (memoized; see keys.go).
-func (p *StrictDirectPaths) StateKey() string { return p.cache.get(p.renderStateKey) }
-
-// StateKeyHash64 implements core.KeyHasher with the memoized hash.
-func (p *StrictDirectPaths) StateKeyHash64() uint64 { return p.cache.hash64(p.renderStateKey) }
-
-// RenderStateKey implements core.FreshKeyer: a from-scratch render
-// bypassing the memo, for the differential oracle.
-func (p *StrictDirectPaths) RenderStateKey() string { return p.renderStateKey() }
-
-func (p *StrictDirectPaths) renderStateKey() string {
+// StateKey implements core.Property.
+func (p *StrictDirectPaths) StateKey() string {
 	b := appendFlowSet(make([]byte, 0, 64), p.delivered)
 	return string(appendPacketIDSet(b, p.lateSend))
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/nice-go/nice/controller"
 	"github.com/nice-go/nice/internal/core"
 	"github.com/nice-go/nice/openflow"
 )
@@ -282,5 +283,79 @@ func TestExpectedPortSpec(t *testing.T) {
 	}
 	if spec.ExpectedPort(true, 0) != 2 || spec.ExpectedPort(true, 1) != 3 || spec.ExpectedPort(true, 2) != 2 {
 		t.Error("high-load alternation wrong")
+	}
+}
+
+// TestPropertiesImplementVersioned pins the key-cache wiring of the
+// library properties: core.System keeps a property's key hash until its
+// controller.Versioned version moves, so every stateful property must
+// implement the interface, move its version at every event that changes
+// its key (one event per mutation site below), and carry the version
+// through Clone and ForkProp, or a cached hash could alias two states.
+func TestPropertiesImplementVersioned(t *testing.T) {
+	tcp := openflow.Packet{Header: openflow.Header{
+		EthType: openflow.EthTypeIPv4, IPProto: openflow.IPProtoTCP,
+		IPSrc: openflow.MakeIPAddr(1, 1, 1, 1), TPSrc: 5555, TPDst: 80,
+	}, ID: 1, Orig: 1}
+	cp, inj, dup := pktAB(2), pktAB(3), pktAB(4)
+	cp.ID, inj.ID, dup.ID = 2, 3, 4
+	packetIn := core.Event{Kind: core.EvCtrlDispatch, Sw: 1, Msg: openflow.Msg{
+		Type: openflow.MsgPacketIn, Switch: 1,
+		Packet: openflow.Packet{Header: openflow.Header{EthSrc: macA, EthDst: macB}},
+	}}
+	cases := map[core.Property][]core.Event{
+		NewNoForwardingLoops(): {{Kind: core.EvArrive, Sw: 1, Port: 1, Pkt: pktAB(1)}},
+		NewNoBlackHoles(): {
+			{Kind: core.EvHostSend, Pkt: pktAB(1)},
+			{Kind: core.EvBuffered, Pkt: pktAB(1)},
+			{Kind: core.EvReleased, Pkt: pktAB(1)},
+			{Kind: core.EvDelivered, Pkt: pktAB(1)},
+			{Kind: core.EvCopied, Pkt: cp},
+			{Kind: core.EvCtrlInject, Pkt: inj},
+			{Kind: core.EvFaultDuplicated, Pkt: dup},
+			{Kind: core.EvDropped, Pkt: cp},
+			{Kind: core.EvFaultDropped, Pkt: inj},
+		},
+		NewDirectPaths(): {
+			{Kind: core.EvDelivered, Pkt: pktAB(1)},
+			{Kind: core.EvHostSend, Pkt: pktAB(2)},
+		},
+		NewStrictDirectPaths(): {
+			{Kind: core.EvDelivered, Pkt: pktAB(1)},
+			{Kind: core.EvDelivered, Pkt: pktBA(2)},
+			{Kind: core.EvHostSend, Pkt: pktAB(3)},
+		},
+		NewFlowAffinity(openflow.MakeIPAddr(10, 0, 0, 100), 2, 3): {
+			{Kind: core.EvDelivered, Host: 2, Pkt: tcp},
+		},
+		NewUseCorrectRoutingTable(TESpec{Ingress: 1, AlwaysOnPort: 2, OnDemandPort: 3, MonitorPort: 2, Threshold: 10}): {
+			{Kind: core.EvStats, Stats: []openflow.PortStats{{Port: 2, TxBytes: 99}}},
+			packetIn,
+		},
+	}
+	for p, events := range cases {
+		v, ok := p.(controller.Versioned)
+		if !ok {
+			t.Errorf("%s does not implement controller.Versioned", p.Name())
+			continue
+		}
+		for _, e := range events {
+			key, ver := p.StateKey(), v.StateVersion()
+			if err := feed(t, p, e); err != nil {
+				t.Fatalf("%s: %v", p.Name(), err)
+			}
+			if p.StateKey() == key {
+				t.Fatalf("%s: %v left the key unchanged; the case tests no mutation site", p.Name(), e.Kind)
+			}
+			if v.StateVersion() == ver {
+				t.Errorf("%s: %v changed the key without moving the version", p.Name(), e.Kind)
+			}
+		}
+		fork := p.(core.ForkableProperty).ForkProp()
+		for name, c := range map[string]core.Property{"Clone": p.Clone(), "ForkProp": fork} {
+			if c.(controller.Versioned).StateVersion() != v.StateVersion() {
+				t.Errorf("%s: %s does not carry the state version", p.Name(), name)
+			}
+		}
 	}
 }

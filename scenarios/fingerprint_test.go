@@ -64,9 +64,11 @@ func TestFingerprintOracleParity(t *testing.T) {
 // TestFingerprintCacheIntegrity stress-walks random executions of
 // representative scenarios — MAC learning with SE, the load balancer's
 // environment reconfiguration, the TE stats workflow, the no-SE ping
-// workload, and a fault-model run — verifying after every transition
-// that each component's cached canonical key still equals a from-scratch
-// render. A failure pinpoints a mutation path missing its dirty hook.
+// workload, and a fault-model run — delivering each transition's events
+// to the properties as the engines do, and verifying after every step
+// that each component's and property's cached key hash still equals a
+// from-scratch render. A failure pinpoints a mutation path missing its
+// dirty hook or version bump.
 func TestFingerprintCacheIntegrity(t *testing.T) {
 	cases := map[string]func() *core.Config{
 		"pingpong-noSE": func() *core.Config { return scenarios.MustLookup("pingpong").Config(2) },
@@ -108,7 +110,7 @@ func TestFingerprintCacheIntegrity(t *testing.T) {
 							t.Fatalf("walk %d step %d: after clone: %v", walk, step, err)
 						}
 					}
-					sys.Apply(tr)
+					sys.CheckEvents(sys.Apply(tr))
 					if err := sys.VerifyCaches(); err != nil {
 						t.Fatalf("walk %d step %d: after %s: %v", walk, step, tr.Key(), err)
 					}
