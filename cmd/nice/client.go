@@ -133,7 +133,7 @@ func streamJob(c *client, id string) int {
 		case "done":
 			fmt.Printf("%s: %s", ev.Job, ev.State)
 			if r := ev.Result; r != nil {
-				fmt.Printf(" — %d violations, stop=%s", len(r.Violations), orDash(r.StopReason))
+				fmt.Printf(" — %d violations, stop=%s", violations, orDash(r.StopReason))
 				for _, a := range r.TraceArtifacts {
 					fmt.Printf("\n%s: trace artifact %s", ev.Job, a)
 				}

@@ -42,7 +42,7 @@
 //
 //   - the system model: switches, packets, matches, flow tables
 //     (openflow types), topologies (Topology), and end hosts (Host);
-//   - the checker: Config, Checker, Report, Violation, Simulator,
+//   - the checker: Config, ReplayWithProperties, Report, Violation, Simulator,
 //     RandomWalks, and the search strategies of the paper's §4
 //     (PKT-SEQ bounds on hosts, Config.NoDelay, Config.Unusual,
 //     Config.FlowGroupKey);

@@ -89,8 +89,9 @@ func TestPackageDocs(t *testing.T) {
 // retiredNames matches retired names, each with what replaced it: the
 // measurement stack's command, package and BENCH_N baseline files, the
 // deep-clone and oracle-hash reference paths, the parallel engine's
-// sleep-set reduction and Checker's DPOR entry point, and the property
-// key memo interfaces. The patterns are
+// sleep-set reduction and Checker's DPOR entry point, the property key
+// memo interfaces, and the Checker type trace replay used to hang off.
+// The patterns are
 // assembled from pieces so that this file passes its own lint.
 var retiredNames = map[*regexp.Regexp]string{
 	regexp.MustCompile(`nice-` + `bench\b|internal/` + `bench\b|BENCH` + `_[0-9]`): "benchmark/ (bash benchmark/run.sh)",
@@ -103,6 +104,8 @@ var retiredNames = map[*regexp.Regexp]string{
 	regexp.MustCompile(`\bFresh` + `Keyer\b`):                                      "controller.Versioned, with core caching the property key hash",
 	regexp.MustCompile(`\bStateKey` + `Hash64\b`):                                  "controller.Versioned, with core caching the property key hash",
 	regexp.MustCompile(`\bRender` + `StateKey\b`):                                  "controller.Versioned, with core caching the property key hash",
+	regexp.MustCompile(`\bNew` + `Checker(With)?\b`):                               "core.ReplayWithProperties(cfg, cc, trace), or nice.ReplayWithProperties(cfg, trace)",
+	regexp.MustCompile(`\b(core|nice)\.` + `Checker\b|\b` + `Checker\.Replay`):     "core.ReplayWithProperties(cfg, cc, trace), or nice.ReplayWithProperties(cfg, trace)",
 }
 
 // TestNoRetiredNames: the measurement stack outlived its replacement

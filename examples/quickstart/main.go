@@ -53,7 +53,7 @@ func main() {
 	fmt.Print(v)
 
 	// The trace replays deterministically.
-	if _, reproduced := nice.NewChecker(cfg).ReplayWithProperties(v.Trace); reproduced != nil {
+	if reproduced := nice.ReplayWithProperties(cfg, v.Trace); reproduced != nil {
 		fmt.Println("\nreplayed the trace: violation reproduced ✓")
 	}
 

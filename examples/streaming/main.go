@@ -85,7 +85,7 @@ func main() {
 	}
 
 	// Partial or not, every recorded trace replays deterministically.
-	if _, reproduced := nice.NewChecker(build()).ReplayWithProperties(v.Trace); reproduced != nil {
+	if reproduced := nice.ReplayWithProperties(build(), v.Trace); reproduced != nil {
 		fmt.Printf("replayed the first trace: %s reproduced ✓\n", reproduced.Property)
 	}
 }

@@ -82,59 +82,29 @@ func (r *Report) FirstViolation() *Violation {
 	return &r.Violations[0]
 }
 
-// Checker holds a Config and its discover caches, and replays traces
-// against them (Replay, ReplayWithProperties). The searches are the
-// engines of internal/search.
-type Checker struct {
-	cfg    *Config
-	caches *Caches
-}
-
-// NewChecker prepares a checker with a fresh discover-cache set.
-func NewChecker(cfg *Config) *Checker {
-	return &Checker{cfg: cfg, caches: NewCaches()}
-}
-
-// NewCheckerWith prepares a checker against a caller-supplied
-// discover-cache set (shared with another search or a prior run).
-func NewCheckerWith(cfg *Config, cc *Caches) *Checker {
-	return &Checker{cfg: cfg, caches: cc}
-}
-
 func cloneTrace(trace []Transition) []Transition {
 	return append([]Transition(nil), trace...)
 }
 
-// Replay re-executes a recorded trace from a fresh initial state,
-// returning the final system and the events of the last transition.
-// Determinism of the components guarantees the same states arise (§6);
-// tests assert this by comparing hashes.
-func (c *Checker) Replay(trace []Transition) (*System, []Event) {
-	sys := NewSystemWith(c.cfg, c.caches)
-	var last []Event
-	for _, t := range trace {
-		last = sys.Apply(t)
-	}
-	return sys, last
-}
-
-// ReplayWithProperties re-executes a trace while feeding property
-// observers, returning the violation reproduced by the final transition
-// (or at quiescence), if any.
-func (c *Checker) ReplayWithProperties(trace []Transition) (*System, *Violation) {
-	sys := NewSystemWith(c.cfg, c.caches)
+// ReplayWithProperties re-executes a recorded trace from cfg's initial
+// state on the discover caches cc, feeding property observers, and
+// returns the violation reproduced by the final transition (or at
+// quiescence), if any. Determinism of the components guarantees the
+// same states arise (§6).
+func ReplayWithProperties(cfg *Config, cc *Caches, trace []Transition) *Violation {
+	sys := NewSystemWith(cfg, cc)
 	for i, t := range trace {
 		events := sys.Apply(t)
 		if fails := sys.CheckEvents(events); len(fails) > 0 {
-			return sys, &Violation{Property: fails[0].Property, Err: fails[0].Err,
+			return &Violation{Property: fails[0].Property, Err: fails[0].Err,
 				Trace: cloneTrace(trace[:i+1])}
 		}
 	}
 	if sys.Quiescent() {
 		if fails := sys.CheckQuiescence(); len(fails) > 0 {
-			return sys, &Violation{Property: fails[0].Property, Err: fails[0].Err,
+			return &Violation{Property: fails[0].Property, Err: fails[0].Err,
 				Trace: cloneTrace(trace), Quiescence: true}
 		}
 	}
-	return sys, nil
+	return nil
 }

@@ -119,7 +119,7 @@ func TestDPORReplay(t *testing.T) {
 		t.Fatal("expected violations")
 	}
 	for _, v := range red.Violations {
-		_, got := NewChecker(cfg).ReplayWithProperties(v.Trace)
+		got := ReplayWithProperties(cfg, NewCaches(), v.Trace)
 		if got == nil {
 			t.Fatalf("trace did not replay to a violation: %v", v)
 		}

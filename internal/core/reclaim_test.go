@@ -16,14 +16,15 @@ import (
 	"github.com/nice-go/nice/scenarios"
 )
 
-// reclaimWalk is one seeded walk and the checker whose replays its
-// states are held to, on the walk's own caches, so discover-cache
-// presence agrees. Replay never forks, so the reference shares no
+// reclaimWalk is one seeded walk and the configuration whose replays
+// its states are held to, on the walk's own caches, so discover-cache
+// presence agrees. A replay never forks, so the reference shares no
 // copy-on-write state with the walk.
 type reclaimWalk struct {
-	t   *testing.T
-	rng *rand.Rand
-	ref *core.Checker
+	t      *testing.T
+	rng    *rand.Rand
+	cfg    *core.Config
+	caches *core.Caches
 }
 
 func walkReclaim(t *testing.T, scenario string, seed int64, steps int) {
@@ -35,7 +36,7 @@ func walkReclaim(t *testing.T, scenario string, seed int64, steps int) {
 	cfg := sc.Config(0)
 	cfg.StopAtFirstViolation = false
 	caches := core.NewCaches()
-	w := &reclaimWalk{t: t, rng: rand.New(rand.NewSource(seed)), ref: core.NewCheckerWith(cfg, caches)}
+	w := &reclaimWalk{t: t, rng: rand.New(rand.NewSource(seed)), cfg: cfg, caches: caches}
 
 	sys := core.NewSystemWith(cfg, caches)
 	var trace []core.Transition
@@ -110,7 +111,11 @@ func (w *reclaimWalk) drive(sys *core.System, trace []core.Transition, depth int
 func (w *reclaimWalk) check(sys *core.System, trace []core.Transition) {
 	w.t.Helper()
 	fp, oracle := sys.Fingerprint(), sys.OracleKey()
-	if want, _ := w.ref.Replay(trace); want.Fingerprint() != fp || want.OracleKey() != oracle {
+	want := core.NewSystemWith(w.cfg, w.caches)
+	for _, tr := range trace {
+		want.Apply(tr)
+	}
+	if want.Fingerprint() != fp || want.OracleKey() != oracle {
 		w.t.Fatalf("state after %d transitions differs from its replay (last %s):\n got: %s\nwant: %s",
 			len(trace), trace[len(trace)-1].Key(), oracle, want.OracleKey())
 	}

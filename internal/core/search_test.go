@@ -36,7 +36,10 @@ func TestReplayDeterminism(t *testing.T) {
 		}
 	}
 	want := sim.System().Hash()
-	replayed, _ := core.NewChecker(cfg).Replay(sim.Trace())
+	replayed := core.NewSystem(cfg)
+	for _, tr := range sim.Trace() {
+		replayed.Apply(tr)
+	}
 	if replayed.Hash() != want {
 		t.Error("replay reached a different state")
 	}

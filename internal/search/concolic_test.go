@@ -56,7 +56,7 @@ func TestConcolicFindsBugII(t *testing.T) {
 		}
 	}
 	for _, v := range loop.Violations {
-		_, rep := core.NewChecker(scenarioConfig("bug-ii")).ReplayWithProperties(v.Trace)
+		rep := core.ReplayWithProperties(scenarioConfig("bug-ii"), core.NewCaches(), v.Trace)
 		if rep == nil || rep.Property != v.Property {
 			t.Errorf("trace for %q did not replay", v.Property)
 		}

@@ -149,7 +149,7 @@ func TestDifferentialViolations(t *testing.T) {
 
 // TestReplayDeterminism: every violation the parallel engine reports
 // must reproduce — same property, same error — when its trace is
-// replayed from a fresh initial state through Checker.ReplayWithProperties.
+// replayed from a fresh initial state through core.ReplayWithProperties.
 // This is the paper's deterministic-replay guarantee (§1.3, §6) carried
 // over to traces recorded concurrently.
 func TestReplayDeterminism(t *testing.T) {
@@ -162,7 +162,7 @@ func TestReplayDeterminism(t *testing.T) {
 				t.Fatalf("no violations to replay")
 			}
 			for _, v := range par.Violations {
-				_, got := core.NewChecker(fullSearch(sc)).ReplayWithProperties(v.Trace)
+				got := core.ReplayWithProperties(fullSearch(sc), core.NewCaches(), v.Trace)
 				if got == nil {
 					t.Errorf("violation of %s did not reproduce on replay", v.Property)
 					continue
@@ -210,7 +210,7 @@ func TestStopAtFirstViolation(t *testing.T) {
 	if v.Property != "StrictDirectPaths" {
 		t.Fatalf("found %s, want StrictDirectPaths", v.Property)
 	}
-	_, got := core.NewChecker(scenarios.MustLookup("bug-ii").Config(0)).ReplayWithProperties(v.Trace)
+	got := core.ReplayWithProperties(scenarios.MustLookup("bug-ii").Config(0), core.NewCaches(), v.Trace)
 	if got == nil || got.Property != v.Property {
 		t.Fatalf("early-stop violation did not reproduce on replay")
 	}
@@ -259,7 +259,7 @@ func TestSwarmFindsViolation(t *testing.T) {
 	if v == nil {
 		t.Fatal("swarm found no violation on BUG-IV")
 	}
-	_, got := core.NewChecker(scenarios.MustLookup("bug-iv").Config(0)).ReplayWithProperties(v.Trace)
+	got := core.ReplayWithProperties(scenarios.MustLookup("bug-iv").Config(0), core.NewCaches(), v.Trace)
 	if got == nil || got.Property != v.Property || got.Err.Error() != v.Err.Error() {
 		t.Fatalf("swarm violation did not reproduce on replay")
 	}
@@ -394,14 +394,13 @@ func TestReclaimHandoffParity(t *testing.T) {
 		ref := dfs(cfg, cc)
 		// replays reports whether v's trace reproduces v; a trace of
 		// another path may not even be executable, and panics.
-		replay := core.NewCheckerWith(cfg, cc)
 		replays := func(v core.Violation) (ok bool) {
 			defer func() {
 				if recover() != nil {
 					ok = false
 				}
 			}()
-			_, got := replay.ReplayWithProperties(v.Trace)
+			got := core.ReplayWithProperties(cfg, cc, v.Trace)
 			return got != nil && got.Property == v.Property && got.Err.Error() == v.Err.Error()
 		}
 		for _, k := range []int{2, 5, 64} {

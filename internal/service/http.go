@@ -97,7 +97,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	writeJSON(w, http.StatusOK, j.document())
+	writeJSON(w, http.StatusOK, j.status())
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {

@@ -19,19 +19,19 @@ import (
 // per client: it is one line of the history.
 //
 // The history ends with the job. Once the job is terminal and its last
-// subscriber has left, seal releases the lines and the violation
-// bodies; what stays does not grow with the search: the status and
-// Final events, the result's totals and its artifact ids. A later
-// reader gets the bodies back from the trace artifacts
-// (Server.sealedEvents). A server without an artifact store has
-// nothing to re-read from, so it is itself a subscriber (hold) of its
-// keepBodies most recently finished jobs.
+// subscriber has left, seal releases the lines, and with them the
+// violation bodies; what stays does not grow with the search: the
+// status and Final events, the result's totals and its artifact ids. A
+// later reader gets the bodies back from the trace artifacts
+// (job.sealedEvents). A server without an artifact store has nothing to
+// re-read from, so it is itself a subscriber (hold) of its keepBodies
+// most recently finished jobs.
 type job struct {
 	srv *Server
 
 	mu sync.Mutex
 	// st is the job's status document. ID, Tenant and Request never
-	// change; Result is without its Violations once the job is sealed.
+	// change, nor does Result once set.
 	st       JobStatus
 	lines    []line                              // nil once sealed
 	kept     []Event                             // the status and Final events: what a sealed job replays
@@ -109,8 +109,9 @@ func (j *job) progress(p core.Progress) {
 }
 
 // violation streams one violation, encoding it the only time the job
-// will: the session streams the violation it keeps, trace array and
-// all, which is how wireViolations recognises it in the report.
+// will unless the search later shortens its trace: the session streams
+// the violation it keeps, trace array and all, which is how wire
+// recognises it in the report.
 func (j *job) violation(v core.Violation) {
 	wv := EncodeViolation(&v)
 	j.mu.Lock()
@@ -121,20 +122,14 @@ func (j *job) violation(v core.Violation) {
 	j.append(Event{Type: "violation", Violation: &wv})
 }
 
-// wireViolations is the report's violation list in wire form, sharing
-// each body with the event that streamed it; only a trace that was
-// never streamed is encoded here. The search that streamed is over.
-func (j *job) wireViolations(report []core.Violation) []WireViolation {
-	out := make([]WireViolation, len(report))
-	for i := range report {
-		v := &report[i]
-		if len(v.Trace) > 0 && j.streamed[&v.Trace[0]] != nil {
-			out[i] = *j.streamed[&v.Trace[0]]
-		} else {
-			out[i] = EncodeViolation(v)
-		}
+// wire is a report violation in wire form: the body its violation
+// event encoded, or a fresh encoding of a trace the search shortened
+// after streaming it. The search that streamed is over.
+func (j *job) wire(v *core.Violation) WireViolation {
+	if len(v.Trace) > 0 && j.streamed[&v.Trace[0]] != nil {
+		return *j.streamed[&v.Trace[0]]
 	}
-	return out
+	return EncodeViolation(v)
 }
 
 // setState transitions the job and appends the status event, or for a
@@ -158,7 +153,7 @@ func (j *job) setState(state string, result *JobResult, errMsg string) {
 	}
 }
 
-// seal releases the history and the violation bodies once the job is
+// seal releases the history, violation bodies and all, once the job is
 // over and nobody is attached. Called with mu held wherever either may
 // have just become true.
 func (j *job) seal() {
@@ -167,20 +162,19 @@ func (j *job) seal() {
 	}
 	j.sealed = true
 	var held int64
+	bodies := 0
 	for _, ln := range j.lines {
 		held += int64(len(ln.data))
+		if ln.typ == "violation" {
+			bodies++
+		}
 	}
 	j.lines = nil
 	j.srv.tel.historyBytes.Set(j.srv.historyBytes.Add(-held))
 	j.srv.tel.sealed.Inc()
-	if r := j.st.Result; r != nil {
-		if n := len(r.Violations); n > 0 && j.srv.store == nil {
-			j.st.Error = fmt.Sprintf("%d violation bodies released: without an artifact store"+
-				" the server keeps those of the %d most recently finished jobs", n, keepBodies)
-		}
-		totals := *r // status documents already handed out share r
-		totals.Violations = nil
-		j.st.Result = &totals
+	if bodies > 0 && j.srv.store == nil && j.st.Error == "" {
+		j.st.Error = fmt.Sprintf("%d violation bodies released: without an artifact store"+
+			" the server keeps those of the %d most recently finished jobs", bodies, keepBodies)
 	}
 }
 
@@ -224,30 +218,11 @@ func (j *job) status() JobStatus {
 	return j.st
 }
 
-// document is the status document GET /v1/jobs/{id} answers with: a
-// sealed job's violation bodies are re-read with the stream they were
-// in, and the first that could not be is the document's error.
-func (j *job) document() JobStatus {
-	j.mu.Lock()
-	st, sealed := j.st, j.sealed
-	j.mu.Unlock()
-	if sealed && st.Result != nil {
-		for _, ev := range j.sealedEvents() {
-			if ev.Type == "error" && st.Error == "" {
-				st.Error = ev.Error
-			}
-			st.Result = ev.Result // the last event is done
-		}
-	}
-	return st
-}
-
 // sealedEvents rebuilds a sealed job's stream — status…, violation × n,
 // progress{final}, done{result} — re-reading each violation from its
 // trace artifact. Whatever the status document's error reports is an
 // error event, and so is a violation that cannot be re-read (a missing
-// or corrupt artifact, or one that was never written); its place in
-// the result is kept by an empty body.
+// or corrupt artifact, or one that was never written).
 func (j *job) sealedEvents() []Event {
 	j.mu.Lock()
 	st, kept := j.st, j.kept // complete: a terminal job appends nothing
@@ -260,11 +235,8 @@ func (j *job) sealedEvents() []Event {
 	if st.Error != "" {
 		evs = append(evs, Event{Type: "error", Error: st.Error})
 	}
-	done := Event{Type: "done", State: st.State}
 	if st.Result != nil {
-		result := *st.Result
-		done.Result = &result
-		for i, id := range result.TraceArtifacts {
+		for i, id := range st.Result.TraceArtifacts {
 			var ta *TraceArtifact
 			data, err := j.srv.store.get(id)
 			if err == nil {
@@ -272,14 +244,12 @@ func (j *job) sealedEvents() []Event {
 			}
 			if err != nil {
 				evs = append(evs, Event{Type: "error", Error: fmt.Sprintf("violation %d: %v", i, err)})
-				ta = &TraceArtifact{}
 			} else {
 				evs = append(evs, Event{Type: "violation", Violation: &ta.Violation})
 			}
-			result.Violations = append(result.Violations, ta.Violation)
 		}
 	}
-	evs = append(append(evs, kept[n:]...), done)
+	evs = append(append(evs, kept[n:]...), Event{Type: "done", State: st.State, Result: st.Result})
 	for i := range evs {
 		evs[i].Job, evs[i].Seq = st.ID, i
 	}

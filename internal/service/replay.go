@@ -40,7 +40,7 @@ func ReplayArtifact(ta *TraceArtifact) (*ReplayResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("replay: %w", err)
 	}
-	_, v := core.NewChecker(cfg).ReplayWithProperties(trace)
+	v := core.ReplayWithProperties(cfg, core.NewCaches(), trace)
 	res := &ReplayResult{Expected: ta.Violation.Fingerprint}
 	if v != nil {
 		res.Property = v.Property

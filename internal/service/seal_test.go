@@ -31,16 +31,18 @@ type summary struct {
 	keys          []string // sorted property|message of the violation events
 	finals, dones int
 	errors        []string
-	result        service.JobResult // the done event's, bodies dropped
-	resultKeys    []string          // sorted property|message of the done event's violations
+	result        service.JobResult // the done event's
 }
+
+// violationKey is a violation's identity: property and message.
+func violationKey(v *service.WireViolation) string { return v.Property + "|" + v.Message }
 
 func summarize(events []service.Event) summary {
 	var s summary
 	for _, ev := range events {
 		switch ev.Type {
 		case "violation":
-			s.keys = append(s.keys, ev.Violation.Property+"|"+ev.Violation.Message)
+			s.keys = append(s.keys, violationKey(ev.Violation))
 		case "progress":
 			if ev.Progress.Final {
 				s.finals++
@@ -51,15 +53,10 @@ func summarize(events []service.Event) summary {
 			s.dones++
 			if ev.Result != nil {
 				s.result = *ev.Result
-				for _, v := range ev.Result.Violations {
-					s.resultKeys = append(s.resultKeys, v.Property+"|"+v.Message)
-				}
-				s.result.Violations = nil
 			}
 		}
 	}
 	slices.Sort(s.keys)
-	slices.Sort(s.resultKeys)
 	return s
 }
 
@@ -141,15 +138,18 @@ func TestFinishedJobsCostConstantMemory(t *testing.T) {
 	}
 }
 
-// TestSealedJobReplaysFromArtifacts: the stream a late attacher gets
-// from a sealed job — rebuilt from the trace artifacts — says what the
+// TestSealedJobReplaysFromArtifacts: each violation goes on the wire
+// once — in its violation event and in its trace artifact, while done
+// carries totals and artifact ids — and the stream a late attacher gets
+// from a sealed job, rebuilt from the trace artifacts, says what the
 // live stream said: the same violations, one Final snapshot, one done,
 // the same totals and artifact ids; and so does the status document.
 func TestSealedJobReplaysFromArtifacts(t *testing.T) {
 	s, ts := startServer(t, service.Options{Workers: 1, ArtifactDir: t.TempDir(),
 		ProgressEvery: time.Millisecond})
 	id := submit(t, ts, "", lbJob).ID
-	live := summarize(collectStream(t, ts, id))
+	liveEvents, liveLines := followStream(t, ts, id)
+	live := summarize(liveEvents)
 	waitSealed(t, s, 1)
 	lateEvents := collectStream(t, ts, id)
 	late := summarize(lateEvents)
@@ -157,9 +157,50 @@ func TestSealedJobReplaysFromArtifacts(t *testing.T) {
 	if len(live.keys) != 38 || live.finals != 1 || live.dones != 1 {
 		t.Fatalf("live stream: %d violations, %d Final, %d done", len(live.keys), live.finals, live.dones)
 	}
-	if !slices.Equal(late.keys, live.keys) || !slices.Equal(late.resultKeys, live.resultKeys) {
-		t.Errorf("late stream carries %d violations (%d in done), live carried %d (%d)",
-			len(late.keys), len(late.resultKeys), len(live.keys), len(live.resultKeys))
+	doneLine := liveLines[len(liveLines)-1]
+	var done struct {
+		Result map[string]json.RawMessage `json:"result"`
+	}
+	if err := json.Unmarshal(doneLine, &done); err != nil {
+		t.Fatal(err)
+	}
+	if _, bodies := done.Result["violations"]; bodies || len(doneLine) >= 4096 {
+		t.Errorf("live done line: %d bytes, violation bodies %v; want < 4096 bytes and none", len(doneLine), bodies)
+	}
+	streamed := make(map[string]*service.WireViolation)
+	for _, ev := range liveEvents {
+		if ev.Type == "violation" {
+			if streamed[violationKey(ev.Violation)] != nil {
+				t.Errorf("%s streamed twice", violationKey(ev.Violation))
+			}
+			streamed[violationKey(ev.Violation)] = ev.Violation
+		}
+	}
+	// An artifact holds the streamed body, or the strictly shorter trace
+	// the search kept for that key after streaming the first it found.
+	shortened := 0
+	for _, aid := range live.result.TraceArtifacts {
+		data, code := fetchArtifact(t, ts, aid)
+		ta, err := service.DecodeTraceArtifact(data)
+		if code != http.StatusOK || err != nil {
+			t.Fatalf("artifact %s…: %d %v", aid[:8], code, err)
+		}
+		sv := streamed[violationKey(&ta.Violation)]
+		stored, _ := json.Marshal(ta.Violation)
+		sent, _ := json.Marshal(sv)
+		switch {
+		case sv == nil:
+			t.Errorf("artifact %s… holds %s, which was never streamed", aid[:8], violationKey(&ta.Violation))
+		case len(ta.Violation.Trace) < len(sv.Trace):
+			shortened++
+		case string(stored) != string(sent):
+			t.Errorf("artifact %s… of %s: %d transitions, not the body streamed with %d",
+				aid[:8], violationKey(sv), len(ta.Violation.Trace), len(sv.Trace))
+		}
+	}
+	t.Logf("%d of %d artifacts hold a trace shortened after streaming", shortened, len(live.result.TraceArtifacts))
+	if !slices.Equal(late.keys, live.keys) {
+		t.Errorf("late stream carries %d violations, live carried %d", len(late.keys), len(live.keys))
 	}
 	if late.finals != 1 || late.dones != 1 || len(late.errors) != 0 {
 		t.Errorf("late stream: %d Final, %d done, errors %v", late.finals, late.dones, late.errors)
@@ -178,7 +219,7 @@ func TestSealedJobReplaysFromArtifacts(t *testing.T) {
 		}
 	}
 	st := getStatus(t, ts, id)
-	if st.Result == nil || len(st.Result.Violations) != 38 || st.Error != "" {
+	if st.Result == nil || len(st.Result.TraceArtifacts) != 38 || st.Error != "" {
 		t.Errorf("sealed job's status document: result %+v, error %q", st.Result, st.Error)
 	}
 	if again := summarize(collectStream(t, ts, id)); !slices.Equal(again.keys, live.keys) {
@@ -261,13 +302,6 @@ func TestCorruptArtifactsFailClosed(t *testing.T) {
 	}
 	if !strings.HasPrefix(late.errors[0], "violation 3:") || !strings.HasPrefix(late.errors[1], "violation 7:") {
 		t.Errorf("error events %v, want them to name violations 3 and 7", late.errors)
-	}
-	if empty := len(late.resultKeys) - len(late.keys); len(late.resultKeys) != 38 || empty != 2 ||
-		!slices.Equal(late.resultKeys[36:], []string{"|", "|"}) {
-		t.Errorf("rebuilt result lists %d violations, want 38 with two empty places", len(late.resultKeys))
-	}
-	if st := getStatus(t, ts, id); !strings.HasPrefix(st.Error, "violation 3:") {
-		t.Errorf("status document error %q, want the first unreadable violation", st.Error)
 	}
 }
 

@@ -410,8 +410,7 @@ func (s *Server) runJob(j *job) {
 	if starved {
 		s.tel.starved.Inc()
 	}
-	result.Violations = j.wireViolations(report.Violations)
-	s.persistArtifacts(j, result)
+	s.persistArtifacts(j, report.Violations, result)
 
 	switch {
 	case report.StopReason == core.StopCanceled:
@@ -423,23 +422,23 @@ func (s *Server) runJob(j *job) {
 	}
 }
 
-// persistArtifacts writes one trace artifact per violation plus the
-// job's telemetry snapshot, recording their content addresses on the
-// result. A trace artifact names no job or tenant, so a violation found
-// before, by any job, resolves to the file already stored. Artifact
-// failures degrade to an unpersisted result — the stream still carries
-// the violations — rather than failing the job.
-func (s *Server) persistArtifacts(j *job, result *JobResult) {
+// persistArtifacts writes one trace artifact per report violation plus
+// the job's telemetry snapshot, recording their content addresses on
+// the result. A trace artifact names no job or tenant, so a violation
+// found before, by any job, resolves to the file already stored.
+// Artifact failures degrade to an unpersisted result — the stream still
+// carries the violations — rather than failing the job.
+func (s *Server) persistArtifacts(j *job, violations []core.Violation, result *JobResult) {
 	if s.store == nil {
 		return
 	}
-	for i := range result.Violations {
+	for i := range violations {
 		ta := TraceArtifact{
 			Version:   WireVersion,
 			Request:   j.st.Request,
-			Violation: result.Violations[i],
+			Violation: j.wire(&violations[i]),
 		}
-		// Keep TraceArtifacts index-aligned with Violations even if a
+		// Keep TraceArtifacts index-aligned with the report even if a
 		// write fails: the placeholder is the empty string.
 		id := ""
 		if data, err := json.Marshal(ta); err == nil {

@@ -101,6 +101,13 @@ func trySubmit(t *testing.T, ts *httptest.Server, tenant, body string) (service.
 // collectStream follows a job's NDJSON stream until its done event.
 func collectStream(t *testing.T, ts *httptest.Server, id string) []service.Event {
 	t.Helper()
+	events, _ := followStream(t, ts, id)
+	return events
+}
+
+// followStream is collectStream, also returning each event's line.
+func followStream(t *testing.T, ts *httptest.Server, id string) ([]service.Event, [][]byte) {
+	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/stream")
 	if err != nil {
 		t.Fatalf("stream: %v", err)
@@ -110,6 +117,7 @@ func collectStream(t *testing.T, ts *httptest.Server, id string) []service.Event
 		t.Errorf("stream content type %q, want application/x-ndjson", ct)
 	}
 	var events []service.Event
+	var lines [][]byte
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	for sc.Scan() {
@@ -118,12 +126,24 @@ func collectStream(t *testing.T, ts *httptest.Server, id string) []service.Event
 			t.Fatalf("stream: bad line %q: %v", sc.Text(), err)
 		}
 		events = append(events, ev)
+		lines = append(lines, bytes.Clone(sc.Bytes()))
 		if ev.Type == "done" {
-			return events
+			return events, lines
 		}
 	}
 	t.Fatalf("stream for %s ended without a done event (%d events, err %v)", id, len(events), sc.Err())
-	return nil
+	return nil, nil
+}
+
+// violations counts a stream's violation events.
+func violations(events []service.Event) int {
+	n := 0
+	for _, ev := range events {
+		if ev.Type == "violation" {
+			n++
+		}
+	}
+	return n
 }
 
 // TestServiceEndToEnd is the acceptance path: a declarative Spec
@@ -450,12 +470,12 @@ func TestServiceChurnKeepsCacheBounded(t *testing.T) {
 // between jobs. A bound that drops entries during a search loses
 // bug-ii's violation in a third of such jobs: a frontier engine admits
 // a state while its discover result is cached and enumerates it after
-// the entry is gone. Verdicts are judged by the stop reason because a
-// server without an artifact store releases the violation bodies of
-// older jobs.
+// the entry is gone. A server without an artifact store keeps the
+// streams of its newest KeepBodies finished jobs, so each job's
+// violations are read from its stream.
 func TestServiceMemoBoundKeepsVerdicts(t *testing.T) {
-	s, _ := startServer(t, service.Options{Workers: 2, CacheCapacity: 1})
-	const jobs = 50
+	s, ts := startServer(t, service.Options{Workers: 2, CacheCapacity: 1})
+	const jobs = 50 // at most KeepBodies, so no stream is released
 	for i := 0; i < jobs; i++ {
 		if _, err := s.Submit("", &service.JobRequest{Scenario: "bug-ii", Workers: 1 + i%2}); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
@@ -488,9 +508,9 @@ func TestServiceMemoBoundKeepsVerdicts(t *testing.T) {
 			}
 			continue
 		}
-		for _, v := range st.Result.Violations {
-			if v.Property != "StrictDirectPaths" {
-				t.Errorf("%s: violated %s, want StrictDirectPaths", st.ID, v.Property)
+		for _, ev := range collectStream(t, ts, st.ID) {
+			if ev.Type == "violation" && ev.Violation.Property != "StrictDirectPaths" {
+				t.Errorf("%s: violated %s, want StrictDirectPaths", st.ID, ev.Violation.Property)
 			}
 		}
 	}
@@ -575,7 +595,7 @@ func TestServiceRejections(t *testing.T) {
 		t.Errorf("invalid artifact id: %d, want 404", resp.StatusCode)
 	}
 	evs := collectStream(t, ts, submit(t, ts, "", `{"scenario": "bug-ii"}`).ID)
-	if done := evs[len(evs)-1]; done.State != service.StateDone || len(done.Result.Violations) == 0 {
+	if done := evs[len(evs)-1]; done.State != service.StateDone || violations(evs) == 0 {
 		t.Errorf("the next job ended %s with %+v, want done with bug-ii's violation", done.State, done.Result)
 	}
 }
@@ -635,7 +655,7 @@ func TestRequestBoundsWorkerPools(t *testing.T) {
 		}
 	}
 	evs := collectStream(t, ts, submit(t, ts, "", `{"scenario": "bug-ii", "workers": 2}`).ID)
-	if done := evs[len(evs)-1]; done.State != service.StateDone || len(done.Result.Violations) == 0 {
+	if done := evs[len(evs)-1]; done.State != service.StateDone || violations(evs) == 0 {
 		t.Errorf("the next job ended %s with %+v, want done with bug-ii's violation", done.State, done.Result)
 	}
 }

@@ -41,14 +41,14 @@ type JobStatus struct {
 }
 
 // JobResult is a finished job's report: the Report counters plus the
-// persisted artifact references.
+// persisted artifact references. The violations themselves are the
+// job's violation events, and each one's trace artifact.
 type JobResult struct {
-	Violations   []WireViolation `json:"violations,omitempty"`
-	Transitions  int64           `json:"transitions"`
-	UniqueStates int64           `json:"unique_states"`
-	SERuns       int64           `json:"se_runs"`
-	Complete     bool            `json:"complete"`
-	StopReason   string          `json:"stop_reason,omitempty"`
+	Transitions  int64  `json:"transitions"`
+	UniqueStates int64  `json:"unique_states"`
+	SERuns       int64  `json:"se_runs"`
+	Complete     bool   `json:"complete"`
+	StopReason   string `json:"stop_reason,omitempty"`
 	// Starved marks a job whose binding budget was the tenant's shared
 	// drawdown rather than its own limits (Campaign's budget-starved
 	// outcome at the service layer).
@@ -56,8 +56,9 @@ type JobResult struct {
 	ElapsedMS int64 `json:"elapsed_ms"`
 
 	// TraceArtifacts are the content-addressed IDs of the persisted
-	// violation traces, index-aligned with Violations; a violation any
-	// job found before with the same trace has the same ID.
+	// violation traces, in the report's order (by property, then
+	// message); a violation any job found before with the same trace
+	// has the same ID.
 	// TelemetryArtifact is the job's telemetry snapshot: the registry's
 	// series when the job ended and the trace events from its StartedAt
 	// on. Empty when the server runs without an artifact directory.

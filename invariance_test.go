@@ -225,7 +225,7 @@ func (row matrixRow) check(t *testing.T, sel func(check string) bool) {
 	if sel("replay") {
 		t.Run("replay", func(t *testing.T) {
 			for _, v := range ref.Violations {
-				_, got := core.NewCheckerWith(row.build(), nice.NewCaches()).ReplayWithProperties(v.Trace)
+				got := core.ReplayWithProperties(row.build(), nice.NewCaches(), v.Trace)
 				if want := v.Property + "|" + v.Err.Error(); got == nil || got.Property+"|"+got.Err.Error() != want {
 					t.Errorf("trace of %s does not replay to it: got %v", want, got)
 				}
@@ -376,7 +376,7 @@ func TestCOWDeepCloneParity(t *testing.T) {
 						if _, ok := slices.BinarySearch(refKeys, key); !ok {
 							t.Errorf("violation %s is not the reference's", key)
 						}
-						if _, got := core.NewCheckerWith(cfg, cc).ReplayWithProperties(v.Trace); got == nil || got.Property+"|"+got.Err.Error() != key {
+						if got := core.ReplayWithProperties(cfg, cc, v.Trace); got == nil || got.Property+"|"+got.Err.Error() != key {
 							t.Errorf("trace of %s does not replay to it: got %v", key, got)
 						}
 					}

@@ -18,9 +18,6 @@ type (
 	Config = core.Config
 	// DomainHints supplies symbolic-input domain knowledge (§3.2).
 	DomainHints = core.DomainHints
-	// Checker replays recorded traces (Replay, ReplayWithProperties);
-	// Run runs every search, the DPOR DFS under WithReduction(DPOR).
-	Checker = core.Checker
 	// Report summarizes a search.
 	Report = core.Report
 	// Violation is a property failure with a replayable trace.
@@ -151,8 +148,12 @@ func LookupFlow[V any](t *SymTrace, m map[openflow.Flow]V, p *SymPacket) (V, boo
 // use so equal logical states always produce equal keys.
 func CanonicalKey(v any) string { return canon.String(v) }
 
-// NewChecker prepares a checker over a configuration.
-func NewChecker(cfg *Config) *Checker { return core.NewChecker(cfg) }
+// ReplayWithProperties re-executes a recorded trace from cfg's initial
+// state on fresh discover caches, with the properties observing, and
+// returns the violation it reproduces, if any.
+func ReplayWithProperties(cfg *Config, trace []Transition) *Violation {
+	return core.ReplayWithProperties(cfg, core.NewCaches(), trace)
+}
 
 // NewSimulator boots a system for interactive stepping (§1.3's
 // "manually-driven, step-by-step system executions").

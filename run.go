@@ -235,7 +235,7 @@ func WithTelemetry(reg *Telemetry) RunOption {
 // Cancel ctx, set WithDeadline, or exhaust WithMaxStates /
 // WithMaxTransitions and Run returns a partial Report — Complete
 // false, StopReason saying why — whose violation traces still replay
-// deterministically via Checker.ReplayWithProperties.
+// deterministically via ReplayWithProperties.
 func Run(ctx context.Context, cfg *Config, opts ...RunOption) *Report {
 	r, _ := newJob(opts).Run(ctx, cfg, nil)
 	return r

@@ -30,7 +30,7 @@ func pingpong(pings int) *nice.Config {
 func replayAll(t *testing.T, build func() *nice.Config, r *nice.Report) {
 	t.Helper()
 	for _, v := range r.Violations {
-		_, got := nice.NewChecker(build()).ReplayWithProperties(v.Trace)
+		got := nice.ReplayWithProperties(build(), v.Trace)
 		if got == nil {
 			t.Errorf("violation of %s did not reproduce on replay", v.Property)
 			continue

@@ -22,7 +22,7 @@ func TestViolationTracesReplay(t *testing.T) {
 			if v == nil {
 				t.Fatalf("%s not found", sc.Name)
 			}
-			_, reproduced := core.NewChecker(sc.Config(0)).ReplayWithProperties(v.Trace)
+			reproduced := core.ReplayWithProperties(sc.Config(0), core.NewCaches(), v.Trace)
 			if reproduced == nil {
 				t.Fatalf("replay of %s's trace reproduced nothing", sc.Name)
 			}
