@@ -90,9 +90,8 @@ type App struct {
 	pending []pendingRelease
 
 	// borrowed marks flows and pending as shared with the instance this
-	// one was forked from (controller.ForkableApp); the first mutation
-	// of either copies both. Scalar fields need no guard — Fork copies
-	// the struct.
+	// one was cloned from; the first mutation of either copies both.
+	// Scalar fields need no guard — Clone copies the struct.
 	borrowed bool
 }
 
@@ -119,33 +118,10 @@ func New(fix FixLevel, t *topo.Topology, threshold uint64, polls int) *App {
 // Name implements controller.App.
 func (a *App) Name() string { return fmt.Sprintf("energyte(fix=%d)", int(a.fix)) }
 
-// Clone implements controller.App with a full deep copy (used by
-// discover_packets / discover_stats throwaway handler runs; the
-// checker's copy-on-write fast path uses Fork).
+// Clone implements controller.App: an O(1) copy borrowing the flow
+// table and the pending-release queue; ensureOwned deep-copies both
+// before the clone's first mutation.
 func (a *App) Clone() controller.App {
-	c := *a
-	c.flows = make(map[openflow.Flow]Path, len(a.flows))
-	for k, v := range a.flows {
-		c.flows[k] = v
-	}
-	c.pending = make([]pendingRelease, len(a.pending))
-	for i, p := range a.pending {
-		w := make(map[int]bool, len(p.Waiting))
-		for x := range p.Waiting {
-			w[x] = true
-		}
-		p.Waiting = w
-		c.pending[i] = p
-	}
-	c.borrowed = false
-	return &c
-}
-
-// Fork implements controller.ForkableApp: an O(1) copy borrowing the
-// flow table and the pending-release queue; ensureOwned deep-copies
-// both before the first mutation on the fork. The receiver must be
-// frozen afterwards, per the ForkableApp ownership rules.
-func (a *App) Fork() controller.App {
 	c := *a
 	c.borrowed = true
 	return &c

@@ -31,7 +31,6 @@ type spy struct {
 }
 
 func (s spy) Clone() controller.App { return spy{s.App.Clone().(*energyte.App), s.p} }
-func (s spy) Fork() controller.App  { return spy{s.App.Fork().(*energyte.App), s.p} }
 
 func (s spy) StateKey() string {
 	key, oracle := s.App.StateKey(), s.App.OracleStateKey()

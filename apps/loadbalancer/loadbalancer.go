@@ -79,8 +79,8 @@ type App struct {
 	reconfigsLeft int
 
 	// borrowed marks inspected as shared with the instance this one was
-	// forked from (controller.ForkableApp); the first inspection write
-	// copies it. Scalar fields need no guard — Fork copies the struct.
+	// cloned from; the first inspection write copies it. Scalar fields
+	// need no guard — Clone copies the struct.
 	borrowed bool
 }
 
@@ -114,20 +114,6 @@ func New(fix FixLevel, t *topo.Topology, vip openflow.IPAddr, reconfigs int) *Ap
 // Name implements controller.App.
 func (a *App) Name() string { return fmt.Sprintf("loadbalancer(fix=%d)", int(a.fix)) }
 
-// Clone implements controller.App with a full deep copy (used by
-// discover_packets' throwaway handler runs; the checker's copy-on-write
-// fast path uses Fork).
-func (a *App) Clone() controller.App {
-	c := *a
-	c.replicas = append([]Replica(nil), a.replicas...)
-	c.inspected = make(map[openflow.Flow]int, len(a.inspected))
-	for k, v := range a.inspected {
-		c.inspected[k] = v
-	}
-	c.borrowed = false
-	return &c
-}
-
 // EmitsTo implements controller.EmissionScope: every handler emission
 // targets the single load-balancer switch a.sw, regardless of which
 // switch's message is being handled.
@@ -135,11 +121,10 @@ func (a *App) EmitsTo(openflow.SwitchID) ([]openflow.SwitchID, bool) {
 	return []openflow.SwitchID{a.sw}, true
 }
 
-// Fork implements controller.ForkableApp: an O(1) copy borrowing the
+// Clone implements controller.App: an O(1) copy borrowing the
 // inspected-connection map (replicas are immutable after New and always
-// shared). The receiver must be frozen afterwards, per the ForkableApp
-// ownership rules.
-func (a *App) Fork() controller.App {
+// shared).
+func (a *App) Clone() controller.App {
 	c := *a
 	c.borrowed = true
 	return &c

@@ -13,7 +13,7 @@
 //
 // Figure 3's ctrl_state[sw_id][mac] = port is a map of per-switch
 // tables, and a stored table is never written: a learn or a port-down
-// stores a new copy of the one table it changes. A fork therefore
+// stores a new copy of the one table it changes. A clone therefore
 // copies the outer map on its first write plus that one table, not
 // every switch's. The Fixed variant's spanning-tree flood lists, one
 // per switch and in-port, are built once in New and shared by every

@@ -35,19 +35,17 @@ type App struct {
 	// mactable[sw][mac] = port, exactly Figure 3's
 	// ctrl_state[sw_id][pkt.src] = inport. The outer map indexes one
 	// table per joined switch; a stored table is never written (a write
-	// stores a new one), so forks and clones share every table they do
-	// not write.
+	// stores a new one), so clones share every table they do not write.
 	mactable map[openflow.SwitchID]map[openflow.EthAddr]openflow.PortID
 
 	// borrowed marks the outer map as shared with the instance this one
-	// was forked from (controller.ForkableApp); the first write copies
-	// it. The flag lives only on the fork — the frozen source is never
-	// written.
+	// was cloned from; the first write copies it. The flag lives only on
+	// the clone — the frozen source is never written.
 	borrowed bool
 
 	// floods is the Fixed variant's spanning-tree flood list per
-	// (switch, in-port), built once in New and shared by every fork,
-	// clone and message (never written).
+	// (switch, in-port), built once in New and shared by every clone and
+	// message (never written).
 	floods map[floodKey][]openflow.Action
 }
 
@@ -84,17 +82,6 @@ func (a *App) Name() string {
 	return "pyswitch"
 }
 
-// Clone implements controller.App (used by discover_packets' throwaway
-// handler runs; the checker's copy-on-write fast path uses Fork). A copy
-// of the outer map makes the clone independent: the tables it shares
-// are never written.
-func (a *App) Clone() controller.App {
-	c := *a
-	c.borrowed = true
-	c.ensureOwned()
-	return &c
-}
-
 // EmitsTo implements controller.EmissionScope: every handler emission
 // (InstallRule, PacketOut, FloodPacket) targets the switch whose
 // message is being handled — the MAC learner never programs a switch it
@@ -108,11 +95,10 @@ func (a *App) EmitsTo(sw openflow.SwitchID) ([]openflow.SwitchID, bool) {
 // switch sw reads and writes mactable[sw] alone.
 func (a *App) PartitionedBySwitch() bool { return true }
 
-// Fork implements controller.ForkableApp: an O(1) copy borrowing the
-// MAC tables; ensureOwned copies the outer map before the fork's first
-// write. The receiver must be frozen afterwards, per the ForkableApp
-// ownership rules.
-func (a *App) Fork() controller.App {
+// Clone implements controller.App: an O(1) copy borrowing the MAC
+// tables; ensureOwned copies the outer map before the clone's first
+// write.
+func (a *App) Clone() controller.App {
 	c := *a
 	c.borrowed = true
 	return &c
@@ -140,7 +126,7 @@ func (a *App) store(sw openflow.SwitchID, t map[openflow.EthAddr]openflow.PortID
 }
 
 // learn stores ctrl_state[sw][mac] = port (Figure 3 line 7) in a new
-// copy of sw's table, so a fork copies the one table it writes and not
+// copy of sw's table, so a clone copies the one table it writes and not
 // the whole network. Learning on a switch that never joined panics, as
 // Figure 3's write into a missing table does.
 func (a *App) learn(sw openflow.SwitchID, mac openflow.EthAddr, port openflow.PortID) {

@@ -298,13 +298,13 @@ func joined(n, known int) *App {
 	return a
 }
 
-// TestLearnCopiesOneTable: a learning PacketIn on a fresh fork copies
+// TestLearnCopiesOneTable: a learning PacketIn on a fresh clone copies
 // the outer map and the one table it writes, so what it allocates does
 // not depend on what the other switches' tables hold.
 func TestLearnCopiesOneTable(t *testing.T) {
 	learnAllocs := func(parent *App) float64 {
 		return testing.AllocsPerRun(200, func() {
-			f := parent.Fork().(*App)
+			f := parent.Clone().(*App)
 			packetIn(f, newCtx(), ping(), 1)
 		})
 	}
@@ -316,10 +316,10 @@ func TestLearnCopiesOneTable(t *testing.T) {
 	}
 	parent := joined(3, 6)
 	before := parent.StateKey()
-	f := parent.Fork().(*App)
+	f := parent.Clone().(*App)
 	packetIn(f, newCtx(), ping(), 1)
 	if parent.StateKey() != before || f.StateKey() == before {
-		t.Errorf("fork's learn: parent %s → %s, fork %s", before, parent.StateKey(), f.StateKey())
+		t.Errorf("clone's learn: parent %s → %s, clone %s", before, parent.StateKey(), f.StateKey())
 	}
 }
 
@@ -358,17 +358,19 @@ func TestFloodLists(t *testing.T) {
 }
 
 // FuzzMacTable applies a byte-coded sequence of join, leave, learn and
-// port-down operations to a chain of forks, mirrored on a map-of-maps
-// reference; other operations fork (freezing the parent) or take a
-// clone and write to it. After every step the live fork renders like
-// the reference, a changed rendering comes with a changed state version,
-// and every frozen parent and every clone still renders as it did.
+// port-down operations to a chain of clones, mirrored on a map-of-maps
+// reference; other operations clone (freezing the parent) or freeze the
+// parent, take two clones of it, and write to the one set aside. After
+// every step the live clone renders like the reference, a changed
+// rendering comes with a changed state version, and every frozen parent
+// and every set-aside clone still renders as it did.
 func FuzzMacTable(f *testing.F) {
 	// Each op is three bytes: kind (join, leave, learn, port-down,
-	// fork, clone), then switch and destination, then MAC and port.
-	f.Add([]byte{0, 0, 0, 2, 0, 0, 4, 0, 0, 2, 0, 6})                   // a fork re-learns a moved host
-	f.Add([]byte{0, 0, 0, 2, 0, 0, 2, 0, 7, 4, 0, 0, 3, 0, 0})          // a fork's port goes down
-	f.Add([]byte{0, 0, 0, 2, 0, 0, 5, 0, 6, 2, 0, 6})                   // a clone and its source both learn
+	// clone, sibling clone), then switch and destination, then MAC and
+	// port.
+	f.Add([]byte{0, 0, 0, 2, 0, 0, 4, 0, 0, 2, 0, 6})                   // a clone re-learns a moved host
+	f.Add([]byte{0, 0, 0, 2, 0, 0, 2, 0, 7, 4, 0, 0, 3, 0, 0})          // a clone's port goes down
+	f.Add([]byte{0, 0, 0, 2, 0, 0, 5, 0, 6, 2, 0, 6})                   // two clones of one parent both learn
 	f.Add([]byte{0, 3, 0, 2, 3, 1, 4, 0, 0, 1, 3, 0, 0, 3, 0, 2, 3, 1}) // leave and rejoin off the topology
 	tp, _, _ := topo.Linear(3)
 	f.Fuzz(func(t *testing.T, ops []byte) {
@@ -406,9 +408,11 @@ func FuzzMacTable(f *testing.F) {
 				maps.DeleteFunc(ref[sw], func(_ openflow.EthAddr, p openflow.PortID) bool { return p == port })
 			case 4:
 				held = append(held, frozen{a, before})
-				a = a.Fork().(*App)
+				a = a.Clone().(*App)
 			case 5:
+				held = append(held, frozen{a, before})
 				c := a.Clone().(*App)
+				a = a.Clone().(*App)
 				if ref[sw] != nil {
 					c.learn(sw, mac, port%3+1)
 				}
@@ -416,7 +420,7 @@ func FuzzMacTable(f *testing.F) {
 			}
 			key := a.StateKey()
 			if want := refKey(ref); key != want {
-				t.Fatalf("op %d: fork renders %s, reference %s", op%6, key, want)
+				t.Fatalf("op %d: clone renders %s, reference %s", op%6, key, want)
 			}
 			if key != before && a.StateVersion() == v {
 				t.Fatalf("op %d changed the state (%s → %s) without a version bump", op%6, before, key)

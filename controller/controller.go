@@ -18,18 +18,17 @@ import (
 //
 // Two extra obligations make the app checkable:
 //
-//   - Clone must deep-copy all mutable state (every explored system
-//     starts from a clone of the prototype, and discover_packets runs
-//     handlers on throwaway clones while the receiver stays live);
+//   - Clone is the copy-on-write fork (internal/cow). The copy may
+//     borrow the receiver's mutable state until its own first write,
+//     which must copy what it borrowed first; it never writes the
+//     receiver. The checker treats the receiver as frozen while the copy
+//     lives: NewSystem forks the Config prototype, the search forks each
+//     state's app, and discover_packets runs handlers on throwaway
+//     copies. A deep copy also meets the contract;
 //   - StateKey must render the app state canonically (internal/canon's
 //     String helper does this for free), because state matching and the
 //     relevant-packet cache are keyed by the stringified controller
 //     state, exactly as in Figure 5 of the paper.
-//
-// Applications whose Clone cost matters should additionally implement
-// ForkableApp: the copy-on-write search path then forks the app in O(1)
-// and the deep copy happens only if a later handler actually mutates
-// state.
 type App interface {
 	Name() string
 
@@ -85,39 +84,6 @@ type StatePartition interface {
 	PartitionedBySwitch() bool
 }
 
-// ForkableApp is the copy-on-write forking contract for applications
-// (the App-interface half of the internal/cow protocol). Fork returns a
-// fork that MAY share internal mutable state with the receiver under
-// two ownership rules:
-//
-//  1. The caller guarantees the receiver is frozen: after Fork it will
-//     never be mutated again through any reference. The COW runtime
-//     guarantees this by epoch retirement — a forked System can only
-//     reach the old app through frozen runtimes.
-//  2. The fork must copy any borrowed mutable state before its own
-//     first mutation (the ensureOwned step), so handler writes never
-//     reach state the frozen receiver still exposes to concurrent
-//     readers.
-//
-// Clone keeps its full deep-copy semantics and remains required: it is
-// used where the receiver stays live and mutable — discover_packets'
-// throwaway handler runs — and by forkApp for an app without Fork.
-type ForkableApp interface {
-	App
-	// Fork returns a copy-on-write fork of the application; the
-	// receiver must be treated as frozen afterwards.
-	Fork() App
-}
-
-// forkApp forks via ForkableApp when implemented, falling back to a
-// deep Clone.
-func forkApp(a App) App {
-	if f, ok := a.(ForkableApp); ok {
-		return f.Fork()
-	}
-	return a.Clone()
-}
-
 // Versioned is the one dirty hook of apps and properties: an app or
 // property that bumps a version counter at every state mutation
 // implements it (embed VersionCounter), and the checker caches its key —
@@ -135,8 +101,8 @@ type Versioned interface {
 // embedding would shadow the promoted StateVersion method —
 // TestAppsImplementVersioned and TestPropertiesImplementVersioned guard
 // this.) Handlers and OnEvents call BumpStateVersion at every mutation
-// site; value-copying clones and forks (c := *a) carry the counter
-// over, which is correct because the copy starts in an identical state.
+// site; value-copying clones (c := *a) carry the counter over, which is
+// correct because the copy starts in an identical state.
 type VersionCounter struct{ version uint64 }
 
 // BumpStateVersion marks one state mutation.
@@ -314,7 +280,7 @@ type Runtime struct {
 	// Incremental-fingerprinting caches: the rendered application key
 	// (with its digest and, for Versioned apps, the version it was
 	// rendered at) and the structural hashes of the two channel maps.
-	// Each is valid until the corresponding state mutates; Clone copies
+	// Each is valid until the corresponding state mutates; Fork copies
 	// all three.
 	appKey       string
 	appKeyDigest canon.Digest
@@ -332,9 +298,9 @@ type Runtime struct {
 
 	// borrowApp / borrowIn / borrowOut mark the application and the two
 	// channel maps as shared with the runtime this one was forked from;
-	// each is copied (the app via ForkableApp.Fork when implemented)
-	// before its first mutation. The flags live only on the exclusive
-	// fork — the frozen source is never written.
+	// each is copied (the app by App.Clone) before its first mutation.
+	// The flags live only on the exclusive fork — the frozen source is
+	// never written.
 	borrowApp, borrowIn, borrowOut bool
 }
 
@@ -366,7 +332,7 @@ func (r *Runtime) ownApp() {
 	if !r.borrowApp {
 		return
 	}
-	r.App = forkApp(r.App)
+	r.App = r.App.Clone()
 	r.borrowApp = false
 }
 

@@ -90,12 +90,12 @@ func TestPackageDocs(t *testing.T) {
 // measurement stack's command, package and BENCH_N baseline files, the
 // deep-clone and oracle-hash reference paths, the parallel engine's
 // sleep-set reduction and Checker's DPOR entry point, the property key
-// memo interfaces, and the Checker type trace replay used to hang off.
-// The patterns are
+// memo interfaces, the Checker type trace replay used to hang off, and
+// the optional forking interfaces Clone absorbed. The patterns are
 // assembled from pieces so that this file passes its own lint.
 var retiredNames = map[*regexp.Regexp]string{
 	regexp.MustCompile(`nice-` + `bench\b|internal/` + `bench\b|BENCH` + `_[0-9]`): "benchmark/ (bash benchmark/run.sh)",
-	regexp.MustCompile(`With` + `DeepClone\b`):                                     "copy-on-write Fork, held to reftest.Explore by TestCOWDeepCloneParity",
+	regexp.MustCompile(`With` + `DeepClone\b`):                                     "App.Clone / Property.Clone (the copy-on-write fork), held to reftest.Explore by TestCOWDeepCloneParity",
 	regexp.MustCompile(`With` + `OracleHash\b`):                                    "System.OracleKey, which reftest.Explore names states by",
 	regexp.MustCompile(`Sleep` + `Reducer\b`):                                      "the persistent-set DPOR DFS (core.RunDPOR), the one reduction",
 	regexp.MustCompile(`Add` + `Sleep\b`):                                          "seenSet.Add: the parallel engine does not reduce",
@@ -106,6 +106,9 @@ var retiredNames = map[*regexp.Regexp]string{
 	regexp.MustCompile(`\bRender` + `StateKey\b`):                                  "controller.Versioned, with core caching the property key hash",
 	regexp.MustCompile(`\bNew` + `Checker(With)?\b`):                               "core.ReplayWithProperties(cfg, cc, trace), or nice.ReplayWithProperties(cfg, trace)",
 	regexp.MustCompile(`\b(core|nice)\.` + `Checker\b|\b` + `Checker\.Replay`):     "core.ReplayWithProperties(cfg, cc, trace), or nice.ReplayWithProperties(cfg, trace)",
+	regexp.MustCompile(`\bForkable` + `App\b`):                                     "App.Clone / Property.Clone (the copy-on-write fork)",
+	regexp.MustCompile(`\bForkable` + `Property\b`):                                "App.Clone / Property.Clone (the copy-on-write fork)",
+	regexp.MustCompile(`\bFork` + `Prop\b`):                                        "App.Clone / Property.Clone (the copy-on-write fork)",
 }
 
 // TestNoRetiredNames: the measurement stack outlived its replacement

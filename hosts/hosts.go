@@ -41,7 +41,7 @@ type Host struct {
 	Credits int
 
 	// Reply derives reply packets; nil for pure clients. Reply
-	// functions must be stateless (they are shared across clones).
+	// functions must be stateless (they are shared across forks).
 	Reply ReplyFunc
 	// ReplyBudget bounds how many replies the host will queue in total.
 	ReplyBudget int
@@ -69,7 +69,7 @@ type Host struct {
 	Received  []openflow.Header
 
 	// keyHash caches KeyHash64 for incremental state fingerprinting:
-	// valid until the next mutating method runs, copied by Clone so
+	// valid until the next mutating method runs, copied by Fork so
 	// unchanged hosts are not re-hashed as the search forks. Code that
 	// mutates exported fields directly after a KeyHash64 call must call
 	// Invalidate.
@@ -85,24 +85,15 @@ type Host struct {
 // Invalidate drops the cached KeyHash64.
 func (h *Host) Invalidate() { h.keyValid = false }
 
-// Clone deep-copies the host state: NewSystem clones each prototype;
-// Fork is the copy-on-write fork the search makes.
-func (h *Host) Clone() *Host {
-	c := *h
-	c.MoveTargets = append([]topo.PortKey(nil), h.MoveTargets...)
-	c.PendingReplies = append([]openflow.Header(nil), h.PendingReplies...)
-	c.Repertoire = append([]openflow.Header(nil), h.Repertoire...)
-	c.Received = append([]openflow.Header(nil), h.Received...)
-	return &c
-}
-
-// Fork returns a copy-on-write fork owned at epoch owner: an O(1)
-// struct copy whose slices are capacity-clamped so appends reallocate
-// instead of writing a shared backing array. Every Host mutator either
-// appends or replaces a slice wholesale (never writes elements in
-// place), so no further copying is needed; the receiver must be frozen
-// afterwards, which the System-level protocol guarantees by retiring
-// its epoch.
+// Fork returns a copy-on-write fork owned at epoch owner, the one copy
+// of a host: NewSystem forks each Config prototype, and the search forks
+// each state's hosts. It is an O(1) struct copy whose slices are
+// capacity-clamped so appends reallocate instead of writing a shared
+// backing array. Every Host mutator either appends or replaces a slice
+// wholesale (never writes elements in place), so no further copying is
+// needed and the fork never writes the receiver; the receiver must be
+// frozen while the fork lives, which the System-level protocol
+// guarantees by retiring its epoch.
 func (h *Host) Fork(owner uint64) *Host {
 	c := *h
 	c.SetOwner(owner)

@@ -144,11 +144,11 @@ func TestMobileHostMove(t *testing.T) {
 
 func TestHostCloneIndependence(t *testing.T) {
 	a, _ := clientServerPair()
-	c := a.Clone()
+	c := a.Fork(7)
 	c.ConsumeSend()
 	c.Receive(openflow.Header{})
 	if a.SentCount != 0 || len(a.Received) != 0 {
-		t.Error("clone mutation leaked into original")
+		t.Error("fork mutation leaked into original")
 	}
 }
 
@@ -175,7 +175,7 @@ func TestKeyHashTracksStateKey(t *testing.T) {
 	seen := map[string]uint64{}
 	check := func(what string) {
 		t.Helper()
-		for _, h := range []*Host{a, b, a.Clone(), b.Fork(7)} {
+		for _, h := range []*Host{a, b, a.Fork(7), b.Fork(7)} {
 			if c, f := h.KeyHash64(), h.FreshKeyHash64(); c != f {
 				t.Fatalf("after %s: host %d cached hash %#x != from-scratch %#x", what, h.ID, c, f)
 			}

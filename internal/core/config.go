@@ -50,14 +50,16 @@ type DomainHints struct {
 type Config struct {
 	// Topo is the network (required).
 	Topo *topo.Topology
-	// App is the controller application under test (required). The
-	// checker clones it; the instance is never mutated.
+	// App, Hosts and Properties are prototypes: every NewSystem forks
+	// them (App.Clone, Host.Fork, Property.Clone), and the forks may
+	// share their state, so they must not be mutated after the first
+	// search. The checker never writes them.
+	//
+	// App is the controller application under test (required).
 	App controller.App
-	// Hosts are the end-host prototypes (required). The checker clones
-	// them into each explored state.
+	// Hosts are the end hosts (required).
 	Hosts []*hosts.Host
-	// Properties are the correctness properties to check (prototypes;
-	// cloned per state).
+	// Properties are the correctness properties to check.
 	Properties []Property
 
 	// --- Search strategy (§4) ---

@@ -16,8 +16,8 @@ import (
 
 // cowScenarios covers the three application families (MAC learning,
 // wildcard load balancing, traffic engineering) plus a generated-
-// topology workload, so every app's Fork/ensureOwned pairing and every
-// property's ForkProp is exercised.
+// topology workload, so every app's and every property's
+// Clone/ensureOwned pairing is exercised.
 var cowScenarios = []string{
 	"pyswitch-bench",
 	"loadbalancer-bench",

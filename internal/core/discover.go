@@ -82,8 +82,9 @@ func (s *System) statsClasses(sw openflow.SwitchID) [][]openflow.PortStats {
 // discoverPackets runs the concolic engine over the packet_in handler
 // from the client's context (its switch and ingress port), returning the
 // representative packet of every feasible handler path — Figure 4's
-// "new relevant packets". Handler effects land on a cloned application
-// and are discarded.
+// "new relevant packets". Each handler run gets its own App.Clone, a
+// copy-on-write fork that never writes the live application, and its
+// effects are discarded with the copy.
 func (s *System) discoverPackets(h *hosts.Host) []openflow.Header {
 	s.caches.noteExploration()
 	loc := h.Loc

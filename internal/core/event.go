@@ -130,12 +130,16 @@ func (e Event) String() string {
 
 // Property is a pluggable correctness property (§5): it observes every
 // transition's events, may inspect global system state, keeps local
-// state (cloned along with the system as the search forks), and reports
+// state (copied along with the system as the search forks), and reports
 // violations by returning a non-nil error. AtQuiescence runs on states
 // with no enabled transitions — the "safe time" many definitions wait
 // for to stay robust to in-flight delays (§5.2).
 //
-// Two contract points come from copy-on-write forking (internal/cow):
+// Clone is the copy-on-write fork, under controller.App's contract: the
+// copy may borrow the receiver's mutable state until its own first
+// write, which must copy what it borrowed first, and it never writes the
+// receiver, which the checker treats as frozen while the copy lives. A
+// deep copy also meets it. Two more contract points come from forking:
 // AtQuiescence must not mutate the property (it runs on shared
 // instances; keep quiescence checks read-only and accumulate state in
 // OnEvents), and properties may implement EventMasker to skip event
@@ -152,30 +156,6 @@ type Property interface {
 	// property is rendered again when its version moves, any other
 	// after each batch delivered to it.
 	StateKey() string
-}
-
-// ForkableProperty is the copy-on-write forking contract for
-// properties, mirroring controller.ForkableApp: ForkProp returns a fork
-// that may share internal mutable state with the receiver, under the
-// same two ownership rules — the caller freezes the receiver (the
-// checker guarantees this by epoch retirement), and the fork copies
-// borrowed state before its own first mutation. Clone keeps its full
-// deep-copy semantics: NewSystem clones each prototype with it, and
-// forkProperty falls back to it.
-type ForkableProperty interface {
-	Property
-	// ForkProp returns a copy-on-write fork; the receiver must be
-	// treated as frozen afterwards.
-	ForkProp() Property
-}
-
-// forkProperty forks via ForkableProperty when implemented, falling
-// back to a deep Clone.
-func forkProperty(p Property) Property {
-	if f, ok := p.(ForkableProperty); ok {
-		return f.ForkProp()
-	}
-	return p.Clone()
 }
 
 // EventMasker is implemented by properties that observe only a subset

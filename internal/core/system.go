@@ -77,7 +77,7 @@ type System struct {
 }
 
 // NewSystem builds the initial state: switches constructed from the
-// topology, hosts cloned from their prototypes, and the application
+// topology, hosts forked from their prototypes, and the application
 // booted by dispatching a switch_join per switch, with all resulting
 // messages applied synchronously (the network is fully joined before
 // exploration starts; see docs/ARCHITECTURE.md, "Deviations from the
@@ -125,9 +125,7 @@ func NewSystemWith(cfg *Config, cc *Caches) *System {
 	sort.Slice(s.hostIDs, func(i, j int) bool { return s.hostIDs[i] < s.hostIDs[j] })
 	s.hosts = make([]*hosts.Host, len(s.hostIDs))
 	for _, h := range cfg.Hosts {
-		hc := h.Clone()
-		hc.SetOwner(epoch)
-		s.hosts[s.hostIndex(hc.ID)] = hc
+		s.hosts[s.hostIndex(h.ID)] = h.Fork(epoch)
 	}
 	for _, p := range cfg.Properties {
 		s.props = append(s.props, propSlot{p: p.Clone()})
@@ -360,7 +358,7 @@ func (s *System) ownProp(i int) Property {
 	}
 	sl := &s.props[i]
 	if s.propsOwned&(1<<uint(i)) == 0 {
-		sl.p = forkProperty(sl.p)
+		sl.p = sl.p.Clone()
 		s.propsOwned |= 1 << uint(i)
 		if s.met != nil {
 			s.met.copies.Inc()

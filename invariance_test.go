@@ -21,6 +21,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -335,6 +336,8 @@ func sameCounts(t *testing.T, vs string, r, want *nice.Report) {
 // random walks and the seeded swarm report must be one of the
 // reference's and replay from the initial state to itself. (Table 2
 // under the other columns is scenarios' TestFingerprintOracleParity.)
+// Every engine runs on one Config, and a copy never writes what it
+// copies, so afterwards the Config's prototypes must be as they were.
 func TestCOWDeepCloneParity(t *testing.T) {
 	ctx := context.Background()
 	walk := nice.WithWalks(11, 24, 60)
@@ -345,6 +348,7 @@ func TestCOWDeepCloneParity(t *testing.T) {
 		t.Run(row.sc.Name, func(t *testing.T) {
 			t.Parallel()
 			cfg, cc := row.build(), nice.NewCaches()
+			proto := prototypeState(cfg)
 			if testing.Short() {
 				if r := nice.Run(ctx, cfg, nice.WithCaches(cc), nice.WithMaxStates(shortStates)); r.StopReason == nice.StopMaxStates {
 					t.Skipf("search reaches %d states", shortStates)
@@ -384,6 +388,32 @@ func TestCOWDeepCloneParity(t *testing.T) {
 			}
 			t.Run("RandomWalks", walked(walk))
 			t.Run("SeededSwarm", walked(walk, nice.WithWorkers(2)))
+			t.Run("PrototypeFrozen", func(t *testing.T) {
+				if got := prototypeState(cfg); !slices.Equal(got, proto) {
+					t.Errorf("the searches wrote the Config's prototypes:\n%s\nwas\n%s",
+						strings.Join(got, "\n"), strings.Join(proto, "\n"))
+				}
+			})
 		})
 	}
+}
+
+// prototypeState renders a Config's prototypes: the StateKey of the app,
+// of every host and of every property, with the version of the app and
+// of each property that reports one.
+func prototypeState(cfg *nice.Config) []string {
+	version := func(x any) string {
+		if v, ok := x.(interface{ StateVersion() uint64 }); ok {
+			return fmt.Sprintf("v%d ", v.StateVersion())
+		}
+		return ""
+	}
+	out := []string{"app " + version(cfg.App) + cfg.App.StateKey()}
+	for _, h := range cfg.Hosts {
+		out = append(out, "host "+h.StateKey())
+	}
+	for _, p := range cfg.Properties {
+		out = append(out, p.Name()+" "+version(p)+p.StateKey())
+	}
+	return out
 }

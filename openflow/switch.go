@@ -20,9 +20,6 @@ func NewIDAlloc() *IDAlloc { return &IDAlloc{next: 1} }
 // Next returns a fresh PacketID.
 func (a *IDAlloc) Next() PacketID { a.next++; return a.next - 1 }
 
-// Clone copies the allocator.
-func (a *IDAlloc) Clone() *IDAlloc { c := *a; return &c }
-
 // BufEntry is a packet parked in the switch buffer awaiting a controller
 // decision. The NoForgottenPackets property (§5.2) checks these are all
 // released by the end of an execution.
@@ -98,7 +95,7 @@ type Switch struct {
 
 	// key is the incremental-fingerprinting cache: the 64-bit
 	// structural hash of the state, valid until the next mutation.
-	// Clone and Fork copy it (a fork starts in an identical state), so
+	// Fork copies it (a fork starts in an identical state), so
 	// unchanged switches are never re-hashed as the search forks.
 	key switchKeyCache
 

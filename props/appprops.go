@@ -41,13 +41,6 @@ func NewFlowAffinity(vip openflow.IPAddr, replicas ...openflow.HostID) *FlowAffi
 // Name implements core.Property.
 func (p *FlowAffinity) Name() string { return "FlowAffinity" }
 
-// Clone implements core.Property: a fork that copies at once.
-func (p *FlowAffinity) Clone() core.Property {
-	c := p.ForkProp().(*FlowAffinity)
-	c.ensureOwned()
-	return c
-}
-
 func (p *FlowAffinity) isReplica(h openflow.HostID) bool {
 	for _, r := range p.Replicas {
 		if r == h {
@@ -83,9 +76,9 @@ func (p *FlowAffinity) OnEvents(_ *core.System, events []core.Event) error {
 	return nil
 }
 
-// ForkProp implements core.ForkableProperty: an O(1) copy borrowing the
-// assignment map until the fork's first write.
-func (p *FlowAffinity) ForkProp() core.Property {
+// Clone implements core.Property: an O(1) copy borrowing the
+// assignment map until the clone's first write.
+func (p *FlowAffinity) Clone() core.Property {
 	c := *p
 	c.borrowed = true
 	return &c
@@ -200,13 +193,6 @@ func NewUseCorrectRoutingTable(spec TESpec) *UseCorrectRoutingTable {
 // Name implements core.Property.
 func (p *UseCorrectRoutingTable) Name() string { return "UseCorrectRoutingTable" }
 
-// Clone implements core.Property: a fork that copies at once.
-func (p *UseCorrectRoutingTable) Clone() core.Property {
-	c := p.ForkProp().(*UseCorrectRoutingTable)
-	c.ensureOwned()
-	return c
-}
-
 // OnEvents implements core.Property.
 func (p *UseCorrectRoutingTable) OnEvents(_ *core.System, events []core.Event) error {
 	for _, e := range events {
@@ -312,10 +298,10 @@ func (p *UseCorrectRoutingTable) EventMask() uint64 {
 // in neither the observer state nor the error texts.
 func (p *UseCorrectRoutingTable) PacketIDOblivious() bool { return true }
 
-// ForkProp implements core.ForkableProperty: an O(1) copy borrowing the
-// expectation map until the fork's first write (the scalar load/index
+// Clone implements core.Property: an O(1) copy borrowing the
+// expectation map until the clone's first write (the scalar load/index
 // state is carried by the struct copy itself).
-func (p *UseCorrectRoutingTable) ForkProp() core.Property {
+func (p *UseCorrectRoutingTable) Clone() core.Property {
 	c := *p
 	c.borrowed = true
 	return &c

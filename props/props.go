@@ -37,16 +37,9 @@ func NewNoForwardingLoops() *NoForwardingLoops {
 // Name implements core.Property.
 func (p *NoForwardingLoops) Name() string { return "NoForwardingLoops" }
 
-// Clone implements core.Property: a fork that copies at once.
+// Clone implements core.Property: an O(1) copy borrowing the
+// visited set until the clone's first write.
 func (p *NoForwardingLoops) Clone() core.Property {
-	c := p.ForkProp().(*NoForwardingLoops)
-	c.ensureOwned()
-	return c
-}
-
-// ForkProp implements core.ForkableProperty: an O(1) copy borrowing the
-// visited set until the fork's first write.
-func (p *NoForwardingLoops) ForkProp() core.Property {
 	c := *p
 	c.borrowed = true
 	return &c
@@ -146,16 +139,9 @@ func NewNoBlackHoles() *NoBlackHoles {
 // Name implements core.Property.
 func (p *NoBlackHoles) Name() string { return "NoBlackHoles" }
 
-// Clone implements core.Property: a fork that copies at once.
+// Clone implements core.Property: an O(1) copy borrowing
+// both accounting maps until the clone's first write.
 func (p *NoBlackHoles) Clone() core.Property {
-	c := p.ForkProp().(*NoBlackHoles)
-	c.ensureOwned()
-	return c
-}
-
-// ForkProp implements core.ForkableProperty: an O(1) copy borrowing
-// both accounting maps until the fork's first write.
-func (p *NoBlackHoles) ForkProp() core.Property {
 	c := *p
 	c.borrowed = true
 	return &c
@@ -325,16 +311,9 @@ func NewDirectPaths() *DirectPaths {
 // Name implements core.Property.
 func (p *DirectPaths) Name() string { return "DirectPaths" }
 
-// Clone implements core.Property: a fork that copies at once.
+// Clone implements core.Property: an O(1) copy borrowing
+// both flow maps until the clone's first write.
 func (p *DirectPaths) Clone() core.Property {
-	c := p.ForkProp().(*DirectPaths)
-	c.ensureOwned()
-	return c
-}
-
-// ForkProp implements core.ForkableProperty: an O(1) copy borrowing
-// both flow maps until the fork's first write.
-func (p *DirectPaths) ForkProp() core.Property {
 	c := *p
 	c.borrowed = true
 	return &c
@@ -432,13 +411,6 @@ func NewStrictDirectPaths() *StrictDirectPaths {
 // Name implements core.Property.
 func (p *StrictDirectPaths) Name() string { return "StrictDirectPaths" }
 
-// Clone implements core.Property: a fork that copies at once.
-func (p *StrictDirectPaths) Clone() core.Property {
-	c := p.ForkProp().(*StrictDirectPaths)
-	c.ensureOwned()
-	return c
-}
-
 // established reports whether both directions of the flow have seen a
 // delivery. Direction matching uses MAC endpoints only, so an echoed
 // payload or rewritten ports still count as the return direction.
@@ -458,9 +430,9 @@ func (p *StrictDirectPaths) deliveredDir(src, dst openflow.EthAddr) bool {
 	return false
 }
 
-// ForkProp implements core.ForkableProperty: an O(1) copy borrowing
-// both flow maps until the fork's first write.
-func (p *StrictDirectPaths) ForkProp() core.Property {
+// Clone implements core.Property: an O(1) copy borrowing
+// both flow maps until the clone's first write.
+func (p *StrictDirectPaths) Clone() core.Property {
 	c := *p
 	c.borrowed = true
 	return &c

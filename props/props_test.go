@@ -291,7 +291,7 @@ func TestExpectedPortSpec(t *testing.T) {
 // controller.Versioned version moves, so every stateful property must
 // implement the interface, move its version at every event that changes
 // its key (one event per mutation site below), and carry the version
-// through Clone and ForkProp, or a cached hash could alias two states.
+// through Clone, or a cached hash could alias two states.
 func TestPropertiesImplementVersioned(t *testing.T) {
 	tcp := openflow.Packet{Header: openflow.Header{
 		EthType: openflow.EthTypeIPv4, IPProto: openflow.IPProtoTCP,
@@ -351,11 +351,8 @@ func TestPropertiesImplementVersioned(t *testing.T) {
 				t.Errorf("%s: %v changed the key without moving the version", p.Name(), e.Kind)
 			}
 		}
-		fork := p.(core.ForkableProperty).ForkProp()
-		for name, c := range map[string]core.Property{"Clone": p.Clone(), "ForkProp": fork} {
-			if c.(controller.Versioned).StateVersion() != v.StateVersion() {
-				t.Errorf("%s: %s does not carry the state version", p.Name(), name)
-			}
+		if p.Clone().(controller.Versioned).StateVersion() != v.StateVersion() {
+			t.Errorf("%s: Clone does not carry the state version", p.Name())
 		}
 	}
 }
