@@ -90,8 +90,9 @@ func TestPackageDocs(t *testing.T) {
 // measurement stack's command, package and BENCH_N baseline files, the
 // deep-clone and oracle-hash reference paths, the parallel engine's
 // sleep-set reduction and Checker's DPOR entry point, the property key
-// memo interfaces, the Checker type trace replay used to hang off, and
-// the optional forking interfaces Clone absorbed. The patterns are
+// memo interfaces, the Checker type trace replay used to hang off, the
+// optional forking interfaces Clone absorbed, and the symbolic
+// explorer's string keys. The patterns are
 // assembled from pieces so that this file passes its own lint.
 var retiredNames = map[*regexp.Regexp]string{
 	regexp.MustCompile(`nice-` + `bench\b|internal/` + `bench\b|BENCH` + `_[0-9]`): "benchmark/ (bash benchmark/run.sh)",
@@ -109,6 +110,8 @@ var retiredNames = map[*regexp.Regexp]string{
 	regexp.MustCompile(`\bForkable` + `App\b`):                                     "App.Clone / Property.Clone (the copy-on-write fork)",
 	regexp.MustCompile(`\bForkable` + `Property\b`):                                "App.Clone / Property.Clone (the copy-on-write fork)",
 	regexp.MustCompile(`\bFork` + `Prop\b`):                                        "App.Clone / Property.Clone (the copy-on-write fork)",
+	regexp.MustCompile(`\bExpr` + `Key\b`):                                         "Expr.String for a rendering; the solver memo keys by sym.ProblemKey's structural digest",
+	regexp.MustCompile(`\bPath` + `Key\b`):                                         "sym.Result.Path, the structural digest of a path condition",
 }
 
 // TestNoRetiredNames: the measurement stack outlived its replacement

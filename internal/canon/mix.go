@@ -69,3 +69,6 @@ func (m Mix128) Word(v uint64) Mix128 { return Mix128{m[0].Word(v), m[1].Word(v)
 
 // Sum finalises both lanes into a Digest.
 func (m Mix128) Sum() Digest { return Digest{m[0].Sum(), m[1].Sum()} }
+
+// Str folds a string into both lanes, as Mix.Str does.
+func (m Mix128) Str(s string) Mix128 { return Mix128{m[0].Str(s), m[1].Str(s)} }

@@ -111,9 +111,9 @@ type Caches struct {
 	packets memo[packetsCacheKey, []openflow.Header]
 	stats   memo[statsCacheKey, [][]openflow.PortStats]
 	// solutions memoizes raw solver outcomes across explorations,
-	// keyed by the 128-bit digest of the finite-domain problem
-	// (sym.ProblemKey) — the same keying discipline as the discover
-	// maps.
+	// keyed by sym.ProblemKey: the structural 128-bit digest of the
+	// finite-domain problem, folded a word at a time with no string
+	// rendered, as the state fingerprint is.
 	solutions memo[canon.Digest, solution]
 	seRuns    atomic.Int64 // concolic explorations performed
 	// classes counts discovered equivalence classes (packet headers +

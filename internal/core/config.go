@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"sync"
 
 	"github.com/nice-go/nice/controller"
 	"github.com/nice-go/nice/hosts"
@@ -144,6 +145,18 @@ func (c *Config) tableHashMode() (canonical, counters bool) {
 	return !c.NoSwitchReduction, c.NoSwitchReduction
 }
 
+// symInputs is a search's symbolic packet-field domains, built once.
+type symInputs struct {
+	once    sync.Once
+	domains map[string][]uint64
+}
+
+// fieldDomains returns c.fieldDomains(), building it on the first call.
+func (in *symInputs) fieldDomains(c *Config) map[string][]uint64 {
+	in.once.Do(func() { in.domains = c.fieldDomains() })
+	return in.domains
+}
+
 // fieldDomains builds the per-variable candidate sets for symbolic
 // packet fields from the topology plus hints — the explicit form of the
 // paper's "MAC and IP addresses used by the hosts and switches in the
@@ -202,13 +215,14 @@ func (c *Config) fieldDomains() map[string][]uint64 {
 	return d
 }
 
-func (c *Config) fieldBits() map[string]int {
+// fieldBits gives each symbolic packet field's width by variable name.
+var fieldBits = func() map[string]int {
 	bits := make(map[string]int, openflow.NumFields)
 	for f := openflow.Field(0); int(f) < openflow.NumFields; f++ {
 		bits[f.String()] = f.Bits()
 	}
 	return bits
-}
+}()
 
 func dedupSorted(vs []uint64) []uint64 {
 	set := make(map[uint64]bool, len(vs))

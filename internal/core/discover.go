@@ -91,8 +91,8 @@ func (s *System) discoverPackets(h *hosts.Host) []openflow.Header {
 	seed := h.Seed
 	seedAsn := sym.SymbolicPacket(seed, loc.Port).CurrentAssignment()
 	explorer := &sym.Explorer{
-		Domains: s.cfg.fieldDomains(),
-		Bits:    s.cfg.fieldBits(),
+		Domains: s.inputs.fieldDomains(s.cfg),
+		Bits:    fieldBits,
 		Memo:    s.caches.SolverMemo(),
 		Hooks:   s.caches.symHooks(),
 	}
@@ -100,7 +100,7 @@ func (s *System) discoverPackets(h *hosts.Host) []openflow.Header {
 	// field; explore the handler under both values and pool the
 	// discovered classes.
 	seen := make(map[openflow.Header]bool)
-	var out []openflow.Header
+	var out []keyed[openflow.Header]
 	for _, reason := range []openflow.PacketInReason{openflow.ReasonNoMatch, openflow.ReasonAction} {
 		results := explorer.Explore(seedAsn, func(tr *sym.Trace, asn sym.Assignment) {
 			pkt := sym.SymbolicPacket(seed, loc.Port)
@@ -115,12 +115,11 @@ func (s *System) discoverPackets(h *hosts.Host) []openflow.Header {
 			hdr := pkt.Header()
 			if !seen[hdr] {
 				seen[hdr] = true
-				out = append(out, hdr)
+				out = append(out, keyed[openflow.Header]{hdr.String(), hdr})
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
+	return sortedByKey(out)
 }
 
 // discoverStats runs the concolic engine over the statistics handler
@@ -144,27 +143,44 @@ func (s *System) discoverStats(swID openflow.SwitchID) [][]openflow.PortStats {
 		Memo:  s.caches.SolverMemo(),
 		Hooks: s.caches.symHooks(),
 	}
+	// One symbolic vector serves every run: each assignment the
+	// explorer hands over names every counter, so it overwrites them all.
+	st := sym.SymbolicStats(ports, seedVals)
 	results := explorer.Explore(seedAsn, func(tr *sym.Trace, asn sym.Assignment) {
-		st := sym.SymbolicStats(ports, seedVals)
 		st.ApplyAssignment(asn)
 		app := s.ctrl.App.Clone()
 		ctx := controller.NewSymContext(tr)
 		app.StatsReply(ctx, swID, st)
 	})
 	seen := make(map[string]bool)
-	var out [][]openflow.PortStats
+	var out []keyed[[]openflow.PortStats]
 	for _, r := range results {
-		st := sym.SymbolicStats(ports, seedVals)
 		st.ApplyAssignment(r.Assignment)
 		conc := st.Concrete()
 		key := fmt.Sprintf("%v", conc)
 		if !seen[key] {
 			seen[key] = true
-			out = append(out, conc)
+			out = append(out, keyed[[]openflow.PortStats]{key, conc})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return fmt.Sprintf("%v", out[i]) < fmt.Sprintf("%v", out[j])
-	})
+	return sortedByKey(out)
+}
+
+// keyed is a discovered class beside its rendering, which orders the
+// classes.
+type keyed[T any] struct {
+	key string
+	v   T
+}
+
+// sortedByKey orders classes by their renderings, each rendered once:
+// the order sort.Slice gives when its comparator renders both sides,
+// since the comparisons, and so the swaps, are the same.
+func sortedByKey[T any](ks []keyed[T]) []T {
+	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
+	out := make([]T, len(ks))
+	for i := range ks {
+		out[i] = ks[i].v
+	}
 	return out
 }

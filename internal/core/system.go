@@ -70,6 +70,10 @@ type System struct {
 	// faults tracks the per-execution fault-budget usage.
 	faults faultState
 
+	// inputs holds the symbolic packet fields' candidate domains, built
+	// by the search's first discover_packets and shared by every fork.
+	inputs *symInputs
+
 	// met is the optional cow instrumentation bundle (Session.NewSystem),
 	// shared by the whole search: Clone hands it to every fork, Release
 	// drops it. Nil — the default — keeps every count site to one branch.
@@ -107,6 +111,7 @@ func NewSystemWith(cfg *Config, cc *Caches) *System {
 		propsEpoch:  epoch,
 		propsOwned:  ^uint64(0),
 		groupEpoch:  epoch,
+		inputs:      new(symInputs),
 	}
 	s.ctrl.SetOwner(epoch)
 	for _, spec := range cfg.Topo.Switches() {
@@ -204,6 +209,7 @@ func (s *System) Clone() *System {
 	c.groupCounts = s.groupCounts
 	c.groupDigest = s.groupDigest
 	c.faults = s.faults
+	c.inputs = s.inputs
 	c.cachesWarm = true
 	c.met = s.met
 	return c
@@ -248,6 +254,7 @@ func (s *System) Release() {
 	s.hostIDs = nil
 	s.props = nil
 	s.groupCounts = nil
+	s.inputs = nil
 	s.lastGroup = ""
 	for i := range s.switches {
 		s.switches[i] = nil

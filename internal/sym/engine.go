@@ -1,9 +1,9 @@
 package sym
 
 import (
+	"cmp"
+	"maps"
 	"sort"
-	"strconv"
-	"strings"
 
 	"github.com/nice-go/nice/internal/canon"
 )
@@ -77,105 +77,110 @@ type Hooks struct {
 }
 
 // Result is one discovered equivalence class: the satisfying assignment
-// and the path condition it exercises.
+// and the digest of the path condition it exercises.
 type Result struct {
 	Assignment Assignment
-	PathKey    string
+	Path       canon.Digest
 }
 
 // Explore runs the generational search from the seed assignment and
 // returns one Result per distinct feasible execution path.
 func (e *Explorer) Explore(seed Assignment, run Runner) []Result {
-	maxPaths := e.MaxPaths
-	if maxPaths == 0 {
-		maxPaths = 256
-	}
-	maxBranches := e.MaxBranches
-	if maxBranches == 0 {
-		maxBranches = 128
-	}
+	maxPaths, maxBranches := cmp.Or(e.MaxPaths, 256), cmp.Or(e.MaxBranches, 128)
 
-	seenPaths := make(map[string]bool)
-	seenInputs := make(map[string]bool)
+	seenPaths := make(map[canon.Digest]bool)
+	seenInputs := map[canon.Digest]bool{seed.key(): true}
 	var results []Result
+	sc := solveScratch{vars: make(map[string]bool), mined: make(map[string]map[uint64]bool)}
+	tr := NewTrace()
 
 	worklist := []Assignment{seed.Clone()}
-	seenInputs[assignmentKey(seed)] = true
-
 	for len(worklist) > 0 && len(results) < maxPaths {
 		asn := worklist[0]
 		worklist = worklist[1:]
 
-		tr := NewTrace()
+		tr.branches = tr.branches[:0]
 		run(tr, asn)
-		branches := tr.Branches()
-		if len(branches) > maxBranches {
-			branches = branches[:maxBranches]
-		}
-		pk := tr.PathKey()
+		pk := tr.path()
 		if seenPaths[pk] {
 			continue // same equivalence class as an earlier input
 		}
 		seenPaths[pk] = true
-		results = append(results, Result{Assignment: asn.Clone(), PathKey: pk})
+		results = append(results, Result{Assignment: asn, Path: pk})
 		if e.Hooks.Path != nil {
 			e.Hooks.Path()
 		}
+		branches := tr.branches
+		if len(branches) > maxBranches {
+			branches = branches[:maxBranches]
+		}
 
 		// Generational expansion: for each branch, keep the prefix and
-		// flip the branch itself.
-		for i := range branches {
-			constraints := make([]Expr, 0, i+1+len(e.BaseConstraints))
-			constraints = append(constraints, e.BaseConstraints...)
-			for j := 0; j < i; j++ {
-				constraints = append(constraints, branches[j].Constraint())
-			}
-			flipped := Branch{Cond: branches[i].Cond, Taken: !branches[i].Taken}
-			constraints = append(constraints, flipped.Constraint())
-
-			model, ok := e.solve(constraints, asn)
+		// flip the branch itself. The prefix grows one constraint per
+		// branch; the solver keeps none of them. A model is keyed as
+		// overlaid on asn and built only when that input is new.
+		key := asn.key()
+		cons := append(sc.cons[:0], e.BaseConstraints...)
+		for _, br := range branches {
+			flipped := Branch{Cond: br.Cond, Taken: !br.Taken}
+			model, ok := e.solve(&sc, append(cons, flipped.Constraint()), asn)
+			cons = append(cons, br.Constraint())
 			if !ok {
 				continue
 			}
-			key := assignmentKey(model)
-			if seenInputs[key] {
+			next := asn.overlaidKey(key, model)
+			if seenInputs[next] {
 				continue
 			}
-			seenInputs[key] = true
-			worklist = append(worklist, model)
+			seenInputs[next] = true
+			// Total-ize: variables the model leaves out keep asn's values.
+			out := asn.Clone()
+			maps.Copy(out, model)
+			worklist = append(worklist, out)
 		}
+		sc.cons = cons
 	}
 	return results
 }
 
-// solve builds the finite-domain problem for a path condition: domains
-// are the base candidates extended with constants mined from the
-// constraints; variables absent from the model keep the current input's
-// values so each solution is a total assignment.
-func (e *Explorer) solve(constraints []Expr, current Assignment) (Assignment, bool) {
-	mined := make(map[string]map[uint64]bool)
-	if e.MineDomains {
-		for _, c := range constraints {
-			MineConstants(c, mined)
-		}
+// solveScratch holds one exploration's solver buffers, reused across
+// its solver calls.
+type solveScratch struct {
+	cons  []Expr
+	vars  map[string]bool
+	mined map[string]map[uint64]bool
+	names []string
+	doms  []Domain
+}
+
+// solve builds the finite-domain problem for a path condition and
+// returns its raw model: domains are the base candidates extended with
+// constants mined from the constraints, over the variables the
+// constraints mention, in name order.
+func (e *Explorer) solve(sc *solveScratch, constraints []Expr, current Assignment) (Assignment, bool) {
+	clear(sc.vars)
+	for _, set := range sc.mined {
+		clear(set)
 	}
-	vars := make(map[string]bool)
 	for _, c := range constraints {
-		c.Vars(vars)
+		if e.MineDomains {
+			MineConstants(c, sc.mined)
+		}
+		c.Vars(sc.vars)
 	}
-	names := make([]string, 0, len(vars))
-	for v := range vars {
+	names := sc.names[:0]
+	for v := range sc.vars {
 		names = append(names, v)
 	}
 	sort.Strings(names)
 
-	var doms []Domain
+	doms := sc.doms[:0]
 	for _, v := range names {
 		bits := 64
 		if b, ok := e.Bits[v]; ok {
 			bits = b
 		}
-		cands := MergeCandidates(e.Domains[v], mined[v], bits)
+		cands := MergeCandidates(e.Domains[v], sc.mined[v], bits)
 		if len(cands) == 0 {
 			// No domain knowledge at all: fall back to the current
 			// concrete value (cannot flip a branch on this variable,
@@ -184,80 +189,69 @@ func (e *Explorer) solve(constraints []Expr, current Assignment) (Assignment, bo
 		}
 		doms = append(doms, Domain{Var: v, Candidates: cands})
 	}
-
-	model, ok := e.solveMemoized(Problem{Domains: doms, Constraints: constraints})
-	if !ok {
-		return nil, false
-	}
-	// Total-ize: carry over untouched variables.
-	out := current.Clone()
-	for k, v := range model {
-		out[k] = v
-	}
-	return out, true
+	sc.names, sc.doms = names, doms
+	return e.solveMemoized(Problem{Domains: doms, Constraints: constraints})
 }
 
 // solveMemoized answers a finite-domain problem through the memo when
 // one is attached, falling back to (and recording) a fresh Solve.
-func (e *Explorer) solveMemoized(p Problem) (Assignment, bool) {
+func (e *Explorer) solveMemoized(p Problem) (model Assignment, sat bool) {
+	hit := false
 	if e.Memo == nil {
-		model, ok := Solve(p)
-		if e.Hooks.Solve != nil {
-			e.Hooks.Solve(ok, false)
+		model, sat = Solve(p)
+	} else {
+		key := ProblemKey(p)
+		if model, sat, hit = e.Memo.Get(key); !hit {
+			model, sat = Solve(p)
+			e.Memo.Put(key, model, sat)
 		}
-		return model, ok
 	}
-	key := ProblemKey(p)
-	if model, sat, present := e.Memo.Get(key); present {
-		if e.Hooks.Solve != nil {
-			e.Hooks.Solve(sat, true)
-		}
-		return model, sat
-	}
-	model, ok := Solve(p)
-	e.Memo.Put(key, model, ok)
 	if e.Hooks.Solve != nil {
-		e.Hooks.Solve(ok, false)
+		e.Hooks.Solve(sat, hit)
 	}
-	return model, ok
+	return model, sat
 }
 
-// ProblemKey digests a finite-domain problem into the 128-bit memo key:
-// each domain's variable and candidate list, then each constraint's
-// canonical rendering, in the problem's (deterministic) order. Solve is
-// a pure function of exactly this rendering, so equal keys mean equal
-// outcomes at fingerprint-grade collision odds.
+// ProblemKey digests a finite-domain problem into the 128-bit memo key,
+// structurally: each domain's variable, candidate count and candidates,
+// then each constraint through mixExpr, in the problem's
+// (deterministic) order. Solve is a pure function of exactly these
+// words, so equal keys mean equal outcomes at fingerprint-grade
+// collision odds.
 func ProblemKey(p Problem) canon.Digest {
-	var b strings.Builder
+	h := canon.NewMix128().Word(uint64(len(p.Domains)))
 	for _, d := range p.Domains {
-		b.WriteString(d.Var)
-		b.WriteByte('=')
+		h = h.Str(d.Var).Word(uint64(len(d.Candidates)))
 		for _, c := range d.Candidates {
-			b.WriteString(strconv.FormatUint(c, 10))
-			b.WriteByte(',')
+			h = h.Word(c)
 		}
-		b.WriteByte('\n')
 	}
-	b.WriteByte('|')
 	for _, c := range p.Constraints {
-		b.WriteString(ExprKey(c))
-		b.WriteByte('\n')
+		h = mixExpr(h, c)
 	}
-	return canon.Hash128(b.String())
+	return h.Sum()
 }
 
-func assignmentKey(a Assignment) string {
-	keys := make([]string, 0, len(a))
-	for k := range a {
-		keys = append(keys, k)
+// key is the assignment's order-free digest: the wrapping sum of one
+// digest per entry, as a flow table sums its rules, so equal maps key
+// alike in any iteration order.
+func (a Assignment) key() canon.Digest { return Assignment(nil).overlaidKey(canon.Digest{}, a) }
+
+// overlaidKey is the key of a with model written over it, given a's
+// key k, without building the overlay: each entry the model names
+// trades a's entry digest, if any, for its own.
+func (a Assignment) overlaidKey(k canon.Digest, model Assignment) canon.Digest {
+	for name, v := range model {
+		if old, ok := a[name]; ok {
+			k = addEntry(k, name, old, ^uint64(0))
+		}
+		k = addEntry(k, name, v, 1)
 	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(strconv.FormatUint(a[k], 10))
-		b.WriteByte(';')
-	}
-	return b.String()
+	return k
+}
+
+// addEntry adds sign (1 or −1) times the digest of one entry to k.
+func addEntry(k canon.Digest, name string, v, sign uint64) canon.Digest {
+	e := canon.NewMix128().Str(name).Word(v).Sum()
+	return canon.Digest{k[0] + sign*e[0], k[1] + sign*e[1]}
 }

@@ -15,8 +15,10 @@ package sym
 
 import (
 	"fmt"
+	"maps"
 	"strconv"
-	"strings"
+
+	"github.com/nice-go/nice/internal/canon"
 )
 
 // Assignment maps symbolic-variable names to concrete values. A partial
@@ -27,9 +29,7 @@ type Assignment map[string]uint64
 // Clone copies the assignment.
 func (a Assignment) Clone() Assignment {
 	c := make(Assignment, len(a))
-	for k, v := range a {
-		c[k] = v
-	}
+	maps.Copy(c, a)
 	return c
 }
 
@@ -254,9 +254,24 @@ func mineCmp(varSide, constSide Expr, into map[string]map[uint64]bool) {
 	}
 }
 
-// ExprKey renders an expression deterministically for dedup purposes.
-func ExprKey(e Expr) string {
-	var b strings.Builder
-	b.WriteString(e.String())
-	return b.String()
+// Tag words of mixExpr, one per expression kind.
+const tagConst, tagVar, tagBin, tagNot, tagOther = 1, 2, 3, 4, 5
+
+// mixExpr folds an expression into a structural digest, a word at a
+// time and without rendering it. It folds exactly what String renders:
+// a Var its name only (not its width), a Bin its operator and then its
+// operands in order. So expressions that render alike digest alike,
+// and the solver memo keys on what Solve reads.
+func mixExpr(m canon.Mix128, e Expr) canon.Mix128 {
+	switch x := e.(type) {
+	case Const:
+		return m.Word(tagConst).Word(uint64(x))
+	case Var:
+		return m.Word(tagVar).Str(x.Name)
+	case Bin:
+		return mixExpr(mixExpr(m.Word(tagBin).Word(uint64(x.Op)), x.A), x.B)
+	case Not:
+		return mixExpr(m.Word(tagNot), x.A)
+	}
+	return m.Word(tagOther).Str(e.String())
 }

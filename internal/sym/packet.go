@@ -2,6 +2,7 @@ package sym
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/nice-go/nice/openflow"
 )
@@ -25,6 +26,17 @@ func ConcretePacket(h openflow.Header, inPort openflow.PortID) *Packet {
 	return &p
 }
 
+// fieldVars holds each header field's variable, boxed once for every
+// symbolic packet to share; the in-port has none.
+var fieldVars = func() (vs [openflow.NumFields]Expr) {
+	for f := openflow.Field(0); int(f) < openflow.NumFields; f++ {
+		if f != openflow.FieldInPort {
+			vs[f] = Var{Name: f.String(), Bits: f.Bits()}
+		}
+	}
+	return vs
+}()
+
 // SymbolicPacket builds a packet whose header fields are symbolic
 // variables instantiated from the given header; the in-port stays
 // concrete because it is part of the client's location context, which
@@ -32,12 +44,7 @@ func ConcretePacket(h openflow.Header, inPort openflow.PortID) *Packet {
 func SymbolicPacket(h openflow.Header, inPort openflow.PortID) *Packet {
 	var p Packet
 	for f := openflow.Field(0); int(f) < openflow.NumFields; f++ {
-		v := openflow.FieldValue(h, inPort, f)
-		if f == openflow.FieldInPort {
-			p.fields[f] = Concrete(v)
-			continue
-		}
-		p.fields[f] = Symbolic(f.String(), f.Bits(), v)
+		p.fields[f] = Value{C: openflow.FieldValue(h, inPort, f), E: fieldVars[f]}
 	}
 	return &p
 }
@@ -133,10 +140,9 @@ type Stats struct {
 
 // ConcreteStats wraps concrete per-port transmit counters.
 func ConcreteStats(stats []openflow.PortStats) *Stats {
-	s := &Stats{}
-	for _, ps := range stats {
-		s.ports = append(s.ports, ps.Port)
-		s.values = append(s.values, Concrete(ps.TxBytes))
+	s := &Stats{ports: make([]openflow.PortID, len(stats)), values: make([]Value, len(stats))}
+	for i, ps := range stats {
+		s.ports[i], s.values[i] = ps.Port, Concrete(ps.TxBytes)
 	}
 	return s
 }
@@ -144,14 +150,13 @@ func ConcreteStats(stats []openflow.PortStats) *Stats {
 // SymbolicStats builds a stats vector of symbolic variables named
 // stat_tx_<port>, instantiated at the given seed values.
 func SymbolicStats(ports []openflow.PortID, seed []uint64) *Stats {
-	s := &Stats{}
+	s := &Stats{ports: slices.Clone(ports), values: make([]Value, len(ports))}
 	for i, p := range ports {
 		var v uint64
 		if i < len(seed) {
 			v = seed[i]
 		}
-		s.ports = append(s.ports, p)
-		s.values = append(s.values, Symbolic(StatVarName(p), 64, v))
+		s.values[i] = Symbolic(StatVarName(p), 64, v)
 	}
 	return s
 }
@@ -175,14 +180,14 @@ func (s *Stats) TxBytes(p openflow.PortID) Value {
 	return Concrete(0)
 }
 
-// ApplyAssignment re-instantiates symbolic stats from a solver model.
+// ApplyAssignment re-instantiates symbolic stats from a solver model,
+// reading each counter's variable name off its expression.
 func (s *Stats) ApplyAssignment(a Assignment) {
 	for i := range s.values {
-		if !s.values[i].IsSymbolic() {
-			continue
-		}
-		if v, ok := a[StatVarName(s.ports[i])]; ok {
-			s.values[i].C = v
+		if x, ok := s.values[i].E.(Var); ok {
+			if v, ok := a[x.Name]; ok {
+				s.values[i].C = v
+			}
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package sym
 
-import (
-	"sort"
-)
+import "slices"
 
 // Domain is the finite candidate set of one symbolic variable. NICE
 // constrains header fields with domain knowledge — "the MAC and IP
@@ -45,17 +43,11 @@ func Solve(p Problem) (Assignment, bool) {
 	// A variable mentioned by constraints but lacking a domain makes
 	// the problem undecidable for us; treat as unsat (the engine always
 	// provides domains for every symbolic variable it creates).
-	for v := range mentioned {
-		found := false
-		for _, d := range doms {
-			if d.Var == v {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, false
-		}
+	for _, d := range doms {
+		delete(mentioned, d.Var)
+	}
+	if len(mentioned) > 0 {
+		return nil, false
 	}
 	asn := make(Assignment, len(doms))
 	if !backtrack(doms, p.Constraints, asn, 0) {
@@ -99,23 +91,28 @@ func prune(constraints []Expr, asn Assignment) bool {
 }
 
 // MergeCandidates combines base candidates with mined constants, masked
-// to the variable's width, deduplicated and sorted for determinism.
+// to the variable's width, deduplicated and sorted for determinism. With
+// nothing mined and base already in that form it returns base itself,
+// which callers must not modify.
 func MergeCandidates(base []uint64, mined map[uint64]bool, bits int) []uint64 {
 	mask := ^uint64(0)
 	if bits < 64 {
 		mask = (uint64(1) << uint(bits)) - 1
 	}
-	set := make(map[uint64]bool, len(base)+len(mined))
+	canonical := len(mined) == 0
+	for i := 0; canonical && i < len(base); i++ {
+		canonical = base[i]&mask == base[i] && (i == 0 || base[i-1] < base[i])
+	}
+	if canonical {
+		return base
+	}
+	out := make([]uint64, 0, len(base)+len(mined))
 	for _, v := range base {
-		set[v&mask] = true
+		out = append(out, v&mask)
 	}
 	for v := range mined {
-		set[v&mask] = true
+		out = append(out, v&mask)
 	}
-	out := make([]uint64, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -227,10 +227,10 @@ func FuzzSolverSoundness(f *testing.F) {
 		for _, c := range p.Constraints {
 			v, known := c.Eval(model)
 			if !known {
-				t.Fatalf("sat model %v leaves constraint %s undetermined", model, ExprKey(c))
+				t.Fatalf("sat model %v leaves constraint %s undetermined", model, c.String())
 			}
 			if v == 0 {
-				t.Fatalf("sat model %v violates constraint %s", model, ExprKey(c))
+				t.Fatalf("sat model %v violates constraint %s", model, c.String())
 			}
 		}
 		for name, val := range model {
@@ -321,17 +321,20 @@ func TestExplorerMemo(t *testing.T) {
 	if warmHits != warm {
 		t.Fatalf("memoized exploration: %d solver calls but only %d memo hits", warm, warmHits)
 	}
-	keys := func(rs []Result) map[string]bool {
-		out := make(map[string]bool, len(rs))
+	keys := func(rs []Result) map[canon.Digest]bool {
+		out := make(map[canon.Digest]bool, len(rs))
 		for _, r := range rs {
-			out[r.PathKey] = true
+			out[r.Path] = true
 		}
 		return out
 	}
 	f, s := keys(first), keys(second)
+	if len(f) != len(first) || len(f) < 2 {
+		t.Fatalf("%d classes carry %d distinct path digests, want one each and at least 2", len(first), len(f))
+	}
 	for k := range f {
 		if !s[k] {
-			t.Fatalf("memoized exploration lost path %s", k)
+			t.Fatalf("memoized exploration lost path %x", k)
 		}
 	}
 }

@@ -3,8 +3,8 @@ package sym
 import (
 	"fmt"
 	"sort"
-	"strings"
 
+	"github.com/nice-go/nice/internal/canon"
 	"github.com/nice-go/nice/openflow"
 )
 
@@ -56,20 +56,14 @@ func (t *Trace) Branches() []Branch {
 	return t.branches
 }
 
-// PathKey is a canonical signature of the branch directions, used to
-// recognize already-explored paths.
-func (t *Trace) PathKey() string {
-	var b strings.Builder
+// path digests the branch directions and conditions in order: the
+// explorer's identity of an execution path.
+func (t *Trace) path() canon.Digest {
+	h := canon.NewMix128()
 	for _, br := range t.branches {
-		if br.Taken {
-			b.WriteByte('1')
-		} else {
-			b.WriteByte('0')
-		}
-		b.WriteString(ExprKey(br.Cond))
-		b.WriteByte(';')
+		h = mixExpr(h.Word(b01(br.Taken)), br.Cond)
 	}
-	return b.String()
+	return h.Sum()
 }
 
 // LookupEth walks a MAC-keyed map concolically: each key comparison is a

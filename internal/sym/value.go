@@ -115,12 +115,6 @@ type Bool struct {
 	E Expr // nil when the condition involved no symbolic input
 }
 
-// True / False are concrete booleans.
-var (
-	True  = Bool{C: true}
-	False = Bool{C: false}
-)
-
 // ConcreteBool wraps a plain bool.
 func ConcreteBool(b bool) Bool { return Bool{C: b} }
 
