@@ -58,6 +58,9 @@ type App struct {
 
 	fix  FixLevel
 	topo *topo.Topology
+	// hostPorts maps each host's MAC to its port, built once in New and
+	// shared by every clone (never written).
+	hostPorts map[openflow.EthAddr]openflow.PortID
 
 	// Static routing knowledge derived from the Triangle preset.
 	ingress   openflow.SwitchID // s1
@@ -106,13 +109,20 @@ type pendingRelease struct {
 
 // New builds the application for the Triangle preset topology.
 func New(fix FixLevel, t *topo.Topology, threshold uint64, polls int) *App {
-	return &App{
+	a := &App{
 		fix: fix, topo: t,
 		ingress: 1, egress: 2, detour: 3,
 		threshold: threshold,
 		flows:     make(map[openflow.Flow]Path),
 		pollsLeft: polls,
+		hostPorts: make(map[openflow.EthAddr]openflow.PortID),
 	}
+	for _, h := range t.Hosts() {
+		if _, ok := a.hostPorts[h.MAC]; !ok {
+			a.hostPorts[h.MAC] = h.Locations[0].Port
+		}
+	}
+	return a
 }
 
 // Name implements controller.App.
@@ -156,9 +166,13 @@ func (a *App) ensureOwned() {
 // releases in queue order with their barrier xids sorted (the
 // fmt.Sprintf + reflective canon.String walk this replaces was a sixth
 // of a Table 2 run; TestStateKeyPartition holds the two to the same
-// equalities).
+// equalities). It renders on stack scratch and allocates only the
+// string; a state outgrowing the scratch spills to the heap.
 func (a *App) StateKey() string {
-	flows := make([]openflow.Flow, 0, len(a.flows))
+	var flowScratch [8]openflow.Flow
+	var xidScratch [8]int
+	var buf [512]byte
+	flows := flowScratch[:0]
 	for f := range a.flows {
 		flows = append(flows, f)
 	}
@@ -168,8 +182,7 @@ func (a *App) StateKey() string {
 		}
 		return 1 // map keys: never equal
 	})
-	b := make([]byte, 0, 64+48*len(flows)+32*len(a.pending))
-	b = append(b, "high="...)
+	b := append(buf[:0], "high="...)
 	b = strconv.AppendBool(b, a.high)
 	b = append(b, " table="...)
 	b = strconv.AppendInt(b, int64(a.globalTable), 10)
@@ -187,7 +200,7 @@ func (a *App) StateKey() string {
 		b = strconv.AppendInt(b, int64(a.flows[f]), 10)
 	}
 	b = append(b, "} pend["...)
-	var xids []int
+	xids := xidScratch[:0]
 	for _, p := range a.pending {
 		b = strconv.AppendInt(b, int64(p.Sw), 10)
 		b = append(b, ':')
@@ -450,10 +463,8 @@ func (a *App) handleTransit(ctx *controller.Context, sw openflow.SwitchID, pkt *
 // egressPort finds the port on the egress switch facing the packet's
 // destination host.
 func (a *App) egressPort(hdr openflow.Header) openflow.PortID {
-	for _, h := range a.topo.Hosts() {
-		if h.MAC == hdr.EthDst {
-			return h.Locations[0].Port
-		}
+	if p, ok := a.hostPorts[hdr.EthDst]; ok {
+		return p
 	}
 	// Unknown destination: fall back to the first host port on the
 	// egress switch (bounded scenarios never hit this).

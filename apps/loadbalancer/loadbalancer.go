@@ -2,7 +2,7 @@ package loadbalancer
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 
 	"github.com/nice-go/nice/controller"
@@ -146,14 +146,22 @@ func (a *App) ensureOwned() {
 // StateKey implements controller.App with a hand-written sorted
 // rendering (the reflective canon.String walk over the inspected map
 // re-ran on every connection inspection and dominated the AppKey cost).
+// It renders on stack scratch and allocates only the string; a state
+// outgrowing the scratch spills to the heap.
 func (a *App) StateKey() string {
-	flows := make([]openflow.Flow, 0, len(a.inspected))
+	var flowScratch [8]openflow.Flow
+	var buf [512]byte
+	flows := flowScratch[:0]
 	for f := range a.inspected {
 		flows = append(flows, f)
 	}
-	sort.Slice(flows, func(i, j int) bool { return flows[i].Less(flows[j]) })
-	b := make([]byte, 0, 48+40*len(flows))
-	b = append(b, "policy="...)
+	slices.SortFunc(flows, func(f, g openflow.Flow) int {
+		if f.Less(g) {
+			return -1
+		}
+		return 1 // map keys: never equal
+	})
+	b := append(buf[:0], "policy="...)
 	b = strconv.AppendInt(b, int64(a.policy), 10)
 	b = append(b, " old="...)
 	b = strconv.AppendInt(b, int64(a.oldPolicy), 10)

@@ -145,18 +145,19 @@ func (a *App) learn(sw openflow.SwitchID, mac openflow.EthAddr, port openflow.Po
 // StateKey implements controller.App with a hand-written sorted
 // rendering of the MAC table (the reflective canon.String walk this
 // replaces dominated AppKey cost; TestStateKeyMatchesCanon holds the two
-// to the same equality semantics). One scratch slice sorts every
-// switch's MACs in turn.
+// to the same equality semantics). It renders on stack scratch, one
+// slice sorting every switch's MACs in turn, and allocates only the
+// string; a state outgrowing the scratch spills to the heap.
 func (a *App) StateKey() string {
-	sws := make([]openflow.SwitchID, 0, len(a.mactable))
-	most := 0
-	for sw, t := range a.mactable {
+	var swScratch [16]openflow.SwitchID
+	var macScratch [32]openflow.EthAddr
+	var buf [512]byte
+	sws := swScratch[:0]
+	for sw := range a.mactable {
 		sws = append(sws, sw)
-		most = max(most, len(t))
 	}
 	slices.Sort(sws)
-	macs := make([]openflow.EthAddr, 0, most)
-	b := make([]byte, 0, 256)
+	macs, b := macScratch[:0], buf[:0]
 	b = append(b, '{')
 	for i, sw := range sws {
 		if i > 0 {

@@ -185,3 +185,19 @@ func TestCachesDoNotPinRegistries(t *testing.T) {
 	}
 	t.Error("a registry attached to a live cache set was never collected")
 }
+
+// TestStatsClassKeyMatchesFmt: the stats-class key, which orders the
+// discovered classes, renders byte for byte as the fmt %v it replaced.
+func TestStatsClassKeyMatchesFmt(t *testing.T) {
+	for _, conc := range [][]openflow.PortStats{
+		nil,
+		{},
+		{{Port: 1}},
+		{{Port: 1, TxBytes: 1000}, {Port: 2, TxBytes: 18446744073709551615, RxBytes: 7}},
+		{{Port: -3, TxBytes: 5}, {Port: 65535}, {Port: 4, RxBytes: 1 << 40}},
+	} {
+		if got, want := statsClassKey(conc), fmt.Sprintf("%v", conc); got != want {
+			t.Errorf("statsClassKey = %q, fmt %q", got, want)
+		}
+	}
+}

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 
 	"github.com/nice-go/nice/controller"
 	"github.com/nice-go/nice/hosts"
@@ -157,13 +157,33 @@ func (s *System) discoverStats(swID openflow.SwitchID) [][]openflow.PortStats {
 	for _, r := range results {
 		st.ApplyAssignment(r.Assignment)
 		conc := st.Concrete()
-		key := fmt.Sprintf("%v", conc)
+		key := statsClassKey(conc)
 		if !seen[key] {
 			seen[key] = true
 			out = append(out, keyed[[]openflow.PortStats]{key, conc})
 		}
 	}
 	return sortedByKey(out)
+}
+
+// statsClassKey renders a stats vector byte for byte as fmt's %v does,
+// "[{p1 10 0} {p2 0 0}]", without fmt.
+func statsClassKey(conc []openflow.PortStats) string {
+	var buf [128]byte
+	b := append(buf[:0], '[')
+	for i, ps := range conc {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, "{p"...)
+		b = strconv.AppendInt(b, int64(ps.Port), 10)
+		b = append(b, ' ')
+		b = strconv.AppendUint(b, ps.TxBytes, 10)
+		b = append(b, ' ')
+		b = strconv.AppendUint(b, ps.RxBytes, 10)
+		b = append(b, '}')
+	}
+	return string(append(b, ']'))
 }
 
 // keyed is a discovered class beside its rendering, which orders the

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 
 	"github.com/nice-go/nice/controller"
@@ -172,15 +173,14 @@ func (s *System) applyUnusual(ts []Transition) []Transition {
 	if !s.cfg.Unusual {
 		return ts
 	}
-	sort.SliceStable(ts, func(i, j int) bool {
-		pi, pj := unusualClass(ts[i]), unusualClass(ts[j])
-		if pi != pj {
-			return pi < pj
+	slices.SortStableFunc(ts, func(a, b Transition) int {
+		if c := cmp.Compare(unusualClass(a), unusualClass(b)); c != 0 {
+			return c
 		}
-		if ts[i].Kind == TSwitchOF && ts[j].Kind == TSwitchOF {
-			return ts[i].seq > ts[j].seq // most recently issued first
+		if a.Kind == TSwitchOF && b.Kind == TSwitchOF {
+			return cmp.Compare(b.seq, a.seq) // most recently issued first
 		}
-		return false
+		return 0
 	})
 	return ts
 }
@@ -219,7 +219,7 @@ func (s *System) ApplyInto(t Transition, buf []Event) []Event {
 		s.inject(t.Host, hdr, &events)
 	case THostDiscover:
 		events = append(events, Event{Kind: EvCtrlDispatch, Host: t.Host,
-			Note: fmt.Sprintf("discover_packets: %d classes", len(s.packetClasses(s.Host(t.Host))))})
+			Note: "discover_packets: " + strconv.Itoa(len(s.packetClasses(s.Host(t.Host)))) + " classes"})
 	case THostMove:
 		h := s.ownHost(t.Host)
 		old := h.Loc
@@ -247,7 +247,7 @@ func (s *System) ApplyInto(t Transition, buf []Event) []Event {
 		s.noDelayFixpoint(&events)
 	case TCtrlDiscoverStats:
 		events = append(events, Event{Kind: EvCtrlDispatch, Sw: t.Sw,
-			Note: fmt.Sprintf("discover_stats: %d classes", len(s.statsClasses(t.Sw)))})
+			Note: "discover_stats: " + strconv.Itoa(len(s.statsClasses(t.Sw))) + " classes"})
 	case TCtrlProcessStats:
 		ctrl := s.ownCtrl()
 		msg, ok := ctrl.PopIn(t.Sw)

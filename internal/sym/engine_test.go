@@ -1,6 +1,7 @@
 package sym
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/nice-go/nice/internal/canon"
@@ -290,6 +291,41 @@ func TestLookupFlowMatchesWholeTuple(t *testing.T) {
 	}
 }
 
+// TestLookupFlowTieOrder: two keys that differ only in EthType or
+// IPProto render alike under Flow.String and both match a packet, so
+// the lookup must break the tie by Flow.Less and return the smaller
+// key's value on every call, whatever order the map was built and is
+// iterated in.
+func TestLookupFlowTieOrder(t *testing.T) {
+	lo := openflow.Flow{EthSrc: 2, EthDst: 4, EthType: openflow.EthTypeIPv4,
+		IPSrc: 10, IPDst: 20, IPProto: openflow.IPProtoTCP, TPSrc: 30, TPDst: 40}
+	protoHi, typeHi := lo, lo
+	protoHi.IPProto = openflow.IPProtoUDP
+	typeHi.EthType = openflow.EthTypeARP
+	hdr := openflow.Header{EthSrc: 2, EthDst: 4, IPSrc: 10, IPDst: 20, TPSrc: 30, TPDst: 40}
+	for _, hi := range []openflow.Flow{protoHi, typeHi} {
+		if lo.String() != hi.String() || !lo.Less(hi) {
+			t.Fatalf("%+v and %+v: not a rendering tie ordered by Less", lo, hi)
+		}
+		for _, order := range [][]openflow.Flow{{lo, hi}, {hi, lo}} {
+			m := make(map[openflow.Flow]string)
+			for _, k := range order {
+				m[k] = "hi"
+				if k == lo {
+					m[k] = "lo"
+				}
+			}
+			for i := 0; i < 200; i++ {
+				got, ok := LookupFlow(NewTrace(), m, ConcretePacket(hdr, 1))
+				if !ok || got != "lo" {
+					t.Fatalf("call %d, insertion order %#v: got the %s key's value, want the Less-smaller key's",
+						i, order, got)
+				}
+			}
+		}
+	}
+}
+
 // TestExploreAllocs fences the explorer's allocations per Explore on a
 // fixed two-variable handler, with a cold memo (empty at every call)
 // and a warm one. Each bound sits just above the count of structural
@@ -330,6 +366,16 @@ func TestExploreAllocs(t *testing.T) {
 		t.Logf("%s memo: %.0f allocs per Explore", c.name, got)
 		if got > c.bound {
 			t.Errorf("%s memo: %.0f allocs per Explore, bound %.0f", c.name, got, c.bound)
+		}
+	}
+}
+
+// TestStatVarNameMatchesFmt: the counter names solver models are keyed
+// by render as the fmt.Sprintf they replaced.
+func TestStatVarNameMatchesFmt(t *testing.T) {
+	for _, p := range []openflow.PortID{0, 1, 17, 65535, -2} {
+		if got, want := StatVarName(p), fmt.Sprintf("stat_tx_%d", int(p)); got != want {
+			t.Errorf("StatVarName(%d) = %q, want %q", int(p), got, want)
 		}
 	}
 }

@@ -2,7 +2,7 @@ package sym
 
 import (
 	"fmt"
-	"slices"
+	"strconv"
 
 	"github.com/nice-go/nice/openflow"
 )
@@ -134,28 +134,30 @@ func (p *Packet) String() string {
 // (§3.3) and derives the concrete utilization levels that drive distinct
 // code paths.
 type Stats struct {
-	ports  []openflow.PortID
+	// ports lists the covered ports in order; for concrete stats its
+	// TxBytes are the counters.
+	ports []openflow.PortStats
+	// values holds the symbolic counters, parallel to ports; nil for
+	// concrete stats.
 	values []Value
 }
 
-// ConcreteStats wraps concrete per-port transmit counters.
+// ConcreteStats wraps concrete per-port transmit counters. The reply is
+// read in place, not copied: the caller must not write it afterwards.
 func ConcreteStats(stats []openflow.PortStats) *Stats {
-	s := &Stats{ports: make([]openflow.PortID, len(stats)), values: make([]Value, len(stats))}
-	for i, ps := range stats {
-		s.ports[i], s.values[i] = ps.Port, Concrete(ps.TxBytes)
-	}
-	return s
+	return &Stats{ports: stats}
 }
 
 // SymbolicStats builds a stats vector of symbolic variables named
 // stat_tx_<port>, instantiated at the given seed values.
 func SymbolicStats(ports []openflow.PortID, seed []uint64) *Stats {
-	s := &Stats{ports: slices.Clone(ports), values: make([]Value, len(ports))}
+	s := &Stats{ports: make([]openflow.PortStats, len(ports)), values: make([]Value, len(ports))}
 	for i, p := range ports {
 		var v uint64
 		if i < len(seed) {
 			v = seed[i]
 		}
+		s.ports[i].Port = p
 		s.values[i] = Symbolic(StatVarName(p), 64, v)
 	}
 	return s
@@ -163,18 +165,23 @@ func SymbolicStats(ports []openflow.PortID, seed []uint64) *Stats {
 
 // StatVarName is the symbolic-variable name for a port's TX counter.
 func StatVarName(p openflow.PortID) string {
-	return fmt.Sprintf("stat_tx_%d", int(p))
+	return "stat_tx_" + strconv.Itoa(int(p))
 }
 
-// Ports lists the ports covered by the stats vector.
-func (s *Stats) Ports() []openflow.PortID { return s.ports }
+// value returns the (concolic) counter of the i-th port.
+func (s *Stats) value(i int) Value {
+	if s.values != nil {
+		return s.values[i]
+	}
+	return Concrete(s.ports[i].TxBytes)
+}
 
 // TxBytes returns the (concolic) transmit byte counter for a port, or a
 // concrete zero if the port is absent.
 func (s *Stats) TxBytes(p openflow.PortID) Value {
-	for i, q := range s.ports {
-		if q == p {
-			return s.values[i]
+	for i, ps := range s.ports {
+		if ps.Port == p {
+			return s.value(i)
 		}
 	}
 	return Concrete(0)
@@ -195,8 +202,8 @@ func (s *Stats) ApplyAssignment(a Assignment) {
 // Concrete materializes the current instantiation as wire stats.
 func (s *Stats) Concrete() []openflow.PortStats {
 	out := make([]openflow.PortStats, len(s.ports))
-	for i := range s.ports {
-		out[i] = openflow.PortStats{Port: s.ports[i], TxBytes: s.values[i].C}
+	for i, ps := range s.ports {
+		out[i] = openflow.PortStats{Port: ps.Port, TxBytes: s.value(i).C}
 	}
 	return out
 }

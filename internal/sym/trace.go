@@ -1,8 +1,8 @@
 package sym
 
 import (
-	"fmt"
-	"sort"
+	"bytes"
+	"slices"
 
 	"github.com/nice-go/nice/internal/canon"
 	"github.com/nice-go/nice/openflow"
@@ -71,27 +71,23 @@ func (t *Trace) path() canon.Digest {
 // exactly the way the paper's dictionary stub exposes them (§6,
 // transformation iv). Keys are visited in sorted order for determinism.
 func LookupEth[V any](t *Trace, m map[openflow.EthAddr]V, key Value) (V, bool) {
-	keys := make([]openflow.EthAddr, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		if t.If(key.EqConst(uint64(k))) {
-			return m[k], true
-		}
-	}
-	var zero V
-	return zero, false
+	return lookupSorted(t, m, key)
 }
 
 // LookupIP is LookupEth for IP-keyed maps.
 func LookupIP[V any](t *Trace, m map[openflow.IPAddr]V, key Value) (V, bool) {
-	keys := make([]openflow.IPAddr, 0, len(m))
+	return lookupSorted(t, m, key)
+}
+
+// lookupSorted is LookupEth and LookupIP: the keys are collected into a
+// stack array (a map over 16 keys spills to the heap) and sorted.
+func lookupSorted[K openflow.EthAddr | openflow.IPAddr, V any](t *Trace, m map[K]V, key Value) (V, bool) {
+	var scratch [16]K
+	keys := scratch[:0]
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	for _, k := range keys {
 		if t.If(key.EqConst(uint64(k))) {
 			return m[k], true
@@ -101,27 +97,45 @@ func LookupIP[V any](t *Trace, m map[openflow.IPAddr]V, key Value) (V, bool) {
 	return zero, false
 }
 
+// flowStringMax is the length of the longest Flow.String rendering.
+const flowStringMax = 82
+
 // LookupFlow walks a Flow-keyed map concolically, comparing each header
 // field of the candidate keys. Used by applications that track
-// per-connection state (the load balancer's transition table).
+// per-connection state (the load balancer's transition table). Keys are
+// visited in order of their Flow.String renderings; two keys that
+// differ only in EthType or IPProto, which the rendering and the
+// comparison leave out, are visited in Flow.Less order.
 func LookupFlow[V any](t *Trace, m map[openflow.Flow]V, p *Packet) (V, bool) {
-	// Keys are visited in order of their rendering; each is rendered
-	// once up front, not twice per comparison inside the sort — and
-	// not at all when there is nothing to order.
+	// Each key is rendered once, into one stack buffer (a map over 8
+	// keys spills to the heap), and not at all when there is nothing
+	// to order.
 	type rendered struct {
-		str string
-		key openflow.Flow
+		key      openflow.Flow
+		from, to int
 	}
-	keys := make([]rendered, 0, len(m))
+	var keyScratch [8]rendered
+	var strScratch [8 * flowStringMax]byte
+	keys, strs := keyScratch[:0], strScratch[:0]
 	for k := range m {
-		keys = append(keys, rendered{key: k})
-	}
-	if len(keys) > 1 {
-		for i := range keys {
-			keys[i].str = fmt.Sprint(keys[i].key)
+		from := len(strs)
+		if len(m) > 1 {
+			strs = k.AppendString(strs)
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i].str < keys[j].str })
+		keys = append(keys, rendered{k, from, len(strs)})
 	}
+	slices.SortFunc(keys, func(a, b rendered) int {
+		if c := bytes.Compare(strs[a.from:a.to], strs[b.from:b.to]); c != 0 {
+			return c
+		}
+		switch {
+		case a.key.Less(b.key):
+			return -1
+		case b.key.Less(a.key):
+			return 1
+		}
+		return 0
+	})
 	for _, r := range keys {
 		k := r.key
 		cond := p.Field(openflow.FieldEthSrc).EqConst(uint64(k.EthSrc)).

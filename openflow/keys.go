@@ -25,22 +25,22 @@ func appendByteHex2(b []byte, v byte) []byte {
 
 // appendEthAddr renders aa:bb:cc:dd:ee:ff.
 func appendEthAddr(b []byte, a EthAddr) []byte {
-	for i := 0; i < 6; i++ {
-		if i > 0 {
+	for shift := 40; shift >= 0; shift -= 8 {
+		if shift < 40 {
 			b = append(b, ':')
 		}
-		b = appendByteHex2(b, a.Byte(i))
+		b = appendByteHex2(b, byte(uint64(a)>>shift))
 	}
 	return b
 }
 
 // appendIPAddr renders dotted-quad decimal.
 func appendIPAddr(b []byte, ip IPAddr) []byte {
-	for i := 0; i < 4; i++ {
-		if i > 0 {
+	for shift := 24; shift >= 0; shift -= 8 {
+		if shift < 24 {
 			b = append(b, '.')
 		}
-		b = appendUint(b, uint64(ip.Byte(i)))
+		b = appendUint(b, uint64(byte(uint32(ip)>>shift)))
 	}
 	return b
 }

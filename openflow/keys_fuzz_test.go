@@ -248,3 +248,125 @@ func FuzzFlowTableCanonical(f *testing.F) {
 		}
 	})
 }
+
+// The historical fmt renderings of the String methods: the oracle
+// FuzzRenderParity holds the append renderers to, byte for byte.
+
+func referenceTCPFlags(f uint8) string {
+	if f == 0 {
+		return "-"
+	}
+	var parts []string
+	for _, fl := range []struct {
+		bit  uint8
+		name string
+	}{{TCPSyn, "S"}, {TCPAck, "A"}, {TCPFin, "F"}, {TCPRst, "R"}, {TCPPsh, "P"}} {
+		if f&fl.bit != 0 {
+			parts = append(parts, fl.name)
+		}
+	}
+	return strings.Join(parts, "")
+}
+
+func referenceEthString(a EthAddr) string {
+	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x",
+		a.Byte(0), a.Byte(1), a.Byte(2), a.Byte(3), a.Byte(4), a.Byte(5))
+}
+
+func referenceIPString(ip IPAddr) string {
+	return fmt.Sprintf("%d.%d.%d.%d", byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
+}
+
+func referenceHeaderString(h Header) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s->%s", referenceEthString(h.EthSrc), referenceEthString(h.EthDst))
+	switch h.EthType {
+	case EthTypeIPv4:
+		fmt.Fprintf(&b, " ip %s->%s proto=%d", referenceIPString(h.IPSrc), referenceIPString(h.IPDst), h.IPProto)
+		if h.IPProto == IPProtoTCP || h.IPProto == IPProtoUDP {
+			fmt.Fprintf(&b, " %d->%d", h.TPSrc, h.TPDst)
+		}
+		if h.IPProto == IPProtoTCP {
+			fmt.Fprintf(&b, " flags=%s seq=%d", referenceTCPFlags(h.TCPFlags), h.TCPSeq)
+		}
+	case EthTypeARP:
+		op := "req"
+		if h.ArpOp == ArpReply {
+			op = "rep"
+		}
+		fmt.Fprintf(&b, " arp-%s %s->%s", op, referenceIPString(h.IPSrc), referenceIPString(h.IPDst))
+	default:
+		fmt.Fprintf(&b, " type=0x%04x", h.EthType)
+	}
+	if h.Payload != "" {
+		fmt.Fprintf(&b, " %q", h.Payload)
+	}
+	return b.String()
+}
+
+func referenceFlowString(f Flow) string {
+	return fmt.Sprintf("%s->%s/%s->%s/%d->%d",
+		referenceEthString(f.EthSrc), referenceEthString(f.EthDst),
+		referenceIPString(f.IPSrc), referenceIPString(f.IPDst), f.TPSrc, f.TPDst)
+}
+
+// FuzzRenderParity holds Header, Flow, EthAddr, IPAddr, PortID,
+// SwitchID and HostID String, and the AppendString forms, to the fmt
+// renderings above.
+// The feed steers EtherType, protocol and payload into every branch
+// of Header.String, the quoted payload included.
+func FuzzRenderParity(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 0x1f})
+	f.Add([]byte("\x08\x00\x06\xff\xff\xff\xff\xff\xff\x12 ping\x00\"\\\xe2\x82\xac"))
+	f.Add([]byte{1, 1, 0xde, 0xad, 0xbe, 0xef, 2, 2, 17, 3, 0x80})
+	f.Add([]byte("020000")) // TCP, flags SYN|ACK
+	f.Fuzz(func(t *testing.T, data []byte) {
+		feed := &byteFeed{data: data}
+		h := headerFrom(feed)
+		switch feed.next() % 4 {
+		case 0:
+			h.EthType = EthTypeIPv4
+		case 1:
+			h.EthType = EthTypeARP
+		}
+		switch feed.next() % 4 {
+		case 0:
+			h.IPProto = IPProtoTCP
+		case 1:
+			h.IPProto = IPProtoUDP
+		}
+		if feed.next()%3 == 0 && len(data) > 0 {
+			h.Payload = string(data[int(feed.next())%len(data):])
+		}
+		if got, want := h.String(), referenceHeaderString(h); got != want {
+			t.Fatalf("Header.String = %q, reference %q", got, want)
+		}
+		if got, want := string(h.AppendString([]byte("x"))), "x"+referenceHeaderString(h); got != want {
+			t.Fatalf("Header.AppendString = %q, reference %q", got, want)
+		}
+		fl := h.Flow()
+		if got, want := fl.String(), referenceFlowString(fl); got != want {
+			t.Fatalf("Flow.String = %q, reference %q", got, want)
+		}
+		if got, want := string(fl.AppendString([]byte("x"))), "x"+referenceFlowString(fl); got != want {
+			t.Fatalf("Flow.AppendString = %q, reference %q", got, want)
+		}
+		if got, want := h.EthSrc.String(), referenceEthString(h.EthSrc); got != want {
+			t.Fatalf("EthAddr.String = %q, reference %q", got, want)
+		}
+		if got, want := h.IPDst.String(), referenceIPString(h.IPDst); got != want {
+			t.Fatalf("IPAddr.String = %q, reference %q", got, want)
+		}
+		n := int(int64(feed.u64(8)))
+		for _, c := range [][2]string{
+			{PortID(n).String(), fmt.Sprintf("p%d", n)},
+			{SwitchID(n).String(), fmt.Sprintf("s%d", n)},
+			{HostID(n).String(), fmt.Sprintf("h%d", n)},
+		} {
+			if c[0] != c[1] {
+				t.Fatalf("ID String = %q, reference %q", c[0], c[1])
+			}
+		}
+	})
+}

@@ -3,7 +3,6 @@ package openflow
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // SwitchID identifies a switch in the modelled network.
@@ -19,9 +18,9 @@ type HostID int
 // PortNone is the zero value used where no port applies.
 const PortNone PortID = 0
 
-func (s SwitchID) String() string { return fmt.Sprintf("s%d", int(s)) }
-func (p PortID) String() string   { return fmt.Sprintf("p%d", int(p)) }
-func (h HostID) String() string   { return fmt.Sprintf("h%d", int(h)) }
+func (s SwitchID) String() string { return "s" + strconv.Itoa(int(s)) }
+func (p PortID) String() string   { return "p" + strconv.Itoa(int(p)) }
+func (h HostID) String() string   { return "h" + strconv.Itoa(int(h)) }
 
 // EthAddr is a 48-bit Ethernet MAC address stored in the low bits of a
 // uint64. The representation keeps addresses comparable and cheap to use
@@ -59,8 +58,8 @@ func (a EthAddr) IsGroup() bool { return a.Byte(0)&1 == 1 }
 func (a EthAddr) IsBroadcast() bool { return a == BroadcastEth }
 
 func (a EthAddr) String() string {
-	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x",
-		a.Byte(0), a.Byte(1), a.Byte(2), a.Byte(3), a.Byte(4), a.Byte(5))
+	var buf [17]byte
+	return string(appendEthAddr(buf[:0], a))
 }
 
 // IPAddr is an IPv4 address in host byte order.
@@ -72,7 +71,8 @@ func MakeIPAddr(b0, b1, b2, b3 byte) IPAddr {
 }
 
 func (ip IPAddr) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
+	var buf [15]byte
+	return string(appendIPAddr(buf[:0], ip))
 }
 
 // Byte returns octet i (0 = most significant).
@@ -141,30 +141,54 @@ type Header struct {
 }
 
 func (h Header) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s->%s", h.EthSrc, h.EthDst)
+	var buf [160]byte
+	return string(h.AppendString(buf[:0]))
+}
+
+// AppendString appends the String rendering to b.
+func (h Header) AppendString(b []byte) []byte {
+	b = appendEthAddr(b, h.EthSrc)
+	b = append(b, "->"...)
+	b = appendEthAddr(b, h.EthDst)
 	switch h.EthType {
 	case EthTypeIPv4:
-		fmt.Fprintf(&b, " ip %s->%s proto=%d", h.IPSrc, h.IPDst, h.IPProto)
+		b = append(b, " ip "...)
+		b = appendIPAddr(b, h.IPSrc)
+		b = append(b, "->"...)
+		b = appendIPAddr(b, h.IPDst)
+		b = append(b, " proto="...)
+		b = appendUint(b, uint64(h.IPProto))
 		if h.IPProto == IPProtoTCP || h.IPProto == IPProtoUDP {
-			fmt.Fprintf(&b, " %d->%d", h.TPSrc, h.TPDst)
+			b = append(b, ' ')
+			b = appendUint(b, uint64(h.TPSrc))
+			b = append(b, "->"...)
+			b = appendUint(b, uint64(h.TPDst))
 		}
 		if h.IPProto == IPProtoTCP {
-			fmt.Fprintf(&b, " flags=%s seq=%d", tcpFlagString(h.TCPFlags), h.TCPSeq)
+			b = append(b, " flags="...)
+			b = appendTCPFlags(b, h.TCPFlags)
+			b = append(b, " seq="...)
+			b = appendUint(b, uint64(h.TCPSeq))
 		}
 	case EthTypeARP:
-		op := "req"
+		op := " arp-req "
 		if h.ArpOp == ArpReply {
-			op = "rep"
+			op = " arp-rep "
 		}
-		fmt.Fprintf(&b, " arp-%s %s->%s", op, h.IPSrc, h.IPDst)
+		b = append(b, op...)
+		b = appendIPAddr(b, h.IPSrc)
+		b = append(b, "->"...)
+		b = appendIPAddr(b, h.IPDst)
 	default:
-		fmt.Fprintf(&b, " type=0x%04x", h.EthType)
+		b = append(b, " type=0x"...)
+		b = appendByteHex2(b, byte(h.EthType>>8))
+		b = appendByteHex2(b, byte(h.EthType))
 	}
 	if h.Payload != "" {
-		fmt.Fprintf(&b, " %q", h.Payload)
+		b = append(b, ' ')
+		b = strconv.AppendQuote(b, h.Payload)
 	}
-	return b.String()
+	return b
 }
 
 // Key renders every header field, losslessly — the form state hashing
@@ -175,20 +199,20 @@ func (h Header) Key() string {
 	return string(h.appendKey(buf[:0]))
 }
 
-func tcpFlagString(f uint8) string {
+// appendTCPFlags renders the set flags in SAFRP order, "-" for none.
+func appendTCPFlags(b []byte, f uint8) []byte {
 	if f == 0 {
-		return "-"
+		return append(b, '-')
 	}
-	var parts []string
-	for _, fl := range []struct {
+	for _, fl := range [...]struct {
 		bit  uint8
-		name string
-	}{{TCPSyn, "S"}, {TCPAck, "A"}, {TCPFin, "F"}, {TCPRst, "R"}, {TCPPsh, "P"}} {
+		name byte
+	}{{TCPSyn, 'S'}, {TCPAck, 'A'}, {TCPFin, 'F'}, {TCPRst, 'R'}, {TCPPsh, 'P'}} {
 		if f&fl.bit != 0 {
-			parts = append(parts, fl.name)
+			b = append(b, fl.name)
 		}
 	}
-	return strings.Join(parts, "")
+	return b
 }
 
 // PacketID uniquely identifies one packet instance in a system execution.
@@ -295,6 +319,22 @@ func (f Flow) AppendKey(b []byte) []byte {
 }
 
 func (f Flow) String() string {
-	return fmt.Sprintf("%s->%s/%s->%s/%d->%d",
-		f.EthSrc, f.EthDst, f.IPSrc, f.IPDst, f.TPSrc, f.TPDst)
+	var buf [82]byte // the longest rendering
+	return string(f.AppendString(buf[:0]))
+}
+
+// AppendString appends the String rendering to b: MACs, IPs and
+// transport ports, without EthType and IPProto.
+func (f Flow) AppendString(b []byte) []byte {
+	b = appendEthAddr(b, f.EthSrc)
+	b = append(b, "->"...)
+	b = appendEthAddr(b, f.EthDst)
+	b = append(b, '/')
+	b = appendIPAddr(b, f.IPSrc)
+	b = append(b, "->"...)
+	b = appendIPAddr(b, f.IPDst)
+	b = append(b, '/')
+	b = appendUint(b, uint64(f.TPSrc))
+	b = append(b, "->"...)
+	return appendUint(b, uint64(f.TPDst))
 }

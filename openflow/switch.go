@@ -495,7 +495,11 @@ func (s *Switch) takeBuffer(id BufferID) (BufEntry, bool) {
 // stats with symbolically discovered representatives (discover_stats,
 // §3.3), so only the message's existence matters to the search.
 func (s *Switch) portStats(port PortID) []PortStats {
-	var out []PortStats
+	n := len(s.Ports)
+	if port != PortNone {
+		n = 1
+	}
+	out := make([]PortStats, 0, n)
 	for _, p := range s.Ports {
 		if port != PortNone && p != port {
 			continue

@@ -321,11 +321,8 @@ func (p *UseCorrectRoutingTable) ensureOwned() {
 
 // StateKey implements core.Property.
 func (p *UseCorrectRoutingTable) StateKey() string {
-	flows := make([]openflow.Flow, 0, len(p.expected))
-	for f := range p.expected {
-		flows = append(flows, f)
-	}
-	sort.Slice(flows, func(i, j int) bool { return flowBefore(flows[i], flows[j]) })
+	var scratch [8]openflow.Flow
+	flows := flowKeys(scratch[:0], p.expected)
 	b := make([]byte, 0, 32+32*len(flows))
 	b = append(b, "high="...)
 	b = strconv.AppendBool(b, p.high)
@@ -336,7 +333,7 @@ func (p *UseCorrectRoutingTable) StateKey() string {
 		if i > 0 {
 			b = append(b, ' ')
 		}
-		b = appendFlow(b, f)
+		b = f.AppendKey(b)
 		b = append(b, '>')
 		b = strconv.AppendInt(b, int64(p.expected[f]), 10)
 	}

@@ -1,7 +1,7 @@
 package props
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 
 	"github.com/nice-go/nice/openflow"
@@ -18,73 +18,44 @@ import (
 // reflective output.
 
 func appendPacketIDSet(b []byte, m map[openflow.PacketID]bool) []byte {
-	ids := make([]int64, 0, len(m))
+	var scratch [16]openflow.PacketID
+	ids := scratch[:0]
 	for id := range m {
-		ids = append(ids, int64(id))
+		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	b = append(b, '{')
 	for i, id := range ids {
 		if i > 0 {
 			b = append(b, ' ')
 		}
-		b = strconv.AppendInt(b, id, 10)
+		b = strconv.AppendInt(b, int64(id), 10)
 	}
 	return append(b, '}')
 }
 
-func appendFlow(b []byte, f openflow.Flow) []byte {
-	b = strconv.AppendUint(b, uint64(f.EthSrc), 16)
-	b = append(b, '>')
-	b = strconv.AppendUint(b, uint64(f.EthDst), 16)
-	b = append(b, ':')
-	b = strconv.AppendUint(b, uint64(f.EthType), 16)
-	b = append(b, ':')
-	b = strconv.AppendUint(b, uint64(uint32(f.IPSrc)), 16)
-	b = append(b, '>')
-	b = strconv.AppendUint(b, uint64(uint32(f.IPDst)), 16)
-	b = append(b, ':')
-	b = strconv.AppendUint(b, uint64(f.IPProto), 10)
-	b = append(b, ':')
-	b = strconv.AppendUint(b, uint64(f.TPSrc), 10)
-	b = append(b, '>')
-	b = strconv.AppendUint(b, uint64(f.TPDst), 10)
-	return b
-}
-
-func flowBefore(a, b openflow.Flow) bool {
-	switch {
-	case a.EthSrc != b.EthSrc:
-		return a.EthSrc < b.EthSrc
-	case a.EthDst != b.EthDst:
-		return a.EthDst < b.EthDst
-	case a.EthType != b.EthType:
-		return a.EthType < b.EthType
-	case a.IPSrc != b.IPSrc:
-		return a.IPSrc < b.IPSrc
-	case a.IPDst != b.IPDst:
-		return a.IPDst < b.IPDst
-	case a.IPProto != b.IPProto:
-		return a.IPProto < b.IPProto
-	case a.TPSrc != b.TPSrc:
-		return a.TPSrc < b.TPSrc
-	default:
-		return a.TPDst < b.TPDst
+// flowKeys appends m's keys to scratch in Flow.Less order.
+func flowKeys[V any](scratch []openflow.Flow, m map[openflow.Flow]V) []openflow.Flow {
+	for f := range m {
+		scratch = append(scratch, f)
 	}
+	slices.SortFunc(scratch, func(f, g openflow.Flow) int {
+		if f.Less(g) {
+			return -1
+		}
+		return 1 // map keys: never equal
+	})
+	return scratch
 }
 
 func appendFlowSet(b []byte, m map[openflow.Flow]bool) []byte {
-	flows := make([]openflow.Flow, 0, len(m))
-	for f := range m {
-		flows = append(flows, f)
-	}
-	sort.Slice(flows, func(i, j int) bool { return flowBefore(flows[i], flows[j]) })
+	var scratch [8]openflow.Flow
 	b = append(b, '{')
-	for i, f := range flows {
+	for i, f := range flowKeys(scratch[:0], m) {
 		if i > 0 {
 			b = append(b, ' ')
 		}
-		b = appendFlow(b, f)
+		b = f.AppendKey(b)
 	}
 	return append(b, '}')
 }

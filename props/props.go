@@ -2,6 +2,7 @@ package props
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -218,22 +219,25 @@ func (p *NoBlackHoles) EventMask() uint64 {
 		core.EvFaultDropped, core.EvBuffered, core.EvReleased, core.EvVanished)
 }
 
-// StateKey implements core.Property.
+// StateKey implements core.Property. It renders on stack scratch and
+// allocates only the string; a state outgrowing the scratch spills to
+// the heap.
 func (p *NoBlackHoles) StateKey() string {
-	ids := make([]int64, 0, len(p.alive))
+	var idScratch [16]openflow.PacketID
+	var buf [1024]byte
+	ids := idScratch[:0]
 	for id := range p.alive {
-		ids = append(ids, int64(id))
+		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	b := make([]byte, 0, 32+24*len(ids))
-	b = append(b, "alive{"...)
+	slices.Sort(ids)
+	b := append(buf[:0], "alive{"...)
 	for i, id := range ids {
 		if i > 0 {
 			b = append(b, ' ')
 		}
-		b = strconv.AppendInt(b, id, 10)
+		b = strconv.AppendInt(b, int64(id), 10)
 		b = append(b, ':')
-		b = append(b, p.alive[openflow.PacketID(id)]...)
+		b = append(b, p.alive[id]...)
 	}
 	b = append(b, "}buf"...)
 	b = appendPacketIDSet(b, p.buffered)

@@ -191,7 +191,7 @@ func macPairGroup(h openflow.Header) (string, bool) {
 	if b < a {
 		a, b = b, a
 	}
-	return fmt.Sprintf("pair-%v-%v", a, b), false
+	return "pair-" + a.String() + "-" + b.String(), false
 }
 
 // lbGroup is the load balancer's isSameFlow: TCP packets group by
