@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"github.com/nice-go/nice/internal/canon"
 	"github.com/nice-go/nice/internal/cow"
@@ -302,7 +303,15 @@ type Runtime struct {
 	// The flags live only on the exclusive fork — the frozen source is
 	// never written.
 	borrowApp, borrowIn, borrowOut bool
+
+	// spareIn / spareOut are emptied channel maps a recycled runtime
+	// kept (Recycle); ownInQ and ownOutQ refill them instead of making
+	// new ones. Only this struct references them.
+	spareIn, spareOut map[openflow.SwitchID][]openflow.Msg
 }
+
+// runtimePool holds recycled runtime shells with their spare maps.
+var runtimePool sync.Pool
 
 // NewRuntime wraps an application.
 func NewRuntime(app App) *Runtime {
@@ -314,16 +323,42 @@ func NewRuntime(app App) *Runtime {
 }
 
 // Fork returns a copy-on-write fork owned at epoch owner: an O(1)
-// struct copy borrowing the application and both channel maps. The
-// receiver must be frozen afterwards (the System-level protocol
-// guarantees this by retiring its epoch); the fork copies each borrowed
-// piece before its own first mutation of it. Queued messages are never
-// copied at all — a message is immutable once enqueued.
+// struct copy, into a recycled shell when there is one, borrowing the
+// application and both channel maps. The receiver must be frozen
+// afterwards (the System-level protocol guarantees this by retiring its
+// epoch); the fork copies each borrowed piece before its own first
+// mutation of it. Queued messages are never copied at all — a message
+// is immutable once enqueued.
 func (r *Runtime) Fork(owner uint64) *Runtime {
-	c := *r
+	c, _ := runtimePool.Get().(*Runtime)
+	if c == nil {
+		c = new(Runtime)
+	}
+	spareIn, spareOut := c.spareIn, c.spareOut
+	*c = *r
+	c.spareIn, c.spareOut = spareIn, spareOut
 	c.SetOwner(owner)
 	c.borrowApp, c.borrowIn, c.borrowOut = true, true, true
-	return &c
+	return c
+}
+
+// Recycle hands a dead runtime back for Fork to reuse. It is the model
+// checker's own call (System.Reclaim), made only on a runtime no live
+// state can reach. The runtime keeps the channel maps it owned, emptied
+// now, and is zeroed otherwise, so a stale reader sees no messages; the
+// application and the queue slice backings are never reused.
+func (r *Runtime) Recycle() {
+	in, out := r.spareIn, r.spareOut
+	if !r.borrowIn && r.inQ != nil {
+		clear(r.inQ)
+		in = r.inQ
+	}
+	if !r.borrowOut && r.outQ != nil {
+		clear(r.outQ)
+		out = r.outQ
+	}
+	*r = Runtime{spareIn: in, spareOut: out}
+	runtimePool.Put(r)
 }
 
 // ownApp forks the borrowed application before the first handler
@@ -336,14 +371,16 @@ func (r *Runtime) ownApp() {
 	r.borrowApp = false
 }
 
-// ownInQ copies the borrowed switch→controller channel map before its
-// first mutation; queue slices are capacity-clamped so appends
-// reallocate instead of writing a shared backing array.
+// ownInQ copies the borrowed switch→controller channel map, into the
+// spare one when there is one, before its first mutation; queue slices
+// are capacity-clamped so appends reallocate instead of writing a
+// shared backing array.
 func (r *Runtime) ownInQ() {
 	if !r.borrowIn {
 		return
 	}
-	r.inQ = copyQueues(r.inQ)
+	r.inQ = copyQueues(r.spareIn, r.inQ)
+	r.spareIn = nil
 	r.borrowIn = false
 }
 
@@ -352,12 +389,16 @@ func (r *Runtime) ownOutQ() {
 	if !r.borrowOut {
 		return
 	}
-	r.outQ = copyQueues(r.outQ)
+	r.outQ = copyQueues(r.spareOut, r.outQ)
+	r.spareOut = nil
 	r.borrowOut = false
 }
 
-func copyQueues(m map[openflow.SwitchID][]openflow.Msg) map[openflow.SwitchID][]openflow.Msg {
-	c := make(map[openflow.SwitchID][]openflow.Msg, len(m))
+// copyQueues copies m into the empty map c, made when nil.
+func copyQueues(c, m map[openflow.SwitchID][]openflow.Msg) map[openflow.SwitchID][]openflow.Msg {
+	if c == nil {
+		c = make(map[openflow.SwitchID][]openflow.Msg, len(m))
+	}
 	for sw, q := range m {
 		c[sw] = q[:len(q):len(q)]
 	}

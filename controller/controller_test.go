@@ -131,6 +131,37 @@ func TestRuntimeCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestRuntimeRecycle: a recycled fork is zeroed, so a stale reader sees
+// no messages, and later forks, which may take its shell and emptied
+// channel maps, start from their own source and leave it alone.
+func TestRuntimeRecycle(t *testing.T) {
+	rt := NewRuntime(&recorderApp{})
+	rt.DeliverToController(packetInMsg())
+	c := rt.Fork(1)
+	fromTwo := packetInMsg()
+	fromTwo.Switch = 2
+	c.DeliverToController(fromTwo)
+	c.Emit([]openflow.Msg{{Type: openflow.MsgFlowMod, Switch: 2}})
+	c.Recycle()
+	if c.InLen(1) != 0 || c.InLen(2) != 0 || c.OutLen(2) != 0 || c.App != nil || c.OwnedBy(1) {
+		t.Error("a recycled runtime still shows state")
+	}
+	for owner := uint64(2); owner < 5; owner++ {
+		d := rt.Fork(owner)
+		d.DeliverToController(packetInMsg())
+		d.Emit([]openflow.Msg{{Type: openflow.MsgFlowMod, Switch: 3}})
+		if d.InLen(1) != 2 || d.InLen(2) != 0 || d.OutLen(2) != 0 || d.OutLen(3) != 1 {
+			t.Errorf("fork %d: in from 1 %d, from 2 %d, out to 2 %d, out to 3 %d; want 2, 0, 0, 1",
+				owner, d.InLen(1), d.InLen(2), d.OutLen(2), d.OutLen(3))
+		}
+		d.PopIn(1)
+		if rt.InLen(1) != 1 || rt.OutLen(3) != 0 {
+			t.Fatalf("fork %d wrote its source", owner)
+		}
+		d.Recycle()
+	}
+}
+
 func TestStateKeyIncludesChannelsExcludesCounters(t *testing.T) {
 	rt := NewRuntime(&recorderApp{})
 	base, baseIn, baseOut := rt.StateKey(), rt.InKeyHash64(), rt.OutKeyHash64()

@@ -2,6 +2,7 @@ package hosts
 
 import (
 	"strconv"
+	"sync"
 
 	"github.com/nice-go/nice/internal/canon"
 	"github.com/nice-go/nice/internal/cow"
@@ -85,24 +86,40 @@ type Host struct {
 // Invalidate drops the cached KeyHash64.
 func (h *Host) Invalidate() { h.keyValid = false }
 
+// hostPool holds recycled host shells (Recycle).
+var hostPool sync.Pool
+
 // Fork returns a copy-on-write fork owned at epoch owner, the one copy
 // of a host: NewSystem forks each Config prototype, and the search forks
-// each state's hosts. It is an O(1) struct copy whose slices are
-// capacity-clamped so appends reallocate instead of writing a shared
-// backing array. Every Host mutator either appends or replaces a slice
-// wholesale (never writes elements in place), so no further copying is
-// needed and the fork never writes the receiver; the receiver must be
-// frozen while the fork lives, which the System-level protocol
-// guarantees by retiring its epoch.
+// each state's hosts. It is an O(1) struct copy, into a recycled shell
+// when there is one, whose slices are capacity-clamped so appends
+// reallocate instead of writing a shared backing array. Every Host
+// mutator either appends or replaces a slice wholesale (never writes
+// elements in place), so no further copying is needed and the fork
+// never writes the receiver; the receiver must be frozen while the fork
+// lives, which the System-level protocol guarantees by retiring its
+// epoch.
 func (h *Host) Fork(owner uint64) *Host {
-	c := *h
+	c, _ := hostPool.Get().(*Host)
+	if c == nil {
+		c = new(Host)
+	}
+	*c = *h
 	c.SetOwner(owner)
 	c.MoveTargets = c.MoveTargets[:len(c.MoveTargets):len(c.MoveTargets)]
 	c.PendingReplies = c.PendingReplies[:len(c.PendingReplies):len(c.PendingReplies)]
 	c.Received = c.Received[:len(c.Received):len(c.Received)]
 	// Repertoire is immutable after construction (RepIdx advances, the
 	// entries never change), so the fork shares it as-is.
-	return &c
+	return c
+}
+
+// Recycle zeroes a dead host and hands its shell back for Fork to reuse.
+// It is the model checker's own call (System.Reclaim), made only on a
+// host no live state can reach; its slice backings are never reused.
+func (h *Host) Recycle() {
+	*h = Host{}
+	hostPool.Put(h)
 }
 
 // CanSend reports whether a client send transition is enabled.

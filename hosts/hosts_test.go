@@ -152,6 +152,30 @@ func TestHostCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestHostRecycle: a recycled fork is zeroed, and later forks, which
+// may take its shell, start from their own source and leave it alone.
+func TestHostRecycle(t *testing.T) {
+	a, _ := clientServerPair()
+	c := a.Fork(7)
+	c.ConsumeSend()
+	c.Recycle()
+	if c.SentCount != 0 || c.SendBudget != 0 || c.OwnedBy(7) {
+		t.Error("a recycled host still shows state")
+	}
+	for owner := uint64(8); owner < 11; owner++ {
+		d := a.Fork(owner)
+		if d.SendBudget != a.SendBudget || d.Name != a.Name || !d.OwnedBy(owner) {
+			t.Errorf("fork %d does not start from its source", owner)
+		}
+		d.ConsumeSend()
+		d.Receive(openflow.Header{})
+		if a.SentCount != 0 || len(a.Received) != 0 {
+			t.Fatalf("fork %d wrote its source", owner)
+		}
+		d.Recycle()
+	}
+}
+
 func TestStateKeyReflectsDynamics(t *testing.T) {
 	a, _ := clientServerPair()
 	k1, h1 := a.StateKey(), a.KeyHash64()

@@ -79,6 +79,15 @@ func walkReclaim(t *testing.T, scenario string, seed int64, steps int) {
 			if err := sys.VerifyCaches(); err != nil {
 				t.Fatalf("step %d: caches stale after reclaiming the fork for %s: %v", step, tr.Key(), err)
 			}
+			// Reuse: Reclaim recycled the shells, channel maps and props
+			// backing the fork made, so a second fork's first writes take
+			// them. It and the parent must still match their replays.
+			again := enabled[w.rng.Intn(len(enabled))]
+			fork, epoch = sys.Lend()
+			fork.Apply(again)
+			w.drive(fork, with(trace, again), w.rng.Intn(3))
+			w.check(sys, trace)
+			sys.Reclaim(fork, epoch)
 		}
 		sys.Apply(enabled[last])
 		trace = append(trace, enabled[last])
@@ -116,8 +125,12 @@ func (w *reclaimWalk) check(sys *core.System, trace []core.Transition) {
 		want.Apply(tr)
 	}
 	if want.Fingerprint() != fp || want.OracleKey() != oracle {
+		last := "none"
+		if len(trace) > 0 {
+			last = trace[len(trace)-1].Key()
+		}
 		w.t.Fatalf("state after %d transitions differs from its replay (last %s):\n got: %s\nwant: %s",
-			len(trace), trace[len(trace)-1].Key(), oracle, want.OracleKey())
+			len(trace), last, oracle, want.OracleKey())
 	}
 	if err := sys.VerifyCaches(); err != nil {
 		w.t.Fatalf("caches stale after %d transitions: %v", len(trace), err)

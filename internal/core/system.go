@@ -35,6 +35,10 @@ type System struct {
 	hostIDs  []openflow.HostID
 	alloc    openflow.IDAlloc
 	props    []propSlot
+	// propsSpare is an emptied props backing a reclaimed fork left with
+	// its pooled System struct; ownProp copies into it instead of
+	// allocating. Only this struct references it.
+	propsSpare []propSlot
 
 	// epoch is this System's current copy-on-write ownership epoch: a
 	// component whose tag matches it is exclusively owned and may be
@@ -225,23 +229,62 @@ func (s *System) Lend() (*System, uint64) {
 
 // Reclaim releases fork, lent at epoch, and returns s to that epoch (the
 // reclaim rule of internal/cow): the caller asserts every fork made from
-// fork is released too, so s again owns what it owned then.
+// fork is released too, so s again owns what it owned then. Reclaim
+// also recycles what fork made (cow invariant 4): every switch, host
+// and runtime tagged with fork's epoch, with its channel maps, and the
+// props backing fork copied. A misuse — a fork of fork still alive —
+// therefore corrupts the search: that fork reads zeroed components.
 func (s *System) Reclaim(fork *System, epoch uint64) {
+	fork.recycle()
 	fork.Release()
 	s.epoch = epoch
 }
 
+// recycle hands back every component s exclusively owns. Under the
+// reclaim rule s and every fork made from it are dead, so each component
+// tagged with s's epoch was made by s and no live System reaches it
+// (cow invariant 1). The props backing stays with s's pooled struct.
+func (s *System) recycle() {
+	n := int64(0)
+	for _, sw := range s.switches {
+		if sw.OwnedBy(s.epoch) {
+			sw.Recycle()
+			n++
+		}
+	}
+	for _, h := range s.hosts {
+		if h.OwnedBy(s.epoch) {
+			h.Recycle()
+			n++
+		}
+	}
+	if s.ctrl.OwnedBy(s.epoch) {
+		s.ctrl.Recycle()
+		n++
+	}
+	if s.propsEpoch == s.epoch {
+		clear(s.props)
+		s.propsSpare = s.props[:0]
+	}
+	if s.met != nil {
+		s.met.shellsRecycled.Add(n)
+	}
+}
+
 // systemPool recycles System structs and their component-pointer slice
-// backings across forks: under copy-on-write these are the only
-// allocations Clone makes, and the engines know exactly when a fork is
-// dead (fully expanded, revisited, or pruned).
+// backings across forks (and, after Reclaim, a props backing): under
+// copy-on-write these are the only allocations Clone makes, and the
+// engines know exactly when a fork is dead (fully expanded, revisited,
+// or pruned).
 var systemPool = sync.Pool{New: func() any { return &System{} }}
 
 // Release returns a dead System's struct and slice backings to the fork
 // pool. The caller asserts nothing references s anymore: its components
 // live on in any forks that borrowed them (only the struct and the
-// pointer slices are recycled), but s itself must never be used again.
-// Releasing is optional — unreleased Systems are ordinary garbage.
+// pointer slices are recycled; the components only by Reclaim, whose
+// caller knows the subtree is dead), but s itself must never be used
+// again. Releasing is optional — unreleased Systems are ordinary
+// garbage.
 func (s *System) Release() {
 	if s.met != nil {
 		s.met.releases.Inc()
@@ -353,13 +396,15 @@ func (s *System) ownCtrl() *controller.Runtime {
 }
 
 // ownProp returns property i for mutation (event delivery), copying the
-// props slice and the property itself on first use after a fork, and
-// invalidates the key hash of a property that does not report its
-// mutations by a version (the rule Runtime.appDirty applies to apps).
+// props slice (into the spare backing when there is one) and the
+// property itself on first use after a fork, and invalidates the key
+// hash of a property that does not report its mutations by a version
+// (the rule Runtime.appDirty applies to apps).
 func (s *System) ownProp(i int) Property {
 	s.cachesWarm = false
 	if s.propsEpoch != s.epoch {
-		s.props = append([]propSlot(nil), s.props...)
+		s.props = append(s.propsSpare, s.props...)
+		s.propsSpare = nil
 		s.propsOwned = 0
 		s.propsEpoch = s.epoch
 	}

@@ -181,15 +181,17 @@ func (h *heapPeak) sample() uint64 {
 // systemTelemetry is the copy-on-write instrumentation bundle shared by
 // every System of one search (Clone propagates the pointer to forks).
 // The counters sit on the internal/cow protocol's call sites: forks,
-// lazy ensureOwned component copies, releases and pool recycles — plus
-// forks_warm, the fingerprint-cache hit signal (a fork that found every
-// memoized component key already warm skipped the warming walk).
+// lazy ensureOwned component copies, the component shells Reclaim
+// recycles, releases and pool recycles — plus forks_warm, the
+// fingerprint-cache hit signal (a fork that found every memoized
+// component key already warm skipped the warming walk).
 type systemTelemetry struct {
-	forks     *telemetry.Counter
-	forksWarm *telemetry.Counter
-	copies    *telemetry.Counter
-	releases  *telemetry.Counter
-	recycles  *telemetry.Counter
+	forks          *telemetry.Counter
+	forksWarm      *telemetry.Counter
+	copies         *telemetry.Counter
+	shellsRecycled *telemetry.Counter
+	releases       *telemetry.Counter
+	recycles       *telemetry.Counter
 }
 
 // newSystemTelemetry resolves the cow-scope handles, or nil when no
@@ -200,10 +202,11 @@ func newSystemTelemetry(reg *telemetry.Registry) *systemTelemetry {
 	}
 	sc := reg.Scope("cow")
 	return &systemTelemetry{
-		forks:     sc.Counter("forks"),
-		forksWarm: sc.Counter("forks_warm"),
-		copies:    sc.Counter("ensure_owned_copies"),
-		releases:  sc.Counter("releases"),
-		recycles:  sc.Counter("pool_recycles"),
+		forks:          sc.Counter("forks"),
+		forksWarm:      sc.Counter("forks_warm"),
+		copies:         sc.Counter("ensure_owned_copies"),
+		shellsRecycled: sc.Counter("shells_recycled"),
+		releases:       sc.Counter("releases"),
+		recycles:       sc.Counter("pool_recycles"),
 	}
 }

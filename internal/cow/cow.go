@@ -51,6 +51,15 @@
 //  3. Warm caches: System forks warm every component's memoized state
 //     hash first, so shared (frozen) components are only ever read —
 //     including their hash caches — never filled concurrently.
+//  4. Recycling: a component goes back to its pool only at Reclaim,
+//     only if the reclaimed fork owned it at the fork's epoch (by 1 and
+//     the reclaim rule, the fork made it and no live System reaches
+//     it), and only as a struct shell, its channel maps and the fork's
+//     props backing — never a slice backing, whose elements events,
+//     traces and properties keep. The shell is zeroed and its maps
+//     emptied when it is recycled, so a stale reader sees empty
+//     channels. Release recycles nothing: its caller does not know that
+//     the fork's subtree is dead.
 package cow
 
 import "sync/atomic"

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"sync"
 
 	"github.com/nice-go/nice/internal/canon"
 	"github.com/nice-go/nice/internal/cow"
@@ -111,7 +112,16 @@ type Switch struct {
 	// flag. The flags live only on the exclusive fork — the frozen
 	// source is never written — keeping forks race-free.
 	borrowIn, borrowUp bool
+
+	// spareIn / spareUp are emptied maps a recycled switch kept
+	// (Recycle); ownIn and ownUp refill them instead of making new ones.
+	// Only this struct references them.
+	spareIn map[PortID][]Packet
+	spareUp map[PortID]bool
 }
+
+// switchPool holds recycled switch shells with their spare maps.
+var switchPool sync.Pool
 
 // switchKeyCache caches one KeyHash64 with its parameters.
 type switchKeyCache struct {
@@ -156,12 +166,19 @@ func (s *Switch) SetPortUp(p PortID, isUp bool) {
 func (s *Switch) PortUp(p PortID) bool { return s.up[p] }
 
 // Fork returns a copy-on-write fork owned at epoch owner: an O(1)
-// struct copy that borrows the flow table, channel maps and buffer.
-// The receiver must be frozen afterwards (the System-level protocol
-// guarantees this by retiring its epoch); the fork copies each borrowed
-// piece before its own first mutation of it.
+// struct copy, into a recycled shell when there is one, that borrows
+// the flow table, channel maps and buffer. The receiver must be frozen
+// afterwards (the System-level protocol guarantees this by retiring its
+// epoch); the fork copies each borrowed piece before its own first
+// mutation of it.
 func (s *Switch) Fork(owner uint64) *Switch {
-	c := *s
+	c, _ := switchPool.Get().(*Switch)
+	if c == nil {
+		c = new(Switch)
+	}
+	spareIn, spareUp := c.spareIn, c.spareUp
+	*c = *s
+	c.spareIn, c.spareUp = spareIn, spareUp
 	c.SetOwner(owner)
 	c.Table.forkInto(&s.Table)
 	// The buffer slice is capacity-clamped so appends reallocate
@@ -169,17 +186,42 @@ func (s *Switch) Fork(owner uint64) *Switch {
 	// (takeBuffer) already builds a fresh array via clamped appends.
 	c.buffer = s.buffer[:len(s.buffer):len(s.buffer)]
 	c.borrowIn, c.borrowUp = true, true
-	return &c
+	return c
 }
 
-// ownIn copies the borrowed ingress-channel map before its first
-// mutation. Queue slices are capacity-clamped, not copied: mutators
-// either replace a queue wholesale or append (which then reallocates).
+// Recycle hands a dead switch back for Fork to reuse. It is the model
+// checker's own call (System.Reclaim), made only on a switch no live
+// state can reach. The switch keeps the channel and link-state maps it
+// owned, emptied now, and is zeroed otherwise, so a stale reader sees
+// no packets; slice backings (queues, buffer, rules) are never reused,
+// since events and traces keep their elements.
+func (s *Switch) Recycle() {
+	in, up := s.spareIn, s.spareUp
+	if !s.borrowIn && s.in != nil {
+		clear(s.in)
+		in = s.in
+	}
+	if !s.borrowUp && s.up != nil {
+		clear(s.up)
+		up = s.up
+	}
+	*s = Switch{spareIn: in, spareUp: up}
+	switchPool.Put(s)
+}
+
+// ownIn copies the borrowed ingress-channel map, into the spare one when
+// there is one, before its first mutation. Queue slices are
+// capacity-clamped, not copied: mutators either replace a queue
+// wholesale or append (which then reallocates).
 func (s *Switch) ownIn() {
 	if !s.borrowIn {
 		return
 	}
-	in := make(map[PortID][]Packet, len(s.in))
+	in := s.spareIn
+	if in == nil {
+		in = make(map[PortID][]Packet, len(s.in))
+	}
+	s.spareIn = nil
 	for p, q := range s.in {
 		in[p] = q[:len(q):len(q)]
 	}
@@ -187,12 +229,16 @@ func (s *Switch) ownIn() {
 	s.borrowIn = false
 }
 
-// ownUp copies the borrowed link-state map before its first mutation.
+// ownUp is ownIn for the link-state map.
 func (s *Switch) ownUp() {
 	if !s.borrowUp {
 		return
 	}
-	up := make(map[PortID]bool, len(s.up))
+	up := s.spareUp
+	if up == nil {
+		up = make(map[PortID]bool, len(s.up))
+	}
+	s.spareUp = nil
 	for p, u := range s.up {
 		up[p] = u
 	}

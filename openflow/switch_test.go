@@ -270,6 +270,34 @@ func TestSwitchCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestSwitchRecycle: a recycled fork is zeroed, so a stale reader sees
+// no packets and no up ports, and later forks, which may take its shell
+// and emptied maps, start from their own source and leave it alone.
+func TestSwitchRecycle(t *testing.T) {
+	sw, alloc := newTestSwitch()
+	sw.Enqueue(1, pkt(alloc, hdrAB()))
+	c := sw.Fork(1)
+	c.Enqueue(2, pkt(alloc, hdrAB()))
+	c.SetPortUp(3, false)
+	c.Recycle()
+	if c.TotalQueued() != 0 || c.PortUp(1) || len(c.Ports) != 0 || c.OwnedBy(1) {
+		t.Error("a recycled switch still shows state")
+	}
+	for owner := uint64(2); owner < 5; owner++ {
+		d := sw.Fork(owner)
+		d.Enqueue(1, pkt(alloc, hdrAB()))
+		if len(d.QueuedPackets(1)) != 2 || d.TotalQueued() != 2 || !d.PortUp(3) {
+			t.Errorf("fork %d: %d packets queued, port 3 up %v; want its source's packet and its own, port 3 up",
+				owner, d.TotalQueued(), d.PortUp(3))
+		}
+		d.SetPortUp(2, false)
+		if sw.TotalQueued() != 1 || !sw.PortUp(2) {
+			t.Fatalf("fork %d wrote its source", owner)
+		}
+		d.Recycle()
+	}
+}
+
 func TestStateKeyModes(t *testing.T) {
 	build := func(order []int) *Switch {
 		sw, _ := newTestSwitch()

@@ -387,9 +387,15 @@ func (p *DirectPaths) EventMask() uint64 {
 }
 
 // StateKey implements core.Property.
-func (p *DirectPaths) StateKey() string {
-	b := appendFlowSet(make([]byte, 0, 64), p.delivered)
-	return string(appendPacketIDSet(b, p.lateSend))
+func (p *DirectPaths) StateKey() string { return directPathsKey(p.delivered, p.lateSend) }
+
+// directPathsKey renders the state of DirectPaths and StrictDirectPaths
+// on stack scratch, allocating only the string; a state outgrowing the
+// scratch spills to the heap.
+func directPathsKey(delivered map[openflow.Flow]bool, lateSend map[openflow.PacketID]bool) string {
+	var buf [1024]byte
+	b := appendFlowSet(buf[:0], delivered)
+	return string(appendPacketIDSet(b, lateSend))
 }
 
 // StrictDirectPaths checks that after two hosts have delivered at least
@@ -486,7 +492,4 @@ func (p *StrictDirectPaths) EventMask() uint64 {
 }
 
 // StateKey implements core.Property.
-func (p *StrictDirectPaths) StateKey() string {
-	b := appendFlowSet(make([]byte, 0, 64), p.delivered)
-	return string(appendPacketIDSet(b, p.lateSend))
-}
+func (p *StrictDirectPaths) StateKey() string { return directPathsKey(p.delivered, p.lateSend) }
