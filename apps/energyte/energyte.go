@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"github.com/nice-go/nice/controller"
+	"github.com/nice-go/nice/internal/cow"
 	"github.com/nice-go/nice/internal/sym"
 	"github.com/nice-go/nice/openflow"
 	"github.com/nice-go/nice/topo"
@@ -78,7 +79,7 @@ type App struct {
 	// flowCount numbers new flows for the per-flow alternating split.
 	flowCount int
 	// flows records the path assigned to each flow.
-	flows map[openflow.Flow]Path
+	flows cow.Map[openflow.Flow, Path]
 	// pollsLeft bounds the environment stats-poll transition.
 	pollsLeft int
 
@@ -92,9 +93,9 @@ type App struct {
 	// pending holds packets awaiting barrier acknowledgments.
 	pending []pendingRelease
 
-	// borrowed marks flows and pending as shared with the instance this
-	// one was cloned from; the first mutation of either copies both.
-	// Scalar fields need no guard — Clone copies the struct.
+	// borrowed marks pending as shared with the instance this one was
+	// cloned from; its first mutation copies it. Scalar fields need no
+	// guard — Clone copies the struct.
 	borrowed bool
 }
 
@@ -113,7 +114,6 @@ func New(fix FixLevel, t *topo.Topology, threshold uint64, polls int) *App {
 		fix: fix, topo: t,
 		ingress: 1, egress: 2, detour: 3,
 		threshold: threshold,
-		flows:     make(map[openflow.Flow]Path),
 		pollsLeft: polls,
 		hostPorts: make(map[openflow.EthAddr]openflow.PortID),
 	}
@@ -129,24 +129,20 @@ func New(fix FixLevel, t *topo.Topology, threshold uint64, polls int) *App {
 func (a *App) Name() string { return fmt.Sprintf("energyte(fix=%d)", int(a.fix)) }
 
 // Clone implements controller.App: an O(1) copy borrowing the flow
-// table and the pending-release queue; ensureOwned deep-copies both
-// before the clone's first mutation.
+// table and the pending-release queue until the clone's first write of
+// each; ensureOwned deep-copies pending.
 func (a *App) Clone() controller.App {
 	c := *a
+	c.flows.Borrow(nil)
 	c.borrowed = true
 	return &c
 }
 
-// ensureOwned deep-copies borrowed mutable state before the first
-// write. pending's Waiting maps are included: BarrierReply deletes from
-// them in place.
+// ensureOwned deep-copies a borrowed pending queue before its first
+// write, Waiting maps included: BarrierReply deletes from them in place.
 func (a *App) ensureOwned() {
 	if !a.borrowed {
 		return
-	}
-	flows := make(map[openflow.Flow]Path, len(a.flows))
-	for k, v := range a.flows {
-		flows[k] = v
 	}
 	pending := make([]pendingRelease, len(a.pending))
 	for i, p := range a.pending {
@@ -157,7 +153,7 @@ func (a *App) ensureOwned() {
 		p.Waiting = w
 		pending[i] = p
 	}
-	a.flows, a.pending = flows, pending
+	a.pending = pending
 	a.borrowed = false
 }
 
@@ -173,7 +169,7 @@ func (a *App) StateKey() string {
 	var xidScratch [8]int
 	var buf [512]byte
 	flows := flowScratch[:0]
-	for f := range a.flows {
+	for f := range a.flows.All() {
 		flows = append(flows, f)
 	}
 	slices.SortFunc(flows, func(f, g openflow.Flow) int {
@@ -197,7 +193,8 @@ func (a *App) StateKey() string {
 		}
 		b = f.AppendKey(b)
 		b = append(b, '=')
-		b = strconv.AppendInt(b, int64(a.flows[f]), 10)
+		path, _ := a.flows.Get(f)
+		b = strconv.AppendInt(b, int64(path), 10)
 	}
 	b = append(b, "} pend["...)
 	xids := xidScratch[:0]
@@ -268,10 +265,9 @@ func (a *App) StatsReply(ctx *controller.Context, sw openflow.SwitchID, stats *s
 		// after its rules are gone, and the handler "ignores the
 		// packet because it fails to find this switch in any of those
 		// lists" (§8.3) — s3 is on no recomputed path.
-		a.ensureOwned()
-		for f := range a.flows {
-			if a.flows[f] != AlwaysOn {
-				a.flows[f] = AlwaysOn
+		for f, path := range a.flows.All() {
+			if path != AlwaysOn {
+				a.flows.Set(f, AlwaysOn)
 				out, _ := a.topo.LinkPort(a.ingress, a.egress)
 				ctx.InstallRule(a.ingress, openflow.Rule{
 					Priority: 10,
@@ -313,13 +309,12 @@ func (a *App) PacketIn(ctx *controller.Context, sw openflow.SwitchID, pkt *sym.P
 	}
 
 	flow := pkt.Header().Flow()
-	path, known := sym.LookupFlow(ctx.Trace(), a.flows, pkt)
+	path, known := sym.LookupFlow(ctx.Trace(), a.flows.Read(), pkt)
 	if !known {
 		path = a.choosePath()
-		a.ensureOwned()
 		a.BumpStateVersion()
 		a.flowCount++
-		a.flows[flow] = path
+		a.flows.Set(flow, path)
 	}
 	a.installPath(ctx, path, pkt, buf)
 }
@@ -345,7 +340,7 @@ func (a *App) onAnyPath(sw openflow.SwitchID) bool {
 	if sw == a.ingress || sw == a.egress {
 		return true
 	}
-	for _, p := range a.flows {
+	for _, p := range a.flows.All() {
 		if p == OnDemand && sw == a.detour {
 			return true
 		}
@@ -433,7 +428,7 @@ func (a *App) handleTransit(ctx *controller.Context, sw openflow.SwitchID, pkt *
 		return
 	}
 	hdr := pkt.Header()
-	path, known := sym.LookupFlow(ctx.Trace(), a.flows, pkt)
+	path, known := sym.LookupFlow(ctx.Trace(), a.flows.Read(), pkt)
 	if !known {
 		ctx.PacketOut(sw, buf, openflow.Drop())
 		return

@@ -14,8 +14,8 @@ import (
 // and is off under -race.
 func TestStateKeyAllocs(t *testing.T) {
 	a := newApp(Buggy, 1)
-	a.inspected[synTo(vip, openflow.TCPSyn).Flow()] = 0
-	a.inspected[synTo(vip, openflow.TCPAck).Flow().Reverse()] = 1
+	a.inspected.Set(synTo(vip, openflow.TCPSyn).Flow(), 0)
+	a.inspected.Set(synTo(vip, openflow.TCPAck).Flow().Reverse(), 1)
 	if n := testing.AllocsPerRun(100, func() { _ = a.StateKey() }); n != 1 {
 		t.Errorf("StateKey: %.1f allocations, want 1", n)
 	}

@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"github.com/nice-go/nice/controller"
+	"github.com/nice-go/nice/internal/cow"
 	"github.com/nice-go/nice/internal/sym"
 	"github.com/nice-go/nice/openflow"
 	"github.com/nice-go/nice/topo"
@@ -74,14 +75,9 @@ type App struct {
 	oldPolicy int
 	// inspected maps connections seen during the transition to their
 	// replica index.
-	inspected map[openflow.Flow]int
+	inspected cow.Map[openflow.Flow, int]
 	// reconfigsLeft bounds the environment transition.
 	reconfigsLeft int
-
-	// borrowed marks inspected as shared with the instance this one was
-	// cloned from; the first inspection write copies it. Scalar fields
-	// need no guard — Clone copies the struct.
-	borrowed bool
 }
 
 // VirtualMAC is the MAC the virtual IP resolves to.
@@ -96,7 +92,6 @@ func New(fix FixLevel, t *topo.Topology, vip openflow.IPAddr, reconfigs int) *Ap
 		clientPort:    1,
 		vip:           vip,
 		vmac:          VirtualMAC,
-		inspected:     make(map[openflow.Flow]int),
 		reconfigsLeft: reconfigs,
 	}
 	for _, h := range t.Hosts() {
@@ -122,25 +117,13 @@ func (a *App) EmitsTo(openflow.SwitchID) ([]openflow.SwitchID, bool) {
 }
 
 // Clone implements controller.App: an O(1) copy borrowing the
-// inspected-connection map (replicas are immutable after New and always
-// shared).
+// inspected-connection map until the clone's first inspection write
+// (replicas are immutable after New and always shared; scalar fields
+// need no guard).
 func (a *App) Clone() controller.App {
 	c := *a
-	c.borrowed = true
+	c.inspected.Borrow(nil)
 	return &c
-}
-
-// ensureOwned copies the borrowed inspected map before the first write.
-func (a *App) ensureOwned() {
-	if !a.borrowed {
-		return
-	}
-	m := make(map[openflow.Flow]int, len(a.inspected))
-	for k, v := range a.inspected {
-		m[k] = v
-	}
-	a.inspected = m
-	a.borrowed = false
 }
 
 // StateKey implements controller.App with a hand-written sorted
@@ -152,7 +135,7 @@ func (a *App) StateKey() string {
 	var flowScratch [8]openflow.Flow
 	var buf [512]byte
 	flows := flowScratch[:0]
-	for f := range a.inspected {
+	for f := range a.inspected.All() {
 		flows = append(flows, f)
 	}
 	slices.SortFunc(flows, func(f, g openflow.Flow) int {
@@ -176,7 +159,8 @@ func (a *App) StateKey() string {
 		}
 		b = f.AppendKey(b)
 		b = append(b, '>')
-		b = strconv.AppendInt(b, int64(a.inspected[f]), 10)
+		idx, _ := a.inspected.Get(f)
+		b = strconv.AppendInt(b, int64(idx), 10)
 	}
 	b = append(b, '}')
 	return string(b)
@@ -361,7 +345,7 @@ func (a *App) handleConnection(ctx *controller.Context, pkt *sym.Packet, buf ope
 
 	choice := a.policy
 	if a.transitioning {
-		if idx, ok := sym.LookupFlow(ctx.Trace(), a.inspected, pkt); ok {
+		if idx, ok := sym.LookupFlow(ctx.Trace(), a.inspected.Read(), pkt); ok {
 			// A connection already pinned during this transition
 			// stays where it is.
 			choice = idx
@@ -378,9 +362,8 @@ func (a *App) handleConnection(ctx *controller.Context, pkt *sym.Packet, buf ope
 			// Mid-connection packet of an ongoing transfer.
 			choice = a.oldPolicy
 		}
-		a.ensureOwned()
 		a.BumpStateVersion()
-		a.inspected[flow] = choice
+		a.inspected.Set(flow, choice)
 	}
 
 	r := a.replicas[choice]

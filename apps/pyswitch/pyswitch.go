@@ -8,6 +8,7 @@ import (
 	"strconv"
 
 	"github.com/nice-go/nice/controller"
+	"github.com/nice-go/nice/internal/cow"
 	"github.com/nice-go/nice/internal/sym"
 	"github.com/nice-go/nice/openflow"
 	"github.com/nice-go/nice/topo"
@@ -36,12 +37,7 @@ type App struct {
 	// ctrl_state[sw_id][pkt.src] = inport. The outer map indexes one
 	// table per joined switch; a stored table is never written (a write
 	// stores a new one), so clones share every table they do not write.
-	mactable map[openflow.SwitchID]map[openflow.EthAddr]openflow.PortID
-
-	// borrowed marks the outer map as shared with the instance this one
-	// was cloned from; the first write copies it. The flag lives only on
-	// the clone — the frozen source is never written.
-	borrowed bool
+	mactable cow.Map[openflow.SwitchID, map[openflow.EthAddr]openflow.PortID]
 
 	// floods is the Fixed variant's spanning-tree flood list per
 	// (switch, in-port), built once in New and shared by every clone and
@@ -57,11 +53,7 @@ type floodKey struct {
 
 // New builds the application for a topology.
 func New(variant Variant, t *topo.Topology) *App {
-	a := &App{
-		variant:  variant,
-		topo:     t,
-		mactable: make(map[openflow.SwitchID]map[openflow.EthAddr]openflow.PortID),
-	}
+	a := &App{variant: variant, topo: t}
 	if variant == Fixed {
 		stPorts := spanningTreePorts(t)
 		a.floods = make(map[floodKey][]openflow.Action)
@@ -96,33 +88,18 @@ func (a *App) EmitsTo(sw openflow.SwitchID) ([]openflow.SwitchID, bool) {
 func (a *App) PartitionedBySwitch() bool { return true }
 
 // Clone implements controller.App: an O(1) copy borrowing the MAC
-// tables; ensureOwned copies the outer map before the clone's first
-// write.
+// tables; the clone's first write copies the outer map, and the tables
+// stay shared.
 func (a *App) Clone() controller.App {
 	c := *a
-	c.borrowed = true
+	c.mactable.Borrow(nil)
 	return &c
-}
-
-// ensureOwned copies a borrowed outer map before the first write; the
-// tables stay shared.
-func (a *App) ensureOwned() {
-	if !a.borrowed {
-		return
-	}
-	mt := make(map[openflow.SwitchID]map[openflow.EthAddr]openflow.PortID, len(a.mactable))
-	for sw, t := range a.mactable {
-		mt[sw] = t
-	}
-	a.mactable = mt
-	a.borrowed = false
 }
 
 // store replaces sw's table with t, a table no other instance holds.
 func (a *App) store(sw openflow.SwitchID, t map[openflow.EthAddr]openflow.PortID) {
-	a.ensureOwned()
 	a.BumpStateVersion()
-	a.mactable[sw] = t
+	a.mactable.Set(sw, t)
 }
 
 // learn stores ctrl_state[sw][mac] = port (Figure 3 line 7) in a new
@@ -130,14 +107,11 @@ func (a *App) store(sw openflow.SwitchID, t map[openflow.EthAddr]openflow.PortID
 // the whole network. Learning on a switch that never joined panics, as
 // Figure 3's write into a missing table does.
 func (a *App) learn(sw openflow.SwitchID, mac openflow.EthAddr, port openflow.PortID) {
-	t, ok := a.mactable[sw]
+	t, ok := a.mactable.Get(sw)
 	if !ok {
 		panic(fmt.Sprintf("pyswitch: learn on switch %d, which never joined", sw))
 	}
-	m := make(map[openflow.EthAddr]openflow.PortID, len(t)+1)
-	for k, v := range t {
-		m[k] = v
-	}
+	m := maps.Clone(t)
 	m[mac] = port
 	a.store(sw, m)
 }
@@ -153,7 +127,7 @@ func (a *App) StateKey() string {
 	var macScratch [32]openflow.EthAddr
 	var buf [512]byte
 	sws := swScratch[:0]
-	for sw := range a.mactable {
+	for sw := range a.mactable.All() {
 		sws = append(sws, sw)
 	}
 	slices.Sort(sws)
@@ -165,7 +139,7 @@ func (a *App) StateKey() string {
 		}
 		b = strconv.AppendInt(b, int64(sw), 10)
 		b = append(b, ":{"...)
-		t := a.mactable[sw]
+		t, _ := a.mactable.Get(sw)
 		macs = macs[:0]
 		for mac := range t {
 			macs = append(macs, mac)
@@ -187,19 +161,16 @@ func (a *App) StateKey() string {
 
 // SwitchJoin initializes the switch's MAC table (Figure 3 lines 17-19).
 func (a *App) SwitchJoin(_ *controller.Context, sw openflow.SwitchID) {
-	if _, ok := a.mactable[sw]; !ok {
-		a.ensureOwned()
-		a.BumpStateVersion()
-		a.mactable[sw] = make(map[openflow.EthAddr]openflow.PortID)
+	if _, ok := a.mactable.Get(sw); !ok {
+		a.store(sw, make(map[openflow.EthAddr]openflow.PortID))
 	}
 }
 
 // SwitchLeave deletes it (lines 20-22).
 func (a *App) SwitchLeave(_ *controller.Context, sw openflow.SwitchID) {
-	if _, ok := a.mactable[sw]; ok {
-		a.ensureOwned()
+	if _, ok := a.mactable.Get(sw); ok {
 		a.BumpStateVersion()
-		delete(a.mactable, sw)
+		a.mactable.Delete(sw)
 	}
 }
 
@@ -211,9 +182,10 @@ func (a *App) PortStatus(ctx *controller.Context, sw openflow.SwitchID, port ope
 	if a.variant != Fixed || up {
 		return
 	}
-	t := maps.Clone(a.mactable[sw])
+	old, _ := a.mactable.Get(sw)
+	t := maps.Clone(old)
 	maps.DeleteFunc(t, func(_ openflow.EthAddr, p openflow.PortID) bool { return p == port })
-	if len(t) < len(a.mactable[sw]) {
+	if len(t) < len(old) {
 		a.store(sw, t)
 	}
 	// Also clear any forwarding rules pointing at the dead port: the
@@ -240,7 +212,7 @@ func (a *App) PacketIn(ctx *controller.Context, sw openflow.SwitchID, pkt *sym.P
 	if !ctx.If(isBcastSrc) {
 		a.learn(sw, openflow.EthAddr(pkt.EthSrc().C), inport)
 	}
-	mactable := a.mactable[sw] // line 3
+	mactable, _ := a.mactable.Get(sw) // line 3
 
 	// Line 8: known unicast destination?
 	if !ctx.If(isBcastDst) {

@@ -32,7 +32,7 @@ func TestLearnsSourcePort(t *testing.T) {
 	app := New(Buggy, tp)
 	app.SwitchJoin(newCtx(), 1)
 	packetIn(app, newCtx(), ping(), 1)
-	if got := app.mactable[1][topo.MACHostA]; got != 1 {
+	if got := app.mactable.Read()[1][topo.MACHostA]; got != 1 {
 		t.Errorf("A learned at port %v, want 1", got)
 	}
 }
@@ -44,8 +44,8 @@ func TestBroadcastSourceNotLearned(t *testing.T) {
 	h := ping()
 	h.EthSrc = openflow.BroadcastEth
 	packetIn(app, newCtx(), h, 1)
-	if len(app.mactable[1]) != 0 {
-		t.Errorf("broadcast source learned: %v", app.mactable[1])
+	if len(app.mactable.Read()[1]) != 0 {
+		t.Errorf("broadcast source learned: %v", app.mactable.Read()[1])
 	}
 }
 
@@ -136,7 +136,7 @@ func TestSwitchLeaveForgets(t *testing.T) {
 	app.SwitchJoin(newCtx(), 1)
 	packetIn(app, newCtx(), ping(), 1)
 	app.SwitchLeave(newCtx(), 1)
-	if _, ok := app.mactable[1]; ok {
+	if _, ok := app.mactable.Read()[1]; ok {
 		t.Error("switch state survived leave")
 	}
 }
@@ -255,7 +255,7 @@ func TestStateKeyMatchesCanon(t *testing.T) {
 	distinct := map[string]bool{}
 	for i := range apps {
 		apps[i] = randomApp(rng, tp)
-		if got, want := apps[i].StateKey(), refKey(apps[i].mactable); got != want {
+		if got, want := apps[i].StateKey(), refKey(apps[i].mactable.Read()); got != want {
 			t.Fatalf("app %d: StateKey %s, reference %s", i, got, want)
 		}
 		distinct[apps[i].StateKey()] = true
@@ -266,7 +266,7 @@ func TestStateKeyMatchesCanon(t *testing.T) {
 	for i, a := range apps {
 		for j, b := range apps {
 			handEq := a.StateKey() == b.StateKey()
-			canonEq := canon.String(a.mactable) == canon.String(b.mactable)
+			canonEq := canon.String(a.mactable.Read()) == canon.String(b.mactable.Read())
 			if handEq != canonEq {
 				t.Fatalf("apps %d/%d: hand-written equality %t, canon equality %t\nhand a: %s\nhand b: %s",
 					i, j, handEq, canonEq, a.StateKey(), b.StateKey())

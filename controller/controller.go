@@ -268,9 +268,9 @@ type Runtime struct {
 	App App
 
 	// inQ holds switch→controller messages per switch.
-	inQ map[openflow.SwitchID][]openflow.Msg
+	inQ queues
 	// outQ holds controller→switch messages per switch.
-	outQ map[openflow.SwitchID][]openflow.Msg
+	outQ queues
 
 	// seq stamps controller→switch messages with a global issue order
 	// (consumed by the UNUSUAL strategy). xid numbers barriers. Both
@@ -297,17 +297,11 @@ type Runtime struct {
 	// and forks before mutating when they differ.
 	cow.Tag
 
-	// borrowApp / borrowIn / borrowOut mark the application and the two
-	// channel maps as shared with the runtime this one was forked from;
-	// each is copied (the app by App.Clone) before its first mutation.
-	// The flags live only on the exclusive fork — the frozen source is
-	// never written.
-	borrowApp, borrowIn, borrowOut bool
-
-	// spareIn / spareOut are emptied channel maps a recycled runtime
-	// kept (Recycle); ownInQ and ownOutQ refill them instead of making
-	// new ones. Only this struct references them.
-	spareIn, spareOut map[openflow.SwitchID][]openflow.Msg
+	// borrowApp marks the application as shared with the runtime this
+	// one was forked from; App.Clone copies it before its first
+	// mutation. The flag lives only on the exclusive fork — the frozen
+	// source is never written.
+	borrowApp bool
 }
 
 // runtimePool holds recycled runtime shells with their spare maps.
@@ -315,11 +309,7 @@ var runtimePool sync.Pool
 
 // NewRuntime wraps an application.
 func NewRuntime(app App) *Runtime {
-	return &Runtime{
-		App:  app,
-		inQ:  make(map[openflow.SwitchID][]openflow.Msg),
-		outQ: make(map[openflow.SwitchID][]openflow.Msg),
-	}
+	return &Runtime{App: app}
 }
 
 // Fork returns a copy-on-write fork owned at epoch owner: an O(1)
@@ -334,11 +324,12 @@ func (r *Runtime) Fork(owner uint64) *Runtime {
 	if c == nil {
 		c = new(Runtime)
 	}
-	spareIn, spareOut := c.spareIn, c.spareOut
+	in, out := c.inQ, c.outQ
 	*c = *r
-	c.spareIn, c.spareOut = spareIn, spareOut
+	c.inQ.Borrow(&in)
+	c.outQ.Borrow(&out)
 	c.SetOwner(owner)
-	c.borrowApp, c.borrowIn, c.borrowOut = true, true, true
+	c.borrowApp = true
 	return c
 }
 
@@ -348,16 +339,9 @@ func (r *Runtime) Fork(owner uint64) *Runtime {
 // now, and is zeroed otherwise, so a stale reader sees no messages; the
 // application and the queue slice backings are never reused.
 func (r *Runtime) Recycle() {
-	in, out := r.spareIn, r.spareOut
-	if !r.borrowIn && r.inQ != nil {
-		clear(r.inQ)
-		in = r.inQ
-	}
-	if !r.borrowOut && r.outQ != nil {
-		clear(r.outQ)
-		out = r.outQ
-	}
-	*r = Runtime{spareIn: in, spareOut: out}
+	r.inQ.Recycle()
+	r.outQ.Recycle()
+	*r = Runtime{inQ: r.inQ, outQ: r.outQ}
 	runtimePool.Put(r)
 }
 
@@ -371,65 +355,30 @@ func (r *Runtime) ownApp() {
 	r.borrowApp = false
 }
 
-// ownInQ copies the borrowed switch→controller channel map, into the
-// spare one when there is one, before its first mutation; queue slices
-// are capacity-clamped so appends reallocate instead of writing a
-// shared backing array.
-func (r *Runtime) ownInQ() {
-	if !r.borrowIn {
-		return
-	}
-	r.inQ = copyQueues(r.spareIn, r.inQ)
-	r.spareIn = nil
-	r.borrowIn = false
-}
-
-// ownOutQ is ownInQ for the controller→switch channel map.
-func (r *Runtime) ownOutQ() {
-	if !r.borrowOut {
-		return
-	}
-	r.outQ = copyQueues(r.spareOut, r.outQ)
-	r.spareOut = nil
-	r.borrowOut = false
-}
-
-// copyQueues copies m into the empty map c, made when nil.
-func copyQueues(c, m map[openflow.SwitchID][]openflow.Msg) map[openflow.SwitchID][]openflow.Msg {
-	if c == nil {
-		c = make(map[openflow.SwitchID][]openflow.Msg, len(m))
-	}
-	for sw, q := range m {
-		c[sw] = q[:len(q):len(q)]
-	}
-	return c
-}
-
 // DeliverToController enqueues a switch→controller message.
 func (r *Runtime) DeliverToController(m openflow.Msg) {
-	r.ownInQ()
 	r.inKeyValid = false
-	r.inQ[m.Switch] = append(r.inQ[m.Switch], m.MemoKeyHash())
+	r.inQ.Append(m.Switch, m.MemoKeyHash())
 }
 
 // InLen reports the inbound (switch→controller) queue length for a
 // switch. The reduction layer uses it to tell head from tail accesses.
-func (r *Runtime) InLen(sw openflow.SwitchID) int { return len(r.inQ[sw]) }
+func (r *Runtime) InLen(sw openflow.SwitchID) int { return len(r.inQ.Queue(sw)) }
 
 // OutLen reports the outbound (controller→switch) queue length for a
 // switch.
-func (r *Runtime) OutLen(sw openflow.SwitchID) int { return len(r.outQ[sw]) }
+func (r *Runtime) OutLen(sw openflow.SwitchID) int { return len(r.outQ.Queue(sw)) }
 
 // PendingIn returns the switches with queued inbound messages, sorted.
-func (r *Runtime) PendingIn() []openflow.SwitchID { return pendingSorted(nil, r.inQ) }
+func (r *Runtime) PendingIn() []openflow.SwitchID { return pendingSorted(nil, &r.inQ) }
 
 // PendingOut returns the switches with queued outbound messages, sorted.
-func (r *Runtime) PendingOut() []openflow.SwitchID { return pendingSorted(nil, r.outQ) }
+func (r *Runtime) PendingOut() []openflow.SwitchID { return pendingSorted(nil, &r.outQ) }
 
 // HeadIn returns the next inbound message from a switch without
 // consuming it.
 func (r *Runtime) HeadIn(sw openflow.SwitchID) (openflow.Msg, bool) {
-	q := r.inQ[sw]
+	q := r.inQ.Queue(sw)
 	if len(q) == 0 {
 		return openflow.Msg{}, false
 	}
@@ -438,33 +387,17 @@ func (r *Runtime) HeadIn(sw openflow.SwitchID) (openflow.Msg, bool) {
 
 // PopIn consumes the next inbound message from a switch.
 func (r *Runtime) PopIn(sw openflow.SwitchID) (openflow.Msg, bool) {
-	q := r.inQ[sw]
-	if len(q) == 0 {
-		return openflow.Msg{}, false
+	m, ok := r.inQ.PopHead(sw)
+	if ok {
+		r.inKeyValid = false
 	}
-	r.ownInQ()
-	r.inKeyValid = false
-	popHead(r.inQ, sw, q)
-	return q[0], true
-}
-
-// popHead drops the head of switch sw's queue q. Sharing the tail is
-// safe: queue backings are never written in place (appends on forks
-// reallocate past the clamped capacity). A drained queue leaves the
-// map, so the channel hashes and the next fork's map copy walk only
-// the switches that have something pending.
-func popHead(m map[openflow.SwitchID][]openflow.Msg, sw openflow.SwitchID, q []openflow.Msg) {
-	if len(q) == 1 {
-		delete(m, sw)
-	} else {
-		m[sw] = q[1:]
-	}
+	return m, ok
 }
 
 // HeadOut returns the next outbound message for a switch without
 // consuming it.
 func (r *Runtime) HeadOut(sw openflow.SwitchID) (openflow.Msg, bool) {
-	q := r.outQ[sw]
+	q := r.outQ.Queue(sw)
 	if len(q) == 0 {
 		return openflow.Msg{}, false
 	}
@@ -473,27 +406,23 @@ func (r *Runtime) HeadOut(sw openflow.SwitchID) (openflow.Msg, bool) {
 
 // PopOut consumes the next outbound message for a switch.
 func (r *Runtime) PopOut(sw openflow.SwitchID) (openflow.Msg, bool) {
-	q := r.outQ[sw]
-	if len(q) == 0 {
-		return openflow.Msg{}, false
+	m, ok := r.outQ.PopHead(sw)
+	if ok {
+		r.outKeyValid = false
 	}
-	r.ownOutQ()
-	r.outKeyValid = false
-	popHead(r.outQ, sw, q)
-	return q[0], true
+	return m, ok
 }
 
 // Emit stamps and enqueues handler-emitted messages onto the outbound
 // channels.
 func (r *Runtime) Emit(msgs []openflow.Msg) {
 	if len(msgs) > 0 {
-		r.ownOutQ()
 		r.outKeyValid = false
 	}
 	for _, m := range msgs {
 		r.seq++
 		m.Seq = r.seq
-		r.outQ[m.Switch] = append(r.outQ[m.Switch], m.MemoKeyHash())
+		r.outQ.Append(m.Switch, m.MemoKeyHash())
 	}
 }
 
@@ -574,9 +503,9 @@ func (r *Runtime) StateKey() string {
 	b.WriteString("app{")
 	b.WriteString(r.App.StateKey())
 	b.WriteString("} in{")
-	writeQueues(&b, r.inQ)
+	writeQueues(&b, &r.inQ)
 	b.WriteString("} out{")
-	writeQueues(&b, r.outQ)
+	writeQueues(&b, &r.outQ)
 	b.WriteString("}")
 	return b.String()
 }
@@ -618,7 +547,7 @@ func (r *Runtime) AppKeyDigest() canon.Digest {
 // — cached until the next queue mutation.
 func (r *Runtime) InKeyHash64() uint64 {
 	if !r.inKeyValid {
-		r.inKeyHash = hashQueues(r.inQ, false)
+		r.inKeyHash = hashQueues(&r.inQ, false)
 		r.inKeyValid = true
 	}
 	return r.inKeyHash
@@ -627,7 +556,7 @@ func (r *Runtime) InKeyHash64() uint64 {
 // OutKeyHash64 is InKeyHash64 for the controller→switch channels.
 func (r *Runtime) OutKeyHash64() uint64 {
 	if !r.outKeyValid {
-		r.outKeyHash = hashQueues(r.outQ, false)
+		r.outKeyHash = hashQueues(&r.outQ, false)
 		r.outKeyValid = true
 	}
 	return r.outKeyHash
@@ -637,15 +566,19 @@ func (r *Runtime) OutKeyHash64() uint64 {
 // the caches and every message's memoized hash — the side VerifyCaches
 // compares InKeyHash64 and OutKeyHash64 against.
 func (r *Runtime) FreshKeyHashes() (in, out uint64) {
-	return hashQueues(r.inQ, true), hashQueues(r.outQ, true)
+	return hashQueues(&r.inQ, true), hashQueues(&r.outQ, true)
 }
+
+// queues is a runtime's channel map: per switch, the messages in
+// flight.
+type queues = cow.Queues[openflow.SwitchID, openflow.Msg]
 
 // pendingSorted appends the switches with queued messages to buf in
 // ascending order. Channel hashes re-run on every queue mutation, so
 // the caller passes a stack buffer, and the insertion sort avoids
 // sort.Slice's closure (which would force that buffer to the heap).
-func pendingSorted(buf []openflow.SwitchID, m map[openflow.SwitchID][]openflow.Msg) []openflow.SwitchID {
-	for sw, q := range m {
+func pendingSorted(buf []openflow.SwitchID, m *queues) []openflow.SwitchID {
+	for sw, q := range m.All() {
 		if len(q) > 0 {
 			buf = append(buf, sw)
 		}
@@ -660,11 +593,11 @@ func pendingSorted(buf []openflow.SwitchID, m map[openflow.SwitchID][]openflow.M
 
 // hashQueues chains, per pending switch in ID order, the queue length
 // and each message's hash — memoized at enqueue unless fresh is set.
-func hashQueues(m map[openflow.SwitchID][]openflow.Msg, fresh bool) uint64 {
+func hashQueues(m *queues, fresh bool) uint64 {
 	var kbuf [16]openflow.SwitchID
 	h := canon.NewMix(0)
 	for _, sw := range pendingSorted(kbuf[:0], m) {
-		q := m[sw]
+		q := m.Queue(sw)
 		h = h.Word(uint64(sw)).Word(uint64(len(q)))
 		for i := range q {
 			if fresh {
@@ -677,13 +610,13 @@ func hashQueues(m map[openflow.SwitchID][]openflow.Msg, fresh bool) uint64 {
 	return h.Sum()
 }
 
-func writeQueues(b *strings.Builder, m map[openflow.SwitchID][]openflow.Msg) {
+func writeQueues(b *strings.Builder, m *queues) {
 	var kbuf [16]openflow.SwitchID
 	for _, sw := range pendingSorted(kbuf[:0], m) {
 		b.WriteByte('s')
 		b.WriteString(strconv.Itoa(int(sw)))
 		b.WriteString(":[")
-		for i, msg := range m[sw] {
+		for i, msg := range m.Queue(sw) {
 			if i > 0 {
 				b.WriteByte(' ')
 			}

@@ -91,8 +91,9 @@ func TestPackageDocs(t *testing.T) {
 // deep-clone and oracle-hash reference paths, the parallel engine's
 // sleep-set reduction and Checker's DPOR entry point, the property key
 // memo interfaces, the Checker type trace replay used to hang off, the
-// optional forking interfaces Clone absorbed, and the symbolic
-// explorer's string keys. The patterns are
+// optional forking interfaces Clone absorbed, the symbolic explorer's
+// string keys, and the hash and wrapper helpers only tests called. The
+// patterns are
 // assembled from pieces so that this file passes its own lint.
 var retiredNames = map[*regexp.Regexp]string{
 	regexp.MustCompile(`nice-` + `bench\b|internal/` + `bench\b|BENCH` + `_[0-9]`): "benchmark/ (bash benchmark/run.sh)",
@@ -112,6 +113,9 @@ var retiredNames = map[*regexp.Regexp]string{
 	regexp.MustCompile(`\bFork` + `Prop\b`):                                        "App.Clone / Property.Clone (the copy-on-write fork)",
 	regexp.MustCompile(`\bExpr` + `Key\b`):                                         "Expr.String for a rendering; the solver memo keys by sym.ProblemKey's structural digest",
 	regexp.MustCompile(`\bPath` + `Key\b`):                                         "sym.Result.Path, the structural digest of a path condition",
+	regexp.MustCompile(`\bHash` + `64\(|\bcanon\.Hash` + `64\b`):                   "canon.Hash64String(canon.String(v)), or a structural hash (canon.NewMix)",
+	regexp.MustCompile(`\bHash` + `String\b`):                                      "canon.Hash128(s).Hex()",
+	regexp.MustCompile(`\bConcrete` + `Bool\b`):                                    "sym.Bool{C: b}",
 }
 
 // TestNoRetiredNames: the measurement stack outlived its replacement

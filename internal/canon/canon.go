@@ -32,19 +32,6 @@ func String(v any) string {
 	return b.String()
 }
 
-// Hash64 returns the FNV-1a 64-bit hash of the canonical rendering.
-func Hash64(v any) uint64 {
-	return Hash64String(String(v))
-}
-
-// HashString hashes an already-canonical string with FNV-1a 128-bit,
-// returning a compact hex digest for explored-state sets. It is the
-// hex-string form of Hash128; fingerprint-based callers use the raw
-// Digest instead.
-func HashString(s string) string {
-	return Hash128(s).Hex()
-}
-
 func writeValue(b *strings.Builder, v reflect.Value, seen map[uintptr]bool) {
 	if !v.IsValid() {
 		b.WriteString("<nil>")

@@ -132,16 +132,16 @@ func TestEqualValuesEqualStrings(t *testing.T) {
 }
 
 func TestHash64AndHashString(t *testing.T) {
-	if Hash64("a") == Hash64("b") {
+	if Hash64String(String("a")) == Hash64String(String("b")) {
 		t.Error("trivial hash collision")
 	}
-	if HashString("x") == HashString("y") {
+	if Hash128("x").Hex() == Hash128("y").Hex() {
 		t.Error("trivial string-hash collision")
 	}
-	if len(HashString("x")) != 32 {
-		t.Errorf("digest length %d, want 32 hex chars", len(HashString("x")))
+	if len(Hash128("x").Hex()) != 32 {
+		t.Errorf("digest length %d, want 32 hex chars", len(Hash128("x").Hex()))
 	}
-	if HashString("same") != HashString("same") {
+	if Hash128("same").Hex() != Hash128("same").Hex() {
 		t.Error("hash not deterministic")
 	}
 }

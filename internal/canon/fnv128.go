@@ -9,8 +9,7 @@ import "math/bits"
 type Digest [2]uint64
 
 // Hex renders the digest as 32 lowercase hex characters — byte-for-byte
-// identical to the historical HashString output (fmt.Sprintf("%x") over
-// fnv.New128a's sum).
+// fmt.Sprintf("%x") over fnv.New128a's sum.
 func (d Digest) Hex() string {
 	var buf [32]byte
 	const hexdigits = "0123456789abcdef"
@@ -72,8 +71,7 @@ func (h *Hasher) WriteString(s string) {
 // Sum returns the current digest.
 func (h *Hasher) Sum() Digest { return Digest{h.hi, h.lo} }
 
-// Hash128 returns the FNV-1a 128-bit digest of s. Hash128(s).Hex() is
-// identical to the historical HashString(s).
+// Hash128 returns the FNV-1a 128-bit digest of s.
 func Hash128(s string) Digest {
 	h := NewHasher()
 	h.WriteString(s)

@@ -34,12 +34,16 @@
 // a fork never races with another goroutine reading components it shares.
 //
 // Nested state (a switch's flow table and channel maps, a runtime's
-// application and message queues) uses borrowed flags instead of
-// epochs: a component copy is created with its internals marked
-// borrowed, and each internal mutator copies-then-clears before the
-// first write. The flags live only on the exclusive copy — the frozen
-// source is never written — which keeps the protocol race-free under
-// the parallel engines without any atomics on the hot path.
+// application and message queues, the maps apps and properties keep) is
+// borrowed instead of epoch-tagged: a component copy is created with its
+// internals marked borrowed, and each internal mutator copies-then-clears
+// before the first write. Map and Queues (map.go) are the one
+// implementation of that rule for maps: Borrow on the fork, a copy
+// before the first Set, Delete, Append or PopHead, queue slices clamped
+// so appends reallocate, and Recycle's spare. The borrowed marks live
+// only on the exclusive copy — the frozen source is never written —
+// which keeps the protocol race-free under the parallel engines without
+// any atomics on the hot path.
 //
 // # Invariants
 //
@@ -57,8 +61,9 @@
 //     it), and only as a struct shell, its channel maps and the fork's
 //     props backing — never a slice backing, whose elements events,
 //     traces and properties keep. The shell is zeroed and its maps
-//     emptied when it is recycled, so a stale reader sees empty
-//     channels. Release recycles nothing: its caller does not know that
+//     emptied when it is recycled (Map.Recycle and Queues.Recycle, which
+//     empty only a map the shell owns and keep it as the spare), so a
+//     stale reader sees empty channels. Release recycles nothing: its caller does not know that
 //     the fork's subtree is dead.
 package cow
 

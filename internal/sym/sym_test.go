@@ -125,7 +125,7 @@ func TestBoolOps(t *testing.T) {
 	if !a.And(b).IsSymbolic() {
 		t.Error("and lost symbolic expr")
 	}
-	if ConcreteBool(true).And(ConcreteBool(false)).IsSymbolic() {
+	if (Bool{C: true}).And(Bool{C: false}).IsSymbolic() {
 		t.Error("pure concrete and grew an expression")
 	}
 }
@@ -135,7 +135,7 @@ func TestTraceRecordsOnlySymbolicBranches(t *testing.T) {
 	if !tr.If(Symbolic("x", 8, 3).EqConst(3)) {
 		t.Error("If returned wrong truth")
 	}
-	tr.If(ConcreteBool(true)) // concrete: not recorded
+	tr.If(Bool{C: true}) // concrete: not recorded
 	if len(tr.Branches()) != 1 {
 		t.Fatalf("recorded %d branches, want 1", len(tr.Branches()))
 	}

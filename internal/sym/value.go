@@ -115,9 +115,6 @@ type Bool struct {
 	E Expr // nil when the condition involved no symbolic input
 }
 
-// ConcreteBool wraps a plain bool.
-func ConcreteBool(b bool) Bool { return Bool{C: b} }
-
 // IsSymbolic reports whether the condition mentions symbolic input.
 func (b Bool) IsSymbolic() bool { return b.E != nil }
 

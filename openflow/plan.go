@@ -45,7 +45,7 @@ type ProcPlan struct {
 func (s *Switch) ProcessPlan(buf []PortID) ProcPlan {
 	pl := ProcPlan{Outputs: buf[:0]}
 	for _, p := range s.Ports {
-		if q := s.in[p]; len(q) > 0 {
+		if q := s.in.Queue(p); len(q) > 0 {
 			pl = s.planOne(pl, q[0], p)
 		}
 	}
@@ -56,7 +56,7 @@ func (s *Switch) ProcessPlan(buf []PortID) ProcPlan {
 // when the port's channel is empty (the transition is disabled).
 func (s *Switch) ProcessPortPlan(p PortID, buf []PortID) (ProcPlan, bool) {
 	pl := ProcPlan{Outputs: buf[:0]}
-	q := s.in[p]
+	q := s.in.Queue(p)
 	if len(q) == 0 {
 		return pl, false
 	}
@@ -117,7 +117,7 @@ func (s *Switch) planActions(pl ProcPlan, actions []Action, inPort PortID) ProcP
 			emitted++
 		case ActionFlood:
 			for _, p := range s.Ports {
-				if p != inPort && s.up[p] {
+				if p != inPort && s.PortUp(p) {
 					pl.Outputs = append(pl.Outputs, p)
 					emitted++
 				}

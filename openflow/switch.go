@@ -79,13 +79,13 @@ type Switch struct {
 	Table FlowTable
 
 	// in holds the per-port ingress FIFO packet channels.
-	in map[PortID][]Packet
+	in cow.Queues[PortID, Packet]
 
 	// up tracks link state per port: a port is up when a switch link
 	// or a host is currently attached. Flooding targets up ports only
 	// (OpenFlow floods over ports that are up); outputting to a down
 	// port loses the packet — the black hole BUG-I manifests as.
-	up map[PortID]bool
+	up cow.Map[PortID, bool]
 
 	buffer  []BufEntry
 	nextBuf BufferID
@@ -104,20 +104,6 @@ type Switch struct {
 	// System owning this switch compares it against its current epoch
 	// and forks before mutating when they differ.
 	cow.Tag
-
-	// borrowIn / borrowUp mark the channel and link-state maps as
-	// shared with the switch this one was forked from; the first
-	// mutation copies the map (with capacity-clamped queue slices, so
-	// later appends never write a shared backing array) and clears the
-	// flag. The flags live only on the exclusive fork — the frozen
-	// source is never written — keeping forks race-free.
-	borrowIn, borrowUp bool
-
-	// spareIn / spareUp are emptied maps a recycled switch kept
-	// (Recycle); ownIn and ownUp refill them instead of making new ones.
-	// Only this struct references them.
-	spareIn map[PortID][]Packet
-	spareUp map[PortID]bool
 }
 
 // switchPool holds recycled switch shells with their spare maps.
@@ -137,13 +123,7 @@ func NewSwitch(id SwitchID, ports []PortID) *Switch {
 	ps := make([]PortID, len(ports))
 	copy(ps, ports)
 	sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-	return &Switch{
-		ID:    id,
-		Ports: ps,
-		in:    make(map[PortID][]Packet),
-		up:    make(map[PortID]bool),
-		Alive: true,
-	}
+	return &Switch{ID: id, Ports: ps, Alive: true}
 }
 
 // MarkDirty invalidates the cached state hash. Every mutating method
@@ -153,17 +133,19 @@ func (s *Switch) MarkDirty() { s.key.valid = false }
 
 // SetPortUp sets a port's link state.
 func (s *Switch) SetPortUp(p PortID, isUp bool) {
-	s.ownUp()
 	s.MarkDirty()
 	if isUp {
-		s.up[p] = true
+		s.up.Set(p, true)
 	} else {
-		delete(s.up, p)
+		s.up.Delete(p)
 	}
 }
 
 // PortUp reports a port's link state.
-func (s *Switch) PortUp(p PortID) bool { return s.up[p] }
+func (s *Switch) PortUp(p PortID) bool {
+	up, _ := s.up.Get(p)
+	return up
+}
 
 // Fork returns a copy-on-write fork owned at epoch owner: an O(1)
 // struct copy, into a recycled shell when there is one, that borrows
@@ -176,16 +158,16 @@ func (s *Switch) Fork(owner uint64) *Switch {
 	if c == nil {
 		c = new(Switch)
 	}
-	spareIn, spareUp := c.spareIn, c.spareUp
+	in, up := c.in, c.up
 	*c = *s
-	c.spareIn, c.spareUp = spareIn, spareUp
+	c.in.Borrow(&in)
+	c.up.Borrow(&up)
 	c.SetOwner(owner)
 	c.Table.forkInto(&s.Table)
 	// The buffer slice is capacity-clamped so appends reallocate
 	// instead of writing the shared backing array; element removal
 	// (takeBuffer) already builds a fresh array via clamped appends.
 	c.buffer = s.buffer[:len(s.buffer):len(s.buffer)]
-	c.borrowIn, c.borrowUp = true, true
 	return c
 }
 
@@ -196,54 +178,10 @@ func (s *Switch) Fork(owner uint64) *Switch {
 // no packets; slice backings (queues, buffer, rules) are never reused,
 // since events and traces keep their elements.
 func (s *Switch) Recycle() {
-	in, up := s.spareIn, s.spareUp
-	if !s.borrowIn && s.in != nil {
-		clear(s.in)
-		in = s.in
-	}
-	if !s.borrowUp && s.up != nil {
-		clear(s.up)
-		up = s.up
-	}
-	*s = Switch{spareIn: in, spareUp: up}
+	s.in.Recycle()
+	s.up.Recycle()
+	*s = Switch{in: s.in, up: s.up}
 	switchPool.Put(s)
-}
-
-// ownIn copies the borrowed ingress-channel map, into the spare one when
-// there is one, before its first mutation. Queue slices are
-// capacity-clamped, not copied: mutators either replace a queue
-// wholesale or append (which then reallocates).
-func (s *Switch) ownIn() {
-	if !s.borrowIn {
-		return
-	}
-	in := s.spareIn
-	if in == nil {
-		in = make(map[PortID][]Packet, len(s.in))
-	}
-	s.spareIn = nil
-	for p, q := range s.in {
-		in[p] = q[:len(q):len(q)]
-	}
-	s.in = in
-	s.borrowIn = false
-}
-
-// ownUp is ownIn for the link-state map.
-func (s *Switch) ownUp() {
-	if !s.borrowUp {
-		return
-	}
-	up := s.spareUp
-	if up == nil {
-		up = make(map[PortID]bool, len(s.up))
-	}
-	s.spareUp = nil
-	for p, u := range s.up {
-		up[p] = u
-	}
-	s.up = up
-	s.borrowUp = false
 }
 
 // HasPort reports whether p is one of the switch's ports.
@@ -261,16 +199,15 @@ func (s *Switch) Enqueue(p PortID, pkt Packet) {
 	if !s.HasPort(p) {
 		panic(fmt.Sprintf("openflow: switch %v has no port %v", s.ID, p))
 	}
-	s.ownIn()
 	s.MarkDirty()
-	s.in[p] = append(s.in[p], pkt)
+	s.in.Append(p, pkt)
 }
 
 // PendingPorts returns the sorted ports with a non-empty ingress channel.
 func (s *Switch) PendingPorts() []PortID {
 	var ports []PortID
 	for _, p := range s.Ports {
-		if len(s.in[p]) > 0 {
+		if len(s.in.Queue(p)) > 0 {
 			ports = append(ports, p)
 		}
 	}
@@ -278,12 +215,12 @@ func (s *Switch) PendingPorts() []PortID {
 }
 
 // QueuedPackets returns the ingress channel contents of port p in order.
-func (s *Switch) QueuedPackets(p PortID) []Packet { return s.in[p] }
+func (s *Switch) QueuedPackets(p PortID) []Packet { return s.in.Queue(p) }
 
 // TotalQueued counts packets across all ingress channels.
 func (s *Switch) TotalQueued() int {
 	n := 0
-	for _, q := range s.in {
+	for _, q := range s.in.All() {
 		n += len(q)
 	}
 	return n
@@ -297,49 +234,39 @@ func (s *Switch) Buffered() []BufEntry { return s.buffer }
 // the fault model's packet-loss transition (§2.2.2's optional channel
 // faults).
 func (s *Switch) DropHead(p PortID) (Packet, bool) {
-	q := s.in[p]
-	if len(q) == 0 {
-		return Packet{}, false
+	pkt, ok := s.in.PopHead(p)
+	if ok {
+		s.MarkDirty()
 	}
-	s.ownIn()
-	s.MarkDirty()
-	pkt := q[0]
-	if len(q) == 1 {
-		delete(s.in, p)
-	} else {
-		s.in[p] = append([]Packet(nil), q[1:]...)
-	}
-	return pkt, true
+	return pkt, ok
 }
 
 // DupHead duplicates the head packet of a port's channel, giving the
 // copy a fresh identity and lineage (environment duplication creates a
 // new packet as far as the properties are concerned).
 func (s *Switch) DupHead(p PortID, alloc *IDAlloc) (Packet, bool) {
-	q := s.in[p]
+	q := s.in.Queue(p)
 	if len(q) == 0 {
 		return Packet{}, false
 	}
-	s.ownIn()
 	s.MarkDirty()
 	dup := q[0]
 	dup.ID = alloc.Next()
 	dup.Orig = dup.ID
-	s.in[p] = append([]Packet{dup}, q...)
+	s.in.Set(p, append([]Packet{dup}, q...))
 	return dup, true
 }
 
 // SwapHead reorders the first two packets of a port's channel.
 func (s *Switch) SwapHead(p PortID) bool {
-	q := s.in[p]
+	q := s.in.Queue(p)
 	if len(q) < 2 {
 		return false
 	}
-	s.ownIn()
 	s.MarkDirty()
 	nq := append([]Packet(nil), q...)
 	nq[0], nq[1] = nq[1], nq[0]
-	s.in[p] = nq
+	s.in.Set(p, nq)
 	return true
 }
 
@@ -348,18 +275,12 @@ func (s *Switch) SwapHead(p PortID) bool {
 // against the flow table — a single transition, because the checker
 // already explores arrival orderings (§2.2.2 "Two simple transitions").
 func (s *Switch) ProcessPackets(alloc *IDAlloc) ProcResult {
-	s.ownIn()
 	s.MarkDirty()
 	var res ProcResult
 	for _, p := range s.Ports {
-		q := s.in[p]
-		if len(q) == 0 {
-			continue
+		if pkt, ok := s.in.PopHead(p); ok {
+			s.processOne(&res, pkt, p, alloc)
 		}
-		// Sharing the tail is safe: queue backings are never written
-		// in place (appends on forks reallocate past the clamp).
-		s.in[p] = q[1:]
-		s.processOne(&res, q[0], p, alloc)
 	}
 	return res
 }
@@ -369,13 +290,11 @@ func (s *Switch) ProcessPackets(alloc *IDAlloc) ProcResult {
 // "Deviations from the paper") uses this instead of the batched
 // ProcessPackets.
 func (s *Switch) ProcessPacketOnPort(p PortID, alloc *IDAlloc) (ProcResult, bool) {
-	if len(s.in[p]) == 0 {
+	pkt, ok := s.in.PopHead(p)
+	if !ok {
 		return ProcResult{}, false
 	}
-	s.ownIn()
 	s.MarkDirty()
-	pkt := s.in[p][0]
-	s.in[p] = s.in[p][1:]
 	var res ProcResult
 	s.processOne(&res, pkt, p, alloc)
 	return res, true
@@ -435,7 +354,7 @@ func (s *Switch) applyActions(res *ProcResult, pkt Packet, inPort PortID, action
 			res.Outputs = append(res.Outputs, PortOutput{Port: a.Port, Pkt: out})
 		case ActionFlood:
 			for _, p := range s.Ports {
-				if p == inPort || !s.up[p] {
+				if p == inPort || !s.PortUp(p) {
 					continue
 				}
 				out := cur
@@ -600,7 +519,7 @@ func (s *Switch) FreshKeyHash64(canonical, includeCounters bool) uint64 {
 func (s *Switch) hashState(table uint64) uint64 {
 	h := canon.NewMix(uint64(s.ID)).Word(boolWord(s.Alive))
 	for _, p := range s.Ports {
-		h = h.Word(uint64(p)<<1 | boolWord(s.up[p]))
+		h = h.Word(uint64(p)<<1 | boolWord(s.PortUp(p)))
 	}
 	h = h.Word(table).Word(uint64(len(s.buffer)))
 	for _, e := range s.buffer {
@@ -611,7 +530,7 @@ func (s *Switch) hashState(table uint64) uint64 {
 		h = e.Pkt.Header.Hash(h).Word(uint64(e.InPort))
 	}
 	for _, p := range s.Ports {
-		q := s.in[p]
+		q := s.in.Queue(p)
 		if len(q) == 0 {
 			continue
 		}
@@ -633,7 +552,7 @@ func (s *Switch) StateKey(canonical, includeCounters bool) string {
 	b = strconv.AppendBool(b, s.Alive)
 	b = append(b, " up["...)
 	for _, p := range s.Ports {
-		if s.up[p] {
+		if s.PortUp(p) {
 			b = appendInt(b, int(p))
 			b = append(b, ' ')
 		}
@@ -646,7 +565,7 @@ func (s *Switch) StateKey(canonical, includeCounters bool) string {
 	}
 	b = append(b, "] in["...)
 	for _, p := range s.Ports {
-		q := s.in[p]
+		q := s.in.Queue(p)
 		if len(q) == 0 {
 			continue
 		}

@@ -7,6 +7,7 @@ import (
 
 	"github.com/nice-go/nice/controller"
 	"github.com/nice-go/nice/internal/core"
+	"github.com/nice-go/nice/internal/cow"
 	"github.com/nice-go/nice/openflow"
 )
 
@@ -26,16 +27,14 @@ type FlowAffinity struct {
 	// Replicas are the server host IDs.
 	Replicas []openflow.HostID
 
-	assigned map[connKey]openflow.HostID
-	borrowed bool
+	assigned cow.Map[connKey, openflow.HostID]
 	controller.VersionCounter
 }
 
 // NewFlowAffinity returns the property for the given virtual IP and
 // replica set.
 func NewFlowAffinity(vip openflow.IPAddr, replicas ...openflow.HostID) *FlowAffinity {
-	return &FlowAffinity{VIP: vip, Replicas: replicas,
-		assigned: make(map[connKey]openflow.HostID)}
+	return &FlowAffinity{VIP: vip, Replicas: replicas}
 }
 
 // Name implements core.Property.
@@ -65,13 +64,12 @@ func (p *FlowAffinity) OnEvents(_ *core.System, events []core.Event) error {
 			continue
 		}
 		k := connKey{ClientIP: h.IPSrc, ClientPort: h.TPSrc}
-		if prev, ok := p.assigned[k]; ok && prev != e.Host {
+		if prev, ok := p.assigned.Get(k); ok && prev != e.Host {
 			return fmt.Errorf("connection %v:%d split across replicas %v and %v (packet %s)",
 				k.ClientIP, k.ClientPort, prev, e.Host, h)
 		}
-		p.ensureOwned()
 		p.BumpStateVersion()
-		p.assigned[k] = e.Host
+		p.assigned.Set(k, e.Host)
 	}
 	return nil
 }
@@ -80,20 +78,8 @@ func (p *FlowAffinity) OnEvents(_ *core.System, events []core.Event) error {
 // assignment map until the clone's first write.
 func (p *FlowAffinity) Clone() core.Property {
 	c := *p
-	c.borrowed = true
+	c.assigned.Borrow(nil)
 	return &c
-}
-
-func (p *FlowAffinity) ensureOwned() {
-	if !p.borrowed {
-		return
-	}
-	m := make(map[connKey]openflow.HostID, len(p.assigned)+1)
-	for k, v := range p.assigned {
-		m[k] = v
-	}
-	p.assigned = m
-	p.borrowed = false
 }
 
 // AtQuiescence implements core.Property.
@@ -110,8 +96,8 @@ func (p *FlowAffinity) PacketIDOblivious() bool { return true }
 
 // StateKey implements core.Property.
 func (p *FlowAffinity) StateKey() string {
-	keys := make([]connKey, 0, len(p.assigned))
-	for k := range p.assigned {
+	keys := make([]connKey, 0, p.assigned.Len())
+	for k := range p.assigned.All() {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
@@ -130,7 +116,8 @@ func (p *FlowAffinity) StateKey() string {
 		b = append(b, ':')
 		b = strconv.AppendUint(b, uint64(k.ClientPort), 10)
 		b = append(b, '>')
-		b = strconv.AppendInt(b, int64(p.assigned[k]), 10)
+		h, _ := p.assigned.Get(k)
+		b = strconv.AppendInt(b, int64(h), 10)
 	}
 	b = append(b, '}')
 	return string(b)
@@ -179,15 +166,13 @@ type UseCorrectRoutingTable struct {
 
 	high     bool
 	flowIdx  int
-	expected map[openflow.Flow]openflow.PortID
-	borrowed bool
+	expected cow.Map[openflow.Flow, openflow.PortID]
 	controller.VersionCounter
 }
 
 // NewUseCorrectRoutingTable returns the property for a TE spec.
 func NewUseCorrectRoutingTable(spec TESpec) *UseCorrectRoutingTable {
-	return &UseCorrectRoutingTable{Spec: spec,
-		expected: make(map[openflow.Flow]openflow.PortID)}
+	return &UseCorrectRoutingTable{Spec: spec}
 }
 
 // Name implements core.Property.
@@ -213,12 +198,11 @@ func (p *UseCorrectRoutingTable) OnEvents(_ *core.System, events []core.Event) e
 				continue
 			}
 			f := macFlow(e.Msg.Packet.Header.Flow())
-			if _, known := p.expected[f]; known {
+			if _, known := p.expected.Get(f); known {
 				continue
 			}
-			p.ensureOwned()
 			p.BumpStateVersion()
-			p.expected[f] = p.Spec.ExpectedPort(p.high, p.flowIdx)
+			p.expected.Set(f, p.Spec.ExpectedPort(p.high, p.flowIdx))
 			p.flowIdx++
 		case core.EvRuleInstalled:
 			if e.Sw != p.Spec.Ingress {
@@ -228,7 +212,7 @@ func (p *UseCorrectRoutingTable) OnEvents(_ *core.System, events []core.Event) e
 			if !ok {
 				continue
 			}
-			want, known := p.expected[macFlow(f)]
+			want, known := p.expected.Get(macFlow(f))
 			if !known {
 				continue
 			}
@@ -303,26 +287,14 @@ func (p *UseCorrectRoutingTable) PacketIDOblivious() bool { return true }
 // state is carried by the struct copy itself).
 func (p *UseCorrectRoutingTable) Clone() core.Property {
 	c := *p
-	c.borrowed = true
+	c.expected.Borrow(nil)
 	return &c
-}
-
-func (p *UseCorrectRoutingTable) ensureOwned() {
-	if !p.borrowed {
-		return
-	}
-	m := make(map[openflow.Flow]openflow.PortID, len(p.expected)+1)
-	for k, v := range p.expected {
-		m[k] = v
-	}
-	p.expected = m
-	p.borrowed = false
 }
 
 // StateKey implements core.Property.
 func (p *UseCorrectRoutingTable) StateKey() string {
 	var scratch [8]openflow.Flow
-	flows := flowKeys(scratch[:0], p.expected)
+	flows := flowKeys(scratch[:0], &p.expected)
 	b := make([]byte, 0, 32+32*len(flows))
 	b = append(b, "high="...)
 	b = strconv.AppendBool(b, p.high)
@@ -335,7 +307,8 @@ func (p *UseCorrectRoutingTable) StateKey() string {
 		}
 		b = f.AppendKey(b)
 		b = append(b, '>')
-		b = strconv.AppendInt(b, int64(p.expected[f]), 10)
+		port, _ := p.expected.Get(f)
+		b = strconv.AppendInt(b, int64(port), 10)
 	}
 	b = append(b, '}')
 	return string(b)

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"strconv"
 
+	"github.com/nice-go/nice/internal/cow"
 	"github.com/nice-go/nice/openflow"
 )
 
@@ -17,10 +18,10 @@ import (
 // for OracleKey — so the formats are not pinned to the historical
 // reflective output.
 
-func appendPacketIDSet(b []byte, m map[openflow.PacketID]bool) []byte {
+func appendPacketIDSet(b []byte, m *cow.Map[openflow.PacketID, bool]) []byte {
 	var scratch [16]openflow.PacketID
 	ids := scratch[:0]
-	for id := range m {
+	for id := range m.All() {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
@@ -35,8 +36,8 @@ func appendPacketIDSet(b []byte, m map[openflow.PacketID]bool) []byte {
 }
 
 // flowKeys appends m's keys to scratch in Flow.Less order.
-func flowKeys[V any](scratch []openflow.Flow, m map[openflow.Flow]V) []openflow.Flow {
-	for f := range m {
+func flowKeys[V any](scratch []openflow.Flow, m *cow.Map[openflow.Flow, V]) []openflow.Flow {
+	for f := range m.All() {
 		scratch = append(scratch, f)
 	}
 	slices.SortFunc(scratch, func(f, g openflow.Flow) int {
@@ -48,7 +49,7 @@ func flowKeys[V any](scratch []openflow.Flow, m map[openflow.Flow]V) []openflow.
 	return scratch
 }
 
-func appendFlowSet(b []byte, m map[openflow.Flow]bool) []byte {
+func appendFlowSet(b []byte, m *cow.Map[openflow.Flow, bool]) []byte {
 	var scratch [8]openflow.Flow
 	b = append(b, '{')
 	for i, f := range flowKeys(scratch[:0], m) {

@@ -9,6 +9,7 @@ import (
 
 	"github.com/nice-go/nice/controller"
 	"github.com/nice-go/nice/internal/core"
+	"github.com/nice-go/nice/internal/cow"
 	"github.com/nice-go/nice/openflow"
 )
 
@@ -25,15 +26,12 @@ type visitKey struct {
 // flooding share their origin's identity: two same-origin arrivals at
 // one port only happen when the topology cycles traffic back.
 type NoForwardingLoops struct {
-	visited  map[visitKey]bool
-	borrowed bool
+	visited cow.Map[visitKey, bool]
 	controller.VersionCounter
 }
 
 // NewNoForwardingLoops returns the property.
-func NewNoForwardingLoops() *NoForwardingLoops {
-	return &NoForwardingLoops{visited: make(map[visitKey]bool)}
-}
+func NewNoForwardingLoops() *NoForwardingLoops { return &NoForwardingLoops{} }
 
 // Name implements core.Property.
 func (p *NoForwardingLoops) Name() string { return "NoForwardingLoops" }
@@ -42,20 +40,8 @@ func (p *NoForwardingLoops) Name() string { return "NoForwardingLoops" }
 // visited set until the clone's first write.
 func (p *NoForwardingLoops) Clone() core.Property {
 	c := *p
-	c.borrowed = true
+	c.visited.Borrow(nil)
 	return &c
-}
-
-func (p *NoForwardingLoops) ensureOwned() {
-	if !p.borrowed {
-		return
-	}
-	m := make(map[visitKey]bool, len(p.visited)+1)
-	for k := range p.visited {
-		m[k] = true
-	}
-	p.visited = m
-	p.borrowed = false
 }
 
 // OnEvents implements core.Property.
@@ -65,13 +51,12 @@ func (p *NoForwardingLoops) OnEvents(_ *core.System, events []core.Event) error 
 			continue
 		}
 		k := visitKey{Orig: e.Pkt.Orig, Sw: e.Sw, Port: e.Port}
-		if p.visited[k] {
+		if _, seen := p.visited.Get(k); seen {
 			return fmt.Errorf("packet (%s) traversed %v:%v twice — forwarding loop",
 				e.Pkt.Header, e.Sw, e.Port)
 		}
-		p.ensureOwned()
 		p.BumpStateVersion()
-		p.visited[k] = true
+		p.visited.Set(k, true)
 	}
 	return nil
 }
@@ -84,8 +69,8 @@ func (p *NoForwardingLoops) EventMask() uint64 { return core.MaskOf(core.EvArriv
 
 // StateKey implements core.Property.
 func (p *NoForwardingLoops) StateKey() string {
-	keys := make([]visitKey, 0, len(p.visited))
-	for k := range p.visited {
+	keys := make([]visitKey, 0, p.visited.Len())
+	for k := range p.visited.All() {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
@@ -122,20 +107,14 @@ func (p *NoForwardingLoops) StateKey() string {
 // in switch buffers are NoForgottenPackets' concern and excluded here.
 type NoBlackHoles struct {
 	// alive maps in-network packet instances to a short description.
-	alive map[openflow.PacketID]string
+	alive cow.Map[openflow.PacketID, string]
 	// buffered marks instances currently parked at a switch.
-	buffered map[openflow.PacketID]bool
-	borrowed bool
+	buffered cow.Map[openflow.PacketID, bool]
 	controller.VersionCounter
 }
 
 // NewNoBlackHoles returns the property.
-func NewNoBlackHoles() *NoBlackHoles {
-	return &NoBlackHoles{
-		alive:    make(map[openflow.PacketID]string),
-		buffered: make(map[openflow.PacketID]bool),
-	}
-}
+func NewNoBlackHoles() *NoBlackHoles { return &NoBlackHoles{} }
 
 // Name implements core.Property.
 func (p *NoBlackHoles) Name() string { return "NoBlackHoles" }
@@ -144,24 +123,9 @@ func (p *NoBlackHoles) Name() string { return "NoBlackHoles" }
 // both accounting maps until the clone's first write.
 func (p *NoBlackHoles) Clone() core.Property {
 	c := *p
-	c.borrowed = true
+	c.alive.Borrow(nil)
+	c.buffered.Borrow(nil)
 	return &c
-}
-
-func (p *NoBlackHoles) ensureOwned() {
-	if !p.borrowed {
-		return
-	}
-	alive := make(map[openflow.PacketID]string, len(p.alive)+1)
-	for k, v := range p.alive {
-		alive[k] = v
-	}
-	buffered := make(map[openflow.PacketID]bool, len(p.buffered)+1)
-	for k, v := range p.buffered {
-		buffered[k] = v
-	}
-	p.alive, p.buffered = alive, buffered
-	p.borrowed = false
 }
 
 // OnEvents implements core.Property.
@@ -169,24 +133,20 @@ func (p *NoBlackHoles) OnEvents(_ *core.System, events []core.Event) error {
 	for _, e := range events {
 		switch e.Kind {
 		case core.EvHostSend, core.EvCopied, core.EvCtrlInject, core.EvFaultDuplicated:
-			p.ensureOwned()
 			p.BumpStateVersion()
-			p.alive[e.Pkt.ID] = e.Pkt.Header.String()
+			p.alive.Set(e.Pkt.ID, e.Pkt.Header.String())
 		case core.EvDelivered, core.EvDropped, core.EvFaultDropped:
 			// Fault-model losses are the environment's doing, not the
 			// controller's; they leave the balance.
-			p.ensureOwned()
 			p.BumpStateVersion()
-			delete(p.alive, e.Pkt.ID)
-			delete(p.buffered, e.Pkt.ID)
+			p.alive.Delete(e.Pkt.ID)
+			p.buffered.Delete(e.Pkt.ID)
 		case core.EvBuffered:
-			p.ensureOwned()
 			p.BumpStateVersion()
-			p.buffered[e.Pkt.ID] = true
+			p.buffered.Set(e.Pkt.ID, true)
 		case core.EvReleased:
-			p.ensureOwned()
 			p.BumpStateVersion()
-			delete(p.buffered, e.Pkt.ID)
+			p.buffered.Delete(e.Pkt.ID)
 		case core.EvVanished:
 			return fmt.Errorf("packet (%s) emitted on %v:%v with nothing attached — black hole",
 				e.Pkt.Header, e.Sw, e.Port)
@@ -198,8 +158,8 @@ func (p *NoBlackHoles) OnEvents(_ *core.System, events []core.Event) error {
 // AtQuiescence implements core.Property.
 func (p *NoBlackHoles) AtQuiescence(*core.System) error {
 	var leaked []string
-	for id, desc := range p.alive {
-		if !p.buffered[id] {
+	for id, desc := range p.alive.All() {
+		if _, parked := p.buffered.Get(id); !parked {
 			leaked = append(leaked, desc)
 		}
 	}
@@ -226,7 +186,7 @@ func (p *NoBlackHoles) StateKey() string {
 	var idScratch [16]openflow.PacketID
 	var buf [1024]byte
 	ids := idScratch[:0]
-	for id := range p.alive {
+	for id := range p.alive.All() {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
@@ -237,10 +197,11 @@ func (p *NoBlackHoles) StateKey() string {
 		}
 		b = strconv.AppendInt(b, int64(id), 10)
 		b = append(b, ':')
-		b = append(b, p.alive[id]...)
+		desc, _ := p.alive.Get(id)
+		b = append(b, desc...)
 	}
 	b = append(b, "}buf"...)
-	b = appendPacketIDSet(b, p.buffered)
+	b = appendPacketIDSet(b, &p.buffered)
 	return string(b)
 }
 
@@ -295,22 +256,16 @@ func (p *NoForgottenPackets) StateKey() string { return "" }
 // notes it needs both directions learned first) — use StrictDirectPaths
 // there.
 type DirectPaths struct {
-	delivered map[openflow.Flow]bool
+	delivered cow.Map[openflow.Flow, bool]
 	// lateSend marks packet lineages sent after their flow's path was
 	// established; only those may not reach the controller (delay
 	// robustness: packets already in flight are exempt).
-	lateSend map[openflow.PacketID]bool
-	borrowed bool
+	lateSend cow.Map[openflow.PacketID, bool]
 	controller.VersionCounter
 }
 
 // NewDirectPaths returns the property.
-func NewDirectPaths() *DirectPaths {
-	return &DirectPaths{
-		delivered: make(map[openflow.Flow]bool),
-		lateSend:  make(map[openflow.PacketID]bool),
-	}
-}
+func NewDirectPaths() *DirectPaths { return &DirectPaths{} }
 
 // Name implements core.Property.
 func (p *DirectPaths) Name() string { return "DirectPaths" }
@@ -319,28 +274,9 @@ func (p *DirectPaths) Name() string { return "DirectPaths" }
 // both flow maps until the clone's first write.
 func (p *DirectPaths) Clone() core.Property {
 	c := *p
-	c.borrowed = true
+	c.delivered.Borrow(nil)
+	c.lateSend.Borrow(nil)
 	return &c
-}
-
-func (p *DirectPaths) ensureOwned() {
-	if !p.borrowed {
-		return
-	}
-	p.delivered, p.lateSend = copyFlowMaps(p.delivered, p.lateSend)
-	p.borrowed = false
-}
-
-func copyFlowMaps(delivered map[openflow.Flow]bool, lateSend map[openflow.PacketID]bool) (map[openflow.Flow]bool, map[openflow.PacketID]bool) {
-	d := make(map[openflow.Flow]bool, len(delivered)+1)
-	for k, v := range delivered {
-		d[k] = v
-	}
-	l := make(map[openflow.PacketID]bool, len(lateSend)+1)
-	for k, v := range lateSend {
-		l[k] = v
-	}
-	return d, l
 }
 
 // OnEvents implements core.Property.
@@ -351,17 +287,15 @@ func (p *DirectPaths) OnEvents(_ *core.System, events []core.Event) error {
 			if degenerateFlow(e.Pkt.Header) {
 				continue
 			}
-			p.ensureOwned()
 			p.BumpStateVersion()
-			p.delivered[e.Pkt.Header.Flow()] = true
+			p.delivered.Set(e.Pkt.Header.Flow(), true)
 		case core.EvHostSend:
-			if !degenerateFlow(e.Pkt.Header) && p.delivered[e.Pkt.Header.Flow()] {
-				p.ensureOwned()
+			if sent, _ := p.delivered.Get(e.Pkt.Header.Flow()); sent && !degenerateFlow(e.Pkt.Header) {
 				p.BumpStateVersion()
-				p.lateSend[e.Pkt.Orig] = true
+				p.lateSend.Set(e.Pkt.Orig, true)
 			}
 		case core.EvPacketIn:
-			if p.lateSend[e.Pkt.Orig] {
+			if _, late := p.lateSend.Get(e.Pkt.Orig); late {
 				return fmt.Errorf("packet (%s) went to the controller after its flow had a direct path",
 					e.Pkt.Header)
 			}
@@ -387,12 +321,12 @@ func (p *DirectPaths) EventMask() uint64 {
 }
 
 // StateKey implements core.Property.
-func (p *DirectPaths) StateKey() string { return directPathsKey(p.delivered, p.lateSend) }
+func (p *DirectPaths) StateKey() string { return directPathsKey(&p.delivered, &p.lateSend) }
 
 // directPathsKey renders the state of DirectPaths and StrictDirectPaths
 // on stack scratch, allocating only the string; a state outgrowing the
 // scratch spills to the heap.
-func directPathsKey(delivered map[openflow.Flow]bool, lateSend map[openflow.PacketID]bool) string {
+func directPathsKey(delivered *cow.Map[openflow.Flow, bool], lateSend *cow.Map[openflow.PacketID, bool]) string {
 	var buf [1024]byte
 	b := appendFlowSet(buf[:0], delivered)
 	return string(appendPacketIDSet(b, lateSend))
@@ -404,19 +338,13 @@ func directPathsKey(delivered map[openflow.Flow]bool, lateSend map[openflow.Pack
 // natural delays comes from only judging packets sent after the
 // establishment completed.
 type StrictDirectPaths struct {
-	delivered map[openflow.Flow]bool // unidirectional deliveries seen
-	lateSend  map[openflow.PacketID]bool
-	borrowed  bool
+	delivered cow.Map[openflow.Flow, bool] // unidirectional deliveries seen
+	lateSend  cow.Map[openflow.PacketID, bool]
 	controller.VersionCounter
 }
 
 // NewStrictDirectPaths returns the property.
-func NewStrictDirectPaths() *StrictDirectPaths {
-	return &StrictDirectPaths{
-		delivered: make(map[openflow.Flow]bool),
-		lateSend:  make(map[openflow.PacketID]bool),
-	}
-}
+func NewStrictDirectPaths() *StrictDirectPaths { return &StrictDirectPaths{} }
 
 // Name implements core.Property.
 func (p *StrictDirectPaths) Name() string { return "StrictDirectPaths" }
@@ -432,7 +360,7 @@ func (p *StrictDirectPaths) established(f openflow.Flow) bool {
 }
 
 func (p *StrictDirectPaths) deliveredDir(src, dst openflow.EthAddr) bool {
-	for f := range p.delivered {
+	for f := range p.delivered.All() {
 		if f.EthSrc == src && f.EthDst == dst {
 			return true
 		}
@@ -444,16 +372,9 @@ func (p *StrictDirectPaths) deliveredDir(src, dst openflow.EthAddr) bool {
 // both flow maps until the clone's first write.
 func (p *StrictDirectPaths) Clone() core.Property {
 	c := *p
-	c.borrowed = true
+	c.delivered.Borrow(nil)
+	c.lateSend.Borrow(nil)
 	return &c
-}
-
-func (p *StrictDirectPaths) ensureOwned() {
-	if !p.borrowed {
-		return
-	}
-	p.delivered, p.lateSend = copyFlowMaps(p.delivered, p.lateSend)
-	p.borrowed = false
 }
 
 // OnEvents implements core.Property.
@@ -464,17 +385,15 @@ func (p *StrictDirectPaths) OnEvents(_ *core.System, events []core.Event) error 
 			if degenerateFlow(e.Pkt.Header) {
 				continue
 			}
-			p.ensureOwned()
 			p.BumpStateVersion()
-			p.delivered[e.Pkt.Header.Flow()] = true
+			p.delivered.Set(e.Pkt.Header.Flow(), true)
 		case core.EvHostSend:
 			if !degenerateFlow(e.Pkt.Header) && p.established(e.Pkt.Header.Flow()) {
-				p.ensureOwned()
 				p.BumpStateVersion()
-				p.lateSend[e.Pkt.Orig] = true
+				p.lateSend.Set(e.Pkt.Orig, true)
 			}
 		case core.EvPacketIn:
-			if p.lateSend[e.Pkt.Orig] {
+			if _, late := p.lateSend.Get(e.Pkt.Orig); late {
 				return fmt.Errorf("packet (%s) reached the controller after hosts exchanged traffic in both directions",
 					e.Pkt.Header)
 			}
@@ -492,4 +411,4 @@ func (p *StrictDirectPaths) EventMask() uint64 {
 }
 
 // StateKey implements core.Property.
-func (p *StrictDirectPaths) StateKey() string { return directPathsKey(p.delivered, p.lateSend) }
+func (p *StrictDirectPaths) StateKey() string { return directPathsKey(&p.delivered, &p.lateSend) }
