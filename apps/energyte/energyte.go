@@ -172,12 +172,7 @@ func (a *App) StateKey() string {
 	for f := range a.flows.All() {
 		flows = append(flows, f)
 	}
-	slices.SortFunc(flows, func(f, g openflow.Flow) int {
-		if f.Less(g) {
-			return -1
-		}
-		return 1 // map keys: never equal
-	})
+	slices.SortFunc(flows, flowCmp)
 	b := append(buf[:0], "high="...)
 	b = strconv.AppendBool(b, a.high)
 	b = append(b, " table="...)
@@ -217,6 +212,14 @@ func (a *App) StateKey() string {
 	}
 	b = append(b, ']')
 	return string(b)
+}
+
+// flowCmp orders flow-map keys by Flow.Less; map keys are never equal.
+func flowCmp(f, g openflow.Flow) int {
+	if f.Less(g) {
+		return -1
+	}
+	return 1
 }
 
 // EnvEvents implements controller.EnvApp: the bounded periodic
@@ -265,16 +268,25 @@ func (a *App) StatsReply(ctx *controller.Context, sw openflow.SwitchID, stats *s
 		// after its rules are gone, and the handler "ignores the
 		// packet because it fails to find this switch in any of those
 		// lists" (§8.3) — s3 is on no recomputed path.
+		// The flows move in Flow.Less order, StateKey's order, so the
+		// flow_mods reach the ingress queue in one order whatever the
+		// map's, and the map is written after the walk, not during it.
+		var scratch [8]openflow.Flow
+		moved := scratch[:0]
 		for f, path := range a.flows.All() {
 			if path != AlwaysOn {
-				a.flows.Set(f, AlwaysOn)
-				out, _ := a.topo.LinkPort(a.ingress, a.egress)
-				ctx.InstallRule(a.ingress, openflow.Rule{
-					Priority: 10,
-					Match:    flowMatchFromFlow(f),
-					Actions:  []openflow.Action{openflow.Output(out)},
-				})
+				moved = append(moved, f)
 			}
+		}
+		slices.SortFunc(moved, flowCmp)
+		out, _ := a.topo.LinkPort(a.ingress, a.egress)
+		for _, f := range moved {
+			a.flows.Set(f, AlwaysOn)
+			ctx.InstallRule(a.ingress, openflow.Rule{
+				Priority: 10,
+				Match:    flowMatchFromFlow(f),
+				Actions:  []openflow.Action{openflow.Output(out)},
+			})
 		}
 		ctx.DeleteRule(a.detour, openflow.MatchAll())
 	}

@@ -1,6 +1,7 @@
 package energyte
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/nice-go/nice/controller"
@@ -31,7 +32,7 @@ func statsReply(app *App, tx uint64) {
 }
 
 func dispatch(app *App, ctx *controller.Context, sw openflow.SwitchID, h openflow.Header, port openflow.PortID) {
-	app.PacketIn(ctx, sw, sym.ConcretePacket(h, port), 7, openflow.ReasonNoMatch)
+	app.PacketIn(ctx, sw, sym.ConcretePacket(new(sym.Packet), h, port), 7, openflow.ReasonNoMatch)
 }
 
 func TestPollBudget(t *testing.T) {
@@ -225,4 +226,57 @@ func TestCloneIsolation(t *testing.T) {
 	if app.StateKey() != k {
 		t.Error("clone mutation leaked into original")
 	}
+}
+
+// TestLoadDropEmissionOrder: when load falls, the flows re-routed off
+// the on-demand path leave as flow_mods in Flow.Less order, the order
+// StateKey renders them in, on every run; ranging over the flow map
+// would emit them in the map's order, which differs run to run.
+func TestLoadDropEmissionOrder(t *testing.T) {
+	flows := []openflow.Header{
+		flowTo(topo.MACHostC, topo.IPHostC),
+		flowTo(topo.MACHostB, topo.IPHostB),
+		flowTo(topo.MACHostB, topo.IPHostB),
+	}
+	flows[2].EthSrc = topo.MACHostC
+	var want []openflow.Match
+	for run := 0; run < 200; run++ {
+		app, _ := newApp(Buggy, 0)
+		statsReply(app, threshold+100) // high: every new flow goes on-demand
+		for _, h := range flows {
+			dispatch(app, newCtx(), 1, h, 1)
+		}
+		ctx := newCtx()
+		app.StatsReply(ctx, 1, sym.ConcreteStats([]openflow.PortStats{{Port: 2, TxBytes: 0}}))
+		var got []openflow.Match
+		for _, m := range ctx.Messages() {
+			if m.Type == openflow.MsgFlowMod && m.Cmd == openflow.FlowAdd {
+				got = append(got, m.Rule.Match)
+			}
+		}
+		if run == 0 {
+			if len(got) != len(flows) {
+				t.Fatalf("load drop re-routed %d flows, want %d", len(got), len(flows))
+			}
+			for i := 1; i < len(got); i++ {
+				if !matchFlow(got[i-1]).Less(matchFlow(got[i])) {
+					t.Fatalf("flow_mods %d and %d out of Flow.Less order: %v", i-1, i, got)
+				}
+			}
+			want = got
+			continue
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("run %d emitted %v, run 0 emitted %v", run, got, want)
+		}
+	}
+}
+
+// matchFlow reads back the flow key a per-flow rule pattern was built
+// from.
+func matchFlow(m openflow.Match) openflow.Flow {
+	src, _ := m.Value(openflow.FieldEthSrc)
+	dst, _ := m.Value(openflow.FieldEthDst)
+	typ, _ := m.Value(openflow.FieldEthType)
+	return openflow.Flow{EthSrc: openflow.EthAddr(src), EthDst: openflow.EthAddr(dst), EthType: uint16(typ)}
 }

@@ -27,7 +27,7 @@ func synTo(ip openflow.IPAddr, flags uint8) openflow.Header {
 }
 
 func dispatch(app *App, ctx *controller.Context, h openflow.Header, reason openflow.PacketInReason) {
-	app.PacketIn(ctx, 1, sym.ConcretePacket(h, 1), 7, reason)
+	app.PacketIn(ctx, 1, sym.ConcretePacket(new(sym.Packet), h, 1), 7, reason)
 }
 
 func TestJoinInstallsSteadyStateRules(t *testing.T) {

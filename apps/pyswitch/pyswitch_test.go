@@ -19,7 +19,7 @@ import (
 func newCtx() *controller.Context { return controller.NewContext(nil) }
 
 func packetIn(app *App, ctx *controller.Context, h openflow.Header, inPort openflow.PortID) {
-	app.PacketIn(ctx, 1, sym.ConcretePacket(h, inPort), 7, openflow.ReasonNoMatch)
+	app.PacketIn(ctx, 1, sym.ConcretePacket(new(sym.Packet), h, inPort), 7, openflow.ReasonNoMatch)
 }
 
 func ping() openflow.Header {
@@ -401,7 +401,7 @@ func FuzzMacTable(f *testing.F) {
 				}
 				h := ping()
 				h.EthSrc, h.EthDst = mac, dst
-				a.PacketIn(newCtx(), sw, sym.ConcretePacket(h, port), 7, openflow.ReasonNoMatch)
+				a.PacketIn(newCtx(), sw, sym.ConcretePacket(new(sym.Packet), h, port), 7, openflow.ReasonNoMatch)
 				ref[sw][mac] = port
 			case 3:
 				a.PortStatus(newCtx(), sw, port, false)

@@ -29,7 +29,11 @@ import (
 //   - StateKey must render the app state canonically (internal/canon's
 //     String helper does this for free), because state matching and the
 //     relevant-packet cache are keyed by the stringified controller
-//     state, exactly as in Figure 5 of the paper.
+//     state, exactly as in Figure 5 of the paper;
+//   - the *Context, *sym.Packet and *sym.Stats a handler receives are
+//     valid only for that call: the runtime reuses its context and its
+//     packet for the next dispatch, so a handler copies out what it
+//     keeps (a sym.Value, a header) and never the pointers.
 type App interface {
 	Name() string
 
@@ -207,8 +211,16 @@ func (c *Context) Trace() *sym.Trace { return c.tr }
 func (c *Context) Symbolic() bool { return c.symbolic }
 
 // InstallRule sends a flow_mod add to a switch — the install_rule call of
-// the paper's Figure 3.
+// the paper's Figure 3. This is where a rule's action list leaves app
+// memory, so a concrete context copies it here, once: the app may reuse
+// or rewrite its slice afterwards, and the enqueued message, and every
+// flow table that applies it, owns the copy (openflow.FlowTable.Install
+// stores it as given). A symbolic context's messages are discarded, so
+// it does not copy.
 func (c *Context) InstallRule(sw openflow.SwitchID, r openflow.Rule) {
+	if !c.symbolic {
+		r.Actions = openflow.CloneActions(r.Actions)
+	}
 	c.emit(openflow.Msg{Type: openflow.MsgFlowMod, Switch: sw, Cmd: openflow.FlowAdd, Rule: r})
 }
 
@@ -302,6 +314,21 @@ type Runtime struct {
 	// mutation. The flag lives only on the exclusive fork — the frozen
 	// source is never written.
 	borrowApp bool
+
+	// scratch is the concrete dispatch scratch, made at the shell's
+	// first dispatch. It belongs to the shell: Fork and Recycle keep the
+	// shell's own and never take another runtime's, and a fork that
+	// never dispatches never makes one.
+	scratch *dispatchScratch
+}
+
+// dispatchScratch is what one dispatch fills and the next refills:
+// every handler runs on ctx, whose outbox Emit copies into the channels
+// before the next dispatch, and a packet_in's packet is filled into pkt
+// in place.
+type dispatchScratch struct {
+	ctx Context
+	pkt sym.Packet
 }
 
 // runtimePool holds recycled runtime shells with their spare maps.
@@ -324,10 +351,11 @@ func (r *Runtime) Fork(owner uint64) *Runtime {
 	if c == nil {
 		c = new(Runtime)
 	}
-	in, out := c.inQ, c.outQ
+	in, out, scratch := c.inQ, c.outQ, c.scratch
 	*c = *r
 	c.inQ.Borrow(&in)
 	c.outQ.Borrow(&out)
+	c.scratch = scratch
 	c.SetOwner(owner)
 	c.borrowApp = true
 	return c
@@ -336,12 +364,13 @@ func (r *Runtime) Fork(owner uint64) *Runtime {
 // Recycle hands a dead runtime back for Fork to reuse. It is the model
 // checker's own call (System.Reclaim), made only on a runtime no live
 // state can reach. The runtime keeps the channel maps it owned, emptied
-// now, and is zeroed otherwise, so a stale reader sees no messages; the
-// application and the queue slice backings are never reused.
+// now, and its dispatch scratch, and is zeroed otherwise, so a stale
+// reader sees no messages; the application and the queue slice
+// backings are never reused.
 func (r *Runtime) Recycle() {
 	r.inQ.Recycle()
 	r.outQ.Recycle()
-	*r = Runtime{inQ: r.inQ, outQ: r.outQ}
+	*r = Runtime{inQ: r.inQ, outQ: r.outQ, scratch: r.scratch}
 	runtimePool.Put(r)
 }
 
@@ -426,10 +455,16 @@ func (r *Runtime) Emit(msgs []openflow.Msg) {
 	}
 }
 
-// NewContext builds a concrete handler context wired to the runtime's
-// xid allocator.
-func (r *Runtime) NewContext() *Context {
-	return &Context{rt: r}
+// handlerContext resets the runtime's own context for one dispatch,
+// keeping its outbox backing. The context draws barrier xids from the
+// runtime's counter.
+func (r *Runtime) handlerContext() *Context {
+	if r.scratch == nil {
+		r.scratch = new(dispatchScratch)
+	}
+	sc := r.scratch
+	sc.ctx = Context{rt: r, msgs: sc.ctx.msgs[:0]}
+	return &sc.ctx
 }
 
 // appDirty marks a handler run: for apps without the Versioned dirty
@@ -441,15 +476,15 @@ func (r *Runtime) appDirty() {
 	}
 }
 
-// Dispatch executes the handler for one inbound message on the app,
-// returning the emitted messages (already enqueued via Emit).
-func (r *Runtime) Dispatch(m openflow.Msg) []openflow.Msg {
+// Dispatch executes the handler for one inbound message on the app and
+// enqueues the messages it emits (Emit).
+func (r *Runtime) Dispatch(m openflow.Msg) {
 	r.ownApp()
 	r.appDirty()
-	ctx := r.NewContext()
+	ctx := r.handlerContext()
 	switch m.Type {
 	case openflow.MsgPacketIn:
-		pkt := sym.ConcretePacket(m.Packet.Header, m.InPort)
+		pkt := sym.ConcretePacket(&r.scratch.pkt, m.Packet.Header, m.InPort)
 		r.App.PacketIn(ctx, m.Switch, pkt, m.Buffer, m.Reason)
 	case openflow.MsgSwitchJoin:
 		r.App.SwitchJoin(ctx, m.Switch)
@@ -464,33 +499,32 @@ func (r *Runtime) Dispatch(m openflow.Msg) []openflow.Msg {
 	default:
 		panic(fmt.Sprintf("controller: cannot dispatch %v", m.Type))
 	}
-	r.Emit(ctx.Messages())
-	return ctx.Messages()
+	r.Emit(ctx.msgs)
 }
 
 // DispatchStats executes the stats handler with checker-chosen concrete
-// stats values (the process_stats transition armed by discover_stats).
-func (r *Runtime) DispatchStats(sw openflow.SwitchID, stats []openflow.PortStats) []openflow.Msg {
+// stats values (the process_stats transition armed by discover_stats)
+// and enqueues the messages it emits.
+func (r *Runtime) DispatchStats(sw openflow.SwitchID, stats []openflow.PortStats) {
 	r.ownApp()
 	r.appDirty()
-	ctx := r.NewContext()
+	ctx := r.handlerContext()
 	r.App.StatsReply(ctx, sw, sym.ConcreteStats(stats))
-	r.Emit(ctx.Messages())
-	return ctx.Messages()
+	r.Emit(ctx.msgs)
 }
 
-// DispatchEnv executes an environment event on an EnvApp.
-func (r *Runtime) DispatchEnv(event string) []openflow.Msg {
+// DispatchEnv executes an environment event on an EnvApp and enqueues
+// the messages it emits.
+func (r *Runtime) DispatchEnv(event string) {
 	r.ownApp()
 	env, ok := r.App.(EnvApp)
 	if !ok {
 		panic(fmt.Sprintf("controller: app %s has no environment events", r.App.Name()))
 	}
 	r.appDirty()
-	ctx := r.NewContext()
+	ctx := r.handlerContext()
 	env.EnvApply(ctx, event)
-	r.Emit(ctx.Messages())
-	return ctx.Messages()
+	r.Emit(ctx.msgs)
 }
 
 // StateKey renders the controller component canonically, from scratch:

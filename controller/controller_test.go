@@ -162,6 +162,69 @@ func TestRuntimeRecycle(t *testing.T) {
 	}
 }
 
+// TestRuntimeForkOutbox: a fork dispatches into its own handler outbox,
+// never into the one its frozen source last filled, whether the fork's
+// shell is new or recycled.
+func TestRuntimeForkOutbox(t *testing.T) {
+	rt := NewRuntime(&recorderApp{})
+	rt.Dispatch(packetInMsg()) // a flow_mod and a packet_out to switch 1
+	before := append([]openflow.Msg(nil), rt.scratch.ctx.msgs...)
+	if len(before) != 2 {
+		t.Fatalf("source outbox holds %d messages, want 2", len(before))
+	}
+	for owner := uint64(1); owner < 4; owner++ {
+		d := rt.Fork(owner)
+		m := packetInMsg()
+		m.Switch = openflow.SwitchID(10 + owner)
+		d.Dispatch(m)
+		if d.OutLen(m.Switch) != 2 {
+			t.Fatalf("fork %d queued %d messages, want 2", owner, d.OutLen(m.Switch))
+		}
+		for i, want := range before {
+			if got := rt.scratch.ctx.msgs[i]; got.Switch != want.Switch || got.Key() != want.Key() {
+				t.Fatalf("fork %d wrote its source's outbox: message %d is %s to %v, was %s to %v",
+					owner, i, got.Key(), got.Switch, want.Key(), want.Switch)
+			}
+		}
+		d.Recycle()
+	}
+}
+
+// reusingApp keeps one action slice and rewrites it for every rule it
+// installs, as an app may: the emitted flow_mod must not see the rewrite.
+type reusingApp struct {
+	BaseApp
+	acts []openflow.Action
+}
+
+func (a *reusingApp) Name() string     { return "reusing" }
+func (a *reusingApp) Clone() App       { return &reusingApp{acts: a.acts} }
+func (a *reusingApp) StateKey() string { return "" }
+
+func (a *reusingApp) PacketIn(ctx *Context, sw openflow.SwitchID, pkt *sym.Packet,
+	buf openflow.BufferID, reason openflow.PacketInReason) {
+	a.acts = append(a.acts[:0], openflow.Output(pkt.InPort()))
+	ctx.InstallRule(sw, openflow.Rule{Priority: 1, Match: openflow.MatchAll(), Actions: a.acts})
+}
+
+// TestInstallRuleOwnsActions: a queued flow_mod keeps the actions the
+// app installed, though the app rewrites its slice afterwards, so every
+// table that applies the message installs what the handler meant.
+func TestInstallRuleOwnsActions(t *testing.T) {
+	rt := NewRuntime(&reusingApp{})
+	m := packetInMsg()
+	m.InPort = 2
+	rt.Dispatch(m)
+	m.InPort = 3
+	rt.Dispatch(m)
+	for want := openflow.PortID(2); want <= 3; want++ {
+		fm, ok := rt.PopOut(1)
+		if !ok || fm.Rule.Actions[0].Port != want {
+			t.Fatalf("flow_mod %v outputs to %v, want %v", fm.Rule, fm.Rule.Actions, want)
+		}
+	}
+}
+
 func TestStateKeyIncludesChannelsExcludesCounters(t *testing.T) {
 	rt := NewRuntime(&recorderApp{})
 	base, baseIn, baseOut := rt.StateKey(), rt.InKeyHash64(), rt.OutKeyHash64()
@@ -244,7 +307,7 @@ func TestChannelHashesTrackQueues(t *testing.T) {
 
 func TestBarrierXidsUnique(t *testing.T) {
 	rt := NewRuntime(&recorderApp{})
-	ctx := rt.NewContext()
+	ctx := rt.handlerContext()
 	x1 := ctx.Barrier(1)
 	x2 := ctx.Barrier(1)
 	if x1 == x2 {

@@ -535,7 +535,7 @@ func (sp *componentSpace) footprintInto(sys *System, t *Transition, hostSw []int
 		if msg, ok := sys.ctrl.HeadOut(t.Sw); ok {
 			switch msg.Type {
 			case openflow.MsgFlowMod:
-				// Pure table update: ApplyOF never touches channels or
+				// Pure table update: ApplyOFInto never touches channels or
 				// the packet buffer for flow_mods, whatever Buffer says.
 				f.addRW(sp.swStateBit(i))
 				sp.propWrites(f, MaskOf(EvRuleInstalled, EvRuleDeleted))

@@ -60,7 +60,10 @@ func (s *System) faultTransitions(ts []Transition) []Transition {
 		if !sw.Alive {
 			continue
 		}
-		for _, p := range sw.PendingPorts() {
+		for _, p := range sw.Ports {
+			if len(sw.QueuedPackets(p)) == 0 {
+				continue
+			}
 			if s.faults.drops < fm.MaxDrops {
 				ts = append(ts, Transition{Kind: TFaultDrop, Sw: id, Port: p})
 			}
@@ -131,7 +134,7 @@ func (s *System) applyFault(t Transition, events []Event) []Event {
 		// and its ports — including the far ends of its links — go
 		// down. (Table.Delete copy-on-writes its own rule storage.)
 		sw.Table.Delete(openflow.MatchAll())
-		for _, p := range sw.PendingPorts() {
+		for _, p := range sw.Ports {
 			for {
 				pkt, ok := sw.DropHead(p)
 				if !ok {

@@ -81,12 +81,18 @@ func (s *System) EnabledInto(buf []Transition) []Transition {
 		if !sw.Alive {
 			continue
 		}
-		if s.cfg.MicroSteps {
-			for _, p := range sw.PendingPorts() {
-				ts = append(ts, Transition{Kind: TSwitchProcessPort, Sw: id, Port: p})
+		// process_pkt: one per switch with a queued packet, or one per
+		// such port under MicroSteps.
+		for _, p := range sw.Ports {
+			if len(sw.QueuedPackets(p)) == 0 {
+				continue
 			}
-		} else if len(sw.PendingPorts()) > 0 {
+			if s.cfg.MicroSteps {
+				ts = append(ts, Transition{Kind: TSwitchProcessPort, Sw: id, Port: p})
+				continue
+			}
 			ts = append(ts, Transition{Kind: TSwitchProcess, Sw: id})
+			break
 		}
 		if head, ok := s.ctrl.HeadOut(id); ok {
 			ts = append(ts, Transition{Kind: TSwitchOF, Sw: id, seq: head.Seq})
@@ -266,23 +272,22 @@ func (s *System) ApplyInto(t Transition, buf []Event) []Event {
 		}
 		s.noDelayFixpoint(&events)
 	case TSwitchProcess:
-		res := s.ownSwitch(t.Sw).ProcessPackets(&s.alloc)
-		s.route(t.Sw, res, &events)
+		s.ownSwitch(t.Sw).ProcessPacketsInto(&s.alloc, &s.res)
+		s.route(t.Sw, &s.res, &events)
 		s.noDelayFixpoint(&events)
 	case TSwitchProcessPort:
-		res, ok := s.ownSwitch(t.Sw).ProcessPacketOnPort(t.Port, &s.alloc)
-		if !ok {
+		if !s.ownSwitch(t.Sw).ProcessPacketOnPortInto(t.Port, &s.alloc, &s.res) {
 			panic("core: process_pkt_port with empty channel")
 		}
-		s.route(t.Sw, res, &events)
+		s.route(t.Sw, &s.res, &events)
 		s.noDelayFixpoint(&events)
 	case TSwitchOF:
 		msg, ok := s.ownCtrl().PopOut(t.Sw)
 		if !ok {
 			panic("core: process_of with empty channel")
 		}
-		res := s.ownSwitch(t.Sw).ApplyOF(msg, &s.alloc)
-		s.route(t.Sw, res, &events)
+		s.ownSwitch(t.Sw).ApplyOFInto(msg, &s.alloc, &s.res)
+		s.route(t.Sw, &s.res, &events)
 		s.noDelayFixpoint(&events)
 	case TSwitchTick:
 		for _, r := range s.ownSwitch(t.Sw).ExpireTimers() {
@@ -347,8 +352,10 @@ func (s *System) inject(host openflow.HostID, hdr openflow.Header, events *[]Eve
 
 // route applies a switch's processing effects to the rest of the system:
 // controller messages onto the OpenFlow channel, egress packets onto
-// links, hosts, or the void.
-func (s *System) route(swID openflow.SwitchID, res openflow.ProcResult, events *[]Event) {
+// links, hosts, or the void. res is s's scratch result: route copies
+// every element it keeps (events by value, messages and packets into
+// queues), so the next transition may refill it.
+func (s *System) route(swID openflow.SwitchID, res *openflow.ProcResult, events *[]Event) {
 	for _, pkt := range res.Dropped {
 		*events = append(*events, Event{Kind: EvDropped, Sw: swID, Pkt: pkt})
 	}
@@ -440,8 +447,8 @@ func (s *System) drainOutbound(events *[]Event) (progress bool) {
 				break
 			}
 			msg, _ := s.ownCtrl().PopOut(sw)
-			res := s.ownSwitch(sw).ApplyOF(msg, &s.alloc)
-			s.route(sw, res, events)
+			s.ownSwitch(sw).ApplyOFInto(msg, &s.alloc, &s.res)
+			s.route(sw, &s.res, events)
 			progress = true
 		}
 	}

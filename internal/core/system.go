@@ -39,6 +39,11 @@ type System struct {
 	// its pooled System struct; ownProp copies into it instead of
 	// allocating. Only this struct references it.
 	propsSpare []propSlot
+	// res is the scratch every process_pkt and process_of fills and
+	// route reads. Like propsSpare it stays with the struct: Clone does
+	// not copy it and Release does not clear it, so its slice backings
+	// serve every transition this struct applies.
+	res openflow.ProcResult
 
 	// epoch is this System's current copy-on-write ownership epoch: a
 	// component whose tag matches it is exclusively owned and may be

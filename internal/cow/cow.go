@@ -63,8 +63,14 @@
 //     traces and properties keep. The shell is zeroed and its maps
 //     emptied when it is recycled (Map.Recycle and Queues.Recycle, which
 //     empty only a map the shell owns and keep it as the spare), so a
-//     stale reader sees empty channels. Release recycles nothing: its caller does not know that
-//     the fork's subtree is dead.
+//     stale reader sees empty channels. A shell keeps its transition
+//     scratch as it keeps its maps: the System struct its switch result,
+//     a controller runtime its dispatch scratch (handler context, outbox
+//     and packet). Scratch is refilled by every transition and never
+//     handed out (consumers copy its elements), so a fork takes its
+//     shell's own scratch, never its source's, and Release keeps the
+//     System struct's. Release recycles nothing else: its caller does
+//     not know that the fork's subtree is dead.
 package cow
 
 import "sync/atomic"

@@ -27,7 +27,8 @@ func TestConcreteAllocs(t *testing.T) {
 		}
 		macs[openflow.EthAddr(i)] = openflow.PortID(i)
 	}
-	pkt := ConcretePacket(openflow.Header{EthSrc: 3, EthDst: 9, IPSrc: 1, IPDst: 2, TPSrc: 80, TPDst: 5555}, 1)
+	hdr := openflow.Header{EthSrc: 3, EthDst: 9, IPSrc: 1, IPDst: 2, TPSrc: 80, TPDst: 5555}
+	pkt := ConcretePacket(new(Packet), hdr, 1)
 	tr := NewTrace()
 	for _, c := range []struct {
 		name  string
@@ -35,6 +36,7 @@ func TestConcreteAllocs(t *testing.T) {
 		bound float64
 	}{
 		{"ConcreteStats", func() { statsSink = ConcreteStats(stats) }, 1},
+		{"ConcretePacket into a caller's packet", func() { ConcretePacket(pkt, hdr, 1) }, 0},
 		{"LookupFlow over 3 keys", func() { _, _ = LookupFlow(tr, flows, pkt) }, 0},
 		{"LookupEth over 4 keys", func() { _, _ = LookupEth(tr, macs, pkt.EthDst()) }, 0},
 	} {

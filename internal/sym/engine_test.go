@@ -224,7 +224,7 @@ func TestSymbolicPacketFieldsAndConcretize(t *testing.T) {
 }
 
 func TestConcretePacketIsFullyConcrete(t *testing.T) {
-	p := ConcretePacket(openflow.Header{EthType: openflow.EthTypeARP}, 1)
+	p := ConcretePacket(new(Packet), openflow.Header{EthType: openflow.EthTypeARP}, 1)
 	for f := openflow.Field(0); int(f) < openflow.NumFields; f++ {
 		if p.Field(f).IsSymbolic() {
 			t.Fatalf("field %v is symbolic on a concrete packet", f)
@@ -316,7 +316,7 @@ func TestLookupFlowTieOrder(t *testing.T) {
 				}
 			}
 			for i := 0; i < 200; i++ {
-				got, ok := LookupFlow(NewTrace(), m, ConcretePacket(hdr, 1))
+				got, ok := LookupFlow(NewTrace(), m, ConcretePacket(new(Packet), hdr, 1))
 				if !ok || got != "lo" {
 					t.Fatalf("call %d, insertion order %#v: got the %s key's value, want the Less-smaller key's",
 						i, order, got)

@@ -16,14 +16,14 @@ type Packet struct {
 	fields [openflow.NumFields]Value
 }
 
-// ConcretePacket wraps a concrete header observed on inPort: all fields
-// concrete, nothing recorded.
-func ConcretePacket(h openflow.Header, inPort openflow.PortID) *Packet {
-	var p Packet
+// ConcretePacket fills dst with a concrete header observed on inPort —
+// all fields concrete, nothing recorded — and returns dst. The caller
+// owns dst, so a dispatch loop refills one packet instead of allocating.
+func ConcretePacket(dst *Packet, h openflow.Header, inPort openflow.PortID) *Packet {
 	for f := openflow.Field(0); int(f) < openflow.NumFields; f++ {
-		p.fields[f] = Concrete(openflow.FieldValue(h, inPort, f))
+		dst.fields[f] = Concrete(openflow.FieldValue(h, inPort, f))
 	}
-	return &p
+	return dst
 }
 
 // fieldVars holds each header field's variable, boxed once for every

@@ -34,12 +34,6 @@ type Rule struct {
 	IdleAge int
 }
 
-// CloneRule deep-copies a rule.
-func (r Rule) CloneRule() Rule {
-	r.Actions = CloneActions(r.Actions)
-	return r
-}
-
 // Key renders the rule canonically, excluding counters (counters are
 // bookkeeping, not semantics; see FlowTable.RenderCanonicalKey).
 func (r Rule) Key() string {
@@ -123,12 +117,14 @@ func (t *FlowTable) Rules() []Rule { return t.rules }
 // order — which is exactly the semantically irrelevant detail the
 // canonical representation neutralizes and the NO-SWITCH-REDUCTION
 // baseline of Table 1 hashes verbatim.
-// Install's stored rule owns a private copy of the action list (the
-// caller may reuse its slice); once installed, actions are immutable,
-// which lets table forks and rule-element copies share them.
+// Install stores r as given and takes its action list with it: the
+// caller must not write that slice afterwards. In the model the caller
+// is a switch applying an enqueued flow_mod, which owns its list from
+// the moment controller.Context.InstallRule copied it out of app
+// memory; once installed, actions are immutable, which lets table forks
+// and rule-element copies share them.
 func (t *FlowTable) Install(r Rule) {
-	r = r.CloneRule()
-	t.deleteWhere(func(old Rule) bool {
+	t.deleteWhere(func(old *Rule) bool {
 		return old.Priority == r.Priority && old.Match.Equal(r.Match)
 	})
 	t.rules = append(t.rules, r)
@@ -139,29 +135,33 @@ func (t *FlowTable) Install(r Rule) {
 // subsumed by pattern is removed, regardless of priority. It returns the
 // number of rules removed.
 func (t *FlowTable) Delete(pattern Match) int {
-	return t.deleteWhere(func(r Rule) bool { return pattern.Subsumes(r.Match) })
+	return t.deleteWhere(func(r *Rule) bool { return pattern.Subsumes(r.Match) })
 }
 
 // DeleteStrict removes only rules with exactly this match and priority.
 func (t *FlowTable) DeleteStrict(pattern Match, priority int) int {
-	return t.deleteWhere(func(r Rule) bool {
+	return t.deleteWhere(func(r *Rule) bool {
 		return r.Priority == priority && r.Match.Equal(pattern)
 	})
 }
 
-func (t *FlowTable) deleteWhere(pred func(Rule) bool) int {
+// deleteWhere removes the rules pred selects, reading each in place; a
+// kept rule moves only to close a gap.
+func (t *FlowTable) deleteWhere(pred func(*Rule) bool) int {
 	t.ensureOwned()
-	kept := t.rules[:0]
 	removed := 0
-	for _, r := range t.rules {
+	for i := range t.rules {
+		r := &t.rules[i]
 		if pred(r) {
 			removed++
 			t.sum -= r.digest(false)
 			continue
 		}
-		kept = append(kept, r)
+		if removed > 0 {
+			t.rules[i-removed] = *r
+		}
 	}
-	t.rules = kept
+	t.rules = t.rules[:len(t.rules)-removed]
 	return removed
 }
 
@@ -173,11 +173,12 @@ func (t *FlowTable) deleteWhere(pred func(Rule) bool) int {
 // t.Rules(); ok is false on a table miss.
 func (t *FlowTable) Lookup(h Header, inPort PortID) (idx int, ok bool) {
 	best := -1
-	for i, r := range t.rules {
+	for i := range t.rules {
+		r := &t.rules[i]
 		if !r.Match.Matches(h, inPort) {
 			continue
 		}
-		if best == -1 || ruleLess(r, t.rules[best]) {
+		if best == -1 || ruleLess(r, &t.rules[best]) {
 			best = i
 		}
 	}
@@ -188,8 +189,9 @@ func (t *FlowTable) Lookup(h Header, inPort PortID) (idx int, ok bool) {
 }
 
 // ruleLess orders rules for lookup and canonicalization: higher priority
-// first, then canonical match key, then action key.
-func ruleLess(a, b Rule) bool {
+// first, then canonical match key, then action key. It reads both rules
+// in place.
+func ruleLess(a, b *Rule) bool {
 	if a.Priority != b.Priority {
 		return a.Priority > b.Priority
 	}
@@ -248,8 +250,8 @@ func (t *FlowTable) Digest(canonical, includeCounters bool) uint64 {
 func (t *FlowTable) FreshDigest(canonical, includeCounters bool) uint64 {
 	h := canon.NewMix(uint64(len(t.rules)))
 	var sum uint64
-	for _, r := range t.rules {
-		if d := r.digest(includeCounters); canonical {
+	for i := range t.rules {
+		if d := t.rules[i].digest(includeCounters); canonical {
 			sum += d
 		} else {
 			h = h.Word(d)

@@ -78,7 +78,7 @@ func hashActions(h canon.Mix, actions []Action) canon.Mix {
 
 // hash folds the rule in: the fields of Rule.Key, plus the counters and
 // ages when counters is set (appendStateKey's variant).
-func (r Rule) hash(h canon.Mix, counters bool) canon.Mix {
+func (r *Rule) hash(h canon.Mix, counters bool) canon.Mix {
 	h = r.Match.hash(h.Word(uint64(r.Priority)))
 	h = hashActions(h, r.Actions).Word(uint64(r.IdleTimeout)).Word(uint64(r.HardTimeout))
 	if counters {
@@ -89,7 +89,7 @@ func (r Rule) hash(h canon.Mix, counters bool) canon.Mix {
 
 // digest is the rule's finalised hash — one term of the flow table's
 // commutative sum.
-func (r Rule) digest(counters bool) uint64 { return r.hash(canon.NewMix(0), counters).Sum() }
+func (r *Rule) digest(counters bool) uint64 { return r.hash(canon.NewMix(0), counters).Sum() }
 
 // FreshKeyHash64 hashes the fields Msg.Key renders from scratch,
 // ignoring the memo MemoKeyHash stores.

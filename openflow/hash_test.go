@@ -148,7 +148,7 @@ const ruleMutations = 10
 // (which only the counter-inclusive key sees), or the spelling of
 // "drop". The feed decides by how much, sometimes by nothing.
 func mutateRule(f *byteFeed, r Rule, which int) Rule {
-	r = r.CloneRule()
+	r.Actions = CloneActions(r.Actions)
 	switch which {
 	case 0:
 		r.Priority += int(f.next() % 3)
@@ -442,16 +442,16 @@ func TestSwitchKeyHashTracksStateKey(t *testing.T) {
 	step("second enqueue")
 	sw.ProcessPackets(alloc) // both miss: buffered, packet_in
 	step("process (miss)")
-	sw.ApplyOF(Msg{Type: MsgFlowMod, Cmd: FlowAdd, Rule: ruleOut(5, MatchAll(), 2)}, alloc)
+	applyOF(sw, Msg{Type: MsgFlowMod, Cmd: FlowAdd, Rule: ruleOut(5, MatchAll(), 2)}, alloc)
 	step("flow_mod add")
-	sw.ApplyOF(Msg{Type: MsgPacketOut, Buffer: 0, Actions: []Action{Output(2)}}, alloc)
+	applyOF(sw, Msg{Type: MsgPacketOut, Buffer: 0, Actions: []Action{Output(2)}}, alloc)
 	step("packet_out")
 	sw.Enqueue(1, pkt(alloc, hdrAB()))
 	sw.ProcessPackets(alloc)
 	step("process (hit)")
 	sw.SetPortUp(3, false)
 	step("port down")
-	sw.ApplyOF(Msg{Type: MsgFlowMod, Cmd: FlowDelete, Rule: Rule{Match: MatchAll()}}, alloc)
+	applyOF(sw, Msg{Type: MsgFlowMod, Cmd: FlowDelete, Rule: Rule{Match: MatchAll()}}, alloc)
 	step("flow_mod delete")
 	sw.TakeAllBuffered()
 	step("buffer flush")

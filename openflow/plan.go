@@ -52,7 +52,7 @@ func (s *Switch) ProcessPlan(buf []PortID) ProcPlan {
 	return pl
 }
 
-// ProcessPortPlan predicts ProcessPacketOnPort for port p. ok is false
+// ProcessPortPlan predicts ProcessPacketOnPortInto for port p. ok is false
 // when the port's channel is empty (the transition is disabled).
 func (s *Switch) ProcessPortPlan(p PortID, buf []PortID) (ProcPlan, bool) {
 	pl := ProcPlan{Outputs: buf[:0]}
@@ -63,7 +63,7 @@ func (s *Switch) ProcessPortPlan(p PortID, buf []PortID) (ProcPlan, bool) {
 	return s.planOne(pl, q[0], p), true
 }
 
-// OFPlan predicts ApplyOF for a packet_out message. ok is false for
+// OFPlan predicts ApplyOFInto for a packet_out message. ok is false for
 // every other message type — those are either table-only (flow_mod),
 // pure replies (barrier, stats), or unknown, and the caller decides.
 func (s *Switch) OFPlan(m Msg, buf []PortID) (ProcPlan, bool) {

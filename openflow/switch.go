@@ -39,6 +39,12 @@ type PortOutput struct {
 
 // ProcResult collects the externally visible effects of processing one
 // packet or one OpenFlow message inside a switch.
+//
+// A ProcResult is scratch that the caller owns and reuses: the Into
+// methods truncate every slice before filling it, so its contents are
+// valid until the next call that fills the same result. Consumers copy
+// elements out (events take them by value, channels copy messages and
+// packets into their queues) and never keep a slice.
 type ProcResult struct {
 	// Outputs are packets to place on egress links.
 	Outputs []PortOutput
@@ -65,6 +71,20 @@ type ProcResult struct {
 	// InstalledRules / DeletedRules record flow_mod effects.
 	InstalledRules []Rule
 	DeletedRules   int
+}
+
+// reset empties r for refilling, keeping every slice's backing array.
+func (r *ProcResult) reset() {
+	r.Outputs = r.Outputs[:0]
+	r.ToController = r.ToController[:0]
+	r.Dropped = r.Dropped[:0]
+	r.Buffered = r.Buffered[:0]
+	r.Released = r.Released[:0]
+	r.Copies = r.Copies[:0]
+	r.Injected = r.Injected[:0]
+	r.Matched = r.Matched[:0]
+	r.InstalledRules = r.InstalledRules[:0]
+	r.DeletedRules = 0
 }
 
 // Switch is the simplified OpenFlow switch model of §2.2.2: a flow table,
@@ -203,17 +223,6 @@ func (s *Switch) Enqueue(p PortID, pkt Packet) {
 	s.in.Append(p, pkt)
 }
 
-// PendingPorts returns the sorted ports with a non-empty ingress channel.
-func (s *Switch) PendingPorts() []PortID {
-	var ports []PortID
-	for _, p := range s.Ports {
-		if len(s.in.Queue(p)) > 0 {
-			ports = append(ports, p)
-		}
-	}
-	return ports
-}
-
 // QueuedPackets returns the ingress channel contents of port p in order.
 func (s *Switch) QueuedPackets(p PortID) []Packet { return s.in.Queue(p) }
 
@@ -274,30 +283,40 @@ func (s *Switch) SwapHead(p PortID) bool {
 // head packet of every non-empty ingress channel and processes each
 // against the flow table — a single transition, because the checker
 // already explores arrival orderings (§2.2.2 "Two simple transitions").
+// It returns a fresh result; the model checker calls ProcessPacketsInto
+// with its own scratch.
 func (s *Switch) ProcessPackets(alloc *IDAlloc) ProcResult {
-	s.MarkDirty()
 	var res ProcResult
-	for _, p := range s.Ports {
-		if pkt, ok := s.in.PopHead(p); ok {
-			s.processOne(&res, pkt, p, alloc)
-		}
-	}
+	s.ProcessPacketsInto(alloc, &res)
 	return res
 }
 
-// ProcessPacketOnPort dequeues and processes the head packet of a single
-// port's channel. The fine-grained baseline checker (docs/ARCHITECTURE.md,
-// "Deviations from the paper") uses this instead of the batched
-// ProcessPackets.
-func (s *Switch) ProcessPacketOnPort(p PortID, alloc *IDAlloc) (ProcResult, bool) {
+// ProcessPacketsInto is ProcessPackets filling a caller-owned result,
+// which it truncates first.
+func (s *Switch) ProcessPacketsInto(alloc *IDAlloc, res *ProcResult) {
+	s.MarkDirty()
+	res.reset()
+	for _, p := range s.Ports {
+		if pkt, ok := s.in.PopHead(p); ok {
+			s.processOne(res, pkt, p, alloc)
+		}
+	}
+}
+
+// ProcessPacketOnPortInto dequeues and processes the head packet of a
+// single port's channel into res, which it truncates first, and reports
+// whether the channel held a packet. The fine-grained baseline checker
+// (docs/ARCHITECTURE.md, "Deviations from the paper") uses this instead
+// of the batched ProcessPacketsInto.
+func (s *Switch) ProcessPacketOnPortInto(p PortID, alloc *IDAlloc, res *ProcResult) bool {
+	res.reset()
 	pkt, ok := s.in.PopHead(p)
 	if !ok {
-		return ProcResult{}, false
+		return false
 	}
 	s.MarkDirty()
-	var res ProcResult
-	s.processOne(&res, pkt, p, alloc)
-	return res, true
+	s.processOne(res, pkt, p, alloc)
+	return true
 }
 
 // processOne appends one packet's processing effects to res (the
@@ -385,11 +404,13 @@ func (s *Switch) applyActions(res *ProcResult, pkt Packet, inPort PortID, action
 	}
 }
 
-// ApplyOF implements the process_of transition for one controller→switch
-// message.
-func (s *Switch) ApplyOF(m Msg, alloc *IDAlloc) ProcResult {
+// ApplyOFInto implements the process_of transition for one
+// controller→switch message, filling res, which it truncates first. A
+// flow_mod's rule is installed as the message carries it: the enqueued
+// message owns its action list, which the table then shares.
+func (s *Switch) ApplyOFInto(m Msg, alloc *IDAlloc, res *ProcResult) {
 	s.MarkDirty()
-	var res ProcResult
+	res.reset()
 	switch m.Type {
 	case MsgFlowMod:
 		switch m.Cmd {
@@ -409,7 +430,7 @@ func (s *Switch) ApplyOF(m Msg, alloc *IDAlloc) ProcResult {
 			if !ok {
 				// Releasing an unknown buffer is a no-op (the
 				// buffer may have been released already).
-				return res
+				return
 			}
 			pkt = entry.Pkt
 			inPort = entry.InPort
@@ -421,7 +442,7 @@ func (s *Switch) ApplyOF(m Msg, alloc *IDAlloc) ProcResult {
 			pkt.Orig = pkt.ID
 			res.Injected = append(res.Injected, pkt)
 		}
-		s.applyActions(&res, pkt, inPort, m.Actions, alloc)
+		s.applyActions(res, pkt, inPort, m.Actions, alloc)
 	case MsgBarrierRequest:
 		res.ToController = append(res.ToController, Msg{
 			Type: MsgBarrierReply, Switch: s.ID, Xid: m.Xid,
@@ -433,7 +454,6 @@ func (s *Switch) ApplyOF(m Msg, alloc *IDAlloc) ProcResult {
 	default:
 		panic(fmt.Sprintf("openflow: switch cannot apply %v", m.Type))
 	}
-	return res
 }
 
 // TakeAllBuffered empties the awaiting-controller buffer, returning the

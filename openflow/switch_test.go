@@ -77,14 +77,15 @@ func TestProcessPacketOnPortMicroStep(t *testing.T) {
 	sw.Table.Install(Rule{Priority: 5, Match: MatchAll(), Actions: []Action{Output(3)}})
 	sw.Enqueue(1, pkt(alloc, hdrAB()))
 	sw.Enqueue(2, pkt(alloc, hdrAB()))
-	res, ok := sw.ProcessPacketOnPort(1, alloc)
+	var res ProcResult
+	ok := sw.ProcessPacketOnPortInto(1, alloc, &res)
 	if !ok || len(res.Outputs) != 1 {
 		t.Fatalf("micro-step processed %d packets", len(res.Outputs))
 	}
 	if sw.TotalQueued() != 1 {
 		t.Error("other channel was drained too")
 	}
-	if _, ok := sw.ProcessPacketOnPort(1, alloc); ok {
+	if sw.ProcessPacketOnPortInto(1, alloc, &res) || len(res.Outputs) != 0 {
 		t.Error("processed from an empty channel")
 	}
 }
@@ -192,7 +193,7 @@ func TestPacketOutReleasesBuffer(t *testing.T) {
 	res := sw.ProcessPackets(alloc)
 	bufID := res.ToController[0].Buffer
 
-	out := sw.ApplyOF(Msg{Type: MsgPacketOut, Switch: 1, Buffer: bufID,
+	out := applyOF(sw, Msg{Type: MsgPacketOut, Switch: 1, Buffer: bufID,
 		Actions: []Action{Output(2)}}, alloc)
 	if len(out.Released) != 1 || len(out.Outputs) != 1 {
 		t.Fatalf("release results: %+v", out)
@@ -201,7 +202,7 @@ func TestPacketOutReleasesBuffer(t *testing.T) {
 		t.Error("buffer not empty after release")
 	}
 	// Releasing again is a harmless no-op.
-	again := sw.ApplyOF(Msg{Type: MsgPacketOut, Switch: 1, Buffer: bufID,
+	again := applyOF(sw, Msg{Type: MsgPacketOut, Switch: 1, Buffer: bufID,
 		Actions: []Action{Output(2)}}, alloc)
 	if len(again.Outputs) != 0 {
 		t.Error("double release produced output")
@@ -210,7 +211,7 @@ func TestPacketOutReleasesBuffer(t *testing.T) {
 
 func TestPacketOutInlineInjects(t *testing.T) {
 	sw, alloc := newTestSwitch()
-	res := sw.ApplyOF(Msg{Type: MsgPacketOut, Switch: 1, Buffer: BufferNone,
+	res := applyOF(sw, Msg{Type: MsgPacketOut, Switch: 1, Buffer: BufferNone,
 		Packet: Packet{Header: hdrAB()}, Actions: []Action{Output(3)}}, alloc)
 	if len(res.Injected) != 1 {
 		t.Fatalf("injected: %v", res.Injected)
@@ -226,11 +227,11 @@ func TestPacketOutInlineInjects(t *testing.T) {
 func TestFlowModsThroughApplyOF(t *testing.T) {
 	sw, alloc := newTestSwitch()
 	r := Rule{Priority: 5, Match: MatchAll(), Actions: []Action{Output(2)}}
-	res := sw.ApplyOF(Msg{Type: MsgFlowMod, Switch: 1, Cmd: FlowAdd, Rule: r}, alloc)
+	res := applyOF(sw, Msg{Type: MsgFlowMod, Switch: 1, Cmd: FlowAdd, Rule: r}, alloc)
 	if len(res.InstalledRules) != 1 || sw.Table.Len() != 1 {
 		t.Fatal("install did not take effect")
 	}
-	res = sw.ApplyOF(Msg{Type: MsgFlowMod, Switch: 1, Cmd: FlowDelete,
+	res = applyOF(sw, Msg{Type: MsgFlowMod, Switch: 1, Cmd: FlowDelete,
 		Rule: Rule{Match: MatchAll()}}, alloc)
 	if res.DeletedRules != 1 || sw.Table.Len() != 0 {
 		t.Fatal("delete did not take effect")
@@ -239,17 +240,55 @@ func TestFlowModsThroughApplyOF(t *testing.T) {
 
 func TestBarrierAndStats(t *testing.T) {
 	sw, alloc := newTestSwitch()
-	res := sw.ApplyOF(Msg{Type: MsgBarrierRequest, Switch: 1, Xid: 42}, alloc)
+	res := applyOF(sw, Msg{Type: MsgBarrierRequest, Switch: 1, Xid: 42}, alloc)
 	if len(res.ToController) != 1 || res.ToController[0].Type != MsgBarrierReply ||
 		res.ToController[0].Xid != 42 {
 		t.Fatalf("barrier reply: %v", res.ToController)
 	}
-	res = sw.ApplyOF(Msg{Type: MsgStatsRequest, Switch: 1, StatsPort: PortNone}, alloc)
+	res = applyOF(sw, Msg{Type: MsgStatsRequest, Switch: 1, StatsPort: PortNone}, alloc)
 	if len(res.ToController) != 1 || res.ToController[0].Type != MsgStatsReply {
 		t.Fatalf("stats reply: %v", res.ToController)
 	}
 	if len(res.ToController[0].Stats) != 3 {
 		t.Errorf("stats cover %d ports, want 3", len(res.ToController[0].Stats))
+	}
+}
+
+// applyOF is ApplyOFInto with a fresh result.
+func applyOF(sw *Switch, m Msg, alloc *IDAlloc) ProcResult {
+	var res ProcResult
+	sw.ApplyOFInto(m, alloc, &res)
+	return res
+}
+
+// TestProcResultReuse: a result refilled by the Into methods holds only
+// the latest call's effects, however much the earlier calls left in it.
+func TestProcResultReuse(t *testing.T) {
+	sw, alloc := newTestSwitch()
+	var res ProcResult
+	sw.Enqueue(1, pkt(alloc, hdrAB()))
+	sw.Enqueue(2, pkt(alloc, hdrAB()))
+	sw.ProcessPacketsInto(alloc, &res) // two misses
+	if len(res.ToController) != 2 || len(res.Buffered) != 2 || len(res.Matched) != 2 {
+		t.Fatalf("misses: %+v", res)
+	}
+	sw.ApplyOFInto(Msg{Type: MsgFlowMod, Cmd: FlowAdd,
+		Rule: Rule{Priority: 5, Match: MatchAll(), Actions: []Action{Output(3)}}}, alloc, &res)
+	if len(res.InstalledRules) != 1 || len(res.ToController) != 0 || len(res.Buffered) != 0 ||
+		len(res.Matched) != 0 {
+		t.Fatalf("flow_mod after misses: %+v", res)
+	}
+	sw.ApplyOFInto(Msg{Type: MsgFlowMod, Cmd: FlowDelete, Rule: Rule{Match: MatchAll()}}, alloc, &res)
+	if len(res.InstalledRules) != 0 || res.DeletedRules != 1 {
+		t.Fatalf("delete after install: %+v", res)
+	}
+	sw.Enqueue(1, pkt(alloc, hdrAB()))
+	sw.ProcessPacketsInto(alloc, &res)
+	if res.DeletedRules != 0 || len(res.ToController) != 1 || len(res.Matched) != 1 {
+		t.Fatalf("miss after delete: %+v", res)
+	}
+	if sw.ProcessPacketOnPortInto(2, alloc, &res) || len(res.ToController) != 0 || len(res.Matched) != 0 {
+		t.Fatalf("empty micro-step: %+v", res)
 	}
 }
 
