@@ -237,16 +237,19 @@ func (c *Context) DeleteRuleStrict(sw openflow.SwitchID, pattern openflow.Match,
 }
 
 // PacketOut releases a buffered packet with the given actions — the
-// send_packet_out call of Figure 3.
+// send_packet_out call of Figure 3. The queued message owns a copy of
+// actions, as InstallRule's does, made in every context so that actions
+// never escapes: a call's variadic slice stays on the caller's stack.
 func (c *Context) PacketOut(sw openflow.SwitchID, buf openflow.BufferID, actions ...openflow.Action) {
-	c.emit(openflow.Msg{Type: openflow.MsgPacketOut, Switch: sw, Buffer: buf, Actions: actions})
+	c.emit(openflow.Msg{Type: openflow.MsgPacketOut, Switch: sw, Buffer: buf,
+		Actions: openflow.CloneActions(actions)})
 }
 
 // PacketOutData injects a controller-crafted packet (e.g. a proxied ARP
-// reply) on a switch.
+// reply) on a switch; its action list is copied as PacketOut's is.
 func (c *Context) PacketOutData(sw openflow.SwitchID, h openflow.Header, inPort openflow.PortID, actions ...openflow.Action) {
 	c.emit(openflow.Msg{Type: openflow.MsgPacketOut, Switch: sw, Buffer: openflow.BufferNone,
-		Packet: openflow.Packet{Header: h}, InPort: inPort, Actions: actions})
+		Packet: openflow.Packet{Header: h}, InPort: inPort, Actions: openflow.CloneActions(actions)})
 }
 
 // FloodPacket releases a buffered packet with the flood action — the

@@ -225,6 +225,43 @@ func TestInstallRuleOwnsActions(t *testing.T) {
 	}
 }
 
+// reusingOutApp keeps one action slice and rewrites it for every
+// packet_out it sends, buffered and crafted alike.
+type reusingOutApp struct {
+	BaseApp
+	acts []openflow.Action
+}
+
+func (a *reusingOutApp) Name() string     { return "reusing-out" }
+func (a *reusingOutApp) Clone() App       { return &reusingOutApp{acts: a.acts} }
+func (a *reusingOutApp) StateKey() string { return "" }
+
+func (a *reusingOutApp) PacketIn(ctx *Context, sw openflow.SwitchID, pkt *sym.Packet,
+	buf openflow.BufferID, reason openflow.PacketInReason) {
+	a.acts = append(a.acts[:0], openflow.Output(pkt.InPort()))
+	ctx.PacketOut(sw, buf, a.acts...)
+	ctx.PacketOutData(sw, openflow.Header{}, pkt.InPort(), a.acts...)
+}
+
+// TestPacketOutOwnsActions: a queued packet_out keeps the actions the
+// handler sent, though the app rewrites its slice for the next
+// packet_in, so the switch applies what the handler meant and the key
+// hash memoized at enqueue stays the message's.
+func TestPacketOutOwnsActions(t *testing.T) {
+	rt := NewRuntime(&reusingOutApp{})
+	m := packetInMsg()
+	m.InPort = 2
+	rt.Dispatch(m)
+	m.InPort = 3
+	rt.Dispatch(m)
+	for _, want := range []openflow.PortID{2, 2, 3, 3} {
+		po, ok := rt.PopOut(1)
+		if !ok || po.Type != openflow.MsgPacketOut || po.Actions[0].Port != want {
+			t.Fatalf("%v outputs to %v, want port %v", po.Type, po.Actions, want)
+		}
+	}
+}
+
 func TestStateKeyIncludesChannelsExcludesCounters(t *testing.T) {
 	rt := NewRuntime(&recorderApp{})
 	base, baseIn, baseOut := rt.StateKey(), rt.InKeyHash64(), rt.OutKeyHash64()

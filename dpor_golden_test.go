@@ -195,3 +195,19 @@ func TestDPORReductionFloor(t *testing.T) {
 		})
 	}
 }
+
+// TestDPORReclaims: the reduced DFS forks each backtrack successor by
+// lending and gives the fork back by reclaiming, like the unreduced
+// DFS, so the shells a successor copied are recycled and no fork
+// outlives its subtree.
+func TestDPORReclaims(t *testing.T) {
+	reg := nice.NewTelemetry()
+	nice.Run(context.Background(), linearPings(4, true, false),
+		nice.WithReduction(nice.DPOR), nice.WithTelemetry(reg))
+	snap := reg.Snapshot()
+	forks, releases := snap.Counter("cow.forks"), snap.Counter("cow.releases")
+	if snap.Counter("cow.shells_recycled") == 0 || forks == 0 || forks != releases {
+		t.Errorf("cow.shells_recycled %d, cow.forks %d, cow.releases %d; want shells recycled and every fork given back",
+			snap.Counter("cow.shells_recycled"), forks, releases)
+	}
+}

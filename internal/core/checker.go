@@ -94,17 +94,23 @@ func cloneTrace(trace []Transition) []Transition {
 func ReplayWithProperties(cfg *Config, cc *Caches, trace []Transition) *Violation {
 	sys := NewSystemWith(cfg, cc)
 	for i, t := range trace {
-		events := sys.Apply(t)
-		if fails := sys.CheckEvents(events); len(fails) > 0 {
-			return &Violation{Property: fails[0].Property, Err: fails[0].Err,
-				Trace: cloneTrace(trace[:i+1])}
+		if v := firstFailure(sys.CheckEvents(sys.Apply(t)), trace[:i+1]); v != nil {
+			return v
 		}
 	}
 	if sys.Quiescent() {
-		if fails := sys.CheckQuiescence(); len(fails) > 0 {
-			return &Violation{Property: fails[0].Property, Err: fails[0].Err,
-				Trace: cloneTrace(trace), Quiescence: true}
-		}
+		return firstFailure(sys.CheckQuiescence(), trace)
 	}
 	return nil
+}
+
+// firstFailure returns the first of a check's fails, traced by a copy
+// of trace, or nil: the replay's and the Simulator's one rule.
+func firstFailure(fails []Violation, trace []Transition) *Violation {
+	if len(fails) == 0 {
+		return nil
+	}
+	v := fails[0]
+	v.Trace = cloneTrace(trace)
+	return &v
 }

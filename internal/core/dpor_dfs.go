@@ -11,9 +11,11 @@ import (
 // Stateful Flanagan–Godefroid DPOR for the sequential DFS: sleep
 // sets prune redundant transitions, dynamically-computed backtrack sets
 // prune whole subtrees, and per-state bookkeeping (dporNode) adapts both
-// to the search's hash-matched state storage. The exploration order,
-// state counting, quiescence/depth semantics and violation handling
-// mirror the unreduced search (internal/search's expansion step) — DPOR
+// to the search's hash-matched state storage. The exploration order
+// and state counting mirror the unreduced search (internal/search's
+// expansion step), and the step itself — apply, check, record, a leaf's
+// quiescence and depth bound — is the session's (Session.Step and
+// Leaf), on forks lent and reclaimed as the expansion step's are: DPOR
 // changes only WHICH enabled transitions get executed, never what
 // happens when one does.
 //
@@ -495,23 +497,16 @@ func (c *dporDFS) dporVisit(sys *System, sleep []sleepEntry) dporSummary {
 	c.dporExplored[h] = node
 	c.s.Admit(depth)
 
-	// Quiescence and depth handling mirror the unreduced search: the
-	// checks run against the full enabled set, before any reduction.
+	// A leaf is the session's, as in the unreduced search: it judges the
+	// full enabled set, before any reduction. A dead end hides nothing
+	// unless the search stopped there; a state at the depth bound hides
+	// its whole subtree.
 	f := &c.dporFrames[depth]
 	f.enabled = sys.EnabledInto(f.enabled)
-	if len(f.enabled) == 0 {
-		for _, f := range sys.CheckQuiescence() {
-			c.s.Record(Violation{Property: f.Property, Err: f.Err,
-				Trace: c.trace, Quiescence: true})
-			if c.s.Stopped() {
-				return c.storeSummary(h, node, c.globalSummary())
-			}
+	if c.s.Leaf(sys, f.enabled, c.trace) {
+		if len(f.enabled) == 0 && !c.s.Stopped() {
+			return c.storeSummary(h, node, dporSummary{})
 		}
-		return c.storeSummary(h, node, dporSummary{})
-	}
-	if depth >= c.cfg.maxDepth() {
-		c.s.Truncated.Add(1)
-		// The whole subtree is hidden behind the bound.
 		return c.storeSummary(h, node, c.globalSummary())
 	}
 	return c.storeSummary(h, node, c.dporExpand(sys, depth, sleep, nil))
@@ -621,15 +616,12 @@ func (c *dporDFS) dporExpand(sys *System, depth int, sleep []sleepEntry, only []
 			c.frameTop = depth
 			return c.globalSummary()
 		}
-		child := sys.Clone()
-		c.events = child.ApplyInto(t, c.events)
+		// Every successor runs on a lent fork, reclaimed once its subtree
+		// is done: none is applied to sys in place, because a later
+		// race can still grow this state's backtrack set.
+		child, epoch := sys.Lend()
 		c.trace = append(c.trace, t)
-
-		violated := false
-		for _, fail := range child.CheckEvents(c.events) {
-			c.s.Record(Violation{Property: fail.Property, Err: fail.Err, Trace: c.trace})
-			violated = true
-		}
+		violated := c.s.Step(child, t, c.trace, &c.events)
 		fpID := c.fpt.intern(fp)
 		sum.add(&c.fpt, sumEntry{key: key, fp: fpID})
 		if !violated {
@@ -645,7 +637,7 @@ func (c *dporDFS) dporExpand(sys *System, depth int, sleep []sleepEntry, only []
 			f.execIdx = -1
 			sum.mergeFolded(&c.fpt, sub, fpID)
 		}
-		child.Release()
+		sys.Reclaim(child, epoch)
 		c.trace = c.trace[:len(c.trace)-1]
 		f.working = append(f.working, sleepEntry{key: key, fp: fp})
 	}

@@ -188,22 +188,15 @@ func eventsMask(events []Event) uint64 {
 	return m
 }
 
-// PropertyFailure couples a violated property's name with its error —
-// one element of a CheckEvents / CheckQuiescence result.
-type PropertyFailure struct {
-	Property string
-	Err      error
-}
-
 // CheckEvents delivers a transition's events to the properties and
-// collects the violations, in property order. This is the single
-// property-delivery path shared by every engine: it applies the
-// EventMasker filter and, under copy-on-write forking, owns each
-// property (forcing its lazy copy) only when it actually receives the
-// batch — properties untouched by a transition stay shared with the
-// parent state.
-func (s *System) CheckEvents(events []Event) []PropertyFailure {
-	var fails []PropertyFailure
+// returns their failures, in property order, each a Violation with no
+// trace yet. This is the single property-delivery path shared by every
+// engine: it applies the EventMasker filter and, under copy-on-write
+// forking, owns each property (forcing its lazy copy) only when it
+// actually receives the batch — properties untouched by a transition
+// stay shared with the parent state.
+func (s *System) CheckEvents(events []Event) []Violation {
+	var fails []Violation
 	m := eventsMask(events)
 	for i := range s.props {
 		if em, ok := s.props[i].p.(EventMasker); ok && em.EventMask()&m == 0 {
@@ -211,7 +204,7 @@ func (s *System) CheckEvents(events []Event) []PropertyFailure {
 		}
 		op := s.ownProp(i)
 		if err := op.OnEvents(s, events); err != nil {
-			fails = append(fails, PropertyFailure{Property: op.Name(), Err: err})
+			fails = append(fails, Violation{Property: op.Name(), Err: err})
 		}
 	}
 	return fails
@@ -219,12 +212,13 @@ func (s *System) CheckEvents(events []Event) []PropertyFailure {
 
 // CheckQuiescence runs every property's AtQuiescence check (read-only
 // by contract, so shared property instances are checked in place) and
-// collects the violations, in property order.
-func (s *System) CheckQuiescence() []PropertyFailure {
-	var fails []PropertyFailure
+// returns their failures, in property order, each a Violation with
+// Quiescence set and no trace yet.
+func (s *System) CheckQuiescence() []Violation {
+	var fails []Violation
 	for _, sl := range s.props {
 		if err := sl.p.AtQuiescence(s); err != nil {
-			fails = append(fails, PropertyFailure{Property: sl.p.Name(), Err: err})
+			fails = append(fails, Violation{Property: sl.p.Name(), Err: err, Quiescence: true})
 		}
 	}
 	return fails

@@ -17,17 +17,19 @@ import (
 // An engine is Begin → explore → End; its loop keeps only what differs
 // between engines — the frontier, the seen-set and the schedule.
 //
-// All methods are safe for concurrent use by the engine's workers. The
-// counters are exported so a loop can bump the ones with no admission
-// logic (Revisits, Truncated) directly; Frontier and Steals are the
-// work queue's own counters (its pending work and its handoffs to a
-// waiting worker), so snapshots read them without a mirrored second
-// atomic.
+// Every loop takes the same step on it: Step applies a transition and
+// records what it violates, Leaf ends a path at a dead end or the depth
+// bound, Reserve and Admit charge the budgets. All methods are safe for
+// concurrent use by the engine's workers. The counters are exported so
+// a loop can read them and bump Revisits, which has no admission logic,
+// directly; Frontier and Steals are the work queue's own counters (its
+// pending work and its handoffs to a waiting worker), so snapshots read
+// them without a mirrored second atomic.
 type Session struct {
 	Transitions atomic.Int64
 	Unique      atomic.Int64
 	Revisits    atomic.Int64
-	Truncated   atomic.Int64
+	truncated   atomic.Int64 // paths Leaf cut at the depth bound
 	MaxDepth    atomic.Int64 // deepest admitted state
 	Frontier    atomic.Int64 // pending work; stays 0 where there is no frontier
 	Steals      atomic.Int64
@@ -166,14 +168,51 @@ func (s *Session) Admit(depth int) {
 	}
 }
 
-// Record registers a violation: a new property+error key is counted and
+// Step is every engine loop's step (the paper's Figure 5): it applies t
+// to sys, which the caller alone holds, into the caller's event buffer,
+// checks the properties on the events and records each failure against
+// trace, the path ending in t. It reports whether any failed: the
+// caller does not explore past a violating state.
+func (s *Session) Step(sys *System, t Transition, trace []Transition, events *[]Event) bool {
+	*events = sys.ApplyInto(t, *events)
+	fails := sys.CheckEvents(*events)
+	for _, v := range fails {
+		v.Trace = trace
+		s.record(v)
+	}
+	return len(fails) > 0
+}
+
+// Leaf reports whether the path to sys, reached over trace with the
+// given enabled set, ends there. At a dead end it records the
+// quiescence failures against trace, stopping at the one that stopped
+// the search; at the depth bound it counts the path as truncated.
+func (s *Session) Leaf(sys *System, enabled []Transition, trace []Transition) bool {
+	if len(enabled) == 0 {
+		for _, v := range sys.CheckQuiescence() {
+			v.Trace = trace
+			s.record(v)
+			if s.Stopped() {
+				break
+			}
+		}
+		return true
+	}
+	if len(trace) >= s.cfg.DepthBound() {
+		s.truncated.Add(1)
+		return true
+	}
+	return false
+}
+
+// record registers a violation: a new property+error key is counted and
 // streamed to the Observer exactly once, as held (see violationSet for
-// which trace is kept); the caller may reuse v.Trace once Record
+// which trace is kept); the caller may reuse v.Trace once record
 // returns. Like the paper's checker, the search stops on every recorded
 // violation, new key or not, when the config asks. An Observer that
 // cancels the search's context is obeyed before the engine's next step,
 // not whenever the context watcher gets scheduled.
-func (s *Session) Record(v Violation) {
+func (s *Session) record(v Violation) {
 	if held, isNew := s.viols.add(v); isNew {
 		s.tel.violation(held.Property)
 		if s.eo.Observer != nil {
@@ -246,7 +285,7 @@ func (s *Session) End(ctx context.Context) *Report {
 		Transitions:   s.Transitions.Load(),
 		UniqueStates:  s.Unique.Load(),
 		Revisits:      s.Revisits.Load(),
-		Truncated:     s.Truncated.Load(),
+		Truncated:     s.truncated.Load(),
 		SERuns:        s.eo.Caches.SERuns(),
 		PacketClasses: s.eo.Caches.Classes(),
 		Violations:    s.viols.list(),
@@ -275,7 +314,7 @@ func (s *Session) emit(final bool) {
 		Transitions:   s.Transitions.Load(),
 		UniqueStates:  s.Unique.Load(),
 		Revisits:      s.Revisits.Load(),
-		Truncated:     s.Truncated.Load(),
+		Truncated:     s.truncated.Load(),
 		SERuns:        s.eo.Caches.SERuns(),
 		Frontier:      s.Frontier.Load(),
 		Depth:         int(s.MaxDepth.Load()),

@@ -37,10 +37,7 @@ func (s *Simulator) Step(i int) ([]Event, *Violation, error) {
 	t := enabled[i]
 	events := s.sys.Apply(t)
 	s.trace = append(s.trace, t)
-	if fails := s.sys.CheckEvents(events); len(fails) > 0 {
-		return events, &Violation{Property: fails[0].Property, Err: fails[0].Err, Trace: s.Trace()}, nil
-	}
-	return events, nil, nil
+	return events, firstFailure(s.sys.CheckEvents(events), s.trace), nil
 }
 
 // Reset returns the simulator to the initial state.

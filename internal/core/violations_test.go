@@ -58,8 +58,8 @@ func TestViolationSetTraceDedup(t *testing.T) {
 // TestViolationSetRendersNothing pins the pitfall a full search measured
 // (the load balancer records 2 262 violations for 422 keys, 1 009 of
 // them equal-length duplicates): recording a held key through
-// Session.Record, as every engine does, must allocate nothing — no key
-// string, no trace copy — and listing must not render traces (a
+// Session.record, as every engine step does, must allocate nothing — no
+// key string, no trace copy — and listing must not render traces (a
 // rendering set read +18 % allocations per state there). A stored trace
 // is the set's own copy, so a caller may reuse the one it passed.
 func TestViolationSetRendersNothing(t *testing.T) {
@@ -74,11 +74,11 @@ func TestViolationSetRendersNothing(t *testing.T) {
 			trace[j].Hdr.TCPSeq = uint32(i*steps + j)
 		}
 		errs[i] = fmt.Errorf("packet %d forgotten", i)
-		sess.Record(Violation{Property: "NoForgottenPackets", Err: errs[i], Trace: trace})
+		sess.record(Violation{Property: "NoForgottenPackets", Err: errs[i], Trace: trace})
 	}
 
 	dup := Violation{Property: "NoForgottenPackets", Err: errs[7], Trace: trace}
-	if per := testing.AllocsPerRun(100, func() { sess.Record(dup) }); per != 0 {
+	if per := testing.AllocsPerRun(100, func() { sess.record(dup) }); per != 0 {
 		t.Errorf("recording a held key with an equal-length trace: %.0f allocs, want none", per)
 	}
 	var listed int

@@ -26,10 +26,11 @@
 // is not mutated in place while any fork that may share it is alive.
 // The reclaim rule is the one way back: a System may return to its
 // pre-fork epoch only after every fork made from it, and every fork of
-// those forks, has been released. The sequential DFS always meets it; a
-// parallel worker meets it when it queued no state for another goroutine
-// while the fork's subtree ran (internal/search counts those exports per
-// worker). Crucially, forking writes
+// those forks, has been released. The sequential DFS and the DPOR DFS
+// always meet it: each returns a lent fork only once the fork's whole
+// subtree is done. A parallel worker meets it when it queued no state
+// for another goroutine while the fork's subtree ran (internal/search
+// counts those exports per worker). Crucially, forking writes
 // nothing into shared components (only the two System epochs change), so
 // a fork never races with another goroutine reading components it shares.
 //
@@ -55,22 +56,24 @@
 //  3. Warm caches: System forks warm every component's memoized state
 //     hash first, so shared (frozen) components are only ever read —
 //     including their hash caches — never filled concurrently.
-//  4. Recycling: a component goes back to its pool only at Reclaim,
-//     only if the reclaimed fork owned it at the fork's epoch (by 1 and
-//     the reclaim rule, the fork made it and no live System reaches
-//     it), and only as a struct shell, its channel maps and the fork's
-//     props backing — never a slice backing, whose elements events,
-//     traces and properties keep. The shell is zeroed and its maps
-//     emptied when it is recycled (Map.Recycle and Queues.Recycle, which
-//     empty only a map the shell owns and keep it as the spare), so a
-//     stale reader sees empty channels. A shell keeps its transition
-//     scratch as it keeps its maps: the System struct its switch result,
-//     a controller runtime its dispatch scratch (handler context, outbox
-//     and packet). Scratch is refilled by every transition and never
-//     handed out (consumers copy its elements), so a fork takes its
-//     shell's own scratch, never its source's, and Release keeps the
-//     System struct's. Release recycles nothing else: its caller does
-//     not know that the fork's subtree is dead.
+//  4. Recycling: a component goes back to its pool only at Reclaim —
+//     which every depth-first loop, the DPOR DFS included, calls on a
+//     lent fork whose subtree is dead — only if the reclaimed fork
+//     owned it at the fork's epoch (by 1 and the reclaim rule, the fork
+//     made it and no live System reaches it), and only as a struct
+//     shell, its channel maps and the fork's props backing — never a
+//     slice backing, whose elements events, traces and properties keep.
+//     The shell is zeroed and its maps emptied when it is recycled
+//     (Map.Recycle and Queues.Recycle, which empty only a map the shell
+//     owns and keep it as the spare), so a stale reader sees empty
+//     channels. A shell keeps its transition scratch as it keeps its
+//     maps: the System struct its switch result, a controller runtime
+//     its dispatch scratch (handler context, outbox and packet).
+//     Scratch is refilled by every transition and never handed out
+//     (consumers copy its elements), so a fork takes its shell's own
+//     scratch, never its source's, and Release keeps the System
+//     struct's. Release recycles nothing else: its caller does not know
+//     that the fork's subtree is dead.
 package cow
 
 import "sync/atomic"

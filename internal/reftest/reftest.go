@@ -44,12 +44,12 @@ func Explore(cfg *core.Config, cc *core.Caches) *core.Report {
 		enabled []core.Transition
 	}
 	var events []core.Event
-	step := func(sys *core.System, t core.Transition) []core.PropertyFailure {
+	step := func(sys *core.System, t core.Transition) []core.Violation {
 		events = sys.ApplyInto(t, events)
 		return sys.CheckEvents(events)
 	}
-	var replay func(n *node) (*core.System, []core.PropertyFailure)
-	replay = func(n *node) (*core.System, []core.PropertyFailure) {
+	var replay func(n *node) (*core.System, []core.Violation)
+	replay = func(n *node) (*core.System, []core.Violation) {
 		if n.parent == nil {
 			return core.NewSystemWith(cfg, cc), nil
 		}
@@ -57,11 +57,6 @@ func Explore(cfg *core.Config, cc *core.Caches) *core.Report {
 		return sys, step(sys, n.t)
 	}
 	r := &core.Report{}
-	record := func(fails []core.PropertyFailure) {
-		for _, f := range fails {
-			r.Violations = append(r.Violations, core.Violation{Property: f.Property, Err: f.Err})
-		}
-	}
 	var queue []*node
 	// admit counts a new state, reached as n, and queues it for
 	// expansion unless it is a dead end or at the depth bound.
@@ -70,7 +65,7 @@ func Explore(cfg *core.Config, cc *core.Caches) *core.Report {
 		n.sys, n.enabled = sys, sys.Enabled()
 		switch {
 		case len(n.enabled) == 0:
-			record(sys.CheckQuiescence())
+			r.Violations = append(r.Violations, sys.CheckQuiescence()...)
 		case n.depth >= cfg.DepthBound():
 			r.Truncated++
 		default:
@@ -86,7 +81,7 @@ func Explore(cfg *core.Config, cc *core.Caches) *core.Report {
 		for i, t := range n.enabled {
 			next := &node{parent: n, t: t, depth: n.depth + 1}
 			var child *core.System
-			var fails []core.PropertyFailure
+			var fails []core.Violation
 			if i < len(n.enabled)-1 {
 				child, fails = replay(next)
 			} else {
@@ -94,7 +89,7 @@ func Explore(cfg *core.Config, cc *core.Caches) *core.Report {
 			}
 			r.Transitions++
 			if len(fails) > 0 {
-				record(fails)
+				r.Violations = append(r.Violations, fails...)
 				continue
 			}
 			if key := child.OracleKey(); seen[key] {

@@ -119,12 +119,12 @@ func (loopEngine) Search(ctx context.Context, cfg *core.Config, eo core.EngineOp
 
 // newLoop opens the loop's session with the root queued.
 func newLoop(ctx context.Context, cfg *core.Config, eo core.EngineOptions) *loopState {
-	st := &loopState{expander: expander{cfg: cfg, seen: newSeenSet(seenShards)},
+	st := &loopState{expander: expander{seen: newSeenSet(seenShards)},
 		seenHosts: make(map[hostAt]bool), symBudget: eo.SymBudget}
 	st.enter = st.feedbackTargets
 	st.divert = st.deferDiscover
 	st.fbRounds = eo.Telemetry.Scope("sym").Counter("feedback_rounds") // nil without a registry
-	st.queueRoot(st.start(ctx, "concolic", eo))
+	st.queueRoot(st.start(ctx, "concolic", cfg, eo))
 	return st
 }
 

@@ -24,14 +24,12 @@
 //     execution on another, whose targets share the queue's lock
 //     (concolic.go).
 //
-// The one reduced search is not a loop here: under
-// core.ReductionDPOR the DFS runs core.RunDPOR, the persistent-set
-// DPOR DFS, and no other loop reduces.
-//
 // Each loop is a core.Engine (DFS, Parallel, SwarmEngine, Walks, Loop)
 // and runs inside a core.Session, which supplies what every engine
-// shares: budgets, cancellation, the merged deterministic violation
-// set, streaming and the Report.
+// shares: the one search step (Session.Step and Leaf, which
+// core.RunDPOR, the DFS under core.ReductionDPOR and the one reduced
+// search, takes too), budgets, cancellation, the merged deterministic
+// violation set, streaming and the Report.
 //
 // Every front end dispatches through job.go: the table of the five
 // engines a request names one from, and Job.Run. search_test.go asserts
@@ -64,8 +62,8 @@ func (depthFirst) Search(ctx context.Context, cfg *core.Config, eo core.EngineOp
 	if eo.Reduction == core.ReductionDPOR {
 		return core.RunDPOR(ctx, cfg, eo)
 	}
-	st := &expander{cfg: cfg, seen: newSeenSet(1)}
-	root := st.start(ctx, "dfs", eo)
+	st := &expander{seen: newSeenSet(1)}
+	root := st.start(ctx, "dfs", cfg, eo)
 	st.push = st.expand
 	// The search runs on this goroutine, so a panicking App or Property
 	// unwinds through here with its own stack; only the session's
@@ -105,15 +103,15 @@ func (parallelEngine) Search(ctx context.Context, cfg *core.Config, eo core.Engi
 
 // newParallel opens the parallel engine's session with the root queued.
 func newParallel(ctx context.Context, cfg *core.Config, eo core.EngineOptions) *expander {
-	st := &expander{cfg: cfg, seen: newSeenSet(seenShards)}
-	st.queueRoot(st.start(ctx, "parallel", eo))
+	st := &expander{seen: newSeenSet(seenShards)}
+	st.queueRoot(st.start(ctx, "parallel", cfg, eo))
 	return st
 }
 
-// start opens the session named name and admits its root, which it
-// returns.
-func (st *expander) start(ctx context.Context, name string, eo core.EngineOptions) *core.System {
-	s := st.begin(ctx, name, st.cfg, eo)
+// start opens the session named name on cfg and admits its root, which
+// it returns.
+func (st *expander) start(ctx context.Context, name string, cfg *core.Config, eo core.EngineOptions) *core.System {
+	s := st.begin(ctx, name, cfg, eo)
 	root := s.NewSystem()
 	st.seen.Add(root.Fingerprint())
 	s.Admit(0)
@@ -184,7 +182,7 @@ type scratch struct {
 	// stack is the transition stack: stack[:d] is the trace of the state
 	// being expanded at depth d. An expansion writes stack[d] before
 	// each apply, so the trace of a violation — stack[:d] plus the
-	// transition — is never built; Session.Record copies only a trace
+	// transition — is never built; Session.Step copies only a trace
 	// it keeps.
 	stack []core.Transition
 	// exports counts the states this worker queued for another
@@ -195,13 +193,13 @@ type scratch struct {
 }
 
 // expander is the per-state expansion step and what its workers share:
-// the queue, which holds the Session, and the seen-set. Every engine but
-// the random walks runs this step; the DFS pushes a child by expanding
-// it, the multi-worker engines by handOff, and the concolic loop adds
-// the two seams enter and divert.
+// the queue, which holds the Session, and the seen-set. The DFS, the
+// parallel search and the concolic loop run this step; the walks and
+// the DPOR DFS share only the session's search step within it. The DFS
+// pushes a child by expanding it, the multi-worker engines by handOff,
+// and the concolic loop adds the two seams enter and divert.
 type expander struct {
 	queue
-	cfg  *core.Config
 	seen *seenSet
 
 	// push hands on an admitted child found by the worker owning sc and
@@ -217,28 +215,12 @@ type expander struct {
 	divert func(it item, t core.Transition) bool
 }
 
-// apply executes t on sys — a state nobody else holds — reached over
-// the worker's stack[:depth], writing stack[depth] = t, records every
-// property failure against the trace stack[:depth+1], and reports
-// whether there was one.
+// apply runs the session's step on sys — a state nobody else holds —
+// reached over the worker's stack[:depth], writing stack[depth] = t, and
+// reports whether a property failed on the trace stack[:depth+1].
 func (st *expander) apply(sc *scratch, sys *core.System, depth int, t core.Transition) bool {
 	sc.stack = append(sc.stack[:depth], t)
-	sc.events = sys.ApplyInto(t, sc.events)
-	return st.record(sys.CheckEvents(sc.events), sc.stack, false)
-}
-
-// record records fails against trace, the path to the state they were
-// found at, and reports whether there was one. After a transition every
-// failure is recorded; at quiescence the recording stops at the one
-// that stopped the search.
-func (st *expander) record(fails []core.PropertyFailure, trace []core.Transition, quiescence bool) bool {
-	for _, f := range fails {
-		st.s.Record(core.Violation{Property: f.Property, Err: f.Err, Trace: trace, Quiescence: quiescence})
-		if quiescence && st.s.Stopped() {
-			break
-		}
-	}
-	return len(fails) > 0
+	return st.s.Step(sys, t, sc.stack, &sc.events)
 }
 
 // admit pushes child, found at the top of the worker's stack, if its
@@ -287,12 +269,7 @@ func (st *expander) expand(sc *scratch, it item) (livesOn bool) {
 	}
 	enabled := it.sys.EnabledInto(sc.enabled[depth])
 	sc.enabled[depth] = enabled
-	if len(enabled) == 0 {
-		st.record(it.sys.CheckQuiescence(), it.trace, true)
-		return false
-	}
-	if depth >= st.cfg.DepthBound() {
-		s.Truncated.Add(1)
+	if s.Leaf(it.sys, enabled, it.trace) {
 		return false
 	}
 

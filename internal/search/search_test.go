@@ -2,7 +2,6 @@ package search
 
 import (
 	"context"
-	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -12,7 +11,6 @@ import (
 	"github.com/nice-go/nice/internal/canon"
 	"github.com/nice-go/nice/internal/core"
 	"github.com/nice-go/nice/internal/telemetry"
-	"github.com/nice-go/nice/openflow"
 	"github.com/nice-go/nice/scenarios"
 )
 
@@ -430,56 +428,6 @@ func TestReclaimHandoffParity(t *testing.T) {
 						tc.scenario, tc.scale, k, v.Property, v.Err)
 				}
 			}
-		}
-	}
-}
-
-// TestRecordHeldViolationAllocs: the expansion step records a violation
-// against the worker's transition stack, so recording one the session
-// already holds, after a transition or at quiescence, allocates nothing.
-func TestRecordHeldViolationAllocs(t *testing.T) {
-	cfg := &core.Config{}
-	st := &expander{cfg: cfg}
-	s := st.begin(context.Background(), "parallel", cfg, core.EngineOptions{})
-	var sc scratch
-	for i := 0; i < 40; i++ {
-		sc.stack = append(sc.stack, core.Transition{Kind: core.TSwitchProcess, Port: openflow.PortID(i)})
-	}
-	sc.stack = append(sc.stack, core.Transition{Kind: core.THostSend})
-	fails := []core.PropertyFailure{{Property: "NoForgottenPackets", Err: errors.New("packet forgotten")}}
-	st.record(fails, sc.stack, false)
-	if per := testing.AllocsPerRun(100, func() { st.record(fails, sc.stack, false) }); per != 0 {
-		t.Errorf("recording a held violation: %.0f allocs, want none", per)
-	}
-	if per := testing.AllocsPerRun(100, func() { st.record(fails, sc.stack, true) }); per != 0 {
-		t.Errorf("recording a held violation at quiescence: %.0f allocs, want none", per)
-	}
-	r := s.End(context.Background())
-	if len(r.Violations) != 1 || len(r.Violations[0].Trace) != 41 || r.Violations[0].Trace[40].Kind != core.THostSend {
-		t.Fatalf("recorded %v, want one violation over the 41-transition stack", r.Violations)
-	}
-}
-
-// TestRecordQuiescenceStops pins the recording rule: after a transition
-// every failure is recorded, but at quiescence recording stops at the
-// failure that stopped the search, so a search that stops at its first
-// violation reports exactly one quiescence failure of its last state.
-func TestRecordQuiescenceStops(t *testing.T) {
-	fails := []core.PropertyFailure{
-		{Property: "NoForgottenPackets", Err: errors.New("packet forgotten")},
-		{Property: "NoForwardingLoops", Err: errors.New("loop")},
-	}
-	for _, quiescence := range []bool{false, true} {
-		cfg := &core.Config{StopAtFirstViolation: true}
-		st := &expander{cfg: cfg}
-		s := st.begin(context.Background(), "dfs", cfg, core.EngineOptions{})
-		st.record(fails, nil, quiescence)
-		want := len(fails)
-		if quiescence {
-			want = 1
-		}
-		if r := s.End(context.Background()); len(r.Violations) != want {
-			t.Errorf("quiescence=%v: recorded %d violations, want %d", quiescence, len(r.Violations), want)
 		}
 	}
 }

@@ -28,9 +28,10 @@ func Walks() core.Engine { return randomWalk{name: "walks", workers: 1} }
 // walks share the discover caches, whose fill order shifts each walk's
 // enabled-transition sets, so their trajectories can vary with
 // scheduling. The workers share the striped seen-set (UniqueStates
-// counts distinct hashes across the whole swarm; there is no revisit,
-// truncation or frontier accounting in this mode) and all stop at the
-// first violation when the config asks.
+// counts distinct hashes across the whole swarm; there is no revisit
+// or frontier accounting in this mode) and all stop at the first
+// violation when the config asks. A walk takes the session's step and
+// ends at its leaves, so one cut at the depth bound counts as truncated.
 type randomWalk struct {
 	name    string
 	workers int // pinned pool size; 0 = EngineOptions.Workers
@@ -64,7 +65,8 @@ func (e randomWalk) Search(ctx context.Context, cfg *core.Config, eo core.Engine
 	return s.End(ctx)
 }
 
-// walk is one seeded random execution from the initial state.
+// walk is one seeded random execution from the initial state, ended by
+// a violation, a leaf (a dead end or the depth bound) or the step bound.
 func walk(s *core.Session, seen *seenSet, sc *scratch, seed int64, steps int) {
 	rng := rand.New(rand.NewSource(seed))
 	sys := s.NewSystem()
@@ -77,25 +79,15 @@ func walk(s *core.Session, seen *seenSet, sc *scratch, seed int64, steps int) {
 			s.Admit(len(trace))
 		}
 		enabled := sys.Enabled()
-		if len(enabled) == 0 {
-			for _, f := range sys.CheckQuiescence() {
-				s.Record(core.Violation{Property: f.Property, Err: f.Err,
-					Trace: trace, Quiescence: true})
-			}
+		if s.Leaf(sys, enabled, trace) {
 			return
 		}
 		t := enabled[rng.Intn(len(enabled))]
 		if !s.Reserve() {
 			return
 		}
-		sc.events = sys.ApplyInto(t, sc.events)
 		trace = append(trace, t)
-		violated := false
-		for _, f := range sys.CheckEvents(sc.events) {
-			s.Record(core.Violation{Property: f.Property, Err: f.Err, Trace: trace})
-			violated = true
-		}
-		if violated {
+		if s.Step(sys, t, trace, &sc.events) {
 			return
 		}
 	}

@@ -97,9 +97,9 @@ type WireTransition struct {
 	Env string `json:"env,omitempty"`
 }
 
-// ViolationFingerprint renders the stable identity of a violation:
-// the property name plus the 64-bit trace fingerprint the engines
-// already dedup on.
+// ViolationFingerprint renders the stable identity of a violating
+// execution: the property name plus the hash of the trace's rendering,
+// core.TraceFingerprint. The engines dedup on property and error text.
 func ViolationFingerprint(v *core.Violation) string {
 	return fmt.Sprintf("%s:%016x", v.Property, core.TraceFingerprint(v.Trace))
 }

@@ -208,6 +208,27 @@ func TestRunWalkEngines(t *testing.T) {
 	replayAll(t, build, swarm)
 }
 
+// TestRunWalksDepthBound: Config.MaxDepth cuts a walk as it cuts a DFS
+// path. Walks and the swarm take the session's leaf step, so no walk
+// admits a state past the bound and every cut counts as truncated.
+func TestRunWalksDepthBound(t *testing.T) {
+	for _, opts := range [][]nice.RunOption{
+		{nice.WithWalks(1, 8, 60)},
+		{nice.WithWalks(1, 8, 60), nice.WithWorkers(2)},
+		{},
+	} {
+		cfg := scenarios.MustLookup("pingpong").Config(3)
+		cfg.MaxDepth = 5
+		var obs streamCollector
+		r := nice.Run(context.Background(), cfg, append(opts, nice.WithObserver(&obs))...)
+		final := obs.progress[len(obs.progress)-1]
+		if !final.Final || final.Depth > cfg.MaxDepth || r.Truncated == 0 {
+			t.Errorf("%s: final depth %d (bound %d), %d truncated; want the bound kept and paths cut",
+				r.Strategy, final.Depth, cfg.MaxDepth, r.Truncated)
+		}
+	}
+}
+
 // streamCollector is a concurrency-safe Observer for tests.
 type streamCollector struct {
 	mu         sync.Mutex
