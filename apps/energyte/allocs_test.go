@@ -16,7 +16,7 @@ func TestStateKeyAllocs(t *testing.T) {
 	a, _ := newApp(Buggy, 1)
 	a.flows.Set(flowTo(topo.MACHostB, topo.IPHostB).Flow(), AlwaysOn)
 	a.flows.Set(flowTo(topo.MACHostB, topo.IPHostB).Flow().Reverse(), OnDemand)
-	a.pending = []pendingRelease{{Sw: 1, Buf: 7, Out: 2, Waiting: map[int]bool{3: true, 4: true}}}
+	a.pending.Append(pendingRelease{Sw: 1, Buf: 7, Out: 2, Waiting: []int{3, 4}})
 	if n := testing.AllocsPerRun(100, func() { _ = a.StateKey() }); n != 1 {
 		t.Errorf("StateKey: %.1f allocations, want 1", n)
 	}

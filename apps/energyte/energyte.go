@@ -91,21 +91,17 @@ type App struct {
 	// depart the ingress switch", §8.3).
 	UseBarriers bool
 	// pending holds packets awaiting barrier acknowledgments.
-	pending []pendingRelease
-
-	// borrowed marks pending as shared with the instance this one was
-	// cloned from; its first mutation copies it. Scalar fields need no
-	// guard — Clone copies the struct.
-	borrowed bool
+	pending cow.Slice[pendingRelease]
 }
 
 // pendingRelease is one parked packet: where it is buffered, how to
-// release it, and the outstanding barrier xids.
+// release it, and the outstanding barrier xids, sorted. Waiting is
+// immutable: BarrierReply replaces it, so a copy of pending shares it.
 type pendingRelease struct {
 	Sw      openflow.SwitchID
 	Buf     openflow.BufferID
 	Out     openflow.PortID
-	Waiting map[int]bool
+	Waiting []int
 }
 
 // New builds the application for the Triangle preset topology.
@@ -130,43 +126,23 @@ func (a *App) Name() string { return fmt.Sprintf("energyte(fix=%d)", int(a.fix))
 
 // Clone implements controller.App: an O(1) copy borrowing the flow
 // table and the pending-release queue until the clone's first write of
-// each; ensureOwned deep-copies pending.
+// each.
 func (a *App) Clone() controller.App {
 	c := *a
 	c.flows.Borrow(nil)
-	c.borrowed = true
+	c.pending.Borrow()
 	return &c
-}
-
-// ensureOwned deep-copies a borrowed pending queue before its first
-// write, Waiting maps included: BarrierReply deletes from them in place.
-func (a *App) ensureOwned() {
-	if !a.borrowed {
-		return
-	}
-	pending := make([]pendingRelease, len(a.pending))
-	for i, p := range a.pending {
-		w := make(map[int]bool, len(p.Waiting))
-		for x := range p.Waiting {
-			w[x] = true
-		}
-		p.Waiting = w
-		pending[i] = p
-	}
-	a.pending = pending
-	a.borrowed = false
 }
 
 // StateKey implements controller.App with a hand-written rendering:
 // the scalars, the flow table in Flow.Less order, and the pending
-// releases in queue order with their barrier xids sorted (the
+// releases in queue order with their sorted barrier xids (the
 // fmt.Sprintf + reflective canon.String walk this replaces was a sixth
 // of a Table 2 run; TestStateKeyPartition holds the two to the same
 // equalities). It renders on stack scratch and allocates only the
 // string; a state outgrowing the scratch spills to the heap.
 func (a *App) StateKey() string {
 	var flowScratch [8]openflow.Flow
-	var xidScratch [8]int
 	var buf [512]byte
 	flows := flowScratch[:0]
 	for f := range a.flows.All() {
@@ -192,19 +168,13 @@ func (a *App) StateKey() string {
 		b = strconv.AppendInt(b, int64(path), 10)
 	}
 	b = append(b, "} pend["...)
-	xids := xidScratch[:0]
-	for _, p := range a.pending {
+	for _, p := range a.pending.View() {
 		b = strconv.AppendInt(b, int64(p.Sw), 10)
 		b = append(b, ':')
 		b = strconv.AppendInt(b, int64(p.Buf), 10)
 		b = append(b, ':')
 		b = strconv.AppendInt(b, int64(p.Out), 10)
-		xids = xids[:0]
-		for x := range p.Waiting {
-			xids = append(xids, x)
-		}
-		slices.Sort(xids)
-		for _, x := range xids {
+		for _, x := range p.Waiting {
 			b = append(b, ',')
 			b = strconv.AppendInt(b, int64(x), 10)
 		}
@@ -398,13 +368,13 @@ func (a *App) installPath(ctx *controller.Context, p Path, pkt *sym.Packet, buf 
 	if a.UseBarriers && len(sws) > 1 && buf != openflow.BufferNone {
 		// Barrier remedy for BUG-IX: park the packet until every
 		// downstream switch confirms its rule is in place.
-		waiting := make(map[int]bool, len(sws)-1)
+		waiting := make([]int, 0, len(sws)-1)
 		for _, sw := range sws[1:] {
-			waiting[ctx.Barrier(sw)] = true
+			waiting = append(waiting, ctx.Barrier(sw))
 		}
-		a.ensureOwned()
+		slices.Sort(waiting)
 		a.BumpStateVersion()
-		a.pending = append(a.pending, pendingRelease{
+		a.pending.Append(pendingRelease{
 			Sw: a.ingress, Buf: buf, Out: firstOut, Waiting: waiting,
 		})
 		return
@@ -414,19 +384,20 @@ func (a *App) installPath(ctx *controller.Context, p Path, pkt *sym.Packet, buf 
 }
 
 // BarrierReply releases parked packets once their path is confirmed.
+// It replaces an entry's Waiting, never editing it: copies of pending
+// share it.
 func (a *App) BarrierReply(ctx *controller.Context, _ openflow.SwitchID, xid int) {
-	for i := range a.pending {
-		p := &a.pending[i]
-		if !p.Waiting[xid] {
+	for i, p := range a.pending.View() {
+		j, ok := slices.BinarySearch(p.Waiting, xid)
+		if !ok {
 			continue
 		}
-		a.ensureOwned()
-		p = &a.pending[i] // re-point at the owned copy before mutating
 		a.BumpStateVersion()
-		delete(p.Waiting, xid)
-		if len(p.Waiting) == 0 {
+		if len(p.Waiting) == 1 {
 			ctx.PacketOut(p.Sw, p.Buf, openflow.Output(p.Out))
-			a.pending = append(a.pending[:i:i], a.pending[i+1:]...)
+			a.pending.Delete(i)
+		} else {
+			a.pending.Own()[i].Waiting = append(p.Waiting[:j:j], p.Waiting[j+1:]...)
 		}
 		return
 	}

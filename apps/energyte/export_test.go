@@ -11,5 +11,5 @@ import (
 func (a *App) OracleStateKey() string {
 	return fmt.Sprintf("high=%t table=%v n=%d polls=%d flows=%s pend=%s",
 		a.high, a.globalTable, a.flowCount, a.pollsLeft,
-		canon.String(a.flows.Read()), canon.String(a.pending))
+		canon.String(a.flows.Read()), canon.String(a.pending.View()))
 }

@@ -60,7 +60,8 @@ type Config struct {
 	App controller.App
 	// Hosts are the end hosts (required).
 	Hosts []*hosts.Host
-	// Properties are the correctness properties to check.
+	// Properties are the correctness properties to check, any number
+	// of them.
 	Properties []Property
 
 	// --- Search strategy (§4) ---

@@ -8,6 +8,7 @@ package core_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/nice-go/nice/internal/core"
@@ -128,4 +129,26 @@ func FuzzCloneIndependence(f *testing.F) {
 		n := int(steps)%40 + 5
 		walkCloneIndependence(t, name, seed, n)
 	})
+}
+
+// TestManyProperties: a slot's tag, not a bitmask, marks a property
+// owned, so a Config may hold any number of them. A DFS over bug-ii
+// with 65 copies of its property, the last at the slot a 64-bit mask
+// had no bit for, reports the one-copy run's states, transitions and
+// violation keys.
+func TestManyProperties(t *testing.T) {
+	one := scenarios.MustLookup("bug-ii").Config(0)
+	many := *one
+	many.Properties = nil
+	for range 65 {
+		many.Properties = append(many.Properties, one.Properties[0].Clone())
+	}
+	want, got := dfs(one, core.EngineOptions{}), dfs(&many, core.EngineOptions{})
+	if got.UniqueStates != want.UniqueStates || got.Transitions != want.Transitions {
+		t.Errorf("65 properties: %d states, %d transitions; one: %d, %d",
+			got.UniqueStates, got.Transitions, want.UniqueStates, want.Transitions)
+	}
+	if g, w := core.ViolationKeys(got), core.ViolationKeys(want); !slices.Equal(g, w) || len(w) == 0 {
+		t.Errorf("65 properties: violations %q; one: %q", g, w)
+	}
 }

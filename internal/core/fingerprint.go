@@ -5,6 +5,7 @@ import (
 
 	"github.com/nice-go/nice/controller"
 	"github.com/nice-go/nice/internal/canon"
+	"github.com/nice-go/nice/internal/cow"
 )
 
 // Fingerprint returns the fixed-width 128-bit identity of the state —
@@ -120,6 +121,7 @@ type propSlot struct {
 	hash    uint64 // canon.Hash64String(p.StateKey()) when valid
 	version uint64 // a Versioned p's StateVersion when hash was taken
 	valid   bool
+	cow.Tag // p is owned at the tag's epoch, as a switch is (ownProp)
 }
 
 // keyHash returns the slot's hash, rendering the key only when the slot

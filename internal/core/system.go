@@ -51,12 +51,11 @@ type System struct {
 	// ensureOwned step of internal/cow). Clone retires the epoch on
 	// both sides, freezing every shared component.
 	epoch uint64
-	// propsEpoch marks the props slice owned when equal to epoch;
-	// propsOwned is the per-property ownership bitmask within an owned
-	// slice (newSystem caps properties at 64).
+	// propsEpoch marks the props slice owned when equal to epoch (each
+	// slot's Tag marks its property owned within it); groupEpoch marks
+	// groupCounts owned likewise. They are epochs, not flags, so
+	// Reclaim's return to an epoch gives them back for free.
 	propsEpoch uint64
-	propsOwned uint64
-	// groupEpoch marks groupCounts owned when equal to epoch.
 	groupEpoch uint64
 	// cachesWarm notes that every memoized component key is valid (set
 	// by warmKeyCaches and the incremental Fingerprint, cleared by the
@@ -101,13 +100,12 @@ func NewSystem(cfg *Config) *System {
 
 // NewSystemWith builds the initial state against a caller-supplied
 // discover-cache set. The parallel search engine uses it so all workers
-// share one memo; tests use it to warm caches across runs.
+// share one memo; tests use it to warm caches across runs. A Config may
+// hold any number of properties: each slot carries its own ownership
+// tag.
 func NewSystemWith(cfg *Config, cc *Caches) *System {
 	if cfg.Topo == nil || cfg.App == nil {
 		panic("core: Config.Topo and Config.App are required")
-	}
-	if len(cfg.Properties) > 64 {
-		panic("core: at most 64 properties per Config (ownership bitmask)")
 	}
 	epoch := cow.NextEpoch()
 	s := &System{
@@ -118,7 +116,6 @@ func NewSystemWith(cfg *Config, cc *Caches) *System {
 		groupCounts: make(map[string]int),
 		epoch:       epoch,
 		propsEpoch:  epoch,
-		propsOwned:  ^uint64(0),
 		groupEpoch:  epoch,
 		inputs:      new(symInputs),
 	}
@@ -141,8 +138,10 @@ func NewSystemWith(cfg *Config, cc *Caches) *System {
 	for _, h := range cfg.Hosts {
 		s.hosts[s.hostIndex(h.ID)] = h.Fork(epoch)
 	}
-	for _, p := range cfg.Properties {
-		s.props = append(s.props, propSlot{p: p.Clone()})
+	s.props = make([]propSlot, len(cfg.Properties))
+	for i, p := range cfg.Properties {
+		s.props[i].p = p.Clone()
+		s.props[i].SetOwner(epoch)
 	}
 
 	// Port link state: a port is up when a switch-switch link or a
@@ -212,7 +211,6 @@ func (s *System) Clone() *System {
 	c.props = s.props
 	c.epoch = cow.NextEpoch()
 	c.propsEpoch = 0
-	c.propsOwned = 0
 	c.groupEpoch = 0
 	c.lastGroup = s.lastGroup
 	c.groupCounts = s.groupCounts
@@ -250,23 +248,8 @@ func (s *System) Reclaim(fork *System, epoch uint64) {
 // tagged with s's epoch was made by s and no live System reaches it
 // (cow invariant 1). The props backing stays with s's pooled struct.
 func (s *System) recycle() {
-	n := int64(0)
-	for _, sw := range s.switches {
-		if sw.OwnedBy(s.epoch) {
-			sw.Recycle()
-			n++
-		}
-	}
-	for _, h := range s.hosts {
-		if h.OwnedBy(s.epoch) {
-			h.Recycle()
-			n++
-		}
-	}
-	if s.ctrl.OwnedBy(s.epoch) {
-		s.ctrl.Recycle()
-		n++
-	}
+	n := recycleShells(s.epoch, s.switches) + recycleShells(s.epoch, s.hosts) +
+		recycleShells(s.epoch, []*controller.Runtime{s.ctrl})
 	if s.propsEpoch == s.epoch {
 		clear(s.props)
 		s.propsSpare = s.props[:0]
@@ -274,6 +257,26 @@ func (s *System) recycle() {
 	if s.met != nil {
 		s.met.shellsRecycled.Add(n)
 	}
+}
+
+// shell is a component a System holds by pointer and forks on its
+// first write after a fork: a switch, a host or the controller runtime.
+type shell[P any] interface {
+	OwnedBy(epoch uint64) bool
+	Fork(owner uint64) P
+	Recycle()
+}
+
+// recycleShells recycles the shells owned at epoch, returning how many.
+func recycleShells[P shell[P]](epoch uint64, shells []P) int64 {
+	n := int64(0)
+	for _, c := range shells {
+		if c.OwnedBy(epoch) {
+			c.Recycle()
+			n++
+		}
+	}
+	return n
 }
 
 // systemPool recycles System structs and their component-pointer slice
@@ -356,49 +359,29 @@ func (s *System) hostIndex(id openflow.HostID) int {
 	panic(fmt.Sprintf("core: unknown host %v", id))
 }
 
-// ownSwitch returns switch id, forking it first unless it is already
-// exclusively owned at the current epoch — the ensureOwned hook every
-// switch mutation site goes through.
+// own returns the shell *slot holds, forking it into *slot first
+// unless it is already exclusively owned at the current epoch — the
+// ensureOwned hook every switch, host and runtime mutation site goes
+// through.
+func own[P shell[P]](s *System, slot *P) P {
+	s.cachesWarm = false
+	if !(*slot).OwnedBy(s.epoch) {
+		*slot = (*slot).Fork(s.epoch)
+		if s.met != nil {
+			s.met.copies.Inc()
+		}
+	}
+	return *slot
+}
+
+// ownSwitch, ownHost and ownCtrl own a switch, a host and the runtime.
 func (s *System) ownSwitch(id openflow.SwitchID) *openflow.Switch {
-	s.cachesWarm = false
-	i := s.swIndex(id)
-	sw := s.switches[i]
-	if !sw.OwnedBy(s.epoch) {
-		sw = sw.Fork(s.epoch)
-		s.switches[i] = sw
-		if s.met != nil {
-			s.met.copies.Inc()
-		}
-	}
-	return sw
+	return own(s, &s.switches[s.swIndex(id)])
 }
 
-// ownHost is ownSwitch for hosts.
-func (s *System) ownHost(id openflow.HostID) *hosts.Host {
-	s.cachesWarm = false
-	i := s.hostIndex(id)
-	h := s.hosts[i]
-	if !h.OwnedBy(s.epoch) {
-		h = h.Fork(s.epoch)
-		s.hosts[i] = h
-		if s.met != nil {
-			s.met.copies.Inc()
-		}
-	}
-	return h
-}
+func (s *System) ownHost(id openflow.HostID) *hosts.Host { return own(s, &s.hosts[s.hostIndex(id)]) }
 
-// ownCtrl is ownSwitch for the controller runtime.
-func (s *System) ownCtrl() *controller.Runtime {
-	s.cachesWarm = false
-	if !s.ctrl.OwnedBy(s.epoch) {
-		s.ctrl = s.ctrl.Fork(s.epoch)
-		if s.met != nil {
-			s.met.copies.Inc()
-		}
-	}
-	return s.ctrl
-}
+func (s *System) ownCtrl() *controller.Runtime { return own(s, &s.ctrl) }
 
 // ownProp returns property i for mutation (event delivery), copying the
 // props slice (into the spare backing when there is one) and the
@@ -410,13 +393,12 @@ func (s *System) ownProp(i int) Property {
 	if s.propsEpoch != s.epoch {
 		s.props = append(s.propsSpare, s.props...)
 		s.propsSpare = nil
-		s.propsOwned = 0
 		s.propsEpoch = s.epoch
 	}
 	sl := &s.props[i]
-	if s.propsOwned&(1<<uint(i)) == 0 {
+	if !sl.OwnedBy(s.epoch) {
 		sl.p = sl.p.Clone()
-		s.propsOwned |= 1 << uint(i)
+		sl.SetOwner(s.epoch)
 		if s.met != nil {
 			s.met.copies.Inc()
 		}

@@ -35,3 +35,20 @@ func TestRecycleRefillAllocs(t *testing.T) {
 		t.Errorf("refilling recycled spares: %.1f allocations, want 0", n)
 	}
 }
+
+// TestSliceOwnAllocs: writing an owned slice in place allocates
+// nothing; only a borrowed one is copied.
+func TestSliceOwnAllocs(t *testing.T) {
+	var s Slice[int]
+	for i := range 4 {
+		s.Append(i)
+	}
+	write := func() {
+		s.Own()[1]++
+		s.Truncate(3)
+		s.Append(9)
+	}
+	if n := testing.AllocsPerRun(100, write); n != 0 {
+		t.Errorf("writing an owned slice: %.1f allocations, want 0", n)
+	}
+}

@@ -12,7 +12,7 @@
 // Ownership has a single root authority: the System's current epoch, a
 // process-unique number drawn from a global atomic counter. Every
 // directly-held mutable component (switch, host, controller runtime,
-// property group) carries a Tag recording the epoch it was acquired at:
+// property slot) carries a Tag recording the epoch it was acquired at:
 //
 //   - Tag == current system epoch  ⇒ the component is exclusively
 //     reachable from this System and may be mutated in place.
@@ -34,22 +34,25 @@
 // nothing into shared components (only the two System epochs change), so
 // a fork never races with another goroutine reading components it shares.
 //
-// Nested state (a switch's flow table and channel maps, a runtime's
-// application and message queues, the maps apps and properties keep) is
-// borrowed instead of epoch-tagged: a component copy is created with its
-// internals marked borrowed, and each internal mutator copies-then-clears
-// before the first write. Map and Queues (map.go) are the one
-// implementation of that rule for maps: Borrow on the fork, a copy
-// before the first Set, Delete, Append or PopHead, queue slices clamped
-// so appends reallocate, and Recycle's spare. The borrowed marks live
-// only on the exclusive copy — the frozen source is never written —
-// which keeps the protocol race-free under the parallel engines without
-// any atomics on the hot path.
+// Nested state (a switch's flow table, buffer and channel maps, a
+// runtime's application and message queues, the maps and slices apps
+// and properties keep) is borrowed instead of epoch-tagged: a component
+// copy is created with its internals marked borrowed, and each internal
+// mutator copies-then-clears before the first write. Map, Queues
+// (map.go) and Slice (slice.go) are the forms of that rule: Borrow on
+// the fork; for maps a copy before the first Set, Delete, Append or
+// PopHead, queue slices clamped so appends reallocate, and Recycle's
+// spare; for slices a clamp, so appends reallocate, and a copy in Own
+// before the first in-place write. The borrowed marks live only on the
+// exclusive copy — the frozen source is never written — which keeps the
+// protocol race-free under the parallel engines without any atomics on
+// the hot path.
 //
 // # Invariants
 //
 //  1. Exclusivity: Tag.OwnedBy(sys.epoch) implies the component is
-//     reachable from no other System.
+//     reachable from no other System. Property slots carry tags too: a
+//     property is owned exactly when its slot's tag is the epoch.
 //  2. Frozen sources: once a System forks, every component it held is
 //     immutable through the old references while any fork may share
 //     it, and for good unless the System reclaims its pre-fork epoch.

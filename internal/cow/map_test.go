@@ -98,6 +98,72 @@ func TestQueuesForkIsolation(t *testing.T) {
 	}
 }
 
+// forkSlice returns what a holder's Fork or Clone makes of src.
+func forkSlice(src *Slice[int]) *Slice[int] {
+	c := *src
+	c.Borrow()
+	return &c
+}
+
+// TestSliceForkIsolation: no write through a fork changes its source's
+// elements or writes into its backing array, including the slots past
+// its length that an in-place append would take.
+func TestSliceForkIsolation(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		write func(*Slice[int])
+		want  []int
+	}{
+		{"append-past-clamp", func(s *Slice[int]) { s.Append(5) }, []int{1, 2, 3, 5}},
+		{"own-write", func(s *Slice[int]) { s.Own()[0] = 10 }, []int{10, 2, 3}},
+		{"own-compact", func(s *Slice[int]) {
+			own := s.Own()
+			own[0] = own[2]
+			s.Truncate(2)
+			s.Append(7)
+		}, []int{3, 2, 7}},
+		{"truncate-append", func(s *Slice[int]) { s.Truncate(1); s.Append(8) }, []int{1, 8}},
+		{"delete-head", func(s *Slice[int]) { s.Delete(0); s.Own()[0] = 9 }, []int{9, 3}},
+		{"delete-last", func(s *Slice[int]) { s.Delete(2); s.Own()[0] = 9; s.Append(6) }, []int{9, 2, 6}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The source has spare capacity holding a sentinel an
+			// in-place append would overwrite.
+			backing := []int{1, 2, 3, -1}
+			src := Slice[int]{s: backing[:3]}
+			f := forkSlice(&src)
+			tc.write(f)
+			if !slices.Equal(backing, []int{1, 2, 3, -1}) || !slices.Equal(src.View(), []int{1, 2, 3}) {
+				t.Errorf("source = %v, backing %v after the fork's write", src.View(), backing)
+			}
+			if !slices.Equal(f.View(), tc.want) || f.Len() != len(tc.want) {
+				t.Errorf("fork = %v, want %v", f.View(), tc.want)
+			}
+		})
+	}
+}
+
+// TestSliceOwn: Own copies a borrowed backing once, with one slot of
+// headroom, and hands an owned slice back as it is.
+func TestSliceOwn(t *testing.T) {
+	var src Slice[int]
+	for i := range 3 {
+		src.Append(i)
+	}
+	f := forkSlice(&src)
+	own := f.Own()
+	if &own[0] == &src.View()[0] || cap(own) != len(own)+1 {
+		t.Errorf("Own of a borrowed slice: shares the source %t, cap %d for len %d",
+			&own[0] == &src.View()[0], cap(own), len(own))
+	}
+	if again := f.Own(); &again[0] != &own[0] {
+		t.Error("Own of an owned slice copied it")
+	}
+	if got := src.Own(); &got[0] != &src.View()[0] {
+		t.Error("Own of the source, which was never borrowed, copied it")
+	}
+}
+
 // TestPopHeadDrainsKey: popping a queue's last element removes its key,
 // and popping an empty or missing queue reports false.
 func TestPopHeadDrainsKey(t *testing.T) {

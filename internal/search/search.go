@@ -192,6 +192,16 @@ type scratch struct {
 	exports int64
 }
 
+// enabledAt enumerates sys's enabled transitions into the buffer kept
+// for depth.
+func (sc *scratch) enabledAt(sys *core.System, depth int) []core.Transition {
+	for len(sc.enabled) <= depth {
+		sc.enabled = append(sc.enabled, nil)
+	}
+	sc.enabled[depth] = sys.EnabledInto(sc.enabled[depth])
+	return sc.enabled[depth]
+}
+
 // expander is the per-state expansion step and what its workers share:
 // the queue, which holds the Session, and the seen-set. The DFS, the
 // parallel search and the concolic loop run this step; the walks and
@@ -264,11 +274,7 @@ func (st *expander) expand(sc *scratch, it item) (livesOn bool) {
 		st.enter(sc, it)
 	}
 	depth := len(it.trace)
-	for len(sc.enabled) <= depth {
-		sc.enabled = append(sc.enabled, nil)
-	}
-	enabled := it.sys.EnabledInto(sc.enabled[depth])
-	sc.enabled[depth] = enabled
+	enabled := sc.enabledAt(it.sys, depth)
 	if s.Leaf(it.sys, enabled, it.trace) {
 		return false
 	}

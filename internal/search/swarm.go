@@ -78,7 +78,7 @@ func walk(s *core.Session, seen *seenSet, sc *scratch, seed int64, steps int) {
 		if seen.Add(sys.Fingerprint()) {
 			s.Admit(len(trace))
 		}
-		enabled := sys.Enabled()
+		enabled := sc.enabledAt(sys, 0)
 		if s.Leaf(sys, enabled, trace) {
 			return
 		}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"github.com/nice-go/nice/internal/canon"
+	"github.com/nice-go/nice/internal/cow"
 )
 
 // Permanent marks a timeout that never fires (the PERMANENT constant of
@@ -51,15 +52,12 @@ func (r Rule) String() string { return r.Key() }
 // the order rules arrived in.
 //
 // Tables participate in the copy-on-write forking protocol
-// (internal/cow): Fork shares the rule storage with the receiver and
-// every mutating method copies it first. Installed rules' Action slices
-// are treated as immutable — nothing in the model rewrites an action
-// list in place — so rule-element copies share them.
+// (internal/cow): Fork shares the rule storage with the receiver, a
+// cow.Slice, and every mutating method owns it first. Installed rules'
+// Action slices are treated as immutable — nothing in the model
+// rewrites an action list in place — so rule-element copies share them.
 type FlowTable struct {
-	rules []Rule
-	// borrowed marks rule storage shared with the table this one was
-	// forked from; the first mutation copies the elements and clears it.
-	borrowed bool
+	rules cow.Slice[Rule]
 	// sum is the canonical-mode digest of the rule set: the wrapping
 	// sum of every rule's finalised counter-free hash, adjusted by
 	// Install, Delete and Tick as rules come and go. Addition commutes,
@@ -77,39 +75,17 @@ func NewFlowTable() *FlowTable { return &FlowTable{} }
 // while the fork may still read it; the fork copies before its own
 // first mutation.
 func (t *FlowTable) Fork() *FlowTable {
-	c := &FlowTable{}
-	c.forkInto(t)
-	return c
-}
-
-// forkInto initializes t as a copy-on-write fork of src — Fork's
-// allocation-free form for tables embedded by value.
-func (t *FlowTable) forkInto(src *FlowTable) {
-	t.rules = src.rules[:len(src.rules):len(src.rules)]
-	t.borrowed = true
-	t.sum = src.sum
-}
-
-// ensureOwned copies borrowed rule storage before the first mutation.
-// Element copies share Action slices (immutable once installed).
-func (t *FlowTable) ensureOwned() {
-	if !t.borrowed {
-		return
-	}
-	// One slot of headroom: the common ensureOwned trigger is an
-	// Install about to append.
-	rules := make([]Rule, len(t.rules), len(t.rules)+1)
-	copy(rules, t.rules)
-	t.rules = rules
-	t.borrowed = false
+	c := *t
+	c.rules.Borrow()
+	return &c
 }
 
 // Len returns the number of installed rules.
-func (t *FlowTable) Len() int { return len(t.rules) }
+func (t *FlowTable) Len() int { return t.rules.Len() }
 
 // Rules returns the rules in insertion order. The returned slice aliases
 // the table; callers must not mutate it.
-func (t *FlowTable) Rules() []Rule { return t.rules }
+func (t *FlowTable) Rules() []Rule { return t.rules.View() }
 
 // Install applies FlowAdd semantics: a rule with an identical match and
 // priority is cleared and the new rule appended (actions and timeouts
@@ -127,7 +103,7 @@ func (t *FlowTable) Install(r Rule) {
 	t.deleteWhere(func(old *Rule) bool {
 		return old.Priority == r.Priority && old.Match.Equal(r.Match)
 	})
-	t.rules = append(t.rules, r)
+	t.rules.Append(r)
 	t.sum += r.digest(false)
 }
 
@@ -148,20 +124,20 @@ func (t *FlowTable) DeleteStrict(pattern Match, priority int) int {
 // deleteWhere removes the rules pred selects, reading each in place; a
 // kept rule moves only to close a gap.
 func (t *FlowTable) deleteWhere(pred func(*Rule) bool) int {
-	t.ensureOwned()
+	rules := t.rules.Own()
 	removed := 0
-	for i := range t.rules {
-		r := &t.rules[i]
+	for i := range rules {
+		r := &rules[i]
 		if pred(r) {
 			removed++
 			t.sum -= r.digest(false)
 			continue
 		}
 		if removed > 0 {
-			t.rules[i-removed] = *r
+			rules[i-removed] = *r
 		}
 	}
-	t.rules = t.rules[:len(t.rules)-removed]
+	t.rules.Truncate(len(rules) - removed)
 	return removed
 }
 
@@ -172,13 +148,14 @@ func (t *FlowTable) deleteWhere(pred func(*Rule) bool) int {
 // and insertion-order independent. The returned index addresses
 // t.Rules(); ok is false on a table miss.
 func (t *FlowTable) Lookup(h Header, inPort PortID) (idx int, ok bool) {
+	rules := t.rules.View()
 	best := -1
-	for i := range t.rules {
-		r := &t.rules[i]
+	for i := range rules {
+		r := &rules[i]
 		if !r.Match.Matches(h, inPort) {
 			continue
 		}
-		if best == -1 || ruleLess(r, &t.rules[best]) {
+		if best == -1 || ruleLess(r, &rules[best]) {
 			best = i
 		}
 	}
@@ -204,20 +181,20 @@ func ruleLess(a, b *Rule) bool {
 
 // Hit updates rule idx's counters for one matched packet.
 func (t *FlowTable) Hit(idx int) {
-	t.ensureOwned()
-	t.rules[idx].PacketCount++
-	t.rules[idx].ByteCount += 100
-	t.rules[idx].IdleAge = 0
+	r := &t.rules.Own()[idx]
+	r.PacketCount++
+	r.ByteCount += 100
+	r.IdleAge = 0
 }
 
 // Tick advances rule ages by one expiry tick and removes rules whose idle
 // or hard timeout has elapsed, returning the expired rules. This backs
 // the optional timer-expiry environment transition.
 func (t *FlowTable) Tick() []Rule {
-	t.ensureOwned()
+	rules := t.rules.Own()
 	var expired []Rule
-	kept := t.rules[:0]
-	for _, r := range t.rules {
+	kept := rules[:0]
+	for _, r := range rules {
 		r.Age++
 		r.IdleAge++
 		if (r.HardTimeout != Permanent && r.Age >= r.HardTimeout) ||
@@ -228,7 +205,7 @@ func (t *FlowTable) Tick() []Rule {
 		}
 		kept = append(kept, r)
 	}
-	t.rules = kept
+	t.rules.Truncate(len(kept))
 	return expired
 }
 
@@ -237,7 +214,7 @@ func (t *FlowTable) Tick() []Rule {
 // and costs O(1); the ablation forms fold over the rules on demand.
 func (t *FlowTable) Digest(canonical, includeCounters bool) uint64 {
 	if canonical && !includeCounters {
-		return canon.NewMix(uint64(len(t.rules))).Word(t.sum).Sum()
+		return canon.NewMix(uint64(t.rules.Len())).Word(t.sum).Sum()
 	}
 	return t.FreshDigest(canonical, includeCounters)
 }
@@ -248,10 +225,11 @@ func (t *FlowTable) Digest(canonical, includeCounters bool) uint64 {
 // order chains them, so equivalent tables hash apart exactly as the
 // NO-SWITCH-REDUCTION baseline wants.
 func (t *FlowTable) FreshDigest(canonical, includeCounters bool) uint64 {
-	h := canon.NewMix(uint64(len(t.rules)))
+	rules := t.rules.View()
+	h := canon.NewMix(uint64(len(rules)))
 	var sum uint64
-	for i := range t.rules {
-		if d := t.rules[i].digest(includeCounters); canonical {
+	for i := range rules {
+		if d := rules[i].digest(includeCounters); canonical {
 			sum += d
 		} else {
 			h = h.Word(d)
@@ -281,8 +259,8 @@ func (t *FlowTable) RenderInsertionOrderKey(includeCounters bool) string {
 }
 
 func (t *FlowTable) ruleStateKeys(includeCounters bool) []string {
-	keys := make([]string, len(t.rules))
-	for i, r := range t.rules {
+	keys := make([]string, t.rules.Len())
+	for i, r := range t.rules.View() {
 		var buf [288]byte
 		keys[i] = string(r.appendStateKey(buf[:0], includeCounters))
 	}
@@ -290,11 +268,11 @@ func (t *FlowTable) ruleStateKeys(includeCounters bool) []string {
 }
 
 func (t *FlowTable) String() string {
-	if len(t.rules) == 0 {
+	if t.rules.Len() == 0 {
 		return "<empty>"
 	}
-	keys := make([]string, len(t.rules))
-	for i, r := range t.rules {
+	keys := make([]string, t.rules.Len())
+	for i, r := range t.rules.View() {
 		keys[i] = r.Key()
 	}
 	return strings.Join(keys, "\n")

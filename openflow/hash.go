@@ -27,7 +27,7 @@ func (h Header) Hash(m canon.Mix) canon.Mix {
 
 // hash folds the constrained fields in, truncated as Match.Key renders
 // them (IP values to 32 bits, Ethernet addresses to 48).
-func (m Match) hash(h canon.Mix) canon.Mix {
+func (m *Match) hash(h canon.Mix) canon.Mix {
 	var prefix uint64
 	if m.Has(FieldIPSrc) {
 		prefix = uint64(m.ipSrcBits)
@@ -93,7 +93,7 @@ func (r *Rule) digest(counters bool) uint64 { return r.hash(canon.NewMix(0), cou
 
 // FreshKeyHash64 hashes the fields Msg.Key renders from scratch,
 // ignoring the memo MemoKeyHash stores.
-func (m Msg) FreshKeyHash64() uint64 {
+func (m *Msg) FreshKeyHash64() uint64 {
 	h := canon.NewMix(uint64(m.Type))
 	switch m.Type {
 	case MsgFlowMod:

@@ -247,7 +247,7 @@ func (m Match) IsExact() bool {
 
 // Matches reports whether a packet header arriving on inPort satisfies
 // the pattern.
-func (m Match) Matches(h Header, inPort PortID) bool {
+func (m *Match) Matches(h Header, inPort PortID) bool {
 	for f := Field(0); int(f) < numMatchable; f++ {
 		if !m.Has(f) {
 			continue

@@ -202,7 +202,7 @@ func (m Msg) Key() string {
 
 // KeyHash64 is the message's structural hash: the memo when MemoKeyHash
 // stored one, a fresh computation otherwise.
-func (m Msg) KeyHash64() uint64 {
+func (m *Msg) KeyHash64() uint64 {
 	if m.keyHash != 0 {
 		return m.keyHash
 	}

@@ -74,7 +74,7 @@ func (s *Switch) OFPlan(m Msg, buf []PortID) (ProcPlan, bool) {
 	inPort := m.InPort
 	if m.Buffer != BufferNone {
 		found := false
-		for _, e := range s.buffer {
+		for _, e := range s.buffer.View() {
 			if e.ID == m.Buffer {
 				inPort = e.InPort
 				found = true

@@ -107,7 +107,7 @@ type Switch struct {
 	// port loses the packet — the black hole BUG-I manifests as.
 	up cow.Map[PortID, bool]
 
-	buffer  []BufEntry
+	buffer  cow.Slice[BufEntry]
 	nextBuf BufferID
 
 	// Alive is false after an (optional) switch failure. Core code that
@@ -182,12 +182,9 @@ func (s *Switch) Fork(owner uint64) *Switch {
 	*c = *s
 	c.in.Borrow(&in)
 	c.up.Borrow(&up)
+	c.Table.rules.Borrow()
+	c.buffer.Borrow()
 	c.SetOwner(owner)
-	c.Table.forkInto(&s.Table)
-	// The buffer slice is capacity-clamped so appends reallocate
-	// instead of writing the shared backing array; element removal
-	// (takeBuffer) already builds a fresh array via clamped appends.
-	c.buffer = s.buffer[:len(s.buffer):len(s.buffer)]
 	return c
 }
 
@@ -237,7 +234,7 @@ func (s *Switch) TotalQueued() int {
 
 // Buffered returns the awaiting-controller buffer entries in buffer-ID
 // order.
-func (s *Switch) Buffered() []BufEntry { return s.buffer }
+func (s *Switch) Buffered() []BufEntry { return s.buffer.View() }
 
 // DropHead removes and returns the head packet of a port's channel —
 // the fault model's packet-loss transition (§2.2.2's optional channel
@@ -338,7 +335,7 @@ func (s *Switch) processOne(res *ProcResult, pkt Packet, inPort PortID, alloc *I
 func (s *Switch) bufferAndNotify(res *ProcResult, pkt Packet, inPort PortID, reason PacketInReason) {
 	id := s.nextBuf
 	s.nextBuf++
-	s.buffer = append(s.buffer, BufEntry{ID: id, Pkt: pkt, InPort: inPort})
+	s.buffer.Append(BufEntry{ID: id, Pkt: pkt, InPort: inPort})
 	res.Buffered = append(res.Buffered, pkt)
 	res.ToController = append(res.ToController, Msg{
 		Type:   MsgPacketIn,
@@ -460,15 +457,15 @@ func (s *Switch) ApplyOFInto(m Msg, alloc *IDAlloc, res *ProcResult) {
 // entries (used when a switch fails and loses its soft state).
 func (s *Switch) TakeAllBuffered() []BufEntry {
 	s.MarkDirty()
-	out := s.buffer
-	s.buffer = nil
+	out := s.buffer.View()
+	s.buffer = cow.Slice[BufEntry]{}
 	return out
 }
 
 func (s *Switch) takeBuffer(id BufferID) (BufEntry, bool) {
-	for i, e := range s.buffer {
+	for i, e := range s.buffer.View() {
 		if e.ID == id {
-			s.buffer = append(s.buffer[:i:i], s.buffer[i+1:]...)
+			s.buffer.Delete(i)
 			return e, true
 		}
 	}
@@ -541,8 +538,8 @@ func (s *Switch) hashState(table uint64) uint64 {
 	for _, p := range s.Ports {
 		h = h.Word(uint64(p)<<1 | boolWord(s.PortUp(p)))
 	}
-	h = h.Word(table).Word(uint64(len(s.buffer)))
-	for _, e := range s.buffer {
+	h = h.Word(table).Word(uint64(s.buffer.Len()))
+	for _, e := range s.buffer.View() {
 		// Buffer IDs are opaque correlation tokens; hashing the held
 		// packets (not the IDs) lets semantically equivalent states
 		// merge. In-flight packet_in messages referencing a buffer
@@ -599,7 +596,7 @@ func (s *Switch) StateKey(canonical, includeCounters bool) string {
 		}
 	}
 	b = append(b, "] buf["...)
-	for _, e := range s.buffer {
+	for _, e := range s.buffer.View() {
 		b = append(b, '(')
 		b = e.Pkt.Header.appendKey(b)
 		b = append(b, ")@p"...)
